@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"parapre/internal/ilu"
+	"parapre/internal/paranoid"
 	"parapre/internal/sparse"
 )
 
@@ -35,12 +36,15 @@ type Reduction struct {
 	S       *sparse.CSR // reduced (Schur) matrix
 }
 
-// SolveB applies the exact block-diagonal solve out = B⁻¹·in.
+// SolveB applies the exact block-diagonal solve out = B⁻¹·in without
+// allocating. out and in must not alias — each block's pivot gather reads
+// in while out is being written — and no caller passes the same vector
+// twice.
 func (r *Reduction) SolveB(out, in []float64) {
+	paranoid.Check(len(out) == 0 || len(in) == 0 || &out[0] != &in[0], "arms: SolveB output aliases its input")
 	for g, ext := range r.Blocks {
 		lo, hi := ext[0], ext[1]
-		sol := r.BlockLU[g].Solve(in[lo:hi])
-		copy(out[lo:hi], sol)
+		r.BlockLU[g].SolveTo(out[lo:hi], in[lo:hi])
 	}
 }
 
@@ -59,34 +63,96 @@ func (r *Reduction) SolveBFlops() float64 {
 // unknowns first, factors the resulting block-diagonal B exactly, and
 // assembles S = C − E·B⁻¹·F with relative drop tolerance dropTol. It
 // returns nil (no error) with a nil Reduction when no reduction is
-// possible. This is the building block both of the multilevel Solver and
-// of the paper's expanded-Schur preconditioner (Schur 2).
+// possible. This is the building block of the multilevel Solver; the
+// paper's expanded-Schur preconditioner (Schur 2) chooses its own
+// permutation and calls ReducePermuted.
 func Reduce(a *sparse.CSR, maxGroup int, dropTol float64) (*Reduction, error) {
 	group, ng := GroupIndependentSet(a, maxGroup)
 	perm, nB, blocks := IndSetPerm(group, ng)
 	if nB == 0 || nB == a.Rows {
 		return nil, nil
 	}
-	p := sparse.PermuteSym(a, perm)
-	red := &Reduction{Perm: perm, NB: nB, Blocks: blocks}
+	red, err := ReducePermuted(a, perm, nB, blocks, dropTol)
+	if err != nil {
+		return nil, fmt.Errorf("arms: %w", err)
+	}
+	return red, nil
+}
 
-	bIdx := rangeInts(0, nB)
-	cIdx := rangeInts(nB, p.Rows)
-	B := sparse.Extract(p, bIdx, bIdx)
-	red.F = sparse.Extract(p, bIdx, cIdx)
-	red.E = sparse.Extract(p, cIdx, bIdx)
-	C := sparse.Extract(p, cIdx, cIdx)
+// ReducePermuted performs the reduction of a under a given level
+// permutation (new→old): the first nB new unknowns are the grouped ones,
+// blocks lists the extent of each group among them — ascending and tiling
+// [0, nB), as IndSetPerm returns them — and no entry of a couples two
+// different groups. One pass over a splits P·A·Pᵀ = [B F; E C]: the
+// diagonal blocks of B go straight into dense storage, F, E and C are
+// counted first and allocated at their exact size.
+func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dropTol float64) (*Reduction, error) {
+	n := a.Rows
+	inv := perm.Inverse()
+	var nnzF, nnzE, nnzC int
+	for i, old := range perm {
+		cols, _ := a.Row(old)
+		for _, j := range cols {
+			switch nj := inv[j]; {
+			case i < nB && nj >= nB:
+				nnzF++
+			case i >= nB && nj < nB:
+				nnzE++
+			case i >= nB:
+				nnzC++
+			}
+		}
+	}
+	red := &Reduction{
+		Perm: perm, NB: nB, Blocks: blocks,
+		BlockLU: make([]*sparse.LU, len(blocks)),
+		F:       sparse.NewCSR(nB, n-nB, nnzF),
+		E:       sparse.NewCSR(n-nB, nB, nnzE),
+	}
+	c := sparse.NewCSR(n-nB, n-nB, nnzC)
 
-	red.BlockLU = make([]*sparse.LU, len(blocks))
 	for g, ext := range blocks {
-		d := blockDense(B, ext[0], ext[1])
+		lo, hi := ext[0], ext[1]
+		d := sparse.NewDense(hi-lo, hi-lo)
+		for i := lo; i < hi; i++ {
+			cols, vals := a.Row(perm[i])
+			f0 := len(red.F.ColIdx)
+			for k, j := range cols {
+				switch nj := inv[j]; {
+				case nj >= nB:
+					red.F.ColIdx = append(red.F.ColIdx, nj-nB)
+					red.F.Val = append(red.F.Val, vals[k])
+				case nj >= lo && nj < hi:
+					d.Set(i-lo, nj-lo, vals[k])
+				}
+			}
+			red.F.RowPtr[i+1] = len(red.F.ColIdx)
+			sparse.SortRow(red.F.ColIdx[f0:], red.F.Val[f0:])
+		}
 		lu, err := d.Factor()
 		if err != nil {
-			return nil, fmt.Errorf("arms: group %d: %w", g, err)
+			return nil, fmt.Errorf("group %d: %w", g, err)
 		}
 		red.BlockLU[g] = lu
 	}
-	red.S = AssembleSchur(C, red.E, red.F, red, dropTol)
+	for i := nB; i < n; i++ {
+		cols, vals := a.Row(perm[i])
+		e0, c0 := len(red.E.ColIdx), len(c.ColIdx)
+		for k, j := range cols {
+			if nj := inv[j]; nj < nB {
+				red.E.ColIdx = append(red.E.ColIdx, nj)
+				red.E.Val = append(red.E.Val, vals[k])
+			} else {
+				c.ColIdx = append(c.ColIdx, nj-nB)
+				c.Val = append(c.Val, vals[k])
+			}
+		}
+		red.E.RowPtr[i-nB+1] = len(red.E.ColIdx)
+		c.RowPtr[i-nB+1] = len(c.ColIdx)
+		sparse.SortRow(red.E.ColIdx[e0:], red.E.Val[e0:])
+		sparse.SortRow(c.ColIdx[c0:], c.Val[c0:])
+	}
+	red.S = AssembleSchur(c, red.E, red.F, red, dropTol)
 	return red, nil
 }
 
@@ -96,8 +162,15 @@ type Solver struct {
 	n      int
 	levels []*Reduction
 	last   *ilu.LU // ILUT factorization of the final reduced matrix
-	// per-level permutation scratch
-	buf [][]float64
+	// scratch holds every level's vectors, so Apply allocates nothing;
+	// the price is that one Solver must not be applied concurrently.
+	scratch []levelScratch
+}
+
+// levelScratch is the workspace of one applyLevel: the permuted residual
+// (n), then u_B, F·z_C and its correction (nB each) and z_C (n − nB).
+type levelScratch struct {
+	work, uB, fz, corr, zC []float64
 }
 
 // N returns the dimension of the preconditioned matrix.
@@ -146,141 +219,170 @@ func New(a *sparse.CSR, opt Options) (*Solver, error) {
 	}
 	s.last = lastLU
 
-	// Scratch: one buffer per level, sized to the level's dimension, plus
-	// one for the last level.
 	dim := s.n
-	for i := range s.levels {
-		s.buf = append(s.buf, make([]float64, dim))
-		dim -= s.levels[i].NB
+	for _, l := range s.levels {
+		buf := make([]float64, 2*dim+2*l.NB)
+		s.scratch = append(s.scratch, levelScratch{
+			work: buf[:dim],
+			uB:   buf[dim : dim+l.NB],
+			fz:   buf[dim+l.NB : dim+2*l.NB],
+			corr: buf[dim+2*l.NB : dim+3*l.NB],
+			zC:   buf[dim+3*l.NB:],
+		})
+		dim -= l.NB
 	}
-	s.buf = append(s.buf, make([]float64, dim))
 	return s, nil
 }
 
-func rangeInts(lo, hi int) []int {
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
-}
-
-// blockDense copies the diagonal block B[lo:hi, lo:hi] into dense storage.
-func blockDense(b *sparse.CSR, lo, hi int) *sparse.Dense {
-	d := sparse.NewDense(hi-lo, hi-lo)
-	for i := lo; i < hi; i++ {
-		cols, vals := b.Row(i)
-		for k, j := range cols {
-			if j >= lo && j < hi {
-				d.Set(i-lo, j-lo, vals[k])
-			}
-		}
-	}
-	return d
-}
-
 // AssembleSchur computes S = C − E·B⁻¹·F with per-row relative dropping,
-// using the reduction's exact block-diagonal solves for B⁻¹. Exposed for
-// the expanded-Schur (Schur 2) preconditioner, which runs the reduction on
-// the internal unknowns only.
+// using the reduction's exact block-diagonal solves for B⁻¹ (l.Blocks and
+// l.BlockLU; the groups' extents ascend and tile the columns of E).
+//
+// The assembly is row-wise. Per group g the column support of F_g and the
+// dense W_g = B_g⁻¹·F_g are computed once. Row i of S is then the merge of
+// C's row followed by the contributions −e_ij·W[j,:] for the entries e_ij
+// of E's row in ascending j — which, because the groups' extents ascend,
+// is group by group: the very sequence a coordinate buffer filled C first
+// and then group by group would hold for row i, so sparse.MergeRow sums
+// duplicates to the same bits. Entries below dropTol·(mean magnitude of
+// the merged row) are then dropped in place, the diagonal always kept.
 func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.CSR {
 	nc := c.Rows
-	coo := sparse.NewCOO(nc, nc, c.NNZ()*2)
-	for i := 0; i < nc; i++ {
-		cols, vals := c.Row(i)
-		for k, j := range cols {
-			coo.Add(i, j, vals[k])
-		}
+	if c.Cols != nc || e.Rows != nc || f.Cols != nc || e.Cols != f.Rows {
+		panic(fmt.Sprintf("arms: AssembleSchur blocks do not fit: C %d×%d, E %d×%d, F %d×%d",
+			c.Rows, c.Cols, e.Rows, e.Cols, f.Rows, f.Cols))
 	}
-	// For each group g: W = B_g⁻¹ F_g (dense |g|×support), then subtract
-	// E[:,g]·W.
-	ft := f // F rows are the group rows already
+
+	// Supports, in first-seen order over each group's rows. slot[j] is the
+	// position of column j in the current group's support, −1 outside it.
+	ng := len(l.Blocks)
+	supPtr := make([]int, ng+1)
+	wPtr := make([]int, ng+1)
+	var supCols []int
+	var maxRHS, maxSz int // largest right-hand-side block and group
+	slot := make([]int, nc)
+	for j := range slot {
+		slot[j] = -1
+	}
+	for g, ext := range l.Blocks {
+		lo, hi := ext[0], ext[1]
+		for _, j := range f.ColIdx[f.RowPtr[lo]:f.RowPtr[hi]] {
+			if slot[j] < 0 {
+				slot[j] = len(supCols) - supPtr[g]
+				supCols = append(supCols, j)
+			}
+		}
+		supPtr[g+1] = len(supCols)
+		for _, j := range supCols[supPtr[g]:] {
+			slot[j] = -1
+		}
+		need := (hi - lo) * (supPtr[g+1] - supPtr[g])
+		wPtr[g+1] = wPtr[g] + need
+		maxRHS, maxSz = max(maxRHS, need), max(maxSz, hi-lo)
+	}
+
+	// W_g, row-major |g|×|support|: scatter F_g into a dense block of
+	// right-hand sides, one support column after the other, and solve
+	// each.
+	w := make([]float64, wPtr[ng])
+	groupOf := make([]int, e.Cols)
+	for j := range groupOf {
+		groupOf[j] = -1
+	}
+	rhsBuf, sol := make([]float64, maxRHS), make([]float64, maxSz)
 	for g, ext := range l.Blocks {
 		lo, hi := ext[0], ext[1]
 		sz := hi - lo
-		// Column support of F_g.
-		support := map[int]int{}
-		var supCols []int
-		for r := lo; r < hi; r++ {
-			cols, _ := ft.Row(r)
-			for _, j := range cols {
-				if _, ok := support[j]; !ok {
-					support[j] = len(supCols)
-					supCols = append(supCols, j)
-				}
-			}
+		for j := lo; j < hi; j++ {
+			groupOf[j] = g
 		}
-		if len(supCols) == 0 {
+		sup := supCols[supPtr[g]:supPtr[g+1]]
+		if len(sup) == 0 {
 			continue
 		}
-		// Dense W: sz × |support|, column by column via LU solves.
-		rhs := make([]float64, sz)
-		w := make([]float64, sz*len(supCols))
-		for sc, j := range supCols {
-			for i := range rhs {
-				rhs[i] = 0
-			}
-			for r := lo; r < hi; r++ {
-				cols, vals := ft.Row(r)
-				for k, jj := range cols {
-					if jj == j {
-						rhs[r-lo] = vals[k]
-					}
-				}
-			}
-			sol := l.BlockLU[g].Solve(rhs)
-			for i := 0; i < sz; i++ {
-				w[i*len(supCols)+sc] = sol[i]
+		for sc, j := range sup {
+			slot[j] = sc
+		}
+		rhs := rhsBuf[:sz*len(sup)]
+		for i := range rhs {
+			rhs[i] = 0
+		}
+		sol = sol[:sz]
+		for r := lo; r < hi; r++ {
+			cols, vals := f.Row(r)
+			for k, j := range cols {
+				rhs[slot[j]*sz+r-lo] = vals[k]
 			}
 		}
-		// Subtract E[:, lo:hi]·W from S: iterate rows of E that touch the
-		// group's columns.
-		for i := 0; i < nc; i++ {
-			cols, vals := e.Row(i)
-			for k, j := range cols {
-				if j < lo || j >= hi {
-					continue
-				}
-				eij := vals[k]
-				row := w[(j-lo)*len(supCols) : (j-lo+1)*len(supCols)]
-				for sc, jj := range supCols {
-					if v := eij * row[sc]; v != 0 {
-						coo.Add(i, jj, -v)
-					}
-				}
+		wg := w[wPtr[g]:wPtr[g+1]]
+		for sc, j := range sup {
+			l.BlockLU[g].SolveTo(sol, rhs[sc*sz:(sc+1)*sz])
+			for i, v := range sol {
+				wg[i*len(sup)+sc] = v
 			}
+			slot[j] = -1
 		}
 	}
-	s := coo.ToCSR()
-	return dropSmall(s, dropTol)
+
+	s := sparse.NewCSR(nc, nc, 2*c.NNZ())
+	var buf []sparse.Entry
+	for i := 0; i < nc; i++ {
+		buf = buf[:0]
+		cols, vals := c.Row(i)
+		for k, j := range cols {
+			buf = append(buf, sparse.Entry{Col: j, Val: vals[k]})
+		}
+		cols, vals = e.Row(i)
+		for k, j := range cols {
+			g := groupOf[j]
+			if g < 0 {
+				continue
+			}
+			sup := supCols[supPtr[g]:supPtr[g+1]]
+			if len(sup) == 0 {
+				continue
+			}
+			eij := vals[k]
+			row := w[wPtr[g]+(j-l.Blocks[g][0])*len(sup):][:len(sup)]
+			for sc, jj := range sup {
+				if v := eij * row[sc]; v != 0 {
+					buf = append(buf, sparse.Entry{Col: jj, Val: -v})
+				}
+			}
+		}
+		start := len(s.ColIdx)
+		s.ColIdx, s.Val = sparse.MergeRow(buf, s.ColIdx, s.Val)
+		if dropTol > 0 {
+			n := start + dropSmall(i, s.ColIdx[start:], s.Val[start:], dropTol)
+			s.ColIdx, s.Val = s.ColIdx[:n], s.Val[:n]
+		}
+		s.RowPtr[i+1] = len(s.ColIdx)
+	}
+	s.ClipCap()
+	s.Validate()
+	return s
 }
 
-// dropSmall removes entries below tol·(mean row magnitude), keeping
-// diagonals.
-func dropSmall(a *sparse.CSR, tol float64) *sparse.CSR {
-	if tol <= 0 {
-		return a
+// dropSmall compacts row i in place, removing the entries that do not
+// exceed tol·(mean magnitude of the row) except the diagonal, and returns
+// the number kept.
+func dropSmall(i int, cols []int, vals []float64, tol float64) int {
+	var norm float64
+	for _, v := range vals {
+		norm += math.Abs(v)
 	}
-	out := sparse.NewCSR(a.Rows, a.Cols, a.NNZ())
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.Row(i)
-		var norm float64
-		for _, v := range vals {
-			norm += math.Abs(v)
-		}
-		if len(vals) > 0 {
-			norm /= float64(len(vals))
-		}
-		thresh := tol * norm
-		for k, j := range cols {
-			if j == i || math.Abs(vals[k]) > thresh {
-				out.ColIdx = append(out.ColIdx, j)
-				out.Val = append(out.Val, vals[k])
-			}
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
+	if len(vals) > 0 {
+		norm /= float64(len(vals))
 	}
-	return out
+	thresh := tol * norm
+	n := 0
+	for k, j := range cols {
+		if j == i || math.Abs(vals[k]) > thresh {
+			cols[n], vals[n] = j, vals[k]
+			n++
+		}
+	}
+	return n
 }
 
 // Apply computes z = M⁻¹·r through the multilevel hierarchy:
@@ -297,32 +399,30 @@ func (s *Solver) applyLevel(lev int, z, r []float64) {
 	}
 	l := s.levels[lev]
 	n := len(l.Perm)
-	work := s.buf[lev]
+	sc := &s.scratch[lev]
 	// Permute r into work.
 	for i, old := range l.Perm {
-		work[i] = r[old]
+		sc.work[i] = r[old]
 	}
-	rB := work[:l.NB]
-	rC := work[l.NB:n]
+	rB := sc.work[:l.NB]
+	rC := sc.work[l.NB:n]
 
 	// u_B = B⁻¹ r_B (exact block solves).
-	uB := make([]float64, l.NB)
+	uB := sc.uB
 	l.SolveB(uB, rB)
 
 	// r_C' = r_C − E·u_B.
 	l.E.MulVecSub(rC, uB)
 
 	// Recurse.
-	zC := make([]float64, n-l.NB)
+	zC := sc.zC
 	s.applyLevel(lev+1, zC, rC)
 
 	// u_B -= B⁻¹·F·z_C.
-	fz := make([]float64, l.NB)
-	l.F.MulVecTo(fz, zC)
-	corr := make([]float64, l.NB)
-	l.SolveB(corr, fz)
+	l.F.MulVecTo(sc.fz, zC)
+	l.SolveB(sc.corr, sc.fz)
 	for i := range uB {
-		uB[i] -= corr[i]
+		uB[i] -= sc.corr[i]
 	}
 
 	// Un-permute into z.

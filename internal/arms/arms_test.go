@@ -16,14 +16,7 @@ import (
 func poissonMatrix(t testing.TB, m int) (*sparse.CSR, []float64) {
 	g := grid.UnitSquareTri(m)
 	a, b := fem.AssembleScalar(g, fem.ScalarPDE{Diffusion: 1, Source: func(x []float64) float64 { return 1 }})
-	onB := g.BoundaryNodes()
-	bc := map[int]float64{}
-	for n := 0; n < g.NumNodes(); n++ {
-		if onB[n] {
-			bc[n] = 0
-		}
-	}
-	fem.ApplyDirichlet(a, b, bc)
+	dirichletAll(g, a, b, 1)
 	return a, b
 }
 

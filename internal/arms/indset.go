@@ -79,23 +79,28 @@ func GroupIndependentSet(a *sparse.CSR, maxGroup int) (group []int, ngroups int)
 // permutation (new→old), the size of the grouped part, and the contiguous
 // extent [start, end) of each group in the new ordering.
 func IndSetPerm(group []int, ngroups int) (perm sparse.Perm, nB int, blocks [][2]int) {
-	n := len(group)
-	perm = make(sparse.Perm, 0, n)
-	blocks = make([][2]int, ngroups)
-	for g := 0; g < ngroups; g++ {
-		start := len(perm)
-		for v := 0; v < n; v++ {
-			if group[v] == g {
-				perm = append(perm, v)
-			}
+	// One counting sort by group id, the separator as the last bucket;
+	// vertices keep their ascending order within a bucket.
+	next := make([]int, ngroups+1)
+	for _, g := range group {
+		if g >= 0 {
+			next[g]++
 		}
-		blocks[g] = [2]int{start, len(perm)}
 	}
-	nB = len(perm)
-	for v := 0; v < n; v++ {
-		if group[v] < 0 {
-			perm = append(perm, v)
+	blocks = make([][2]int, ngroups)
+	for g := range blocks {
+		blocks[g] = [2]int{nB, nB + next[g]}
+		next[g] = nB
+		nB = blocks[g][1]
+	}
+	next[ngroups] = nB
+	perm = make(sparse.Perm, len(group))
+	for v, g := range group {
+		if g < 0 {
+			g = ngroups
 		}
+		perm[next[g]] = v
+		next[g]++
 	}
 	return perm, nB, blocks
 }

@@ -7,9 +7,17 @@ import (
 )
 
 // extractBlock copies the submatrix of s.A with rows [r0, r1) and columns
-// [c0, c1), shifting indices to start at zero.
+// [c0, c1), shifting indices to start at zero. It counts before it
+// allocates: the blocks live as long as the preconditioner that asked for
+// them, so they carry no spare capacity.
 func (s *System) extractBlock(r0, r1, c0, c1 int) *sparse.CSR {
-	out := sparse.NewCSR(r1-r0, c1-c0, 0)
+	nnz := 0
+	for _, j := range s.A.ColIdx[s.A.RowPtr[r0]:s.A.RowPtr[r1]] {
+		if j >= c0 && j < c1 {
+			nnz++
+		}
+	}
+	out := sparse.NewCSR(r1-r0, c1-c0, nnz)
 	for i := r0; i < r1; i++ {
 		cols, vals := s.A.Row(i)
 		for k, j := range cols {

@@ -147,7 +147,7 @@ func buildLocalFromSlab(slab *sparse.CSR, b []float64, part []int, r, p int, isI
 			s.A.Val = append(s.A.Val, vals[kk])
 		}
 		s.A.RowPtr[l+1] = len(s.A.ColIdx)
-		sortRowInPlace(s.A.ColIdx[start:], s.A.Val[start:])
+		sparse.SortRow(s.A.ColIdx[start:], s.A.Val[start:])
 	}
 	return s
 }

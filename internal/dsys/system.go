@@ -201,7 +201,11 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 	}
 
 	// Local matrix rows.
-	s.A = sparse.NewCSR(nloc, nloc+len(s.ExtGlobal), 0)
+	nnz := 0
+	for _, g := range s.GlobalIDs {
+		nnz += a.RowNNZ(g)
+	}
+	s.A = sparse.NewCSR(nloc, nloc+len(s.ExtGlobal), nnz)
 	s.B = make([]float64, nloc)
 	for l, g := range s.GlobalIDs {
 		s.B[l] = b[g]
@@ -218,21 +222,9 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 			s.A.Val = append(s.A.Val, vals[kk])
 		}
 		s.A.RowPtr[l+1] = len(s.A.ColIdx)
-		sortRowInPlace(s.A.ColIdx[start:], s.A.Val[start:])
+		sparse.SortRow(s.A.ColIdx[start:], s.A.Val[start:])
 	}
 	return s
-}
-
-func sortRowInPlace(cols []int, vals []float64) {
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
-	}
 }
 
 // wireNeighbors fills in the send sides: rank r must send to neighbor q

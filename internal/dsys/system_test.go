@@ -280,3 +280,17 @@ func TestDistributeP1(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkExtractBlock times the four block extractions a Schur
+// preconditioner asks one rank for.
+func BenchmarkExtractBlock(b *testing.B) {
+	a, rhs, part := poissonSystem(b, 65, 4, 1)
+	s := Distribute(a, rhs, part, 4)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchBlocks = [4]*sparse.CSR{s.BlockB(), s.BlockF(), s.BlockE(), s.BlockC()}
+	}
+}
+
+var benchBlocks [4]*sparse.CSR

@@ -36,6 +36,25 @@ func (pde *ScalarPDE) velocityNorm() float64 {
 	return math.Sqrt(vnorm)
 }
 
+// perElemCounts returns how many matrix triplets and deferred right-hand-
+// side contributions scalarKernel emits per element: one npe×npe block
+// each for diffusion, convection and SUPG, one load entry per node and a
+// second under SUPG.
+func (pde *ScalarPDE) perElemCounts(npe int) (triplets, rhs int) {
+	blocks, loads := 1, 1
+	if pde.velocityNorm() > 0 {
+		blocks++
+		if pde.SUPG {
+			blocks++
+			loads++
+		}
+	}
+	if pde.Source == nil {
+		loads = 0
+	}
+	return blocks * npe * npe, loads * npe
+}
+
 // elemScale returns the element length scale h used by the SUPG parameter.
 func elemScale(dim int, measure float64) float64 {
 	if dim == 2 {
@@ -130,7 +149,8 @@ func scalarKernel(m *grid.Mesh, pde ScalarPDE) func(e int, s *sink) {
 // Large meshes are assembled in parallel over element chunks; the result
 // is bit-identical to the serial assembly for every worker count.
 func AssembleScalar(m *grid.Mesh, pde ScalarPDE) (*sparse.CSR, []float64) {
-	return assemble(m, m.NumNodes(), m.NPE*m.NPE, scalarKernel(m, pde))
+	nnzCap, rhsCap := pde.perElemCounts(m.NPE)
+	return assemble(m, m.NumNodes(), nnzCap, rhsCap, scalarKernel(m, pde))
 }
 
 // upwindFn is ξ(Pe) = coth(Pe) − 1/Pe, evaluated stably near 0.
@@ -155,7 +175,7 @@ func AssembleMass(m *grid.Mesh) *sparse.CSR {
 	if npe == 4 {
 		den = 20.0
 	}
-	a, _ := assemble(m, m.NumNodes(), npe*npe, func(e int, s *sink) {
+	a, _ := assemble(m, m.NumNodes(), npe*npe, 0, func(e int, s *sink) {
 		g := geometry(m, e)
 		el := m.Elem(e)
 		off := g.measure / den
@@ -202,7 +222,11 @@ func AssembleElasticity(m *grid.Mesh, mu, lambda float64, f func(x []float64) (f
 	}
 	npe := m.NPE
 	gd := mu + lambda
-	return assemble(m, 2*m.NumNodes(), npe*npe*4, func(e int, s *sink) {
+	rhsCap := 0
+	if f != nil {
+		rhsCap = 2 * npe
+	}
+	return assemble(m, 2*m.NumNodes(), npe*npe*4, rhsCap, func(e int, s *sink) {
 		g := geometry(m, e)
 		el := m.Elem(e)
 		for i := 0; i < npe; i++ {

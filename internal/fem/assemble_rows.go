@@ -18,7 +18,7 @@ func AssembleScalarRows(m *grid.Mesh, pde ScalarPDE, owned func(node int) bool) 
 	vnorm := pde.velocityNorm()
 	convect := vnorm > 0
 
-	return assemble(m, m.NumNodes(), 0, func(e int, s *sink) {
+	return assemble(m, m.NumNodes(), 0, 0, func(e int, s *sink) {
 		el := m.Elem(e)
 		anyOwned := false
 		for _, node := range el {
@@ -133,7 +133,7 @@ func AssembleElasticityRows(m *grid.Mesh, mu, lambda float64,
 	npe := m.NPE
 	gd := mu + lambda
 
-	return assemble(m, 2*m.NumNodes(), 0, func(e int, s *sink) {
+	return assemble(m, 2*m.NumNodes(), 0, 0, func(e int, s *sink) {
 		el := m.Elem(e)
 		anyOwned := false
 		for _, node := range el {

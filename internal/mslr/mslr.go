@@ -157,8 +157,8 @@ func New(s *dsys.System, opts Options) (*Precond, error) {
 	p.fBlk = s.BlockF()
 	p.eBlk = s.BlockE()
 
+	cBlk := s.BlockC()
 	if nI := s.NIface(); nI > 0 {
-		cBlk := s.BlockC()
 		cFact, err := ilu.ILUT(cBlk, opts.ILUT)
 		if err != nil {
 			return nil, fmt.Errorf("mslr: rank %d interface block: %w", s.Rank, err)
@@ -190,7 +190,7 @@ func New(s *dsys.System, opts Options) (*Precond, error) {
 		p.setup += lr.buildFlops(nI)
 	}
 
-	op, err := schur.NewImplicitOp(s, p.bSolve, p.bFlops)
+	op, err := schur.NewImplicitOp(s, cBlk, p.eBlk, p.fBlk, p.bSolve, p.bFlops)
 	if err != nil {
 		return nil, err
 	}

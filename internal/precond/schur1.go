@@ -84,7 +84,8 @@ func NewSchur1(s *dsys.System, opts Schur1Options) (*Schur1, error) {
 	if err != nil {
 		return nil, err
 	}
-	op, err := schur.NewImplicit(s, bFact)
+	fBlk, eBlk := s.BlockF(), s.BlockE()
+	op, err := schur.NewImplicit(s, s.BlockC(), eBlk, fBlk, bFact)
 	if err != nil {
 		return nil, err
 	}
@@ -94,8 +95,8 @@ func NewSchur1(s *dsys.System, opts Schur1Options) (*Schur1, error) {
 		bFact: bFact,
 		sFact: sFact,
 		bBlk:  s.BlockB(),
-		fBlk:  s.BlockF(),
-		eBlk:  s.BlockE(),
+		fBlk:  fBlk,
+		eBlk:  eBlk,
 		op:    op,
 		y:     make([]float64, s.NIface()),
 		gp:    make([]float64, s.NIface()),

@@ -99,10 +99,10 @@ func NewSchur2(s *dsys.System, opts Schur2Options) (*Schur2, error) {
 // owned block, with every interdomain interface unknown (local index ≥
 // nInt) pre-assigned to the separator.
 func reduceInternalOnly(owned *sparse.CSR, nInt, maxGroup int, dropTol float64) (*arms.Reduction, error) {
-	// Mask: restrict grouping to the internal block by reducing the
+	// Mask: restrict grouping to the internal block by grouping the
 	// leading principal submatrix and then splicing the interface part
-	// back into the separator. arms.Reduce operates on a whole matrix, so
-	// run it on B and rebuild the permutation over the owned block.
+	// back into the separator: the permutation is rebuilt over the owned
+	// block and arms.ReducePermuted reduces under it.
 	n := owned.Rows
 	if nInt == 0 {
 		return nil, nil
@@ -124,46 +124,7 @@ func reduceInternalOnly(owned *sparse.CSR, nInt, maxGroup int, dropTol float64) 
 	for i := nInt; i < n; i++ {
 		perm = append(perm, i)
 	}
-	p := sparse.PermuteSym(owned, perm)
-
-	red := &arms.Reduction{Perm: perm, NB: nB, Blocks: blocks}
-	bIdx := make([]int, nB)
-	for i := range bIdx {
-		bIdx[i] = i
-	}
-	cIdx := make([]int, n-nB)
-	for i := range cIdx {
-		cIdx[i] = nB + i
-	}
-	bBlk := sparse.Extract(p, bIdx, bIdx)
-	red.F = sparse.Extract(p, bIdx, cIdx)
-	red.E = sparse.Extract(p, cIdx, bIdx)
-	cBlk := sparse.Extract(p, cIdx, cIdx)
-
-	red.BlockLU = make([]*sparse.LU, len(blocks))
-	for g, ext := range blocks {
-		d := denseBlock(bBlk, ext[0], ext[1])
-		lu, err := d.Factor()
-		if err != nil {
-			return nil, fmt.Errorf("group %d: %w", g, err)
-		}
-		red.BlockLU[g] = lu
-	}
-	red.S = arms.AssembleSchur(cBlk, red.E, red.F, red, dropTol)
-	return red, nil
-}
-
-func denseBlock(b *sparse.CSR, lo, hi int) *sparse.Dense {
-	d := sparse.NewDense(hi-lo, hi-lo)
-	for i := lo; i < hi; i++ {
-		cols, vals := b.Row(i)
-		for k, j := range cols {
-			if j >= lo && j < hi {
-				d.Set(i-lo, j-lo, vals[k])
-			}
-		}
-	}
-	return d
+	return arms.ReducePermuted(owned, perm, nB, blocks, dropTol)
 }
 
 func (p *Schur2) finish(sExp *sparse.CSR, opts Schur2Options) (*Schur2, error) {

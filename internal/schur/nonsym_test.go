@@ -42,7 +42,7 @@ func TestImplicitOperatorNonsymmetricPattern(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d: factor B: %v", r, err)
 		}
-		op, err := NewImplicit(s, bf)
+		op, err := NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), bf)
 		if err != nil {
 			t.Fatalf("rank %d: NewImplicit: %v", r, err)
 		}

@@ -57,9 +57,11 @@ const tagSchur = 200
 // NewImplicit builds the Schur 1 style operator: S_i is applied as
 // C_i·x − E_i·(B̃_i⁻¹·(F_i·x)), where B̃_i⁻¹ is the supplied approximate
 // solve with the internal block (one ILUT backward/forward per
-// application).
-func NewImplicit(s *dsys.System, bSolve *ilu.LU) (*Iface, error) {
-	return NewImplicitOp(s, bSolve.Solve, 2*float64(bSolve.NNZ()))
+// application). c, e and f are the system's BlockC, BlockE and BlockF;
+// the caller, which as a rule needs E and F itself, extracts them once
+// and the operator shares them read-only.
+func NewImplicit(s *dsys.System, c, e, f *sparse.CSR, bSolve *ilu.LU) (*Iface, error) {
+	return NewImplicitOp(s, c, e, f, bSolve.Solve, 2*float64(bSolve.NNZ()))
 }
 
 // NewImplicitOp is the general form of NewImplicit: the interior solve
@@ -67,10 +69,7 @@ func NewImplicit(s *dsys.System, bSolve *ilu.LU) (*Iface, error) {
 // callback charged bFlops per application — a recursive multilevel
 // hierarchy, an exact factorization, anything that solves with the B
 // block. NewImplicit is the special case of a single ILUT factor.
-func NewImplicitOp(s *dsys.System, bSolve func(y, x []float64), bFlops float64) (*Iface, error) {
-	c := s.BlockC()
-	e := s.BlockE()
-	f := s.BlockF()
+func NewImplicitOp(s *dsys.System, c, e, f *sparse.CSR, bSolve func(y, x []float64), bFlops float64) (*Iface, error) {
 	nI := s.NIface()
 	tmpF := make([]float64, s.NInt)
 	tmpB := make([]float64, s.NInt)

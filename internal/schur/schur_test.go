@@ -111,7 +111,7 @@ func TestImplicitMatVecMatchesDenseGlobalSchur(t *testing.T) {
 	got := make([][]float64, p)
 	dist.Run(p, testMachine(), func(c *dist.Comm) {
 		s := systems[c.Rank()]
-		op, err := NewImplicit(s, exactBSolve(t, s))
+		op, err := NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), exactBSolve(t, s))
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
@@ -151,7 +151,7 @@ func TestExplicitMatchesImplicitWithExactB(t *testing.T) {
 	dist.Run(p, testMachine(), func(c *dist.Comm) {
 		s := systems[c.Rank()]
 		bf := exactBSolve(t, s)
-		opI, err := NewImplicit(s, bf)
+		opI, err := NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), bf)
 		if err != nil {
 			t.Errorf("%v", err)
 			return
@@ -238,7 +238,7 @@ func TestIfaceDotGlobal(t *testing.T) {
 	}
 	dist.Run(p, testMachine(), func(c *dist.Comm) {
 		s := systems[c.Rank()]
-		op, err := NewImplicit(s, exactBSolve(t, s))
+		op, err := NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), exactBSolve(t, s))
 		if err != nil {
 			t.Errorf("%v", err)
 			return

@@ -43,10 +43,10 @@ func (c *COO) Add(i, j int, v float64) {
 // Len returns the number of recorded contributions (including duplicates).
 func (c *COO) Len() int { return len(c.I) }
 
-// ent is one (column, value) pair during row normalization.
-type ent struct {
-	col int
-	val float64
+// Entry is one (column, value) contribution to a row under assembly.
+type Entry struct {
+	Col int
+	Val float64
 }
 
 // entsByCol sorts row entries by column through a concrete sort.Interface:
@@ -54,24 +54,27 @@ type ent struct {
 // (so equal-column entries land in the same deterministic order and the
 // duplicate sums below keep their bits), but without the reflect-based
 // swapper that dominated assembly-heavy profiles.
-type entsByCol []ent
+type entsByCol []Entry
 
 func (e entsByCol) Len() int           { return len(e) }
-func (e entsByCol) Less(i, j int) bool { return e[i].col < e[j].col }
+func (e entsByCol) Less(i, j int) bool { return e[i].Col < e[j].Col }
 func (e entsByCol) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }
 
-// mergeRow sorts buf by column and appends the duplicate-summed entries to
+// MergeRow sorts buf by column and appends the duplicate-summed entries to
 // (cols, vals). Duplicates are summed in their post-sort order; since the
 // sort and the input sequence are deterministic, so is the result. Both
 // the serial and the parallel ToCSR paths normalize every row through this
-// one helper, which is what makes them bit-identical.
-func mergeRow(buf []ent, cols []int, vals []float64) ([]int, []float64) {
+// one helper, which is what makes them bit-identical — and an assembler
+// that builds its rows directly (arms.AssembleSchur) gets ToCSR's bits by
+// handing MergeRow each row's contributions in the order COO.Add would
+// have received them.
+func MergeRow(buf []Entry, cols []int, vals []float64) ([]int, []float64) {
 	sort.Sort(entsByCol(buf))
 	for k := 0; k < len(buf); {
-		j := buf[k].col
+		j := buf[k].Col
 		var s float64
-		for ; k < len(buf) && buf[k].col == j; k++ {
-			s += buf[k].val
+		for ; k < len(buf) && buf[k].Col == j; k++ {
+			s += buf[k].Val
 		}
 		cols = append(cols, j)
 		vals = append(vals, s)
@@ -110,14 +113,14 @@ func (c *COO) ToCSR() *CSR {
 	}
 
 	a := NewCSR(c.Rows, c.Cols, len(c.I))
-	var rowBuf []ent
+	var rowBuf []Entry
 	for i := 0; i < c.Rows; i++ {
 		rowBuf = rowBuf[:0]
 		for p := rowCount[i]; p < rowCount[i+1]; p++ {
 			k := perm[p]
-			rowBuf = append(rowBuf, ent{c.J[k], c.V[k]})
+			rowBuf = append(rowBuf, Entry{c.J[k], c.V[k]})
 		}
-		a.ColIdx, a.Val = mergeRow(rowBuf, a.ColIdx, a.Val)
+		a.ColIdx, a.Val = MergeRow(rowBuf, a.ColIdx, a.Val)
 		a.RowPtr[i+1] = len(a.ColIdx)
 	}
 	a.Validate()
@@ -160,15 +163,15 @@ func (c *COO) toCSRParallel(rowCount, perm []int, w int) *CSR {
 			cols: make([]int, 0, rowCount[hi]-rowCount[lo]),
 			vals: make([]float64, 0, rowCount[hi]-rowCount[lo]),
 		}
-		var rowBuf []ent
+		var rowBuf []Entry
 		for i := lo; i < hi; i++ {
 			rowBuf = rowBuf[:0]
 			for p := rowCount[i]; p < rowCount[i+1]; p++ {
 				k := perm[p]
-				rowBuf = append(rowBuf, ent{c.J[k], c.V[k]})
+				rowBuf = append(rowBuf, Entry{c.J[k], c.V[k]})
 			}
 			before := len(o.cols)
-			o.cols, o.vals = mergeRow(rowBuf, o.cols, o.vals)
+			o.cols, o.vals = MergeRow(rowBuf, o.cols, o.vals)
 			rowLen[i] = len(o.cols) - before
 		}
 		outs[s] = o

@@ -52,6 +52,24 @@ func NewCSR(r, c, nnz int) *CSR {
 	}
 }
 
+// ClipCap reallocates ColIdx and Val to their exact length when they carry
+// spare capacity. Builders that cannot count their output before they
+// produce it (ilu.ILUT, arms.AssembleSchur) append into a generous buffer
+// and clip once at the end, so a matrix kept for the life of a session
+// holds no slack.
+func (a *CSR) ClipCap() {
+	if cap(a.ColIdx) > len(a.ColIdx) {
+		ci := make([]int, len(a.ColIdx))
+		copy(ci, a.ColIdx)
+		a.ColIdx = ci
+	}
+	if cap(a.Val) > len(a.Val) {
+		v := make([]float64, len(a.Val))
+		copy(v, a.Val)
+		a.Val = v
+	}
+}
+
 // Dims returns the matrix dimensions.
 func (a *CSR) Dims() (r, c int) { return a.Rows, a.Cols }
 
@@ -327,22 +345,9 @@ func (a *CSR) Scale(s float64) {
 }
 
 // insertionSortMaxRow is the row length up to which SortRows uses the
-// allocation-free insertion sort. FEM and stencil rows (a handful of
+// allocation-free insertion sort (SortRow). FEM and stencil rows (a handful of
 // entries) always stay below it.
 const insertionSortMaxRow = 32
-
-// insertionSortRow sorts a single row's (cols, vals) pairs by column.
-func insertionSortRow(cols []int, vals []float64) {
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
-	}
-}
 
 // SortRows sorts the column indices within each row, keeping values
 // aligned. Constructors produce sorted rows already; this is for callers
@@ -361,7 +366,7 @@ func (a *CSR) SortRows() {
 		cols := a.ColIdx[lo:hi]
 		vals := a.Val[lo:hi]
 		if hi-lo <= insertionSortMaxRow {
-			insertionSortRow(cols, vals)
+			SortRow(cols, vals)
 			continue
 		}
 		s.cols, s.vals = cols, vals

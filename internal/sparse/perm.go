@@ -92,14 +92,18 @@ func PermuteSym(a *CSR, p Perm) *CSR {
 			b.Val = append(b.Val, vals[k])
 		}
 		b.RowPtr[i+1] = len(b.ColIdx)
-		sort2(b.ColIdx[start:], b.Val[start:])
+		SortRow(b.ColIdx[start:], b.Val[start:])
 	}
 	return b
 }
 
-// sort2 sorts cols ascending, moving vals along. Insertion sort: rows are
-// short (tens of entries at most in FEM matrices).
-func sort2(cols []int, vals []float64) {
+// SortRow sorts one row's cols ascending, moving vals along. Insertion
+// sort, allocation-free: rows are short (tens of entries at most in FEM
+// matrices).
+func SortRow(cols []int, vals []float64) {
+	if len(vals) != len(cols) {
+		panic(fmt.Sprintf("sparse: SortRow with %d columns and %d values", len(cols), len(vals)))
+	}
 	for i := 1; i < len(cols); i++ {
 		c, v := cols[i], vals[i]
 		j := i - 1
@@ -113,24 +117,67 @@ func sort2(cols []int, vals []float64) {
 
 // Extract returns the submatrix A(rows, cols) in CSR form, where rows and
 // cols are index lists into A. Entry (i, j) of the result is
-// A(rows[i], cols[j]). Columns of A not listed in cols are dropped.
+// A(rows[i], cols[j]). Columns of A not listed in cols are dropped. The
+// result is counted before it is allocated, so it carries no spare
+// capacity.
 func Extract(a *CSR, rows, cols []int) *CSR {
-	colMap := make(map[int]int, len(cols))
-	for newJ, oldJ := range cols {
-		colMap[oldJ] = newJ
+	// newCol maps an old column to its new index, or to -1 when it is
+	// dropped: an offset when cols is a contiguous ascending range (every
+	// block split in this repository), a dense index array otherwise.
+	lo, hi := 0, 0
+	if len(cols) > 0 {
+		lo, hi = cols[0], cols[0]+len(cols)
 	}
-	b := NewCSR(len(rows), len(cols), 0)
+	contiguous := true
+	for k, j := range cols {
+		if j != lo+k {
+			contiguous = false
+			break
+		}
+	}
+	var colMap []int
+	if !contiguous {
+		colMap = make([]int, a.Cols)
+		for c := range colMap {
+			colMap[c] = -1
+		}
+		for newJ, oldJ := range cols {
+			if oldJ >= 0 && oldJ < a.Cols {
+				colMap[oldJ] = newJ
+			}
+		}
+	}
+	newCol := func(j int) int {
+		if colMap != nil {
+			return colMap[j]
+		}
+		if j >= lo && j < hi {
+			return j - lo
+		}
+		return -1
+	}
+
+	nnz := 0
+	for _, oldI := range rows {
+		cs, _ := a.Row(oldI)
+		for _, j := range cs {
+			if newCol(j) >= 0 {
+				nnz++
+			}
+		}
+	}
+	b := NewCSR(len(rows), len(cols), nnz)
 	for i, oldI := range rows {
 		cs, vs := a.Row(oldI)
 		start := len(b.ColIdx)
 		for k, j := range cs {
-			if nj, ok := colMap[j]; ok {
+			if nj := newCol(j); nj >= 0 {
 				b.ColIdx = append(b.ColIdx, nj)
 				b.Val = append(b.Val, vs[k])
 			}
 		}
 		b.RowPtr[i+1] = len(b.ColIdx)
-		sort2(b.ColIdx[start:], b.Val[start:])
+		SortRow(b.ColIdx[start:], b.Val[start:])
 	}
 	return b
 }

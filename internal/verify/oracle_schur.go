@@ -178,7 +178,7 @@ func schurOperatorOne(gname string, a *sparse.CSR, n, p int, seed int64) []Viola
 		if err != nil {
 			return []Violation{{"schur-operator", fmt.Sprintf("rank %d factor B: %v", r, err), tag("")}}
 		}
-		op, err := schur.NewImplicit(s, bf)
+		op, err := schur.NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), bf)
 		if err != nil {
 			return []Violation{{"schur-operator", fmt.Sprintf("rank %d NewImplicit: %v", r, err), tag("")}}
 		}
