@@ -42,6 +42,7 @@ func (c *Chol) SolveFlops() float64 { return 4 * float64(c.L.NNZ()) }
 //
 //lint:allocfree steady state once the level schedule is cached; verified dynamically by TestCholSolveZeroAllocSteadyState
 func (c *Chol) Solve(z, r []float64) {
+	checkSolveDims("Chol.Solve", c.N(), z, r)
 	if s := c.sched(); s != nil {
 		c.solveScheduled(z, r, s)
 		return

@@ -5,9 +5,16 @@
 // the trailing block of an internal-first-ordered factorization (§2: if
 // A_i = L_i·U_i with the interface unknowns ordered last, then L_S·U_S
 // approximates the local Schur complement S_i).
+//
+// A factor is stored the way the substitution reads it: the strict lower
+// triangle, the strict upper triangle and the pivots are three separate
+// pieces (see LU), so the forward sweep streams L and the backward sweep
+// streams U without stepping over the other triangle, and the column
+// indices are 32-bit. The factorizations write that layout directly.
 package ilu
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -16,13 +23,67 @@ import (
 	"parapre/internal/sparse"
 )
 
-// LU holds an incomplete factorization A ≈ L·U with unit-diagonal L. Both
-// factors are stored in one row-sorted CSR: within row i, columns < i
-// belong to L (without the implicit unit diagonal) and columns ≥ i belong
-// to U. Diag[i] indexes the diagonal entry of row i in M.Val.
+// tri is one strict triangle of a factorization in CSR form with 32-bit
+// indices: row i owns col[ptr[i]:ptr[i+1]] and the matching val entries,
+// columns strictly ascending.
+type tri struct {
+	ptr []int32
+	col []int32
+	val []float64
+}
+
+// newTri returns an n-row triangle with room for nnz entries; rows are
+// appended in order with endRow.
+func newTri(n, nnz int) tri {
+	return tri{ptr: make([]int32, n+1), col: make([]int32, 0, nnz), val: make([]float64, 0, nnz)}
+}
+
+func (t *tri) push(j int, v float64) {
+	t.col = append(t.col, int32(j))
+	t.val = append(t.val, v)
+}
+
+func (t *tri) endRow(i int) { t.ptr[i+1] = int32(len(t.col)) }
+
+func (t *tri) row(i int) ([]int32, []float64) {
+	lo, hi := t.ptr[i], t.ptr[i+1]
+	return t.col[lo:hi], t.val[lo:hi]
+}
+
+// clip reallocates col and val to their exact length when they carry
+// spare capacity, as sparse.CSR.ClipCap does: ILUT and ILUTP cannot count
+// their output before they produce it.
+func (t *tri) clip() {
+	if cap(t.col) > len(t.col) {
+		t.col = append(make([]int32, 0, len(t.col)), t.col...)
+	}
+	if cap(t.val) > len(t.val) {
+		t.val = append(make([]float64, 0, len(t.val)), t.val...)
+	}
+}
+
+// checkFits guards the narrowing to 32-bit indices: the order of a factor
+// and the entry count of each triangle must be representable, or the row
+// pointers would wrap silently.
+func checkFits(op string, n, nnzL, nnzU int) error {
+	switch {
+	case n >= math.MaxInt32:
+		return badInputErr(op, "order %d does not fit the factor's 32-bit indices", n)
+	case nnzL > math.MaxInt32:
+		return badInputErr(op, "L part has %d entries, more than 32-bit row pointers address", nnzL)
+	case nnzU > math.MaxInt32:
+		return badInputErr(op, "U part has %d entries, more than 32-bit row pointers address", nnzU)
+	}
+	return nil
+}
+
+// LU holds an incomplete factorization A ≈ L·U with unit-diagonal L in
+// three pieces: the strict lower triangle l (without the implicit unit
+// diagonal), the strict upper triangle u, and piv[i] = U(i,i). Nothing
+// else is kept — 12 bytes per off-diagonal entry and 16 per row.
 type LU struct {
-	M    *sparse.CSR
-	Diag []int
+	l, u tri
+	piv  []float64
 	// PivotFixes counts small pivots that were replaced during the
 	// factorization to keep it nonsingular (0 for well-behaved matrices).
 	PivotFixes int
@@ -34,21 +95,43 @@ type LU struct {
 }
 
 // N returns the dimension of the factored matrix.
-func (f *LU) N() int { return f.M.Rows }
+func (f *LU) N() int { return len(f.piv) }
 
-// NNZ returns the number of stored factor entries.
-func (f *LU) NNZ() int { return f.M.NNZ() }
+// NNZ returns the number of stored factor entries: nnz(L) + nnz(U) + n,
+// the strict triangles plus the pivots.
+func (f *LU) NNZ() int { return len(f.l.val) + len(f.u.val) + len(f.piv) }
+
+// LRow returns the columns and values of row i of the strict lower
+// triangle, columns ascending. The slices alias the factor.
+func (f *LU) LRow(i int) ([]int32, []float64) { return f.l.row(i) }
+
+// URow returns the columns and values of row i of the strict upper
+// triangle, columns ascending. The slices alias the factor.
+func (f *LU) URow(i int) ([]int32, []float64) { return f.u.row(i) }
+
+// Pivot returns U(i,i).
+func (f *LU) Pivot(i int) float64 { return f.piv[i] }
 
 // SolveFlops returns the flop count of one Solve application, for the
 // virtual-time accounting in the distributed solver. The model charges 2
 // flops per stored factor entry — the convention every factor type in
-// this package follows. The exact kernel count is 2·NNZ(M) − n (each
-// off-diagonal entry costs a multiply and a subtract; each diagonal entry
-// costs one divide), so the model over-counts by exactly one flop per
-// row; the round 2·NNZ form is kept because the committed goldens and
+// this package follows. The exact kernel count is 2·NNZ() − n (each
+// off-diagonal entry costs a multiply and a subtract; each pivot costs
+// one divide), so the model over-counts by exactly one flop per row; the
+// round 2·NNZ form is kept because the committed goldens and
 // EXPERIMENTS.md tables were produced with it. TestLUSolveFlopsModel pins
 // both the model and its distance from the exact count.
-func (f *LU) SolveFlops() float64 { return 2 * float64(f.M.NNZ()) }
+func (f *LU) SolveFlops() float64 { return 2 * float64(f.NNZ()) }
+
+// checkSolveDims panics unless both vectors of a triangular solve hold at
+// least n entries, before anything is written: a short x would otherwise
+// die mid-sweep with a bare index panic after x is half overwritten.
+func checkSolveDims(op string, n int, x, b []float64) {
+	if len(x) < n || len(b) < n {
+		panic(fmt.Sprintf("ilu: %s dimension mismatch: factor order %d, len(x)=%d, len(b)=%d",
+			op, n, len(x), len(b)))
+	}
+}
 
 // Solve computes x = U⁻¹·L⁻¹·b. x and b may alias. When the level
 // schedule is enabled and profitable (see levels.go) the two sweeps run
@@ -60,95 +143,70 @@ func (f *LU) Solve(x, b []float64) {
 	if x == nil {
 		panic("ilu: nil output")
 	}
+	n := f.N()
+	checkSolveDims("LU.Solve", n, x, b)
+	var fwd, bwd *levelSet
 	if s := f.sched(); s != nil {
-		f.solveScheduled(x, b, s)
-		return
-	}
-	f.forwardSerial(x, b)
-	f.backwardSerial(x)
-}
-
-// forwardSerial solves L·x = b in place (unit diagonal, entries strictly
-// below the diagonal).
-func (f *LU) forwardSerial(x, b []float64) {
-	n := f.N()
-	rp, ci, vv := f.M.RowPtr, f.M.ColIdx, f.M.Val
-	diag := f.Diag
-	for i := 0; i < n; i++ {
-		s := b[i]
-		d := diag[i]
-		row := vv[rp[i]:d]
-		cols := ci[rp[i]:d]
-		for k, v := range row {
-			s -= v * x[cols[k]]
+		w := par.Workers()
+		force := levelMode() == LevelForce
+		if force || s.fwd.profitable(w) {
+			fwd = &s.fwd
 		}
-		x[i] = s
-	}
-}
-
-// backwardSerial solves U·x = x in place (diagonal at Diag[i]).
-func (f *LU) backwardSerial(x []float64) {
-	n := f.N()
-	rp, ci, vv := f.M.RowPtr, f.M.ColIdx, f.M.Val
-	diag := f.Diag
-	for i := n - 1; i >= 0; i-- {
-		d := diag[i]
-		s := x[i]
-		row := vv[d+1 : rp[i+1]]
-		cols := ci[d+1 : rp[i+1]]
-		for k, v := range row {
-			s -= v * x[cols[k]]
+		if force || s.bwd.profitable(w) {
+			bwd = &s.bwd
 		}
-		x[i] = s / vv[d]
 	}
-}
-
-// solveScheduled runs the level-scheduled sweeps. Each direction falls
-// back to its serial sweep when its own level structure is too narrow
-// (unless the mode forces scheduling). Writing x[i] from exactly one
-// worker per row keeps the aliasing contract: a row reads only its own
-// b[i] and the x entries of strictly earlier levels.
-func (f *LU) solveScheduled(x, b []float64, s *triSched) {
-	rp, ci, vv := f.M.RowPtr, f.M.ColIdx, f.M.Val
-	diag := f.Diag
-	w := par.Workers()
-	force := levelMode() == LevelForce
-	if force || s.fwd.profitable(w) {
-		rows := s.fwd.rows
-		par.ForLevels(s.fwd.ptr, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i := rows[t]
-				acc := b[i]
-				d := diag[i]
-				row := vv[rp[i]:d]
-				cols := ci[rp[i]:d]
-				for k, v := range row {
-					acc -= v * x[cols[k]]
-				}
-				x[i] = acc
+	// Each direction falls back to its serial sweep when its own level
+	// structure is too narrow. Writing x[i] from exactly one worker per
+	// row keeps the aliasing contract: a row reads only its own b[i] and
+	// the x entries of strictly earlier levels.
+	if fwd != nil {
+		rows := fwd.rows
+		par.ForLevels(fwd.ptr, func(lo, hi int) {
+			for _, i := range rows[lo:hi] {
+				f.forwardRow(x, b, i)
 			}
 		})
 	} else {
-		f.forwardSerial(x, b)
+		for i := 0; i < n; i++ {
+			f.forwardRow(x, b, i)
+		}
 	}
-	if force || s.bwd.profitable(w) {
-		rows := s.bwd.rows
-		par.ForLevels(s.bwd.ptr, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i := rows[t]
-				d := diag[i]
-				acc := x[i]
-				row := vv[d+1 : rp[i+1]]
-				cols := ci[d+1 : rp[i+1]]
-				for k, v := range row {
-					acc -= v * x[cols[k]]
-				}
-				x[i] = acc / vv[d]
+	if bwd != nil {
+		rows := bwd.rows
+		par.ForLevels(bwd.ptr, func(lo, hi int) {
+			for _, i := range rows[lo:hi] {
+				f.backwardRow(x, i)
 			}
 		})
 	} else {
-		f.backwardSerial(x)
+		for i := n - 1; i >= 0; i-- {
+			f.backwardRow(x, i)
+		}
 	}
+}
+
+// forwardRow finishes row i of L·x = b (unit diagonal): b[i] minus the
+// row's entries times the x they name, subtracted one by one in ascending
+// column order.
+func (f *LU) forwardRow(x, b []float64, i int) {
+	cols, vals := f.l.row(i)
+	s := b[i]
+	for k, v := range vals {
+		s -= v * x[cols[k]]
+	}
+	x[i] = s
+}
+
+// backwardRow finishes row i of U·x = x in place: the same subtraction
+// over the strict upper row, then the divide by the pivot.
+func (f *LU) backwardRow(x []float64, i int) {
+	cols, vals := f.u.row(i)
+	s := x[i]
+	for k, v := range vals {
+		s -= v * x[cols[k]]
+	}
+	x[i] = s / f.piv[i]
 }
 
 // pivotFloor replaces near-zero pivots: |pivot| is raised to
@@ -173,18 +231,23 @@ func fixPivot(p, rowNorm float64, fixes *int) float64 {
 }
 
 // ILU0 computes the zero fill-in incomplete factorization: the factors
-// jointly keep exactly the sparsity pattern of a. a must be square with a
-// fully nonzero-pattern diagonal (FEM matrices after Dirichlet handling
-// always have one).
+// jointly keep exactly the sparsity pattern of a. a must be square with
+// sorted rows and a fully nonzero-pattern diagonal (FEM matrices after
+// Dirichlet handling always have one). A first pass over the pattern
+// checks it and counts each triangle, so the factor is allocated exactly
+// full; each row is then eliminated in a scratch copy and written once.
 func ILU0(a *sparse.CSR) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, badInputErr("ILU0", "non-square %d×%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	m := a.Clone()
-	diag := make([]int, n)
+	if err := checkFits("ILU0", n, 0, 0); err != nil {
+		return nil, err
+	}
+	lp, up := make([]int32, n+1), make([]int32, n+1)
+	nl, nu, maxRow := 0, 0, 0
 	for i := 0; i < n; i++ {
-		cols, _ := m.Row(i)
+		cols, _ := a.Row(i)
 		if len(cols) == 0 {
 			// A structurally empty row is a singular matrix, not a pattern
 			// deficiency: report it as the typed zero-pivot error.
@@ -194,41 +257,66 @@ func ILU0(a *sparse.CSR) (*LU, error) {
 		if k == len(cols) || cols[k] != i {
 			return nil, badInputErr("ILU0", "row %d has no diagonal entry", i)
 		}
-		diag[i] = m.RowPtr[i] + k
+		nl += k
+		nu += len(cols) - k - 1
+		lp[i+1], up[i+1] = int32(nl), int32(nu)
+		if len(cols) > maxRow {
+			maxRow = len(cols)
+		}
 	}
-	f := &LU{M: m, Diag: diag}
+	if err := checkFits("ILU0", n, nl, nu); err != nil {
+		return nil, err
+	}
+	f := &LU{
+		l:   tri{ptr: lp, col: make([]int32, nl), val: make([]float64, nl)},
+		u:   tri{ptr: up, col: make([]int32, nu), val: make([]float64, nu)},
+		piv: make([]float64, n),
+	}
+	uc, uv, piv := f.u.col, f.u.val, f.piv
+	w := make([]float64, maxRow) // the current row, in a's entry order
 	// pos[c] = index of column c within the current row, or -1.
 	pos := make([]int, n)
 	for i := range pos {
 		pos[i] = -1
 	}
 	for i := 0; i < n; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		cols, vals := a.Row(i)
+		row := w[:len(cols)]
 		var rowNorm float64
-		for k := lo; k < hi; k++ {
-			pos[m.ColIdx[k]] = k
-			rowNorm += math.Abs(m.Val[k])
+		for k, j := range cols {
+			pos[j] = k
+			row[k] = vals[k]
+			rowNorm += math.Abs(vals[k])
 		}
 		if rowNorm == 0 {
 			return nil, zeroPivotErr("ILU0", i)
 		}
-		rowNorm /= float64(hi - lo)
-		for k := lo; k < diag[i]; k++ {
-			kk := m.ColIdx[k] // eliminate with pivot row kk < i
-			piv := m.Val[diag[kk]]
-			lik := m.Val[k] / piv
-			m.Val[k] = lik
+		rowNorm /= float64(len(cols))
+		d := int(lp[i+1] - lp[i]) // the diagonal's index within the row
+		for k := 0; k < d; k++ {
+			kk := cols[k] // eliminate with pivot row kk < i
+			lik := row[k] / piv[kk]
+			row[k] = lik
 			// Subtract lik · U-part of row kk, restricted to our pattern.
-			for kj := diag[kk] + 1; kj < m.RowPtr[kk+1]; kj++ {
-				j := m.ColIdx[kj]
-				if p := pos[j]; p >= 0 {
-					m.Val[p] -= lik * m.Val[kj]
+			for kj := up[kk]; kj < up[kk+1]; kj++ {
+				if p := pos[uc[kj]]; p >= 0 {
+					row[p] -= lik * uv[kj]
 				}
 			}
 		}
-		m.Val[diag[i]] = fixPivot(m.Val[diag[i]], rowNorm, &f.PivotFixes)
-		for k := lo; k < hi; k++ {
-			pos[m.ColIdx[k]] = -1
+		lc, lv := f.l.row(i)
+		for k := range lc {
+			lc[k] = int32(cols[k])
+			lv[k] = row[k]
+		}
+		piv[i] = fixPivot(row[d], rowNorm, &f.PivotFixes)
+		rc, rv := f.u.row(i)
+		for k := range rc {
+			rc[k] = int32(cols[d+1+k])
+			rv[k] = row[d+1+k]
+		}
+		for _, j := range cols {
+			pos[j] = -1
 		}
 	}
 	f.prepLevels()

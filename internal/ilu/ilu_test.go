@@ -82,9 +82,10 @@ func TestILU0PatternPreserved(t *testing.T) {
 	if f.NNZ() != a.NNZ() {
 		t.Fatalf("ILU0 changed pattern size: %d vs %d", f.NNZ(), a.NNZ())
 	}
+	m, _ := combinedOf(f)
 	for i := 0; i < a.Rows; i++ {
 		ac, _ := a.Row(i)
-		fc, _ := f.M.Row(i)
+		fc, _ := m.Row(i)
 		for k := range ac {
 			if ac[k] != fc[k] {
 				t.Fatalf("pattern differs in row %d", i)
@@ -184,8 +185,9 @@ func TestILUTLFilRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < f.N(); i++ {
-		lCount := f.Diag[i] - f.M.RowPtr[i]
-		uCount := f.M.RowPtr[i+1] - f.Diag[i] - 1
+		lc, _ := f.LRow(i)
+		uc, _ := f.URow(i)
+		lCount, uCount := len(lc), len(uc)
 		if lCount > lfil || uCount > lfil {
 			t.Fatalf("row %d: L=%d U=%d exceed lfil=%d", i, lCount, uCount, lfil)
 		}
@@ -206,9 +208,11 @@ func TestILUTMatchesILU0OnNoFillMatrix(t *testing.T) {
 	if f0.NNZ() != ft.NNZ() {
 		t.Fatalf("nnz differ: %d vs %d", f0.NNZ(), ft.NNZ())
 	}
-	for k := range f0.M.Val {
-		if math.Abs(f0.M.Val[k]-ft.M.Val[k]) > 1e-12 {
-			t.Fatalf("factor value %d differs: %v vs %v", k, f0.M.Val[k], ft.M.Val[k])
+	m0, _ := combinedOf(f0)
+	mt, _ := combinedOf(ft)
+	for k := range m0.Val {
+		if math.Abs(m0.Val[k]-mt.Val[k]) > 1e-12 {
+			t.Fatalf("factor value %d differs: %v vs %v", k, m0.Val[k], mt.Val[k])
 		}
 	}
 }

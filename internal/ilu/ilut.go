@@ -88,8 +88,9 @@ func siftDownInt(a []int, i int) {
 // entered the row, keeps — see selectLargest. With Tau = 0 and LFil ≤ 0 the factorization
 // is a complete LU without pivoting.
 //
-// The factor is built in a buffer sized from the LFil bound (ilutCap) and
-// clipped to its exact length, so a kept factor holds no spare capacity.
+// Each triangle is built in a buffer sized from the LFil bound (ilutCap)
+// and clipped to its exact length, so a kept factor holds no spare
+// capacity.
 func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, badInputErr("ILUT", "non-square %d×%d matrix", a.Rows, a.Cols)
@@ -100,9 +101,12 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 		lfil = n
 	}
 
-	m := sparse.NewCSR(n, n, ilutCap(n, a.NNZ(), opt.LFil))
-	diag := make([]int, n)
-	f := &LU{M: m, Diag: diag}
+	if err := checkFits("ILUT", n, 0, 0); err != nil {
+		return nil, err
+	}
+	triCap := ilutCap(n, a.NNZ(), opt.LFil)
+	f := &LU{l: newTri(n, triCap), u: newTri(n, triCap), piv: make([]float64, n)}
+	l, u := &f.l, &f.u
 
 	w := make([]float64, n)  // scatter workspace
 	inRow := make([]bool, n) // membership of w
@@ -147,7 +151,7 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 		// heap, U fill-in joins uCols.
 		for len(lCols) > 0 {
 			k := lCols.pop()
-			lik := w[k] / m.Val[diag[k]]
+			lik := w[k] / f.piv[k]
 			inRow[k] = false
 			if math.Abs(lik) <= drop {
 				continue
@@ -157,9 +161,10 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 			// Fill lands only at columns > k; since the heap pops in
 			// ascending order, it can never hit an already-eliminated
 			// column.
-			for kj := diag[k] + 1; kj < m.RowPtr[k+1]; kj++ {
-				j := m.ColIdx[kj]
-				delta := lik * m.Val[kj]
+			uc, uv := u.row(k)
+			for kj, c := range uc {
+				j := int(c)
+				delta := lik * uv[kj]
 				if inRow[j] {
 					w[j] -= delta
 					continue
@@ -182,20 +187,20 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 		sort.Ints(lSel)
 		sort.Ints(uSel)
 		for _, j := range lSel {
-			m.ColIdx = append(m.ColIdx, j)
-			m.Val = append(m.Val, w[j])
+			l.push(j, w[j])
 		}
 		for _, j := range uSel {
 			if j == i {
-				diag[i] = len(m.ColIdx)
-				m.ColIdx = append(m.ColIdx, j)
-				m.Val = append(m.Val, fixPivot(w[j], rowNorm, &f.PivotFixes))
+				f.piv[i] = fixPivot(w[j], rowNorm, &f.PivotFixes)
 				continue
 			}
-			m.ColIdx = append(m.ColIdx, j)
-			m.Val = append(m.Val, w[j])
+			u.push(j, w[j])
 		}
-		m.RowPtr[i+1] = len(m.ColIdx)
+		if err := checkFits("ILUT", n, len(l.col), len(u.col)); err != nil {
+			return nil, err
+		}
+		l.endRow(i)
+		u.endRow(i)
 
 		// Reset workspace.
 		for _, j := range procL {
@@ -209,20 +214,21 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 		// Dropped L columns already cleared inRow; their w entries are
 		// stale but only reachable via inRow, which is false.
 	}
-	m.ClipCap()
+	l.clip()
+	u.clip()
 	f.prepLevels()
 	return f, nil
 }
 
-// ilutCap is the capacity ILUT and ILUTP start their factor with: the
-// dual threshold's own bound of LFil entries in each part of every row
-// plus the diagonal, capped by a multiple of nnz(A) that the paper-style
-// settings stay under (a factor that outgrows it is grown by append). The
-// factor is clipped to its exact length once it is complete.
+// ilutCap is the capacity ILUT and ILUTP start each triangle of their
+// factor with: the dual threshold's own bound of LFil entries per row,
+// capped by a multiple of nnz(A) that the paper-style settings stay under
+// (a triangle that outgrows it is grown by append). The triangles are
+// clipped to their exact length once the factor is complete.
 func ilutCap(n, nnzA, lfil int) int {
-	c := 8 * nnzA
-	if lfil > 0 && n*(2*lfil+1) < c {
-		c = n * (2*lfil + 1)
+	c := 4 * nnzA
+	if lfil > 0 && n*lfil < c {
+		c = n * lfil
 	}
 	return c
 }

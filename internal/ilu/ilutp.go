@@ -28,6 +28,7 @@ type PivLU struct {
 // Solve computes x with A·x = b (approximately): x = Qᵀ·U⁻¹·L⁻¹·b.
 func (p *PivLU) Solve(x, b []float64) {
 	n := p.LU.N()
+	checkSolveDims("PivLU.Solve", n, x, b)
 	if cap(p.tmp) < n {
 		p.tmp = make([]float64, n)
 	}
@@ -69,9 +70,13 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 	perm := sparse.IdentityPerm(n)  // permuted position → original column
 	iperm := sparse.IdentityPerm(n) // original column → permuted position
 
-	m := sparse.NewCSR(n, n, ilutCap(n, a.NNZ(), opt.LFil))
-	diag := make([]int, n)
-	out := &PivLU{LU: &LU{M: m, Diag: diag}, Perm: perm}
+	if err := checkFits("ILUTP", n, 0, 0); err != nil {
+		return nil, err
+	}
+	triCap := ilutCap(n, a.NNZ(), opt.LFil)
+	f := &LU{l: newTri(n, triCap), u: newTri(n, triCap), piv: make([]float64, n)}
+	l, u := &f.l, &f.u
+	out := &PivLU{LU: f, Perm: perm}
 
 	// Workspace indexed by ORIGINAL column id; the heap orders L-part
 	// candidates by their permuted position.
@@ -109,16 +114,17 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 		for len(lCols.cols) > 0 {
 			j := lCols.pop() // original column, smallest permuted pos
 			k := iperm[j]    // pivot row
-			lik := w[j] / m.Val[diag[k]]
+			lik := w[j] / f.piv[k]
 			inRow[j] = false
 			if math.Abs(lik) <= drop {
 				continue
 			}
 			w[j] = lik
 			procL = append(procL, j)
-			for kj := diag[k] + 1; kj < m.RowPtr[k+1]; kj++ {
-				jj := m.ColIdx[kj] // original column id (remapped later)
-				delta := lik * m.Val[kj]
+			uc, uv := u.row(k)
+			for kj, c := range uc {
+				jj := int(c) // original column id (remapped later)
+				delta := lik * uv[kj]
 				if inRow[jj] {
 					w[jj] -= delta
 					continue
@@ -166,20 +172,20 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 		sort.Slice(lSel, func(x, y int) bool { return iperm[lSel[x]] < iperm[lSel[y]] })
 		sort.Slice(uSel, func(x, y int) bool { return iperm[uSel[x]] < iperm[uSel[y]] })
 		for _, j := range lSel {
-			m.ColIdx = append(m.ColIdx, j)
-			m.Val = append(m.Val, w[j])
+			l.push(j, w[j])
 		}
 		for _, j := range uSel {
 			if j == dcol {
-				diag[i] = len(m.ColIdx)
-				m.ColIdx = append(m.ColIdx, j)
-				m.Val = append(m.Val, fixPivot(w[j], rowNorm, &out.LU.PivotFixes))
+				f.piv[i] = fixPivot(w[j], rowNorm, &f.PivotFixes)
 				continue
 			}
-			m.ColIdx = append(m.ColIdx, j)
-			m.Val = append(m.Val, w[j])
+			u.push(j, w[j])
 		}
-		m.RowPtr[i+1] = len(m.ColIdx)
+		if err := checkFits("ILUTP", n, len(l.col), len(u.col)); err != nil {
+			return nil, err
+		}
+		l.endRow(i)
+		u.endRow(i)
 
 		for _, j := range procL {
 			inRow[j] = false
@@ -191,28 +197,28 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 		}
 	}
 
-	// Remap stored column ids to permuted coordinates and re-sort rows —
-	// the factor becomes a standard LU in the permuted space.
-	for k, j := range m.ColIdx {
-		m.ColIdx[k] = iperm[j]
+	// Remap stored column ids to permuted coordinates — the factor becomes
+	// a standard LU in the permuted space. A column left of the pivot at
+	// the time its row was stored never moves again, so the L rows are
+	// already in ascending order; U rows are re-sorted, because later swaps
+	// reorder the columns right of the pivot among themselves.
+	for k, j := range l.col {
+		l.col[k] = int32(iperm[j])
+	}
+	for k, j := range u.col {
+		u.col[k] = int32(iperm[j])
 	}
 	for i := 0; i < n; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		d := m.ColIdx[diag[i]]
-		sparse.SortRow(m.ColIdx[lo:hi], m.Val[lo:hi])
-		// Relocate the diagonal index after sorting.
-		for k := lo; k < hi; k++ {
-			if m.ColIdx[k] == d {
-				diag[i] = k
-				break
-			}
-		}
-		if m.ColIdx[diag[i]] != i {
-			return nil, fmt.Errorf("ilu: ILUTP pivot relocation failed at row %d (found column %d): %w", i, m.ColIdx[diag[i]], ErrInternal)
+		lc, _ := l.row(i)
+		uc, uv := u.row(i)
+		sparse.SortRow(uc, uv)
+		if (len(lc) > 0 && int(lc[len(lc)-1]) >= i) || (len(uc) > 0 && int(uc[0]) <= i) {
+			return nil, fmt.Errorf("ilu: ILUTP row %d straddles its pivot after the column remap: %w", i, ErrInternal)
 		}
 	}
-	m.ClipCap()
-	out.LU.prepLevels()
+	l.clip()
+	u.clip()
+	f.prepLevels()
 	return out, nil
 }
 

@@ -76,8 +76,10 @@ func TestILUTPNoPivotingMatchesILUT(t *testing.T) {
 	if p.LU.NNZ() != f.NNZ() {
 		t.Fatalf("nnz differ: %d vs %d", p.LU.NNZ(), f.NNZ())
 	}
-	for k := range f.M.Val {
-		if math.Abs(p.LU.M.Val[k]-f.M.Val[k]) > 1e-12 {
+	mp, _ := combinedOf(p.LU)
+	mf, _ := combinedOf(f)
+	for k := range mf.Val {
+		if math.Abs(mp.Val[k]-mf.Val[k]) > 1e-12 {
 			t.Fatalf("value %d differs", k)
 		}
 	}
@@ -138,7 +140,8 @@ func TestILUTPPermutationValid(t *testing.T) {
 	if !p.Perm.IsValid() {
 		t.Fatal("invalid permutation")
 	}
-	if err := p.LU.M.CheckValid(); err != nil {
+	m, _ := combinedOf(p.LU)
+	if err := m.CheckValid(); err != nil {
 		t.Fatal(err)
 	}
 	if p.SolveFlops() <= 0 {

@@ -133,37 +133,38 @@ func bucketLevels(lvl []int) levelSet {
 	return levelSet{ptr: ptr, rows: rows}
 }
 
-// buildLUSched computes the forward (L-part) and backward (U-part) level
-// sets of a combined LU factor (see LU: columns < i are L, columns > i
-// are U, Diag[i] marks the diagonal).
-func buildLUSched(rp, ci, diag []int, n int) *triSched {
+// buildLUSched computes the forward (strict L) and backward (strict U)
+// level sets of a split LU factor.
+func buildLUSched(l, u *tri, n int) *triSched {
 	//lint:ignore allocfree level schedule is built once per factor and cached (prepLevels/atomic.Pointer)
 	lvl := make([]int, n)
 	for i := 0; i < n; i++ {
-		l := 0
-		for k := rp[i]; k < diag[i]; k++ {
-			if d := lvl[ci[k]] + 1; d > l {
-				l = d
-			}
-		}
-		lvl[i] = l
+		cols, _ := l.row(i)
+		lvl[i] = levelAfter(lvl, cols)
 	}
 	fwd := bucketLevels(lvl)
 	// Backward levels: dependencies are the U-part columns j > i, whose
 	// levels are already final when row i is visited in descending order,
 	// so lvl can be reused in place.
 	for i := n - 1; i >= 0; i-- {
-		l := 0
-		for k := diag[i] + 1; k < rp[i+1]; k++ {
-			if d := lvl[ci[k]] + 1; d > l {
-				l = d
-			}
-		}
-		lvl[i] = l
+		cols, _ := u.row(i)
+		lvl[i] = levelAfter(lvl, cols)
 	}
 	bwd := bucketLevels(lvl)
 	//lint:ignore allocfree level schedule is built once per factor and cached (prepLevels/atomic.Pointer)
 	return &triSched{fwd: fwd, bwd: bwd}
+}
+
+// levelAfter returns the level of a row whose dependencies are deps: one
+// past the deepest of them, 0 for a row that depends on nothing.
+func levelAfter[C int | int32](lvl []int, deps []C) int {
+	l := 0
+	for _, j := range deps {
+		if d := lvl[j] + 1; d > l {
+			l = d
+		}
+	}
+	return l
 }
 
 // buildCholSched computes the level sets of an incomplete Cholesky pair:
@@ -173,23 +174,11 @@ func buildCholSched(lrp, lci, trp, tci []int, n int) *triSched {
 	//lint:ignore allocfree level schedule is built once per factor and cached (prepLevels/atomic.Pointer)
 	lvl := make([]int, n)
 	for i := 0; i < n; i++ {
-		l := 0
-		for k := lrp[i]; k < lrp[i+1]-1; k++ {
-			if d := lvl[lci[k]] + 1; d > l {
-				l = d
-			}
-		}
-		lvl[i] = l
+		lvl[i] = levelAfter(lvl, lci[lrp[i]:lrp[i+1]-1])
 	}
 	fwd := bucketLevels(lvl)
 	for i := n - 1; i >= 0; i-- {
-		l := 0
-		for k := trp[i] + 1; k < trp[i+1]; k++ {
-			if d := lvl[tci[k]] + 1; d > l {
-				l = d
-			}
-		}
-		lvl[i] = l
+		lvl[i] = levelAfter(lvl, tci[trp[i]+1:trp[i+1]])
 	}
 	bwd := bucketLevels(lvl)
 	//lint:ignore allocfree level schedule is built once per factor and cached (prepLevels/atomic.Pointer)
@@ -201,7 +190,7 @@ func (f *LU) levels() *triSched {
 	if s := f.lvl.Load(); s != nil {
 		return s
 	}
-	s := buildLUSched(f.M.RowPtr, f.M.ColIdx, f.Diag, f.N())
+	s := buildLUSched(&f.l, &f.u, f.N())
 	f.lvl.Store(s)
 	return s
 }

@@ -27,8 +27,9 @@ func TestLeadingTrailingTileFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	coupling := 0
+	m, _ := combinedOf(f)
 	for i := 0; i < f.N(); i++ {
-		cols, _ := f.M.Row(i)
+		cols, _ := m.Row(i)
 		for _, j := range cols {
 			if (i < cut) != (j < cut) {
 				coupling++
@@ -70,9 +71,11 @@ func TestLeadingEqualsDirectFactorOfB(t *testing.T) {
 	if lead.NNZ() != direct.NNZ() {
 		t.Fatalf("nnz differ: %d vs %d", lead.NNZ(), direct.NNZ())
 	}
-	for p := range lead.M.Val {
-		if math.Abs(lead.M.Val[p]-direct.M.Val[p]) > 1e-12 {
-			t.Fatalf("factor value %d differs: %v vs %v", p, lead.M.Val[p], direct.M.Val[p])
+	ml, _ := combinedOf(lead)
+	md, _ := combinedOf(direct)
+	for p := range ml.Val {
+		if math.Abs(ml.Val[p]-md.Val[p]) > 1e-12 {
+			t.Fatalf("factor value %d differs: %v vs %v", p, ml.Val[p], md.Val[p])
 		}
 	}
 }
@@ -153,7 +156,7 @@ func TestILU0OnLaplacianPositivePivots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < f.N(); i++ {
-		if p := f.M.Val[f.Diag[i]]; p <= 0 {
+		if p := f.Pivot(i); p <= 0 {
 			t.Fatalf("pivot %d = %v", i, p)
 		}
 	}

@@ -1,6 +1,8 @@
 package ilu
 
 import (
+	"sort"
+
 	"parapre/internal/sparse"
 )
 
@@ -16,32 +18,28 @@ func ExtractTrailing(f *LU, start int) (*LU, error) {
 	if start < 0 || start > n {
 		return nil, badInputErr("ExtractTrailing", "start %d out of [0,%d]", start, n)
 	}
-	sn := n - start
-	nnz := 0
-	for _, j := range f.M.ColIdx[f.M.RowPtr[start]:] {
-		if j >= start {
-			nnz++
-		}
-	}
-	m := sparse.NewCSR(sn, sn, nnz)
-	diag := make([]int, sn)
+	// A trailing row keeps its whole U part (columns > i ≥ start) and the
+	// tail of its L part.
+	nl := 0
 	for i := start; i < n; i++ {
-		li := i - start
-		lo, hi := f.M.RowPtr[i], f.M.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			j := f.M.ColIdx[k]
-			if j < start {
-				continue
-			}
-			if k == f.Diag[i] {
-				diag[li] = len(m.ColIdx)
-			}
-			m.ColIdx = append(m.ColIdx, j-start)
-			m.Val = append(m.Val, f.M.Val[k])
-		}
-		m.RowPtr[li+1] = len(m.ColIdx)
+		cols, _ := f.l.row(i)
+		nl += len(cols) - firstAtLeast(cols, start)
 	}
-	return &LU{M: m, Diag: diag}, nil
+	out := &LU{
+		l:   newTri(n-start, nl),
+		u:   newTri(n-start, len(f.u.col)-int(f.u.ptr[start])),
+		piv: append(make([]float64, 0, n-start), f.piv[start:]...),
+	}
+	for i := start; i < n; i++ {
+		cols, vals := f.l.row(i)
+		k := firstAtLeast(cols, start)
+		out.l.pushShifted(cols[k:], vals[k:], start)
+		out.l.endRow(i - start)
+		cols, vals = f.u.row(i)
+		out.u.pushShifted(cols, vals, start)
+		out.u.endRow(i - start)
+	}
+	return out, nil
 }
 
 // ExtractLeading returns the leading sub-factorization of f for the
@@ -55,30 +53,43 @@ func ExtractLeading(f *LU, end int) (*LU, error) {
 	if end < 0 || end > n {
 		return nil, badInputErr("ExtractLeading", "end %d out of [0,%d]", end, n)
 	}
-	nnz := 0
-	for _, j := range f.M.ColIdx[:f.M.RowPtr[end]] {
-		if j < end {
-			nnz++
-		}
-	}
-	m := sparse.NewCSR(end, end, nnz)
-	diag := make([]int, end)
+	// A leading row keeps its whole L part (columns < i < end) and the head
+	// of its U part.
+	nu := 0
 	for i := 0; i < end; i++ {
-		lo, hi := f.M.RowPtr[i], f.M.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			j := f.M.ColIdx[k]
-			if j >= end {
-				continue
-			}
-			if k == f.Diag[i] {
-				diag[i] = len(m.ColIdx)
-			}
-			m.ColIdx = append(m.ColIdx, j)
-			m.Val = append(m.Val, f.M.Val[k])
-		}
-		m.RowPtr[i+1] = len(m.ColIdx)
+		cols, _ := f.u.row(i)
+		nu += firstAtLeast(cols, end)
 	}
-	return &LU{M: m, Diag: diag}, nil
+	out := &LU{
+		l:   newTri(end, int(f.l.ptr[end])),
+		u:   newTri(end, nu),
+		piv: append(make([]float64, 0, end), f.piv[:end]...),
+	}
+	for i := 0; i < end; i++ {
+		cols, vals := f.l.row(i)
+		out.l.pushShifted(cols, vals, 0)
+		out.l.endRow(i)
+		cols, vals = f.u.row(i)
+		k := firstAtLeast(cols, end)
+		out.u.pushShifted(cols[:k], vals[:k], 0)
+		out.u.endRow(i)
+	}
+	return out, nil
+}
+
+// firstAtLeast returns the index of the first entry of the ascending cols
+// that is ≥ c.
+func firstAtLeast(cols []int32, c int) int {
+	return sort.Search(len(cols), func(k int) bool { return int(cols[k]) >= c })
+}
+
+// pushShifted appends a run of entries with their columns moved down by
+// shift.
+func (t *tri) pushShifted(cols []int32, vals []float64, shift int) {
+	for _, j := range cols {
+		t.col = append(t.col, j-int32(shift))
+	}
+	t.val = append(t.val, vals...)
 }
 
 // Product multiplies the factors back: returns L·U as a dense matrix.
@@ -87,19 +98,19 @@ func ExtractLeading(f *LU, end int) (*LU, error) {
 func (f *LU) Product() *sparse.Dense {
 	n := f.N()
 	out := sparse.NewDense(n, n)
-	// L row i: unit diag + entries before Diag[i]; U row k: Diag[k]..end.
-	for i := 0; i < n; i++ {
-		// Contribution of L(i,i)=1 times U row i.
-		for k := f.Diag[i]; k < f.M.RowPtr[i+1]; k++ {
-			out.Add(i, f.M.ColIdx[k], f.M.Val[k])
+	// addURow adds s times row k of U, pivot included, to row i.
+	addURow := func(i, k int, s float64) {
+		out.Add(i, k, s*f.Pivot(k))
+		cols, vals := f.URow(k)
+		for t, j := range cols {
+			out.Add(i, int(j), s*vals[t])
 		}
-		// Contributions of L(i,kk) times U row kk.
-		for k := f.M.RowPtr[i]; k < f.Diag[i]; k++ {
-			kk := f.M.ColIdx[k]
-			lik := f.M.Val[k]
-			for kj := f.Diag[kk]; kj < f.M.RowPtr[kk+1]; kj++ {
-				out.Add(i, f.M.ColIdx[kj], lik*f.M.Val[kj])
-			}
+	}
+	for i := 0; i < n; i++ {
+		addURow(i, i, 1) // L(i,i) = 1
+		cols, vals := f.LRow(i)
+		for t, k := range cols {
+			addURow(i, int(k), vals[t])
 		}
 	}
 	return out

@@ -99,8 +99,9 @@ func PermuteSym(a *CSR, p Perm) *CSR {
 
 // SortRow sorts one row's cols ascending, moving vals along. Insertion
 // sort, allocation-free: rows are short (tens of entries at most in FEM
-// matrices).
-func SortRow(cols []int, vals []float64) {
+// matrices). The columns may be the 64-bit ones of a CSR or the 32-bit
+// ones of an ilu factor.
+func SortRow[C int | int32](cols []C, vals []float64) {
 	if len(vals) != len(cols) {
 		panic(fmt.Sprintf("sparse: SortRow with %d columns and %d values", len(cols), len(vals)))
 	}

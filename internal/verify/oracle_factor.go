@@ -131,13 +131,15 @@ func checkFactorIncomplete(cfg Config) []Violation {
 func checkSolveInvertsFactor(name string, f *ilu.LU, b []float64, n int, seed int64) []Violation {
 	var out []Violation
 	for i := 0; i < f.N(); i++ {
-		if f.M.ColIdx[f.Diag[i]] != i {
+		lc, _ := f.LRow(i)
+		uc, _ := f.URow(i)
+		if (len(lc) > 0 && int(lc[len(lc)-1]) >= i) || (len(uc) > 0 && int(uc[0]) <= i) {
 			return []Violation{{"factor-incomplete",
-				fmt.Sprintf("%s: Diag[%d] does not point at the diagonal", name, i), repro(n, seed, "")}}
+				fmt.Sprintf("%s: row %d of L or U crosses the diagonal", name, i), repro(n, seed, "")}}
 		}
-		if f.M.Val[f.Diag[i]] == 0 || !isFinite(f.M.Val[f.Diag[i]]) {
+		if p := f.Pivot(i); p == 0 || !isFinite(p) {
 			return []Violation{{"factor-incomplete",
-				fmt.Sprintf("%s: pivot %d is %g", name, i, f.M.Val[f.Diag[i]]), repro(n, seed, "")}}
+				fmt.Sprintf("%s: pivot %d is %g", name, i, p), repro(n, seed, "")}}
 		}
 	}
 	x := make([]float64, f.N())
