@@ -47,18 +47,20 @@ func (r *reducer) abort() {
 	r.cond.Broadcast()
 }
 
-// reduce runs one collective wave: rank's contribution in is combined with
-// everyone else's using op (applied in rank order), and the combined
-// vector plus the maximum deposited clock are returned to all ranks. op
-// must be equivalent across ranks.
-func (r *reducer) reduce(rank int, in []float64, clock float64, op func(acc, in []float64)) ([]float64, float64, error) {
+// reduce runs one collective wave in place: x holds rank's contribution on
+// entry and, on a nil error, the combination of everyone's contributions
+// using op (applied in rank order) on return; the maximum deposited clock
+// is returned to all ranks. op must be equivalent across ranks. The
+// reducer keeps its own copy of every contribution, so a steady stream of
+// equal-length waves allocates nothing.
+func (r *reducer) reduce(rank int, x []float64, clock float64, op func(acc, in []float64)) (float64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.aborted {
-		return nil, 0, ErrWorldAborted
+		return 0, ErrWorldAborted
 	}
 	myGen := r.gen
-	r.inputs[rank] = append(r.inputs[rank][:0], in...)
+	r.inputs[rank] = append(r.inputs[rank][:0], x...)
 	r.clocks[rank] = clock
 	r.count++
 	if r.count == r.p {
@@ -82,44 +84,62 @@ func (r *reducer) reduce(rank int, in []float64, clock float64, op func(acc, in 
 			r.cond.Wait()
 		}
 		if r.aborted {
-			return nil, 0, ErrWorldAborted
+			return 0, ErrWorldAborted
 		}
 	}
 	slot := myGen & 1
-	out := append([]float64(nil), r.result[slot]...)
-	return out, r.maxTimes[slot], nil
+	copy(x, r.result[slot])
+	return r.maxTimes[slot], nil
 }
 
-// reduce runs one collective wave through the world's transport,
-// converting a world abort into the internal unwind panic. Any other
-// transport failure (a socket IO error) keeps the panicking contract of
-// the collective API; RunOpts and RunRank convert it into a typed error.
-func (c *Comm) reduce(in []float64, kind ReduceKind) ([]float64, float64) {
-	out, maxT, err := c.w.tr.Reduce(c.rank, in, c.clock, kind)
+// reduce runs one collective wave over x in place through the world's
+// transport and returns the maximum deposited clock, converting a world
+// abort into the internal unwind panic. Any other transport failure (a
+// socket IO error) keeps the panicking contract of the collective API;
+// RunOpts and RunRank convert it into a typed error.
+func (c *Comm) reduce(x []float64, kind ReduceKind) float64 {
+	maxT, err := c.w.tr.Reduce(c.rank, x, c.clock, kind)
 	if err != nil {
 		if errors.Is(err, ErrWorldAborted) {
 			panic(abortPanic{})
 		}
 		panic(err)
 	}
-	return out, maxT
+	return maxT
+}
+
+// allReduce is one charged all-reduce wave over x in place: fault step,
+// watchdog bookkeeping, observability span and the virtual-clock cost of
+// a collective of len(x) values.
+func (c *Comm) allReduce(x []float64, kind ReduceKind) {
+	c.beginOp("allreduce", -1, -1)
+	sp := c.beginCollective(obs.KindAllReduce, 8*len(x))
+	maxT := c.reduce(x, kind)
+	c.syncClock(maxT, 8*len(x))
+	sp.End(c.clock)
+	c.endOp()
+}
+
+// allReduceScalar runs allReduce on the rank's one-element scratch, so
+// the scalar collectives — one per inner product of every Krylov
+// iteration — allocate nothing.
+func (c *Comm) allReduceScalar(x float64, kind ReduceKind) float64 {
+	c.scalar[0] = x
+	c.allReduce(c.scalar[:], kind)
+	return c.scalar[0]
 }
 
 // AllReduceSum sums x across all ranks; every rank receives the total.
 func (c *Comm) AllReduceSum(x float64) float64 {
-	return c.AllReduceSumVec([]float64{x})[0]
+	return c.allReduceScalar(x, ReduceSum)
 }
 
-// AllReduceSumVec element-wise sums the vector across ranks. All ranks
-// must pass equal-length vectors. The summation order is rank order, so
-// results are deterministic.
+// AllReduceSumVec element-wise sums the vector across ranks into a fresh
+// slice. All ranks must pass equal-length vectors. The summation order is
+// rank order, so results are deterministic.
 func (c *Comm) AllReduceSumVec(x []float64) []float64 {
-	c.beginOp("allreduce", -1, -1)
-	sp := c.beginCollective(obs.KindAllReduce, 8*len(x))
-	out, maxT := c.reduce(x, ReduceSum)
-	c.syncClock(maxT, 8*len(x))
-	sp.End(c.clock)
-	c.endOp()
+	out := append([]float64(nil), x...)
+	c.allReduce(out, ReduceSum)
 	return out
 }
 
@@ -134,31 +154,19 @@ func (c *Comm) beginCollective(kind string, bytes int) obs.Span {
 
 // AllReduceMax returns the maximum of x across ranks.
 func (c *Comm) AllReduceMax(x float64) float64 {
-	c.beginOp("allreduce", -1, -1)
-	sp := c.beginCollective(obs.KindAllReduce, 8)
-	out, maxT := c.reduce([]float64{x}, ReduceMax)
-	c.syncClock(maxT, 8)
-	sp.End(c.clock)
-	c.endOp()
-	return out[0]
+	return c.allReduceScalar(x, ReduceMax)
 }
 
 // AllReduceMin returns the minimum of x across ranks.
 func (c *Comm) AllReduceMin(x float64) float64 {
-	c.beginOp("allreduce", -1, -1)
-	sp := c.beginCollective(obs.KindAllReduce, 8)
-	out, maxT := c.reduce([]float64{x}, ReduceMin)
-	c.syncClock(maxT, 8)
-	sp.End(c.clock)
-	c.endOp()
-	return out[0]
+	return c.allReduceScalar(x, ReduceMin)
 }
 
 // Barrier synchronizes all ranks (and their virtual clocks).
 func (c *Comm) Barrier() {
 	c.beginOp("barrier", -1, -1)
 	sp := c.beginCollective(obs.KindBarrier, 0)
-	_, maxT := c.reduce(nil, ReduceSum)
+	maxT := c.reduce(nil, ReduceSum)
 	c.syncClock(maxT, 0)
 	sp.End(c.clock)
 	c.endOp()
@@ -179,11 +187,11 @@ func (c *Comm) AllGather(x []float64, counts []int) []float64 {
 	buf := make([]float64, total)
 	copy(buf[offs[c.rank]:], x)
 	sp := c.beginCollective(obs.KindAllGather, 8*total)
-	out, maxT := c.reduce(buf, ReduceSum)
+	maxT := c.reduce(buf, ReduceSum)
 	c.syncClock(maxT, 8*total)
 	sp.End(c.clock)
 	c.endOp()
-	return out
+	return buf
 }
 
 // VoteStop is an out-of-band control collective: every rank contributes
@@ -199,12 +207,12 @@ func (c *Comm) AllGather(x []float64, counts []int) []float64 {
 // points), and no observability span (golden traces are unchanged). The
 // underlying combining barrier still gives the usual world-abort unwind.
 func (c *Comm) VoteStop(stop bool) bool {
-	v := 0.0
+	c.scalar[0] = 0
 	if stop {
-		v = 1
+		c.scalar[0] = 1
 	}
-	out, _ := c.reduce([]float64{v}, ReduceMax)
-	return out[0] != 0
+	c.reduce(c.scalar[:], ReduceMax)
+	return c.scalar[0] != 0
 }
 
 func (c *Comm) syncClock(maxT float64, bytes int) {

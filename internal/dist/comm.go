@@ -211,6 +211,8 @@ type Comm struct {
 
 	rec   *obs.RankRecorder // nil when the world has no collector
 	phase string            // innermost open span kind (flop/byte attribution)
+
+	scalar [1]float64 // operand of the scalar collectives (see allReduceScalar)
 }
 
 // Comm returns the handle of rank r.

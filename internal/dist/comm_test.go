@@ -92,6 +92,33 @@ func TestAllReduceSum(t *testing.T) {
 	})
 }
 
+// TestAllReduceSumZeroAlloc: the scalar all-reduce — one per inner
+// product of every Krylov iteration on every rank — allocates nothing on
+// the in-process transport once the reducer's slots have their length.
+// testing.AllocsPerRun counts the mallocs of the whole process, so at
+// P = 4 the three partner ranks are measured too.
+func TestAllReduceSumZeroAlloc(t *testing.T) {
+	const runs, warm = 100, 2 // one warm-up wave per result parity
+	for _, p := range []int{1, 4} {
+		var got float64
+		Run(p, testMachine(), func(c *Comm) {
+			for i := 0; i < warm; i++ {
+				c.AllReduceSum(1)
+			}
+			if c.Rank() == 0 {
+				got = testing.AllocsPerRun(runs, func() { c.AllReduceSum(1) })
+				return
+			}
+			for i := 0; i < runs+1; i++ { // AllocsPerRun adds one warm-up call
+				c.AllReduceSum(1)
+			}
+		})
+		if got != 0 {
+			t.Errorf("P=%d: AllReduceSum allocates %v objects per call, want 0", p, got)
+		}
+	}
+}
+
 func TestAllReduceRepeatedWaves(t *testing.T) {
 	// Many back-to-back collectives stress the generation/parity logic.
 	const p, waves = 5, 200

@@ -22,9 +22,9 @@ func (s *slowTransport) Recv(to, from int) (Message, error) {
 	return s.Transport.Recv(to, from)
 }
 
-func (s *slowTransport) Reduce(rank int, in []float64, clock float64, kind ReduceKind) ([]float64, float64, error) {
+func (s *slowTransport) Reduce(rank int, x []float64, clock float64, kind ReduceKind) (float64, error) {
 	time.Sleep(s.delay)
-	return s.Transport.Reduce(rank, in, clock, kind)
+	return s.Transport.Reduce(rank, x, clock, kind)
 }
 
 func (s *slowTransport) Grace() time.Duration { return 2 * s.delay }

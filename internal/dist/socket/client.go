@@ -246,38 +246,48 @@ func (c *Client) Recv(to, from int) (dist.Message, error) {
 	}
 }
 
-// Reduce contributes this rank's vector to the current collective wave
-// and blocks for the hub's rank-order fold.
-func (c *Client) Reduce(rank int, in []float64, clock float64, kind dist.ReduceKind) ([]float64, float64, error) {
+// Reduce contributes the contents of x to the current collective wave,
+// blocks for the hub's rank-order fold and stores it into x.
+func (c *Client) Reduce(rank int, x []float64, clock float64, kind dist.ReduceKind) (float64, error) {
 	var w wire
 	w.u8(fReduce)
 	w.u32(uint32(rank))
 	w.u8(byte(kind))
 	w.f64(clock)
-	w.vec(in)
+	w.vec(x)
 	if err := c.write(w.buf); err != nil {
-		return nil, 0, &OpError{Op: "reduce", Rank: c.rank, Peer: -1, Timeout: isTimeout(err), Err: err}
+		return 0, &OpError{Op: "reduce", Rank: c.rank, Peer: -1, Timeout: isTimeout(err), Err: err}
+	}
+	// folded stores a reply into x; the hub folds equal-length
+	// contributions, so any other length is a protocol violation.
+	folded := func(r redReply) (float64, error) {
+		if len(r.vec) != len(x) {
+			return 0, &OpError{Op: "reduce", Rank: c.rank, Peer: -1,
+				Err: &ProtocolError{Reason: "reduce reply length differs from the contribution"}}
+		}
+		copy(x, r.vec)
+		return r.maxT, nil
 	}
 	timer := time.NewTimer(c.opt.OpTimeout)
 	defer timer.Stop()
 	select {
 	case r := <-c.redCh:
-		return r.vec, r.maxT, nil
+		return folded(r)
 	case <-c.abortCh:
-		return nil, 0, dist.ErrWorldAborted
+		return 0, dist.ErrWorldAborted
 	case <-c.anyCrashed:
 		// The hub may have folded and replied to this wave before the peer
 		// died; prefer the completed result over the failure.
 		select {
 		case r := <-c.redCh:
-			return r.vec, r.maxT, nil
+			return folded(r)
 		default:
-			return nil, 0, dist.ErrPeerGone
+			return 0, dist.ErrPeerGone
 		}
 	case <-c.readerDone:
-		return nil, 0, &OpError{Op: "reduce", Rank: c.rank, Peer: -1, Err: c.readErr}
+		return 0, &OpError{Op: "reduce", Rank: c.rank, Peer: -1, Err: c.readErr}
 	case <-timer.C:
-		return nil, 0, &OpError{Op: "reduce", Rank: c.rank, Peer: -1, Timeout: true}
+		return 0, &OpError{Op: "reduce", Rank: c.rank, Peer: -1, Timeout: true}
 	}
 }
 

@@ -108,7 +108,8 @@ func TestReduceFoldsInRankOrder(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			vec, maxT, err := cl[r].Reduce(r, contrib(r), float64(r)+0.5, dist.ReduceSum)
+			vec := contrib(r)
+			maxT, err := cl[r].Reduce(r, vec, float64(r)+0.5, dist.ReduceSum)
 			if err != nil {
 				t.Errorf("reduce rank %d: %v", r, err)
 				return
@@ -158,7 +159,7 @@ func TestPeerGoneDrainsThenFails(t *testing.T) {
 	default:
 	}
 	// Collectives can never complete with a dead rank.
-	if _, _, err := cl[1].Reduce(1, []float64{1}, 0, dist.ReduceSum); !errors.Is(err, dist.ErrPeerGone) {
+	if _, err := cl[1].Reduce(1, []float64{1}, 0, dist.ReduceSum); !errors.Is(err, dist.ErrPeerGone) {
 		t.Fatalf("reduce with dead peer: %v, want ErrPeerGone", err)
 	}
 }

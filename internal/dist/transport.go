@@ -91,10 +91,11 @@ var (
 //     discarded (the message could never be read).
 //   - Recv blocks until a message from the given sender is available and
 //     delivers messages of one ordered pair in send order.
-//   - Reduce is a combining barrier: every rank contributes once per
-//     wave, the fold runs in ascending rank order (see ReduceOp), and
-//     all ranks receive the folded vector plus the maximum deposited
-//     clock.
+//   - Reduce is a combining barrier, in place: every rank contributes
+//     the contents of x once per wave (equal lengths on all ranks), the
+//     fold runs in ascending rank order (see ReduceOp), and on a nil
+//     error every rank finds the folded vector in x and receives the
+//     maximum deposited clock. On error x keeps the contribution.
 //   - Abort releases every blocked rank; blocked and subsequent
 //     operations return ErrWorldAborted.
 //   - MarkCrashed declares one rank dead: its peers' pending receives
@@ -106,7 +107,7 @@ var (
 type Transport interface {
 	Send(from, to int, m Message) error
 	Recv(to, from int) (Message, error)
-	Reduce(rank int, in []float64, clock float64, kind ReduceKind) ([]float64, float64, error)
+	Reduce(rank int, x []float64, clock float64, kind ReduceKind) (float64, error)
 	MarkCrashed(rank int)
 	Abort()
 	Grace() time.Duration
@@ -198,8 +199,8 @@ func (t *chanTransport) Recv(to, from int) (Message, error) {
 }
 
 // Reduce runs one wave of the combining barrier.
-func (t *chanTransport) Reduce(rank int, in []float64, clock float64, kind ReduceKind) ([]float64, float64, error) {
-	return t.red.reduce(rank, in, clock, ReduceOp(kind))
+func (t *chanTransport) Reduce(rank int, x []float64, clock float64, kind ReduceKind) (float64, error) {
+	return t.red.reduce(rank, x, clock, ReduceOp(kind))
 }
 
 // MarkCrashed wakes every peer blocked on the crashed rank.

@@ -450,6 +450,17 @@ func (s *System) Dot(c *dist.Comm, x, y []float64) float64 {
 	return c.AllReduceSum(local)
 }
 
+// AxpyDot computes y += a·x on the owned entries and returns the global
+// inner product of the updated y with z in one pass (see sparse.AxpyDot;
+// z may be y). It charges the inner product only — the caller accounts
+// for the update, as it does for its other vector work.
+func (s *System) AxpyDot(c *dist.Comm, a float64, x, y, z []float64) float64 {
+	n := s.NLoc()
+	local := sparse.AxpyDot(a, x[:n], y[:n], z[:n])
+	c.Compute(2 * float64(n))
+	return c.AllReduceSum(local)
+}
+
 // Norm2 returns the global Euclidean norm of a distributed vector.
 func (s *System) Norm2(c *dist.Comm, x []float64) float64 {
 	local := sparse.Dot(x[:s.NLoc()], x[:s.NLoc()])

@@ -60,14 +60,8 @@ func TestCGStopCancels(t *testing.T) {
 	n := 60
 	x := make([]float64, n)
 	polls := 0
-	res := CG(n, func(y, v []float64) { a.MulVecTo(y, v) }, nil,
-		func(u, v []float64) float64 {
-			var s float64
-			for i := range u {
-				s += u[i] * v[i]
-			}
-			return s
-		}, b, x, Options{MaxIters: 500, Tol: 1e-12,
+	res := CG(n, func(y, v []float64) { a.MulVecTo(y, v) }, nil, Seq,
+		b, x, Options{MaxIters: 500, Tol: 1e-12,
 			Stop: func() bool { polls++; return polls > 3 }})
 	if !errors.Is(res.Err, ErrCanceled) {
 		t.Fatalf("Err = %v, want ErrCanceled", res.Err)

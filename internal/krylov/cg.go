@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"parapre/internal/paranoid"
+	"parapre/internal/sparse"
 )
 
 // CG solves A·x = b for symmetric positive definite A with preconditioned
@@ -12,7 +13,7 @@ import (
 // the additive-Schwarz subdomain solver (§5.2); set MaxIters=1 for that.
 //
 //lint:allocfree steady state with a warmed Workspace; verified dynamically by TestCGZeroAllocSteadyState
-func CG(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options) Result {
+func CG(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) Result {
 	if opt.MaxIters <= 0 {
 		opt.MaxIters = DefaultOptions().MaxIters
 	}
@@ -58,7 +59,7 @@ func CG(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options) Re
 			r[i] = b[i] - r[i]
 		}
 		opt.charge(nf)
-		res.Initial = math.Sqrt(math.Max(dot(r, r), 0))
+		res.Initial = math.Sqrt(math.Max(in.Dot(r, r), 0))
 		if !finite(res.Initial) {
 			res.Breakdown = true
 			res.Err = breakdownErr("CG", 0, "residual norm", res.Initial)
@@ -85,7 +86,7 @@ func CG(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options) Re
 			copy(z, r)
 		}
 		copy(p, z)
-		rz = dot(r, z)
+		rz = in.Dot(r, z)
 		paranoid.CheckFinite("krylov: CG r·z", rz)
 	}
 	tolAbs := opt.Tol * res.Initial
@@ -105,7 +106,7 @@ func CG(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options) Re
 		}
 		justResumed = false
 		matvec(ap, p)
-		pap := dot(p, ap)
+		pap := in.Dot(p, ap)
 		if !finite(pap) || !finite(rz) {
 			res.Breakdown = true
 			res.Err = breakdownErr("CG", it+1, "curvature p·Ap", pap)
@@ -117,18 +118,16 @@ func CG(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options) Re
 			// Not SPD (or breakdown): bail out with the current iterate.
 			res.Breakdown = true
 			res.Err = breakdownErr("CG", it+1, "curvature p·Ap", pap)
-			res.Final = math.Sqrt(math.Max(dot(r, r), 0))
+			res.Final = math.Sqrt(math.Max(in.Dot(r, r), 0))
 			res.Iterations = it
 			return res
 		}
 		alpha := rz / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
+		sparse.Axpy(alpha, p, x)
 		opt.charge(4 * nf)
 		res.Iterations = it + 1
-		rn := math.Sqrt(math.Max(dot(r, r), 0))
+		// r −= α·Ap and ‖r‖² in one pass over r.
+		rn := math.Sqrt(math.Max(in.AxpyDot(-alpha, ap, r, r), 0))
 		res.Final = rn
 		if opt.RecordHistory {
 			//lint:ignore allocfree History recording is opt-in diagnostics, excluded from the steady-state contract
@@ -147,7 +146,7 @@ func CG(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options) Re
 		} else {
 			copy(z, r)
 		}
-		rzNew := dot(r, z)
+		rzNew := in.Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
 		for i := range p {

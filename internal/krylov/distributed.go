@@ -19,7 +19,7 @@ func SolveCSR(a *sparse.CSR, precond Prec, b, x []float64, opt Options) Result {
 			opt.Compute(2 * float64(a.NNZ()))
 		}
 	}
-	return GMRES(a.Rows, matvec, precond, sparse.Dot, b, x, opt)
+	return GMRES(a.Rows, matvec, precond, Seq, b, x, opt)
 }
 
 // distOps builds the strict distributed operator set for system s: the
@@ -34,7 +34,7 @@ type distOps struct {
 	xerr error // first exchange/communication failure observed
 }
 
-func newDistOps(c *dist.Comm, s *dsys.System) (*distOps, Op, Dot) {
+func newDistOps(c *dist.Comm, s *dsys.System) (*distOps, Op, Inner) {
 	d := &distOps{ext: make([]float64, s.NLoc()+s.NExt())}
 	matvec := func(y, xx []float64) {
 		if err := s.MatVecErr(c, y, xx, d.ext); err != nil {
@@ -46,8 +46,11 @@ func newDistOps(c *dist.Comm, s *dsys.System) (*distOps, Op, Dot) {
 			}
 		}
 	}
-	dot := func(u, v []float64) float64 { return s.Dot(c, u, v) }
-	return d, matvec, dot
+	in := Inner{
+		Dot:     func(u, v []float64) float64 { return s.Dot(c, u, v) },
+		AxpyDot: func(a float64, u, v, z []float64) float64 { return s.AxpyDot(c, a, u, v, z) },
+	}
+	return d, matvec, in
 }
 
 // attach folds the recorded communication failure (if any) into the
@@ -72,12 +75,12 @@ func (d *distOps) attach(res Result) Result {
 // checks detect within one iteration; Result.Err then wraps both the
 // BreakdownError and the underlying dsys.ExchangeError.
 func Distributed(c *dist.Comm, s *dsys.System, precond Prec, b, x []float64, opt Options) Result {
-	d, matvec, dot := newDistOps(c, s)
+	d, matvec, in := newDistOps(c, s)
 	if opt.Compute == nil {
 		opt.Compute = c.Compute
 	}
 	wireSpans(c, &opt)
-	return d.attach(GMRES(s.NLoc(), matvec, precond, dot, b, x, opt))
+	return d.attach(GMRES(s.NLoc(), matvec, precond, in, b, x, opt))
 }
 
 // wireSpans connects the solver's span hook to the rank's observability
@@ -97,10 +100,10 @@ func wireSpans(c *dist.Comm, opt *Options) {
 // benchmark baselines for the SPD test cases. Exchange failures surface
 // exactly as in Distributed.
 func DistributedCG(c *dist.Comm, s *dsys.System, precond Prec, b, x []float64, opt Options) Result {
-	d, matvec, dot := newDistOps(c, s)
+	d, matvec, in := newDistOps(c, s)
 	if opt.Compute == nil {
 		opt.Compute = c.Compute
 	}
 	wireSpans(c, &opt)
-	return d.attach(CG(s.NLoc(), matvec, precond, dot, b, x, opt))
+	return d.attach(CG(s.NLoc(), matvec, precond, in, b, x, opt))
 }

@@ -18,7 +18,7 @@ func TestGMRESBreakdownOnNaNRHS(t *testing.T) {
 	b := make([]float64, n)
 	b[3] = math.NaN()
 	x := make([]float64, n)
-	res := GMRES(n, ident, nil, sparse.Dot, b, x, Options{Restart: 4, MaxIters: 20, Tol: 1e-10})
+	res := GMRES(n, ident, nil, Seq, b, x, Options{Restart: 4, MaxIters: 20, Tol: 1e-10})
 	if !res.Breakdown {
 		t.Fatalf("expected breakdown on NaN rhs: %+v", res)
 	}
@@ -65,7 +65,7 @@ func TestGMRESBreakdownOnPoisonedOperator(t *testing.T) {
 			}
 		}()
 	}
-	res := GMRES(n, poison, nil, sparse.Dot, b, x, Options{Restart: 4, MaxIters: 20, Tol: 1e-12})
+	res := GMRES(n, poison, nil, Seq, b, x, Options{Restart: 4, MaxIters: 20, Tol: 1e-12})
 	if paranoid.Enabled {
 		t.Fatal("paranoid run must panic on the poisoned operator")
 	}
@@ -85,7 +85,7 @@ func TestFGMRESBreakdownReportsFlexibleMethod(t *testing.T) {
 	b := make([]float64, n)
 	b[0] = math.Inf(1)
 	x := make([]float64, n)
-	res := GMRES(n, ident, nil, sparse.Dot, b, x,
+	res := GMRES(n, ident, nil, Seq, b, x,
 		Options{Restart: 3, MaxIters: 10, Tol: 1e-10, Flexible: true})
 	var be *BreakdownError
 	if !errors.As(res.Err, &be) {
@@ -111,7 +111,7 @@ func TestGMRESSingularOperatorBreaksDownCleanly(t *testing.T) {
 	}
 	b := []float64{1, 2, 3, 4}
 	x := make([]float64, n)
-	res := GMRES(n, zero, nil, sparse.Dot, b, x, Options{Restart: 4, MaxIters: 8, Tol: 1e-10})
+	res := GMRES(n, zero, nil, Seq, b, x, Options{Restart: 4, MaxIters: 8, Tol: 1e-10})
 	if res.Converged {
 		t.Fatalf("singular system must not converge: %+v", res)
 	}
@@ -131,7 +131,7 @@ func TestGMRESLuckyBreakdownLeavesErrNil(t *testing.T) {
 	n := 6
 	b := []float64{1, -2, 3, -4, 5, -6}
 	x := make([]float64, n)
-	res := GMRES(n, ident, nil, sparse.Dot, b, x, Options{Restart: 4, MaxIters: 10, Tol: 1e-12})
+	res := GMRES(n, ident, nil, Seq, b, x, Options{Restart: 4, MaxIters: 10, Tol: 1e-12})
 	if !res.Converged {
 		t.Fatalf("identity solve must converge: %+v", res)
 	}
@@ -150,7 +150,7 @@ func TestCGBreakdownOnNaNRHS(t *testing.T) {
 	b := make([]float64, n)
 	b[0] = math.NaN()
 	x := make([]float64, n)
-	res := CG(n, ident, nil, sparse.Dot, b, x, Options{MaxIters: 10, Tol: 1e-10})
+	res := CG(n, ident, nil, Seq, b, x, Options{MaxIters: 10, Tol: 1e-10})
 	var be *BreakdownError
 	if !errors.As(res.Err, &be) {
 		t.Fatalf("expected a BreakdownError, got %v", res.Err)
@@ -166,7 +166,7 @@ func TestCGIndefiniteSetsErr(t *testing.T) {
 	coo.Add(1, 1, -1)
 	a := coo.ToCSR()
 	x := make([]float64, 2)
-	res := CG(2, func(y, xx []float64) { a.MulVecTo(y, xx) }, nil, sparse.Dot,
+	res := CG(2, func(y, xx []float64) { a.MulVecTo(y, xx) }, nil, Seq,
 		[]float64{0, 1}, x, Options{MaxIters: 10, Tol: 1e-10})
 	if !errors.Is(res.Err, ErrBreakdown) {
 		t.Fatalf("indefinite CG must report ErrBreakdown, got %v", res.Err)
@@ -188,7 +188,7 @@ func TestCGHealthySolveLeavesErrNil(t *testing.T) {
 	coo.Add(1, 0, 1)
 	a := coo.ToCSR()
 	x := make([]float64, 3)
-	res := CG(3, func(y, xx []float64) { a.MulVecTo(y, xx) }, nil, sparse.Dot,
+	res := CG(3, func(y, xx []float64) { a.MulVecTo(y, xx) }, nil, Seq,
 		[]float64{1, 1, 1}, x, Options{MaxIters: 50, Tol: 1e-12})
 	if !res.Converged || res.Err != nil {
 		t.Fatalf("healthy SPD solve failed: %+v (err %v)", res, res.Err)

@@ -7,8 +7,8 @@
 // One implementation serves both the sequential subdomain solvers and the
 // distributed outer solver: the matrix, the preconditioner and the inner
 // product are injected. In the distributed setting the injected matvec
-// performs the neighbor exchange and the injected dot performs the
-// all-reduce, so the Hessenberg recurrence below is replicated
+// performs the neighbor exchange and the injected inner product performs
+// the all-reduce, so the Hessenberg recurrence below is replicated
 // identically on every rank — exactly how distributed GMRES works on a
 // real machine.
 package krylov
@@ -28,8 +28,31 @@ type Op func(y, x []float64)
 // Prec means identity (unpreconditioned).
 type Prec func(z, r []float64)
 
-// Dot is the (possibly global) inner product.
-type Dot func(x, y []float64) float64
+// Inner is the (possibly global) inner product, in the two forms the
+// solvers use it. Both fields are required.
+type Inner struct {
+	// Dot returns xᵀy.
+	Dot func(x, y []float64) float64
+	// AxpyDot computes y += a·x and returns yᵀz of the updated y; z may
+	// be y itself. It must equal the update followed by Dot(y, z) bit for
+	// bit — the solvers use it wherever an inner product follows a
+	// vector update, so that y is streamed once (see sparse.AxpyDot).
+	AxpyDot func(a float64, x, y, z []float64) float64
+}
+
+// Seq is the inner product of sequentially stored vectors.
+var Seq = Inner{Dot: sparse.Dot, AxpyDot: sparse.AxpyDot}
+
+// UpdateThenDot builds an Inner from a bare inner product by running the
+// update and the product as two passes. It defines what a fused AxpyDot
+// must reproduce, and serves callers whose inner product has no fused
+// form (the sequential mirror of package verify).
+func UpdateThenDot(dot func(x, y []float64) float64) Inner {
+	return Inner{Dot: dot, AxpyDot: func(a float64, x, y, z []float64) float64 {
+		sparse.Axpy(a, x, y)
+		return dot(y, z)
+	}}
+}
 
 // Options configures a solve.
 type Options struct {
@@ -39,7 +62,7 @@ type Options struct {
 	Flexible bool    // FGMRES: store preconditioned basis vectors
 
 	// Compute, when non-nil, is charged with the flop counts of the
-	// solver's own vector operations (the injected Op/Prec/Dot charge for
+	// solver's own vector operations (the injected Op/Prec/Inner charge for
 	// themselves). The distributed driver passes dist.Comm.Compute.
 	Compute func(flops float64)
 
@@ -145,7 +168,7 @@ func noopSpanEnd() {}
 // the solution on exit.
 //
 //lint:allocfree steady state with a warmed Workspace; verified dynamically by TestGMRESZeroAllocSteadyState
-func GMRES(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options) Result {
+func GMRES(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) Result {
 	if opt.Restart <= 0 {
 		opt.Restart = 20
 	}
@@ -241,7 +264,7 @@ func GMRES(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options)
 				r[i] = b[i] - r[i]
 			}
 			opt.charge(nf)
-			beta := dotNorm(dot, r)
+			beta := dotNorm(in.Dot, r)
 			if !finite(beta) {
 				res.Breakdown = true
 				res.Err = breakdownErr(method, totalIters, "residual norm", beta)
@@ -319,16 +342,8 @@ func GMRES(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options)
 			}
 			totalIters++
 
-			// Modified Gram–Schmidt.
 			endOrth := opt.span(obs.KindOrth, "")
-			for i := 0; i <= j; i++ {
-				h := dot(w, V[i])
-				paranoid.CheckFinite("krylov: Gram-Schmidt coefficient", h)
-				H[i+j*(m+1)] = h
-				sparse.Axpy(-h, V[i], w)
-				opt.charge(2 * nf)
-			}
-			hn := dotNorm(dot, w)
+			hn := opt.orthogonalize(in, w, V[:j+1], H[j*(m+1):])
 			endOrth()
 			if !finite(hn) {
 				// A NaN anywhere in the new basis vector (poisoned operator
@@ -444,7 +459,7 @@ func GMRES(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options)
 			for i := range r {
 				r[i] = b[i] - r[i]
 			}
-			res.Final = dotNorm(dot, r)
+			res.Final = dotNorm(in.Dot, r)
 			res.Converged = res.Final <= opt.Tol*ref
 			if res.Converged {
 				res.Err = nil
@@ -452,6 +467,30 @@ func GMRES(n int, matvec Op, precond Prec, dot Dot, b, x []float64, opt Options)
 			return res
 		}
 	}
+}
+
+// orthogonalize removes from w its components along the basis vectors V
+// by modified Gram–Schmidt, stores the len(V) coefficients in h and
+// returns ‖w‖. Each step is one pass over w: the update that removes
+// direction i also returns the next coefficient (after the last
+// direction, ‖w‖²). The update is charged before the fused call so that
+// the clock sees update, inner product, all-reduce in the order of the
+// two-pass form.
+func (o *Options) orthogonalize(in Inner, w []float64, V [][]float64, h []float64) float64 {
+	nf := float64(len(w))
+	last := len(V) - 1
+	d := in.Dot(w, V[0])
+	for i, v := range V {
+		paranoid.CheckFinite("krylov: Gram-Schmidt coefficient", d)
+		h[i] = d
+		next := w
+		if i < last {
+			next = V[i+1]
+		}
+		o.charge(2 * nf)
+		d = in.AxpyDot(-d, v, w, next)
+	}
+	return sqrtNonNeg(d)
 }
 
 // ax is y += a·x, routed through the (possibly parallel) sparse kernel.

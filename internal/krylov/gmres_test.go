@@ -160,7 +160,7 @@ func TestFGMRESWithVariablePreconditioner(t *testing.T) {
 		SolveCSR(a, nil, r, z, Options{Restart: 5, MaxIters: 5, Tol: 1e-2})
 	}
 	x := make([]float64, 80)
-	res := GMRES(80, func(y, xx []float64) { a.MulVecTo(y, xx) }, inner, sparse.Dot, b, x,
+	res := GMRES(80, func(y, xx []float64) { a.MulVecTo(y, xx) }, inner, Seq, b, x,
 		Options{Restart: 20, MaxIters: 200, Tol: 1e-10, Flexible: true})
 	if !res.Converged {
 		t.Fatalf("FGMRES did not converge: %+v", res)
@@ -194,7 +194,7 @@ func TestCGMatchesDense(t *testing.T) {
 	// SPD via A = Mᵀ+M construction (diag dominant symmetric).
 	a, b, xTrue := randSystem(rng, 70, 0.05, false)
 	x := make([]float64, 70)
-	res := CG(70, func(y, xx []float64) { a.MulVecTo(y, xx) }, nil, sparse.Dot, b, x,
+	res := CG(70, func(y, xx []float64) { a.MulVecTo(y, xx) }, nil, Seq, b, x,
 		Options{MaxIters: 500, Tol: 1e-12})
 	if !res.Converged {
 		t.Fatalf("CG failed: %+v", res)
@@ -222,7 +222,7 @@ func TestCGPreconditioned(t *testing.T) {
 	}
 	run := func(pr Prec) Result {
 		x := make([]float64, n)
-		return CG(n, func(y, xx []float64) { a.MulVecTo(y, xx) }, pr, sparse.Dot, b, x,
+		return CG(n, func(y, xx []float64) { a.MulVecTo(y, xx) }, pr, Seq, b, x,
 			Options{MaxIters: 500, Tol: 1e-8})
 	}
 	plain := run(nil)
@@ -241,7 +241,7 @@ func TestCGBreakdownOnIndefinite(t *testing.T) {
 	coo.Add(1, 1, -1)
 	a := coo.ToCSR()
 	x := make([]float64, 2)
-	res := CG(2, func(y, xx []float64) { a.MulVecTo(y, xx) }, nil, sparse.Dot,
+	res := CG(2, func(y, xx []float64) { a.MulVecTo(y, xx) }, nil, Seq,
 		[]float64{0, 1}, x, Options{MaxIters: 10, Tol: 1e-10})
 	if !res.Breakdown {
 		t.Fatalf("expected breakdown on indefinite matrix: %+v", res)
@@ -409,7 +409,7 @@ func TestCGHistoryRecorded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a, b, _ := randSystem(rng, 40, 0.08, false)
 	x := make([]float64, 40)
-	res := CG(40, func(y, xx []float64) { a.MulVecTo(y, xx) }, nil, sparse.Dot, b, x,
+	res := CG(40, func(y, xx []float64) { a.MulVecTo(y, xx) }, nil, Seq, b, x,
 		Options{MaxIters: 200, Tol: 1e-10, RecordHistory: true})
 	if !res.Converged {
 		t.Fatal("CG failed")

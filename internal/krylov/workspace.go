@@ -63,8 +63,12 @@ func (ws *Workspace) basis(bufs *[][]float64, count, n int) [][]float64 {
 // dotNorm is ‖v‖ through the injected inner product, clamping the tiny
 // negative values a distributed reduction can produce. A plain function
 // (not a per-call closure) so the pooled solvers stay allocation-free.
-func dotNorm(dot Dot, v []float64) float64 {
-	d := dot(v, v)
+func dotNorm(dot func(x, y []float64) float64, v []float64) float64 {
+	return sqrtNonNeg(dot(v, v))
+}
+
+// sqrtNonNeg is √d with the clamp dotNorm documents.
+func sqrtNonNeg(d float64) float64 {
 	if d < 0 {
 		d = 0
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // allocTestSystem builds a small well-conditioned system plus the serial
-// matvec/precond/dot closures the solvers need. Everything is captured up
-// front so the solve loop itself is the only thing measured.
-func allocTestSystem(n int) (a *sparse.CSR, b []float64, matvec Op, dot Dot) {
+// matvec closure and inner product the solvers need. Everything is
+// captured up front so the solve loop itself is the only thing measured.
+func allocTestSystem(n int) (a *sparse.CSR, b []float64, matvec Op, dot Inner) {
 	rng := rand.New(rand.NewSource(11))
 	coo := sparse.NewCOO(n, n, 3*n)
 	for i := 0; i < n; i++ {
@@ -29,14 +29,7 @@ func allocTestSystem(n int) (a *sparse.CSR, b []float64, matvec Op, dot Dot) {
 		b[i] = rng.NormFloat64()
 	}
 	matvec = func(y, x []float64) { a.MulVecTo(y, x) }
-	dot = func(u, v []float64) float64 {
-		var s float64
-		for i := range u {
-			s += u[i] * v[i]
-		}
-		return s
-	}
-	return a, b, matvec, dot
+	return a, b, matvec, Seq
 }
 
 // measureSteadyAllocs runs one warm-up solve (which sizes the workspace)

@@ -23,7 +23,7 @@ import (
 //
 // The contract is steady-state, so three boundaries are deliberate:
 //
-//   - Indirect calls (injected Op/Prec/Dot function values, interface
+//   - Indirect calls (injected Op/Prec/Inner function values, interface
 //     methods) are the CALLER's obligation, exactly as in the dynamic
 //     tests, which inject non-allocating closures. They are not
 //     traversed and not flagged.

@@ -113,8 +113,8 @@ type Precond struct {
 
 	fBlk  *sparse.CSR // F: interior × interface coupling
 	eBlk  *sparse.CSR // E: interface × interior coupling
-	cFact *ilu.LU  // C̃ of the local interface block
-	lr    *lowRank // level-0 correction for the local interface block
+	cFact *ilu.LU     // C̃ of the local interface block
+	lr    *lowRank    // level-0 correction for the local interface block
 	op    *schur.Iface
 
 	bFlops float64 // modeled cost of one hierarchy root solve
@@ -256,7 +256,7 @@ func (p *Precond) Apply(c *dist.Comm, z, r []float64) {
 				p.cFact.Solve(out, p.corr)
 				c.Compute(p.cFact.SolveFlops() + p.lr.applyFlops(len(x)))
 			},
-			func(a, b []float64) float64 { return p.op.Dot(c, a, b) },
+			p.op.Inner(c),
 			p.gp, p.y,
 			krylov.Options{
 				Restart:  p.opts.SchurIters,

@@ -64,6 +64,10 @@ func Workers() int { return int(workers.Load()) }
 // bit-identical results at any worker count by construction.
 func HaveParallelism() bool { return runtime.GOMAXPROCS(0) > 1 }
 
+// Serial reports whether parallel regions currently run inline on the
+// calling goroutine: one worker, or a single-P process.
+func Serial() bool { return Workers() == 1 || !HaveParallelism() }
+
 // SetWorkers sets the worker count for all subsequent parallel regions and
 // returns the previous value. Counts below 1 are clamped to 1 (serial).
 // It is safe to call concurrently; in-flight regions keep the count they
@@ -219,7 +223,7 @@ func SumBlocks(n int, block func(lo, hi int) float64) float64 {
 	case 1:
 		return block(0, n)
 	}
-	if Workers() == 1 || !HaveParallelism() {
+	if Serial() {
 		var s float64
 		for b := 0; b < nb; b++ {
 			lo := b * BlockSize

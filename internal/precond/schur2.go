@@ -214,7 +214,7 @@ func (p *Schur2) Apply(c *dist.Comm, z, r []float64) {
 			p.sFact.Solve(out, x)
 			c.Compute(p.sFact.SolveFlops())
 		},
-		func(a, b []float64) float64 { return p.op.Dot(c, a, b) },
+		p.op.Inner(c),
 		p.gp, p.y,
 		krylov.Options{
 			Restart:  p.opts.SchurIters,

@@ -317,7 +317,7 @@ func (p *Schwarz) Apply(c *dist.Comm, z, r []float64) {
 			nf := float64(len(zz))
 			c.Compute(20 * nf) // ≈ 2·N·log N for the DST pair at these sizes
 		},
-		sparse.Dot, p.rBox, p.wBox,
+		krylov.Seq, p.rBox, p.wBox,
 		krylov.Options{MaxIters: 1, Tol: 0, Compute: c.Compute, Work: p.ws})
 
 	// 3. Scatter-add corrections: own part directly, overlap parts back

@@ -18,6 +18,7 @@ import (
 	"parapre/internal/dist"
 	"parapre/internal/dsys"
 	"parapre/internal/ilu"
+	"parapre/internal/krylov"
 	"parapre/internal/sparse"
 )
 
@@ -244,6 +245,24 @@ func (o *Iface) MatVec(c *dist.Comm, y, x []float64) error {
 // Dot is the global inner product over the distributed interface vectors.
 func (o *Iface) Dot(c *dist.Comm, x, y []float64) float64 {
 	local := sparse.Dot(x, y)
+	c.Compute(2 * float64(o.n))
+	return c.AllReduceSum(local)
+}
+
+// Inner binds the interface inner product to rank c for the Krylov
+// solvers.
+func (o *Iface) Inner(c *dist.Comm) krylov.Inner {
+	return krylov.Inner{
+		Dot:     func(x, y []float64) float64 { return o.Dot(c, x, y) },
+		AxpyDot: func(a float64, x, y, z []float64) float64 { return o.AxpyDot(c, a, x, y, z) },
+	}
+}
+
+// AxpyDot computes y += a·x and returns the global inner product of the
+// updated y with z in one pass (see sparse.AxpyDot; z may be y). It
+// charges the inner product only — the caller accounts for the update.
+func (o *Iface) AxpyDot(c *dist.Comm, a float64, x, y, z []float64) float64 {
+	local := sparse.AxpyDot(a, x, y, z)
 	c.Compute(2 * float64(o.n))
 	return c.AllReduceSum(local)
 }

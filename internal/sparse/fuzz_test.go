@@ -1,8 +1,12 @@
 package sparse
 
 import (
+	"encoding/binary"
+	"math"
 	"sort"
 	"testing"
+
+	"parapre/internal/par"
 )
 
 // The fuzzers decode raw bytes into small integer-valued matrices. With
@@ -208,4 +212,42 @@ func FuzzMulVec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzAxpyDot checks the fused update + inner product against Axpy
+// followed by Dot, bit for bit, on arbitrary float64 bit patterns
+// (subnormals, infinities and NaNs included) laid out across a
+// reduction-block boundary, with z separate and z aliasing y.
+func FuzzAxpyDot(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x3f, 0xe8, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+	f.Add([]byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0x7f, 0xf0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0xbf, 0xf0, 0, 0, 0, 0, 0, 0, 0xff, 0xf0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The first word is the scalar; the rest is cycled through the
+		// three vectors so a short input still fills two blocks.
+		word := func(k int) float64 {
+			if len(data) < 8 {
+				return float64(k%7) - 3
+			}
+			off := (8 * k) % (len(data) - 7)
+			return math.Float64frombits(binary.BigEndian.Uint64(data[off:]))
+		}
+		n := par.BlockSize + 1 + len(data)%64
+		a := word(0)
+		x, y, z := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			x[i], y[i], z[i] = word(3*i+1), word(3*i+2), word(3*i+3)
+		}
+		checkAxpyDot(t, sameFloat, a, x, y, z, false)
+		checkAxpyDot(t, sameFloat, a, x, y, nil, true)
+	})
+}
+
+// sameFloat is bit equality, except that any two NaNs are equal: which of
+// two NaN operands an addition or multiplication propagates depends on
+// the register the compiler put each in, so the payload of a NaN result
+// is not part of any kernel's contract.
+func sameFloat(a, b float64) bool {
+	return sameBits(a, b) || (math.IsNaN(a) && math.IsNaN(b))
 }

@@ -30,27 +30,45 @@ const (
 	vecGrain = 8192
 )
 
+// panicShortOperand is the panic of a vector kernel handed an operand shorter
+// than the one it runs over. The kernels check up front, so a rejected
+// call has written nothing.
+func panicShortOperand(kernel, long string, nLong int, short string, nShort int) {
+	panic(fmt.Sprintf("sparse: %s needs len(%s) ≥ len(%s), got len(%s)=%d, len(%s)=%d",
+		kernel, long, short, short, nShort, long, nLong))
+}
+
 // Dot returns the inner product xᵀy (over the first len(x) entries).
 func Dot(x, y []float64) float64 {
 	if len(y) < len(x) {
-		panic(fmt.Sprintf("sparse: Dot needs len(y) ≥ len(x), got len(x)=%d, len(y)=%d", len(x), len(y)))
+		panicShortOperand("Dot", "y", len(y), "x", len(x))
 	}
 	n := len(x)
 	if n <= par.BlockSize {
+		return dotBlock(x, y[:n])
+	}
+	if par.Serial() {
+		// The blocks and the ascending combination of par.SumBlocks,
+		// without the closure it heap-allocates on every call.
 		var s float64
-		for i, v := range x {
-			s += v * y[i]
+		for lo := 0; lo < n; lo += par.BlockSize {
+			hi := min(lo+par.BlockSize, n)
+			s += dotBlock(x[lo:hi], y[lo:hi])
 		}
 		return s
 	}
 	return par.SumBlocks(n, func(lo, hi int) float64 {
-		xx, yy := x[lo:hi], y[lo:hi]
-		var s float64
-		for i, v := range xx {
-			s += v * yy[i]
-		}
-		return s
+		return dotBlock(x[lo:hi], y[lo:hi])
 	})
+}
+
+// dotBlock is Dot over one reduction block; the slices have equal length.
+func dotBlock(x, y []float64) float64 {
+	var s float64
+	for i, v := range x {
+		s += v * y[i]
+	}
+	return s
 }
 
 // scaledSSQ is the overflow-safe sum-of-squares recurrence over one block:
@@ -149,8 +167,59 @@ func NormInf(x []float64) float64 {
 	return m
 }
 
-// Axpy computes y += a·x.
+// AxpyDot computes y += a·x and returns yᵀz of the updated y (both over
+// the first len(x) entries) in one pass over the operands — the
+// Gram–Schmidt step of the Krylov solvers, which would otherwise stream y
+// twice. z may be y itself, which makes the result ‖y‖²; any other
+// overlap is undefined.
+//
+// The pass is bit-identical to Axpy(a, x, y) followed by Dot(y, z): every
+// element sees the same update, and the products are accumulated left to
+// right inside the same par.BlockSize blocks, combined in ascending block
+// order.
+//
+//lint:allocfree on the serial path (one worker, or a single-P process); verified dynamically by TestAxpyDotZeroAlloc
+func AxpyDot(a float64, x, y, z []float64) float64 {
+	n := len(x)
+	if len(y) < n {
+		panicShortOperand("AxpyDot", "y", len(y), "x", n)
+	}
+	if len(z) < n {
+		panicShortOperand("AxpyDot", "z", len(z), "x", n)
+	}
+	if n <= par.BlockSize {
+		return axpyDotBlock(a, x, y[:n], z[:n])
+	}
+	if par.Serial() {
+		var s float64
+		for lo := 0; lo < n; lo += par.BlockSize {
+			hi := min(lo+par.BlockSize, n)
+			s += axpyDotBlock(a, x[lo:hi], y[lo:hi], z[lo:hi])
+		}
+		return s
+	}
+	return par.SumBlocks(n, func(lo, hi int) float64 {
+		return axpyDotBlock(a, x[lo:hi], y[lo:hi], z[lo:hi])
+	})
+}
+
+// axpyDotBlock is AxpyDot over one reduction block; the three slices have
+// equal length.
+func axpyDotBlock(a float64, x, y, z []float64) float64 {
+	var s float64
+	for i, v := range x {
+		yi := y[i] + a*v
+		y[i] = yi
+		s += yi * z[i]
+	}
+	return s
+}
+
+// Axpy computes y += a·x (over the first len(x) entries).
 func Axpy(a float64, x, y []float64) {
+	if len(y) < len(x) {
+		panicShortOperand("Axpy", "y", len(y), "x", len(x))
+	}
 	if len(x) >= vecParMin {
 		par.For(len(x), vecGrain, func(lo, hi int) {
 			xx, yy := x[lo:hi], y[lo:hi]
@@ -181,9 +250,12 @@ func Scal(a float64, x []float64) {
 	}
 }
 
-// ScaleTo computes dst = a·src (lengths must match). It is the
-// normalization kernel of the Krylov basis construction.
+// ScaleTo computes dst = a·src (over the first len(src) entries). It is
+// the normalization kernel of the Krylov basis construction.
 func ScaleTo(dst []float64, a float64, src []float64) {
+	if len(dst) < len(src) {
+		panicShortOperand("ScaleTo", "dst", len(dst), "src", len(src))
+	}
 	if len(src) >= vecParMin {
 		par.For(len(src), vecGrain, func(lo, hi int) {
 			ss, dd := src[lo:hi], dst[lo:hi]

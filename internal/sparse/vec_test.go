@@ -94,3 +94,113 @@ func TestCauchySchwarzProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// axpyDotSpecials are the entries the bit-identity tests scatter into
+// their vectors: signed zeros and infinities (whose products and sums
+// turn into NaN) next to ordinary values.
+var axpyDotSpecials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -3.5}
+
+// sameBits is bit equality of two float64 values.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkAxpyDot compares AxpyDot with Axpy followed by Dot on copies of the
+// operands: the returned sum and every entry of y must be the same under
+// same. With alias set z is y itself.
+func checkAxpyDot(t *testing.T, same func(a, b float64) bool, a float64, x, y, z []float64, alias bool) {
+	t.Helper()
+	yRef := append([]float64(nil), y...)
+	yGot := append([]float64(nil), y...)
+	zRef, zGot := z, z
+	if alias {
+		zRef, zGot = yRef, yGot
+	}
+	Axpy(a, x, yRef)
+	want := Dot(yRef[:len(x)], zRef)
+	got := AxpyDot(a, x, yGot, zGot)
+	if !same(got, want) {
+		t.Fatalf("n=%d a=%v alias=%v: AxpyDot = %v (%#x), Axpy then Dot = %v (%#x)",
+			len(x), a, alias, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	for i := range yRef {
+		if !same(yGot[i], yRef[i]) {
+			t.Fatalf("n=%d a=%v alias=%v: y[%d] = %v, Axpy gives %v", len(x), a, alias, i, yGot[i], yRef[i])
+		}
+	}
+}
+
+// TestAxpyDotBitsMatchAxpyThenDot pins the contract the Krylov solvers
+// rest on: the fused pass is the two-pass form, bit for bit, on both
+// sides of every reduction-block boundary, for every kind of scalar and
+// entry, at one worker and at several.
+func TestAxpyDotBitsMatchAxpyThenDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	scalars := []float64{0, math.Copysign(0, -1), 0.75, -1e-3, 3e8, math.NaN()}
+	for _, w := range []int{1, 4} {
+		withWorkers(w, func() {
+			for _, n := range []int{0, 1, 4095, 4096, 4097, 8192, 8320, 3*4096 + 1} {
+				x, y, z := randVecMixed(rng, n), randVecMixed(rng, n), randVecMixed(rng, n)
+				for k := 0; k < n; k += 1 + n/37 {
+					x[k] = axpyDotSpecials[rng.Intn(len(axpyDotSpecials))]
+					y[(k+1)%n] = axpyDotSpecials[rng.Intn(len(axpyDotSpecials))]
+					z[(k+2)%n] = axpyDotSpecials[rng.Intn(len(axpyDotSpecials))]
+				}
+				for _, a := range scalars {
+					checkAxpyDot(t, sameBits, a, x, y, z, false)
+					checkAxpyDot(t, sameBits, a, x, y, nil, true)
+				}
+			}
+		})
+	}
+}
+
+// TestAxpyDotZeroAlloc is the dynamic twin of the static allocation proof
+// on the fused kernel, on both sides of the single-block boundary.
+//
+// alloctest: sparse.AxpyDot
+func TestAxpyDotZeroAlloc(t *testing.T) {
+	for _, n := range []int{200, 8320} {
+		x, y, z := make([]float64, n), make([]float64, n), make([]float64, n)
+		var sink float64
+		if got := measureSteadyAllocs(t, func() { sink += AxpyDot(0.5, x, y, z) + AxpyDot(0.5, x, y, y) }); got != 0 {
+			t.Fatalf("n=%d: AxpyDot allocates %v objects per call pair, want 0", n, got)
+		}
+		_ = sink
+	}
+}
+
+// TestVecKernelsRejectShortOperands: a destination shorter than the
+// vector a kernel runs over is refused before the first write, with a
+// message naming the kernel and both lengths.
+func TestVecKernelsRejectShortOperands(t *testing.T) {
+	x := []float64{1, 2, 3, 4, 5}
+	cases := []struct {
+		name string
+		want string
+		call func(short []float64)
+	}{
+		{"Axpy", "sparse: Axpy needs len(y) ≥ len(x), got len(x)=5, len(y)=3",
+			func(short []float64) { Axpy(2, x, short) }},
+		{"ScaleTo", "sparse: ScaleTo needs len(dst) ≥ len(src), got len(src)=5, len(dst)=3",
+			func(short []float64) { ScaleTo(short, 2, x) }},
+		{"AxpyDot/y", "sparse: AxpyDot needs len(y) ≥ len(x), got len(x)=5, len(y)=3",
+			func(short []float64) { AxpyDot(2, x, short, x) }},
+		{"AxpyDot/z", "sparse: AxpyDot needs len(z) ≥ len(x), got len(x)=5, len(z)=3",
+			func(short []float64) { y := make([]float64, 5); AxpyDot(2, x, y, short) }},
+		{"Dot", "sparse: Dot needs len(y) ≥ len(x), got len(x)=5, len(y)=3",
+			func(short []float64) { Dot(x, short) }},
+	}
+	for _, tc := range cases {
+		short := []float64{7, 8, 9}
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panic %q, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.call(short)
+		}()
+		if short[0] != 7 || short[1] != 8 || short[2] != 9 {
+			t.Errorf("%s: destination %v overwritten before the length check", tc.name, short)
+		}
+	}
+}

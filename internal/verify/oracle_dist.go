@@ -239,9 +239,9 @@ func distVsSeqOne(sc distSolveCase, a *sparse.CSR, part []int, n, p int, seed in
 	xm := make([]float64, m.n)
 	var res krylov.Result
 	if sc.cg {
-		res = krylov.CG(m.n, m.matvec, m.prec(solves), m.dot, bm, xm, opt)
+		res = krylov.CG(m.n, m.matvec, m.prec(solves), krylov.UpdateThenDot(m.dot), bm, xm, opt)
 	} else {
-		res = krylov.GMRES(m.n, m.matvec, m.prec(solves), m.dot, bm, xm, opt)
+		res = krylov.GMRES(m.n, m.matvec, m.prec(solves), krylov.UpdateThenDot(m.dot), bm, xm, opt)
 	}
 
 	d0 := results[0]
