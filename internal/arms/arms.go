@@ -3,6 +3,7 @@ package arms
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"parapre/internal/ilu"
 	"parapre/internal/paranoid"
@@ -324,8 +325,14 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 		}
 	}
 
-	s := sparse.NewCSR(nc, nc, 2*c.NNZ())
-	var buf []sparse.Entry
+	// S is built in pooled buffers — its size is not known before its rows
+	// are merged and dropped — and copied out at its exact length.
+	sb := schurBufs.Get().(*schurBuf)
+	if bound := 2 * c.NNZ(); cap(sb.cols) < bound || cap(sb.vals) < bound {
+		sb.cols, sb.vals = make([]int, 0, bound), make([]float64, 0, bound)
+	}
+	sCols, sVals, buf := sb.cols[:0], sb.vals[:0], sb.row
+	s := sparse.NewCSR(nc, nc, 0)
 	for i := 0; i < nc; i++ {
 		buf = buf[:0]
 		cols, vals := c.Row(i)
@@ -350,18 +357,34 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 				}
 			}
 		}
-		start := len(s.ColIdx)
-		s.ColIdx, s.Val = sparse.MergeRow(buf, s.ColIdx, s.Val)
+		start := len(sCols)
+		sCols, sVals = sparse.MergeRow(buf, sCols, sVals)
 		if dropTol > 0 {
-			n := start + dropSmall(i, s.ColIdx[start:], s.Val[start:], dropTol)
-			s.ColIdx, s.Val = s.ColIdx[:n], s.Val[:n]
+			n := start + dropSmall(i, sCols[start:], sVals[start:], dropTol)
+			sCols, sVals = sCols[:n], sVals[:n]
 		}
-		s.RowPtr[i+1] = len(s.ColIdx)
+		s.RowPtr[i+1] = len(sCols)
 	}
-	s.ClipCap()
+	s.ColIdx = append(make([]int, 0, len(sCols)), sCols...)
+	s.Val = append(make([]float64, 0, len(sVals)), sVals...)
+	sb.cols, sb.vals, sb.row = sCols, sVals, buf
+	schurBufs.Put(sb)
 	s.Validate()
 	return s
 }
+
+// schurBuf is what one AssembleSchur builds S in: the merged rows, sized
+// from a bound, and the contributions to the row under assembly.
+type schurBuf struct {
+	cols []int
+	vals []float64
+	row  []sparse.Entry
+}
+
+// schurBufs recycles them: an assembly's buffers are dead once S has been
+// copied out, and the next one — the next level, the next rank, the next
+// session — would allocate and clear the same megabytes again.
+var schurBufs = sync.Pool{New: func() any { return new(schurBuf) }}
 
 // dropSmall compacts row i in place, removing the entries that do not
 // exceed tol·(mean magnitude of the row) except the diagonal, and returns

@@ -193,6 +193,14 @@ func TestAssembleSchurMatchesCOO(t *testing.T) {
 		{"convdiff", convDiffMatrix(t, 33)},
 		{"elasticity", elasticityMatrix(t, 21)},
 	}
+	// Every S is built in pooled buffers that the next assembly reuses:
+	// all of them are compared once more at the end, after the pool has
+	// been through every other case.
+	type kept struct {
+		what      string
+		got, want *sparse.CSR
+	}
+	var all []kept
 	for _, m := range mats {
 		for _, maxGroup := range []int{1, 5, 24} {
 			for _, dropTol := range []float64{0, 1e-4} {
@@ -211,6 +219,7 @@ func TestAssembleSchurMatchesCOO(t *testing.T) {
 				sameBits(t, what("E"), red.E, e)
 				want := assembleSchurCOO(c, e, f, red, dropTol)
 				sameBits(t, what("S"), red.S, want)
+				all = append(all, kept{what("S"), red.S, want})
 				sameBits(t, what("S from the oracle's blocks"), AssembleSchur(c, e, f, red, dropTol), want)
 				if cap(red.S.ColIdx) != len(red.S.ColIdx) || cap(red.S.Val) != len(red.S.Val) ||
 					cap(red.F.Val) != len(red.F.Val) || cap(red.E.Val) != len(red.E.Val) {
@@ -218,6 +227,9 @@ func TestAssembleSchurMatchesCOO(t *testing.T) {
 				}
 			}
 		}
+	}
+	for _, k := range all {
+		sameBits(t, k.what+", after the later assemblies", k.got, k.want)
 	}
 }
 

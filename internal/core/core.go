@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -48,31 +49,44 @@ type Problem struct {
 // mesh-less problems.
 func PatternGraph(a *sparse.CSR) *partition.Graph {
 	n := a.Rows
-	adjSet := make([]map[int]bool, n)
-	for i := 0; i < n; i++ {
-		adjSet[i] = map[int]bool{}
-	}
+	edge := func(i, j int) bool { return j != i && j < n }
+	// Every entry (i, j) is listed under i and under j; each vertex's list
+	// is then sorted and, its duplicates dropped, moved down to close the
+	// gaps the earlier vertices' duplicates left.
+	ptr := make([]int, n+1)
 	for i := 0; i < n; i++ {
 		cols, _ := a.Row(i)
 		for _, j := range cols {
-			if j != i && j < n {
-				adjSet[i][j] = true
-				adjSet[j][i] = true
+			if edge(i, j) {
+				ptr[i+1]++
+				ptr[j+1]++
 			}
 		}
 	}
-	ptr := make([]int, n+1)
-	var adj []int
 	for i := 0; i < n; i++ {
-		keys := make([]int, 0, len(adjSet[i]))
-		for j := range adjSet[i] {
-			keys = append(keys, j)
-		}
-		sort.Ints(keys)
-		adj = append(adj, keys...)
-		ptr[i+1] = len(adj)
+		ptr[i+1] += ptr[i]
 	}
-	return &partition.Graph{Ptr: ptr, Adj: adj}
+	adj := make([]int, ptr[n])
+	next := append([]int(nil), ptr[:n]...)
+	for i := 0; i < n; i++ {
+		cols, _ := a.Row(i)
+		for _, j := range cols {
+			if edge(i, j) {
+				adj[next[i]], adj[next[j]] = j, i
+				next[i]++
+				next[j]++
+			}
+		}
+	}
+	w := 0
+	for i := 0; i < n; i++ {
+		list := adj[ptr[i]:ptr[i+1]]
+		slices.Sort(list)
+		ptr[i] = w
+		w += copy(adj[w:], slices.Compact(list))
+	}
+	ptr[n] = w
+	return &partition.Graph{Ptr: ptr, Adj: adj[:w]}
 }
 
 // PartitionScheme selects how the unknowns are divided among processors.

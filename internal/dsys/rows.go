@@ -2,7 +2,6 @@ package dsys
 
 import (
 	"fmt"
-	"sort"
 
 	"parapre/internal/sparse"
 )
@@ -65,10 +64,12 @@ func DistributeRows(slabs []*sparse.CSR, rhs [][]float64, part []int) ([]*System
 		}
 	}
 
+	// buildLocal reads only the rows rank r owns, which are all its slab
+	// stores.
 	systems := make([]*System, p)
 	g2l := make([]int, n)
 	for r := 0; r < p; r++ {
-		systems[r] = buildLocalFromSlab(slabs[r], rhs[r], part, r, p, isIface, g2l)
+		systems[r] = buildLocal(slabs[r], rhs[r], part, r, p, isIface, g2l)
 	}
 	wireNeighbors(systems)
 	// Same pre-warm as Distribute: decide the blocked-SpMV format now so
@@ -77,77 +78,4 @@ func DistributeRows(slabs []*sparse.CSR, rhs [][]float64, part []int) ([]*System
 		s.A.AutoBlocked()
 	}
 	return systems, nil
-}
-
-// buildLocalFromSlab mirrors buildLocal but reads rows from the rank's
-// slab instead of a global matrix.
-func buildLocalFromSlab(slab *sparse.CSR, b []float64, part []int, r, p int, isIface []bool, g2l []int) *System {
-	n := slab.Rows
-	s := &System{Rank: r, P: p, N: n}
-	for i := 0; i < n; i++ {
-		if part[i] == r && !isIface[i] {
-			s.GlobalIDs = append(s.GlobalIDs, i)
-		}
-	}
-	s.NInt = len(s.GlobalIDs)
-	for i := 0; i < n; i++ {
-		if part[i] == r && isIface[i] {
-			s.GlobalIDs = append(s.GlobalIDs, i)
-		}
-	}
-	nloc := len(s.GlobalIDs)
-	for l, g := range s.GlobalIDs {
-		g2l[g] = l
-	}
-
-	extSeen := map[int]bool{}
-	for _, g := range s.GlobalIDs {
-		cols, _ := slab.Row(g)
-		for _, j := range cols {
-			if part[j] != r && !extSeen[j] {
-				extSeen[j] = true
-				s.ExtGlobal = append(s.ExtGlobal, j)
-			}
-		}
-	}
-	sort.Slice(s.ExtGlobal, func(x, y int) bool {
-		gx, gy := s.ExtGlobal[x], s.ExtGlobal[y]
-		if part[gx] != part[gy] {
-			return part[gx] < part[gy]
-		}
-		return gx < gy
-	})
-	extLocal := map[int]int{}
-	for k, g := range s.ExtGlobal {
-		extLocal[g] = nloc + k
-	}
-	for k := 0; k < len(s.ExtGlobal); {
-		owner := part[s.ExtGlobal[k]]
-		start := k
-		for k < len(s.ExtGlobal) && part[s.ExtGlobal[k]] == owner {
-			k++
-		}
-		s.Neigh = append(s.Neigh, Neighbor{Rank: owner, RecvOff: start, RecvLen: k - start})
-	}
-
-	s.A = sparse.NewCSR(nloc, nloc+len(s.ExtGlobal), 0)
-	s.B = make([]float64, nloc)
-	for l, g := range s.GlobalIDs {
-		s.B[l] = b[g]
-		cols, vals := slab.Row(g)
-		start := len(s.A.ColIdx)
-		for kk, j := range cols {
-			var lj int
-			if part[j] == r {
-				lj = g2l[j]
-			} else {
-				lj = extLocal[j]
-			}
-			s.A.ColIdx = append(s.A.ColIdx, lj)
-			s.A.Val = append(s.A.Val, vals[kk])
-		}
-		s.A.RowPtr[l+1] = len(s.A.ColIdx)
-		sparse.SortRow(s.A.ColIdx[start:], s.A.Val[start:])
-	}
-	return s
 }

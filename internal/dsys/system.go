@@ -126,7 +126,7 @@ func Distribute(a *sparse.CSR, b []float64, part []int, p int) []*System {
 
 	systems := make([]*System, p)
 	par.For(p, 1, func(lo, hi int) {
-		g2l := make([]int, n) // valid per-rank during its build pass
+		g2l := make([]int, n) // scratch of one rank's build pass at a time
 		for r := lo; r < hi; r++ {
 			systems[r] = buildLocal(a, b, part, r, p, isIface, g2l)
 		}
@@ -144,6 +144,11 @@ func Distribute(a *sparse.CSR, b []float64, part []int, p int) []*System {
 	return systems
 }
 
+// buildLocal builds rank r's System but for the send sides of its
+// neighbors. g2l is caller-owned scratch of length n with arbitrary
+// non-negative contents (what earlier ranks left in it): the pass gives
+// the entries of the columns rank r references their local index, owned
+// and external alike, and reads no other.
 func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool, g2l []int) *System {
 	n := a.Rows
 	s := &System{Rank: r, P: p, N: n}
@@ -167,13 +172,13 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 	}
 
 	// External interface: referenced columns owned elsewhere, grouped by
-	// owner rank (ascending), sorted by global id within each group.
-	extSeen := map[int]bool{}
+	// owner rank (ascending), sorted by global id within each group. A
+	// negative g2l entry marks a column already listed.
 	for _, g := range s.GlobalIDs {
 		cols, _ := a.Row(g)
 		for _, j := range cols {
-			if part[j] != r && !extSeen[j] {
-				extSeen[j] = true
+			if part[j] != r && g2l[j] >= 0 {
+				g2l[j] = -1
 				s.ExtGlobal = append(s.ExtGlobal, j)
 			}
 		}
@@ -185,9 +190,8 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 		}
 		return gx < gy
 	})
-	extLocal := map[int]int{}
 	for k, g := range s.ExtGlobal {
-		extLocal[g] = nloc + k
+		g2l[g] = nloc + k
 	}
 
 	// Neighbor receive blocks.
@@ -212,13 +216,7 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 		cols, vals := a.Row(g)
 		start := len(s.A.ColIdx)
 		for kk, j := range cols {
-			var lj int
-			if part[j] == r {
-				lj = g2l[j]
-			} else {
-				lj = extLocal[j]
-			}
-			s.A.ColIdx = append(s.A.ColIdx, lj)
+			s.A.ColIdx = append(s.A.ColIdx, g2l[j])
 			s.A.Val = append(s.A.Val, vals[kk])
 		}
 		s.A.RowPtr[l+1] = len(s.A.ColIdx)
@@ -231,12 +229,18 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 // exactly the unknowns q listed as externals owned by r, in q's receive
 // order (sorted by global id).
 func wireNeighbors(systems []*System) {
+	if len(systems) == 0 {
+		return
+	}
+	// Every global unknown is owned once, so one array holds the local
+	// index of each at its owner.
+	g2l := make([]int, systems[0].N)
 	for _, s := range systems {
-		// Local index of each owned global id, for send-list construction.
-		g2l := make(map[int]int, s.NLoc())
 		for l, g := range s.GlobalIDs {
 			g2l[g] = l
 		}
+	}
+	for _, s := range systems {
 		for qi := range systems {
 			q := systems[qi]
 			if q.Rank == s.Rank {
@@ -250,8 +254,8 @@ func wireNeighbors(systems []*System) {
 				send := make([]int, nb.RecvLen)
 				for k := 0; k < nb.RecvLen; k++ {
 					g := q.ExtGlobal[nb.RecvOff+k]
-					l, ok := g2l[g]
-					if !ok {
+					l := g2l[g]
+					if l >= s.NLoc() || s.GlobalIDs[l] != g {
 						panic(fmt.Sprintf("dsys: rank %d needs global %d from %d, which does not own it",
 							q.Rank, g, s.Rank))
 					}

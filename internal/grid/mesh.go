@@ -77,53 +77,45 @@ func (m *Mesh) Check() error {
 // exactly the sparsity graph of the assembled FEM matrix, which is what the
 // partitioner operates on.
 func (m *Mesh) NodeGraph() (ptr, adj []int) {
-	nn := m.NumNodes()
-	// First pass: count element memberships per node.
-	deg := make([]int, nn)
-	for e := 0; e < m.NumElems(); e++ {
+	nn, ne := m.NumNodes(), m.NumElems()
+	// Elements incident to each node, in element order.
+	ePtr := make([]int, nn+1)
+	for _, a := range m.Elems {
+		ePtr[a+1]++
+	}
+	for i := 0; i < nn; i++ {
+		ePtr[i+1] += ePtr[i]
+	}
+	eOf := make([]int, len(m.Elems))
+	next := append([]int(nil), ePtr[:nn]...)
+	for e := 0; e < ne; e++ {
 		for _, a := range m.Elem(e) {
-			deg[a] += m.NPE - 1
+			eOf[next[a]] = e
+			next[a]++
 		}
 	}
+	// Per node: list each neighbor the first time an incident element
+	// names it (seen[b] == i+1 once b is listed for node i), then sort the
+	// distinct list. A triangulation has len(Elems) + (boundary edges)
+	// adjacencies and a tetrahedralization fewer per element, so the
+	// capacity is rarely outgrown.
 	ptr = make([]int, nn+1)
+	adj = make([]int, 0, len(m.Elems)+nn)
+	seen := make([]int, nn)
 	for i := 0; i < nn; i++ {
-		ptr[i+1] = ptr[i] + deg[i]
-	}
-	adj = make([]int, ptr[nn])
-	next := append([]int(nil), ptr[:nn]...)
-	for e := 0; e < m.NumElems(); e++ {
-		el := m.Elem(e)
-		for _, a := range el {
-			for _, b := range el {
-				if a != b {
-					adj[next[a]] = b
-					next[a]++
+		seen[i] = i + 1
+		for _, e := range eOf[ePtr[i]:ePtr[i+1]] {
+			for _, b := range m.Elem(e) {
+				if seen[b] != i+1 {
+					seen[b] = i + 1
+					adj = append(adj, b)
 				}
 			}
 		}
+		insertionSortInts(adj[ptr[i]:])
+		ptr[i+1] = len(adj)
 	}
-	// Deduplicate per node.
-	out := adj[:0]
-	w := 0
-	for i := 0; i < nn; i++ {
-		lo, hi := ptr[i], ptr[i+1]
-		seg := adj[lo:hi]
-		insertionSortInts(seg)
-		start := w
-		prev := -1
-		for _, v := range seg {
-			if v != prev {
-				out = append(out, v)
-				w++
-				prev = v
-			}
-		}
-		ptr[i] = start
-	}
-	ptr[nn] = w
-	// ptr was rewritten in place during compaction: shift to canonical form.
-	// (ptr[i] currently holds the compacted start of node i.)
-	return ptr, out
+	return ptr, adj
 }
 
 func insertionSortInts(a []int) {

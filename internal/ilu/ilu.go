@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"parapre/internal/par"
@@ -50,16 +51,32 @@ func (t *tri) row(i int) ([]int32, []float64) {
 	return t.col[lo:hi], t.val[lo:hi]
 }
 
-// clip reallocates col and val to their exact length when they carry
-// spare capacity, as sparse.CSR.ClipCap does: ILUT and ILUTP cannot count
-// their output before they produce it.
-func (t *tri) clip() {
-	if cap(t.col) > len(t.col) {
-		t.col = append(make([]int32, 0, len(t.col)), t.col...)
+// triBufs recycles the col/val pairs ILUT and ILUTP build their triangles
+// in. Those are sized from a bound (ilutCap), several times what the
+// factor ends up holding, and dead as soon as keep has copied the factor
+// out — without the pool every factorization allocates, clears and drops
+// them again.
+var triBufs sync.Pool // of *tri with a nil ptr
+
+// leaseTri is newTri with col and val taken from triBufs when it holds a
+// pair with room for nnz entries. What is built in it is made permanent
+// by keep.
+func leaseTri(n, nnz int) tri {
+	b, _ := triBufs.Get().(*tri)
+	if b == nil || cap(b.col) < nnz || cap(b.val) < nnz {
+		return newTri(n, nnz)
 	}
-	if cap(t.val) > len(t.val) {
-		t.val = append(make([]float64, 0, len(t.val)), t.val...)
-	}
+	return tri{ptr: make([]int32, n+1), col: b.col[:0], val: b.val[:0]}
+}
+
+// keep replaces col and val by copies of exactly their length — a kept
+// factor holds no spare capacity and never a pooled slice — and returns
+// the buffers they were built in to triBufs.
+func (t *tri) keep() {
+	b := &tri{col: t.col, val: t.val}
+	t.col = append(make([]int32, 0, len(b.col)), b.col...)
+	t.val = append(make([]float64, 0, len(b.val)), b.val...)
+	triBufs.Put(b)
 }
 
 // checkFits guards the narrowing to 32-bit indices: the order of a factor

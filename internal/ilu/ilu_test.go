@@ -362,14 +362,63 @@ func TestSolveFlops(t *testing.T) {
 	}
 }
 
-func BenchmarkILUTFactor(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	a := randSPDish(rng, 500, 0.02)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ILUT(a, DefaultILUT()); err != nil {
-			b.Fatal(err)
+// farArrow is the matrix whose rows reach farthest back: the diagonal, a
+// dense first column and a dense last row. Every row's L part starts at
+// column 0, so whatever orders the L columns has to cross the whole gap
+// between column 0 and the diagonal; the last row puts n − 1 columns in
+// it at once. No elimination creates fill.
+func farArrow(n int) *sparse.CSR {
+	a := sparse.NewCSR(n, n, 3*n)
+	for i := 0; i < n; i++ {
+		if i == n-1 {
+			for j := 0; j < n-1; j++ {
+				a.ColIdx, a.Val = append(a.ColIdx, j), append(a.Val, -0.25)
+			}
+		} else if i > 0 {
+			a.ColIdx, a.Val = append(a.ColIdx, 0), append(a.Val, -0.5)
 		}
+		a.ColIdx, a.Val = append(a.ColIdx, i), append(a.Val, 4+float64(i%3))
+		a.RowPtr[i+1] = len(a.ColIdx)
+	}
+	return a
+}
+
+// benchFactorMatrices are the inputs of the factorization benchmarks: a
+// random block with fill everywhere, and the arrow whose rows are as far
+// apart as rows get.
+func benchFactorMatrices() []namedMatrix {
+	return []namedMatrix{
+		{"random", randSPDish(rand.New(rand.NewSource(8)), 500, 0.02)},
+		{"arrow", farArrow(200000)},
+	}
+}
+
+type namedMatrix struct {
+	name string
+	a    *sparse.CSR
+}
+
+func BenchmarkILUTFactor(b *testing.B) {
+	for _, m := range benchFactorMatrices() {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ILUT(m.a, DefaultILUT()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkILUTPFactor(b *testing.B) {
+	for _, m := range benchFactorMatrices() {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ILUTP(m.a, ILUTPOptions{ILUTOptions: DefaultILUT(), PermTol: 0.5}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

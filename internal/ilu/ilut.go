@@ -19,65 +19,6 @@ type ILUTOptions struct {
 // subdomain solvers.
 func DefaultILUT() ILUTOptions { return ILUTOptions{Tau: 1e-3, LFil: 20} }
 
-// intHeap is a hand-rolled min-heap of column indices, used to process
-// L-part entries in ascending column order as fill is created. Every
-// stored column is unique (membership is guarded by the inRow mask), so
-// the pop sequence is the ascending order of the contents regardless of
-// heap internals — replacing container/heap is bit-neutral while removing
-// the interface boxing from the factorization's hottest loop.
-type intHeap []int
-
-func (h *intHeap) init() {
-	a := *h
-	for i := len(a)/2 - 1; i >= 0; i-- {
-		siftDownInt(a, i)
-	}
-}
-
-func (h *intHeap) push(x int) {
-	a := append(*h, x)
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p] <= a[i] {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-	*h = a
-}
-
-func (h *intHeap) pop() int {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	siftDownInt(a, 0)
-	*h = a
-	return top
-}
-
-func siftDownInt(a []int, i int) {
-	n := len(a)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && a[r] < a[l] {
-			m = r
-		}
-		if a[i] <= a[m] {
-			return
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
-}
-
 // ILUT computes the dual-threshold incomplete factorization of Saad
 // (ILUT(τ, lfil)): during the elimination of each row, entries not larger
 // than τ·‖row‖ (mean-magnitude row norm) are dropped, and only the LFil
@@ -88,9 +29,9 @@ func siftDownInt(a []int, i int) {
 // entered the row, keeps — see selectLargest. With Tau = 0 and LFil ≤ 0 the factorization
 // is a complete LU without pivoting.
 //
-// Each triangle is built in a buffer sized from the LFil bound (ilutCap)
-// and clipped to its exact length, so a kept factor holds no spare
-// capacity.
+// Each triangle is built in a pooled buffer sized from the LFil bound
+// (ilutCap, leaseTri) and copied out at its exact length (keep), so a kept
+// factor holds no spare capacity.
 func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, badInputErr("ILUT", "non-square %d×%d matrix", a.Rows, a.Cols)
@@ -105,12 +46,12 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 		return nil, err
 	}
 	triCap := ilutCap(n, a.NNZ(), opt.LFil)
-	f := &LU{l: newTri(n, triCap), u: newTri(n, triCap), piv: make([]float64, n)}
+	f := &LU{l: leaseTri(n, triCap), u: leaseTri(n, triCap), piv: make([]float64, n)}
 	l, u := &f.l, &f.u
 
 	w := make([]float64, n)  // scatter workspace
 	inRow := make([]bool, n) // membership of w
-	var lCols intHeap        // active columns < i, heap-ordered
+	lCols := newOrdSet(n)    // active columns < i
 	uCols := make([]int, 0, n)
 	procL := make([]int, 0, n) // kept L columns in elimination order
 	var selL, selU selector    // selectLargest scratch, reused across rows
@@ -118,16 +59,17 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 	for i := 0; i < n; i++ {
 		cols, vals := a.Row(i)
 		var rowNorm float64
-		lCols = lCols[:0]
 		uCols = uCols[:0]
 		procL = procL[:0]
 		diagSeen := false
+		first := i // lowest L column of the row
 		for k, j := range cols {
 			w[j] = vals[k]
 			inRow[j] = true
 			rowNorm += math.Abs(vals[k])
 			if j < i {
-				lCols = append(lCols, j)
+				lCols.add(j)
+				first = min(first, j)
 			} else {
 				uCols = append(uCols, j)
 				if j == i {
@@ -145,12 +87,10 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 		}
 		rowNorm /= float64(len(cols))
 		drop := opt.Tau * rowNorm
-		lCols.init()
 
 		// Eliminate in ascending column order; L fill-in re-enters the
-		// heap, U fill-in joins uCols.
-		for len(lCols) > 0 {
-			k := lCols.pop()
+		// set, U fill-in joins uCols.
+		for k := lCols.pop(first, i); k >= 0; k = lCols.pop(k, i) {
 			lik := w[k] / f.piv[k]
 			inRow[k] = false
 			if math.Abs(lik) <= drop {
@@ -158,9 +98,8 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 			}
 			w[k] = lik
 			procL = append(procL, k)
-			// Fill lands only at columns > k; since the heap pops in
-			// ascending order, it can never hit an already-eliminated
-			// column.
+			// Fill lands only at columns > k: above everything popped so
+			// far, which is what keeps the pops ascending.
 			uc, uv := u.row(k)
 			for kj, c := range uc {
 				j := int(c)
@@ -172,7 +111,7 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 				w[j] = -delta
 				inRow[j] = true
 				if j < i {
-					lCols.push(j)
+					lCols.add(j)
 				} else {
 					uCols = append(uCols, j)
 				}
@@ -214,8 +153,8 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 		// Dropped L columns already cleared inRow; their w entries are
 		// stale but only reachable via inRow, which is false.
 	}
-	l.clip()
-	u.clip()
+	l.keep()
+	u.keep()
 	f.prepLevels()
 	return f, nil
 }
@@ -223,8 +162,7 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 // ilutCap is the capacity ILUT and ILUTP start each triangle of their
 // factor with: the dual threshold's own bound of LFil entries per row,
 // capped by a multiple of nnz(A) that the paper-style settings stay under
-// (a triangle that outgrows it is grown by append). The triangles are
-// clipped to their exact length once the factor is complete.
+// (a triangle that outgrows it is grown by append).
 func ilutCap(n, nnzA, lfil int) int {
 	c := 4 * nnzA
 	if lfil > 0 && n*lfil < c {

@@ -74,16 +74,16 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 		return nil, err
 	}
 	triCap := ilutCap(n, a.NNZ(), opt.LFil)
-	f := &LU{l: newTri(n, triCap), u: newTri(n, triCap), piv: make([]float64, n)}
+	f := &LU{l: leaseTri(n, triCap), u: leaseTri(n, triCap), piv: make([]float64, n)}
 	l, u := &f.l, &f.u
 	out := &PivLU{LU: f, Perm: perm}
 
-	// Workspace indexed by ORIGINAL column id; the heap orders L-part
-	// candidates by their permuted position.
+	// Workspace indexed by ORIGINAL column id; the L-part candidates are
+	// kept, and eliminated, by permuted position. Positions below the
+	// current row never move again, so perm maps a popped one back.
 	w := make([]float64, n)
 	inRow := make([]bool, n)
-	var lCols permHeap
-	lCols.iperm = iperm
+	lPos := newOrdSet(n)
 	uCols := make([]int, 0, n)
 	procL := make([]int, 0, n) // kept L columns (original ids), elimination order
 	var selL, selU selector    // selectLargest scratch, reused across rows
@@ -91,15 +91,16 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 	for i := 0; i < n; i++ {
 		cols, vals := a.Row(i)
 		var rowNorm float64
-		lCols.cols = lCols.cols[:0]
 		uCols = uCols[:0]
 		procL = procL[:0]
+		first := i // lowest L position of the row
 		for k, j := range cols {
 			w[j] = vals[k]
 			inRow[j] = true
 			rowNorm += math.Abs(vals[k])
-			if iperm[j] < i {
-				lCols.cols = append(lCols.cols, j)
+			if pj := iperm[j]; pj < i {
+				lPos.add(pj)
+				first = min(first, pj)
 			} else {
 				uCols = append(uCols, j)
 			}
@@ -109,11 +110,10 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 		}
 		rowNorm /= float64(len(cols))
 		drop := opt.Tau * rowNorm
-		lCols.init()
 
-		for len(lCols.cols) > 0 {
-			j := lCols.pop() // original column, smallest permuted pos
-			k := iperm[j]    // pivot row
+		// k is the pivot row: the smallest remaining permuted position.
+		for k := lPos.pop(first, i); k >= 0; k = lPos.pop(k, i) {
+			j := perm[k] // original column
 			lik := w[j] / f.piv[k]
 			inRow[j] = false
 			if math.Abs(lik) <= drop {
@@ -131,8 +131,8 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 				}
 				w[jj] = -delta
 				inRow[jj] = true
-				if iperm[jj] < i {
-					lCols.push(jj)
+				if pj := iperm[jj]; pj < i {
+					lPos.add(pj)
 				} else {
 					uCols = append(uCols, jj)
 				}
@@ -216,69 +216,8 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 			return nil, fmt.Errorf("ilu: ILUTP row %d straddles its pivot after the column remap: %w", i, ErrInternal)
 		}
 	}
-	l.clip()
-	u.clip()
+	l.keep()
+	u.keep()
 	f.prepLevels()
 	return out, nil
-}
-
-// permHeap is a hand-rolled min-heap of original column ids keyed by
-// their permuted positions. As with intHeap, the stored columns are
-// unique and pop in strictly ascending key order, so the switch from
-// container/heap is bit-neutral while avoiding the interface boxing.
-type permHeap struct {
-	cols  []int
-	iperm sparse.Perm
-}
-
-func (h *permHeap) init() {
-	for i := len(h.cols)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-func (h *permHeap) push(x int) {
-	a := append(h.cols, x)
-	key := h.iperm
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if key[a[p]] <= key[a[i]] {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-	h.cols = a
-}
-
-func (h *permHeap) pop() int {
-	a := h.cols
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	h.cols = a[:n]
-	h.siftDown(0)
-	return top
-}
-
-func (h *permHeap) siftDown(i int) {
-	a := h.cols
-	key := h.iperm
-	n := len(a)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && key[a[r]] < key[a[l]] {
-			m = r
-		}
-		if key[a[i]] <= key[a[m]] {
-			return
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
 }

@@ -52,24 +52,6 @@ func NewCSR(r, c, nnz int) *CSR {
 	}
 }
 
-// ClipCap reallocates ColIdx and Val to their exact length when they carry
-// spare capacity. Builders that cannot count their output before they
-// produce it (ilu.ILUT, arms.AssembleSchur) append into a generous buffer
-// and clip once at the end, so a matrix kept for the life of a session
-// holds no slack.
-func (a *CSR) ClipCap() {
-	if cap(a.ColIdx) > len(a.ColIdx) {
-		ci := make([]int, len(a.ColIdx))
-		copy(ci, a.ColIdx)
-		a.ColIdx = ci
-	}
-	if cap(a.Val) > len(a.Val) {
-		v := make([]float64, len(a.Val))
-		copy(v, a.Val)
-		a.Val = v
-	}
-}
-
 // Dims returns the matrix dimensions.
 func (a *CSR) Dims() (r, c int) { return a.Rows, a.Cols }
 
