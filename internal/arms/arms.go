@@ -260,7 +260,7 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 	supPtr := make([]int, ng+1)
 	wPtr := make([]int, ng+1)
 	var supCols []int
-	var maxRHS, maxSz int // largest right-hand-side block and group
+	var maxRHS int // largest block of right-hand sides
 	slot := make([]int, nc)
 	for j := range slot {
 		slot[j] = -1
@@ -279,18 +279,19 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 		}
 		need := (hi - lo) * (supPtr[g+1] - supPtr[g])
 		wPtr[g+1] = wPtr[g] + need
-		maxRHS, maxSz = max(maxRHS, need), max(maxSz, hi-lo)
+		maxRHS = max(maxRHS, need)
 	}
 
 	// W_g, row-major |g|×|support|: scatter F_g into a dense block of
-	// right-hand sides, one support column after the other, and solve
-	// each.
+	// right-hand sides, one support column after the other, solve them
+	// together into W_g's own storage and transpose that to row-major
+	// through the right-hand sides, which are dead by then.
 	w := make([]float64, wPtr[ng])
 	groupOf := make([]int, e.Cols)
 	for j := range groupOf {
 		groupOf[j] = -1
 	}
-	rhsBuf, sol := make([]float64, maxRHS), make([]float64, maxSz)
+	rhsBuf := make([]float64, maxRHS)
 	for g, ext := range l.Blocks {
 		lo, hi := ext[0], ext[1]
 		sz := hi - lo
@@ -308,7 +309,6 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 		for i := range rhs {
 			rhs[i] = 0
 		}
-		sol = sol[:sz]
 		for r := lo; r < hi; r++ {
 			cols, vals := f.Row(r)
 			for k, j := range cols {
@@ -316,13 +316,14 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 			}
 		}
 		wg := w[wPtr[g]:wPtr[g+1]]
+		l.BlockLU[g].SolveManyTo(wg, rhs, len(sup))
 		for sc, j := range sup {
-			l.BlockLU[g].SolveTo(sol, rhs[sc*sz:(sc+1)*sz])
-			for i, v := range sol {
-				wg[i*len(sup)+sc] = v
+			for i, v := range wg[sc*sz : (sc+1)*sz] {
+				rhs[i*len(sup)+sc] = v
 			}
 			slot[j] = -1
 		}
+		copy(wg, rhs)
 	}
 
 	// S is built in pooled buffers — its size is not known before its rows

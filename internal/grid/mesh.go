@@ -5,7 +5,11 @@
 // the paper's 521,185-node "special domain" of Test Case 3.
 package grid
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Mesh is a conforming simplicial mesh: triangles in 2D (NPE = 3) or
 // tetrahedra in 3D (NPE = 4). Node coordinates are stored interleaved,
@@ -135,51 +139,71 @@ func insertionSortInts(a []int) {
 // exactly one element). This works for multiply-connected domains such as
 // the plate-with-hole mesh, where geometric predicates would not.
 func (m *Mesh) BoundaryNodes() []bool {
-	onB := make([]bool, m.NumNodes())
-	type facet [3]int // sorted node ids; third is -1 in 2D
-	count := make(map[facet]int)
-	record := func(f facet) { count[f]++ }
-	for e := 0; e < m.NumElems(); e++ {
-		el := m.Elem(e)
-		if m.NPE == 3 {
-			record(newFacet2(el[0], el[1]))
-			record(newFacet2(el[1], el[2]))
-			record(newFacet2(el[2], el[0]))
-		} else {
-			record(newFacet3(el[0], el[1], el[2]))
-			record(newFacet3(el[0], el[1], el[3]))
-			record(newFacet3(el[0], el[2], el[3]))
-			record(newFacet3(el[1], el[2], el[3]))
+	nn, ne := m.NumNodes(), m.NumElems()
+	onB := make([]bool, nn)
+	// Bucket every facet by its smallest node — count, prefix-sum, fill —
+	// keeping its other two node ids.
+	ptr := make([]int, nn+1)
+	for e := 0; e < ne; e++ {
+		s := sortedNodes(m.Elem(e))
+		for _, f := range facetOf[:m.NPE] {
+			ptr[s[f[0]]+1]++
 		}
 	}
-	for f, c := range count {
-		if c == 1 {
-			onB[f[0]] = true
-			onB[f[1]] = true
-			if f[2] >= 0 {
-				onB[f[2]] = true
+	for i := 0; i < nn; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	rest := make([][2]int, ptr[nn])
+	next := append([]int(nil), ptr[:nn]...)
+	for e := 0; e < ne; e++ {
+		s := sortedNodes(m.Elem(e))
+		for _, f := range facetOf[:m.NPE] {
+			i := s[f[0]]
+			rest[next[i]] = [2]int{s[f[1]], s[f[2]]}
+			next[i]++
+		}
+	}
+	// Equal facets share a bucket and are neighbours once it is sorted (on
+	// the whole key, so the sort's order among equals cannot show); a facet
+	// without an equal neighbour belongs to one element.
+	for i := 0; i < nn; i++ {
+		b := rest[ptr[i]:ptr[i+1]]
+		slices.SortFunc(b, func(x, y [2]int) int {
+			if x[0] != y[0] {
+				return cmp.Compare(x[0], y[0])
+			}
+			return cmp.Compare(x[1], y[1])
+		})
+		for k, f := range b {
+			if (k > 0 && b[k-1] == f) || (k+1 < len(b) && b[k+1] == f) {
+				continue
+			}
+			onB[i], onB[f[0]] = true, true
+			if f[1] >= 0 {
+				onB[f[1]] = true
 			}
 		}
 	}
 	return onB
 }
 
-func newFacet2(a, b int) [3]int {
-	if a > b {
-		a, b = b, a
+// sortedNodes returns the node ids of a simplex in ascending order; a
+// triangle's fourth is -1.
+func sortedNodes(el []int) [4]int {
+	a, b, c, d := el[0], el[1], el[2], -1
+	a, b = min(a, b), max(a, b)
+	b, c = min(b, c), max(b, c)
+	a, b = min(a, b), max(a, b)
+	if len(el) == 4 {
+		d = el[3]
+		c, d = min(c, d), max(c, d)
+		b, c = min(b, c), max(b, c)
+		a, b = min(a, b), max(a, b)
 	}
-	return [3]int{a, b, -1}
+	return [4]int{a, b, c, d}
 }
 
-func newFacet3(a, b, c int) [3]int {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return [3]int{a, b, c}
-}
+// facetOf lists the facets of a simplex as positions in its sortedNodes,
+// each ascending: all four for a tetrahedron, for a triangle the first
+// three, whose last position holds the -1.
+var facetOf = [4][3]int{{0, 1, 3}, {0, 2, 3}, {1, 2, 3}, {0, 1, 2}}

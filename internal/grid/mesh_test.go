@@ -319,4 +319,27 @@ func TestFacetCanonicalization(t *testing.T) {
 	if got := newFacet2(5, 2); got != [3]int{2, 5, -1} {
 		t.Fatalf("newFacet2 = %v", got)
 	}
+	// sortedNodes, which BoundaryNodes reads an element's facets from, must
+	// do the same for every order of a triangle's and a tetrahedron's nodes.
+	for _, n := range []int{3, 4} {
+		want := [4]int{2, 5, 7, -1}
+		if n == 4 {
+			want[3] = 9
+		}
+		var visit func(el []int, k int)
+		visit = func(el []int, k int) {
+			if k == n {
+				if got := sortedNodes(el); got != want {
+					t.Fatalf("sortedNodes(%v) = %v, want %v", el, got, want)
+				}
+				return
+			}
+			for i := k; i < n; i++ {
+				el[k], el[i] = el[i], el[k]
+				visit(el, k+1)
+				el[k], el[i] = el[i], el[k]
+			}
+		}
+		visit([]int{2, 5, 7, 9}[:n], 0)
+	}
 }

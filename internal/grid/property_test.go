@@ -4,6 +4,28 @@ import (
 	"testing"
 )
 
+// newFacet2 and newFacet3 are a facet's key in countFacets: its sorted node
+// ids, the third -1 in 2D.
+func newFacet2(a, b int) [3]int {
+	if a > b {
+		a, b = b, a
+	}
+	return [3]int{a, b, -1}
+}
+
+func newFacet3(a, b, c int) [3]int {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b, c = c, b
+	}
+	if a > b {
+		a, b = b, a
+	}
+	return [3]int{a, b, c}
+}
+
 // countFacets tallies how many elements share each facet; a conforming
 // mesh has every facet in exactly one or two elements.
 func countFacets(m *Mesh) map[[3]int]int {

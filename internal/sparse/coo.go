@@ -49,17 +49,6 @@ type Entry struct {
 	Val float64
 }
 
-// entsByCol sorts row entries by column through a concrete sort.Interface:
-// sort.Sort runs the same pdqsort as sort.Slice over the same comparisons
-// (so equal-column entries land in the same deterministic order and the
-// duplicate sums below keep their bits), but without the reflect-based
-// swapper that dominated assembly-heavy profiles.
-type entsByCol []Entry
-
-func (e entsByCol) Len() int           { return len(e) }
-func (e entsByCol) Less(i, j int) bool { return e[i].Col < e[j].Col }
-func (e entsByCol) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }
-
 // MergeRow sorts buf by column and appends the duplicate-summed entries to
 // (cols, vals). Duplicates are summed in their post-sort order; since the
 // sort and the input sequence are deterministic, so is the result. Both
@@ -69,7 +58,7 @@ func (e entsByCol) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }
 // handing MergeRow each row's contributions in the order COO.Add would
 // have received them.
 func MergeRow(buf []Entry, cols []int, vals []float64) ([]int, []float64) {
-	sort.Sort(entsByCol(buf))
+	sortEntriesByCol(buf)
 	for k := 0; k < len(buf); {
 		j := buf[k].Col
 		var s float64

@@ -117,10 +117,13 @@ func (f *LU) Solve(b []float64) []float64 {
 }
 
 // SolveTo solves A·x = b into x without allocating. x and b must not
-// alias (the pivot gather reads b while x is written).
+// alias (the pivot gather reads b while x is written). It panics before
+// writing anything unless len(b) is the order of the matrix and x holds
+// at least as many entries.
 func (f *LU) SolveTo(x, b []float64) {
-	if len(b) != f.n {
-		panic(fmt.Sprintf("sparse: LU.Solve length %d, want %d", len(b), f.n))
+	if len(b) != f.n || len(x) < f.n {
+		panic(fmt.Sprintf("sparse: LU.SolveTo on order %d needs len(b) = %d, len(x) ≥ %d; got %d, %d",
+			f.n, f.n, f.n, len(b), len(x)))
 	}
 	n := f.n
 	for i := 0; i < n; i++ {
@@ -141,6 +144,64 @@ func (f *LU) SolveTo(x, b []float64) {
 			s += f.lu[i*n+j] * x[j]
 		}
 		x[i] = (x[i] - s) / f.lu[i*n+i]
+	}
+}
+
+// SolveManyTo solves A·X = B for nrhs right-hand sides stored one after
+// the other: column c of B is b[c·n:(c+1)·n] and its solution lands in
+// x[c·n:(c+1)·n], n being the order of the matrix. x and b must not alias.
+// Four columns go through the pivot gather and the two substitutions in
+// one loop nest — four independent accumulation chains over one pass of
+// the factor instead of one — and each column sees exactly SolveTo's
+// operations in SolveTo's order, so every solution has SolveTo's bits; the
+// columns left over go through SolveTo. It panics before writing anything
+// unless len(b) is nrhs·n — a block of another order is a caller's
+// mistake, not a prefix to solve — and x holds at least as many entries.
+func (f *LU) SolveManyTo(x, b []float64, nrhs int) {
+	n := f.n
+	if nrhs < 0 || len(b) != nrhs*n || len(x) < nrhs*n {
+		panic(fmt.Sprintf("sparse: LU.SolveManyTo on order %d with %d right-hand sides needs len(b) = %d, len(x) ≥ %d; got %d, %d",
+			n, nrhs, nrhs*n, nrhs*n, len(b), len(x)))
+	}
+	c := 0
+	for ; c+4 <= nrhs; c += 4 {
+		x0, x1, x2, x3 := x[c*n:][:n], x[(c+1)*n:][:n], x[(c+2)*n:][:n], x[(c+3)*n:][:n]
+		b0, b1, b2, b3 := b[c*n:][:n], b[(c+1)*n:][:n], b[(c+2)*n:][:n], b[(c+3)*n:][:n]
+		for i, p := range f.piv {
+			x0[i], x1[i], x2[i], x3[i] = b0[p], b1[p], b2[p], b3[p]
+		}
+		for i := 1; i < n; i++ {
+			var s0, s1, s2, s3 float64
+			for j, l := range f.lu[i*n : i*n+i] {
+				s0 += l * x0[j]
+				s1 += l * x1[j]
+				s2 += l * x2[j]
+				s3 += l * x3[j]
+			}
+			x0[i] -= s0
+			x1[i] -= s1
+			x2[i] -= s2
+			x3[i] -= s3
+		}
+		for i := n - 1; i >= 0; i-- {
+			var s0, s1, s2, s3 float64
+			row := f.lu[i*n : (i+1)*n]
+			for j := i + 1; j < n; j++ {
+				u := row[j]
+				s0 += u * x0[j]
+				s1 += u * x1[j]
+				s2 += u * x2[j]
+				s3 += u * x3[j]
+			}
+			d := row[i]
+			x0[i] = (x0[i] - s0) / d
+			x1[i] = (x1[i] - s1) / d
+			x2[i] = (x2[i] - s2) / d
+			x3[i] = (x3[i] - s3) / d
+		}
+	}
+	for ; c < nrhs; c++ {
+		f.SolveTo(x[c*n:][:n], b[c*n:][:n])
 	}
 }
 

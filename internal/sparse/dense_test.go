@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -121,5 +122,113 @@ func TestSolveToMatchesSolve(t *testing.T) {
 		if x1[i] != x2[i] {
 			t.Fatal("SolveTo differs from Solve")
 		}
+	}
+}
+
+// TestSolveManyBitsMatchSolveTo holds the four-at-a-time solve to the
+// bits of SolveTo column by column: random matrices without diagonal
+// dominance (so the pivot sequence permutes), right-hand sides that are
+// dense, and ones as sparse as arms.AssembleSchur's with both zeros in
+// them, at counts on either side of the blocks of four.
+func TestSolveManyBitsMatchSolveTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{1, 2, 5, 24} {
+		d := NewDense(n, n)
+		for i := range d.Data {
+			d.Data[i] = rng.NormFloat64()
+		}
+		f, err := d.Factor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n >= 5 {
+			moved := 0
+			for i, p := range f.piv {
+				if p != i {
+					moved++
+				}
+			}
+			if moved == 0 {
+				t.Fatalf("n=%d: the pivot sequence is the identity, the gather is not exercised", n)
+			}
+		}
+		for _, nrhs := range []int{0, 1, 3, 4, 5, 8, 37} {
+			for _, sparseRHS := range []bool{false, true} {
+				b := make([]float64, nrhs*n)
+				for i := range b {
+					switch {
+					case !sparseRHS || rng.Intn(4) == 0:
+						b[i] = rng.NormFloat64()
+					case rng.Intn(2) == 0:
+						b[i] = negZero
+					}
+				}
+				x := make([]float64, nrhs*n)
+				f.SolveManyTo(x, b, nrhs)
+				want := make([]float64, n)
+				for c := 0; c < nrhs; c++ {
+					f.SolveTo(want, b[c*n:(c+1)*n])
+					for i, v := range want {
+						if got := x[c*n+i]; math.Float64bits(got) != math.Float64bits(v) {
+							t.Fatalf("n=%d nrhs=%d sparse=%v: column %d entry %d is %v (%#x), SolveTo gives %v (%#x)",
+								n, nrhs, sparseRHS, c, i, got, math.Float64bits(got), v, math.Float64bits(v))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLUSolveRejectsShortOperandsUntouched checks that the dense solves
+// refuse operands of the wrong length up front, with the package's own
+// message, before any entry of the destination is written.
+func TestLUSolveRejectsShortOperandsUntouched(t *testing.T) {
+	n := 4
+	d := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		d.Set(i, i, 2)
+		d.Set(i, (i+1)%n, 1)
+	}
+	f, err := d.Factor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := func(k int) []float64 {
+		v := make([]float64, k)
+		for i := range v {
+			v[i] = 1
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		name  string
+		x, b  []float64
+		solve func(x, b []float64)
+	}{
+		{"SolveTo short x", ones(n - 1), ones(n), f.SolveTo},
+		{"SolveTo short b", ones(n), ones(n - 1), f.SolveTo},
+		{"SolveTo long b", ones(n), ones(n + 1), f.SolveTo},
+		{"SolveManyTo short x", ones(3*n - 1), ones(3 * n), func(x, b []float64) { f.SolveManyTo(x, b, 3) }},
+		{"SolveManyTo short b", ones(5 * n), ones(5*n - 1), func(x, b []float64) { f.SolveManyTo(x, b, 5) }},
+		{"SolveManyTo long b", ones(5 * n), ones(5*n + 1), func(x, b []float64) { f.SolveManyTo(x, b, 5) }},
+		{"SolveManyTo columns of another order", ones(4 * (n + 1)), ones(4 * (n + 1)), func(x, b []float64) { f.SolveManyTo(x, b, 4) }},
+		{"SolveManyTo negative count", ones(n), ones(n), func(x, b []float64) { f.SolveManyTo(x, b, -1) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "sparse: LU.Solve") {
+					t.Errorf("%s: panic %q, want one that starts with \"sparse: LU.Solve\"", tc.name, msg)
+				}
+				for i, v := range tc.x {
+					if v != 1 {
+						t.Errorf("%s: x[%d] = %v was written before the panic", tc.name, i, v)
+					}
+				}
+			}()
+			tc.solve(tc.x, tc.b)
+		}()
 	}
 }
