@@ -57,8 +57,8 @@ func main() {
 		md      = flag.Bool("markdown", false, "emit GitHub-flavored Markdown tables")
 		jsonOut = flag.Bool("json", false, "also write results to BENCH_<date>.json")
 		jsonTo  = flag.String("o", "", "JSON output path (implies -json; default BENCH_<date>.json)")
-		compare = flag.String("compare", "", "compare modeled times against a committed BENCH_*.json baseline and fail on regressions")
-		tol     = flag.Float64("tol", 0.10, "relative modeled-time regression tolerance for -compare")
+		compare = flag.String("compare", "", "compare modeled times against a committed BENCH_*.json baseline and fail on drift in either direction")
+		tol     = flag.Float64("tol", 0.10, "relative modeled-time tolerance for -compare, on both sides")
 		workers = flag.Int("workers", 0, "shared-memory worker count (0 = GOMAXPROCS / PARAPRE_WORKERS)")
 
 		precKind  = flag.String("precond", "", `narrow every experiment to one preconditioner column, case-insensitive (e.g. "Schur 1", "mslr")`)
@@ -133,13 +133,17 @@ func main() {
 	}
 
 	if *precKind != "" {
+		want, err := precond.ParseKind(*precKind)
+		if err != nil {
+			fatal(err)
+		}
 		for i := range toRun {
 			if toRun[i].Schwarz {
 				continue // Schwarz tables have no algebraic-preconditioner columns
 			}
 			var kept []precond.Kind
 			for _, k := range toRun[i].Preconds {
-				if strings.EqualFold(string(k), *precKind) {
+				if k == want {
 					kept = append(kept, k)
 				}
 			}
@@ -300,7 +304,7 @@ func main() {
 		cur := bench.NewReport("", allTables)
 		regs := bench.CompareModelTimes(base, cur, *tol)
 		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "ippsbench: %d modeled-time regression(s) vs %s (tol %.0f%%):\n",
+			fmt.Fprintf(os.Stderr, "ippsbench: %d modeled-time difference(s) vs %s (tol %.0f%%):\n",
 				len(regs), *compare, *tol*100)
 			for _, r := range regs {
 				fmt.Fprintln(os.Stderr, "  "+r)

@@ -39,6 +39,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mmsolve: -matrix is required")
 		os.Exit(2)
 	}
+	pk, err := precond.ParseKind(*kind)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mmsolve:", err)
+		os.Exit(2)
+	}
+	*kind = string(pk)
 
 	mf, err := os.Open(*matPath)
 	if err != nil {
@@ -82,7 +88,7 @@ func main() {
 	}
 
 	prob := &parapre.Problem{Name: *matPath, A: a, B: b}
-	cfg := parapre.DefaultConfig(*p, precond.Kind(*kind))
+	cfg := parapre.DefaultConfig(*p, pk)
 	cfg.Solver.Tol = *tol
 	cfg.RCM = *rcm
 	cfg.KeepX = true

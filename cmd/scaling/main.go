@@ -29,6 +29,12 @@ func main() {
 		machine = flag.String("machine", "cluster", "machine model: cluster | origin")
 	)
 	flag.Parse()
+	pk, err := precond.ParseKind(*kind)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scaling:", err)
+		os.Exit(2)
+	}
+	*kind = string(pk)
 
 	var sz int
 	found := false
@@ -60,7 +66,7 @@ func main() {
 
 	var t1 float64
 	for _, p := range ps {
-		cfg := parapre.DefaultConfig(p, precond.Kind(*kind))
+		cfg := parapre.DefaultConfig(p, pk)
 		if *machine == "origin" {
 			cfg.Machine = parapre.Origin3800()
 		}

@@ -87,6 +87,12 @@ func main() {
 		hubAddr    = flag.String("hub-addr", "", "internal: hub address")
 	)
 	flag.Parse()
+	pk, err := precond.ParseKind(*kind)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "solvepde:", err)
+		os.Exit(2)
+	}
+	*kind = string(pk)
 
 	if *pprofOn != "" {
 		go func() {
@@ -120,7 +126,7 @@ func main() {
 	}
 
 	prob := parapre.BuildCase(*name, sz)
-	cfg := parapre.DefaultConfig(*p, precond.Kind(*kind))
+	cfg := parapre.DefaultConfig(*p, pk)
 	if *machine == "origin" {
 		cfg.Machine = parapre.Origin3800()
 	}

@@ -178,3 +178,45 @@ func TestWriteMarkdown(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareModelTimesIsTwoSided: against a fabricated baseline, a cell
+// that got slower is a regression, a cell that got faster reports a stale
+// baseline, an iteration or convergence change is reported as such, an
+// equal cell and a cell the baseline lacks are silent — and inside the
+// tolerance both directions pass.
+func TestCompareModelTimesIsTwoSided(t *testing.T) {
+	report := func(cells ...ReportCell) *Report {
+		return &Report{Tables: []ReportTable{{ID: "tc", Rows: []ReportRow{{P: 4, Cells: cells}}}}}
+	}
+	base := report(
+		ReportCell{Precond: "same", Iters: 10, ModelTime: 1, Converged: true},
+		ReportCell{Precond: "slower", Iters: 10, ModelTime: 1, Converged: true},
+		ReportCell{Precond: "faster", Iters: 10, ModelTime: 1, Converged: true},
+		ReportCell{Precond: "iterations", Iters: 10, ModelTime: 1, Converged: true},
+		ReportCell{Precond: "diverged", Iters: 10, ModelTime: 1, Converged: true},
+	)
+	cur := report(
+		ReportCell{Precond: "same", Iters: 10, ModelTime: 1, Converged: true},
+		ReportCell{Precond: "slower", Iters: 10, ModelTime: 1.05, Converged: true},
+		ReportCell{Precond: "faster", Iters: 10, ModelTime: 0.95, Converged: true},
+		ReportCell{Precond: "iterations", Iters: 11, ModelTime: 1, Converged: true},
+		ReportCell{Precond: "diverged", Iters: 10, ModelTime: 1, Converged: false},
+		ReportCell{Precond: "new", Iters: 3, ModelTime: 7, Converged: true},
+	)
+	got := CompareModelTimes(base, cur, 0)
+	want := []string{
+		"tc/slower/P=4: modeled time 1.0500s exceeds baseline 1.0000s by more than 0%",
+		"tc/faster/P=4: modeled time 0.9500s is below baseline 1.0000s by more than 0%: baseline stale, regenerate",
+		"tc/iterations/P=4: iterations 11, baseline 10",
+		"tc/diverged/P=4: converged=false, baseline true",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("tol 0:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if got := CompareModelTimes(base, cur, 0.10); len(got) != 2 {
+		t.Errorf("tol 10%%: %q, want only the iteration and the convergence change", got)
+	}
+	if got := CompareModelTimes(base, base, 0); len(got) != 0 {
+		t.Errorf("a report against itself: %q", got)
+	}
+}

@@ -113,9 +113,12 @@ type cellKey struct {
 // CompareModelTimes checks the current report against a committed baseline:
 // every cell present in both must keep its iteration count exactly (modeled
 // runs are deterministic; an iteration change is a golden change) and its
-// modeled time within the relative tolerance. Wall-clock times are
+// modeled time within the relative tolerance, on either side: a slower
+// cell is a regression, a faster one means the baseline no longer
+// describes the code and has to be regenerated — passing it would leave
+// that much room for a later regression to hide in. Wall-clock times are
 // host-dependent and deliberately not compared. The returned strings
-// describe each regression; an empty slice means the run is clean. Cells
+// describe each drift; an empty slice means the run is clean. Cells
 // present in only one report are skipped, so the guard tolerates baseline
 // and run configurations that overlap rather than match.
 func CompareModelTimes(base, cur *Report, tol float64) []string {
@@ -144,8 +147,15 @@ func CompareModelTimes(base, cur *Report, tol float64) []string {
 					regs = append(regs, fmt.Sprintf("%s: converged=%v, baseline %v", id, c.Converged, b.Converged))
 					continue
 				}
-				if b.ModelTime > 0 && c.ModelTime > b.ModelTime*(1+tol) {
+				if b.ModelTime <= 0 {
+					continue
+				}
+				switch {
+				case c.ModelTime > b.ModelTime*(1+tol):
 					regs = append(regs, fmt.Sprintf("%s: modeled time %.4fs exceeds baseline %.4fs by more than %.0f%%",
+						id, c.ModelTime, b.ModelTime, tol*100))
+				case c.ModelTime < b.ModelTime*(1-tol):
+					regs = append(regs, fmt.Sprintf("%s: modeled time %.4fs is below baseline %.4fs by more than %.0f%%: baseline stale, regenerate",
 						id, c.ModelTime, b.ModelTime, tol*100))
 				}
 			}

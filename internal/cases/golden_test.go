@@ -1,6 +1,8 @@
 package cases
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -9,12 +11,18 @@ import (
 )
 
 // setupGolden pins core.Solve end to end across the set-up kernels
-// (ilu.ILUT's selection, arms.AssembleSchur, the block extractions): the
-// iteration count, the modeled solve and set-up times and every rank's
-// flop and message counts, as produced by commit a94ab32 — the last one
-// with the sort-based selection and the coordinate-buffer Schur assembly.
-// A set-up change that alters one stored factor bit moves at least the
-// flop counts of some cell.
+// (ilu.ILUT's selection, arms.AssembleSchur, the block extractions) and
+// across the solvers: the iteration count, the modeled solve and set-up
+// times, every rank's flop and message counts, and digests of the solution
+// and of the residual history. The set-up bits, the iteration counts and
+// the six Block rows are as produced by commit a94ab32 — the last one with
+// the sort-based selection and the coordinate-buffer Schur assembly; a
+// set-up change that alters one stored factor bit moves at least the flop
+// counts of some cell. The digests were recorded at commit 6ceac6a, the
+// last one whose inner solves applied their operator to the zero guess and
+// formed a closing residual; the commit that stopped both re-recorded
+// solveBits, flopBits and msgs of the six Schur rows and nothing else, so
+// the digests are what says that no iterate moved with the work.
 var setupGolden = []struct {
 	name       string
 	size       int
@@ -25,31 +33,45 @@ var setupGolden = []struct {
 	setupBits  uint64
 	flopBits   [4]uint64
 	msgs       [4]int
+	xDigest    uint64
+	histDigest uint64
 }{
-	{"tc1-poisson2d", 97, "Schur 1", 12, true, 0x3fd5ed946662436f, 0x3f70a427921540da,
-		[4]uint64{0x417bda6d70000000, 0x4178909860000000, 0x417be86720000000, 0x4179819030000000}, [4]int{98, 294, 196, 196}},
-	{"tc1-poisson2d", 97, "Schur 2", 12, true, 0x3fcd50e2ffcd640b, 0x3f8505e63aa3b192,
-		[4]uint64{0x41687585c0000000, 0x4169dea820000000, 0x416f91cb60000000, 0x416a776f60000000}, [4]int{98, 294, 196, 196}},
+	{"tc1-poisson2d", 97, "Schur 1", 12, true, 0x3fd3010656f8d235, 0x3f70a427921540da,
+		[4]uint64{0x4177ea4950000000, 0x41755a6860000000, 0x4177fa1b70000000, 0x4176022b30000000}, [4]int{74, 222, 148, 148},
+		0x68c4d984438fb859, 0x408575ff983ebe5f},
+	{"tc1-poisson2d", 97, "Schur 2", 12, true, 0x3fc9a836a3b966e2, 0x3f8505e63aa3b192,
+		[4]uint64{0x41662bbfc0000000, 0x41675b1620000000, 0x416c2f4360000000, 0x4167db4760000000}, [4]int{74, 222, 148, 148},
+		0x7391bf969cf063fb, 0xb73238c47bb9dd8a},
 	{"tc1-poisson2d", 97, "Block 1", 165, true, 0x3fe4acd882544a01, 0x3f4f93433e4331ae,
-		[4]uint64{0x417bb4ddc0000000, 0x417bbe9480000000, 0x417bbee260000000, 0x417bac3800000000}, [4]int{175, 525, 350, 350}},
+		[4]uint64{0x417bb4ddc0000000, 0x417bbe9480000000, 0x417bbee260000000, 0x417bac3800000000}, [4]int{175, 525, 350, 350},
+		0xf82efc3a5c8b251f, 0x27aeb24da65b66d1},
 	{"tc1-poisson2d", 97, "Block 2", 75, true, 0x3fd704cb1d10fa3e, 0x3f6f11078f407a44,
-		[4]uint64{0x4174a82540000000, 0x4174dfa280000000, 0x4174e9b280000000, 0x4173db5be0000000}, [4]int{80, 240, 160, 160}},
-	{"tc5-convdiff", 97, "Schur 1", 5, true, 0x3fb836250e65ac87, 0x3f6320a3e47636be,
-		[4]uint64{0x41582612c0000000, 0x4155b23e80000000, 0x41555d7900000000, 0x4154300040000000}, [4]int{42, 126, 84, 84}},
-	{"tc5-convdiff", 97, "Schur 2", 5, true, 0x3fb5ca62faa11b58, 0x3f83e6cff4e70edf,
-		[4]uint64{0x415522e200000000, 0x41561d0a00000000, 0x4157ee5600000000, 0x4155565540000000}, [4]int{42, 126, 84, 84}},
+		[4]uint64{0x4174a82540000000, 0x4174dfa280000000, 0x4174e9b280000000, 0x4173db5be0000000}, [4]int{80, 240, 160, 160},
+		0x54fb72b9c76345da, 0xbe0800fee3d646ee},
+	{"tc5-convdiff", 97, "Schur 1", 5, true, 0x3fb4e26d4801f72c, 0x3f6320a3e47636be,
+		[4]uint64{0x4154cb5a40000000, 0x415291a380000000, 0x415208ce80000000, 0x4151066440000000}, [4]int{32, 96, 64, 64},
+		0x80d33d8a0afa9e27, 0x72f11e191ffc4619},
+	{"tc5-convdiff", 97, "Schur 2", 5, true, 0x3fb30fb8fe7219a3, 0x3f83e6cff4e70edf,
+		[4]uint64{0x41536dfd00000000, 0x41543f1c00000000, 0x4155c32400000000, 0x4153918a40000000}, [4]int{32, 96, 64, 64},
+		0xa82088c57d2a2876, 0x1428a79619194b75},
 	{"tc5-convdiff", 97, "Block 1", 22, true, 0x3fb5b880ba7a8f99, 0x3f4f93433e4331ae,
-		[4]uint64{0x414dc64200000000, 0x414dd13200000000, 0x414dd1af00000000, 0x414dbbc180000000}, [4]int{25, 75, 50, 50}},
+		[4]uint64{0x414dc64200000000, 0x414dd13200000000, 0x414dd1af00000000, 0x414dbbc180000000}, [4]int{25, 75, 50, 50},
+		0x5d52f3592d7ade85, 0xd67dd883eb7c50e2},
 	{"tc5-convdiff", 97, "Block 2", 19, true, 0x3fb614f31de102ff, 0x3f67a2e9a473e82f,
-		[4]uint64{0x4150848e00000000, 0x4153812400000000, 0x4150412780000000, 0x415262e080000000}, [4]int{21, 63, 42, 42}},
-	{"tc6-elasticity", 41, "Schur 1", 35, true, 0x3fe54880aed8b845, 0x3f604a14f70809ba,
-		[4]uint64{0x4181527bc0000000, 0x417fb70340000000, 0x418118e9c0000000, 0x4182478970000000}, [4]int{566, 849, 566, 849}},
-	{"tc6-elasticity", 41, "Schur 2", 33, true, 0x3fe2eb68317b0606, 0x3f751df7f0f6302c,
-		[4]uint64{0x41769e4440000000, 0x417e3a96c0000000, 0x417c998260000000, 0x4173aedf20000000}, [4]int{534, 801, 534, 801}},
+		[4]uint64{0x4150848e00000000, 0x4153812400000000, 0x4150412780000000, 0x415262e080000000}, [4]int{21, 63, 42, 42},
+		0x2c97bddde08d8b0e, 0xe5d0e42d37b6b6e9},
+	{"tc6-elasticity", 41, "Schur 1", 35, true, 0x3fe21487e57573c8, 0x3f604a14f70809ba,
+		[4]uint64{0x417c97f180000000, 0x417a980980000000, 0x417c6d0820000000, 0x417e3c9500000000}, [4]int{426, 639, 426, 639},
+		0x6621488a9073e7a1, 0x9598ba33436fcae5},
+	{"tc6-elasticity", 41, "Schur 2", 33, true, 0x3fe06aaf3ed5b70e, 0x3f751df7f0f6302c,
+		[4]uint64{0x4173dda200000000, 0x417a497240000000, 0x4178ec7620000000, 0x41716259a0000000}, [4]int{402, 603, 402, 603},
+		0x4810cd8040764ce8, 0x6f41ce748f4f0c7a},
 	{"tc6-elasticity", 41, "Block 1", 999, true, 0x4009a9ee698de980, 0x3f47804f45b870f5,
-		[4]uint64{0x419482bd00000000, 0x4194806a40000000, 0x41943cfa00000000, 0x41946eb1b0000000}, [4]int{2100, 3150, 2100, 3150}},
+		[4]uint64{0x419482bd00000000, 0x4194806a40000000, 0x41943cfa00000000, 0x41946eb1b0000000}, [4]int{2100, 3150, 2100, 3150},
+		0x2827f2fa31631cea, 0x003df79f8d4cc46a},
 	{"tc6-elasticity", 41, "Block 2", 529, true, 0x3ffdb2843401bf98, 0x3f5ae3100530c169,
-		[4]uint64{0x418f05c540000000, 0x418f26ffc0000000, 0x418e8d7ac0000000, 0x418ef3f380000000}, [4]int{1114, 1671, 1114, 1671}},
+		[4]uint64{0x418f05c540000000, 0x418f26ffc0000000, 0x418e8d7ac0000000, 0x418ef3f380000000}, [4]int{1114, 1671, 1114, 1671},
+		0x84222a55703816d1, 0x7c0610aed4b78e54},
 }
 
 func TestSolveMatchesParentCommitBits(t *testing.T) {
@@ -64,7 +86,10 @@ func TestSolveMatchesParentCommitBits(t *testing.T) {
 			p = c.Build(g.size)
 			problems[g.name] = p
 		}
-		res, err := core.Solve(p, core.DefaultConfig(4, g.kind))
+		cfg := core.DefaultConfig(4, g.kind)
+		cfg.KeepX = true
+		cfg.Solver.RecordHistory = true
+		res, err := core.Solve(p, cfg)
 		if err != nil {
 			t.Fatalf("%s@%d %s: %v", g.name, g.size, g.kind, err)
 		}
@@ -78,6 +103,12 @@ func TestSolveMatchesParentCommitBits(t *testing.T) {
 		if got := math.Float64bits(res.SetupTime); got != g.setupBits {
 			t.Errorf("%s@%d %s: SetupTime bits %#x, recorded %#x", g.name, g.size, g.kind, got, g.setupBits)
 		}
+		if got := bitsDigest(res.X); got != g.xDigest {
+			t.Errorf("%s@%d %s: solution digest %#x, recorded %#x", g.name, g.size, g.kind, got, g.xDigest)
+		}
+		if got := bitsDigest(res.History); got != g.histDigest {
+			t.Errorf("%s@%d %s: residual history digest %#x, recorded %#x", g.name, g.size, g.kind, got, g.histDigest)
+		}
 		if len(res.PerRank) != 4 {
 			t.Fatalf("%s@%d %s: %d ranks", g.name, g.size, g.kind, len(res.PerRank))
 		}
@@ -88,4 +119,16 @@ func TestSolveMatchesParentCommitBits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bitsDigest is the leading eight bytes of the SHA-256 of v's IEEE bit
+// patterns: two vectors with one differing bit have different digests.
+func bitsDigest(v []float64) uint64 {
+	h := sha256.New()
+	var buf [8]byte
+	for _, f := range v {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
+		h.Write(buf[:])
+	}
+	return binary.BigEndian.Uint64(h.Sum(nil))
 }

@@ -216,6 +216,9 @@ func SolveRank(p *Problem, cfg Config, rank int, tr dist.Transport, sink ckpt.Si
 	if cfg.Schwarz != nil || cfg.OverlapLevels > 0 {
 		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: overlapping/Schwarz preconditioners are shared-memory wired and cannot run multi-process")
 	}
+	if err := resolvePrecond(&cfg); err != nil {
+		return krylov.Result{}, dist.Stats{}, err
+	}
 	if cfg.Solver.Restart == 0 {
 		cfg.Solver = DefaultConfig(cfg.P, cfg.Precond).Solver
 	}

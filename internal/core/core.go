@@ -302,6 +302,9 @@ func Solve(p *Problem, cfg Config) (*Result, error) {
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("core: P = %d", cfg.P)
 	}
+	if err := resolvePrecond(&cfg); err != nil {
+		return nil, err
+	}
 	wallStart := time.Now()
 	if cfg.Solver.Restart == 0 {
 		cfg.Solver = DefaultConfig(cfg.P, cfg.Precond).Solver
@@ -502,9 +505,28 @@ func buildRankPrecond(cfg Config, s *dsys.System, kind precond.Kind) (precond.Pr
 		return precond.NewSchur2(s, cfg.Schur2)
 	case kind == precond.KindMSLR:
 		return precond.NewMSLR(s, cfg.MSLR)
-	default:
+	case kind == precond.KindNone:
 		return precond.NewIdentity(), nil
+	default:
+		return nil, &precond.UnknownKindError{Name: string(kind)}
 	}
+}
+
+// resolvePrecond replaces cfg.Precond by the Kind it spells (see
+// precond.ParseKind) or returns the *precond.UnknownKindError: a name no
+// constructor knows must not reach the solve, where it would run
+// unpreconditioned under the name it was given. With Schwarz set the field
+// is not read and not checked.
+func resolvePrecond(cfg *Config) error {
+	if cfg.Schwarz != nil {
+		return nil
+	}
+	kind, err := precond.ParseKind(string(cfg.Precond))
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	cfg.Precond = kind
+	return nil
 }
 
 // fallbackKind maps the configured preconditioner to the escalation

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
 	"parapre/internal/cases"
@@ -136,6 +137,32 @@ func TestSolveValidation(t *testing.T) {
 	prob := c.Build(9)
 	if _, err := core.Solve(prob, core.Config{P: 0}); err == nil {
 		t.Fatal("P=0 accepted")
+	}
+}
+
+// TestUnknownPrecondIsRejected: a Config.Precond that spells no
+// preconditioner fails all three entry points with the typed error, before
+// any set-up, instead of solving unpreconditioned under that name; another
+// casing of a real name is that preconditioner.
+func TestUnknownPrecondIsRejected(t *testing.T) {
+	c, _ := cases.ByName("tc1-poisson2d")
+	prob := c.Build(9)
+	cfg := core.DefaultConfig(2, "Schur 3")
+	_, solveErr := core.Solve(prob, cfg)
+	_, sessionErr := core.NewSession(prob, cfg)
+	_, _, rankErr := core.SolveRank(prob, cfg, 0, dist.NewLoopback(2, 0), nil)
+	for name, err := range map[string]error{"Solve": solveErr, "NewSession": sessionErr, "SolveRank": rankErr} {
+		var unknown *precond.UnknownKindError
+		if !errors.As(err, &unknown) || unknown.Name != "Schur 3" {
+			t.Errorf("%s with Precond \"Schur 3\": error %v, want a *precond.UnknownKindError", name, err)
+		}
+	}
+
+	want := solveCase(t, "tc1-poisson2d", 17, 2, precond.KindMSLR, nil)
+	got := solveCase(t, "tc1-poisson2d", 17, 2, "mslr", nil)
+	if got.Iterations != want.Iterations || got.SolveTime != want.SolveTime {
+		t.Errorf("Precond \"mslr\": %d iterations in %v s, MSLR takes %d in %v s",
+			got.Iterations, got.SolveTime, want.Iterations, want.SolveTime)
 	}
 }
 

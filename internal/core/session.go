@@ -88,6 +88,9 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("core: P = %d", cfg.P)
 	}
+	if err := resolvePrecond(&cfg); err != nil {
+		return nil, err
+	}
 	if cfg.Solver.Restart == 0 {
 		cfg.Solver = DefaultConfig(cfg.P, cfg.Precond).Solver
 	}

@@ -99,13 +99,11 @@ func (s *Spec) Validate() error {
 	if s.Precond == "" {
 		s.Precond = string(precond.KindBlock2)
 	}
-	switch precond.Kind(s.Precond) {
-	case precond.KindBlock1, precond.KindBlock2, precond.KindBlockARMS,
-		precond.KindBlock2P, precond.KindBlockIC, precond.KindSchur1,
-		precond.KindSchur2, precond.KindMSLR, precond.KindNone:
-	default:
-		return fmt.Errorf("gateway: unknown preconditioner %q", s.Precond)
+	kind, err := precond.ParseKind(s.Precond)
+	if err != nil {
+		return fmt.Errorf("gateway: %w", err)
 	}
+	s.Precond = string(kind)
 	if _, ok := machines[s.Machine]; !ok {
 		return fmt.Errorf("gateway: unknown machine %q", s.Machine)
 	}

@@ -54,11 +54,18 @@ func CG(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) R
 		}
 		justResumed = true
 	} else {
-		matvec(r, x)
-		for i := range r {
-			r[i] = b[i] - r[i]
+		if opt.ZeroGuess {
+			// r₀ = b − A·0 = b (see Options.ZeroGuess).
+			checkZeroStart("CG", x)
+			copy(r, b)
+		} else {
+			ws.ops++
+			matvec(r, x)
+			for i := range r {
+				r[i] = b[i] - r[i]
+			}
+			opt.charge(nf)
 		}
-		opt.charge(nf)
 		res.Initial = math.Sqrt(math.Max(in.Dot(r, r), 0))
 		if !finite(res.Initial) {
 			res.Breakdown = true
@@ -80,6 +87,7 @@ func CG(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) R
 		}
 
 		if precond != nil {
+			ws.precs++
 			precond(z, r)
 			paranoid.CheckFiniteVec("krylov: CG preconditioned residual", z)
 		} else {
@@ -105,6 +113,7 @@ func CG(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) R
 			opt.Checkpoint(captureCG(n, it, &res, x, r, p, rz))
 		}
 		justResumed = false
+		ws.ops++
 		matvec(ap, p)
 		pap := in.Dot(p, ap)
 		if !finite(pap) || !finite(rz) {
@@ -141,6 +150,7 @@ func CG(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) R
 			return res
 		}
 		if precond != nil {
+			ws.precs++
 			precond(z, r)
 			paranoid.CheckFiniteVec("krylov: CG preconditioned residual", z)
 		} else {

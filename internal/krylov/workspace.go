@@ -21,7 +21,15 @@ type Workspace struct {
 	cs, sn, g, y []float64
 	w, zVec, r   []float64
 	p, ap        []float64 // CG directions
+
+	ops, precs int // see Applied
 }
+
+// Applied returns how many times the solves run on this workspace have
+// applied their operator and their preconditioner, every residual pass
+// included — the one account of an inner solve's work that survives a
+// caller who discards the Result, as every preconditioner does.
+func (ws *Workspace) Applied() (ops, precs int) { return ws.ops, ws.precs }
 
 // NewWorkspace returns an empty workspace; buffers are sized on first
 // use.

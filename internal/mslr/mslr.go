@@ -259,11 +259,12 @@ func (p *Precond) Apply(c *dist.Comm, z, r []float64) {
 			p.op.Inner(c),
 			p.gp, p.y,
 			krylov.Options{
-				Restart:  p.opts.SchurIters,
-				MaxIters: p.opts.SchurIters,
-				Tol:      p.opts.SchurTol,
-				Compute:  c.Compute,
-				Work:     p.wsS,
+				ZeroGuess: true,
+				Restart:   p.opts.SchurIters,
+				MaxIters:  p.opts.SchurIters,
+				Tol:       p.opts.SchurTol,
+				Compute:   c.Compute,
+				Work:      p.wsS,
 			})
 		c.EndSpan(h)
 	}

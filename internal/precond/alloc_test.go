@@ -7,17 +7,6 @@ import (
 	"parapre/internal/par"
 )
 
-// countingTransport counts the collectives that pass through it.
-type countingTransport struct {
-	dist.Transport
-	reduces int
-}
-
-func (t *countingTransport) Reduce(rank int, x []float64, clock float64, kind dist.ReduceKind) (float64, error) {
-	t.reduces++
-	return t.Transport.Reduce(rank, x, clock, kind)
-}
-
 // A steady-state Schur 2 application on one rank allocates nothing:
 // there is no neighbor to copy a payload for, the group solves write in
 // place, the expanded-Schur GMRES runs out of its pooled workspace and
@@ -35,15 +24,15 @@ func TestSchur2ApplyZeroAllocSteadyState(t *testing.T) {
 	if g, _ := pc.ExpandedSize(); g == 0 {
 		t.Fatal("no grouped unknowns: the reduction path is not exercised")
 	}
-	tr := &countingTransport{Transport: dist.NewLoopback(1, 0)}
+	tr := NewTrafficTransport(1)
 	var got float64
 	var reduces int
 	_, err = dist.RunOpts(1, testMachine(), dist.WorldOptions{Transport: tr}, func(c *dist.Comm) {
 		z := make([]float64, s.NLoc())
 		pc.Apply(c, z, s.B) // warms the workspace and the level schedules
-		before := tr.reduces
+		before := tr.Reduces[0]
 		pc.Apply(c, z, s.B)
-		reduces = tr.reduces - before
+		reduces = tr.Reduces[0] - before
 		got = testing.AllocsPerRun(10, func() { pc.Apply(c, z, s.B) })
 	})
 	if err != nil {

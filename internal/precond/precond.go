@@ -23,7 +23,12 @@
 // outer accelerator must be the flexible FGMRES.
 package precond
 
-import "parapre/internal/dist"
+import (
+	"fmt"
+	"strings"
+
+	"parapre/internal/dist"
+)
 
 // Preconditioner is one rank's preconditioner: z = M⁻¹·r over the rank's
 // owned unknowns. Implementations that communicate (the Schur and Schwarz
@@ -58,6 +63,37 @@ const (
 	KindMSLR Kind = "MSLR"
 	KindNone Kind = "None"
 )
+
+// kinds lists every preconditioner name, the paper's four first.
+var kinds = []Kind{KindBlock1, KindBlock2, KindSchur1, KindSchur2,
+	KindBlockARMS, KindBlock2P, KindBlockIC, KindMSLR, KindNone}
+
+// UnknownKindError reports a preconditioner name that is none of the
+// Kind constants; its message lists them.
+type UnknownKindError struct {
+	Name string
+}
+
+func (e *UnknownKindError) Error() string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = string(k)
+	}
+	return fmt.Sprintf("precond: unknown preconditioner %q (have %s)", e.Name, strings.Join(names, ", "))
+}
+
+// ParseKind resolves a preconditioner name as a user spells it — case is
+// ignored — to its Kind, or returns an *UnknownKindError. Every string
+// that becomes a Kind passes through here: a bare conversion of a name
+// that matches nothing is a Kind no constructor knows.
+func ParseKind(name string) (Kind, error) {
+	for _, k := range kinds {
+		if strings.EqualFold(name, string(k)) {
+			return k, nil
+		}
+	}
+	return "", &UnknownKindError{Name: name}
+}
 
 // identity is the trivial preconditioner (used by baselines).
 type identity struct{}

@@ -126,11 +126,12 @@ func (p *Schur1) bSolve(c *dist.Comm, out, in []float64) {
 		p.bFact.Solve(z, r)
 		c.Compute(p.bFact.SolveFlops())
 	}, in, out, krylov.Options{
-		Restart:  p.opts.InnerIters,
-		MaxIters: p.opts.InnerIters,
-		Tol:      p.opts.InnerTol,
-		Compute:  c.Compute,
-		Work:     p.wsB,
+		ZeroGuess: true,
+		Restart:   p.opts.InnerIters,
+		MaxIters:  p.opts.InnerIters,
+		Tol:       p.opts.InnerTol,
+		Compute:   c.Compute,
+		Work:      p.wsB,
 	})
 }
 
@@ -170,11 +171,12 @@ func (p *Schur1) Apply(c *dist.Comm, z, r []float64) {
 		p.op.Inner(c),
 		p.gp, p.y,
 		krylov.Options{
-			Restart:  p.opts.SchurIters,
-			MaxIters: p.opts.SchurIters,
-			Tol:      p.opts.SchurTol,
-			Compute:  c.Compute,
-			Work:     p.wsS,
+			ZeroGuess: true,
+			Restart:   p.opts.SchurIters,
+			MaxIters:  p.opts.SchurIters,
+			Tol:       p.opts.SchurTol,
+			Compute:   c.Compute,
+			Work:      p.wsS,
 		})
 
 	// Step 3: u = B̃⁻¹·(f − F·y).

@@ -217,11 +217,12 @@ func (p *Schur2) Apply(c *dist.Comm, z, r []float64) {
 		p.op.Inner(c),
 		p.gp, p.y,
 		krylov.Options{
-			Restart:  p.opts.SchurIters,
-			MaxIters: p.opts.SchurIters,
-			Tol:      p.opts.SchurTol,
-			Compute:  c.Compute,
-			Work:     p.ws,
+			ZeroGuess: true,
+			Restart:   p.opts.SchurIters,
+			MaxIters:  p.opts.SchurIters,
+			Tol:       p.opts.SchurTol,
+			Compute:   c.Compute,
+			Work:      p.ws,
 		})
 
 	// Step 3: back substitution — u_G = B⁻¹·(r_G − F·y).

@@ -318,7 +318,7 @@ func (p *Schwarz) Apply(c *dist.Comm, z, r []float64) {
 			c.Compute(20 * nf) // ≈ 2·N·log N for the DST pair at these sizes
 		},
 		krylov.Seq, p.rBox, p.wBox,
-		krylov.Options{MaxIters: 1, Tol: 0, Compute: c.Compute, Work: p.ws})
+		krylov.Options{ZeroGuess: true, MaxIters: 1, Tol: 0, Compute: c.Compute, Work: p.ws})
 
 	// 3. Scatter-add corrections: own part directly, overlap parts back
 	// to their owners.

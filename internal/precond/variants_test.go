@@ -1,7 +1,10 @@
 package precond
 
 import (
+	"errors"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"parapre/internal/arms"
@@ -292,4 +295,31 @@ func TestBlockPivotAndBlockICDirect(t *testing.T) {
 		return pc
 	})
 	checkClose(t, x, want, 2e-4, "Block IC")
+}
+
+// TestParseKind: every Kind is found under its own spelling and under any
+// casing of it; anything else is an *UnknownKindError that names the input
+// and lists what would have been accepted.
+func TestParseKind(t *testing.T) {
+	for _, k := range []Kind{KindBlock1, KindBlock2, KindBlockARMS, KindBlock2P, KindBlockIC,
+		KindSchur1, KindSchur2, KindMSLR, KindNone} {
+		for _, spelling := range []string{string(k), strings.ToLower(string(k)), strings.ToUpper(string(k))} {
+			if got, err := ParseKind(spelling); err != nil || got != k {
+				t.Errorf("ParseKind(%q) = %q, %v; want %q", spelling, got, err, k)
+			}
+		}
+	}
+	for _, name := range []string{"", "Block 9", "Schur1", " Schur 1", "Schwarz"} {
+		got, err := ParseKind(name)
+		var unknown *UnknownKindError
+		if !errors.As(err, &unknown) || unknown.Name != name || got != "" {
+			t.Errorf("ParseKind(%q) = %q, %v; want an *UnknownKindError for that name", name, got, err)
+			continue
+		}
+		for _, want := range []string{strconv.Quote(name), "Schur 1", "MSLR", "None"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ParseKind(%q): message %q does not mention %s", name, err, want)
+			}
+		}
+	}
 }

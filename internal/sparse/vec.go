@@ -234,6 +234,57 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
+// AxpyMany computes y += a[0]·xs[0] + a[1]·xs[1] + … over the entries of
+// y — the update that ends a GMRES cycle, which adds every direction of
+// the cycle to the iterate. It is bit-identical to Axpy(a[k], xs[k], y)
+// for k = 0, 1, … in turn: each entry of y receives the same products in
+// the same ascending order of k, every sum rounded as the pass would have
+// rounded it. What changes is how often y is streamed — once for four
+// directions, the entry held in a register between them, instead of once
+// for each.
+//
+//lint:allocfree on the serial path (one worker, or a single-P process); verified dynamically by TestAxpyManyZeroAlloc
+func AxpyMany(a []float64, xs [][]float64, y []float64) {
+	if len(xs) < len(a) {
+		panicShortOperand("AxpyMany", "xs", len(xs), "a", len(a))
+	}
+	for _, x := range xs[:len(a)] {
+		if len(x) < len(y) {
+			panicShortOperand("AxpyMany", "xs[k]", len(x), "y", len(y))
+		}
+	}
+	if len(y) >= vecParMin && !par.Serial() {
+		par.For(len(y), vecGrain, func(lo, hi int) {
+			axpyManyRange(a, xs, y, lo, hi)
+		})
+		return
+	}
+	axpyManyRange(a, xs, y, 0, len(y))
+}
+
+// axpyManyRange is AxpyMany over the entries [lo, hi) of y.
+func axpyManyRange(a []float64, xs [][]float64, y []float64, lo, hi int) {
+	yy := y[lo:hi]
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		a0, a1, a2, a3 := a[k], a[k+1], a[k+2], a[k+3]
+		x0, x1, x2, x3 := xs[k][lo:hi], xs[k+1][lo:hi], xs[k+2][lo:hi], xs[k+3][lo:hi]
+		for i, v := range yy {
+			v += a0 * x0[i]
+			v += a1 * x1[i]
+			v += a2 * x2[i]
+			v += a3 * x3[i]
+			yy[i] = v
+		}
+	}
+	for ; k < len(a); k++ {
+		ak := a[k]
+		for i, v := range xs[k][lo:hi] {
+			yy[i] += ak * v
+		}
+	}
+}
+
 // Scal computes x *= a.
 func Scal(a float64, x []float64) {
 	if len(x) >= vecParMin {

@@ -168,6 +168,75 @@ func TestAxpyDotZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestAxpyManyBitsMatchAxpyPasses pins the contract the GMRES update rests
+// on: adding j scaled vectors in one call leaves in y the bits that j Axpy
+// passes in ascending order leave, for every j across the groups of four
+// the kernel forms, on both sides of the reduction-block and the fan-out
+// boundaries, for every kind of coefficient and entry, at one worker and
+// at several. (Two NaNs count as equal: see sameFloat.) Passing more
+// vectors than coefficients uses the leading ones, as the solver does
+// with its basis.
+func TestAxpyManyBitsMatchAxpyPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	coefs := []float64{0, math.Copysign(0, -1), 0.75, -1e-3, 3e8, math.NaN()}
+	for _, w := range []int{1, 4} {
+		withWorkers(w, func() {
+			for _, n := range []int{0, 1, 4095, 4096, 4097, 8320, vecParMin - 1, vecParMin, vecParMin + 1, 3*vecGrain + 5} {
+				xs := make([][]float64, 21)
+				for k := range xs {
+					xs[k] = randVecMixed(rng, n)
+					for i := k; i < n; i += 1 + n/37 {
+						xs[k][i] = axpyDotSpecials[rng.Intn(len(axpyDotSpecials))]
+					}
+				}
+				y0 := randVecMixed(rng, n)
+				for i := 0; i < n; i += 1 + n/41 {
+					y0[i] = axpyDotSpecials[rng.Intn(len(axpyDotSpecials))]
+				}
+				for j := 0; j <= 20; j++ {
+					a := make([]float64, j)
+					for k := range a {
+						a[k] = rng.NormFloat64()
+						if rng.Intn(4) == 0 {
+							a[k] = coefs[rng.Intn(len(coefs))]
+						}
+					}
+					want := append([]float64(nil), y0...)
+					for k := range a {
+						Axpy(a[k], xs[k], want)
+					}
+					got := append([]float64(nil), y0...)
+					AxpyMany(a, xs, got)
+					for i := range want {
+						if !sameFloat(got[i], want[i]) {
+							t.Fatalf("workers=%d n=%d j=%d: y[%d] = %v (%#x), %d Axpy passes give %v (%#x)", w, n, j, i,
+								got[i], math.Float64bits(got[i]), j, want[i], math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAxpyManyZeroAlloc is the dynamic twin of the static allocation proof
+// on the many-vector update, below and above the fan-out length.
+//
+// alloctest: sparse.AxpyMany
+func TestAxpyManyZeroAlloc(t *testing.T) {
+	for _, n := range []int{200, vecParMin + 7} {
+		xs := make([][]float64, 6)
+		for k := range xs {
+			xs[k] = make([]float64, n)
+		}
+		a := make([]float64, len(xs))
+		y := make([]float64, n)
+		if got := measureSteadyAllocs(t, func() { AxpyMany(a, xs, y) }); got != 0 {
+			t.Fatalf("n=%d: AxpyMany allocates %v objects per call, want 0", n, got)
+		}
+	}
+}
+
 // TestVecKernelsRejectShortOperands: a destination shorter than the
 // vector a kernel runs over is refused before the first write, with a
 // message naming the kernel and both lengths.
@@ -188,6 +257,8 @@ func TestVecKernelsRejectShortOperands(t *testing.T) {
 			func(short []float64) { y := make([]float64, 5); AxpyDot(2, x, y, short) }},
 		{"Dot", "sparse: Dot needs len(y) ≥ len(x), got len(x)=5, len(y)=3",
 			func(short []float64) { Dot(x, short) }},
+		{"AxpyMany/xs", "sparse: AxpyMany needs len(xs) ≥ len(a), got len(a)=2, len(xs)=1",
+			func(short []float64) { AxpyMany([]float64{1, 2}, [][]float64{x}, short) }},
 	}
 	for _, tc := range cases {
 		short := []float64{7, 8, 9}
