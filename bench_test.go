@@ -7,13 +7,16 @@
 package parapre_test
 
 import (
+	"bytes"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"parapre"
 	"parapre/internal/bench"
 	"parapre/internal/ilu"
+	"parapre/internal/obs"
 	"parapre/internal/par"
 	"parapre/internal/precond"
 )
@@ -342,4 +345,78 @@ func BenchmarkEndToEndWorkers(b *testing.B) {
 			b.ReportMetric(float64(iters)/float64(b.N), "iters")
 		})
 	}
+}
+
+// BenchmarkPaperCells sets up the 28 cells of the benchmark's paper_tables
+// workload (benchmark/inputs.go: four cases at the sizes below, the paper's
+// four preconditioners — the Schur pair alone on tc6 — at P 4 and 8) through
+// NewSession, the way a tables run visits them: every preconditioner and P
+// on one Problem per case. first-pass assembles the problems anew for every
+// iteration, outside the timer, so 8 of the 28 set-ups partition and
+// distribute and the other 20 find that done on their Problem; repeated
+// sweeps problems that were swept once before, so all 28 do. ns/op is the
+// wall of one sweep of 28 cells; layout_reuses/op says how many of them
+// were handed their partition and systems.
+func BenchmarkPaperCells(b *testing.B) {
+	cases := []struct {
+		name      string
+		size      int
+		schurOnly bool
+	}{{"tc1-poisson2d", 129, false}, {"tc2-poisson3d", 21, false}, {"tc5-convdiff", 129, false}, {"tc6-elasticity", 49, true}}
+	assemble := func() []*parapre.Problem {
+		probs := make([]*parapre.Problem, len(cases))
+		for i, c := range cases {
+			probs[i] = parapre.BuildCase(c.name, c.size)
+		}
+		return probs
+	}
+	sweep := func(b *testing.B, probs []*parapre.Problem, col *obs.Collector) {
+		for i, c := range cases {
+			for _, k := range []precond.Kind{parapre.Schur1, parapre.Schur2, parapre.Block1, parapre.Block2} {
+				if c.schurOnly && k != parapre.Schur1 && k != parapre.Schur2 {
+					continue
+				}
+				for _, p := range []int{4, 8} {
+					cfg := parapre.DefaultConfig(p, k)
+					cfg.Collector = col
+					if _, err := parapre.NewSession(probs[i], cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	report := func(b *testing.B, col *obs.Collector) {
+		var buf bytes.Buffer
+		if err := col.WriteMetrics(&buf, nil); err != nil {
+			b.Fatal(err)
+		}
+		var reuses float64
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "parapre_layout_reuses "); ok {
+				reuses, _ = strconv.ParseFloat(v, 64) // absent or malformed reads as none
+			}
+		}
+		b.ReportMetric(reuses/float64(b.N), "layout_reuses/op")
+	}
+	b.Run("first-pass", func(b *testing.B) {
+		col := obs.NewCollector()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			probs := assemble()
+			b.StartTimer()
+			sweep(b, probs, col)
+		}
+		report(b, col)
+	})
+	b.Run("repeated", func(b *testing.B) {
+		probs := assemble()
+		sweep(b, probs, nil)
+		col := obs.NewCollector()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sweep(b, probs, col)
+		}
+		report(b, col)
+	})
 }

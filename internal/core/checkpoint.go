@@ -12,16 +12,16 @@ import (
 )
 
 // worldRun is the per-rank solve body shared by the in-process world
-// (Solve: P goroutine ranks over the channel transport) and the
-// multi-process worker (SolveRank: one OS process per rank over the
-// socket transport). Keeping the two paths on one body is what makes the
-// socket world reproduce the in-process arithmetic: same setup charge,
-// same barrier, same solver options, same checkpoint hook placement.
+// (Solve: P goroutine ranks over the channel transport), the multi-process
+// worker (SolveRank: one OS process per rank over the socket transport) and,
+// from solve on, a session's solves. Keeping the paths on one body is what
+// makes the socket world reproduce the in-process arithmetic: same setup
+// charge, same barrier, same solver options, same checkpoint hook placement.
 type worldRun struct {
 	cfg     Config
 	systems []*dsys.System
-	schwarz []*precond.Schwarz
-	overlap []*precond.OverlapBlock
+	bl      [][]float64              // the right-hand side, scattered over systems
+	wired   []precond.Preconditioner // from buildWired; nil: rank builds its own
 	sink    ckpt.Sink
 
 	results []krylov.Result
@@ -31,33 +31,22 @@ type worldRun struct {
 	errs    []error
 }
 
-func (wr *worldRun) alloc() {
-	p := wr.cfg.P
-	wr.results = make([]krylov.Result, p)
-	wr.logs = make([]*krylov.RecoveryLog, p)
-	wr.setup = make([]float64, p)
-	wr.xl = make([][]float64, p)
-	wr.errs = make([]error, p)
+// newWorldRun scatters the right-hand side b and allocates the outputs.
+func newWorldRun(cfg Config, systems []*dsys.System, b []float64, wired []precond.Preconditioner, sink ckpt.Sink) *worldRun {
+	p := cfg.P
+	return &worldRun{cfg: cfg, systems: systems, bl: dsys.Scatter(systems, b), wired: wired, sink: sink,
+		results: make([]krylov.Result, p), logs: make([]*krylov.RecoveryLog, p),
+		setup: make([]float64, p), xl: make([][]float64, p), errs: make([]error, p)}
 }
 
 // rank is the rank body: build the preconditioner, charge its setup,
-// synchronize, and run the configured solver with checkpoint/restore
-// wiring.
+// synchronize, and solve.
 func (wr *worldRun) rank(c *dist.Comm) {
-	cfg := wr.cfg
-	s := wr.systems[c.Rank()]
+	cfg, r := wr.cfg, c.Rank()
 	var pc precond.Preconditioner
-	var err error
-	switch {
-	case wr.schwarz != nil:
-		pc = wr.schwarz[c.Rank()]
-	case wr.overlap != nil:
-		pc = wr.overlap[c.Rank()]
-	default:
-		pc, err = buildRankPrecond(cfg, s, cfg.Precond)
-	}
-	if err != nil {
-		wr.errs[c.Rank()] = err
+	if wr.wired != nil {
+		pc = wr.wired[r]
+	} else if pc, wr.errs[r] = buildRankPrecond(cfg, wr.systems[r], cfg.Precond); wr.errs[r] != nil {
 		pc = precond.NewIdentity()
 	}
 	// Charge setup heuristically (factor construction ≈ a few solve
@@ -67,9 +56,20 @@ func (wr *worldRun) rank(c *dist.Comm) {
 	c.Compute(setupFlopFactor * setupCost(pc))
 	c.EndSpan(sp)
 	c.Barrier()
-	wr.setup[c.Rank()] = c.Stats().Clock
+	wr.setup[r] = c.Stats().Clock
+	wr.solve(c, pc, nil)
+}
 
+// solve runs the configured solver on this rank with checkpoint/restore
+// wiring and pc already built. work is the rank's workspace leased by a
+// session; nil lets the solver allocate.
+func (wr *worldRun) solve(c *dist.Comm, pc precond.Preconditioner, work *krylov.Workspace) {
+	cfg, r := wr.cfg, c.Rank()
+	s, b := wr.systems[r], wr.bl[r]
 	sopt := rankSolverOptions(cfg, c, wr.sink, cfg.Restore)
+	if work != nil {
+		sopt.Work = work
+	}
 	x := make([]float64, s.NLoc())
 	var prec krylov.Prec
 	if cfg.Precond != precond.KindNone || cfg.Schwarz != nil {
@@ -77,15 +77,14 @@ func (wr *worldRun) rank(c *dist.Comm) {
 	}
 	switch {
 	case cfg.UseCG:
-		wr.results[c.Rank()] = krylov.DistributedCG(c, s, prec, s.B, x, sopt)
+		wr.results[r] = krylov.DistributedCG(c, s, prec, b, x, sopt)
 	case cfg.Resilient:
-		wr.results[c.Rank()], wr.logs[c.Rank()] = krylov.ResilientSolve(
-			c, s, resilientLadder(cfg, c, s, prec), s.B, x, sopt)
+		wr.results[r], wr.logs[r] = krylov.ResilientSolve(c, s, resilientLadder(cfg, c, s, prec), b, x, sopt)
 	default:
-		wr.results[c.Rank()] = krylov.Distributed(c, s, prec, s.B, x, sopt)
+		wr.results[r] = krylov.Distributed(c, s, prec, b, x, sopt)
 	}
-	joinPrecondCommErr(pc, &wr.results[c.Rank()])
-	wr.xl[c.Rank()] = x
+	joinPrecondCommErr(pc, &wr.results[r])
+	wr.xl[r] = x
 }
 
 // checkpointSink resolves the configured checkpoint destination: an
@@ -216,11 +215,11 @@ func SolveRank(p *Problem, cfg Config, rank int, tr dist.Transport, sink ckpt.Si
 	if cfg.Schwarz != nil || cfg.OverlapLevels > 0 {
 		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: overlapping/Schwarz preconditioners are shared-memory wired and cannot run multi-process")
 	}
-	if err := resolvePrecond(&cfg); err != nil {
+	if err := resolveConfig(&cfg); err != nil {
 		return krylov.Result{}, dist.Stats{}, err
 	}
-	if cfg.Solver.Restart == 0 {
-		cfg.Solver = DefaultConfig(cfg.P, cfg.Precond).Solver
+	if len(p.B) != p.A.Rows {
+		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: rhs length %d, want %d", len(p.B), p.A.Rows)
 	}
 	// A context is per-process: if only this worker polled the stop vote
 	// the worlds' op sequences would diverge. Cancellation of a socket
@@ -233,14 +232,11 @@ func SolveRank(p *Problem, cfg Config, rank int, tr dist.Transport, sink ckpt.Si
 		sink = checkpointSink(cfg)
 	}
 
-	part, err := Partition(p, cfg)
+	lay, _, err := p.layout(cfg)
 	if err != nil {
 		return krylov.Result{}, dist.Stats{}, err
 	}
-	systems := dsys.Distribute(p.A, p.B, part, cfg.P)
-
-	wr := &worldRun{cfg: cfg, systems: systems, sink: sink}
-	wr.alloc()
+	wr := newWorldRun(cfg, lay.systems, p.B, nil, sink)
 	w := dist.RemoteWorld(cfg.P, cfg.Machine, tr, dist.WorldOptions{Collector: cfg.Collector})
 	st, err := dist.RunRank(w.Comm(rank), wr.rank)
 	if err == nil && wr.errs[rank] != nil {

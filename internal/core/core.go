@@ -34,6 +34,13 @@ import (
 // algebraic problems (e.g. matrices read from Matrix Market files); the
 // general partitioner then works on the symmetrized sparsity graph of A,
 // exactly as Metis does when fed a matrix instead of a mesh.
+//
+// A Problem remembers the partitions and distributed systems its solves and
+// sessions were set up from and hands them to the next one that asks for the
+// same P, scheme and seed: pass it by pointer; it pins one distribution per
+// distinct P it was solved with. Treat Mesh as immutable. A may be edited in
+// place between solves (InvalidateBlocked after editing Val): every set-up
+// re-reads it. B is read at solve time only and may be swapped freely.
 type Problem struct {
 	Name string
 	A    *sparse.CSR
@@ -42,6 +49,8 @@ type Problem struct {
 	// DofsPerNode maps matrix rows to mesh nodes (2 for elasticity, else
 	// 1): row r belongs to node r/DofsPerNode.
 	DofsPerNode int
+
+	memo layoutMemo
 }
 
 // PatternGraph builds the symmetrized adjacency graph of the matrix
@@ -254,10 +263,7 @@ type Result struct {
 // invalid request (e.g. P < 1) surfaces the partitioner's typed
 // *partition.PartitionError.
 func Partition(p *Problem, cfg Config) ([]int, error) {
-	seed := cfg.Machine.Seed
-	if cfg.PartSeed != 0 {
-		seed = cfg.PartSeed
-	}
+	seed := partSeed(cfg)
 	if p.Mesh == nil {
 		return partition.General(PatternGraph(p.A), cfg.P, seed)
 	}
@@ -290,6 +296,14 @@ func Partition(p *Problem, cfg Config) ([]int, error) {
 	return part, nil
 }
 
+// partSeed is the seed of the general partitioner under cfg.
+func partSeed(cfg Config) int64 {
+	if cfg.PartSeed != 0 {
+		return cfg.PartSeed
+	}
+	return cfg.Machine.Seed
+}
+
 // setupFlopFactor is the heuristic cost of constructing an incomplete
 // factorization, in units of its solve cost: roughly three sweeps over
 // the factor per row elimination. The paper's wall-clock times include
@@ -299,73 +313,27 @@ const setupFlopFactor = 3
 // Solve partitions, distributes and solves the problem, returning the
 // paper's measurements.
 func Solve(p *Problem, cfg Config) (*Result, error) {
-	if cfg.P < 1 {
-		return nil, fmt.Errorf("core: P = %d", cfg.P)
-	}
-	if err := resolvePrecond(&cfg); err != nil {
+	if err := resolveConfig(&cfg); err != nil {
 		return nil, err
 	}
+	if len(p.B) != p.A.Rows {
+		return nil, fmt.Errorf("core: rhs length %d, want %d", len(p.B), p.A.Rows)
+	}
 	wallStart := time.Now()
-	if cfg.Solver.Restart == 0 {
-		cfg.Solver = DefaultConfig(cfg.P, cfg.Precond).Solver
+	lay, reused, err := p.layout(cfg)
+	if err != nil {
+		return nil, err
 	}
-	var part []int
-	if cfg.Schwarz != nil {
-		// Additive Schwarz requires the rectangular ownership its halo
-		// wiring is built around.
-		part = precond.BoxPartition(cfg.Schwarz.M, cfg.Schwarz.Px, cfg.Schwarz.Py)
-	} else {
-		var err error
-		part, err = Partition(p, cfg)
-		if err != nil {
-			return nil, err
-		}
+	recordLayout(cfg.Collector, reused)
+	wired, err := buildWired(p.A, lay, cfg)
+	if err != nil {
+		return nil, err
 	}
-	systems := dsys.Distribute(p.A, p.B, part, cfg.P)
-
-	// Additive Schwarz: per-rank setup is independent and runs on the
-	// worker pool; only the cross-rank halo wiring is sequential.
-	var schwarz []*precond.Schwarz
-	if cfg.Schwarz != nil {
-		var err error
-		schwarz, err = buildSchwarz(systems, p.A, *cfg.Schwarz)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Overlapping block preconditioners are likewise pre-wired.
-	var overlap []*precond.OverlapBlock
-	if cfg.OverlapLevels > 0 && (cfg.Precond == precond.KindBlock1 || cfg.Precond == precond.KindBlock2) {
-		opt := precond.OverlapOptions{
-			Levels:  cfg.OverlapLevels,
-			UseILU0: cfg.Precond == precond.KindBlock1,
-			ILUT:    cfg.ILUT,
-		}
-		var err error
-		overlap, err = precond.BuildOverlapBlocks(p.A, part, systems, opt)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	if err := validateRestore(cfg); err != nil {
 		return nil, err
 	}
 	res := &Result{PerRank: make([]dist.Stats, cfg.P)}
-	wr := &worldRun{
-		cfg:     cfg,
-		systems: systems,
-		schwarz: schwarz,
-		overlap: overlap,
-		sink:    checkpointSink(cfg),
-	}
-	wr.alloc()
-	results := wr.results
-	logs := wr.logs
-	setupClock := wr.setup
-	xl := wr.xl
-
+	wr := newWorldRun(cfg, lay.systems, p.B, wired, checkpointSink(cfg))
 	stats, runErr := runWorld(cfg, wr.rank)
 
 	for r, err := range wr.errs {
@@ -380,11 +348,11 @@ func Solve(p *Problem, cfg Config) (*Result, error) {
 	}
 	copy(res.PerRank, stats)
 	sortPerRank(res.PerRank)
-	breakdown := aggregateResult(res, results, logs)
+	breakdown := aggregateResult(res, wr.results, wr.logs)
 	var maxSetup, maxClock float64
 	for r := 0; r < cfg.P; r++ {
-		if setupClock[r] > maxSetup {
-			maxSetup = setupClock[r]
+		if wr.setup[r] > maxSetup {
+			maxSetup = wr.setup[r]
 		}
 		if stats[r].Clock > maxClock {
 			maxClock = stats[r].Clock
@@ -395,17 +363,20 @@ func Solve(p *Problem, cfg Config) (*Result, error) {
 	res.Wall = time.Since(wallStart).Seconds()
 	recordSolveCounters(cfg, res, breakdown)
 	if cfg.KeepX {
-		res.X = dsys.Gather(systems, xl)
-		r := append([]float64(nil), p.B...)
-		p.A.MulVecSub(r, res.X)
-		nb := sparse.Norm2(p.B)
-		if nb > 0 {
-			res.TrueRelRes = sparse.Norm2(r) / nb
-		} else {
-			res.TrueRelRes = sparse.Norm2(r)
-		}
+		res.X = dsys.Gather(lay.systems, wr.xl)
+		res.TrueRelRes = trueRelRes(p.A, p.B, res.X)
 	}
 	return res, nil
+}
+
+// trueRelRes recomputes ‖b−Ax‖/‖b‖ globally (‖b−Ax‖ when b is zero).
+func trueRelRes(a *sparse.CSR, b, x []float64) float64 {
+	r := append([]float64(nil), b...)
+	a.MulVecSub(r, x)
+	if nb := sparse.Norm2(b); nb > 0 {
+		return sparse.Norm2(r) / nb
+	}
+	return sparse.Norm2(r)
 }
 
 // runWorld launches the rank goroutines under the runtime the config asks
@@ -475,6 +446,17 @@ func recordSolveCounters(cfg Config, res *Result, breakdown bool) {
 	res.PhaseBreakdown = col.PhaseBreakdown()
 }
 
+// recordLayout counts, next to the solve-level counters, whether a set-up
+// built its partition and distributed systems or found them on the Problem.
+func recordLayout(col *obs.Collector, reused bool) {
+	builds, reuses := 1.0, 0.0
+	if reused {
+		builds, reuses = 0, 1
+	}
+	col.Add("layout_builds", builds)
+	col.Add("layout_reuses", reuses)
+}
+
 // buildRankPrecond constructs one rank's preconditioner of the given kind
 // under cfg's options. It is shared by the main solve path, the resilient
 // escalation ladder (which may ask for a kind different from cfg.Precond)
@@ -512,20 +494,25 @@ func buildRankPrecond(cfg Config, s *dsys.System, kind precond.Kind) (precond.Pr
 	}
 }
 
-// resolvePrecond replaces cfg.Precond by the Kind it spells (see
+// resolveConfig checks P, replaces cfg.Precond by the Kind it spells (see
 // precond.ParseKind) or returns the *precond.UnknownKindError: a name no
 // constructor knows must not reach the solve, where it would run
 // unpreconditioned under the name it was given. With Schwarz set the field
-// is not read and not checked.
-func resolvePrecond(cfg *Config) error {
-	if cfg.Schwarz != nil {
-		return nil
+// is not read and not checked. A zero Solver becomes the paper's.
+func resolveConfig(cfg *Config) error {
+	if cfg.P < 1 {
+		return fmt.Errorf("core: P = %d", cfg.P)
 	}
-	kind, err := precond.ParseKind(string(cfg.Precond))
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
+	if cfg.Schwarz == nil {
+		kind, err := precond.ParseKind(string(cfg.Precond))
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		cfg.Precond = kind
 	}
-	cfg.Precond = kind
+	if cfg.Solver.Restart == 0 {
+		cfg.Solver = DefaultConfig(cfg.P, cfg.Precond).Solver
+	}
 	return nil
 }
 
@@ -569,25 +556,47 @@ func resilientLadder(cfg Config, c *dist.Comm, s *dsys.System, prec krylov.Prec)
 	}
 }
 
-// buildSchwarz constructs every rank's additive Schwarz preconditioner
-// concurrently (each build reads only the shared matrix and its own
-// subdomain) and then wires the halo exchanges serially.
-func buildSchwarz(systems []*dsys.System, a *sparse.CSR, opt precond.SchwarzOptions) ([]*precond.Schwarz, error) {
-	p := len(systems)
-	schwarz := make([]*precond.Schwarz, p)
-	errs := make([]error, p)
-	par.Run(p, func(r int) {
-		schwarz[r], errs[r] = precond.NewSchwarz(systems[r], a, opt)
-	})
-	for _, err := range errs {
+// buildWired constructs the preconditioners that are wired across ranks
+// through shared memory and so cannot be built rank by rank — additive
+// Schwarz and the overlapping blocks — or returns nil for every other
+// configuration. The Schwarz builds run concurrently (each reads only the
+// shared matrix and its own subdomain); the halo wiring is serial.
+func buildWired(a *sparse.CSR, lay *layout, cfg Config) ([]precond.Preconditioner, error) {
+	pcs := make([]precond.Preconditioner, cfg.P)
+	switch {
+	case cfg.Schwarz != nil:
+		schwarz := make([]*precond.Schwarz, cfg.P)
+		errs := make([]error, cfg.P)
+		par.Run(cfg.P, func(r int) {
+			schwarz[r], errs[r] = precond.NewSchwarz(lay.systems[r], a, *cfg.Schwarz)
+		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
+		if err := precond.WireHalo(schwarz); err != nil {
+			return nil, err
+		}
+		for r, sw := range schwarz {
+			pcs[r] = sw
+		}
+	case cfg.OverlapLevels > 0 && (cfg.Precond == precond.KindBlock1 || cfg.Precond == precond.KindBlock2):
+		blocks, err := precond.BuildOverlapBlocks(a, lay.part, lay.systems, precond.OverlapOptions{
+			Levels:  cfg.OverlapLevels,
+			UseILU0: cfg.Precond == precond.KindBlock1,
+			ILUT:    cfg.ILUT,
+		})
 		if err != nil {
 			return nil, err
 		}
+		for r, ob := range blocks {
+			pcs[r] = ob
+		}
+	default:
+		return nil, nil
 	}
-	if err := precond.WireHalo(schwarz); err != nil {
-		return nil, err
-	}
-	return schwarz, nil
+	return pcs, nil
 }
 
 // setupCost estimates the flop count of building pc (heuristic, in solve

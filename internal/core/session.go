@@ -13,7 +13,6 @@ import (
 	"parapre/internal/obs"
 	"parapre/internal/par"
 	"parapre/internal/precond"
-	"parapre/internal/sparse"
 )
 
 // Session amortizes the expensive setup — partitioning, distribution and
@@ -26,8 +25,7 @@ import (
 type Session struct {
 	prob    *Problem
 	cfg     Config
-	part    []int
-	systems []*dsys.System
+	systems []*dsys.System // the Problem's, shared: read-only
 	pcs     []precond.Preconditioner
 	// modeled one-time setup cost (max over ranks)
 	setupTime float64
@@ -83,54 +81,28 @@ type SolveOptions struct {
 }
 
 // NewSession partitions and distributes the problem and constructs the
-// per-rank preconditioners.
+// per-rank preconditioners. The problem's B may be nil when every solve
+// passes its own right-hand side.
 func NewSession(p *Problem, cfg Config) (*Session, error) {
-	if cfg.P < 1 {
-		return nil, fmt.Errorf("core: P = %d", cfg.P)
-	}
-	if err := resolvePrecond(&cfg); err != nil {
+	if err := resolveConfig(&cfg); err != nil {
 		return nil, err
 	}
-	if cfg.Solver.Restart == 0 {
-		cfg.Solver = DefaultConfig(cfg.P, cfg.Precond).Solver
+	lay, reused, err := p.layout(cfg)
+	if err != nil {
+		return nil, err
 	}
-	s := &Session{prob: p, cfg: cfg}
-	if cfg.Schwarz != nil {
-		s.part = precond.BoxPartition(cfg.Schwarz.M, cfg.Schwarz.Px, cfg.Schwarz.Py)
-	} else {
-		var err error
-		s.part, err = Partition(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.systems = dsys.Distribute(p.A, p.B, s.part, cfg.P)
+	recordLayout(cfg.Collector, reused)
+	s := &Session{prob: p, cfg: cfg, systems: lay.systems}
 
-	s.pcs = make([]precond.Preconditioner, cfg.P)
-	switch {
-	case cfg.Schwarz != nil:
-		sws, err := buildSchwarz(s.systems, p.A, *cfg.Schwarz)
-		if err != nil {
-			return nil, err
-		}
-		for r, sw := range sws {
-			s.pcs[r] = sw
-		}
-	case cfg.OverlapLevels > 0 && (cfg.Precond == precond.KindBlock1 || cfg.Precond == precond.KindBlock2):
-		blocks, err := precond.BuildOverlapBlocks(p.A, s.part, s.systems, precond.OverlapOptions{
-			Levels:  cfg.OverlapLevels,
-			UseILU0: cfg.Precond == precond.KindBlock1,
-			ILUT:    cfg.ILUT,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for r, ob := range blocks {
-			s.pcs[r] = ob
-		}
-	default:
+	if s.pcs, err = buildWired(p.A, lay, cfg); err != nil {
+		return nil, err
+	}
+	s.serialOnly = s.pcs != nil || cfg.Precond == precond.KindSchur1 ||
+		cfg.Precond == precond.KindSchur2 || cfg.Precond == precond.KindMSLR
+	if s.pcs == nil {
 		// Per-rank factorizations are independent: run them concurrently
 		// on the worker pool.
+		s.pcs = make([]precond.Preconditioner, cfg.P)
 		errs := make([]error, cfg.P)
 		par.Run(cfg.P, func(r int) {
 			pc, err := buildRankPrecond(cfg, s.systems[r], cfg.Precond)
@@ -154,10 +126,6 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 			s.setupTime = t
 		}
 	}
-	s.serialOnly = cfg.Schwarz != nil ||
-		cfg.Precond == precond.KindSchur1 || cfg.Precond == precond.KindSchur2 ||
-		cfg.Precond == precond.KindMSLR ||
-		(cfg.OverlapLevels > 0 && (cfg.Precond == precond.KindBlock1 || cfg.Precond == precond.KindBlock2))
 	s.wsPool.New = func() any {
 		ws := make([]*krylov.Workspace, cfg.P)
 		for i := range ws {
@@ -179,7 +147,9 @@ func (s *Session) P() int { return s.cfg.P }
 // SetupTime returns the modeled one-time setup cost in seconds.
 func (s *Session) SetupTime() float64 { return s.setupTime }
 
-// Systems exposes the per-rank subdomain systems (diagnostics).
+// Systems exposes the per-rank subdomain systems (diagnostics). They are
+// shared with every other session and solve on the same Problem, P and
+// partition: read-only. Their B is unset; a solve scatters its own.
 func (s *Session) Systems() []*dsys.System { return s.systems }
 
 // Solve runs the distributed preconditioned FGMRES for the global
@@ -248,43 +218,17 @@ func (s *Session) SolveWith(b []float64, opts SolveOptions) (*Result, error) {
 		return nil, err
 	}
 	wallStart := time.Now()
-	bl := dsys.Scatter(s.systems, b)
-	sink := checkpointSink(cfg)
 	ws := s.wsPool.Get().([]*krylov.Workspace)
 	defer s.wsPool.Put(ws)
-
-	results := make([]krylov.Result, cfg.P)
-	logs := make([]*krylov.RecoveryLog, cfg.P)
-	xl := make([][]float64, cfg.P)
-	stats, runErr := runWorld(cfg, func(c *dist.Comm) {
-		sys := s.systems[c.Rank()]
-		pc := s.pcs[c.Rank()]
-		sopt := rankSolverOptions(cfg, c, sink, cfg.Restore)
-		sopt.Work = ws[c.Rank()]
-		x := make([]float64, sys.NLoc())
-		var prec krylov.Prec
-		if cfg.Precond != precond.KindNone || cfg.Schwarz != nil {
-			prec = wrapApply(c, precondLabel(cfg), pc)
-		}
-		switch {
-		case cfg.UseCG:
-			results[c.Rank()] = krylov.DistributedCG(c, sys, prec, bl[c.Rank()], x, sopt)
-		case cfg.Resilient:
-			results[c.Rank()], logs[c.Rank()] = krylov.ResilientSolve(
-				c, sys, resilientLadder(cfg, c, sys, prec), bl[c.Rank()], x, sopt)
-		default:
-			results[c.Rank()] = krylov.Distributed(c, sys, prec, bl[c.Rank()], x, sopt)
-		}
-		joinPrecondCommErr(pc, &results[c.Rank()])
-		xl[c.Rank()] = x
-	})
+	wr := newWorldRun(cfg, s.systems, b, nil, checkpointSink(cfg))
+	stats, runErr := runWorld(cfg, func(c *dist.Comm) { wr.solve(c, s.pcs[c.Rank()], ws[c.Rank()]) })
 	if runErr != nil {
 		return nil, runErr
 	}
 
 	res := &Result{PerRank: stats, SetupTime: s.setupTime}
 	sortPerRank(res.PerRank)
-	breakdown := aggregateResult(res, results, logs)
+	breakdown := aggregateResult(res, wr.results, wr.logs)
 	solveClock, cerr := dist.MaxClockErr(stats)
 	if cerr != nil {
 		return nil, fmt.Errorf("core: %w", cerr)
@@ -293,15 +237,8 @@ func (s *Session) SolveWith(b []float64, opts SolveOptions) (*Result, error) {
 	res.Wall = time.Since(wallStart).Seconds()
 	recordSolveCounters(cfg, res, breakdown)
 	if cfg.KeepX {
-		res.X = dsys.Gather(s.systems, xl)
-		rr := append([]float64(nil), b...)
-		s.prob.A.MulVecSub(rr, res.X)
-		nb := sparse.Norm2(b)
-		if nb > 0 {
-			res.TrueRelRes = sparse.Norm2(rr) / nb
-		} else {
-			res.TrueRelRes = sparse.Norm2(rr)
-		}
+		res.X = dsys.Gather(s.systems, wr.xl)
+		res.TrueRelRes = trueRelRes(s.prob.A, b, res.X)
 	}
 	return res, nil
 }

@@ -34,6 +34,9 @@ type OverlapBlock struct {
 	haloIn  []haloPeer // peers owning parts of our overlap
 
 	rExt, zExt []float64
+
+	// commErr is the first halo failure seen by Apply (CommErrRecorder).
+	commErr error
 }
 
 const tagOverlapR = 320
@@ -164,14 +167,25 @@ func (p *OverlapBlock) Apply(c *dist.Comm, z, r []float64) {
 		c.Send(hp.rank, tagOverlapR, hp.buf)
 	}
 	for _, hp := range p.haloIn {
-		got := c.Recv(hp.rank, tagOverlapR)
-		for t, k := range hp.recvIdx {
-			p.rExt[k] = got[t]
+		got := recvHalo(c, hp.rank, tagOverlapR, len(hp.recvIdx), &p.commErr)
+		for t := range got {
+			p.rExt[hp.recvIdx[t]] = got[t]
 		}
 	}
 	p.f.Solve(p.zExt, p.rExt)
 	c.Compute(p.f.SolveFlops())
 	copy(z, p.zExt[:p.ownN])
+	if p.commErr != nil {
+		poisonNaN(z)
+	}
+}
+
+// TakeCommErr returns and clears the first halo failure recorded during
+// Apply (CommErrRecorder).
+func (p *OverlapBlock) TakeCommErr() error {
+	err := p.commErr
+	p.commErr = nil
+	return err
 }
 
 // Name identifies the preconditioner variant, including the overlap depth.

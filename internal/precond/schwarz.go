@@ -78,6 +78,9 @@ type Schwarz struct {
 	// scratch
 	rBox, wBox, zOwn []float64
 	ws               *krylov.Workspace // pooled subdomain-CG workspace
+
+	// commErr is the first halo failure seen by Apply (CommErrRecorder).
+	commErr error
 }
 
 type haloPeer struct {
@@ -295,9 +298,9 @@ func (p *Schwarz) Apply(c *dist.Comm, z, r []float64) {
 		c.Send(hp.rank, tagHaloR, hp.buf)
 	}
 	for _, hp := range p.haloIn {
-		got := c.Recv(hp.rank, tagHaloR)
-		for t, k := range hp.recvIdx {
-			p.rBox[k] = got[t]
+		got := recvHalo(c, hp.rank, tagHaloR, len(hp.recvIdx), &p.commErr)
+		for t := range got {
+			p.rBox[hp.recvIdx[t]] = got[t]
 		}
 	}
 
@@ -332,9 +335,9 @@ func (p *Schwarz) Apply(c *dist.Comm, z, r []float64) {
 		c.Send(hp.rank, tagHaloZ, hp.buf)
 	}
 	for _, hp := range p.haloOut {
-		got := c.Recv(hp.rank, tagHaloZ)
-		for t, l := range hp.recvIdx {
-			p.zOwn[l] += got[t]
+		got := recvHalo(c, hp.rank, tagHaloZ, len(hp.recvIdx), &p.commErr)
+		for t := range got {
+			p.zOwn[hp.recvIdx[t]] += got[t]
 		}
 	}
 
@@ -372,6 +375,17 @@ func (p *Schwarz) Apply(c *dist.Comm, z, r []float64) {
 	}
 
 	copy(z, p.zOwn)
+	if p.commErr != nil {
+		poisonNaN(z)
+	}
+}
+
+// TakeCommErr returns and clears the first halo failure recorded during
+// Apply (CommErrRecorder).
+func (p *Schwarz) TakeCommErr() error {
+	err := p.commErr
+	p.commErr = nil
+	return err
 }
 
 // Name identifies the preconditioner variant.
