@@ -38,9 +38,7 @@ import (
 
 	"parapre/internal/bench"
 	"parapre/internal/ckpt"
-	"parapre/internal/core"
 	"parapre/internal/dist"
-	"parapre/internal/dist/socket"
 	"parapre/internal/mprun"
 	"parapre/internal/obs"
 	"parapre/internal/par"
@@ -67,13 +65,8 @@ func main() {
 		restore   = flag.String("restore", "", "resume the sweep's solve mid-recurrence from this checkpoint file")
 
 		transport = flag.String("transport", "chan", `rank communication: "chan" (in-process, default) or "socket" (one OS process per rank; single-cell sweeps only)`)
-		dieRank   = flag.Int("die-rank", -1, "socket chaos: this rank's worker process SIGKILLs itself (requires -die-at-iter)")
-		dieAt     = flag.Int("die-at-iter", 0, "socket chaos: SIGKILL -die-rank right after the first checkpoint at or past this iteration")
-
-		sockWorker = flag.Bool("socket-worker", false, "internal: run as one rank of a socket world")
-		sockRank   = flag.Int("rank", -1, "internal: this worker's rank")
-		hubNet     = flag.String("hub-net", "unix", "internal: hub listener network")
-		hubAddr    = flag.String("hub-addr", "", "internal: hub listener address")
+		// -socket-worker -rank -hub-net -hub-addr, -die-rank -die-at-iter
+		sock = mprun.RegisterFlags(flag.CommandLine)
 
 		faults    = flag.String("faults", "", `chaos plan for every solve: "drop", "delay", "corrupt", "straggler" or "crash"`)
 		faultSeed = flag.Int64("faultseed", 1, "chaos plan seed")
@@ -185,12 +178,27 @@ func main() {
 		}
 	}
 
-	if *sockWorker {
-		if len(toRun) != 1 || *sockRank < 0 || *hubAddr == "" {
-			fmt.Fprintf(os.Stderr, "ippsbench: bad worker wiring: %d experiment(s), rank %d, hub %q\n", len(toRun), *sockRank, *hubAddr)
+	if sock.Worker {
+		if len(toRun) != 1 {
+			fmt.Fprintf(os.Stderr, "ippsbench: bad worker wiring: %d experiment(s)\n", len(toRun))
 			os.Exit(2)
 		}
-		os.Exit(runSocketWorker(toRun[0], *size, *sockRank, *hubNet, *hubAddr, *dieRank, *dieAt))
+		// The -restore handling above already decoded the supervisor's
+		// checkpoint into the experiment, and SingleCell into cfg.
+		e := toRun[0]
+		prob, cfg, err := e.SingleCell(*size)
+		if err != nil {
+			fatal(err)
+		}
+		out, err := sock.RunWorker(prob, cfg)
+		if err != nil {
+			fatal(err)
+		}
+		if out != nil {
+			fmt.Printf("%s/%s/P=%d: %s in %d iterations (relative residual %.2e)\n",
+				e.ID, e.Preconds[0], cfg.P, out.Status, out.Iterations, out.RelRes)
+		}
+		return
 	}
 	switch *transport {
 	case "chan":
@@ -218,7 +226,28 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		os.Exit(runSupervisor(toRun[0], *size, *workers, *ckptPath, *restore, *dieRank, *dieAt))
+		e := toRun[0]
+		prob, cfg, err := e.SingleCell(*size)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ippsbench:", err)
+			os.Exit(2)
+		}
+		if *ckptEvery > 0 && *ckptPath == "" {
+			fmt.Fprintln(os.Stderr, "ippsbench: -checkpoint-every over -transport socket needs -checkpoint (the hub owns the file)")
+			os.Exit(2)
+		}
+		fmt.Printf("%s: %d unknowns, P = %d, %s, socket transport (one OS process per rank)\n",
+			e.ID, prob.A.Rows, cfg.P, e.Preconds[0])
+		problem := []string{"-exp", e.ID, "-size", strconv.Itoa(*size), "-procs", strconv.Itoa(cfg.P),
+			"-precond", string(e.Preconds[0])}
+		if *workers > 0 {
+			problem = append(problem, "-workers", strconv.Itoa(*workers))
+		}
+		if err := sock.Supervise(mprun.Job{P: cfg.P, Problem: problem, CheckpointPath: *ckptPath,
+			CheckpointEvery: *ckptEvery, RestorePath: *restore, Resilient: *resilient}, os.Stderr); err != nil {
+			fatal(err)
+		}
+		return
 	default:
 		fmt.Fprintf(os.Stderr, "ippsbench: unknown -transport %q (chan | socket)\n", *transport)
 		os.Exit(2)
@@ -313,110 +342,6 @@ func main() {
 		}
 		fmt.Printf("modeled times within %.0f%% of %s\n", *tol*100, *compare)
 	}
-}
-
-// runSocketWorker is the internal worker mode: one rank of a socket
-// world solving the experiment's single cell. It dials the hub, loads
-// the restore checkpoint when the supervisor passed one (the -restore
-// handling above already decoded it into the experiment), and runs
-// exactly this rank's share; rank 0 prints the result line the
-// supervisor's terminal shows.
-func runSocketWorker(e bench.Experiment, size, rank int, network, addr string, dieRank, dieAt int) int {
-	prob, cfg, err := e.SingleCell(size)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ippsbench: rank %d: %v\n", rank, err)
-		return 2
-	}
-	cl, err := socket.Dial(network, addr, cfg.P, rank, socket.Options{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ippsbench: rank %d: %v\n", rank, err)
-		return 1
-	}
-	defer cl.Close()
-	var sink ckpt.Sink = cl
-	if rank == dieRank && dieAt > 0 && cfg.Restore == nil {
-		// Deterministic chaos: SIGKILL ourselves right after shipping the
-		// shard of the trigger iteration — first life only, so the
-		// respawned world runs to completion.
-		sink = mprun.DieAtSink{Sink: cl, Iter: uint64(dieAt)}
-	}
-	res, _, err := core.SolveRank(prob, cfg, rank, cl, sink)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ippsbench: rank %d: %v\n", rank, err)
-		return 1
-	}
-	if rank == 0 {
-		status := "converged"
-		if !res.Converged {
-			status = "NOT converged"
-		}
-		rel := res.Final
-		if res.Initial > 0 {
-			rel = res.Final / res.Initial
-		}
-		fmt.Printf("%s/%s/P=%d: %s in %d iterations (relative residual %.2e)\n",
-			e.ID, e.Preconds[0], cfg.P, status, res.Iterations, rel)
-	}
-	return 0
-}
-
-// runSupervisor hosts the hub and checkpoint writer and supervises one
-// worker process per rank (the re-exec pattern: ippsbench is its own
-// worker binary), respawning the world from the last durable checkpoint
-// when a rank dies.
-func runSupervisor(e bench.Experiment, size, workers int, ckptPath, restorePath string, dieRank, dieAt int) int {
-	prob, cfg, err := e.SingleCell(size)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ippsbench:", err)
-		return 2
-	}
-	if e.CheckpointEvery > 0 && ckptPath == "" {
-		fmt.Fprintln(os.Stderr, "ippsbench: -checkpoint-every over -transport socket needs -checkpoint (the hub owns the file)")
-		return 2
-	}
-	fmt.Printf("%s: %d unknowns, P = %d, %s, socket transport (one OS process per rank)\n",
-		e.ID, prob.A.Rows, cfg.P, e.Preconds[0])
-	err = mprun.Supervise(mprun.Options{
-		P:              cfg.P,
-		CheckpointPath: ckptPath,
-		Log:            os.Stderr,
-		Args: func(rank int, network, addr string, restore bool) []string {
-			args := []string{
-				"-socket-worker",
-				"-rank", strconv.Itoa(rank),
-				"-hub-net", network,
-				"-hub-addr", addr,
-				"-exp", e.ID,
-				"-size", strconv.Itoa(size),
-				"-procs", strconv.Itoa(cfg.P),
-				"-precond", string(e.Preconds[0]),
-			}
-			if workers > 0 {
-				args = append(args, "-workers", strconv.Itoa(workers))
-			}
-			if e.Resilient {
-				args = append(args, "-resilient")
-			}
-			if e.CheckpointEvery > 0 {
-				args = append(args, "-checkpoint-every", strconv.Itoa(e.CheckpointEvery))
-			}
-			switch {
-			case restore:
-				args = append(args, "-restore", ckptPath)
-			case restorePath != "":
-				args = append(args, "-restore", restorePath)
-			}
-			if dieRank >= 0 && dieAt > 0 {
-				args = append(args, "-die-rank", strconv.Itoa(dieRank), "-die-at-iter", strconv.Itoa(dieAt))
-			}
-			return args
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ippsbench:", err)
-		return 1
-	}
-	return 0
 }
 
 // labeledCollector pairs one solve's collector with its label for the

@@ -35,9 +35,7 @@ import (
 
 	"parapre"
 	"parapre/internal/ckpt"
-	"parapre/internal/core"
 	"parapre/internal/dist"
-	"parapre/internal/dist/socket"
 	"parapre/internal/mprun"
 	"parapre/internal/obs"
 	"parapre/internal/precond"
@@ -78,13 +76,8 @@ func main() {
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint the solver recurrence every N iterations (0 = off)")
 		restore   = flag.String("restore", "", "resume the solve mid-recurrence from this checkpoint file")
 
-		dieRank = flag.Int("die-rank", -1, "chaos: SIGKILL this rank's worker process at -die-at-iter (socket transport only)")
-		dieAt   = flag.Int("die-at-iter", 0, "chaos: the checkpoint iteration at which -die-rank kills itself")
-
-		sockWorker = flag.Bool("socket-worker", false, "internal: run as one rank of a socket-transport world")
-		sockRank   = flag.Int("rank", -1, "internal: this worker's rank")
-		hubNet     = flag.String("hub-net", "unix", "internal: hub network")
-		hubAddr    = flag.String("hub-addr", "", "internal: hub address")
+		// -socket-worker -rank -hub-net -hub-addr, -die-rank -die-at-iter
+		sock = mprun.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	pk, err := precond.ParseKind(*kind)
@@ -139,24 +132,30 @@ func main() {
 	cfg.Resilient = *resilient
 	cfg.CheckpointEvery = *ckptEvery
 
-	if *sockWorker {
-		if *sockRank < 0 || *sockRank >= *p || *hubAddr == "" {
-			fmt.Fprintf(os.Stderr, "solvepde: bad worker wiring: rank %d of P=%d, hub %q\n", *sockRank, *p, *hubAddr)
-			os.Exit(2)
+	if *restore != "" && (sock.Worker || *transport == "chan") {
+		// The supervisor of a socket world passes the path on instead.
+		ck, lerr := ckpt.Load(*restore)
+		if lerr != nil {
+			fmt.Fprintln(os.Stderr, "solvepde: restore:", lerr)
+			os.Exit(1)
 		}
-		os.Exit(runSocketWorker(prob, cfg, *sockRank, *hubNet, *hubAddr, *dieRank, *dieAt, *restore))
+		cfg.Restore = ck
+	}
+	if sock.Worker {
+		out, err := sock.RunWorker(prob, cfg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "solvepde:", err)
+			os.Exit(1)
+		}
+		if out != nil {
+			fmt.Printf("%s in %d FGMRES(%d) iterations (relative residual %.2e)\n",
+				out.Status, out.Iterations, cfg.Solver.Restart, out.RelRes)
+		}
+		return
 	}
 	switch *transport {
 	case "chan":
 		cfg.CheckpointPath = *ckptPath
-		if *restore != "" {
-			ck, lerr := ckpt.Load(*restore)
-			if lerr != nil {
-				fmt.Fprintln(os.Stderr, "solvepde: restore:", lerr)
-				os.Exit(1)
-			}
-			cfg.Restore = ck
-		}
 	case "socket":
 		for _, bad := range []struct {
 			set  bool
@@ -176,14 +175,23 @@ func main() {
 				os.Exit(2)
 			}
 		}
+		if *ckptEvery > 0 && *ckptPath == "" {
+			fmt.Fprintln(os.Stderr, "solvepde: -checkpoint-every over -transport socket needs -checkpoint (the hub owns the file)")
+			os.Exit(2)
+		}
 		fmt.Printf("case %s: %d unknowns, P = %d, %s, socket transport (one OS process per rank)\n",
 			*name, prob.A.Rows, *p, *kind)
-		os.Exit(runSupervisor(socketRun{
-			name: *name, size: sz, p: *p, kind: *kind, machine: *machine,
-			simple: *simple, resilient: *resilient,
-			ckptPath: *ckptPath, ckptEvery: *ckptEvery, restorePath: *restore,
-			dieRank: *dieRank, dieAt: *dieAt,
-		}))
+		problem := []string{"-case", *name, "-size", strconv.Itoa(sz), "-p", strconv.Itoa(*p),
+			"-precond", *kind, "-machine", *machine}
+		if *simple {
+			problem = append(problem, "-simple")
+		}
+		if err := sock.Supervise(mprun.Job{P: *p, Problem: problem, CheckpointPath: *ckptPath,
+			CheckpointEvery: *ckptEvery, RestorePath: *restore, Resilient: *resilient}, os.Stderr); err != nil {
+			fmt.Fprintln(os.Stderr, "solvepde:", err)
+			os.Exit(1)
+		}
+		return
 	default:
 		fmt.Fprintf(os.Stderr, "solvepde: unknown -transport %q (chan | socket)\n", *transport)
 		os.Exit(2)
@@ -319,116 +327,6 @@ func writeObs(col *obs.Collector, label, tracePath, metricsPath string) {
 		}
 		fmt.Printf("wrote metrics %s\n", metricsPath)
 	}
-}
-
-// runSocketWorker is the internal worker mode: one rank of a socket
-// world. It dials the hub, loads the restore checkpoint when given, and
-// runs exactly this rank's share of the solve; rank 0 prints the result
-// line the supervisor's terminal shows.
-func runSocketWorker(prob *core.Problem, cfg core.Config, rank int, network, addr string, dieRank, dieAt int, restorePath string) int {
-	if restorePath != "" {
-		ck, err := ckpt.Load(restorePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "solvepde: rank %d restore: %v\n", rank, err)
-			return 1
-		}
-		cfg.Restore = ck
-	}
-	cl, err := socket.Dial(network, addr, cfg.P, rank, socket.Options{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "solvepde: rank %d: %v\n", rank, err)
-		return 1
-	}
-	defer cl.Close()
-	var sink ckpt.Sink = cl
-	if rank == dieRank && dieAt > 0 && restorePath == "" {
-		// Deterministic chaos: SIGKILL ourselves right after shipping the
-		// shard of the trigger iteration — first life only, so the
-		// respawned world runs to completion.
-		sink = mprun.DieAtSink{Sink: cl, Iter: uint64(dieAt)}
-	}
-	res, _, err := core.SolveRank(prob, cfg, rank, cl, sink)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "solvepde: rank %d: %v\n", rank, err)
-		return 1
-	}
-	if rank == 0 {
-		status := "converged"
-		if !res.Converged {
-			status = "NOT converged"
-		}
-		rel := res.Final
-		if res.Initial > 0 {
-			rel = res.Final / res.Initial
-		}
-		fmt.Printf("%s in %d FGMRES(%d) iterations (relative residual %.2e)\n",
-			status, res.Iterations, cfg.Solver.Restart, rel)
-	}
-	return 0
-}
-
-// socketRun carries the parsed flag values the supervisor needs to
-// rebuild each worker's argv (the re-exec pattern: solvepde is its own
-// worker binary).
-type socketRun struct {
-	name, kind, machine   string
-	size, p               int
-	simple, resilient     bool
-	ckptPath, restorePath string
-	ckptEvery             int
-	dieRank, dieAt        int
-}
-
-// runSupervisor hosts the hub and checkpoint writer and supervises one
-// worker process per rank, respawning the world from the last durable
-// checkpoint when a rank dies.
-func runSupervisor(sr socketRun) int {
-	if sr.ckptEvery > 0 && sr.ckptPath == "" {
-		fmt.Fprintln(os.Stderr, "solvepde: -checkpoint-every over -transport socket needs -checkpoint (the hub owns the file)")
-		return 2
-	}
-	err := mprun.Supervise(mprun.Options{
-		P:              sr.p,
-		CheckpointPath: sr.ckptPath,
-		Log:            os.Stderr,
-		Args: func(rank int, network, addr string, restore bool) []string {
-			args := []string{
-				"-socket-worker",
-				"-rank", strconv.Itoa(rank),
-				"-hub-net", network,
-				"-hub-addr", addr,
-				"-case", sr.name,
-				"-size", strconv.Itoa(sr.size),
-				"-p", strconv.Itoa(sr.p),
-				"-precond", sr.kind,
-				"-machine", sr.machine,
-			}
-			if sr.simple {
-				args = append(args, "-simple")
-			}
-			if sr.resilient {
-				args = append(args, "-resilient")
-			}
-			if sr.ckptEvery > 0 {
-				args = append(args, "-checkpoint-every", strconv.Itoa(sr.ckptEvery))
-			}
-			switch {
-			case restore:
-				args = append(args, "-restore", sr.ckptPath)
-			case sr.restorePath != "":
-				args = append(args, "-restore", sr.restorePath)
-			}
-			if sr.dieRank >= 0 && sr.dieAt > 0 {
-				args = append(args, "-die-rank", strconv.Itoa(sr.dieRank), "-die-at-iter", strconv.Itoa(sr.dieAt))
-			}
-			return args
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "solvepde:", err)
-		return 1
-	}
-	return 0
 }
 
 // reportFault prints a typed runtime failure of a chaos run and reports

@@ -72,6 +72,15 @@ var setupGolden = []struct {
 	{"tc6-elasticity", 41, "Block 2", 529, true, 0x3ffdb2843401bf98, 0x3f5ae3100530c169,
 		[4]uint64{0x418f05c540000000, 0x418f26ffc0000000, 0x418e8d7ac0000000, 0x418ef3f380000000}, [4]int{1114, 1671, 1114, 1671},
 		0x84222a55703816d1, 0x7c0610aed4b78e54},
+	{"tc1-poisson2d", 97, "AddSchwarz+CGC", 29, true, 0x3fcd5874fdca8c8c, 0x3fc208dfea27983c,
+		[4]uint64{0x417cf6d480000000, 0x417cc74e80000000, 0x417cc74e80000000, 0x417c98c260000000}, [4]int{270, 238, 238, 270},
+		0x553b34cfc711547e, 0xd2d21068555a7a1d},
+	{"tc1-poisson2d", 97, "Block 2 (+1 overlap)", 38, true, 0x3fcaa6ac6e4f303b, 0x3f7069f5671fc9ca,
+		[4]uint64{0x4165abf980000000, 0x4166551980000000, 0x4166532340000000, 0x4165099e20000000}, [4]int{79, 237, 158, 158},
+		0xcb043f29421cb83e, 0x42cdc4709a884d2f},
+	{"tc1-poisson2d", 97, "MSLR", 21, true, 0x3fef2abd7507b006, 0x3f9b01520f974cb8,
+		[4]uint64{0x4196b33004000000, 0x419753d604000000, 0x41971b9c50000000, 0x4194abc02c000000}, [4]int{129, 387, 258, 258},
+		0x2278bdc513ff93cd, 0xde07c55fea0447d6},
 }
 
 func TestSolveMatchesParentCommitBits(t *testing.T) {
@@ -87,6 +96,13 @@ func TestSolveMatchesParentCommitBits(t *testing.T) {
 			problems[g.name] = p
 		}
 		cfg := core.DefaultConfig(4, g.kind)
+		switch g.kind { // the two wired variants, spelled as their Name prints them
+		case "AddSchwarz+CGC":
+			sw := precond.DefaultSchwarz(g.size, 2, 2, true)
+			cfg.Schwarz = &sw
+		case "Block 2 (+1 overlap)":
+			cfg.Precond, cfg.OverlapLevels = precond.KindBlock2, 1
+		}
 		cfg.KeepX = true
 		cfg.Solver.RecordHistory = true
 		res, err := core.Solve(p, cfg)

@@ -7,7 +7,6 @@ import (
 	"parapre/internal/dsys"
 	"parapre/internal/krylov"
 	"parapre/internal/precond"
-	"parapre/internal/schur"
 )
 
 // joinPrecondCommErr folds a communication failure the preconditioner
@@ -84,24 +83,13 @@ func aggregateResult(res *Result, results []krylov.Result, logs []*krylov.Recove
 	// rank, but only the rank whose Recv failed carries the communication
 	// root cause — surfacing rank 0's bare BreakdownError would hide it.
 	// If the surfaced error lacks an exchange cause that another rank
-	// recorded — whether from the system-level exchange (dsys) or a
-	// Schur-type preconditioner's interface exchange (schur) — join the
-	// first such cause, attributed to its rank.
+	// recorded — in the system-level exchange or in a preconditioner's own —
+	// join the first such cause, attributed to its rank.
 	var ex *dsys.ExchangeError
-	var sx *schur.ExchangeError
-	if res.Err != nil && !errors.As(res.Err, &ex) && !errors.As(res.Err, &sx) {
+	if res.Err != nil && !errors.As(res.Err, &ex) {
 		for r := range results {
-			if r == res.ErrRank {
-				continue
-			}
-			var rex *dsys.ExchangeError
-			var rsx *schur.ExchangeError
-			if errors.As(results[r].Err, &rex) {
-				res.Err = errors.Join(res.Err, &RankSolveError{Rank: r, Err: rex})
-				break
-			}
-			if errors.As(results[r].Err, &rsx) {
-				res.Err = errors.Join(res.Err, &RankSolveError{Rank: r, Err: rsx})
+			if r != res.ErrRank && errors.As(results[r].Err, &ex) {
+				res.Err = errors.Join(res.Err, &RankSolveError{Rank: r, Err: ex})
 				break
 			}
 		}

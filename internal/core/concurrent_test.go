@@ -98,6 +98,46 @@ func TestConcurrentSolvesSerialOnlySession(t *testing.T) {
 	}
 }
 
+// TestSessionConcurrentPerKind pins which sessions may overlap their
+// solves: every one whose preconditioner does not communicate inside Apply.
+// The session reads that off the built preconditioner's type, so a kind
+// that starts or stops implementing precond.CommErrRecorder moves a row.
+func TestSessionConcurrentPerKind(t *testing.T) {
+	prob := buildProblem(t, "tc1-poisson2d", 17)
+	sw := precond.DefaultSchwarz(17, 2, 2, true)
+	for _, tc := range []struct {
+		name       string
+		kind       precond.Kind
+		mutate     func(*core.Config)
+		concurrent bool
+	}{
+		{"Block 1", precond.KindBlock1, nil, true},
+		{"Block 2", precond.KindBlock2, nil, true},
+		{"Block ARMS", precond.KindBlockARMS, nil, true},
+		{"Block 2P", precond.KindBlock2P, nil, true},
+		{"Block IC", precond.KindBlockIC, nil, true},
+		{"None", precond.KindNone, nil, true},
+		{"Schur 1", precond.KindSchur1, nil, false},
+		{"Schur 2", precond.KindSchur2, nil, false},
+		{"MSLR", precond.KindMSLR, nil, false},
+		{"Schwarz", precond.KindNone, func(cfg *core.Config) { cfg.Schwarz = &sw }, false},
+		{"Block 1 overlap", precond.KindBlock1, func(cfg *core.Config) { cfg.OverlapLevels = 1 }, false},
+		{"Block 2 overlap", precond.KindBlock2, func(cfg *core.Config) { cfg.OverlapLevels = 1 }, false},
+	} {
+		cfg := core.DefaultConfig(4, tc.kind)
+		if tc.mutate != nil {
+			tc.mutate(&cfg)
+		}
+		sess, err := core.NewSession(prob, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := sess.Concurrent(); got != tc.concurrent {
+			t.Errorf("%s: Concurrent() = %v, want %v", tc.name, got, tc.concurrent)
+		}
+	}
+}
+
 // Per-solve overrides compose with concurrency: each solve gets its own
 // collector and progress stream, and canceling one must not disturb the
 // others.

@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"parapre/internal/cases"
 	"parapre/internal/core"
@@ -137,6 +138,35 @@ func TestSolveValidation(t *testing.T) {
 	prob := c.Build(9)
 	if _, err := core.Solve(prob, core.Config{P: 0}); err == nil {
 		t.Fatal("P=0 accepted")
+	}
+}
+
+// TestEmptyRanksConverge: more ranks than unknowns is a legal request
+// (partition.General leaves the ranks past the vertex count empty, and a
+// gateway spec bounds procs by nothing), so a rank that owns no unknown
+// must neither die in a zero-length kernel nor skip a collective the
+// others wait in. 16 unknowns on 20 ranks, under a watchdog so that a
+// deadlock is an error and not a hung test.
+func TestEmptyRanksConverge(t *testing.T) {
+	c, _ := cases.ByName("tc1-poisson2d")
+	prob := c.Build(4)
+	for _, kind := range []precond.Kind{precond.KindBlock1, precond.KindBlock2,
+		precond.KindSchur1, precond.KindSchur2, precond.KindMSLR} {
+		cfg := core.DefaultConfig(20, kind)
+		cfg.Watchdog = 3 * time.Second
+		res, err := core.Solve(prob, cfg)
+		var rp *dist.RankPanicError
+		var dl *dist.DeadlockError
+		switch {
+		case errors.As(err, &rp):
+			t.Errorf("%s: a rank panicked: %v", kind, rp)
+		case errors.As(err, &dl):
+			t.Errorf("%s: deadlock: %v", kind, dl)
+		case err != nil:
+			t.Errorf("%s: %v", kind, err)
+		case !res.Converged:
+			t.Errorf("%s: not converged after %d iterations: %v", kind, res.Iterations, res.Err)
+		}
 	}
 }
 

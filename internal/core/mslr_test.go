@@ -9,7 +9,6 @@ import (
 	"parapre/internal/dsys"
 	"parapre/internal/krylov"
 	"parapre/internal/precond"
-	"parapre/internal/schur"
 )
 
 // MSLR must converge through the full distributed pipeline at every world
@@ -74,19 +73,12 @@ func TestMSLRFaultSurfacesTypedExchangeError(t *testing.T) {
 	if res.Err == nil {
 		t.Fatal("corrupted solve reported no error")
 	}
-	var dex *dsys.ExchangeError
-	var sex *schur.ExchangeError
-	switch {
-	case errors.As(res.Err, &sex):
-		if sex.Rank != 2 {
-			t.Errorf("schur exchange error on rank %d, plan targeted rank 2", sex.Rank)
-		}
-	case errors.As(res.Err, &dex):
-		if dex.Rank != 2 {
-			t.Errorf("dsys exchange error on rank %d, plan targeted rank 2", dex.Rank)
-		}
-	default:
+	var ex *dsys.ExchangeError
+	if !errors.As(res.Err, &ex) {
 		t.Fatalf("Err = %v, want a typed exchange cause", res.Err)
+	}
+	if ex.Rank != 2 {
+		t.Errorf("exchange error on rank %d (tag %d), plan targeted rank 2", ex.Rank, ex.Tag)
 	}
 	if !errors.Is(res.Err, krylov.ErrBreakdown) {
 		t.Errorf("Err = %v, want the breakdown joined with its cause", res.Err)

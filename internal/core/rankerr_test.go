@@ -10,7 +10,6 @@ import (
 	"parapre/internal/krylov"
 	"parapre/internal/paranoid"
 	"parapre/internal/precond"
-	"parapre/internal/schur"
 )
 
 // skipUnderParanoid skips the NaN-poisoning scenarios: under the
@@ -109,11 +108,9 @@ func TestTargetAllRanksMatchesUntargeted(t *testing.T) {
 }
 
 // A corrupted exchange during a Schur 1 solve can hit either the
-// system-level (dsys) exchange of the outer matvec or the
-// preconditioner's interface exchange (schur) inside the inner Schur
-// solve. Both must surface as typed, rank-attributed causes in the
-// aggregated result — never the panic the legacy schur.Iface.Exchange
-// raised on a failed receive.
+// system-level exchange of the outer matvec or the preconditioner's
+// interface exchange inside the inner Schur solve. Both must surface as
+// typed, rank-attributed causes in the aggregated result.
 func TestSchurPrecondFaultSurfacesTypedExchangeError(t *testing.T) {
 	skipUnderParanoid(t)
 	prob := buildProblem(t, "tc1-poisson2d", 33)
@@ -126,18 +123,11 @@ func TestSchurPrecondFaultSurfacesTypedExchangeError(t *testing.T) {
 	if res.Err == nil {
 		t.Fatal("corrupted solve reported no error")
 	}
-	var dex *dsys.ExchangeError
-	var sex *schur.ExchangeError
-	switch {
-	case errors.As(res.Err, &sex):
-		if sex.Rank != 2 {
-			t.Errorf("schur exchange error on rank %d, plan targeted rank 2", sex.Rank)
-		}
-	case errors.As(res.Err, &dex):
-		if dex.Rank != 2 {
-			t.Errorf("dsys exchange error on rank %d, plan targeted rank 2", dex.Rank)
-		}
-	default:
+	var ex *dsys.ExchangeError
+	if !errors.As(res.Err, &ex) {
 		t.Fatalf("Err = %v, want a typed exchange cause", res.Err)
+	}
+	if ex.Rank != 2 {
+		t.Errorf("exchange error on rank %d (tag %d), plan targeted rank 2", ex.Rank, ex.Tag)
 	}
 }

@@ -44,8 +44,9 @@ type Session struct {
 	// session-inherited observability collector (per-rank recorders are
 	// single-writer by contract).
 	mu sync.RWMutex
-	// serialOnly marks the communicating preconditioners (Schur 1/2,
-	// MSLR, Schwarz, overlapping blocks): their solves can never overlap.
+	// serialOnly marks the communicating preconditioners, the
+	// precond.CommErrRecorders (Schur 1/2, MSLR, Schwarz, overlapping
+	// blocks): their solves can never overlap.
 	serialOnly bool
 
 	// wsPool recycles the per-rank solver workspaces across (possibly
@@ -97,8 +98,6 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 	if s.pcs, err = buildWired(p.A, lay, cfg); err != nil {
 		return nil, err
 	}
-	s.serialOnly = s.pcs != nil || cfg.Precond == precond.KindSchur1 ||
-		cfg.Precond == precond.KindSchur2 || cfg.Precond == precond.KindMSLR
 	if s.pcs == nil {
 		// Per-rank factorizations are independent: run them concurrently
 		// on the worker pool.
@@ -118,6 +117,7 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 			}
 		}
 	}
+	_, s.serialOnly = s.pcs[0].(precond.CommErrRecorder)
 	// Model the one-time setup: every rank factors concurrently, so the
 	// cost is the maximum per-rank estimate.
 	for _, pc := range s.pcs {

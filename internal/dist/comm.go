@@ -396,9 +396,10 @@ func (c *Comm) Send(to, tag int, data []float64) {
 }
 
 // Recv receives the next message from rank from, which must carry the
-// expected tag. It is the legacy panicking wrapper around RecvErr: a tag
+// expected tag. It is the panicking wrapper around RecvErr: a tag
 // mismatch or crashed peer panics with the typed error as the panic
-// value.
+// value. For programs that drive the communicator themselves (tests, the
+// benchmark's ping-pong); the solver stack receives through dsys.Halo.
 func (c *Comm) Recv(from, tag int) []float64 {
 	data, err := c.RecvErr(from, tag)
 	if err != nil {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -46,8 +47,9 @@ func Run(p int, m *Machine, fn func(c *Comm)) []Stats {
 //   - a planned hard crash (FaultPlan.CrashRank) removes that rank; if
 //     the survivors still finish, RunOpts returns a *CrashError (joined
 //     with the abort reason when the crash also stalled the world);
-//   - a legacy panicking API call (Recv, Exchange) that hits a typed
-//     communication failure aborts the world with that typed error;
+//   - a panicking API call (Recv; Send and the collectives on a transport
+//     failure) that hits a typed communication failure aborts the world
+//     with that typed error;
 //   - any other panic escaping fn aborts the world and is returned as a
 //     *RankPanicError.
 //
@@ -83,8 +85,8 @@ func RunOpts(p int, m *Machine, opts WorldOptions, fn func(c *Comm)) ([]Stats, e
 				case abortPanic:
 					// World aborted elsewhere; unwind quietly.
 				case *PeerCrashedError, *TagMismatchError:
-					// The legacy panicking API (Recv, Exchange) hit a typed
-					// communication failure under the supervised runtime:
+					// The panicking Recv hit a typed communication failure
+					// under the supervised runtime:
 					// keep the error typed instead of wrapping it as a rank
 					// panic, and unwind the world.
 					w.abort(v.(error))
@@ -136,16 +138,20 @@ func RunOpts(p int, m *Machine, opts WorldOptions, fn func(c *Comm)) ([]Stats, e
 }
 
 // RunRank drives one rank of a multi-process world (RemoteWorld over a
-// socket transport), converting the legacy panicking API's failure modes
-// into typed errors — the single-rank mirror of what RunOpts does for a
-// whole in-process world. The rank's stats up to the failure point are
-// returned either way.
+// socket transport), converting the panics of fn into typed errors — the
+// single-rank mirror of what RunOpts does for a whole in-process world:
+// the transport error Send, Recv or a collective panicked with comes back
+// as it is, anything else — a bug's index out of range or nil dereference
+// included, which are errors too — as a *RankPanicError with rank and
+// stack. The rank's stats up to the failure point are returned either way.
 func RunRank(c *Comm, fn func(*Comm)) (st Stats, err error) {
 	defer func() {
 		switch v := recover().(type) {
 		case nil:
 		case abortPanic:
 			err = ErrWorldAborted
+		case runtime.Error: // before error, which it is too
+			err = &RankPanicError{Rank: c.rank, Value: v, Stack: string(debug.Stack())}
 		case error:
 			err = v
 		default:

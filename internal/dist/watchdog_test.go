@@ -151,6 +151,32 @@ func TestRankPanicBecomesTypedError(t *testing.T) {
 	}
 }
 
+// RunRank is the socket worker's RunOpts: a real panic inside the rank body
+// must keep rank and stack. An index out of range is a runtime.Error and so
+// an error, which RunRank otherwise takes for the transport's and returns
+// bare; a transport error a communication call panicked with still is.
+func TestRunRankRuntimePanicKeepsRankAndStack(t *testing.T) {
+	w := RemoteWorld(1, testMachine(), NewLoopback(1, 0), WorldOptions{})
+	var empty []float64
+	_, err := RunRank(w.Comm(0), func(c *Comm) { _ = empty[c.Size()] })
+	var pe *RankPanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("index out of range came back as %T %v, want a *RankPanicError", err, err)
+	}
+	if pe.Rank != 0 || !strings.Contains(pe.Stack, "TestRunRankRuntimePanicKeepsRankAndStack") {
+		t.Errorf("rank %d, stack %q: want rank 0 and the frames of the rank body", pe.Rank, pe.Stack)
+	}
+	if !strings.Contains(pe.Error(), "index out of range") {
+		t.Errorf("message must carry the panic value: %q", pe.Error())
+	}
+
+	transport := errors.New("socket: write failed")
+	_, err = RunRank(w.Comm(0), func(*Comm) { panic(transport) })
+	if !errors.Is(err, transport) {
+		t.Errorf("a transport error came back as %v, want it as it is", err)
+	}
+}
+
 // Satellite: the per-pair channel depth is configurable. Depth 1 makes a
 // two-messages-before-receiving protocol deadlock; the default depth
 // absorbs it.

@@ -1,6 +1,6 @@
 //go:build !paranoid
 
-// The strict exchange and matvec tests inject NaN payloads, which the
+// The exchange and matvec failure tests inject NaN payloads, which the
 // paranoid build's finite-value assertions would turn into panics before
 // the typed-error paths under test can run.
 package dsys
@@ -14,54 +14,13 @@ import (
 	"parapre/internal/dist"
 )
 
-// ExchangeErr must match the legacy Exchange bit for bit on healthy
-// traffic.
-func TestExchangeErrMatchesLegacyExchange(t *testing.T) {
-	a, b, part := poissonSystem(t, 9, 4, 1)
-	systems := Distribute(a, b, part, 4)
-
-	legacy := make([][]float64, 4)
-	strict := make([][]float64, 4)
-	fill := func(s *System, ext []float64) {
-		for i := 0; i < s.NLoc(); i++ {
-			ext[i] = float64(s.GlobalIDs[i])
-		}
-	}
-	dist.Run(4, testMachine(), func(c *dist.Comm) {
-		s := systems[c.Rank()]
-		ext := make([]float64, s.NLoc()+s.NExt())
-		fill(s, ext)
-		s.Exchange(c, ext)
-		legacy[c.Rank()] = ext
-	})
-	statsA := dist.Run(4, testMachine(), func(c *dist.Comm) {
-		s := systems[c.Rank()]
-		ext := make([]float64, s.NLoc()+s.NExt())
-		fill(s, ext)
-		if err := s.ExchangeErr(c, ext); err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-		}
-		strict[c.Rank()] = ext
-	})
-	for r := range legacy {
-		for i := range legacy[r] {
-			if legacy[r][i] != strict[r][i] {
-				t.Fatalf("rank %d ext[%d]: %g vs %g", r, i, legacy[r][i], strict[r][i])
-			}
-		}
-	}
-	if statsA == nil {
-		t.Fatal("no stats")
-	}
-}
-
 // A wrong-length ext buffer is a caller bug reported as a typed error.
 func TestExchangeErrBufferLengthValidated(t *testing.T) {
 	a, b, part := poissonSystem(t, 9, 2, 1)
 	systems := Distribute(a, b, part, 2)
 	dist.Run(2, testMachine(), func(c *dist.Comm) {
 		s := systems[c.Rank()]
-		err := s.ExchangeErr(c, make([]float64, 1))
+		err := s.Exchange(c, make([]float64, 1))
 		var xe *ExchangeError
 		if !errors.As(err, &xe) || !strings.Contains(err.Error(), "length") {
 			t.Errorf("rank %d: want buffer-length ExchangeError, got %v", c.Rank(), err)
@@ -89,7 +48,7 @@ func TestExchangeErrDetectsNonFinitePayload(t *testing.T) {
 				ext[i] = 1
 			}
 		}
-		errs[c.Rank()] = s.ExchangeErr(c, ext)
+		errs[c.Rank()] = s.Exchange(c, ext)
 	})
 	if errs[0] != nil {
 		t.Errorf("rank 0 received clean data but errored: %v", errs[0])
@@ -98,7 +57,7 @@ func TestExchangeErrDetectsNonFinitePayload(t *testing.T) {
 	if !errors.As(errs[1], &xe) {
 		t.Fatalf("rank 1 must flag the NaN payload, got %v", errs[1])
 	}
-	if xe.Rank != 1 || xe.Peer != 0 || xe.Reason != "non-finite payload" {
+	if xe.Rank != 1 || xe.Peer != 0 || xe.Tag != tagExchange || xe.Reason != "non-finite payload" {
 		t.Errorf("fields wrong: %+v", xe)
 	}
 }
@@ -115,18 +74,17 @@ func TestExchangeErrDrainsAllNeighborsOnFailure(t *testing.T) {
 		for i := 0; i < s.NLoc(); i++ {
 			ext[i] = math.NaN() // every rank poisons round 1
 		}
-		_ = s.ExchangeErr(c, ext)
+		_ = s.Exchange(c, ext)
 		for i := 0; i < s.NLoc(); i++ {
 			ext[i] = 1
 		}
-		if err := s.ExchangeErr(c, ext); err != nil {
+		if err := s.Exchange(c, ext); err != nil {
 			t.Errorf("rank %d: clean exchange after a poisoned one failed: %v", c.Rank(), err)
 		}
 	})
 }
 
-// MatVecErr must agree with the legacy MatVec on healthy data and leave
-// the output untouched when the exchange fails.
+// MatVec must leave the output untouched when the exchange fails.
 func TestMatVecErrStrictSemantics(t *testing.T) {
 	a, b, part := poissonSystem(t, 9, 2, 1)
 	systems := Distribute(a, b, part, 2)
@@ -137,18 +95,7 @@ func TestMatVecErrStrictSemantics(t *testing.T) {
 			x[i] = float64(s.GlobalIDs[i]%7) + 1
 		}
 		ext := make([]float64, s.NLoc()+s.NExt())
-		yLegacy := make([]float64, s.NLoc())
-		s.MatVec(c, yLegacy, x, ext)
 		yStrict := make([]float64, s.NLoc())
-		if err := s.MatVecErr(c, yStrict, x, ext); err != nil {
-			t.Errorf("rank %d: healthy MatVecErr failed: %v", c.Rank(), err)
-		}
-		for i := range yLegacy {
-			if yLegacy[i] != yStrict[i] {
-				t.Fatalf("rank %d y[%d]: %g vs %g", c.Rank(), i, yLegacy[i], yStrict[i])
-			}
-		}
-
 		// Poisoned input: the error is typed and y keeps its sentinel.
 		// Every entry is poisoned so the interfacial subset — whatever the
 		// partition made it — carries NaN to rank 1.
@@ -161,7 +108,7 @@ func TestMatVecErrStrictSemantics(t *testing.T) {
 		for i := range yStrict {
 			yStrict[i] = sentinel
 		}
-		err := s.MatVecErr(c, yStrict, x, ext)
+		err := s.MatVec(c, yStrict, x, ext)
 		hasIface := s.NLoc() > s.NInt
 		if c.Rank() == 1 {
 			var xe *ExchangeError

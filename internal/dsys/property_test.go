@@ -74,7 +74,9 @@ func TestDistributePropertyRandomMatrices(t *testing.T) {
 			s := systems[c.Rank()]
 			y := make([]float64, s.NLoc())
 			ext := make([]float64, s.NLoc()+s.NExt())
-			s.MatVec(c, y, xl[c.Rank()], ext)
+			if err := s.MatVec(c, y, xl[c.Rank()], ext); err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+			}
 			yl[c.Rank()] = y
 		})
 		got := Gather(systems, yl)
@@ -112,7 +114,9 @@ func TestRepeatedMatVecStable(t *testing.T) {
 			y := make([]float64, s.NLoc())
 			ext := make([]float64, s.NLoc()+s.NExt())
 			for k := 0; k <= round; k++ { // also repeat within one run
-				s.MatVec(c, y, xl[c.Rank()], ext)
+				if err := s.MatVec(c, y, xl[c.Rank()], ext); err != nil {
+					t.Errorf("rank %d: %v", c.Rank(), err)
+				}
 			}
 			yl[c.Rank()] = y
 		})

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"parapre/internal/dist"
 	"parapre/internal/obs"
@@ -51,15 +50,8 @@ type System struct {
 
 	Neigh []Neighbor
 
-	// sendBuf is the pooled staging buffer for sendInterface, held as an
-	// atomic lease: an exchange swaps the pointer out (falling back to a
-	// fresh allocation when another solve holds it) and parks it back when
-	// done. dist.Comm.Send copies its payload, so reuse across sends and
-	// exchanges is safe; the lease keeps the steady-state halo exchange
-	// allocation-free for a single solve while staying race-free when
-	// concurrent solves share the distributed system (core.Session serves
-	// simultaneous right-hand sides over one distribution).
-	sendBuf atomic.Pointer[[]float64]
+	// halo is Neigh as an exchange pattern: what Exchange runs.
+	halo Halo
 }
 
 // NLoc returns the number of owned unknowns.
@@ -278,168 +270,57 @@ func wireNeighbors(systems []*System) {
 			}
 		}
 		sort.Slice(s.Neigh, func(i, j int) bool { return s.Neigh[i].Rank < s.Neigh[j].Rank })
+		s.halo = Halo{Tag: tagExchange, Links: s.Links(s.NLoc())}
 	}
+}
+
+// Links spells Neigh as the links of a Halo whose destination holds the
+// external buffer from recvBase on. Send is the neighbor's SendIdx itself,
+// shared read-only: an exchange over another numbering of the owned
+// unknowns puts its own translation in its place.
+func (s *System) Links(recvBase int) []Link {
+	recv := make([]int, s.NExt()) // the neighbors' blocks tile the external buffer
+	for k := range recv {
+		recv[k] = recvBase + k
+	}
+	links := make([]Link, len(s.Neigh))
+	for ni, nb := range s.Neigh {
+		end := nb.RecvOff + nb.RecvLen
+		links[ni] = Link{Peer: nb.Rank, Send: nb.SendIdx, Recv: recv[nb.RecvOff:end:end]}
+	}
+	return links
 }
 
 // tagExchange is the message tag used by interface exchanges.
 const tagExchange = 100
 
-// ExchangeError describes a failed or corrupted neighbor exchange: a
-// receive that returned a typed communicator error, a neighbor block of
-// the wrong length, or a non-finite payload (injected corruption or a
-// poisoned upstream vector). It wraps the underlying receive error, if
-// any, for errors.As/Is inspection.
-type ExchangeError struct {
-	Rank   int
-	Peer   int // -1 when the error is not tied to one neighbor
-	Reason string
-	Err    error // underlying dist receive error (may be nil)
-}
-
-func (e *ExchangeError) Error() string {
-	msg := fmt.Sprintf("dsys: rank %d exchange with rank %d: %s", e.Rank, e.Peer, e.Reason)
-	if e.Err != nil {
-		msg += ": " + e.Err.Error()
-	}
-	return msg
-}
-
-// Unwrap exposes the underlying receive error.
-func (e *ExchangeError) Unwrap() error { return e.Err }
-
 // Exchange refreshes the external-interface section of ext (length
-// NLoc+NExt, owned values in ext[:NLoc] already filled by the caller) by
-// exchanging interface values with all neighbors through c. It is the
-// legacy API: a failed receive panics with the typed error; corrupted
-// (non-finite) payloads pass through silently. Error-aware callers use
-// ExchangeErr.
-func (s *System) Exchange(c *dist.Comm, ext []float64) {
-	paranoid.CheckLen("dsys: Exchange ext", len(ext), s.NLoc()+s.NExt())
-	sp := c.BeginSpan(obs.KindExchange, "")
-	defer c.EndSpan(sp)
-	s.sendInterface(c, ext)
-	for _, nb := range s.Neigh {
-		if nb.RecvLen == 0 {
-			continue
-		}
-		got := c.Recv(nb.Rank, tagExchange)
-		paranoid.CheckLen("dsys: Exchange recv block", len(got), nb.RecvLen)
-		copy(ext[s.NLoc()+nb.RecvOff:s.NLoc()+nb.RecvOff+nb.RecvLen], got)
-	}
-}
-
-// ExchangeErr is the strict interface exchange: every neighbor receive is
-// validated (typed receive errors, block length, payload finiteness) and
-// failures surface as an *ExchangeError instead of a panic or a silent
-// wrong answer. All sends are posted before the first receive, so a
-// receive-side failure never strands a neighbor waiting for this rank's
-// contribution.
-func (s *System) ExchangeErr(c *dist.Comm, ext []float64) error {
+// NLoc+NExt, owned values in ext[:NLoc] already filled by the caller) with
+// the neighbors' interface values, under a KindExchange span. A failure —
+// see Halo.Exchange for what is validated — comes back as an
+// *ExchangeError, never as a panic or a silent wrong answer.
+func (s *System) Exchange(c *dist.Comm, ext []float64) error {
 	if len(ext) != s.NLoc()+s.NExt() {
-		return &ExchangeError{Rank: s.Rank, Peer: -1,
+		return &ExchangeError{Rank: s.Rank, Peer: -1, Tag: tagExchange,
 			Reason: fmt.Sprintf("ext buffer length %d, want %d", len(ext), s.NLoc()+s.NExt())}
 	}
 	sp := c.BeginSpan(obs.KindExchange, "")
 	defer c.EndSpan(sp)
-	s.sendInterface(c, ext)
-	// Every neighbor receive is drained even after a failure: returning
-	// early would strand the remaining in-flight blocks in their channels,
-	// and the next exchange (possibly of a different tag) would mispair
-	// against the stale messages. The first error wins.
-	var first *ExchangeError
-	fail := func(e *ExchangeError) {
-		if first == nil {
-			first = e
-		}
-	}
-	for _, nb := range s.Neigh {
-		if nb.RecvLen == 0 {
-			continue
-		}
-		got, err := c.RecvErr(nb.Rank, tagExchange)
-		if err != nil {
-			fail(&ExchangeError{Rank: s.Rank, Peer: nb.Rank, Reason: "receive failed", Err: err})
-			continue
-		}
-		if len(got) != nb.RecvLen {
-			fail(&ExchangeError{Rank: s.Rank, Peer: nb.Rank,
-				Reason: fmt.Sprintf("neighbor block length %d, want %d", len(got), nb.RecvLen)})
-			continue
-		}
-		ok := true
-		for _, v := range got {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				fail(&ExchangeError{Rank: s.Rank, Peer: nb.Rank, Reason: "non-finite payload"})
-				ok = false
-				break
-			}
-		}
-		if ok {
-			copy(ext[s.NLoc()+nb.RecvOff:s.NLoc()+nb.RecvOff+nb.RecvLen], got)
-		}
-	}
-	if first != nil {
-		return first
-	}
-	return nil
-}
-
-// sendInterface posts this rank's owned interface values to every
-// neighbor that reads them.
-func (s *System) sendInterface(c *dist.Comm, ext []float64) {
-	// Lease the pooled buffer; a concurrent solve that finds the slot
-	// empty allocates its own lease (the loser of the final Store is
-	// simply collected). The *[]float64 box is stable across calls, so
-	// the single-solve steady state allocates nothing.
-	lease := s.sendBuf.Swap(nil)
-	if lease == nil {
-		b := make([]float64, 0, 64)
-		lease = &b
-	}
-	buf := *lease
-	defer func() {
-		*lease = buf[:0]
-		s.sendBuf.Store(lease)
-	}()
-	for _, nb := range s.Neigh {
-		if len(nb.SendIdx) == 0 {
-			continue
-		}
-		buf = buf[:0]
-		for _, l := range nb.SendIdx {
-			buf = append(buf, ext[l])
-		}
-		c.Send(nb.Rank, tagExchange, buf)
-	}
+	return s.halo.Exchange(c, ext, ext, false)
 }
 
 // MatVec computes y = A_global·x restricted to this subdomain: x and y are
 // owned-length vectors; the external values needed by interface rows are
 // fetched from the neighbors. ext must have length NLoc+NExt and is used
-// as scratch.
-func (s *System) MatVec(c *dist.Comm, y, x, ext []float64) {
+// as scratch. On an exchange failure y is left untouched and the typed
+// error is returned; the caller decides how to degrade.
+func (s *System) MatVec(c *dist.Comm, y, x, ext []float64) error {
 	paranoid.CheckMinLen("dsys: MatVec x", len(x), s.NLoc())
 	paranoid.CheckMinLen("dsys: MatVec y", len(y), s.NLoc())
 	sp := c.BeginSpan(obs.KindSpMV, "")
 	defer c.EndSpan(sp)
 	copy(ext, x)
-	s.Exchange(c, ext)
-	s.A.MulVecTo(y, ext)
-	c.Compute(2 * float64(s.A.NNZ()))
-}
-
-// MatVecErr is the strict distributed matrix-vector product: the
-// interface exchange runs through ExchangeErr, so communication failures
-// and injected corruption come back as typed errors. On error y is left
-// untouched; the caller decides how to degrade. The virtual-clock charges
-// of a successful call are identical to MatVec.
-func (s *System) MatVecErr(c *dist.Comm, y, x, ext []float64) error {
-	paranoid.CheckMinLen("dsys: MatVec x", len(x), s.NLoc())
-	paranoid.CheckMinLen("dsys: MatVec y", len(y), s.NLoc())
-	sp := c.BeginSpan(obs.KindSpMV, "")
-	defer c.EndSpan(sp)
-	copy(ext, x)
-	if err := s.ExchangeErr(c, ext); err != nil {
+	if err := s.Exchange(c, ext); err != nil {
 		return err
 	}
 	s.A.MulVecTo(y, ext)

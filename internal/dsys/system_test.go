@@ -8,6 +8,7 @@ import (
 	"parapre/internal/dist"
 	"parapre/internal/fem"
 	"parapre/internal/grid"
+	"parapre/internal/par"
 	"parapre/internal/partition"
 	"parapre/internal/sparse"
 )
@@ -146,7 +147,9 @@ func TestDistributedMatVecMatchesGlobal(t *testing.T) {
 			s := systems[c.Rank()]
 			y := make([]float64, s.NLoc())
 			ext := make([]float64, s.NLoc()+s.NExt())
-			s.MatVec(c, y, xl[c.Rank()], ext)
+			if err := s.MatVec(c, y, xl[c.Rank()], ext); err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+			}
 			yl[c.Rank()] = y
 		})
 		got := Gather(systems, yl)
@@ -219,7 +222,9 @@ func TestDistributeUnsymmetricPattern(t *testing.T) {
 		s := systems[c.Rank()]
 		y := make([]float64, s.NLoc())
 		ext := make([]float64, s.NLoc()+s.NExt())
-		s.MatVec(c, y, xl[c.Rank()], ext)
+		if err := s.MatVec(c, y, xl[c.Rank()], ext); err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
 		yl[c.Rank()] = y
 	})
 	got := Gather(systems, yl)
@@ -271,7 +276,9 @@ func TestDistributeP1(t *testing.T) {
 	dist.Run(1, testMachine(), func(c *dist.Comm) {
 		y := make([]float64, s.NLoc())
 		ext := make([]float64, s.NLoc())
-		s.MatVec(c, y, x, ext)
+		if err := s.MatVec(c, y, x, ext); err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
 		for i := range want {
 			if math.Abs(y[i]-want[i]) > 1e-12 {
 				t.Errorf("p=1 matvec differs at %d", i)
@@ -294,3 +301,44 @@ func BenchmarkExtractBlock(b *testing.B) {
 }
 
 var benchBlocks [4]*sparse.CSR
+
+// A steady-state Exchange allocates nothing on this side: the sends pack
+// through the halo's leased staging buffer, so what is left per round are
+// the transport's own payload copies (dist.Comm.Send copies every message
+// — one object per message sent in the whole world, observed globally
+// because allocation counters are process-wide).
+func TestExchangeSteadyStateAllocs(t *testing.T) {
+	const p = 2
+	prev := par.SetWorkers(1)
+	defer par.SetWorkers(prev)
+	a, b, part := poissonSystem(t, 9, p, 1)
+	systems := Distribute(a, b, part, p)
+	msgs := 0
+	for _, s := range systems {
+		for _, nb := range s.Neigh {
+			if len(nb.SendIdx) > 0 {
+				msgs++
+			}
+		}
+	}
+	if msgs == 0 {
+		t.Fatal("test partition produced no neighbor traffic")
+	}
+	got := make([]float64, p)
+	dist.Run(p, testMachine(), func(c *dist.Comm) {
+		s := systems[c.Rank()]
+		ext := make([]float64, s.NLoc()+s.NExt())
+		// Both ranks run AllocsPerRun with the same run count, so the
+		// exchanges stay paired across the whole measurement.
+		got[c.Rank()] = testing.AllocsPerRun(10, func() {
+			if err := s.Exchange(c, ext); err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+			}
+		})
+	})
+	for r, g := range got {
+		if g > float64(msgs) {
+			t.Errorf("rank %d: %v allocations per exchange, want at most the %d transport copies", r, g, msgs)
+		}
+	}
+}

@@ -153,13 +153,11 @@ func checkSolveDims(op string, n int, x, b []float64) {
 // Solve computes x = U⁻¹·L⁻¹·b. x and b may alias. When the level
 // schedule is enabled and profitable (see levels.go) the two sweeps run
 // level-parallel across the par worker pool; the result is bit-identical
-// to the serial sweeps at any worker count.
+// to the serial sweeps at any worker count. An order-0 factor — a rank
+// that owns no unknowns has one — takes any x and b, nil included.
 //
 //lint:allocfree steady state once the level schedule is cached; verified dynamically by TestLUSolveZeroAllocSteadyState
 func (f *LU) Solve(x, b []float64) {
-	if x == nil {
-		panic("ilu: nil output")
-	}
 	n := f.N()
 	checkSolveDims("LU.Solve", n, x, b)
 	var fwd, bwd *levelSet

@@ -22,8 +22,8 @@ func SolveCSR(a *sparse.CSR, precond Prec, b, x []float64, opt Options) Result {
 	return GMRES(a.Rows, matvec, precond, Seq, b, x, opt)
 }
 
-// distOps builds the strict distributed operator set for system s: the
-// matvec performs the interface exchange through dsys.MatVecErr, so
+// distOps builds the distributed operator set for system s: the matvec
+// performs the interface exchange through dsys.System.MatVec, so
 // communication failures and injected payload corruption surface as typed
 // errors instead of silent wrong answers. On an exchange failure the
 // output vector is poisoned with NaN — the replicated recurrence then
@@ -37,7 +37,7 @@ type distOps struct {
 func newDistOps(c *dist.Comm, s *dsys.System) (*distOps, Op, Inner) {
 	d := &distOps{ext: make([]float64, s.NLoc()+s.NExt())}
 	matvec := func(y, xx []float64) {
-		if err := s.MatVecErr(c, y, xx, d.ext); err != nil {
+		if err := s.MatVec(c, y, xx, d.ext); err != nil {
 			if d.xerr == nil {
 				d.xerr = err
 			}

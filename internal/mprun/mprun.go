@@ -7,19 +7,24 @@
 // from that iteration instead of from zero.
 //
 // Both CLIs (solvepde, ippsbench) drive their `-transport socket` modes
-// through this package; the worker side is plain socket.Dial +
-// core.SolveRank.
+// through this package, the re-exec pattern: a CLI is its own worker
+// binary. Flags is the part of their command lines that is the same —
+// Flags.Supervise spawns the workers with it, Flags.RunWorker is what a
+// spawned worker does — and each CLI adds the flags that name its problem.
 package mprun
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"parapre/internal/ckpt"
+	"parapre/internal/core"
 	"parapre/internal/dist/socket"
 )
 
@@ -231,4 +236,115 @@ func (d DieAtSink) PutShard(seq, iter uint64, p int, rs *ckpt.RankState) error {
 		select {}       // unreachable: the kill is not catchable
 	}
 	return err
+}
+
+// Flags are the command-line flags a CLI's socket mode shares with every
+// other's: the worker wiring the supervisor passes down and the chaos
+// switch that kills a worker for real.
+type Flags struct {
+	Worker          bool // this process is one rank of a socket world
+	Rank            int
+	HubNet, HubAddr string
+	DieRank, DieAt  int
+}
+
+// RegisterFlags defines the shared flags on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	fs.BoolVar(&f.Worker, "socket-worker", false, "internal: run as one rank of a socket-transport world")
+	fs.IntVar(&f.Rank, "rank", -1, "internal: this worker's rank")
+	fs.StringVar(&f.HubNet, "hub-net", "unix", "internal: hub network")
+	fs.StringVar(&f.HubAddr, "hub-addr", "", "internal: hub address")
+	fs.IntVar(&f.DieRank, "die-rank", -1, "socket chaos: this rank's worker process SIGKILLs itself (requires -die-at-iter)")
+	fs.IntVar(&f.DieAt, "die-at-iter", 0, "socket chaos: SIGKILL -die-rank right after the first checkpoint at or past this iteration")
+	return f
+}
+
+// Job is one supervised solve of the calling CLI: the world size, the
+// CLI's own flags that rebuild problem and configuration in a worker, and
+// the values of the checkpoint and recovery flags both CLIs spell alike.
+type Job struct {
+	P               int
+	Problem         []string
+	CheckpointPath  string // -checkpoint: the hub owns the file
+	CheckpointEvery int    // -checkpoint-every
+	RestorePath     string // -restore, for the first spawn; a respawn restores from CheckpointPath
+	Resilient       bool   // -resilient
+}
+
+// Supervise hosts the hub and the checkpoint writer and supervises one
+// worker process per rank — this same binary with the worker wiring, j's
+// problem flags and the shared tail — respawning the world from the last
+// durable checkpoint when a rank dies. Progress notes go to log.
+func (f *Flags) Supervise(j Job, log io.Writer) error {
+	return Supervise(Options{
+		P:              j.P,
+		CheckpointPath: j.CheckpointPath,
+		Log:            log,
+		Args: func(rank int, network, addr string, restore bool) []string {
+			args := []string{"-socket-worker", "-rank", strconv.Itoa(rank), "-hub-net", network, "-hub-addr", addr}
+			args = append(args, j.Problem...)
+			if j.Resilient {
+				args = append(args, "-resilient")
+			}
+			if j.CheckpointEvery > 0 {
+				args = append(args, "-checkpoint-every", strconv.Itoa(j.CheckpointEvery))
+			}
+			switch {
+			case restore:
+				args = append(args, "-restore", j.CheckpointPath)
+			case j.RestorePath != "":
+				args = append(args, "-restore", j.RestorePath)
+			}
+			if f.DieRank >= 0 && f.DieAt > 0 {
+				args = append(args, "-die-rank", strconv.Itoa(f.DieRank), "-die-at-iter", strconv.Itoa(f.DieAt))
+			}
+			return args
+		},
+	})
+}
+
+// Outcome is what rank 0's result line reports.
+type Outcome struct {
+	Status     string // "converged" or "NOT converged"
+	Iterations int
+	RelRes     float64
+}
+
+// RunWorker is the worker mode: one rank of a socket world. It dials the
+// hub and runs exactly this rank's share of the solve under cfg, whose
+// Restore the CLI has loaded when the supervisor passed -restore. Rank 0
+// gets the outcome to print as the line the supervisor's terminal shows;
+// the other ranks get nil.
+func (f *Flags) RunWorker(prob *core.Problem, cfg core.Config) (*Outcome, error) {
+	if f.Rank < 0 || f.Rank >= cfg.P || f.HubAddr == "" {
+		return nil, fmt.Errorf("bad worker wiring: rank %d of P=%d, hub %q", f.Rank, cfg.P, f.HubAddr)
+	}
+	cl, err := socket.Dial(f.HubNet, f.HubAddr, cfg.P, f.Rank, socket.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("rank %d: %w", f.Rank, err)
+	}
+	defer cl.Close()
+	var sink ckpt.Sink = cl
+	if f.Rank == f.DieRank && f.DieAt > 0 && cfg.Restore == nil {
+		// Deterministic chaos: SIGKILL ourselves right after shipping the
+		// shard of the trigger iteration — first life only, so the
+		// respawned world runs to completion.
+		sink = DieAtSink{Sink: cl, Iter: uint64(f.DieAt)}
+	}
+	res, _, err := core.SolveRank(prob, cfg, f.Rank, cl, sink)
+	if err != nil {
+		return nil, fmt.Errorf("rank %d: %w", f.Rank, err)
+	}
+	if f.Rank != 0 {
+		return nil, nil
+	}
+	out := &Outcome{Status: "converged", Iterations: res.Iterations, RelRes: res.Final}
+	if !res.Converged {
+		out.Status = "NOT converged"
+	}
+	if res.Initial > 0 {
+		out.RelRes = res.Final / res.Initial
+	}
+	return out, nil
 }

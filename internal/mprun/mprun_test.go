@@ -6,28 +6,23 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"parapre/internal/cases"
 	"parapre/internal/ckpt"
 	"parapre/internal/core"
-	"parapre/internal/dist/socket"
 	"parapre/internal/mprun"
 	"parapre/internal/precond"
 )
 
 // The re-exec pattern: the test binary doubles as the rank worker. When
-// spawned by the supervisor with the sentinel first argument it runs one
-// rank of the solve and exits — exactly the shape of solvepde's
-// -socket-worker mode, but self-contained in the test binary.
-const workerSentinel = "mprun-worker"
-
+// Flags.Supervise spawns it — the worker wiring leads the command line — it
+// runs one rank of the solve and exits: solvepde's -socket-worker mode with
+// the shared flags and worker body, self-contained in the test binary.
 func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == workerSentinel {
-		os.Exit(workerMain(os.Args[2:]))
+	if len(os.Args) > 1 && os.Args[1] == "-socket-worker" {
+		os.Exit(workerMain(os.Args[1:]))
 	}
 	os.Exit(m.Run())
 }
@@ -47,16 +42,13 @@ const (
 func workerConfig() core.Config {
 	cfg := core.DefaultConfig(tprocs, precond.KindSchur1)
 	cfg.Solver.RecordHistory = true
-	cfg.CheckpointEvery = tevery
 	return cfg
 }
 
 func workerMain(argv []string) int {
-	fs := flag.NewFlagSet(workerSentinel, flag.ExitOnError)
-	rank := fs.Int("rank", -1, "")
-	hubNet := fs.String("hub-net", "unix", "")
-	hubAddr := fs.String("hub-addr", "", "")
-	die := fs.Bool("die", false, "")
+	fs := flag.NewFlagSet("mprun-worker", flag.ExitOnError)
+	sock := mprun.RegisterFlags(fs)
+	every := fs.Int("checkpoint-every", 0, "")
 	restore := fs.String("restore", "", "")
 	out := fs.String("out", "", "")
 	fs.Parse(argv) //nolint:errcheck // ExitOnError
@@ -68,6 +60,7 @@ func workerMain(argv []string) int {
 	}
 	prob := c.Build(tsize)
 	cfg := workerConfig()
+	cfg.CheckpointEvery = *every
 	if *restore != "" {
 		ck, err := ckpt.Load(*restore)
 		if err != nil {
@@ -76,25 +69,13 @@ func workerMain(argv []string) int {
 		}
 		cfg.Restore = ck
 	}
-
-	cl, err := socket.Dial(*hubNet, *hubAddr, tprocs, *rank, socket.Options{})
+	res, err := sock.RunWorker(prob, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "worker dial:", err)
+		fmt.Fprintln(os.Stderr, "worker:", err)
 		return 1
 	}
-	defer cl.Close()
-
-	var sink ckpt.Sink = cl
-	if *die {
-		sink = mprun.DieAtSink{Sink: cl, Iter: tdieIters}
-	}
-	res, _, err := core.SolveRank(prob, cfg, *rank, cl, sink)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "worker solve:", err)
-		return 1
-	}
-	if *rank == 0 && *out != "" {
-		line := fmt.Sprintf("%d %d\n", res.Iterations, math.Float64bits(res.Final/res.Initial))
+	if res != nil {
+		line := fmt.Sprintf("%d %d\n", res.Iterations, math.Float64bits(res.RelRes))
 		if err := os.WriteFile(*out, []byte(line), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "worker out:", err)
 			return 1
@@ -118,6 +99,7 @@ func TestSuperviseResumesAfterSIGKILL(t *testing.T) {
 	}
 	prob := c.Build(tsize)
 	cfg := workerConfig()
+	cfg.CheckpointEvery = tevery
 	cfg.CheckpointSink = discardSink{} // reference run: checkpoint hook on, durability off
 	base, err := core.Solve(prob, cfg)
 	if err != nil {
@@ -131,27 +113,9 @@ func TestSuperviseResumesAfterSIGKILL(t *testing.T) {
 	ckptPath := filepath.Join(dir, "solve.ckpt")
 	outPath := filepath.Join(dir, "rank0.out")
 	var logBuf strings.Builder
-	err = mprun.Supervise(mprun.Options{
-		P:              tprocs,
-		CheckpointPath: ckptPath,
-		AcceptTimeout:  30 * time.Second,
-		Log:            &logBuf,
-		Args: func(rank int, network, addr string, restore bool) []string {
-			args := []string{
-				workerSentinel,
-				"-rank", strconv.Itoa(rank),
-				"-hub-net", network,
-				"-hub-addr", addr,
-				"-out", outPath,
-			}
-			if restore {
-				args = append(args, "-restore", ckptPath)
-			} else if rank == 1 {
-				args = append(args, "-die")
-			}
-			return args
-		},
-	})
+	sock := &mprun.Flags{DieRank: 1, DieAt: tdieIters}
+	err = sock.Supervise(mprun.Job{P: tprocs, Problem: []string{"-out", outPath},
+		CheckpointPath: ckptPath, CheckpointEvery: tevery}, &logBuf)
 	if err != nil {
 		t.Fatalf("Supervise: %v\nsupervisor log:\n%s", err, logBuf.String())
 	}

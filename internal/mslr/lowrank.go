@@ -26,9 +26,7 @@ type lowRank struct {
 // alias the scratch; dst == g is allowed.
 func (lr *lowRank) correct(dst, g []float64) {
 	if lr == nil || lr.k == 0 {
-		if &dst[0] != &g[0] {
-			copy(dst, g)
-		}
+		copy(dst, g) // a no-op when dst is g, and when both are empty
 		return
 	}
 	for i := 0; i < lr.k; i++ {

@@ -124,9 +124,7 @@ type Precond struct {
 	y, gp, fTmp, uTmp, corr []float64
 	wsS                     *krylov.Workspace
 
-	// commErr records the first interface-exchange failure observed
-	// inside Apply's inner Schur solve (see precond.CommErrRecorder).
-	commErr error
+	dsys.CommErr // first interface-exchange failure of the inner Schur solve
 }
 
 // New builds the MSLR preconditioner for this rank's subdomain.
@@ -157,38 +155,37 @@ func New(s *dsys.System, opts Options) (*Precond, error) {
 	p.fBlk = s.BlockF()
 	p.eBlk = s.BlockE()
 
-	cBlk := s.BlockC()
-	if nI := s.NIface(); nI > 0 {
-		cFact, err := ilu.ILUT(cBlk, opts.ILUT)
-		if err != nil {
-			return nil, fmt.Errorf("mslr: rank %d interface block: %w", s.Rank, err)
-		}
-		p.cFact = cFact
-		p.setup += 2 * float64(cFact.NNZ())
-
-		// Level-0 correction: probe the purely local Schur residual
-		// G·x = x − S_loc·C̃⁻¹·x with S_loc·w = C·w − E·B⁻¹·(F·w).
-		fBuf := make([]float64, s.NInt)
-		uBuf := make([]float64, s.NInt)
-		tBuf := make([]float64, nI)
-		sBuf := make([]float64, nI)
-		gApply := func(dst, x []float64) {
-			cFact.Solve(tBuf, x)
-			p.fBlk.MulVecTo(fBuf, tBuf)
-			p.bSolve(uBuf, fBuf)
-			cBlk.MulVecTo(sBuf, tBuf)
-			p.eBlk.MulVecAdd(sBuf, -1, uBuf)
-			for i := range dst {
-				dst[i] = x[i] - sBuf[i]
-			}
-		}
-		lr, err := buildLowRank(nI, opts.Rank, gApply, newRNG(opts.Seed*31+11))
-		if err != nil {
-			return nil, fmt.Errorf("mslr: rank %d interface correction: %w", s.Rank, err)
-		}
-		p.lr = lr
-		p.setup += lr.buildFlops(nI)
+	// A rank without interface unknowns (P = 1, or more ranks than
+	// unknowns) gets the order-0 factor and no correction: it still takes
+	// part in the collective interface solve.
+	cBlk, nI := s.BlockC(), s.NIface()
+	cFact, err := ilu.ILUT(cBlk, opts.ILUT)
+	if err != nil {
+		return nil, fmt.Errorf("mslr: rank %d interface block: %w", s.Rank, err)
 	}
+	p.cFact = cFact
+	p.setup += 2 * float64(cFact.NNZ())
+
+	// Level-0 correction: probe the purely local Schur residual
+	// G·x = x − S_loc·C̃⁻¹·x with S_loc·w = C·w − E·B⁻¹·(F·w).
+	fBuf := make([]float64, s.NInt)
+	uBuf := make([]float64, s.NInt)
+	tBuf := make([]float64, nI)
+	sBuf := make([]float64, nI)
+	gApply := func(dst, x []float64) {
+		cFact.Solve(tBuf, x)
+		p.fBlk.MulVecTo(fBuf, tBuf)
+		p.bSolve(uBuf, fBuf)
+		cBlk.MulVecTo(sBuf, tBuf)
+		p.eBlk.MulVecAdd(sBuf, -1, uBuf)
+		for i := range dst {
+			dst[i] = x[i] - sBuf[i]
+		}
+	}
+	if p.lr, err = buildLowRank(nI, opts.Rank, gApply, newRNG(opts.Seed*31+11)); err != nil {
+		return nil, fmt.Errorf("mslr: rank %d interface correction: %w", s.Rank, err)
+	}
+	p.setup += p.lr.buildFlops(nI)
 
 	op, err := schur.NewImplicitOp(s, cBlk, p.eBlk, p.fBlk, p.bSolve, p.bFlops)
 	if err != nil {
@@ -237,37 +234,13 @@ func (p *Precond) Apply(c *dist.Comm, z, r []float64) {
 	}
 
 	// Step 2: distributed GMRES on the global interface system.
-	for i := range p.y {
-		p.y[i] = 0
-	}
-	if s.NIface() > 0 {
-		h := c.BeginSpan(obs.KindMSLRSchur, "MSLR")
-		krylov.GMRES(s.NIface(),
-			func(out, x []float64) {
-				if err := p.op.MatVec(c, out, x); err != nil {
-					if p.commErr == nil {
-						p.commErr = err
-					}
-					poisonNaN(out)
-				}
-			},
-			func(out, x []float64) {
-				p.lr.correct(p.corr, x)
-				p.cFact.Solve(out, p.corr)
-				c.Compute(p.cFact.SolveFlops() + p.lr.applyFlops(len(x)))
-			},
-			p.op.Inner(c),
-			p.gp, p.y,
-			krylov.Options{
-				ZeroGuess: true,
-				Restart:   p.opts.SchurIters,
-				MaxIters:  p.opts.SchurIters,
-				Tol:       p.opts.SchurTol,
-				Compute:   c.Compute,
-				Work:      p.wsS,
-			})
-		c.EndSpan(h)
-	}
+	h := c.BeginSpan(obs.KindMSLRSchur, "MSLR")
+	p.Record(p.op.Solve(c, func(out, x []float64) {
+		p.lr.correct(p.corr, x)
+		p.cFact.Solve(out, p.corr)
+		c.Compute(p.cFact.SolveFlops() + p.lr.applyFlops(len(x)))
+	}, p.gp, p.y, p.opts.SchurIters, p.opts.SchurTol, p.wsS))
+	c.EndSpan(h)
 
 	// Step 3: u = B̃⁻¹·(f − F·y).
 	if nInt > 0 {
@@ -291,20 +264,4 @@ func (p *Precond) SetupFlops() float64 {
 		return 1
 	}
 	return p.setup
-}
-
-// TakeCommErr returns and clears the first interface-exchange failure
-// recorded during Apply (precond.CommErrRecorder).
-func (p *Precond) TakeCommErr() error {
-	err := p.commErr
-	p.commErr = nil
-	return err
-}
-
-// poisonNaN floods v with NaN so a lost exchange surfaces as a replicated
-// breakdown instead of a silently wrong search direction.
-func poisonNaN(v []float64) {
-	for i := range v {
-		v[i] = nan
-	}
 }

@@ -1,15 +1,12 @@
 package mslr
 
 import (
-	"math"
 	"math/rand"
 
 	"parapre/internal/ilu"
 	"parapre/internal/partition"
 	"parapre/internal/sparse"
 )
-
-var nan = math.NaN()
 
 // newRNG returns the deterministic generator used for bisection restarts
 // and Arnoldi probe vectors.

@@ -49,8 +49,9 @@ func (e *PartitionError) Error() string {
 // whenever p ≤ NumVertices; when p exceeds the vertex count, vertex v is
 // assigned to part v and the parts ≥ NumVertices stay empty — there are
 // simply not enough vertices to populate them (the degenerate request is
-// deliberately legal: empty ranks are supported downstream). A
-// non-positive p or a malformed graph returns a *PartitionError.
+// deliberately legal: empty ranks are supported downstream, which core's
+// TestEmptyRanksConverge holds the solvers to). A non-positive p or a
+// malformed graph returns a *PartitionError.
 func General(g *Graph, p int, seed int64) ([]int, error) {
 	n := g.NumVertices()
 	if p < 1 {

@@ -45,3 +45,45 @@ func TestSchur2ApplyZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("Schur2.Apply allocates %v objects per steady-state call at P = 1 (%d all-reduces), want 0", got, reduces)
 	}
 }
+
+// A steady-state Schwarz application allocates nothing of its own: both
+// halos pack through their leased staging buffers and the box CG runs out
+// of its pooled workspace. What is left per apply are the transport's
+// payload copies, one per message, and what the two fast Poisson solves of
+// CG(1) allocate inside the DST — counted over the whole world, because
+// allocation counters are process-wide.
+func TestExchangeSteadyStateAllocs(t *testing.T) {
+	prev := par.SetWorkers(1)
+	defer par.SetWorkers(prev)
+	pcs, systems := schwarzPair(t)
+	var allowed float64
+	for _, pc := range pcs {
+		sw := pc.(*Schwarz)
+		allowed += 2 * testing.AllocsPerRun(10, func() { sw.pois.SolveTo(sw.wBox, sw.rBox) })
+	}
+	tr := NewTrafficTransport(2)
+	got := make([]float64, 2)
+	_, err := dist.RunOpts(2, testMachine(), dist.WorldOptions{Transport: tr}, func(c *dist.Comm) {
+		s := systems[c.Rank()]
+		z, r := make([]float64, s.NLoc()), make([]float64, s.NLoc())
+		for i := range r {
+			r[i] = 1
+		}
+		// Both ranks run AllocsPerRun with the same run count, so the
+		// halos stay paired across the whole measurement.
+		got[c.Rank()] = testing.AllocsPerRun(10, func() { pcs[c.Rank()].Apply(c, z, r) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := (tr.Sends[0] + tr.Sends[1]) / 11 // AllocsPerRun warms up once
+	if msgs == 0 {
+		t.Fatal("the boxes exchanged no halo")
+	}
+	for r, g := range got {
+		if g > allowed+float64(msgs) {
+			t.Errorf("rank %d: %v allocations per Schwarz apply, want at most the DST's %v and the %d transport copies",
+				r, g, allowed, msgs)
+		}
+	}
+}

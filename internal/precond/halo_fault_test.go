@@ -60,7 +60,9 @@ func applyBesideDeadPeer(t *testing.T, pcs []Preconditioner, systems []*dsys.Sys
 	}
 }
 
-func TestSchwarzHaloDeadPeerIsTypedError(t *testing.T) {
+// schwarzPair builds additive Schwarz over two side-by-side boxes.
+func schwarzPair(t *testing.T) ([]Preconditioner, []*dsys.System) {
+	t.Helper()
 	const m = 9
 	systems, a, _ := buildPoissonBoxes(t, m, 2, 1)
 	all := make([]*Schwarz, 2)
@@ -75,12 +77,12 @@ func TestSchwarzHaloDeadPeerIsTypedError(t *testing.T) {
 	if err := WireHalo(all); err != nil {
 		t.Fatal(err)
 	}
-	// Rank 1 sends its residual halo and dies: rank 0's first receive
-	// succeeds, the scatter-add one finds the peer gone.
-	applyBesideDeadPeer(t, pcs, systems, 1)
+	return pcs, systems
 }
 
-func TestOverlapHaloDeadPeerIsTypedError(t *testing.T) {
+// overlapPair builds Block 2 with one overlap level over two subdomains.
+func overlapPair(t *testing.T) ([]Preconditioner, []*dsys.System) {
+	t.Helper()
 	systems, a, _ := buildPoisson(t, 9, 2, 21)
 	part := make([]int, a.Rows)
 	for r, s := range systems {
@@ -92,7 +94,65 @@ func TestOverlapHaloDeadPeerIsTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return []Preconditioner{blocks[0], blocks[1]}, systems
+}
+
+func TestSchwarzHaloDeadPeerIsTypedError(t *testing.T) {
+	pcs, systems := schwarzPair(t)
+	// Rank 1 sends its residual halo and dies: rank 0's first receive
+	// succeeds, the scatter-add one finds the peer gone.
+	applyBesideDeadPeer(t, pcs, systems, 1)
+}
+
+func TestOverlapHaloDeadPeerIsTypedError(t *testing.T) {
+	pcs, systems := overlapPair(t)
 	// One whole apply is three operations (send, receive, solve): rank 1
 	// dies before its second send.
-	applyBesideDeadPeer(t, []Preconditioner{blocks[0], blocks[1]}, systems, 3)
+	applyBesideDeadPeer(t, pcs, systems, 3)
+}
+
+// TestHaloNaNIsTypedError: a NaN that reaches a rank through a Schwarz or
+// overlap halo — injected corruption, or a neighbor whose residual is
+// already poisoned — is refused at the receive and named: the rank's
+// output is poisoned and the recorded cause is a *dsys.ExchangeError with
+// the peer and the halo's tag, where it used to flow into the subdomain
+// solve and come out as a breakdown nobody could attribute.
+func TestHaloNaNIsTypedError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) ([]Preconditioner, []*dsys.System)
+		tag   int
+	}{
+		{"Schwarz", schwarzPair, tagHaloR},
+		{"overlap", overlapPair, tagOverlapR},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pcs, systems := tc.build(t)
+			var z0 []float64
+			var taken error
+			dist.Run(2, testMachine(), func(c *dist.Comm) {
+				s := systems[c.Rank()]
+				z, r := make([]float64, s.NLoc()), make([]float64, s.NLoc())
+				for i := range r {
+					r[i] = 1
+					if c.Rank() == 1 {
+						r[i] = math.NaN()
+					}
+				}
+				pcs[c.Rank()].Apply(c, z, r)
+				if c.Rank() == 0 {
+					z0, taken = z, pcs[0].(CommErrRecorder).TakeCommErr()
+				}
+			})
+			for i, v := range z0 {
+				if !math.IsNaN(v) {
+					t.Fatalf("z[%d] = %v after a refused halo block, want the whole output poisoned", i, v)
+				}
+			}
+			var ex *dsys.ExchangeError
+			if !errors.As(taken, &ex) || ex.Rank != 0 || ex.Peer != 1 || ex.Tag != tc.tag || ex.Reason != "non-finite payload" {
+				t.Fatalf("recorded %v, want a *dsys.ExchangeError of rank 0 naming peer 1, tag %d and a non-finite payload", taken, tc.tag)
+			}
+		})
+	}
 }

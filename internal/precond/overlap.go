@@ -29,14 +29,13 @@ type OverlapBlock struct {
 	extNodes []int // global ids of the enlarged subdomain, owned first
 	ownN     int
 
-	// halo exchange lists (wired by WireOverlap)
-	haloOut []haloPeer // peers needing our owned values
-	haloIn  []haloPeer // peers owning parts of our overlap
+	// halo gathers r over the enlarged block: owned values go to the peers
+	// whose overlap holds them, the peers' values land on rExt[ownN:].
+	halo dsys.Halo
 
 	rExt, zExt []float64
 
-	// commErr is the first halo failure seen by Apply (CommErrRecorder).
-	commErr error
+	dsys.CommErr // first halo failure seen by Apply
 }
 
 const tagOverlapR = 320
@@ -68,7 +67,7 @@ func BuildOverlapBlocks(a *sparse.CSR, part []int, systems []*dsys.System, opt O
 	errs := make([]error, p)
 	par.Run(p, func(r int) {
 		s := systems[r]
-		ob := &OverlapBlock{s: s, ownN: s.NLoc()}
+		ob := &OverlapBlock{s: s, ownN: s.NLoc(), halo: dsys.Halo{Tag: tagOverlapR}}
 		if opt.UseILU0 {
 			ob.name = fmt.Sprintf("Block 1 (+%d overlap)", opt.Levels)
 		} else {
@@ -129,13 +128,7 @@ func BuildOverlapBlocks(a *sparse.CSR, part []int, systems []*dsys.System, opt O
 			owner := part[g]
 			needs[owner] = append(needs[owner], k)
 		}
-		peers := make([]int, 0, len(needs))
-		for q := range needs {
-			peers = append(peers, q)
-		}
-		sort.Ints(peers)
-		for _, q := range peers {
-			extIdx := needs[q]
+		for q, extIdx := range needs {
 			send := make([]int, len(extIdx))
 			for t, k := range extIdx {
 				l, ok := ownerLocal[q][ob.extNodes[k]]
@@ -144,9 +137,8 @@ func BuildOverlapBlocks(a *sparse.CSR, part []int, systems []*dsys.System, opt O
 				}
 				send[t] = l
 			}
-			ob.haloIn = append(ob.haloIn, haloPeer{rank: q, recvIdx: extIdx})
-			all[q].haloOut = append(all[q].haloOut, haloPeer{rank: r, sendIdx: send,
-				buf: make([]float64, len(send))})
+			ob.halo.Link(q).Recv = extIdx
+			all[q].halo.Link(r).Send = send
 		}
 	}
 	return all, nil
@@ -160,32 +152,14 @@ func (p *OverlapBlock) Apply(c *dist.Comm, z, r []float64) {
 	for i := p.ownN; i < len(p.rExt); i++ {
 		p.rExt[i] = 0
 	}
-	for _, hp := range p.haloOut {
-		for t, l := range hp.sendIdx {
-			hp.buf[t] = r[l]
-		}
-		c.Send(hp.rank, tagOverlapR, hp.buf)
-	}
-	for _, hp := range p.haloIn {
-		got := recvHalo(c, hp.rank, tagOverlapR, len(hp.recvIdx), &p.commErr)
-		for t := range got {
-			p.rExt[hp.recvIdx[t]] = got[t]
-		}
-	}
+	err := p.halo.Exchange(c, p.rExt, r, false)
 	p.f.Solve(p.zExt, p.rExt)
 	c.Compute(p.f.SolveFlops())
 	copy(z, p.zExt[:p.ownN])
-	if p.commErr != nil {
+	if err != nil {
+		p.Record(err)
 		poisonNaN(z)
 	}
-}
-
-// TakeCommErr returns and clears the first halo failure recorded during
-// Apply (CommErrRecorder).
-func (p *OverlapBlock) TakeCommErr() error {
-	err := p.commErr
-	p.commErr = nil
-	return err
 }
 
 // Name identifies the preconditioner variant, including the overlap depth.

@@ -65,9 +65,7 @@ type Schur1 struct {
 	// shared by concurrent solves.
 	wsB, wsS *krylov.Workspace
 
-	// commErr records the first interface-exchange failure observed
-	// inside Apply's inner Schur solve (see CommErrRecorder).
-	commErr error
+	dsys.CommErr // first interface-exchange failure of the inner Schur solve
 }
 
 // NewSchur1 builds the Schur 1 preconditioner for this rank's subdomain.
@@ -152,32 +150,10 @@ func (p *Schur1) Apply(c *dist.Comm, z, r []float64) {
 
 	// Step 2: a few distributed GMRES iterations on S·y = ĝ,
 	// block-Jacobi preconditioned by the trailing factors.
-	for i := range p.y {
-		p.y[i] = 0
-	}
-	krylov.GMRES(s.NIface(),
-		func(out, x []float64) {
-			if err := p.op.MatVec(c, out, x); err != nil {
-				if p.commErr == nil {
-					p.commErr = err
-				}
-				poisonNaN(out)
-			}
-		},
-		func(out, x []float64) {
-			p.sFact.Solve(out, x)
-			c.Compute(p.sFact.SolveFlops())
-		},
-		p.op.Inner(c),
-		p.gp, p.y,
-		krylov.Options{
-			ZeroGuess: true,
-			Restart:   p.opts.SchurIters,
-			MaxIters:  p.opts.SchurIters,
-			Tol:       p.opts.SchurTol,
-			Compute:   c.Compute,
-			Work:      p.wsS,
-		})
+	p.Record(p.op.Solve(c, func(out, x []float64) {
+		p.sFact.Solve(out, x)
+		c.Compute(p.sFact.SolveFlops())
+	}, p.gp, p.y, p.opts.SchurIters, p.opts.SchurTol, p.wsS))
 
 	// Step 3: u = B̃⁻¹·(f − F·y).
 	if nInt > 0 {
@@ -192,14 +168,6 @@ func (p *Schur1) Apply(c *dist.Comm, z, r []float64) {
 
 // Name returns the paper's notation for this preconditioner.
 func (p *Schur1) Name() string { return string(KindSchur1) }
-
-// TakeCommErr returns and clears the first interface-exchange failure
-// recorded during Apply (CommErrRecorder).
-func (p *Schur1) TakeCommErr() error {
-	err := p.commErr
-	p.commErr = nil
-	return err
-}
 
 // SetupFlops estimates the construction cost of this preconditioner for
 // virtual-time accounting: one ILUT factorization of the owned block,

@@ -58,9 +58,7 @@ type Schur2 struct {
 	work, y, gp, uG, fTmp []float64
 	ws                    *krylov.Workspace // pooled Schur-GMRES workspace
 
-	// commErr records the first interface-exchange failure observed
-	// inside Apply's inner Schur solve (see CommErrRecorder).
-	commErr error
+	dsys.CommErr // first interface-exchange failure of the inner Schur solve
 }
 
 // NewSchur2 builds the Schur 2 preconditioner for this rank's subdomain.
@@ -198,32 +196,10 @@ func (p *Schur2) Apply(c *dist.Comm, z, r []float64) {
 
 	// Step 2: a few distributed GMRES iterations on the global expanded
 	// Schur system, preconditioned by the local ILU(0).
-	for i := range p.y {
-		p.y[i] = 0
-	}
-	krylov.GMRES(p.nExp,
-		func(out, x []float64) {
-			if err := p.op.MatVec(c, out, x); err != nil {
-				if p.commErr == nil {
-					p.commErr = err
-				}
-				poisonNaN(out)
-			}
-		},
-		func(out, x []float64) {
-			p.sFact.Solve(out, x)
-			c.Compute(p.sFact.SolveFlops())
-		},
-		p.op.Inner(c),
-		p.gp, p.y,
-		krylov.Options{
-			ZeroGuess: true,
-			Restart:   p.opts.SchurIters,
-			MaxIters:  p.opts.SchurIters,
-			Tol:       p.opts.SchurTol,
-			Compute:   c.Compute,
-			Work:      p.ws,
-		})
+	p.Record(p.op.Solve(c, func(out, x []float64) {
+		p.sFact.Solve(out, x)
+		c.Compute(p.sFact.SolveFlops())
+	}, p.gp, p.y, p.opts.SchurIters, p.opts.SchurTol, p.ws))
 
 	// Step 3: back substitution — u_G = B⁻¹·(r_G − F·y).
 	if p.red != nil {
@@ -246,14 +222,6 @@ func (p *Schur2) Apply(c *dist.Comm, z, r []float64) {
 
 // Name returns the paper's notation for this preconditioner.
 func (p *Schur2) Name() string { return string(KindSchur2) }
-
-// TakeCommErr returns and clears the first interface-exchange failure
-// recorded during Apply (CommErrRecorder).
-func (p *Schur2) TakeCommErr() error {
-	err := p.commErr
-	p.commErr = nil
-	return err
-}
 
 // ExpandedSize reports (grouped, expanded-interface) sizes for
 // diagnostics: the paper's Fig. 2 distinction between interior, local

@@ -2,7 +2,6 @@ package precond
 
 import (
 	"fmt"
-	"sort"
 
 	"parapre/internal/dist"
 	"parapre/internal/dsys"
@@ -67,11 +66,12 @@ type Schwarz struct {
 	localOf            map[int]int // global id → index in boxNodes
 	ownedPos           []int       // boxNodes index of each owned unknown (aligned with GlobalIDs)
 
-	aBox   *sparse.CSR // global matrix restricted to the box (zero-Dirichlet exterior)
-	pois   *fft.PoissonSolver
-	haloIn []haloPeer // peers that own parts of our box
-	// haloOut is the mirror: peers whose boxes contain nodes we own.
-	haloOut []haloPeer
+	aBox *sparse.CSR // global matrix restricted to the box (zero-Dirichlet exterior)
+	pois *fft.PoissonSolver
+	// haloR gathers r over the box: owned values go to the peers whose
+	// boxes hold them, the peers' values land on our box. haloZ is its
+	// transpose, carrying the overlap corrections back to their owners.
+	haloR, haloZ dsys.Halo
 
 	coarse *coarseGrid
 
@@ -79,21 +79,7 @@ type Schwarz struct {
 	rBox, wBox, zOwn []float64
 	ws               *krylov.Workspace // pooled subdomain-CG workspace
 
-	// commErr is the first halo failure seen by Apply (CommErrRecorder).
-	commErr error
-}
-
-type haloPeer struct {
-	rank int
-	// For haloIn: our box-local indices to fill, and the peer sends those
-	// values (peer-side owned indices in sendIdx).
-	// For haloOut: our owned-local indices to send / to accumulate into.
-	sendIdx []int // indices into the peer-facing payload source
-	recvIdx []int // indices into the local destination
-	// buf is the pooled send payload, sized at wiring time. dist.Comm.Send
-	// copies the data, so reusing one buffer per peer across applies is
-	// safe.
-	buf []float64
+	dsys.CommErr // first halo failure seen by Apply
 }
 
 type coarseGrid struct {
@@ -188,7 +174,6 @@ func NewSchwarz(s *dsys.System, a *sparse.CSR, opt SchwarzOptions) (*Schwarz, er
 // Schwarz preconditioners. Call once, sequentially, with every rank's
 // instance.
 func WireHalo(all []*Schwarz) error {
-	p := len(all)
 	// owner[g] = rank owning global node g.
 	n := all[0].opt.M * all[0].opt.M
 	owner := make([]int, n)
@@ -196,6 +181,7 @@ func WireHalo(all []*Schwarz) error {
 		owner[i] = -1
 	}
 	for r, sw := range all {
+		sw.haloR.Tag, sw.haloZ.Tag = tagHaloR, tagHaloZ
 		for _, g := range sw.s.GlobalIDs {
 			owner[g] = r
 		}
@@ -210,13 +196,7 @@ func WireHalo(all []*Schwarz) error {
 				needs[o] = append(needs[o], k)
 			}
 		}
-		peers := make([]int, 0, len(needs))
-		for q := range needs {
-			peers = append(peers, q)
-		}
-		sort.Ints(peers)
-		for _, q := range peers {
-			boxIdx := needs[q]
+		for q, boxIdx := range needs {
 			// Peer-side owned-local indices for these globals.
 			peer := all[q]
 			ownLocal := make(map[int]int, peer.s.NLoc())
@@ -231,15 +211,14 @@ func WireHalo(all []*Schwarz) error {
 				}
 				send[t] = l
 			}
-			// r receives from q (haloIn on r), and q must send to r and
-			// later accumulate corrections (haloOut on q).
-			sw.haloIn = append(sw.haloIn, haloPeer{rank: q, recvIdx: boxIdx,
-				buf: make([]float64, len(boxIdx))})
-			peer.haloOut = append(peer.haloOut, haloPeer{rank: r, sendIdx: send, recvIdx: send,
-				buf: make([]float64, len(send))})
+			// q sends these owned values to r's box and later accumulates
+			// r's corrections to them.
+			peer.haloR.Link(r).Send = send
+			sw.haloR.Link(q).Recv = boxIdx
+			sw.haloZ.Link(q).Send = boxIdx
+			peer.haloZ.Link(r).Recv = send
 		}
 	}
-	_ = p
 	return nil
 }
 
@@ -291,18 +270,7 @@ func (p *Schwarz) Apply(c *dist.Comm, z, r []float64) {
 	for l, k := range p.ownedPos {
 		p.rBox[k] = r[l]
 	}
-	for _, hp := range p.haloOut {
-		for t, l := range hp.sendIdx {
-			hp.buf[t] = r[l]
-		}
-		c.Send(hp.rank, tagHaloR, hp.buf)
-	}
-	for _, hp := range p.haloIn {
-		got := recvHalo(c, hp.rank, tagHaloR, len(hp.recvIdx), &p.commErr)
-		for t := range got {
-			p.rBox[hp.recvIdx[t]] = got[t]
-		}
-	}
+	err := p.haloR.Exchange(c, p.rBox, r, false)
 
 	// 2. One CG iteration on Ã_i·w = r_box, preconditioned by the DST
 	// fast Poisson solver (the paper's "special FFT-based
@@ -328,17 +296,8 @@ func (p *Schwarz) Apply(c *dist.Comm, z, r []float64) {
 	for l, k := range p.ownedPos {
 		p.zOwn[l] = p.wBox[k]
 	}
-	for _, hp := range p.haloIn {
-		for t, k := range hp.recvIdx {
-			hp.buf[t] = p.wBox[k]
-		}
-		c.Send(hp.rank, tagHaloZ, hp.buf)
-	}
-	for _, hp := range p.haloOut {
-		got := recvHalo(c, hp.rank, tagHaloZ, len(hp.recvIdx), &p.commErr)
-		for t := range got {
-			p.zOwn[hp.recvIdx[t]] += got[t]
-		}
+	if errZ := p.haloZ.Exchange(c, p.zOwn, p.wBox, true); err == nil {
+		err = errZ
 	}
 
 	// 4. Coarse-grid correction (additive).
@@ -375,17 +334,10 @@ func (p *Schwarz) Apply(c *dist.Comm, z, r []float64) {
 	}
 
 	copy(z, p.zOwn)
-	if p.commErr != nil {
+	if err != nil {
+		p.Record(err)
 		poisonNaN(z)
 	}
-}
-
-// TakeCommErr returns and clears the first halo failure recorded during
-// Apply (CommErrRecorder).
-func (p *Schwarz) TakeCommErr() error {
-	err := p.commErr
-	p.commErr = nil
-	return err
 }
 
 // Name identifies the preconditioner variant.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"parapre/internal/dist"
+	"parapre/internal/dsys"
 	"parapre/internal/par"
 )
 
@@ -37,8 +38,8 @@ func buildOps(t *testing.T, m, p int, seed int64) ([]*Iface, [][]float64) {
 }
 
 // Steady-state Exchange and MatVec must allocate nothing on the schur
-// side: the per-neighbor staging buffers are pooled, so the only
-// allocations left per round are the transport's own payload copies
+// side: the staging buffer is pooled, so the only allocations left per
+// round are the transport's own payload copies
 // (dist.Comm.Send copies every message — one object per message sent in
 // the whole world, observed globally because allocation counters are
 // process-wide).
@@ -49,8 +50,8 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	ops, xs := buildOps(t, 9, p, 1)
 	msgs := 0
 	for _, op := range ops {
-		for _, idx := range op.sendIdx {
-			if len(idx) > 0 {
+		for _, l := range op.halo.Links {
+			if len(l.Send) > 0 {
 				msgs++
 			}
 		}
@@ -79,7 +80,7 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 }
 
 // A NaN in a neighbor's interface contribution must surface as a typed
-// *ExchangeError naming the link — not a panic, not a silent wrong
+// *dsys.ExchangeError naming the link — not a panic, not a silent wrong
 // answer — and MatVec must leave the output untouched.
 func TestExchangeDetectsNonFinitePayload(t *testing.T) {
 	const p = 2
@@ -102,11 +103,11 @@ func TestExchangeDetectsNonFinitePayload(t *testing.T) {
 	if errs[0] != nil {
 		t.Errorf("rank 0 received clean data but errored: %v", errs[0])
 	}
-	var xe *ExchangeError
+	var xe *dsys.ExchangeError
 	if !errors.As(errs[1], &xe) {
 		t.Fatalf("rank 1 must flag the NaN payload, got %v", errs[1])
 	}
-	if xe.Rank != 1 || xe.Peer != 0 || xe.Reason != "non-finite payload" {
+	if xe.Rank != 1 || xe.Peer != 0 || xe.Tag != tagSchur || xe.Reason != "non-finite payload" {
 		t.Errorf("fields wrong: %+v", xe)
 	}
 	for i, v := range sentinels[1] {

@@ -13,7 +13,6 @@ package schur
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"parapre/internal/dist"
 	"parapre/internal/dsys"
@@ -37,20 +36,12 @@ type Iface struct {
 	// unknowns, in external-buffer order.
 	eExt *sparse.CSR
 
-	// sendIdx holds, per neighbor (parallel to sys.Neigh), the
-	// interface-vector indices to pack in send order — the dsys send
-	// indices (local subdomain numbering) pre-translated at construction.
-	sendIdx [][]int
-
-	// sendBufs pools one staging buffer per neighbor, leased atomically
-	// per exchange: distinct in-flight sends never share a slice, and the
-	// single-solve steady state allocates nothing beyond the transport's
-	// own payload copies. A concurrent solve that finds the slot empty
-	// allocates its own lease (the loser of the final Store is collected).
-	sendBufs atomic.Pointer[[][]float64]
+	// halo is the system's exchange pattern over the interface vector:
+	// the dsys send indices (local subdomain numbering) pre-translated at
+	// construction, the receive side landing on ext.
+	halo dsys.Halo
 
 	ext []float64 // scratch, length NExt
-	tag int
 }
 
 const tagSchur = 200
@@ -87,9 +78,8 @@ func NewImplicitOp(s *dsys.System, c, e, f *sparse.CSR, bSolve func(y, x []float
 			}
 		},
 		localFlops: 2*float64(c.NNZ()+e.NNZ()+f.NNZ()) + bFlops,
-		tag:        tagSchur,
 	}
-	if err := op.buildSendMap(func(l int) (int, bool) {
+	if err := op.buildHalo(tagSchur, func(l int) (int, bool) {
 		if l < s.NInt {
 			return 0, false
 		}
@@ -119,16 +109,15 @@ func NewExplicit(s *dsys.System, sLoc, eExt *sparse.CSR, toIface func(local int)
 		eExt:       eExt,
 		applyLocal: func(y, x []float64) { sLoc.MulVecTo(y, x) },
 		localFlops: 2 * float64(sLoc.NNZ()),
-		tag:        tagSchur + 1,
 	}
-	if err := op.buildSendMap(toIface); err != nil {
+	if err := op.buildHalo(tagSchur+1, toIface); err != nil {
 		return nil, err
 	}
 	return op, nil
 }
 
-func (o *Iface) buildSendMap(toIface func(int) (int, bool)) error {
-	o.sendIdx = make([][]int, len(o.sys.Neigh))
+func (o *Iface) buildHalo(tag int, toIface func(int) (int, bool)) error {
+	links := o.sys.Links(0)
 	for ni, nb := range o.sys.Neigh {
 		idx := make([]int, 0, len(nb.SendIdx))
 		for _, l := range nb.SendIdx {
@@ -139,8 +128,9 @@ func (o *Iface) buildSendMap(toIface func(int) (int, bool)) error {
 			}
 			idx = append(idx, ii)
 		}
-		o.sendIdx[ni] = idx
+		links[ni].Send = idx
 	}
+	o.halo = dsys.Halo{Tag: tag, Links: links}
 	o.ext = make([]float64, o.sys.NExt())
 	return nil
 }
@@ -148,85 +138,13 @@ func (o *Iface) buildSendMap(toIface func(int) (int, bool)) error {
 // N returns the length of this rank's interface vector.
 func (o *Iface) N() int { return o.n }
 
-// leaseSendBufs takes the pooled per-neighbor staging buffers, allocating
-// a fresh set (exact per-neighbor capacity) when the pool slot is empty.
-func (o *Iface) leaseSendBufs() *[][]float64 {
-	lease := o.sendBufs.Swap(nil)
-	if lease == nil {
-		bufs := make([][]float64, len(o.sys.Neigh))
-		for ni := range bufs {
-			bufs[ni] = make([]float64, 0, len(o.sendIdx[ni]))
-		}
-		lease = &bufs
-	}
-	return lease
-}
-
 // Exchange refreshes the external interface values for the interface
-// vector x. All sends are posted before the first receive, each packed
-// into its own pooled per-neighbor buffer so no slice is shared between
-// in-flight sends, and every neighbor receive is drained and validated
-// (typed receive errors, block length, payload finiteness) even after a
-// failure — returning early would strand the remaining in-flight blocks
-// and the next exchange would mispair against the stale messages. The
-// first failure wins and surfaces as a typed *ExchangeError; a peer crash
-// no longer panics the rank.
-//
-// Steady-state allocation is bounded by the transport's own payload
-// copies (dist.Comm.Send copies every message); the packing itself is
-// allocation-free, verified by TestExchangeSteadyStateAllocs.
+// vector x; a failure is a typed *dsys.ExchangeError (see
+// dsys.Halo.Exchange). The packing is allocation-free in the steady state,
+// verified by TestExchangeSteadyStateAllocs: what is left per round are
+// the transport's own payload copies.
 func (o *Iface) Exchange(c *dist.Comm, x []float64) error {
-	s := o.sys
-	lease := o.leaseSendBufs()
-	bufs := *lease
-	defer o.sendBufs.Store(lease)
-	for ni, nb := range s.Neigh {
-		if len(nb.SendIdx) == 0 {
-			continue
-		}
-		buf := bufs[ni][:0]
-		for _, ii := range o.sendIdx[ni] {
-			buf = append(buf, x[ii])
-		}
-		bufs[ni] = buf
-		c.Send(nb.Rank, o.tag, buf)
-	}
-	var first *ExchangeError
-	fail := func(e *ExchangeError) {
-		if first == nil {
-			first = e
-		}
-	}
-	for _, nb := range s.Neigh {
-		if nb.RecvLen == 0 {
-			continue
-		}
-		got, err := c.RecvErr(nb.Rank, o.tag)
-		if err != nil {
-			fail(&ExchangeError{Rank: s.Rank, Peer: nb.Rank, Reason: "receive failed", Err: err})
-			continue
-		}
-		if len(got) != nb.RecvLen {
-			fail(&ExchangeError{Rank: s.Rank, Peer: nb.Rank,
-				Reason: fmt.Sprintf("neighbor block length %d, want %d", len(got), nb.RecvLen)})
-			continue
-		}
-		ok := true
-		for _, v := range got {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				fail(&ExchangeError{Rank: s.Rank, Peer: nb.Rank, Reason: "non-finite payload"})
-				ok = false
-				break
-			}
-		}
-		if ok {
-			copy(o.ext[nb.RecvOff:nb.RecvOff+nb.RecvLen], got)
-		}
-	}
-	if first != nil {
-		return first
-	}
-	return nil
+	return o.halo.Exchange(c, o.ext, x, false)
 }
 
 // MatVec computes y = S·x (this rank's rows of the global interface
@@ -265,4 +183,40 @@ func (o *Iface) AxpyDot(c *dist.Comm, a float64, x, y, z []float64) float64 {
 	local := sparse.AxpyDot(a, x, y, z)
 	c.Compute(2 * float64(o.n))
 	return c.AllReduceSum(local)
+}
+
+// Solve is step 2 of Algorithm 2.1: from y = 0, at most iters iterations
+// of GMRES on the global interface system S·y = g, stopped early at the
+// relative residual tol, preconditioned per rank by prec (block Jacobi
+// over the ranks) and run out of the caller's pooled ws. Collective: every
+// rank takes part, one that owns no interface unknown included — its
+// peers' reductions wait for it. The first exchange failure is returned;
+// the product it hit is flooded with NaN, so the inner and then the outer
+// recurrence break down on every rank at their next replicated norm.
+func (o *Iface) Solve(c *dist.Comm, prec krylov.Prec, g, y []float64, iters int, tol float64, ws *krylov.Workspace) error {
+	for i := range y {
+		y[i] = 0
+	}
+	var first error
+	krylov.GMRES(o.n,
+		func(out, x []float64) {
+			if err := o.MatVec(c, out, x); err != nil {
+				if first == nil {
+					first = err
+				}
+				for i := range out {
+					out[i] = math.NaN()
+				}
+			}
+		},
+		prec, o.Inner(c), g, y,
+		krylov.Options{
+			ZeroGuess: true,
+			Restart:   iters,
+			MaxIters:  iters,
+			Tol:       tol,
+			Compute:   c.Compute,
+			Work:      ws,
+		})
+	return first
 }
