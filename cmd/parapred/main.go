@@ -5,7 +5,11 @@
 //
 // Usage:
 //
-//	parapred [-addr :8080] [-workers 2] [-queue-depth 8] [-ckpt-dir DIR]
+//	parapred [-addr :8080] [-workers 2] [-queue-depth 8] [-ckpt-dir DIR] [-session-mem 256]
+//
+// Built sessions are kept for the next job with the same spec up to
+// -session-mem MiB, least recently used out first; a spec too large for
+// that budget is refused at submission.
 //
 // SIGTERM/SIGINT drains gracefully: admission stops (503), queued and
 // running jobs finish, then the listener closes. With -ckpt-dir, jobs
@@ -32,13 +36,15 @@ func main() {
 	workers := flag.Int("workers", 2, "concurrent solver workers")
 	queueDepth := flag.Int("queue-depth", 8, "per-tenant queue capacity")
 	ckptDir := flag.String("ckpt-dir", "", "checkpoint directory (enables kill-and-resume)")
+	sessionMem := flag.Int64("session-mem", 256, "session cache budget in MiB (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget")
 	flag.Parse()
 
 	srv, err := gateway.New(gateway.Options{
-		Workers:    *workers,
-		QueueDepth: *queueDepth,
-		CkptDir:    *ckptDir,
+		Workers:      *workers,
+		QueueDepth:   *queueDepth,
+		CkptDir:      *ckptDir,
+		SessionBytes: *sessionMem << 20,
 	})
 	if err != nil {
 		log.Fatalf("parapred: %v", err)

@@ -30,6 +30,28 @@ type Case struct {
 	DefaultSize int // scaled-down size used by tests/benches
 	PaperSize   int // the paper's resolution parameter
 	Build       func(size int) *core.Problem
+	// Unknowns is the order of Build(size).A in closed form — what a server
+	// checks before it lets Build allocate — and 0 for a size Build rejects.
+	// Exact for every case but tc3, whose carved lattice has no closed form:
+	// there it is the full lattice's size², about a sixth too many.
+	Unknowns func(size int) int
+}
+
+// lattice returns dofs·m^dim, the unknowns on a structured grid of m nodes
+// a side, saturating instead of overflowing; 0 when m is below least, the
+// smallest side the grid's generator accepts.
+func lattice(m, least, dim, dofs int) int {
+	if m < least {
+		return 0
+	}
+	n := dofs
+	for ; dim > 0; dim-- {
+		if n > math.MaxInt/m {
+			return math.MaxInt
+		}
+		n *= m
+	}
+	return n
 }
 
 // All returns the six test cases, in the paper's order.
@@ -39,36 +61,43 @@ func All() []Case {
 			ID: 1, Name: "tc1-poisson2d",
 			Description: "Poisson, 2D unit square, structured grid (paper: 1001² = 1,002,001 points)",
 			SPD:         true, DefaultSize: 33, PaperSize: 1001, Build: Poisson2D,
+			Unknowns: func(m int) int { return lattice(m, 2, 2, 1) },
 		},
 		{
 			ID: 2, Name: "tc2-poisson3d",
 			Description: "Poisson, 3D unit cube, structured grid (paper: 101³ = 1,030,301 points)",
 			SPD:         true, DefaultSize: 9, PaperSize: 101, Build: Poisson3D,
+			Unknowns: func(m int) int { return lattice(m, 2, 3, 1) },
 		},
 		{
 			ID: 3, Name: "tc3-unstructured",
 			Description: "Poisson, 2D plate-with-hole, unstructured grid (paper: 521,185 points)",
 			SPD:         true, DefaultSize: 37, PaperSize: 723, Build: PoissonUnstructured,
+			Unknowns: func(m int) int { return lattice(m, 8, 2, 1) },
 		},
 		{
 			ID: 4, Name: "tc4-heat3d",
 			Description: "Heat equation, one implicit step Δt=0.05, 3D unit cube (paper: 101³)",
 			SPD:         true, DefaultSize: 9, PaperSize: 101, Build: Heat3D,
+			Unknowns: func(m int) int { return lattice(m, 2, 3, 1) },
 		},
 		{
 			ID: 5, Name: "tc5-convdiff",
 			Description: "Convection–diffusion, |v|=1000, θ=π/4, SUPG upwinding, 2D unit square (paper: 1001²)",
 			SPD:         false, DefaultSize: 33, PaperSize: 1001, Build: ConvDiff2D,
+			Unknowns: func(m int) int { return lattice(m, 2, 2, 1) },
 		},
 		{
 			ID: 6, Name: "tc6-elasticity",
 			Description: "Linear elasticity, quarter ring, curvilinear grid, 2 dof/node (paper: 241×241 points)",
 			SPD:         true, DefaultSize: 17, PaperSize: 241, Build: Elasticity,
+			Unknowns: func(m int) int { return lattice(m, 2, 2, 2) },
 		},
 		{
 			ID: 7, Name: "tc7-jump",
 			Description: "EXTENSION: Poisson with a 1000:1 discontinuous coefficient, 2D unit square — the classic stress test for one-level DD preconditioners",
 			SPD:         true, DefaultSize: 33, PaperSize: 0, Build: JumpCoefficient,
+			Unknowns: func(m int) int { return lattice(m, 2, 2, 1) },
 		},
 	}
 }

@@ -239,6 +239,29 @@ func TestCaseSizesGrowCorrectly(t *testing.T) {
 		if bigger.A.Rows <= small.A.Rows {
 			t.Fatalf("%s: size +4 did not grow the system (%d -> %d)", c.Name, small.A.Rows, bigger.A.Rows)
 		}
+		// Unknowns is the closed form of what Build assembles — for tc3 an
+		// upper bound, the lattice before the hole is carved out of it.
+		for _, b := range []struct {
+			size int
+			rows int
+		}{{c.DefaultSize, small.A.Rows}, {c.DefaultSize + 4, bigger.A.Rows}} {
+			got := c.Unknowns(b.size)
+			if c.Name == "tc3-unstructured" {
+				if got < b.rows || got > b.rows*5/4 {
+					t.Errorf("%s: Unknowns(%d) = %d, want between the %d assembled and a quarter more", c.Name, b.size, got, b.rows)
+				}
+			} else if got != b.rows {
+				t.Errorf("%s: Unknowns(%d) = %d, Build assembles %d", c.Name, b.size, got, b.rows)
+			}
+		}
+		// A size the grid generators panic on has no unknowns, a size whose
+		// count does not fit an int saturates.
+		if got := c.Unknowns(1); got != 0 {
+			t.Errorf("%s: Unknowns(1) = %d, want 0", c.Name, got)
+		}
+		if got := c.Unknowns(math.MaxInt32 * 4); got != math.MaxInt {
+			t.Errorf("%s: Unknowns(2³³) = %d, want MaxInt", c.Name, got)
+		}
 	}
 }
 

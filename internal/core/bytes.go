@@ -1,0 +1,206 @@
+package core
+
+import (
+	"cmp"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+)
+
+// Bytes returns the heap the session keeps alive, in bytes: the problem's
+// matrix, right-hand side and mesh, the session's layout (partition and
+// subdomain systems) and the per-rank preconditioners with their scratch —
+// what a cache that holds the session is charged for. It is a walk over
+// everything reachable from those, not a sum a preconditioner family has to
+// keep up to date: slices count at their capacity, and an array reached
+// twice (the systems a preconditioner points back to, a block two operators
+// share) counts once. Memory captured by a closure is out of its sight;
+// TestSessionBytesMatchesHeap holds every registered kind to the measured
+// heap. The scratch a solve grows on first use (inner Krylov bases, level
+// schedules) is counted once it exists: the value rises over the first
+// solve, by a tenth for Schur 1, and is constant after it. Bytes waits for
+// the session's running solves: nothing grows under the walk.
+func (s *Session) Bytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	held, _ := s.footprint()
+	return held
+}
+
+func (s *Session) footprint() (held, used int64) {
+	return footprint(s.prob.A, s.prob.B, s.prob.Mesh, s.lay, s.pcs)
+}
+
+// footprint walks everything reachable from roots and returns the bytes it
+// holds (slices at capacity) and the bytes of them in use (slices at
+// length). Every object is an address range; the union of the ranges is the
+// count, so aliases, sub-slices and pointers into a counted array add
+// nothing. sync.Pool contents belong to the collector and are skipped;
+// funcs, channels and unsafe pointers are opaque.
+func footprint(roots ...any) (held, used int64) {
+	w := walker{seen: map[visit]struct{}{}, ptrs: map[reflect.Type]bool{}}
+	for _, r := range roots {
+		w.walk(reflect.ValueOf(r))
+	}
+	return union(w.held) + w.loose, union(w.used) + w.loose
+}
+
+type span struct{ lo, hi uintptr }
+
+// visit identifies a walked object: its address, its type (a struct and
+// its first field share an address) and, for a slice, its length.
+type visit struct {
+	p unsafe.Pointer
+	t reflect.Type
+	n int
+}
+
+type walker struct {
+	held, used []span
+	loose      int64 // storage without an address to merge by: map buckets, boxed values
+	seen       map[visit]struct{}
+	ptrs       map[reflect.Type]bool // hasPointers, memoized
+}
+
+func (w *walker) add(p unsafe.Pointer, held, used uintptr) {
+	if held > 0 {
+		w.held = append(w.held, span{uintptr(p), uintptr(p) + held})
+	}
+	if used > 0 {
+		w.used = append(w.used, span{uintptr(p), uintptr(p) + used})
+	}
+}
+
+// first reports whether the object has not been walked yet, and marks it.
+func (w *walker) first(p unsafe.Pointer, t reflect.Type, n int) bool {
+	k := visit{p, t, n}
+	if _, ok := w.seen[k]; ok {
+		return false
+	}
+	w.seen[k] = struct{}{}
+	return true
+}
+
+var poolType = reflect.TypeOf(sync.Pool{})
+
+func (w *walker) walk(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || !w.first(v.UnsafePointer(), v.Type(), 0) {
+			return
+		}
+		size := v.Type().Elem().Size()
+		w.add(v.UnsafePointer(), size, size)
+		w.walk(v.Elem())
+	case reflect.Slice:
+		if v.Cap() == 0 {
+			return
+		}
+		es := v.Type().Elem().Size()
+		w.add(v.UnsafePointer(), uintptr(v.Cap())*es, uintptr(v.Len())*es)
+		if w.hasPointers(v.Type().Elem()) && w.first(v.UnsafePointer(), v.Type(), v.Len()) {
+			for i := 0; i < v.Len(); i++ {
+				w.walk(v.Index(i))
+			}
+		}
+	case reflect.String:
+		s := v.String()
+		w.add(unsafe.Pointer(unsafe.StringData(s)), uintptr(len(s)), uintptr(len(s)))
+	case reflect.Struct:
+		t := v.Type()
+		if t == poolType {
+			return
+		}
+		if t.PkgPath() == "sync/atomic" && strings.HasPrefix(t.Name(), "Pointer[") {
+			// atomic.Pointer[T] is {_ [0]*T; _ noCopy; v unsafe.Pointer}: the
+			// first field names the type the last one points to (a runtime
+			// that lays it out otherwise fails TestFootprintCountsEachByteOnce).
+			// Loaded as its owner stores it: a lazily built cache may be filling.
+			if t.NumField() != 3 || t.Field(0).Type.Kind() != reflect.Array || t.Field(2).Type.Kind() != reflect.UnsafePointer {
+				return
+			}
+			p := v.Field(2).UnsafePointer()
+			if v.CanAddr() {
+				p = atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(v.Field(2).UnsafeAddr())))
+			}
+			if p != nil {
+				w.walk(reflect.NewAt(t.Field(0).Type.Elem().Elem(), p))
+			}
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			w.walk(v.Field(i))
+		}
+	case reflect.Array:
+		if w.hasPointers(v.Type().Elem()) {
+			for i := 0; i < v.Len(); i++ {
+				w.walk(v.Index(i))
+			}
+		}
+	case reflect.Interface:
+		if v.IsNil() {
+			return
+		}
+		e := v.Elem()
+		switch e.Kind() {
+		case reflect.Pointer, reflect.Map, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		default:
+			w.loose += int64(e.Type().Size()) // boxed: a copy on the heap
+		}
+		w.walk(e)
+	case reflect.Map:
+		if v.IsNil() || !w.first(v.UnsafePointer(), v.Type(), 0) {
+			return
+		}
+		// Keys, values and a control byte per slot at the runtime's 7/8
+		// maximum load: an estimate, the runtime does not publish more.
+		slot := int64(v.Type().Key().Size()+v.Type().Elem().Size()) + 1
+		w.loose += slot * int64(v.Len()) * 8 / 7
+		for it := v.MapRange(); it.Next(); {
+			w.walk(it.Key())
+			w.walk(it.Value())
+		}
+	}
+}
+
+func (w *walker) hasPointers(t reflect.Type) bool {
+	if has, ok := w.ptrs[t]; ok {
+		return has
+	}
+	has := true
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		has = false
+	case reflect.Array:
+		has = t.Len() > 0 && w.hasPointers(t.Elem())
+	case reflect.Struct:
+		has = false
+		for i := 0; i < t.NumField() && !has; i++ {
+			has = w.hasPointers(t.Field(i).Type)
+		}
+	}
+	w.ptrs[t] = has
+	return has
+}
+
+// union returns the total length of the union of the spans (reordered).
+func union(s []span) int64 {
+	slices.SortFunc(s, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	var total int64
+	var end uintptr
+	for _, x := range s {
+		if x.lo > end {
+			end = x.lo
+		}
+		if x.hi > end {
+			total += int64(x.hi - end)
+			end = x.hi
+		}
+	}
+	return total
+}

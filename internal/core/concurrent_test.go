@@ -98,19 +98,20 @@ func TestConcurrentSolvesSerialOnlySession(t *testing.T) {
 	}
 }
 
-// TestSessionConcurrentPerKind pins which sessions may overlap their
-// solves: every one whose preconditioner does not communicate inside Apply.
-// The session reads that off the built preconditioner's type, so a kind
-// that starts or stops implementing precond.CommErrRecorder moves a row.
-func TestSessionConcurrentPerKind(t *testing.T) {
-	prob := buildProblem(t, "tc1-poisson2d", 17)
-	sw := precond.DefaultSchwarz(17, 2, 2, true)
-	for _, tc := range []struct {
-		name       string
-		kind       precond.Kind
-		mutate     func(*core.Config)
-		concurrent bool
-	}{
+// sessionConfig is one way to build a session: a preconditioner kind and
+// what else the configuration needs, with whether its solves may overlap.
+type sessionConfig struct {
+	name       string
+	kind       precond.Kind
+	mutate     func(*core.Config)
+	concurrent bool
+}
+
+// sessionConfigs lists every preconditioner a session can be built with,
+// on the 2D square of side size.
+func sessionConfigs(size int) []sessionConfig {
+	sw := precond.DefaultSchwarz(size, 2, 2, true)
+	return []sessionConfig{
 		{"Block 1", precond.KindBlock1, nil, true},
 		{"Block 2", precond.KindBlock2, nil, true},
 		{"Block ARMS", precond.KindBlockARMS, nil, true},
@@ -123,12 +124,25 @@ func TestSessionConcurrentPerKind(t *testing.T) {
 		{"Schwarz", precond.KindNone, func(cfg *core.Config) { cfg.Schwarz = &sw }, false},
 		{"Block 1 overlap", precond.KindBlock1, func(cfg *core.Config) { cfg.OverlapLevels = 1 }, false},
 		{"Block 2 overlap", precond.KindBlock2, func(cfg *core.Config) { cfg.OverlapLevels = 1 }, false},
-	} {
-		cfg := core.DefaultConfig(4, tc.kind)
-		if tc.mutate != nil {
-			tc.mutate(&cfg)
-		}
-		sess, err := core.NewSession(prob, cfg)
+	}
+}
+
+func (tc sessionConfig) config(p int) core.Config {
+	cfg := core.DefaultConfig(p, tc.kind)
+	if tc.mutate != nil {
+		tc.mutate(&cfg)
+	}
+	return cfg
+}
+
+// TestSessionConcurrentPerKind pins which sessions may overlap their
+// solves: every one whose preconditioner does not communicate inside Apply.
+// The session reads that off the built preconditioner's type, so a kind
+// that starts or stops implementing precond.CommErrRecorder moves a row.
+func TestSessionConcurrentPerKind(t *testing.T) {
+	prob := buildProblem(t, "tc1-poisson2d", 17)
+	for _, tc := range sessionConfigs(17) {
+		sess, err := core.NewSession(prob, tc.config(4))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

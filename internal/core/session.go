@@ -23,10 +23,10 @@ import (
 // are built once — concurrently across ranks on the shared-memory worker
 // pool — and reused by every Solve.
 type Session struct {
-	prob    *Problem
-	cfg     Config
-	systems []*dsys.System // the Problem's, shared: read-only
-	pcs     []precond.Preconditioner
+	prob *Problem
+	cfg  Config
+	lay  *layout // the Problem's, shared: read-only
+	pcs  []precond.Preconditioner
 	// modeled one-time setup cost (max over ranks)
 	setupTime float64
 
@@ -93,7 +93,7 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 		return nil, err
 	}
 	recordLayout(cfg.Collector, reused)
-	s := &Session{prob: p, cfg: cfg, systems: lay.systems}
+	s := &Session{prob: p, cfg: cfg, lay: lay}
 
 	if s.pcs, err = buildWired(p.A, lay, cfg); err != nil {
 		return nil, err
@@ -104,7 +104,7 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 		s.pcs = make([]precond.Preconditioner, cfg.P)
 		errs := make([]error, cfg.P)
 		par.Run(cfg.P, func(r int) {
-			pc, err := buildRankPrecond(cfg, s.systems[r], cfg.Precond)
+			pc, err := buildRankPrecond(cfg, s.lay.systems[r], cfg.Precond)
 			if err != nil {
 				errs[r] = fmt.Errorf("core: rank %d setup: %w", r, err)
 				return
@@ -150,7 +150,7 @@ func (s *Session) SetupTime() float64 { return s.setupTime }
 // Systems exposes the per-rank subdomain systems (diagnostics). They are
 // shared with every other session and solve on the same Problem, P and
 // partition: read-only. Their B is unset; a solve scatters its own.
-func (s *Session) Systems() []*dsys.System { return s.systems }
+func (s *Session) Systems() []*dsys.System { return s.lay.systems }
 
 // Solve runs the distributed preconditioned FGMRES for the global
 // right-hand side b (nil reuses the problem's). The preconditioners and
@@ -220,7 +220,7 @@ func (s *Session) SolveWith(b []float64, opts SolveOptions) (*Result, error) {
 	wallStart := time.Now()
 	ws := s.wsPool.Get().([]*krylov.Workspace)
 	defer s.wsPool.Put(ws)
-	wr := newWorldRun(cfg, s.systems, b, nil, checkpointSink(cfg))
+	wr := newWorldRun(cfg, s.lay.systems, b, nil, checkpointSink(cfg))
 	stats, runErr := runWorld(cfg, func(c *dist.Comm) { wr.solve(c, s.pcs[c.Rank()], ws[c.Rank()]) })
 	if runErr != nil {
 		return nil, runErr
@@ -237,7 +237,7 @@ func (s *Session) SolveWith(b []float64, opts SolveOptions) (*Result, error) {
 	res.Wall = time.Since(wallStart).Seconds()
 	recordSolveCounters(cfg, res, breakdown)
 	if cfg.KeepX {
-		res.X = dsys.Gather(s.systems, wr.xl)
+		res.X = dsys.Gather(s.lay.systems, wr.xl)
 		res.TrueRelRes = trueRelRes(s.prob.A, b, res.X)
 	}
 	return res, nil

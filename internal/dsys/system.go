@@ -147,6 +147,13 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 
 	// Owned unknowns: internal first, then interface, each in ascending
 	// global order.
+	nloc := 0
+	for _, owner := range part {
+		if owner == r {
+			nloc++
+		}
+	}
+	s.GlobalIDs = make([]int, 0, nloc)
 	for i := 0; i < n; i++ {
 		if part[i] == r && !isIface[i] {
 			s.GlobalIDs = append(s.GlobalIDs, i)
@@ -158,7 +165,6 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 			s.GlobalIDs = append(s.GlobalIDs, i)
 		}
 	}
-	nloc := len(s.GlobalIDs)
 	for l, g := range s.GlobalIDs {
 		g2l[g] = l
 	}

@@ -12,9 +12,8 @@ import (
 // reaches a terminal state or the client goes away. Event types map to
 // SSE event names; payloads are the Event JSON.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
+	j, ok := s.lookup(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	fl, ok := w.(http.Flusher)

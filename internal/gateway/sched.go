@@ -30,6 +30,10 @@ type Scheduler struct {
 	workers int
 	depth   int
 	run     func(context.Context, *Job)
+	// done, when set before the first Submit, is told of every job a
+	// worker is through with — run to its end or found canceled in the
+	// queue — once it is terminal.
+	done func(*Job)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -132,6 +136,9 @@ func (s *Scheduler) worker() {
 			s.run(ctx, j)
 		}
 		cancel()
+		if s.done != nil {
+			s.done(j)
+		}
 
 		s.mu.Lock()
 		s.active--

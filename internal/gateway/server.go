@@ -22,27 +22,29 @@ import (
 // the per-spec session cache, the scheduler, and (optionally) the
 // checkpoint directory that makes jobs survive a kill.
 type Server struct {
-	sched   *Scheduler
-	ckptDir string
+	sched    *Scheduler
+	ckptDir  string
+	sessions *sessionCache
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	sessions map[string]*sessionEntry
+	mu      sync.Mutex
+	jobs    map[string]*Job
+	retired []string // ids of the terminal jobs still in jobs, oldest first
+	issued  int64    // jobs numbered so far; a job's id starts with its number
 }
 
-// sessionEntry builds its core.Session at most once; concurrent jobs
-// with the same spec key block on the first build and then share it.
-type sessionEntry struct {
-	once sync.Once
-	sess *core.Session
-	err  error
-}
+// retainedJobs is how many terminal jobs stay answerable by id: a result
+// (with return_x, a solution vector) is kept for the client that was not
+// listening when it arrived, not for ever.
+const retainedJobs = 256
 
 // Options configures New.
 type Options struct {
 	Workers    int    // solver pool size (default 2)
 	QueueDepth int    // per-tenant queue capacity (default 8)
 	CkptDir    string // non-empty enables checkpoint persistence + resume
+	// SessionBytes is the session cache's budget (default 256 MiB): the
+	// bytes of built sessions kept for the next job with the same spec.
+	SessionBytes int64
 }
 
 // New creates a gateway server and recovers any resumable jobs left in
@@ -54,12 +56,19 @@ func New(opt Options) (*Server, error) {
 	if opt.QueueDepth == 0 {
 		opt.QueueDepth = 8
 	}
+	if opt.SessionBytes == 0 {
+		opt.SessionBytes = 256 << 20
+	}
+	if opt.SessionBytes < 0 {
+		return nil, fmt.Errorf("gateway: SessionBytes = %d", opt.SessionBytes)
+	}
 	s := &Server{
 		ckptDir:  opt.CkptDir,
+		sessions: newSessionCache(opt.SessionBytes),
 		jobs:     make(map[string]*Job),
-		sessions: make(map[string]*sessionEntry),
 	}
 	s.sched = NewScheduler(opt.Workers, opt.QueueDepth, s.runJob)
+	s.sched.done = s.retire
 	if err := s.resumeScan(); err != nil {
 		return nil, err
 	}
@@ -77,12 +86,20 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Submit validates, registers and enqueues a job for the tenant.
+// Submit validates and admits the spec, then registers and enqueues a job
+// for the tenant.
 func (s *Server) Submit(tenant string, spec *Spec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if err := spec.admit(s.sessions.budget); err != nil {
+		return nil, err
+	}
 	j := NewJob(tenant, spec)
+	s.mu.Lock()
+	s.issued++
+	j.ID = strconv.FormatInt(s.issued, 10) + "-" + j.ID
+	s.mu.Unlock()
 	return j, s.enqueue(j)
 }
 
@@ -99,27 +116,45 @@ func (s *Server) enqueue(j *Job) error {
 	return nil
 }
 
-// session returns the cached session for the spec, building it on first
-// use. Session setup (partitioning, factorization) is the expensive part
-// a service must amortize — the whole point of core.Session.
-func (s *Server) session(spec *Spec) (*core.Session, error) {
-	key := spec.SessionKey()
+// retire is the scheduler's last word on a job, run or canceled in the
+// queue: it is terminal, and the oldest terminal job beyond retainedJobs
+// leaves the registry. An open event stream holds its *Job and ends as it
+// would have; a later GET by id is answered "expired".
+func (s *Server) retire(j *Job) {
+	j.Spec = nil // read by the worker alone, which is done with it: an upload's is up to 64 MiB of text
 	s.mu.Lock()
-	e, ok := s.sessions[key]
-	if !ok {
-		e = &sessionEntry{}
-		s.sessions[key] = e
+	defer s.mu.Unlock()
+	s.retired = append(s.retired, j.ID)
+	if len(s.retired) > retainedJobs {
+		delete(s.jobs, s.retired[0])
+		s.retired = s.retired[1:]
 	}
+}
+
+// jobNumber returns the number a job id starts with.
+func jobNumber(id string) (int64, bool) {
+	num, _, ok := strings.Cut(id, "-")
+	n, err := strconv.ParseInt(num, 10, 64)
+	return n, ok && err == nil
+}
+
+// lookup resolves the request's {id} or answers 404: "expired" for an id
+// whose number this server (or the process whose jobs it resumed) has
+// handed out — that job existed, its record is gone — and "no such job"
+// for anything else.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	id := r.PathValue("id")
+	n, numbered := jobNumber(id)
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	expired := !ok && numbered && n >= 1 && n <= s.issued
 	s.mu.Unlock()
-	e.once.Do(func() {
-		prob, err := spec.BuildProblem()
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.sess, e.err = core.NewSession(prob, spec.BuildConfig())
-	})
-	return e.sess, e.err
+	if expired {
+		httpError(w, http.StatusNotFound, "expired")
+	} else if !ok {
+		httpError(w, http.StatusNotFound, "no such job")
+	}
+	return j, ok
 }
 
 // ckptPath returns the job's checkpoint and spec-sidecar paths.
@@ -163,6 +198,9 @@ func (s *Server) resumeScan() error {
 		id := strings.TrimSuffix(filepath.Base(sc), ".json")
 		j := NewJob(ps.Tenant, ps.Spec)
 		j.ID = id // keep the identity clients hold
+		if n, ok := jobNumber(id); ok && n > s.issued {
+			s.issued = n // no new job repeats the number, and the id expires like ours
+		}
 		ckFile, _ := s.ckptPath(id)
 		if ck, err := ckpt.Load(ckFile); err == nil {
 			j.Restore = ck
@@ -178,10 +216,15 @@ func (s *Server) resumeScan() error {
 // runJob executes one job on a worker: session lookup, live event
 // wiring, the solve itself, result projection, checkpoint cleanup.
 func (s *Server) runJob(ctx context.Context, j *Job) {
-	sess, err := s.session(j.Spec)
+	key := j.Spec.SessionKey()
+	sess, fresh, err := s.sessions.get(key, j.Spec.buildSession)
 	if err != nil {
 		j.Fail(err)
 		return
+	}
+	if fresh {
+		// The first solve sizes the session's scratch; count it once it has.
+		defer s.sessions.recount(key, sess)
 	}
 
 	coll := obs.NewCollector()
@@ -272,7 +315,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 //	GET    /v1/jobs/{id}        status + result
 //	GET    /v1/jobs/{id}/events SSE event stream (replay + live)
 //	DELETE /v1/jobs/{id}        cancel
-//	GET    /healthz             liveness + pool stats
+//	GET    /healthz             liveness, pool, session cache and registry counters
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -315,9 +358,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
+	j, ok := s.lookup(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -330,9 +372,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
+	j, ok := s.lookup(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	if !j.Cancel() {
@@ -344,8 +385,17 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	pending, active := s.sched.Stats()
+	c := s.sessions.stats()
+	s.mu.Lock()
+	retained := len(s.retired)
+	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string]any{"ok": true, "pending": pending, "active": active})
+	writeJSON(w, map[string]any{
+		"ok": true, "pending": pending, "active": active,
+		"sessions": c.Sessions, "session_bytes": c.Bytes, "session_budget": c.Budget,
+		"session_hits": c.Hits, "session_misses": c.Misses, "session_evictions": c.Evictions,
+		"jobs_retained": retained,
+	})
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

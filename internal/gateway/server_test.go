@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,17 +15,24 @@ import (
 	"testing"
 	"time"
 
+	"parapre/internal/bench"
 	"parapre/internal/cases"
 	"parapre/internal/ckpt"
 	"parapre/internal/core"
 )
 
-func postJob(t *testing.T, ts *httptest.Server, tenant string, spec *Spec) *http.Response {
-	t.Helper()
+// post submits the spec for the tenant. It reports no failure itself, so
+// that client goroutines beside the test's own can use it too.
+func post(ts *httptest.Server, tenant string, spec *Spec) (*http.Response, error) {
 	body, _ := json.Marshal(spec)
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs", bytes.NewReader(body))
 	req.Header.Set("X-Tenant", tenant)
-	resp, err := ts.Client().Do(req)
+	return ts.Client().Do(req)
+}
+
+func postJob(t *testing.T, ts *httptest.Server, tenant string, spec *Spec) *http.Response {
+	t.Helper()
+	resp, err := post(ts, tenant, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,20 +65,19 @@ func readAll(resp *http.Response) (string, error) {
 	return sb.String(), sc.Err()
 }
 
-// streamEvents consumes the job's SSE stream to completion and returns
-// every decoded event.
-func streamEvents(t *testing.T, ts *httptest.Server, id string) []Event {
-	t.Helper()
+// readEvents consumes the job's SSE stream to completion and returns every
+// decoded event; like post, it leaves the reporting to its caller.
+func readEvents(ts *httptest.Server, id string) ([]Event, error) {
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/events")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events: %d", resp.StatusCode)
+		return nil, fmt.Errorf("events: %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
+		return nil, fmt.Errorf("Content-Type = %q", ct)
 	}
 	var events []Event
 	sc := bufio.NewScanner(resp.Body)
@@ -80,12 +87,19 @@ func streamEvents(t *testing.T, ts *httptest.Server, id string) []Event {
 		if data, ok := strings.CutPrefix(line, "data: "); ok {
 			var e Event
 			if err := json.Unmarshal([]byte(data), &e); err != nil {
-				t.Fatalf("bad SSE data %q: %v", data, err)
+				return events, fmt.Errorf("bad SSE data %q: %v", data, err)
 			}
 			events = append(events, e)
 		}
 	}
-	if err := sc.Err(); err != nil {
+	return events, sc.Err()
+}
+
+// streamEvents is readEvents for the test's own goroutine.
+func streamEvents(t *testing.T, ts *httptest.Server, id string) []Event {
+	t.Helper()
+	events, err := readEvents(ts, id)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return events
@@ -293,8 +307,8 @@ func TestE2EDrain(t *testing.T) {
 func TestE2EBadSpec(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	for _, spec := range []*Spec{
-		{},                              // neither case nor matrix
-		{Case: "no-such-case"},          // unknown case
+		{},                     // neither case nor matrix
+		{Case: "no-such-case"}, // unknown case
 		{Case: "tc1-poisson2d", Procs: -1},
 		{Case: "tc1-poisson2d", Precond: "Block 9"},
 		{Case: "tc1-poisson2d", Machine: "Cray"},
@@ -439,5 +453,148 @@ func TestE2EKillAndResume(t *testing.T) {
 	}
 	if _, err := os.Stat(scFile); !os.IsNotExist(err) {
 		t.Error("sidecar not removed after completion")
+	}
+}
+
+// getJSON GETs path and decodes the JSON body into out.
+func getJSON(t *testing.T, ts *httptest.Server, path string, out any) int {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	return resp.StatusCode
+}
+
+// Admission happens on the spec's size alone, before anything is allocated
+// for it: a system whose session could not fit the budget, a size its case
+// cannot be built at, more processors than unknowns and an upload whose
+// size line cannot be true are 400s; every table of the paper at its
+// committed size passes under the default budget.
+func TestAdmissionBeforeAllocation(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	const banner = "%%MatrixMarket matrix coordinate real general\n"
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Case: "tc2-poisson3d", Size: 400}, "exceed the session budget"}, // 64,000,000 unknowns
+		{Spec{Case: "tc1-poisson2d", Size: 1 << 40}, "exceed the session budget"},
+		{Spec{Case: "tc1-poisson2d", Size: 1}, "cannot be built at size 1"},
+		{Spec{Case: "tc3-unstructured", Size: 7}, "cannot be built at size 7"},
+		{Spec{Case: "tc1-poisson2d", Size: 4, Procs: 20}, "procs = 20 for 16 unknowns"},
+		{Spec{Matrix: banner + "3 3 1\n1 1 1.0\n"}, "procs = 4 for 3 unknowns"},
+		{Spec{Matrix: banner + "2 3 1\n1 1 1.0\n"}, "want square"},
+		{Spec{Matrix: banner + "1000 1000 200000000\n1 1 1.0\n"}, "declares 200000000 entries"},
+		{Spec{Matrix: banner + "16000000 16000000 1\n1 1 1.0\n"}, "exceed the session budget"},
+		{Spec{Matrix: "not a matrix"}, "malformed banner"},
+	} {
+		start := time.Now()
+		resp := postJob(t, ts, "alice", &tc.spec)
+		body, _ := readAll(resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, tc.want) {
+			t.Errorf("%+v: %d %s; want 400 with %q", tc.spec, resp.StatusCode, body, tc.want)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("%+v: refused after %v: something was built first", tc.spec, el)
+		}
+	}
+
+	for _, e := range bench.Experiments() {
+		spec := &Spec{Case: e.CaseName, Size: e.Size, Procs: e.Ps[len(e.Ps)-1]}
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.admit(256 << 20); err != nil {
+			t.Errorf("experiment %s: %v", e.ID, err)
+		}
+	}
+}
+
+// Terminal jobs leave the registry, oldest first, once there are more than
+// retainedJobs of them; a job in the queue or on a worker never does. An
+// expired id is told apart from one that never existed.
+func TestTerminalJobsExpire(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
+	spec := func() *Spec { return &Spec{Case: "tc1-poisson2d", Size: 5, Procs: 1, Precond: "Block 1"} }
+	const total = 600
+	ids := make([]string, 0, total)
+	for len(ids) < total {
+		j, err := srv.Submit(fmt.Sprintf("tenant%d", len(ids)%4), spec())
+		var full *ErrQueueFull
+		if errors.As(err, &full) {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+		if len(ids)%7 == 0 {
+			j.Cancel() // in the queue or on a worker: terminal either way
+		}
+		pending, active := srv.sched.Stats()
+		srv.mu.Lock()
+		n := len(srv.jobs)
+		srv.mu.Unlock()
+		if n > retainedJobs+pending+active {
+			t.Fatalf("after %d jobs: %d in the registry, %d pending, %d active", len(ids), n, pending, active)
+		}
+	}
+	waitFor(t, func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.retired) == retainedJobs && len(srv.jobs) == retainedJobs
+	})
+
+	var reply struct {
+		Error string `json:"error"`
+		State State  `json:"state"`
+	}
+	if code := getJSON(t, ts, "/v1/jobs/"+ids[0], &reply); code != http.StatusNotFound || reply.Error != "expired" {
+		t.Errorf("oldest job: %d %+v, want 404 expired", code, reply)
+	}
+	if code := getJSON(t, ts, "/v1/jobs/"+ids[0]+"/events", &reply); code != http.StatusNotFound || reply.Error != "expired" {
+		t.Errorf("oldest job's events: %d %+v, want 404 expired", code, reply)
+	}
+	if code := getJSON(t, ts, "/v1/jobs/"+ids[total-1], &reply); code != http.StatusOK || !reply.State.Terminal() {
+		t.Errorf("newest job: %d %+v, want 200 and a terminal state", code, reply)
+	}
+	// A number is spent on a submission the queue then refuses, so the
+	// highest one handed out is somewhat above total.
+	for _, id := range []string{"100000-0123456789abcdef", "0123456789abcdef", "0-0123456789abcdef"} {
+		reply.Error = ""
+		if code := getJSON(t, ts, "/v1/jobs/"+id, &reply); code != http.StatusNotFound || reply.Error != "no such job" {
+			t.Errorf("id %s, never issued: %d %+v, want 404 no such job", id, code, reply)
+		}
+	}
+}
+
+// /healthz reports the session cache and the registry next to the pool.
+func TestHealthzReportsCacheAndRegistry(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, SessionBytes: 1 << 20})
+	spec := &Spec{Case: "tc1-poisson2d", Size: 9, Procs: 2, Precond: "Block 1"}
+	for i := 0; i < 3; i++ {
+		streamEvents(t, ts, submitOK(t, ts, "alice", spec))
+	}
+	var h map[string]any
+	getJSON(t, ts, "/healthz", &h)
+	// The last job's worker may not have handed it back yet.
+	waitFor(t, func() bool { getJSON(t, ts, "/healthz", &h); return h["jobs_retained"] == 3.0 })
+	for key, want := range map[string]float64{
+		"sessions": 1, "session_budget": 1 << 20, "session_hits": 2, "session_misses": 1,
+		"session_evictions": 0, "jobs_retained": 3, "pending": 0, "active": 0,
+	} {
+		if h[key] != want {
+			t.Errorf("%s = %v, want %v", key, h[key], want)
+		}
+	}
+	if b, _ := h["session_bytes"].(float64); b <= 0 || b > 1<<20 {
+		t.Errorf("session_bytes = %v, want within (0, budget]", h["session_bytes"])
 	}
 }

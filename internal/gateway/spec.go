@@ -114,17 +114,70 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// namedCase resolves Case and the size it is built at (0 = the case's
+// scaled-down default).
+func (s *Spec) namedCase() (cases.Case, int, error) {
+	c, err := cases.ByName(s.Case)
+	size := s.Size
+	if size == 0 {
+		size = c.DefaultSize
+	}
+	return c, size, err
+}
+
+// admitBytesPerUnknown is what admission takes a session to cost per
+// unknown — an order of magnitude, not a bound: measured sessions hold from
+// 0.3 KB per unknown (no preconditioner, 2D) to 3.2 KB (Block ARMS, 3D),
+// the paper's four kinds on its 2D cases 0.4 to 0.9 KB (DESIGN §18). It
+// keeps out what could never be served; what it lets through and still
+// outgrows the budget is served and not kept, the cache's own rule.
+const admitBytesPerUnknown = 1 << 10
+
+// admit refuses, from the spec's size alone and before anything is
+// allocated for it, a system whose session would not fit the session
+// budget, a size the case cannot be built at, an upload whose size line
+// contradicts its length, and more processors than unknowns. Call
+// Validate first.
+func (s *Spec) admit(budget int64) error {
+	var unknowns int
+	if s.Case != "" {
+		c, size, err := s.namedCase()
+		if err != nil {
+			return err
+		}
+		if unknowns = c.Unknowns(size); unknowns == 0 {
+			return fmt.Errorf("gateway: %s cannot be built at size %d", s.Case, size)
+		}
+	} else {
+		rows, cols, nnz, err := mmio.MatrixSize(strings.NewReader(s.Matrix))
+		if err != nil {
+			return fmt.Errorf("gateway: matrix: %w", err)
+		}
+		if rows != cols {
+			return fmt.Errorf("gateway: matrix is %d×%d, want square", rows, cols)
+		}
+		if nnz > len(s.Matrix)/4 { // "1 1\n": no entry takes fewer bytes
+			return fmt.Errorf("gateway: matrix declares %d entries in %d bytes", nnz, len(s.Matrix))
+		}
+		unknowns = rows
+	}
+	if int64(unknowns) > budget/admitBytesPerUnknown {
+		return fmt.Errorf("gateway: %d unknowns at %d bytes each exceed the session budget of %d bytes",
+			unknowns, admitBytesPerUnknown, budget)
+	}
+	if s.Procs > unknowns {
+		return fmt.Errorf("gateway: procs = %d for %d unknowns", s.Procs, unknowns)
+	}
+	return nil
+}
+
 // BuildProblem constructs the core.Problem the spec describes. Call
 // Validate first.
 func (s *Spec) BuildProblem() (*core.Problem, error) {
 	if s.Case != "" {
-		c, err := cases.ByName(s.Case)
+		c, size, err := s.namedCase()
 		if err != nil {
 			return nil, err
-		}
-		size := s.Size
-		if size == 0 {
-			size = c.DefaultSize
 		}
 		return c.Build(size), nil
 	}
@@ -174,6 +227,17 @@ func (s *Spec) BuildConfig() core.Config {
 	cfg.RCM = s.RCM
 	cfg.KeepX = s.ReturnX
 	return cfg
+}
+
+// buildSession is what a cache miss costs: assembly (or parsing the
+// upload) and session setup — partitioning, distribution, factorization —
+// the part a service must amortize, and the whole point of core.Session.
+func (s *Spec) buildSession() (*core.Session, error) {
+	prob, err := s.BuildProblem()
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSession(prob, s.BuildConfig())
 }
 
 // SessionKey hashes the spec fields that determine the session (matrix,

@@ -54,7 +54,13 @@ func PlateWithHole(m int) *Mesh {
 	for i := range newID {
 		newID[i] = -1
 	}
-	mesh := &Mesh{Dim: 2, NPE: 3}
+	kept := 0
+	for _, u := range used {
+		if u {
+			kept++
+		}
+	}
+	mesh := &Mesh{Dim: 2, NPE: 3, X: make([]float64, 0, 2*kept)}
 	for n := 0; n < sq.NumNodes(); n++ {
 		if used[n] {
 			newID[n] = len(mesh.X) / 2

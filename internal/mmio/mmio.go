@@ -24,6 +24,11 @@ const (
 	maxNNZ = 1 << 28
 )
 
+// maxPrealloc caps what a size line makes a reader allocate before the
+// entries it promises have been read: a header is a claim, and past this
+// many the buffers grow with the input.
+const maxPrealloc = 1 << 16
+
 // header fields of the %%MatrixMarket banner.
 type header struct {
 	object   string // matrix
@@ -69,37 +74,57 @@ func nextDataLine(sc *bufio.Scanner) (string, error) {
 	return "", io.EOF
 }
 
-// ReadMatrix parses a Matrix Market matrix. Symmetric and skew-symmetric
-// storage is expanded to full form; pattern entries become 1.0.
-func ReadMatrix(r io.Reader) (*sparse.CSR, error) {
+// MatrixSize reads the banner and the size line of a Matrix Market
+// coordinate matrix and returns what they declare — rows, columns and
+// stored entries — without reading an entry: what a server checks before
+// it lets ReadMatrix allocate for them.
+func MatrixSize(r io.Reader) (rows, cols, nnz int, err error) {
+	_, rows, cols, nnz, err = readMatrixSize(newScanner(r))
+	return rows, cols, nnz, err
+}
+
+func newScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	return sc
+}
+
+func readMatrixSize(sc *bufio.Scanner) (h header, rows, cols, nnz int, err error) {
 	if !sc.Scan() {
-		return nil, fmt.Errorf("mmio: empty input")
+		return h, 0, 0, 0, fmt.Errorf("mmio: empty input")
 	}
-	h, err := parseHeader(sc.Text())
-	if err != nil {
-		return nil, err
+	if h, err = parseHeader(sc.Text()); err != nil {
+		return h, 0, 0, 0, err
 	}
 	if h.format != "coordinate" {
-		return nil, fmt.Errorf("mmio: matrices must be in coordinate format, got %q", h.format)
+		return h, 0, 0, 0, fmt.Errorf("mmio: matrices must be in coordinate format, got %q", h.format)
 	}
 	sizeLine, err := nextDataLine(sc)
 	if err != nil {
-		return nil, fmt.Errorf("mmio: missing size line: %w", err)
+		return h, 0, 0, 0, fmt.Errorf("mmio: missing size line: %w", err)
 	}
-	var rows, cols, nnz int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
-		return nil, fmt.Errorf("mmio: bad size line %q: %w", sizeLine, err)
+		return h, 0, 0, 0, fmt.Errorf("mmio: bad size line %q: %w", sizeLine, err)
 	}
 	if rows <= 0 || cols <= 0 || nnz < 0 {
-		return nil, fmt.Errorf("mmio: bad dimensions %d×%d nnz=%d", rows, cols, nnz)
+		return h, 0, 0, 0, fmt.Errorf("mmio: bad dimensions %d×%d nnz=%d", rows, cols, nnz)
 	}
 	if rows > maxDim || cols > maxDim || nnz > maxNNZ {
-		return nil, fmt.Errorf("mmio: dimensions %d×%d nnz=%d exceed the supported maximum (%d / %d)",
+		return h, 0, 0, 0, fmt.Errorf("mmio: dimensions %d×%d nnz=%d exceed the supported maximum (%d / %d)",
 			rows, cols, nnz, maxDim, maxNNZ)
 	}
-	coo := sparse.NewCOO(rows, cols, nnz*2)
+	return h, rows, cols, nnz, nil
+}
+
+// ReadMatrix parses a Matrix Market matrix. Symmetric and skew-symmetric
+// storage is expanded to full form; pattern entries become 1.0.
+func ReadMatrix(r io.Reader) (*sparse.CSR, error) {
+	sc := newScanner(r)
+	h, rows, cols, nnz, err := readMatrixSize(sc)
+	if err != nil {
+		return nil, err
+	}
+	coo := sparse.NewCOO(rows, cols, min(nnz*2, maxPrealloc))
 	for k := 0; k < nnz; k++ {
 		line, err := nextDataLine(sc)
 		if err != nil {
@@ -160,8 +185,7 @@ func WriteMatrix(w io.Writer, a *sparse.CSR) error {
 
 // ReadVector parses an array-format dense vector (n×1 real matrix).
 func ReadVector(r io.Reader) ([]float64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc := newScanner(r)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("mmio: empty input")
 	}
@@ -186,16 +210,17 @@ func ReadVector(r io.Reader) ([]float64, error) {
 	if rows < 0 || rows > maxDim {
 		return nil, fmt.Errorf("mmio: vector length %d out of range", rows)
 	}
-	out := make([]float64, rows)
+	out := make([]float64, 0, min(rows, maxPrealloc))
 	for k := 0; k < rows; k++ {
 		line, err := nextDataLine(sc)
 		if err != nil {
 			return nil, fmt.Errorf("mmio: value %d of %d: %w", k+1, rows, err)
 		}
-		out[k], err = strconv.ParseFloat(strings.Fields(line)[0], 64)
+		v, err := strconv.ParseFloat(strings.Fields(line)[0], 64)
 		if err != nil {
 			return nil, fmt.Errorf("mmio: value %d: %w", k+1, err)
 		}
+		out = append(out, v)
 	}
 	return out, nil
 }

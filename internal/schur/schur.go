@@ -28,8 +28,13 @@ type Iface struct {
 	sys *dsys.System
 	n   int
 
-	// applyLocal computes y = S_i·x for this rank's diagonal block.
-	applyLocal func(y, x []float64)
+	// S_i, this rank's diagonal block: assembled (sLoc), or else applied as
+	// C_i·x − E_i·(B̃_i⁻¹·(F_i·x)) through bSolve. Fields rather than a
+	// closure's captures, so that core.Session.Bytes reaches them.
+	sLoc       *sparse.CSR
+	c, e, f    *sparse.CSR
+	bSolve     func(y, x []float64)
+	tmpF, tmpB []float64 // length NInt
 	localFlops float64
 
 	// eExt couples this rank's interface rows to external interface
@@ -63,20 +68,16 @@ func NewImplicit(s *dsys.System, c, e, f *sparse.CSR, bSolve *ilu.LU) (*Iface, e
 // block. NewImplicit is the special case of a single ILUT factor.
 func NewImplicitOp(s *dsys.System, c, e, f *sparse.CSR, bSolve func(y, x []float64), bFlops float64) (*Iface, error) {
 	nI := s.NIface()
-	tmpF := make([]float64, s.NInt)
-	tmpB := make([]float64, s.NInt)
 	op := &Iface{
-		sys:  s,
-		n:    nI,
-		eExt: s.BlockEExt(),
-		applyLocal: func(y, x []float64) {
-			c.MulVecTo(y, x)
-			if s.NInt > 0 {
-				f.MulVecTo(tmpF, x)
-				bSolve(tmpB, tmpF)
-				e.MulVecSub(y, tmpB)
-			}
-		},
+		sys:        s,
+		n:          nI,
+		eExt:       s.BlockEExt(),
+		c:          c,
+		e:          e,
+		f:          f,
+		bSolve:     bSolve,
+		tmpF:       make([]float64, s.NInt),
+		tmpB:       make([]float64, s.NInt),
 		localFlops: 2*float64(c.NNZ()+e.NNZ()+f.NNZ()) + bFlops,
 	}
 	if err := op.buildHalo(tagSchur, func(l int) (int, bool) {
@@ -107,7 +108,7 @@ func NewExplicit(s *dsys.System, sLoc, eExt *sparse.CSR, toIface func(local int)
 		sys:        s,
 		n:          sLoc.Rows,
 		eExt:       eExt,
-		applyLocal: func(y, x []float64) { sLoc.MulVecTo(y, x) },
+		sLoc:       sLoc,
 		localFlops: 2 * float64(sLoc.NNZ()),
 	}
 	if err := op.buildHalo(tagSchur+1, toIface); err != nil {
@@ -133,6 +134,20 @@ func (o *Iface) buildHalo(tag int, toIface func(int) (int, bool)) error {
 	o.halo = dsys.Halo{Tag: tag, Links: links}
 	o.ext = make([]float64, o.sys.NExt())
 	return nil
+}
+
+// applyLocal computes y = S_i·x for this rank's diagonal block.
+func (o *Iface) applyLocal(y, x []float64) {
+	if o.sLoc != nil {
+		o.sLoc.MulVecTo(y, x)
+		return
+	}
+	o.c.MulVecTo(y, x)
+	if o.sys.NInt > 0 {
+		o.f.MulVecTo(o.tmpF, x)
+		o.bSolve(o.tmpB, o.tmpF)
+		o.e.MulVecSub(y, o.tmpB)
+	}
 }
 
 // N returns the length of this rank's interface vector.

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"parapre/internal/par"
 )
@@ -101,20 +102,45 @@ func (c *COO) ToCSR() *CSR {
 		return c.toCSRParallel(rowCount, perm, w)
 	}
 
-	a := NewCSR(c.Rows, c.Cols, len(c.I))
-	var rowBuf []Entry
+	// The merged size is not known before the rows are merged, and what is
+	// returned outlives the call by far: the rows are merged into scratch of
+	// triplet-count length and copied out at their exact length. The merged
+	// columns overwrite perm from its front — row i's land at or before
+	// perm[rowCount[i]], which has been read into the row buffer by then —
+	// and the merged values go to a pooled buffer.
+	cb := csrBufs.Get().(*csrBuf)
+	if cap(cb.vals) < len(c.I) {
+		cb.vals = make([]float64, 0, len(c.I))
+	}
+	cols, vals, rowBuf := perm[:0], cb.vals[:0], cb.row
+	a := NewCSR(c.Rows, c.Cols, 0)
 	for i := 0; i < c.Rows; i++ {
 		rowBuf = rowBuf[:0]
 		for p := rowCount[i]; p < rowCount[i+1]; p++ {
 			k := perm[p]
 			rowBuf = append(rowBuf, Entry{c.J[k], c.V[k]})
 		}
-		a.ColIdx, a.Val = MergeRow(rowBuf, a.ColIdx, a.Val)
-		a.RowPtr[i+1] = len(a.ColIdx)
+		cols, vals = MergeRow(rowBuf, cols, vals)
+		a.RowPtr[i+1] = len(cols)
 	}
+	a.ColIdx = append(make([]int, 0, len(cols)), cols...)
+	a.Val = append(make([]float64, 0, len(vals)), vals...)
+	cb.vals, cb.row = vals, rowBuf
+	csrBufs.Put(cb)
 	a.Validate()
 	return a
 }
+
+// csrBuf is the scratch of one serial ToCSR: the merged values and the
+// contributions to the row under assembly.
+type csrBuf struct {
+	vals []float64
+	row  []Entry
+}
+
+// csrBufs recycles them: the scratch is dead once the matrix has been
+// copied out, and the next assembly would allocate and clear it again.
+var csrBufs = sync.Pool{New: func() any { return new(csrBuf) }}
 
 // toCSRParallel is the fan-out tail of ToCSR: rowCount is the prefix-sum
 // row bucketing and perm the row-stable triplet permutation. Each worker

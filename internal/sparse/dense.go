@@ -71,7 +71,11 @@ func (d *Dense) Factor() (*LU, error) {
 		return nil, fmt.Errorf("sparse: LU of non-square %d×%d matrix", d.Rows, d.Cols)
 	}
 	n := d.Rows
-	f := &LU{n: n, lu: append([]float64(nil), d.Data...), piv: make([]int, n), sign: 1}
+	// make, not append: append reports the allocator's size class as
+	// capacity, which a reduction's thousands of small factors would show
+	// as spare capacity nothing can use (core.TestSessionHoldsNoSlack).
+	f := &LU{n: n, lu: make([]float64, len(d.Data)), piv: make([]int, n), sign: 1}
+	copy(f.lu, d.Data)
 	for i := range f.piv {
 		f.piv[i] = i
 	}

@@ -286,3 +286,50 @@ func TestSortRowsMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestToCSRExactCapacity: what ToCSR returns holds its entries and nothing
+// more, on the serial path as on the parallel one, whatever the ratio of
+// triplets to merged entries; the two stay bit-equal, the triplets are left
+// as they were, and scratch recycled from a larger conversion does not leak
+// into a smaller one.
+func TestToCSRExactCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, tc := range []struct {
+		n, triplets, span int // span: the columns a row's triplets fall on
+	}{
+		{400, 24 * 400, 400}, // few duplicates, above the parallel threshold
+		{300, 60 * 300, 7},   // finite-element-like: eight or nine triplets per entry
+		{50, 400, 5},         // below the threshold: serial at every worker count
+		{10, 0, 1},           // no triplets at all
+	} {
+		coo := NewCOO(tc.n, tc.n, tc.triplets)
+		for k := 0; k < tc.triplets; k++ {
+			i := rng.Intn(tc.n - tc.n/10) // the last tenth of the rows stays empty
+			coo.Add(i, (i+rng.Intn(tc.span))%tc.n, rng.NormFloat64())
+		}
+		is, js, vs := append([]int(nil), coo.I...), append([]int(nil), coo.J...), append([]float64(nil), coo.V...)
+		var ref *CSR
+		for _, w := range workerSweep {
+			withWorkers(w, func() {
+				got := coo.ToCSR()
+				if err := got.CheckValid(); err != nil {
+					t.Fatalf("n=%d w=%d: %v", tc.n, w, err)
+				}
+				if cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val) || cap(got.RowPtr) != len(got.RowPtr) {
+					t.Errorf("n=%d w=%d: %d entries of %d triplets held in capacity %d (ColIdx) and %d (Val)",
+						tc.n, w, got.NNZ(), tc.triplets, cap(got.ColIdx), cap(got.Val))
+				}
+				if ref == nil {
+					ref = got
+				} else if !got.Equal(ref) {
+					t.Errorf("n=%d w=%d: differs from the serial conversion", tc.n, w)
+				}
+			})
+		}
+		for k := range is {
+			if coo.I[k] != is[k] || coo.J[k] != js[k] || coo.V[k] != vs[k] {
+				t.Fatalf("n=%d: ToCSR changed triplet %d", tc.n, k)
+			}
+		}
+	}
+}
