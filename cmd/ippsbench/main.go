@@ -59,7 +59,7 @@ func main() {
 		tol     = flag.Float64("tol", 0.10, "relative modeled-time tolerance for -compare, on both sides")
 		workers = flag.Int("workers", 0, "shared-memory worker count (0 = GOMAXPROCS / PARAPRE_WORKERS)")
 
-		precKind  = flag.String("precond", "", `narrow every experiment to one preconditioner column, case-insensitive (e.g. "Schur 1", "mslr")`)
+		precKind  = flag.String("precond", "", "narrow every experiment to one preconditioner column, case-insensitive: "+precond.KindNames())
 		ckptPath  = flag.String("checkpoint", "", "durable checkpoint file (requires a single-cell sweep: one -procs value, one -precond column)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint the solver recurrence every N iterations (0 = off)")
 		restore   = flag.String("restore", "", "resume the sweep's solve mid-recurrence from this checkpoint file")

@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"parapre"
+	"parapre/internal/dist"
 	"parapre/internal/mmio"
 	"parapre/internal/precond"
 )
@@ -29,8 +30,8 @@ func main() {
 		rhsPath = flag.String("rhs", "", "Matrix Market array file with the right-hand side (default: A·ones)")
 		outPath = flag.String("out", "", "write the solution as a Matrix Market array file")
 		p       = flag.Int("p", 4, "number of (simulated) processors")
-		kind    = flag.String("precond", "Schur 1", `preconditioner: "Schur 1", "Schur 2", "Block 1", "Block 2", "Block ARMS", "None"`)
-		machine = flag.String("machine", "cluster", "machine model: cluster | origin")
+		kind    = flag.String("precond", "Schur 1", "preconditioner, case-insensitive: "+precond.KindNames())
+		machine = flag.String("machine", "cluster", "machine model, case-insensitive: "+dist.MachineNames())
 		rcm     = flag.Bool("rcm", false, "RCM-reorder subdomain blocks before factoring (Block 1/2)")
 		tol     = flag.Float64("tol", 1e-6, "relative residual tolerance")
 	)
@@ -45,6 +46,11 @@ func main() {
 		os.Exit(2)
 	}
 	*kind = string(pk)
+	mach, err := dist.MachineByName(*machine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mmsolve:", err)
+		os.Exit(2)
+	}
 
 	mf, err := os.Open(*matPath)
 	if err != nil {
@@ -92,9 +98,7 @@ func main() {
 	cfg.Solver.Tol = *tol
 	cfg.RCM = *rcm
 	cfg.KeepX = true
-	if *machine == "origin" {
-		cfg.Machine = parapre.Origin3800()
-	}
+	cfg.Machine = mach
 
 	fmt.Printf("%s: %d unknowns, %d nonzeros, P = %d, %s\n",
 		*matPath, a.Rows, a.NNZ(), *p, *kind)

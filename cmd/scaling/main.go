@@ -17,16 +17,17 @@ import (
 	"strings"
 
 	"parapre"
+	"parapre/internal/dist"
 	"parapre/internal/precond"
 )
 
 func main() {
 	var (
 		name    = flag.String("case", "tc1-poisson2d", "test case name")
-		kind    = flag.String("precond", "Schur 1", "preconditioner")
+		kind    = flag.String("precond", "Schur 1", "preconditioner, case-insensitive: "+precond.KindNames())
 		size    = flag.Int("size", 0, "grid resolution (0 = case default)")
 		procs   = flag.String("procs", "1,2,4,8,16", "processor counts")
-		machine = flag.String("machine", "cluster", "machine model: cluster | origin")
+		machine = flag.String("machine", "cluster", "machine model, case-insensitive: "+dist.MachineNames())
 	)
 	flag.Parse()
 	pk, err := precond.ParseKind(*kind)
@@ -35,6 +36,11 @@ func main() {
 		os.Exit(2)
 	}
 	*kind = string(pk)
+	mach, err := dist.MachineByName(*machine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scaling:", err)
+		os.Exit(2)
+	}
 
 	var sz int
 	found := false
@@ -61,15 +67,13 @@ func main() {
 	}
 
 	prob := parapre.BuildCase(*name, sz)
-	fmt.Printf("%s, %d unknowns, %s, %s model\n", *name, prob.A.Rows, *kind, *machine)
+	fmt.Printf("%s, %d unknowns, %s, %s model\n", *name, prob.A.Rows, *kind, mach.Name)
 	fmt.Printf("%-5s %-6s %-10s %-9s %-11s %-10s\n", "P", "#itr", "time(s)", "speedup", "efficiency", "time/itr")
 
 	var t1 float64
 	for _, p := range ps {
 		cfg := parapre.DefaultConfig(p, pk)
-		if *machine == "origin" {
-			cfg.Machine = parapre.Origin3800()
-		}
+		cfg.Machine = mach
 		res, err := parapre.Solve(prob, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scaling:", err)

@@ -54,8 +54,8 @@ func main() {
 		name    = flag.String("case", "tc1-poisson2d", "test case name")
 		p       = flag.Int("p", 4, "number of (simulated) processors")
 		size    = flag.Int("size", 0, "grid resolution parameter (0 = case default)")
-		kind    = flag.String("precond", "Schur 1", `preconditioner: "Schur 1", "Schur 2", "MSLR", "Block 1", "Block 2", "None"`)
-		machine = flag.String("machine", "cluster", "machine model: cluster | origin")
+		kind    = flag.String("precond", "Schur 1", "preconditioner, case-insensitive: "+precond.KindNames())
+		machine = flag.String("machine", "cluster", "machine model, case-insensitive: "+dist.MachineNames())
 		simple  = flag.Bool("simple", false, "use the simple (box) partitioning scheme")
 		verify  = flag.Bool("verify", false, "compare against a tight sequential reference solve")
 		history = flag.Bool("history", false, "print the residual convergence curve")
@@ -86,6 +86,11 @@ func main() {
 		os.Exit(2)
 	}
 	*kind = string(pk)
+	mach, err := dist.MachineByName(*machine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "solvepde:", err)
+		os.Exit(2)
+	}
 
 	if *pprofOn != "" {
 		go func() {
@@ -120,9 +125,7 @@ func main() {
 
 	prob := parapre.BuildCase(*name, sz)
 	cfg := parapre.DefaultConfig(*p, pk)
-	if *machine == "origin" {
-		cfg.Machine = parapre.Origin3800()
-	}
+	cfg.Machine = mach
 	if *simple {
 		cfg.Scheme = parapre.PartitionSimple
 	}

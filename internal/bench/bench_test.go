@@ -54,7 +54,7 @@ func TestTC1ClusterTinyRun(t *testing.T) {
 		t.Fatal("table count")
 	}
 	tb := tables[0]
-	if len(tb.Rows) != 2 || len(tb.Columns) != 5 {
+	if len(tb.Rows) != 2 || len(tb.Columns) != 4 { // the paper's four columns
 		t.Fatalf("table shape %dx%d", len(tb.Rows), len(tb.Columns))
 	}
 	for _, r := range tb.Rows {

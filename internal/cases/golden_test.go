@@ -78,9 +78,6 @@ var setupGolden = []struct {
 	{"tc1-poisson2d", 97, "Block 2 (+1 overlap)", 38, true, 0x3fcaa6ac6e4f303b, 0x3f7069f5671fc9ca,
 		[4]uint64{0x4165abf980000000, 0x4166551980000000, 0x4166532340000000, 0x4165099e20000000}, [4]int{79, 237, 158, 158},
 		0xcb043f29421cb83e, 0x42cdc4709a884d2f},
-	{"tc1-poisson2d", 97, "MSLR", 21, true, 0x3fef2abd7507b006, 0x3f9b01520f974cb8,
-		[4]uint64{0x4196b33004000000, 0x419753d604000000, 0x41971b9c50000000, 0x4194abc02c000000}, [4]int{129, 387, 258, 258},
-		0x2278bdc513ff93cd, 0xde07c55fea0447d6},
 }
 
 func TestSolveMatchesParentCommitBits(t *testing.T) {

@@ -19,10 +19,10 @@ import (
 // twice (the systems a preconditioner points back to, a block two operators
 // share) counts once. Memory captured by a closure is out of its sight;
 // TestSessionBytesMatchesHeap holds every registered kind to the measured
-// heap. The scratch a solve grows on first use (inner Krylov bases, level
-// schedules) is counted once it exists: the value rises over the first
-// solve, by a tenth for Schur 1, and is constant after it. Bytes waits for
-// the session's running solves: nothing grows under the walk.
+// heap. The scratch a solve grows on first use (inner Krylov bases) is
+// counted once it exists: the value rises over the first solve, by a tenth
+// for Schur 1, and is constant after it. Bytes waits for the session's
+// running solves: nothing grows under the walk.
 func (s *Session) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

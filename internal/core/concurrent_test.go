@@ -120,7 +120,6 @@ func sessionConfigs(size int) []sessionConfig {
 		{"None", precond.KindNone, nil, true},
 		{"Schur 1", precond.KindSchur1, nil, false},
 		{"Schur 2", precond.KindSchur2, nil, false},
-		{"MSLR", precond.KindMSLR, nil, false},
 		{"Schwarz", precond.KindNone, func(cfg *core.Config) { cfg.Schwarz = &sw }, false},
 		{"Block 1 overlap", precond.KindBlock1, func(cfg *core.Config) { cfg.OverlapLevels = 1 }, false},
 		{"Block 2 overlap", precond.KindBlock2, func(cfg *core.Config) { cfg.OverlapLevels = 1 }, false},

@@ -21,7 +21,6 @@ import (
 	"parapre/internal/grid"
 	"parapre/internal/ilu"
 	"parapre/internal/krylov"
-	"parapre/internal/mslr"
 	"parapre/internal/obs"
 	"parapre/internal/par"
 	"parapre/internal/partition"
@@ -119,7 +118,6 @@ type Config struct {
 	ILUT    ilu.ILUTOptions       // Block 2 subdomain factorization
 	Schur1  precond.Schur1Options // used when Precond == KindSchur1
 	Schur2  precond.Schur2Options // used when Precond == KindSchur2
-	MSLR    mslr.Options          // used when Precond == KindMSLR
 	ARMS    arms.Options          // Block ARMS subdomain solver
 	// PermTol is the ILUTP pivoting tolerance for Block 2P (default 1).
 	PermTol float64
@@ -213,7 +211,6 @@ func DefaultConfig(p int, kind precond.Kind) Config {
 		ILUT:    ilu.DefaultILUT(),
 		Schur1:  precond.DefaultSchur1(),
 		Schur2:  precond.DefaultSchur2(),
-		MSLR:    mslr.DefaultOptions(),
 		ARMS:    arms.DefaultOptions(),
 		Solver:  krylov.Options{Restart: 20, MaxIters: 1000, Tol: 1e-6, Flexible: true},
 	}
@@ -379,15 +376,11 @@ func trueRelRes(a *sparse.CSR, b, x []float64) float64 {
 	return sparse.Norm2(r)
 }
 
-// runWorld launches the rank goroutines under the runtime the config asks
-// for: the legacy unsupervised dist.Run (bit-identical to every earlier
-// release) unless fault injection or a watchdog budget is requested, in
-// which case the supervised dist.RunOpts converts deadlocks, crashes and
-// rank panics into typed errors.
+// runWorld launches the rank goroutines under the supervised runtime: a
+// panic on a rank comes back as a *dist.RankPanicError and, with a fault
+// plan or a watchdog budget, deadlocks and crashes as their typed errors.
+// Without those options the world and its modeled times are dist.Run's.
 func runWorld(cfg Config, fn func(*dist.Comm)) ([]dist.Stats, error) {
-	if cfg.Faults == nil && cfg.Watchdog == 0 && cfg.Collector == nil {
-		return dist.Run(cfg.P, cfg.Machine, fn), nil
-	}
 	opts := dist.WorldOptions{Faults: cfg.Faults, Watchdog: cfg.Watchdog, Collector: cfg.Collector}
 	return dist.RunOpts(cfg.P, cfg.Machine, opts, fn)
 }
@@ -485,8 +478,6 @@ func buildRankPrecond(cfg Config, s *dsys.System, kind precond.Kind) (precond.Pr
 		return precond.NewSchur1(s, cfg.Schur1)
 	case kind == precond.KindSchur2:
 		return precond.NewSchur2(s, cfg.Schur2)
-	case kind == precond.KindMSLR:
-		return precond.NewMSLR(s, cfg.MSLR)
 	case kind == precond.KindNone:
 		return precond.NewIdentity(), nil
 	default:
@@ -522,7 +513,7 @@ func resolveConfig(cfg *Config) error {
 // paper's most robust method, Schur 1.
 func fallbackKind(k precond.Kind) precond.Kind {
 	switch k {
-	case precond.KindSchur1, precond.KindSchur2, precond.KindMSLR:
+	case precond.KindSchur1, precond.KindSchur2:
 		return precond.KindBlock2
 	default:
 		return precond.KindSchur1

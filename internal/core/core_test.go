@@ -40,7 +40,7 @@ func TestSolveAllCasesAllPreconditioners(t *testing.T) {
 		"tc6-elasticity":   9,
 		"tc7-jump":         17,
 	}
-	kinds := []precond.Kind{precond.KindBlock1, precond.KindBlock2, precond.KindSchur1, precond.KindSchur2, precond.KindMSLR}
+	kinds := []precond.Kind{precond.KindBlock1, precond.KindBlock2, precond.KindSchur1, precond.KindSchur2}
 	for _, c := range cases.All() {
 		for _, k := range kinds {
 			res := solveCase(t, c.Name, sizes[c.Name], 4, k, nil)
@@ -151,7 +151,7 @@ func TestEmptyRanksConverge(t *testing.T) {
 	c, _ := cases.ByName("tc1-poisson2d")
 	prob := c.Build(4)
 	for _, kind := range []precond.Kind{precond.KindBlock1, precond.KindBlock2,
-		precond.KindSchur1, precond.KindSchur2, precond.KindMSLR} {
+		precond.KindSchur1, precond.KindSchur2} {
 		cfg := core.DefaultConfig(20, kind)
 		cfg.Watchdog = 3 * time.Second
 		res, err := core.Solve(prob, cfg)
@@ -188,10 +188,10 @@ func TestUnknownPrecondIsRejected(t *testing.T) {
 		}
 	}
 
-	want := solveCase(t, "tc1-poisson2d", 17, 2, precond.KindMSLR, nil)
-	got := solveCase(t, "tc1-poisson2d", 17, 2, "mslr", nil)
+	want := solveCase(t, "tc1-poisson2d", 17, 2, precond.KindSchur2, nil)
+	got := solveCase(t, "tc1-poisson2d", 17, 2, "schur 2", nil)
 	if got.Iterations != want.Iterations || got.SolveTime != want.SolveTime {
-		t.Errorf("Precond \"mslr\": %d iterations in %v s, MSLR takes %d in %v s",
+		t.Errorf("Precond \"schur 2\": %d iterations in %v s, Schur 2 takes %d in %v s",
 			got.Iterations, got.SolveTime, want.Iterations, want.SolveTime)
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"parapre/internal/core"
@@ -129,5 +130,69 @@ func TestSchurPrecondFaultSurfacesTypedExchangeError(t *testing.T) {
 	}
 	if ex.Rank != 2 {
 		t.Errorf("exchange error on rank %d (tag %d), plan targeted rank 2", ex.Rank, ex.Tag)
+	}
+	if !errors.Is(res.Err, krylov.ErrBreakdown) {
+		t.Errorf("Err = %v, want the breakdown joined with its cause", res.Err)
+	}
+}
+
+// A Schur 1 breakdown under persistent corruption must walk the resilient
+// escalation ladder: retry the Schur 1 stage, then fall back to the
+// structurally different Block 2 (fallbackKind routes the Schur variants
+// there). The recovery log names both stages.
+func TestResilientFallbackNamesBothStages(t *testing.T) {
+	skipUnderParanoid(t)
+	prob := buildProblem(t, "tc1-poisson2d", 33)
+	cfg := core.DefaultConfig(4, precond.KindSchur1)
+	cfg.Faults = &dist.FaultPlan{Seed: 11, CorruptProb: 0.3, TargetRecvRanks: []int{2}}
+	cfg.Resilient = true
+	res, err := core.Solve(prob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovery == nil || len(res.Recovery.Steps) < 2 {
+		t.Fatalf("recovery log %+v, want a Schur 1 attempt plus an escalation", res.Recovery)
+	}
+	stages := map[string]bool{}
+	for _, st := range res.Recovery.Steps {
+		stages[st.Stage] = true
+	}
+	for _, want := range []precond.Kind{precond.KindSchur1, precond.KindBlock2} {
+		if !stages[string(want)] {
+			t.Errorf("ladder stages %v missing %s", stages, want)
+		}
+	}
+}
+
+// A panic on a rank goroutine of a plain solve — no fault plan, watchdog or
+// collector — comes back as a typed error naming the rank, from Solve and
+// from a session alike, instead of taking the process down.
+func TestRankPanicIsATypedError(t *testing.T) {
+	prob := buildProblem(t, "tc1-poisson2d", 17)
+	cfg := core.DefaultConfig(4, precond.KindBlock2)
+	// One rank panics per solve; its peers are left waiting in the next
+	// reduction and must be unwound, not hung.
+	var calls atomic.Int32
+	cfg.Solver.Progress = func(int, float64) {
+		if calls.Add(1) == 1 {
+			panic("boom")
+		}
+	}
+	_, solveErr := core.Solve(prob, cfg)
+	sess, err := core.NewSession(prob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls.Store(0)
+	_, sessionErr := sess.Solve(nil)
+	for name, err := range map[string]error{"Solve": solveErr, "Session.Solve": sessionErr} {
+		var rp *dist.RankPanicError
+		if !errors.As(err, &rp) {
+			t.Errorf("%s: error %v, want a *dist.RankPanicError", name, err)
+			continue
+		}
+		if rp.Rank < 0 || rp.Rank >= cfg.P || rp.Value != "boom" {
+			t.Errorf("%s: panic %v on rank %d, want \"boom\" on one of %d ranks", name, rp.Value, rp.Rank, cfg.P)
+		}
 	}
 }

@@ -45,8 +45,8 @@ type Session struct {
 	// single-writer by contract).
 	mu sync.RWMutex
 	// serialOnly marks the communicating preconditioners, the
-	// precond.CommErrRecorders (Schur 1/2, MSLR, Schwarz, overlapping
-	// blocks): their solves can never overlap.
+	// precond.CommErrRecorders (Schur 1/2, Schwarz, overlapping blocks):
+	// their solves can never overlap.
 	serialOnly bool
 
 	// wsPool recycles the per-rank solver workspaces across (possibly

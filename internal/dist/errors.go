@@ -117,6 +117,16 @@ func (e *RankPanicError) Error() string {
 	return fmt.Sprintf("dist: rank %d panicked: %v", e.Rank, e.Value)
 }
 
+// UnknownMachineError reports a machine name MachineByName does not know;
+// its message lists the names it does.
+type UnknownMachineError struct {
+	Name string
+}
+
+func (e *UnknownMachineError) Error() string {
+	return fmt.Sprintf("dist: unknown machine %q (have %s)", e.Name, MachineNames())
+}
+
 // StatsError reports a per-rank Stats slice that does not have the shape
 // every Run/RunOpts result has: nonempty, with ranks 0..len-1 in order.
 // Aggregation helpers return it instead of silently producing poisoned

@@ -15,7 +15,10 @@
 // times flow through it.
 package dist
 
-import "math"
+import (
+	"math"
+	"strings"
+)
 
 // Machine models one parallel computer: a per-process flop rate, the
 // latency/bandwidth of its network, a background-load multiplier on
@@ -68,6 +71,41 @@ func Origin3800Unloaded() *Machine {
 	m.Name = "Origin3800Unloaded"
 	m.Load = 1
 	return m
+}
+
+// machines lists the models under the spellings MachineByName accepts: the
+// short one the CLIs document first, the model's own Name last.
+var machines = []struct {
+	names []string
+	build func() *Machine
+}{
+	{[]string{"cluster", "LinuxCluster"}, LinuxCluster},
+	{[]string{"origin", "Origin3800"}, Origin3800},
+	{[]string{"Origin3800Unloaded"}, Origin3800Unloaded},
+}
+
+// MachineNames is every spelling MachineByName accepts, for a message or a
+// flag's help.
+func MachineNames() string {
+	var all []string
+	for _, m := range machines {
+		all = append(all, strings.Join(m.names, " | "))
+	}
+	return strings.Join(all, ", ")
+}
+
+// MachineByName returns the machine model a user named — case is ignored —
+// or an *UnknownMachineError that lists the names: a typo must not run on
+// another model under the name it was given.
+func MachineByName(name string) (*Machine, error) {
+	for _, m := range machines {
+		for _, n := range m.names {
+			if strings.EqualFold(name, n) {
+				return m.build(), nil
+			}
+		}
+	}
+	return nil, &UnknownMachineError{Name: name}
 }
 
 // computeTime returns the virtual seconds consumed by the given flop

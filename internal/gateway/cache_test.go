@@ -189,6 +189,16 @@ func TestSessionCacheLRUEvictionWhileJobSolves(t *testing.T) {
 		t.Fatalf("the job on the evicted session is %s, want still running", running.State())
 	}
 
+	// The small job can end before the slow one's first iteration does.
+	waitFor(t, func() bool {
+		events, _ := running.Events(0)
+		for _, e := range events {
+			if e.Type == "residual" && e.Iter > 0 {
+				return true
+			}
+		}
+		return false
+	})
 	if !running.Cancel() {
 		t.Fatal("cancel refused")
 	}

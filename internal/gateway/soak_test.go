@@ -141,9 +141,11 @@ func TestGatewaySoakBounded(t *testing.T) {
 				client(fmt.Sprintf("client%d", c), int64(leg*legJobs))
 			}(c)
 		}
-		// Meanwhile, from a fourth tenant: a burst into its queue of four…
+		// Meanwhile, from a fourth tenant: a burst into its queue of four,
+		// kept up until one POST has met it full (on a loaded host the
+		// workers can drain it between two POSTs) …
 		var burst []string
-		for i := 0; i < 4*depth; i++ {
+		for i := 0; i < 4*depth || (rejected.Load() == 0 && i < 64*depth); i++ {
 			switch id, code := submit("burst", specs[i%len(specs)]); code {
 			case http.StatusAccepted:
 				burst = append(burst, id)

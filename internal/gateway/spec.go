@@ -38,12 +38,11 @@ type Spec struct {
 
 	// Procs is the simulated processor count (default 4).
 	Procs int `json:"procs,omitempty"`
-	// Precond is the paper notation ("Block 1", "Block 2", "Block ARMS",
-	// "Block 2P", "Block IC", "Schur 1", "Schur 2", "MSLR", "None";
-	// default "Block 2").
+	// Precond is one of precond.Kinds() in any casing (default "Block 2");
+	// the refusal of any other name lists them.
 	Precond string `json:"precond,omitempty"`
-	// Machine selects the modeled machine: "LinuxCluster" (default),
-	// "Origin3800", or "Origin3800Unloaded".
+	// Machine selects the modeled machine under any spelling
+	// dist.MachineByName accepts (default "LinuxCluster").
 	Machine string `json:"machine,omitempty"`
 
 	MaxIters  int     `json:"max_iters,omitempty"`
@@ -66,13 +65,6 @@ type Spec struct {
 	// (verbose); by default only resilient-attempt spans stream live and
 	// the per-phase breakdown arrives with the result.
 	StreamSpans bool `json:"stream_spans,omitempty"`
-}
-
-var machines = map[string]func() *dist.Machine{
-	"":                   dist.LinuxCluster,
-	"LinuxCluster":       dist.LinuxCluster,
-	"Origin3800":         dist.Origin3800,
-	"Origin3800Unloaded": dist.Origin3800Unloaded,
 }
 
 // Validate normalizes the spec and reports the first problem a client
@@ -104,9 +96,14 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("gateway: %w", err)
 	}
 	s.Precond = string(kind)
-	if _, ok := machines[s.Machine]; !ok {
-		return fmt.Errorf("gateway: unknown machine %q", s.Machine)
+	if s.Machine == "" {
+		s.Machine = dist.LinuxCluster().Name
 	}
+	m, err := dist.MachineByName(s.Machine)
+	if err != nil {
+		return fmt.Errorf("gateway: %w", err)
+	}
+	s.Machine = m.Name
 	if s.Size < 0 || s.MaxIters < 0 || s.Restart < 0 || s.Tol < 0 ||
 		s.Overlap < 0 || s.CheckpointEvery < 0 {
 		return fmt.Errorf("gateway: negative spec parameter")
@@ -210,7 +207,9 @@ func (s *Spec) BuildProblem() (*core.Problem, error) {
 // Call Validate first.
 func (s *Spec) BuildConfig() core.Config {
 	cfg := core.DefaultConfig(s.Procs, precond.Kind(s.Precond))
-	cfg.Machine = machines[s.Machine]()
+	if m, err := dist.MachineByName(s.Machine); err == nil { // Validate's name; unset keeps the default's
+		cfg.Machine = m
+	}
 	if s.MaxIters > 0 {
 		cfg.Solver.MaxIters = s.MaxIters
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"parapre/internal/dist"
 	"parapre/internal/precond"
 )
 
@@ -21,5 +22,48 @@ func TestSpecPrecondIsNormalized(t *testing.T) {
 	var unknown *precond.UnknownKindError
 	if err := (&Spec{Case: "tc1-poisson2d", Precond: "Block 9"}).Validate(); !errors.As(err, &unknown) {
 		t.Fatalf("Validate(\"Block 9\"): %v, want a *precond.UnknownKindError", err)
+	}
+}
+
+// A machine name is matched under every spelling dist.MachineByName takes
+// and stored as the model names itself, so the spellings — the default's
+// among them — share a session; a name that matches nothing is refused.
+func TestSpecMachineIsNormalized(t *testing.T) {
+	for spelling, want := range map[string]string{
+		"": "LinuxCluster", "cluster": "LinuxCluster", "linuxcluster": "LinuxCluster",
+		"origin": "Origin3800", "ORIGIN3800": "Origin3800", "origin3800unloaded": "Origin3800Unloaded",
+	} {
+		spec := &Spec{Case: "tc1-poisson2d", Machine: spelling}
+		if err := spec.Validate(); err != nil || spec.Machine != want {
+			t.Errorf("Validate: machine %q became %q, err %v; want %q", spelling, spec.Machine, err, want)
+			continue
+		}
+		if got := spec.BuildConfig().Machine.Name; got != want {
+			t.Errorf("BuildConfig: machine %q runs on %s, want %s", spelling, got, want)
+		}
+		canonical := &Spec{Case: "tc1-poisson2d", Machine: want}
+		if err := canonical.Validate(); err != nil || canonical.SessionKey() != spec.SessionKey() {
+			t.Errorf("machine %q and %q: session keys differ (err %v)", spelling, want, err)
+		}
+	}
+	var unknown *dist.UnknownMachineError
+	if err := (&Spec{Case: "tc1-poisson2d", Machine: "orgin"}).Validate(); !errors.As(err, &unknown) {
+		t.Errorf("Validate(machine \"orgin\"): %v, want a *dist.UnknownMachineError", err)
+	}
+}
+
+// Every name precond.Kinds lists — what the help of the CLIs and an
+// UnknownKindError print — is a spec the gateway validates and a session
+// core builds: no kind is listed but not constructible.
+func TestEveryKindIsBuildable(t *testing.T) {
+	for _, kind := range precond.Kinds() {
+		spec := &Spec{Case: "tc1-poisson2d", Size: 9, Procs: 2, Precond: string(kind)}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: Validate: %v", kind, err)
+			continue
+		}
+		if _, err := spec.buildSession(); err != nil {
+			t.Errorf("%s: NewSession: %v", kind, err)
+		}
 	}
 }

@@ -1,21 +1,6 @@
 package ilu
 
-import (
-	"testing"
-
-	"parapre/internal/par"
-)
-
-// measureSteadyAllocs pins the pool to one worker (the fan-out's own
-// closures are not part of the solve contract), runs one warm-up call to
-// build the cached level schedules, and measures steady-state allocations.
-func measureSteadyAllocs(t *testing.T, solve func()) float64 {
-	t.Helper()
-	prev := par.SetWorkers(1)
-	defer par.SetWorkers(prev)
-	solve()
-	return testing.AllocsPerRun(10, solve)
-}
+import "testing"
 
 // TestLUSolveZeroAllocSteadyState pins the dynamic twin of the static
 // //lint:allocfree proof on the ILU triangular solve.
@@ -33,8 +18,8 @@ func TestLUSolveZeroAllocSteadyState(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%7) - 3
 	}
-	if got := measureSteadyAllocs(t, func() { f.Solve(x, b) }); got != 0 {
-		t.Fatalf("LU.Solve allocates %v objects per steady-state call, want 0", got)
+	if got := testing.AllocsPerRun(10, func() { f.Solve(x, b) }); got != 0 {
+		t.Fatalf("LU.Solve allocates %v objects per call, want 0", got)
 	}
 }
 
@@ -54,7 +39,7 @@ func TestCholSolveZeroAllocSteadyState(t *testing.T) {
 	for i := range r {
 		r[i] = float64(i%5) - 2
 	}
-	if got := measureSteadyAllocs(t, func() { c.Solve(z, r) }); got != 0 {
-		t.Fatalf("Chol.Solve allocates %v objects per steady-state call, want 0", got)
+	if got := testing.AllocsPerRun(10, func() { c.Solve(z, r) }); got != 0 {
+		t.Fatalf("Chol.Solve allocates %v objects per call, want 0", got)
 	}
 }

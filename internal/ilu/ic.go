@@ -2,9 +2,7 @@ package ilu
 
 import (
 	"math"
-	"sync/atomic"
 
-	"parapre/internal/par"
 	"parapre/internal/sparse"
 )
 
@@ -18,10 +16,6 @@ type Chol struct {
 	// Fixes counts diagonal entries that had to be repaired to keep the
 	// factorization real (0 for M-matrices / well-behaved SPD input).
 	Fixes int
-
-	// lvl caches the level schedule of the triangular sweeps — see
-	// levels.go.
-	lvl atomic.Pointer[triSched]
 }
 
 // N returns the matrix dimension.
@@ -36,17 +30,12 @@ func (c *Chol) N() int { return c.L.Rows }
 // both.
 func (c *Chol) SolveFlops() float64 { return 4 * float64(c.L.NNZ()) }
 
-// Solve computes z = L⁻ᵀ·L⁻¹·r. z and r may alias. Sweeps run
-// level-scheduled when enabled and profitable, bit-identical to the
-// serial sweeps — see levels.go.
+// Solve computes z = L⁻ᵀ·L⁻¹·r by one forward and one backward sweep. z
+// and r may alias.
 //
-//lint:allocfree steady state once the level schedule is cached; verified dynamically by TestCholSolveZeroAllocSteadyState
+//lint:allocfree verified dynamically by TestCholSolveZeroAllocSteadyState
 func (c *Chol) Solve(z, r []float64) {
 	checkSolveDims("Chol.Solve", c.N(), z, r)
-	if s := c.sched(); s != nil {
-		c.solveScheduled(z, r, s)
-		return
-	}
 	c.forwardSerial(z, r)
 	c.backwardSerial(z)
 }
@@ -81,51 +70,6 @@ func (c *Chol) backwardSerial(z []float64) {
 			s -= v * z[cols[k]]
 		}
 		z[i] = s / vv[lo]
-	}
-}
-
-// solveScheduled runs the level-scheduled sweeps; each direction falls
-// back to its serial sweep when its level structure is too narrow.
-func (c *Chol) solveScheduled(z, r []float64, s *triSched) {
-	w := par.Workers()
-	force := levelMode() == LevelForce
-	if force || s.fwd.profitable(w) {
-		rp, ci, vv := c.L.RowPtr, c.L.ColIdx, c.L.Val
-		rows := s.fwd.rows
-		par.ForLevels(s.fwd.ptr, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i := rows[t]
-				acc := r[i]
-				end := rp[i+1]
-				row := vv[rp[i] : end-1]
-				cols := ci[rp[i] : end-1]
-				for k, v := range row {
-					acc -= v * z[cols[k]]
-				}
-				z[i] = acc / vv[end-1]
-			}
-		})
-	} else {
-		c.forwardSerial(z, r)
-	}
-	if force || s.bwd.profitable(w) {
-		rp, ci, vv := c.Lt.RowPtr, c.Lt.ColIdx, c.Lt.Val
-		rows := s.bwd.rows
-		par.ForLevels(s.bwd.ptr, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i := rows[t]
-				base := rp[i]
-				acc := z[i]
-				row := vv[base+1 : rp[i+1]]
-				cols := ci[base+1 : rp[i+1]]
-				for k, v := range row {
-					acc -= v * z[cols[k]]
-				}
-				z[i] = acc / vv[base]
-			}
-		})
-	} else {
-		c.backwardSerial(z)
 	}
 }
 
@@ -205,7 +149,5 @@ func IC0(a *sparse.CSR) (*Chol, error) {
 			w[j] = 0
 		}
 	}
-	c := &Chol{L: l, Lt: l.Transpose(), Fixes: fixes}
-	c.prepLevels()
-	return c, nil
+	return &Chol{L: l, Lt: l.Transpose(), Fixes: fixes}, nil
 }

@@ -18,9 +18,7 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
-	"parapre/internal/par"
 	"parapre/internal/sparse"
 )
 
@@ -104,11 +102,6 @@ type LU struct {
 	// PivotFixes counts small pivots that were replaced during the
 	// factorization to keep it nonsingular (0 for well-behaved matrices).
 	PivotFixes int
-
-	// lvl caches the level schedule of the triangular sweeps — see
-	// levels.go. Lazily built, atomically published (factors may be
-	// shared read-only), immutable once stored.
-	lvl atomic.Pointer[triSched]
 }
 
 // N returns the dimension of the factored matrix.
@@ -150,54 +143,20 @@ func checkSolveDims(op string, n int, x, b []float64) {
 	}
 }
 
-// Solve computes x = U⁻¹·L⁻¹·b. x and b may alias. When the level
-// schedule is enabled and profitable (see levels.go) the two sweeps run
-// level-parallel across the par worker pool; the result is bit-identical
-// to the serial sweeps at any worker count. An order-0 factor — a rank
-// that owns no unknowns has one — takes any x and b, nil included.
+// Solve computes x = U⁻¹·L⁻¹·b by one forward and one backward sweep. x
+// and b may alias: a row reads its own b[i] and x entries the sweep has
+// already finished. An order-0 factor — a rank that owns no unknowns has
+// one — takes any x and b, nil included.
 //
-//lint:allocfree steady state once the level schedule is cached; verified dynamically by TestLUSolveZeroAllocSteadyState
+//lint:allocfree verified dynamically by TestLUSolveZeroAllocSteadyState
 func (f *LU) Solve(x, b []float64) {
 	n := f.N()
 	checkSolveDims("LU.Solve", n, x, b)
-	var fwd, bwd *levelSet
-	if s := f.sched(); s != nil {
-		w := par.Workers()
-		force := levelMode() == LevelForce
-		if force || s.fwd.profitable(w) {
-			fwd = &s.fwd
-		}
-		if force || s.bwd.profitable(w) {
-			bwd = &s.bwd
-		}
+	for i := 0; i < n; i++ {
+		f.forwardRow(x, b, i)
 	}
-	// Each direction falls back to its serial sweep when its own level
-	// structure is too narrow. Writing x[i] from exactly one worker per
-	// row keeps the aliasing contract: a row reads only its own b[i] and
-	// the x entries of strictly earlier levels.
-	if fwd != nil {
-		rows := fwd.rows
-		par.ForLevels(fwd.ptr, func(lo, hi int) {
-			for _, i := range rows[lo:hi] {
-				f.forwardRow(x, b, i)
-			}
-		})
-	} else {
-		for i := 0; i < n; i++ {
-			f.forwardRow(x, b, i)
-		}
-	}
-	if bwd != nil {
-		rows := bwd.rows
-		par.ForLevels(bwd.ptr, func(lo, hi int) {
-			for _, i := range rows[lo:hi] {
-				f.backwardRow(x, i)
-			}
-		})
-	} else {
-		for i := n - 1; i >= 0; i-- {
-			f.backwardRow(x, i)
-		}
+	for i := n - 1; i >= 0; i-- {
+		f.backwardRow(x, i)
 	}
 }
 
@@ -334,6 +293,5 @@ func ILU0(a *sparse.CSR) (*LU, error) {
 			pos[j] = -1
 		}
 	}
-	f.prepLevels()
 	return f, nil
 }

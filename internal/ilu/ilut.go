@@ -155,7 +155,6 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 	}
 	l.keep()
 	u.keep()
-	f.prepLevels()
 	return f, nil
 }
 

@@ -218,6 +218,5 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 	}
 	l.keep()
 	u.keep()
-	f.prepLevels()
 	return out, nil
 }

@@ -311,9 +311,9 @@ func TestILUTSteadyStateAllocBytes(t *testing.T) {
 	for kind, factor := range factorBoth {
 		allocated, kept := measure(factor)
 		// Scratch: the scatter workspace and its mask, two column lists,
-		// the ordered set, the row pointers' twins in the level schedule,
-		// ILUTP's two permutations and the closures of its two sort.Slice
-		// calls per row — 70 (ILUT) to 200 (ILUTP) bytes per row.
+		// the ordered set, ILUTP's two permutations and the closures of its
+		// two sort.Slice calls per row — 70 (ILUT) to 200 (ILUTP) bytes per
+		// row.
 		limit := kept + 256*n + 1<<14
 		if allocated > limit {
 			t.Errorf("%s: second factorization allocated %d bytes, want at most the kept %d + O(n) = %d (the two build buffers are %d)",

@@ -10,7 +10,6 @@ import (
 
 	"parapre/internal/fem"
 	"parapre/internal/grid"
-	"parapre/internal/par"
 	"parapre/internal/sparse"
 )
 
@@ -173,34 +172,26 @@ func splitFactors(t testing.TB, a *sparse.CSR) map[string]*LU {
 	return out
 }
 
-// checkSplitBits solves with f under both level modes at 1 and 4 workers
-// and demands the bits of the combined-layout reference sweeps, for a
-// separate and for an aliased output.
+// checkSplitBits solves with f and demands the bits of the combined-layout
+// reference sweeps, for a separate and for an aliased output. (Solve reads
+// no worker count, so there is none to vary.)
 func checkSplitBits(t testing.TB, tag string, f *LU, b []float64) {
 	t.Helper()
 	n := f.N()
 	m, diag := combinedOf(f)
 	want := make([]float64, n)
 	solveCombinedRef(m, diag, want, b)
-	for _, mode := range []LevelMode{LevelOff, LevelForce} {
-		for _, w := range []int{1, 4} {
-			prev := par.SetWorkers(w)
-			got := make([]float64, n)
-			alias := make([]float64, n)
-			copy(alias, b)
-			withLevelMode(mode, func() {
-				f.Solve(got, b)
-				f.Solve(alias, alias)
-			})
-			par.SetWorkers(prev)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s mode %d workers %d: x[%d] = %x, combined sweeps give %x", tag, mode, w, i, got[i], want[i])
-				}
-				if math.Float64bits(alias[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s mode %d workers %d: aliased x[%d] = %x, combined sweeps give %x", tag, mode, w, i, alias[i], want[i])
-				}
-			}
+	got := make([]float64, n)
+	alias := make([]float64, n)
+	copy(alias, b)
+	f.Solve(got, b)
+	f.Solve(alias, alias)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: x[%d] = %x, combined sweeps give %x", tag, i, got[i], want[i])
+		}
+		if math.Float64bits(alias[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: aliased x[%d] = %x, combined sweeps give %x", tag, i, alias[i], want[i])
 		}
 	}
 }

@@ -27,9 +27,9 @@ import (
 //     methods) are the CALLER's obligation, exactly as in the dynamic
 //     tests, which inject non-allocating closures. They are not
 //     traversed and not flagged.
-//   - par fan-out functions (For, ForSegments, ForLevels, Run,
-//     SumBlocks) are cone boundaries: the dynamic tests pin Workers=1,
-//     where the serial path runs the closure inline. The closure
+//   - par fan-out functions (For, ForSegments, Run, SumBlocks) are cone
+//     boundaries: the dynamic tests pin Workers=1, where the serial
+//     path runs the closure inline. The closure
 //     ARGUMENT is therefore not a "closure creation" finding (it does
 //     not escape on the serial path), but its body is still scanned —
 //     it is the hot loop.
@@ -39,8 +39,8 @@ import (
 // Reachability is CFG-based with constant-condition pruning, so code
 // behind `if paranoid.Enabled` (const false on the default build) is
 // invisible — as it is to the compiled binary. Warm-up allocation sites
-// (workspace growth, lazily built level schedules, result-history
-// recording) carry reasoned //lint:ignore allocfree lines at the site.
+// (workspace growth, result-history recording) carry reasoned
+// //lint:ignore allocfree lines at the site.
 
 var AllocFree = &ProgramAnalyzer{
 	Name: "allocfree",
@@ -52,7 +52,6 @@ var AllocFree = &ProgramAnalyzer{
 var parBoundaryFuncs = map[string]bool{
 	"For":         true,
 	"ForSegments": true,
-	"ForLevels":   true,
 	"Run":         true,
 	"SumBlocks":   true,
 }

@@ -42,10 +42,6 @@ const (
 	KindPrecondApply = "precond_apply"
 	KindOrth         = "orth"
 	KindAttempt      = "resilient_attempt"
-	// KindMSLRSchur is the MSLR preconditioner's inner distributed
-	// interface solve (the level-0 Schur GMRES), opened inside the
-	// enclosing precond_apply span.
-	KindMSLRSchur = "mslr_schur"
 )
 
 // PhaseOther is the phase charged while no span is open.

@@ -29,7 +29,7 @@ func TestSchur2ApplyZeroAllocSteadyState(t *testing.T) {
 	var reduces int
 	_, err = dist.RunOpts(1, testMachine(), dist.WorldOptions{Transport: tr}, func(c *dist.Comm) {
 		z := make([]float64, s.NLoc())
-		pc.Apply(c, z, s.B) // warms the workspace and the level schedules
+		pc.Apply(c, z, s.B) // warms the workspace
 		before := tr.Reduces[0]
 		pc.Apply(c, z, s.B)
 		reduces = tr.Reduces[0] - before

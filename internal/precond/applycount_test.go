@@ -6,7 +6,6 @@ import (
 	"parapre/internal/dist"
 	"parapre/internal/dsys"
 	"parapre/internal/krylov"
-	"parapre/internal/mslr"
 )
 
 // TrafficTransport is the in-process transport with a count, per rank, of
@@ -40,7 +39,7 @@ type applyCount struct {
 }
 
 // countOneApply runs two collective applications of the per-rank
-// preconditioners — the first warms workspaces and schedules — and
+// preconditioners — the first warms the workspaces — and
 // returns what the second one cost every rank. workspaces names the inner
 // solvers' workspaces of a rank's preconditioner.
 func countOneApply(t *testing.T, systems []*dsys.System, pcs []Preconditioner,
@@ -97,7 +96,7 @@ func SendingNeighbors(s *dsys.System) int {
 //	    the trailing factors, 21 all-reduces
 //	Schur 1, each B-solve GMRES(3): 3 B SpMVs, 4 B̃ sweeps; two per apply,
 //	    so 6 B SpMVs and 8 + 5 = 13 B̃ sweeps in all
-//	Schur 2 and MSLR, interface GMRES(5): 5 operator applications and
+//	Schur 2, interface GMRES(5): 5 operator applications and
 //	    exchanges, 6 sweeps, 21 all-reduces
 //	Schwarz, CG(1): 1 box SpMV, 2 fast Poisson solves
 //
@@ -117,7 +116,6 @@ func TestInnerSolveApplicationCounts(t *testing.T) {
 		}
 		return pcs
 	}
-	noWorkspaces := func(Preconditioner) map[string]*krylov.Workspace { return nil }
 	checkIface := func(name string, counts []applyCount) {
 		t.Helper()
 		for r, got := range counts {
@@ -157,13 +155,6 @@ func TestInnerSolveApplicationCounts(t *testing.T) {
 		})
 	checkIface("Schur 2", counts)
 	checkInner("Schur 2", counts, "interface", 5, 6)
-
-	// MSLR keeps its workspace to itself; its traffic is that of the same
-	// interface GMRES(5).
-	ml := mslr.DefaultOptions()
-	ml.SchurTol = 0
-	checkIface("MSLR", countOneApply(t, systems,
-		build(func(s *dsys.System) (Preconditioner, error) { return NewMSLR(s, ml) }), noWorkspaces))
 
 	const m, px, py = 16, 2, 2
 	boxes, a, _ := buildPoissonBoxes(t, m, px, py)

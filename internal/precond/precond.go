@@ -25,6 +25,7 @@ package precond
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"parapre/internal/dist"
@@ -57,16 +58,26 @@ const (
 	KindBlockIC Kind = "Block IC"
 	KindSchur1  Kind = "Schur 1"
 	KindSchur2  Kind = "Schur 2"
-	// KindMSLR is the multilevel low-rank Schur preconditioner: Schur 1's
-	// interface solve on top of a recursive vertex-separator hierarchy
-	// with low-rank Schur corrections (package mslr).
-	KindMSLR Kind = "MSLR"
-	KindNone Kind = "None"
+	KindNone    Kind = "None"
 )
 
 // kinds lists every preconditioner name, the paper's four first.
 var kinds = []Kind{KindBlock1, KindBlock2, KindSchur1, KindSchur2,
-	KindBlockARMS, KindBlock2P, KindBlockIC, KindMSLR, KindNone}
+	KindBlockARMS, KindBlock2P, KindBlockIC, KindNone}
+
+// Kinds returns every preconditioner name, the paper's four first: what
+// ParseKind accepts, and so what a front end's help and an
+// UnknownKindError list.
+func Kinds() []Kind { return slices.Clone(kinds) }
+
+// KindNames is Kinds as one comma-separated string.
+func KindNames() string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = string(k)
+	}
+	return strings.Join(names, ", ")
+}
 
 // UnknownKindError reports a preconditioner name that is none of the
 // Kind constants; its message lists them.
@@ -75,11 +86,7 @@ type UnknownKindError struct {
 }
 
 func (e *UnknownKindError) Error() string {
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = string(k)
-	}
-	return fmt.Sprintf("precond: unknown preconditioner %q (have %s)", e.Name, strings.Join(names, ", "))
+	return fmt.Sprintf("precond: unknown preconditioner %q (have %s)", e.Name, KindNames())
 }
 
 // ParseKind resolves a preconditioner name as a user spells it — case is

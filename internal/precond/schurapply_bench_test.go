@@ -64,7 +64,7 @@ func BenchmarkSchurApply(b *testing.B) {
 				}
 				return tr.Sends[0]
 			}
-			apply(1) // warms workspaces and level schedules
+			apply(1) // warms the workspaces
 			b.ResetTimer()
 			sent := apply(b.N)
 			b.ReportMetric(float64(sent)/float64(precond.SendingNeighbors(systems[0]))/float64(b.N), "iface-applies/op")

@@ -302,7 +302,7 @@ func TestBlockPivotAndBlockICDirect(t *testing.T) {
 // and lists what would have been accepted.
 func TestParseKind(t *testing.T) {
 	for _, k := range []Kind{KindBlock1, KindBlock2, KindBlockARMS, KindBlock2P, KindBlockIC,
-		KindSchur1, KindSchur2, KindMSLR, KindNone} {
+		KindSchur1, KindSchur2, KindNone} {
 		for _, spelling := range []string{string(k), strings.ToLower(string(k)), strings.ToUpper(string(k))} {
 			if got, err := ParseKind(spelling); err != nil || got != k {
 				t.Errorf("ParseKind(%q) = %q, %v; want %q", spelling, got, err, k)
@@ -316,7 +316,7 @@ func TestParseKind(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %q, %v; want an *UnknownKindError for that name", name, got, err)
 			continue
 		}
-		for _, want := range []string{strconv.Quote(name), "Schur 1", "MSLR", "None"} {
+		for _, want := range []string{strconv.Quote(name), "Schur 1", "Block IC", "None"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("ParseKind(%q): message %q does not mention %s", name, err, want)
 			}

@@ -33,7 +33,7 @@ type Iface struct {
 	// closure's captures, so that core.Session.Bytes reaches them.
 	sLoc       *sparse.CSR
 	c, e, f    *sparse.CSR
-	bSolve     func(y, x []float64)
+	bSolve     *ilu.LU
 	tmpF, tmpB []float64 // length NInt
 	localFlops float64
 
@@ -58,15 +58,6 @@ const tagSchur = 200
 // the caller, which as a rule needs E and F itself, extracts them once
 // and the operator shares them read-only.
 func NewImplicit(s *dsys.System, c, e, f *sparse.CSR, bSolve *ilu.LU) (*Iface, error) {
-	return NewImplicitOp(s, c, e, f, bSolve.Solve, 2*float64(bSolve.NNZ()))
-}
-
-// NewImplicitOp is the general form of NewImplicit: the interior solve
-// bSolve (y ← B̃_i⁻¹·x over the NInt internal unknowns) is an arbitrary
-// callback charged bFlops per application — a recursive multilevel
-// hierarchy, an exact factorization, anything that solves with the B
-// block. NewImplicit is the special case of a single ILUT factor.
-func NewImplicitOp(s *dsys.System, c, e, f *sparse.CSR, bSolve func(y, x []float64), bFlops float64) (*Iface, error) {
 	nI := s.NIface()
 	op := &Iface{
 		sys:        s,
@@ -78,7 +69,7 @@ func NewImplicitOp(s *dsys.System, c, e, f *sparse.CSR, bSolve func(y, x []float
 		bSolve:     bSolve,
 		tmpF:       make([]float64, s.NInt),
 		tmpB:       make([]float64, s.NInt),
-		localFlops: 2*float64(c.NNZ()+e.NNZ()+f.NNZ()) + bFlops,
+		localFlops: 2 * float64(c.NNZ()+e.NNZ()+f.NNZ()+bSolve.NNZ()),
 	}
 	if err := op.buildHalo(tagSchur, func(l int) (int, bool) {
 		if l < s.NInt {
@@ -145,7 +136,7 @@ func (o *Iface) applyLocal(y, x []float64) {
 	o.c.MulVecTo(y, x)
 	if o.sys.NInt > 0 {
 		o.f.MulVecTo(o.tmpF, x)
-		o.bSolve(o.tmpB, o.tmpF)
+		o.bSolve.Solve(o.tmpB, o.tmpF)
 		o.e.MulVecSub(y, o.tmpB)
 	}
 }

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync/atomic"
 
@@ -404,23 +403,13 @@ func (b *BSR) rowDot(bi, r int, x []float64) float64 {
 // cache; callers that write CSR.Val directly around matvecs of the same
 // matrix must call InvalidateBlocked afterwards.
 
-// EnvAutoBlock disables the automatic CSR→BSR routing when set to "0" or
-// "off" — an escape hatch for isolating kernels during debugging.
-const EnvAutoBlock = "PARAPRE_BSR"
-
-var autoBlockOn atomic.Bool
-
-func init() {
-	switch os.Getenv(EnvAutoBlock) {
-	case "0", "off":
-	default:
-		autoBlockOn.Store(true)
-	}
-}
+// autoBlockOff is set while the tests pin the router off to compare raw
+// kernels; the zero value routes.
+var autoBlockOff atomic.Bool
 
 // SetAutoBlock enables or disables automatic blocked-format routing for
 // all subsequent CSR matvecs and returns the previous setting.
-func SetAutoBlock(on bool) bool { return autoBlockOn.Swap(on) }
+func SetAutoBlock(on bool) bool { return !autoBlockOff.Swap(!on) }
 
 // autoBlockMinNNZ gates detection: probing tiny matrices costs more than
 // their matvecs could ever win back.
@@ -437,7 +426,7 @@ type bsrCache struct {
 // stay on CSR. The verdict is computed once and revalidated against the
 // current shape, mirroring rowPartition.
 func (a *CSR) blocked() *BSR {
-	if !autoBlockOn.Load() {
+	if autoBlockOff.Load() {
 		return nil
 	}
 	if c := a.bsr.Load(); c != nil && c.rows == a.Rows && c.nnz == a.NNZ() {

@@ -8,7 +8,6 @@ import (
 	"parapre/internal/dsys"
 	"parapre/internal/fft"
 	"parapre/internal/ilu"
-	"parapre/internal/mslr"
 	"parapre/internal/precond"
 	"parapre/internal/sparse"
 )
@@ -198,31 +197,9 @@ func exactSchur1Opts(n int) precond.Schur1Options {
 // solve of the global system, so Apply must reproduce the dense global
 // solve.
 func checkPrecondSchur1(cfg Config) []Violation {
-	return checkPrecondGlobalInverse(cfg, "precond-schur1", 1400, 1e-7,
+	return checkPrecondGlobalInverse(cfg, "precond-schur1", 1400,
 		func(s *dsys.System, n int) (distApplier, error) {
 			return precond.NewSchur1(s, exactSchur1Opts(n))
-		})
-}
-
-// checkPrecondMSLR verifies the multilevel low-rank Schur preconditioner
-// the same way, at the tighter tolerance its exactness argument supports:
-// with complete factors and rank equal to every separator/interface size,
-// each low-rank correction collapses to the exact Schur inverse
-// (V(I−H)⁻¹Vᵀ = (S·C̃⁻¹)⁻¹ for square orthonormal V), so the recursive
-// hierarchy plus the fully converged interface GMRES must reproduce the
-// dense global solve to near machine precision.
-func checkPrecondMSLR(cfg Config) []Violation {
-	return checkPrecondGlobalInverse(cfg, "precond-mslr", 1600, 1e-10,
-		func(s *dsys.System, n int) (distApplier, error) {
-			return precond.NewMSLR(s, mslr.Options{
-				Levels:     2,
-				Rank:       n,
-				MinBlock:   3,
-				ILUT:       completeOpts,
-				SchurIters: 3*n + 10,
-				SchurTol:   1e-13,
-				Seed:       cfg.Seed + 11,
-			})
 		})
 }
 
@@ -230,7 +207,7 @@ func checkPrecondMSLR(cfg Config) []Violation {
 // the same way: with dropping disabled and the expanded-system GMRES run
 // to convergence, the two-level reduction is an exact solve.
 func checkPrecondSchur2(cfg Config) []Violation {
-	return checkPrecondGlobalInverse(cfg, "precond-schur2", 1500, 1e-7,
+	return checkPrecondGlobalInverse(cfg, "precond-schur2", 1500,
 		func(s *dsys.System, n int) (distApplier, error) {
 			return precond.NewSchur2(s, precond.Schur2Options{
 				MaxGroup:   6,
@@ -248,10 +225,9 @@ type distApplier interface {
 
 // checkPrecondGlobalInverse drives one exact-settings preconditioner over
 // random problems and compares its collective Apply with the dense global
-// solve, to the relative tolerance the method’s exactness argument
-// supports.
+// solve.
 func checkPrecondGlobalInverse(cfg Config, name string, seedBase int64,
-	tol float64, build func(s *dsys.System, n int) (distApplier, error)) []Violation {
+	build func(s *dsys.System, n int) (distApplier, error)) []Violation {
 	var out []Violation
 	sizes := []int{8, 13}
 	ps := []int{2, 3}
@@ -298,7 +274,7 @@ func checkPrecondGlobalInverse(cfg Config, name string, seedBase int64,
 				pcs[r].Apply(c, zl[r], locals[r])
 			})
 			z := dsys.Gather(systems, zl)
-			if d := maxAbsDiff(z, zd); d > tol*(1+maxAbs(zd)) {
+			if d := maxAbsDiff(z, zd); d > 1e-7*(1+maxAbs(zd)) {
 				out = append(out, Violation{name,
 					fmt.Sprintf("exact-settings Apply differs from dense global solve by %g", d), tag})
 			}

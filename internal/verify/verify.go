@@ -84,7 +84,6 @@ func Checks() []Check {
 		{"precond-block", "block preconditioner Apply vs dense solve composed from its factors", checkPrecondBlock},
 		{"precond-schur1", "Schur 1 with exact settings inverts the global matrix", checkPrecondSchur1},
 		{"precond-schur2", "Schur 2 with exact settings inverts the global matrix", checkPrecondSchur2},
-		{"precond-mslr", "MSLR with full-rank corrections inverts the global matrix to 1e-10", checkPrecondMSLR},
 		{"precond-schwarz", "additive Schwarz Apply vs independently composed subdomain solves", checkPrecondSchwarz},
 		{"dist-vs-seq", "distributed GMRES/FGMRES/CG at P∈{2,4,8} vs sequential replay: identical iterations, histories within 1e-12", checkDistVsSeq},
 		{"paper-cases", "factor, Schur and distributed oracles over the paper's test cases", checkPaperCases},
