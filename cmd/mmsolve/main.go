@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -56,41 +57,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	a, err := mmio.ReadMatrix(mf)
-	if cerr := mf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if a.Rows != a.Cols {
-		fatal(fmt.Errorf("matrix is %d×%d, need square", a.Rows, a.Cols))
-	}
-
-	var b []float64
-	onesRHS := false
-	if *rhsPath != "" {
+	defer mf.Close()
+	var rhs io.Reader
+	onesRHS := *rhsPath == ""
+	if !onesRHS {
 		rf, err := os.Open(*rhsPath)
 		if err != nil {
 			fatal(err)
 		}
-		b, err = mmio.ReadVector(rf)
-		if cerr := rf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if len(b) != a.Rows {
-			fatal(fmt.Errorf("rhs length %d, matrix dimension %d", len(b), a.Rows))
-		}
-	} else {
-		ones := make([]float64, a.Rows)
-		for i := range ones {
-			ones[i] = 1
-		}
-		b = a.MulVec(ones)
-		onesRHS = true
+		defer rf.Close()
+		rhs = rf
+	}
+	a, b, err := mmio.ReadSystem(mf, rhs)
+	if err != nil {
+		fatal(err)
 	}
 
 	prob := &parapre.Problem{Name: *matPath, A: a, B: b}

@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"os"
 
-	"parapre"
+	"parapre/internal/cases"
 	"parapre/internal/partition"
 )
 
@@ -26,21 +26,16 @@ func main() {
 	)
 	flag.Parse()
 
-	var sz int
-	found := false
-	for _, c := range parapre.Cases() {
-		if c.Name == *name {
-			sz, found = c.DefaultSize, true
-		}
-	}
-	if !found {
+	tc, err := cases.ByName(*name)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "partinfo: unknown case %q\n", *name)
 		os.Exit(2)
 	}
+	sz := tc.DefaultSize
 	if *size > 0 {
 		sz = *size
 	}
-	prob := parapre.BuildCase(*name, sz)
+	prob := tc.Build(sz)
 	mesh := prob.Mesh
 	ptr, adj := mesh.NodeGraph()
 	g := &partition.Graph{Ptr: ptr, Adj: adj}

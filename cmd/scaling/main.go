@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"parapre"
+	"parapre/internal/cases"
 	"parapre/internal/dist"
 	"parapre/internal/precond"
 )
@@ -42,17 +43,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sz int
-	found := false
-	for _, c := range parapre.Cases() {
-		if c.Name == *name {
-			sz, found = c.DefaultSize, true
-		}
-	}
-	if !found {
+	tc, err := cases.ByName(*name)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "scaling: unknown case %q\n", *name)
 		os.Exit(2)
 	}
+	sz := tc.DefaultSize
 	if *size > 0 {
 		sz = *size
 	}
@@ -66,7 +62,7 @@ func main() {
 		ps = append(ps, v)
 	}
 
-	prob := parapre.BuildCase(*name, sz)
+	prob := tc.Build(sz)
 	fmt.Printf("%s, %d unknowns, %s, %s model\n", *name, prob.A.Rows, *kind, mach.Name)
 	fmt.Printf("%-5s %-6s %-10s %-9s %-11s %-10s\n", "P", "#itr", "time(s)", "speedup", "efficiency", "time/itr")
 

@@ -34,6 +34,7 @@ import (
 	"strings"
 
 	"parapre"
+	"parapre/internal/cases"
 	"parapre/internal/ckpt"
 	"parapre/internal/dist"
 	"parapre/internal/mprun"
@@ -107,23 +108,17 @@ func main() {
 		return
 	}
 
-	var found bool
-	var sz int
-	for _, c := range parapre.Cases() {
-		if c.Name == *name {
-			found = true
-			sz = c.DefaultSize
-		}
-	}
-	if !found {
+	tc, err := cases.ByName(*name)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "solvepde: unknown case %q (try -list)\n", *name)
 		os.Exit(2)
 	}
+	sz := tc.DefaultSize
 	if *size > 0 {
 		sz = *size
 	}
 
-	prob := parapre.BuildCase(*name, sz)
+	prob := tc.Build(sz)
 	cfg := parapre.DefaultConfig(*p, pk)
 	cfg.Machine = mach
 	if *simple {

@@ -11,60 +11,47 @@ import (
 	"parapre/internal/precond"
 )
 
-// worldRun is the per-rank solve body shared by the in-process world
-// (Solve: P goroutine ranks over the channel transport), the multi-process
-// worker (SolveRank: one OS process per rank over the socket transport) and,
-// from solve on, a session's solves. Keeping the paths on one body is what
+// worldRun is the per-rank solve body shared by the in-process world (a
+// session's solves, Solve's one-shot among them: P goroutine ranks over the
+// channel transport) and the multi-process worker (SolveRank: one OS process
+// per rank over the socket transport). Keeping the paths on one body is what
 // makes the socket world reproduce the in-process arithmetic: same setup
 // charge, same barrier, same solver options, same checkpoint hook placement.
 type worldRun struct {
 	cfg     Config
 	systems []*dsys.System
-	bl      [][]float64              // the right-hand side, scattered over systems
-	wired   []precond.Preconditioner // from buildWired; nil: rank builds its own
+	bl      [][]float64 // the right-hand side, scattered over systems
 	sink    ckpt.Sink
+	charge  bool // charge the preconditioner's set-up before solving
 
 	results []krylov.Result
 	logs    []*krylov.RecoveryLog
-	setup   []float64
+	setup   []float64 // each rank's clock once set-up is charged
 	xl      [][]float64
-	errs    []error
 }
 
 // newWorldRun scatters the right-hand side b and allocates the outputs.
-func newWorldRun(cfg Config, systems []*dsys.System, b []float64, wired []precond.Preconditioner, sink ckpt.Sink) *worldRun {
+func newWorldRun(cfg Config, systems []*dsys.System, b []float64, sink ckpt.Sink, charge bool) *worldRun {
 	p := cfg.P
-	return &worldRun{cfg: cfg, systems: systems, bl: dsys.Scatter(systems, b), wired: wired, sink: sink,
+	return &worldRun{cfg: cfg, systems: systems, bl: dsys.Scatter(systems, b), sink: sink, charge: charge,
 		results: make([]krylov.Result, p), logs: make([]*krylov.RecoveryLog, p),
-		setup: make([]float64, p), xl: make([][]float64, p), errs: make([]error, p)}
+		setup: make([]float64, p), xl: make([][]float64, p)}
 }
 
-// rank is the rank body: build the preconditioner, charge its setup,
-// synchronize, and solve.
-func (wr *worldRun) rank(c *dist.Comm) {
+// rank is the rank body: it runs the configured solver with pc already
+// built, with checkpoint/restore wiring. With charge it first charges pc's
+// set-up and synchronizes, as all processors finish set-up before iterating.
+// work is the rank's workspace leased by a session; nil lets the solver
+// allocate.
+func (wr *worldRun) rank(c *dist.Comm, pc precond.Preconditioner, work *krylov.Workspace) {
 	cfg, r := wr.cfg, c.Rank()
-	var pc precond.Preconditioner
-	if wr.wired != nil {
-		pc = wr.wired[r]
-	} else if pc, wr.errs[r] = buildRankPrecond(cfg, wr.systems[r], cfg.Precond); wr.errs[r] != nil {
-		pc = precond.NewIdentity()
+	if wr.charge {
+		sp := c.BeginSpan(obs.KindPrecondSetup, precondLabel(cfg))
+		c.Compute(setupFlops(pc))
+		c.EndSpan(sp)
+		c.Barrier()
+		wr.setup[r] = c.Stats().Clock
 	}
-	// Charge setup heuristically (factor construction ≈ a few solve
-	// sweeps) and synchronize, as all processors finish setup before
-	// iterating.
-	sp := c.BeginSpan(obs.KindPrecondSetup, precondLabel(cfg))
-	c.Compute(setupFlopFactor * setupCost(pc))
-	c.EndSpan(sp)
-	c.Barrier()
-	wr.setup[r] = c.Stats().Clock
-	wr.solve(c, pc, nil)
-}
-
-// solve runs the configured solver on this rank with checkpoint/restore
-// wiring and pc already built. work is the rank's workspace leased by a
-// session; nil lets the solver allocate.
-func (wr *worldRun) solve(c *dist.Comm, pc precond.Preconditioner, work *krylov.Workspace) {
-	cfg, r := wr.cfg, c.Rank()
 	s, b := wr.systems[r], wr.bl[r]
 	sopt := rankSolverOptions(cfg, c, wr.sink, cfg.Restore)
 	if work != nil {
@@ -207,7 +194,9 @@ func validateRestore(cfg Config) error {
 // socket worlds is real — kill the process.
 //
 // The rank's krylov result and final virtual-time stats are returned
-// even on error (stats cover work up to the failure point).
+// even on error (stats cover work up to the failure point). When a rank's
+// preconditioner fails to build, that rank returns the set-up error and
+// every other rank an error saying set-up failed elsewhere.
 func SolveRank(p *Problem, cfg Config, rank int, tr dist.Transport, sink ckpt.Sink) (krylov.Result, dist.Stats, error) {
 	if cfg.P < 1 || rank < 0 || rank >= cfg.P {
 		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: rank %d of P=%d", rank, cfg.P)
@@ -236,11 +225,24 @@ func SolveRank(p *Problem, cfg Config, rank int, tr dist.Transport, sink ckpt.Si
 	if err != nil {
 		return krylov.Result{}, dist.Stats{}, err
 	}
-	wr := newWorldRun(cfg, lay.systems, p.B, nil, sink)
+	pc, buildErr := buildRankPrecond(cfg, lay.systems[rank], cfg.Precond)
+	wr := newWorldRun(cfg, lay.systems, p.B, sink, true)
 	w := dist.RemoteWorld(cfg.P, cfg.Machine, tr, dist.WorldOptions{Collector: cfg.Collector})
-	st, err := dist.RunRank(w.Comm(rank), wr.rank)
-	if err == nil && wr.errs[rank] != nil {
-		err = fmt.Errorf("core: rank %d setup: %w", rank, wr.errs[rank])
+	// A rank without its preconditioner cannot take part, and the others
+	// would wait for it in their first collective: the ranks agree on a
+	// failed build first, through the uncharged and untraced stop vote, so
+	// that every process returns and no modeled bit moves.
+	var failed bool
+	st, err := dist.RunRank(w.Comm(rank), func(c *dist.Comm) {
+		if failed = c.VoteStop(buildErr != nil); !failed {
+			wr.rank(c, pc, nil)
+		}
+	})
+	switch {
+	case buildErr != nil:
+		err = fmt.Errorf("core: rank %d setup: %w", rank, buildErr)
+	case failed && err == nil:
+		err = fmt.Errorf("core: rank %d: preconditioner set-up failed on another rank", rank)
 	}
 	return wr.results[rank], st, err
 }

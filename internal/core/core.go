@@ -301,14 +301,11 @@ func partSeed(cfg Config) int64 {
 	return cfg.Machine.Seed
 }
 
-// setupFlopFactor is the heuristic cost of constructing an incomplete
-// factorization, in units of its solve cost: roughly three sweeps over
-// the factor per row elimination. The paper's wall-clock times include
-// preconditioner setup, so ours charge this to the virtual clock.
-const setupFlopFactor = 3
-
 // Solve partitions, distributes and solves the problem, returning the
-// paper's measurements.
+// paper's measurements. It is a one-shot Session whose one solve charges the
+// preconditioner set-up to the virtual clocks, as the paper's times include
+// it: SetupTime is the modeled time until every rank has built its
+// preconditioner, SolveTime the rest.
 func Solve(p *Problem, cfg Config) (*Result, error) {
 	if err := resolveConfig(&cfg); err != nil {
 		return nil, err
@@ -316,54 +313,15 @@ func Solve(p *Problem, cfg Config) (*Result, error) {
 	if len(p.B) != p.A.Rows {
 		return nil, fmt.Errorf("core: rhs length %d, want %d", len(p.B), p.A.Rows)
 	}
-	wallStart := time.Now()
-	lay, reused, err := p.layout(cfg)
-	if err != nil {
-		return nil, err
-	}
-	recordLayout(cfg.Collector, reused)
-	wired, err := buildWired(p.A, lay, cfg)
-	if err != nil {
-		return nil, err
-	}
 	if err := validateRestore(cfg); err != nil {
 		return nil, err
 	}
-	res := &Result{PerRank: make([]dist.Stats, cfg.P)}
-	wr := newWorldRun(cfg, lay.systems, p.B, wired, checkpointSink(cfg))
-	stats, runErr := runWorld(cfg, wr.rank)
-
-	for r, err := range wr.errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: rank %d setup: %w", r, err)
-		}
+	start := time.Now()
+	s, err := NewSession(p, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if runErr != nil {
-		// Deadlock, crash or rank panic: the typed runtime error is the
-		// result (per-rank stats up to the failure are in it already).
-		return nil, runErr
-	}
-	copy(res.PerRank, stats)
-	sortPerRank(res.PerRank)
-	breakdown := aggregateResult(res, wr.results, wr.logs)
-	var maxSetup, maxClock float64
-	for r := 0; r < cfg.P; r++ {
-		if wr.setup[r] > maxSetup {
-			maxSetup = wr.setup[r]
-		}
-		if stats[r].Clock > maxClock {
-			maxClock = stats[r].Clock
-		}
-	}
-	res.SetupTime = maxSetup
-	res.SolveTime = maxClock - maxSetup
-	res.Wall = time.Since(wallStart).Seconds()
-	recordSolveCounters(cfg, res, breakdown)
-	if cfg.KeepX {
-		res.X = dsys.Gather(lay.systems, wr.xl)
-		res.TrueRelRes = trueRelRes(p.A, p.B, res.X)
-	}
-	return res, nil
+	return s.run(p.B, SolveOptions{}, start)
 }
 
 // trueRelRes recomputes ‖b−Ax‖/‖b‖ globally (‖b−Ax‖ when b is zero).
@@ -451,9 +409,9 @@ func recordLayout(col *obs.Collector, reused bool) {
 }
 
 // buildRankPrecond constructs one rank's preconditioner of the given kind
-// under cfg's options. It is shared by the main solve path, the resilient
-// escalation ladder (which may ask for a kind different from cfg.Precond)
-// and Session.Solve.
+// under cfg's options. It is shared by the session build (buildPrecs), the
+// resilient escalation ladder (which may ask for a kind different from
+// cfg.Precond) and SolveRank.
 func buildRankPrecond(cfg Config, s *dsys.System, kind precond.Kind) (precond.Preconditioner, error) {
 	switch {
 	case kind == precond.KindBlock1 && cfg.RCM:
@@ -541,18 +499,18 @@ func resilientLadder(cfg Config, c *dist.Comm, s *dsys.System, prec krylov.Prec)
 			if c.AllReduceMin(ok) == 0 {
 				return nil
 			}
-			c.Compute(setupFlopFactor * setupCost(fpc))
+			c.Compute(setupFlops(fpc))
 			return func(z, r []float64) { fpc.Apply(c, z, r) }
 		}},
 	}
 }
 
-// buildWired constructs the preconditioners that are wired across ranks
-// through shared memory and so cannot be built rank by rank — additive
-// Schwarz and the overlapping blocks — or returns nil for every other
-// configuration. The Schwarz builds run concurrently (each reads only the
+// buildPrecs constructs the P preconditioners of cfg. Those wired across
+// ranks through shared memory — additive Schwarz and the overlapping blocks —
+// are built together; every other kind rank by rank. The per-rank and
+// Schwarz builds run concurrently on the worker pool (each reads only the
 // shared matrix and its own subdomain); the halo wiring is serial.
-func buildWired(a *sparse.CSR, lay *layout, cfg Config) ([]precond.Preconditioner, error) {
+func buildPrecs(a *sparse.CSR, lay *layout, cfg Config) ([]precond.Preconditioner, error) {
 	pcs := make([]precond.Preconditioner, cfg.P)
 	switch {
 	case cfg.Schwarz != nil:
@@ -585,22 +543,38 @@ func buildWired(a *sparse.CSR, lay *layout, cfg Config) ([]precond.Preconditione
 			pcs[r] = ob
 		}
 	default:
-		return nil, nil
+		errs := make([]error, cfg.P)
+		par.Run(cfg.P, func(r int) {
+			if pcs[r], errs[r] = buildRankPrecond(cfg, lay.systems[r], cfg.Precond); errs[r] != nil {
+				errs[r] = fmt.Errorf("core: rank %d setup: %w", r, errs[r])
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
 	}
 	return pcs, nil
 }
 
-// setupCost estimates the flop count of building pc (heuristic, in solve
-// units): every preconditioner reports its factorization footprint via
-// SetupFlops or FactorNNZ.
-func setupCost(pc precond.Preconditioner) float64 {
+// setupFlopFactor is the heuristic cost of constructing an incomplete
+// factorization, in units of its solve cost: roughly three sweeps over
+// the factor per row elimination. The paper's wall-clock times include
+// preconditioner setup, so ours charge this to the virtual clock.
+const setupFlopFactor = 3
+
+// setupFlops estimates the flops of building pc (heuristic), what every
+// path charges for it: setupFlopFactor solve sweeps over the factorization
+// footprint each preconditioner reports via SetupFlops or FactorNNZ.
+func setupFlops(pc precond.Preconditioner) float64 {
+	var sweep float64
 	if v, ok := pc.(interface{ SetupFlops() float64 }); ok {
-		return v.SetupFlops()
+		sweep = v.SetupFlops()
+	} else if b, ok := pc.(interface{ FactorNNZ() int }); ok {
+		sweep = 2 * float64(b.FactorNNZ())
 	}
-	if b, ok := pc.(interface{ FactorNNZ() int }); ok {
-		return 2 * float64(b.FactorNNZ())
-	}
-	return 0
+	return setupFlopFactor * sweep
 }
 
 // Verify solves the problem sequentially with plain GMRES to tight

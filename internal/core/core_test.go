@@ -225,46 +225,71 @@ func TestOverlapLevelsThroughCore(t *testing.T) {
 	}
 }
 
+// A session's solve is the one-shot Solve's arithmetic without the set-up
+// charge: iterations, residual history and solution agree bit for bit for
+// every family of preconditioner a session holds — per-rank, Schwarz with a
+// coarse grid, overlapping blocks.
 func TestSessionReuseMatchesOneShot(t *testing.T) {
-	c, _ := cases.ByName("tc1-poisson2d")
-	prob := c.Build(17)
-	cfg := core.DefaultConfig(4, precond.KindSchur1)
-	cfg.KeepX = true
+	const m = 17
+	schwarz := precond.DefaultSchwarz(m, 2, 2, true)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*core.Config)
+	}{
+		{"Block 1", func(cfg *core.Config) { cfg.Precond = precond.KindBlock1 }},
+		{"Block 2", func(cfg *core.Config) { cfg.Precond = precond.KindBlock2 }},
+		{"Schur 1", func(cfg *core.Config) { cfg.Precond = precond.KindSchur1 }},
+		{"Schur 2", func(cfg *core.Config) { cfg.Precond = precond.KindSchur2 }},
+		{"AddSchwarz+CGC", func(cfg *core.Config) {
+			cfg.Precond, cfg.Schwarz, cfg.Scheme = precond.KindNone, &schwarz, core.PartitionSimple
+		}},
+		{"Block 2 (+1 overlap)", func(cfg *core.Config) { cfg.Precond, cfg.OverlapLevels = precond.KindBlock2, 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := cases.ByName("tc1-poisson2d")
+			prob := c.Build(m)
+			cfg := core.DefaultConfig(4, "")
+			cfg.KeepX = true
+			cfg.Solver.RecordHistory = true
+			tc.mutate(&cfg)
 
-	sess, err := core.NewSession(prob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := core.Solve(prob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := sess.Solve(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Iterations != one.Iterations {
-		t.Fatalf("session iterations %d != one-shot %d", r1.Iterations, one.Iterations)
-	}
-	for i := range r1.X {
-		if r1.X[i] != one.X[i] {
-			t.Fatal("session solution differs from one-shot")
-		}
-	}
-	// Second solve with a different RHS must also work and stay exact.
-	b2 := make([]float64, prob.A.Rows)
-	for i := range b2 {
-		b2[i] = float64(i%7) - 3
-	}
-	r2, err := sess.Solve(b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.Converged || r2.TrueRelRes > 1e-5 {
-		t.Fatalf("session re-solve failed: %+v", r2)
-	}
-	if sess.P() != 4 || sess.SetupTime() < 0 || len(sess.Systems()) != 4 {
-		t.Fatal("session accessors broken")
+			sess, err := core.NewSession(prob, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := core.Solve(prob, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r1, err := sess.Solve(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r1.Iterations != one.Iterations {
+				t.Fatalf("session iterations %d != one-shot %d", r1.Iterations, one.Iterations)
+			}
+			if !bitEqual(r1.History, one.History) || len(r1.History) == 0 {
+				t.Fatalf("session history %v != one-shot %v", r1.History, one.History)
+			}
+			if !bitEqual(r1.X, one.X) || len(r1.X) != prob.A.Rows {
+				t.Fatal("session solution differs from one-shot")
+			}
+			// Second solve with a different RHS must also work and stay exact.
+			b2 := make([]float64, prob.A.Rows)
+			for i := range b2 {
+				b2[i] = float64(i%7) - 3
+			}
+			r2, err := sess.Solve(b2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r2.Converged || r2.TrueRelRes > 1e-5 {
+				t.Fatalf("session re-solve failed: %+v", r2)
+			}
+			if sess.P() != 4 || sess.SetupTime() < 0 || len(sess.Systems()) != 4 {
+				t.Fatal("session accessors broken")
+			}
+		})
 	}
 }
 

@@ -420,7 +420,7 @@ func TestConcurrentSessionsShareLayout(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		want := *solo[i]
-		want.SetupTime = sessions[i].SetupTime() // the two pipelines charge set-up differently
+		want.SetupTime = sessions[i].SetupTime() // only the one-shot solve charges set-up to the clocks
 		want.SolveTime, want.PerRank = results[i].SolveTime, results[i].PerRank
 		assertSameBits(t, fmt.Sprintf("%s/P%d concurrent", j.kind, j.p), &want, results[i])
 		again, err := sessions[i].Solve(nil)

@@ -2,12 +2,18 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"parapre/internal/core"
 	"parapre/internal/dist"
 	"parapre/internal/dsys"
+	"parapre/internal/ilu"
 	"parapre/internal/krylov"
 	"parapre/internal/paranoid"
 	"parapre/internal/precond"
@@ -161,6 +167,83 @@ func TestResilientFallbackNamesBothStages(t *testing.T) {
 		if !stages[string(want)] {
 			t.Errorf("ladder stages %v missing %s", stages, want)
 		}
+	}
+}
+
+// returnsWithin runs fn and fails the test if it has not returned after
+// d: a regression here hangs rather than fails.
+func returnsWithin(t *testing.T, d time.Duration, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s had not returned after %v", what, d)
+	}
+}
+
+// A rank whose preconditioner cannot be built fails the solve from every
+// entry point instead of running on without it: with the stored values of
+// rank 2's first row (in global numbering) zeroed, its factorization meets
+// a zero pivot. Solve and NewSession return that typed error; of four
+// SolveRank workers on one world, rank 2 returns it and the other three an
+// error saying set-up failed elsewhere instead of waiting for rank 2 in a
+// collective.
+func TestSetupFailureOnOneRankIsAnError(t *testing.T) {
+	const p, bad, deadline = 4, 2, 10 * time.Second
+	for _, kind := range []precond.Kind{precond.KindSchur1, precond.KindSchur2, precond.KindBlock2} {
+		t.Run(string(kind), func(t *testing.T) {
+			prob := buildProblem(t, "tc1-poisson2d", 17)
+			cfg := core.DefaultConfig(p, kind)
+			part, err := core.Partition(prob, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, vals := prob.A.Row(slices.Index(part, bad))
+			clear(vals)
+			prob.A.InvalidateBlocked()
+
+			wantZeroPivot := func(what string, err error) {
+				t.Helper()
+				var zp *ilu.ZeroPivotError
+				if !errors.As(err, &zp) || !strings.Contains(err.Error(), fmt.Sprintf("rank %d setup", bad)) {
+					t.Errorf("%s: error %v, want rank %d's *ilu.ZeroPivotError", what, err, bad)
+				}
+			}
+			returnsWithin(t, deadline, "Solve", func() {
+				_, err := core.Solve(prob, cfg)
+				wantZeroPivot("Solve", err)
+			})
+			returnsWithin(t, deadline, "NewSession", func() {
+				_, err := core.NewSession(prob, cfg)
+				wantZeroPivot("NewSession", err)
+			})
+
+			errs := make([]error, p)
+			returnsWithin(t, deadline, "SolveRank", func() {
+				tr := dist.NewLoopback(p, 0)
+				var wg sync.WaitGroup
+				for r := range p {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, _, errs[r] = core.SolveRank(prob, cfg, r, tr, nil)
+					}()
+				}
+				wg.Wait()
+			})
+			for r, err := range errs {
+				if r == bad {
+					wantZeroPivot("SolveRank rank 2", err)
+				} else if err == nil || !strings.Contains(err.Error(), "set-up failed on another rank") {
+					t.Errorf("SolveRank rank %d: error %v, want set-up failed on another rank", r, err)
+				}
+			}
+		})
 	}
 }
 

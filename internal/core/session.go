@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"parapre/internal/dsys"
 	"parapre/internal/krylov"
 	"parapre/internal/obs"
-	"parapre/internal/par"
 	"parapre/internal/precond"
 )
 
@@ -95,33 +95,14 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 	recordLayout(cfg.Collector, reused)
 	s := &Session{prob: p, cfg: cfg, lay: lay}
 
-	if s.pcs, err = buildWired(p.A, lay, cfg); err != nil {
+	if s.pcs, err = buildPrecs(p.A, lay, cfg); err != nil {
 		return nil, err
-	}
-	if s.pcs == nil {
-		// Per-rank factorizations are independent: run them concurrently
-		// on the worker pool.
-		s.pcs = make([]precond.Preconditioner, cfg.P)
-		errs := make([]error, cfg.P)
-		par.Run(cfg.P, func(r int) {
-			pc, err := buildRankPrecond(cfg, s.lay.systems[r], cfg.Precond)
-			if err != nil {
-				errs[r] = fmt.Errorf("core: rank %d setup: %w", r, err)
-				return
-			}
-			s.pcs[r] = pc
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
 	}
 	_, s.serialOnly = s.pcs[0].(precond.CommErrRecorder)
 	// Model the one-time setup: every rank factors concurrently, so the
 	// cost is the maximum per-rank estimate.
 	for _, pc := range s.pcs {
-		t := setupFlopFactor * setupCost(pc) / s.cfg.Machine.FlopRate * s.cfg.Machine.Load
+		t := setupFlops(pc) / s.cfg.Machine.FlopRate * s.cfg.Machine.Load
 		if t > s.setupTime {
 			s.setupTime = t
 		}
@@ -167,6 +148,14 @@ func (s *Session) Solve(b []float64) (*Result, error) {
 // it, and serialize (correctly, not racily) where it does not — see the
 // Session mutex policy.
 func (s *Session) SolveWith(b []float64, opts SolveOptions) (*Result, error) {
+	return s.run(b, opts, time.Time{})
+}
+
+// run is SolveWith's body. A non-zero start makes it Solve's one-shot run,
+// timed from start: every rank first charges its preconditioner's set-up to
+// its virtual clock and synchronizes (see worldRun.rank), SetupTime is the
+// clock there and SolveTime what the ranks' clocks add after it.
+func (s *Session) run(b []float64, opts SolveOptions, start time.Time) (*Result, error) {
 	cfg := s.cfg
 	if opts.Ctx != nil {
 		cfg.Ctx = opts.Ctx
@@ -217,12 +206,17 @@ func (s *Session) SolveWith(b []float64, opts SolveOptions) (*Result, error) {
 	if err := validateRestore(cfg); err != nil {
 		return nil, err
 	}
-	wallStart := time.Now()
+	oneShot := !start.IsZero()
+	if !oneShot {
+		start = time.Now()
+	}
 	ws := s.wsPool.Get().([]*krylov.Workspace)
 	defer s.wsPool.Put(ws)
-	wr := newWorldRun(cfg, s.lay.systems, b, nil, checkpointSink(cfg))
-	stats, runErr := runWorld(cfg, func(c *dist.Comm) { wr.solve(c, s.pcs[c.Rank()], ws[c.Rank()]) })
+	wr := newWorldRun(cfg, s.lay.systems, b, checkpointSink(cfg), oneShot)
+	stats, runErr := runWorld(cfg, func(c *dist.Comm) { wr.rank(c, s.pcs[c.Rank()], ws[c.Rank()]) })
 	if runErr != nil {
+		// Deadlock, crash or rank panic: the typed runtime error is the
+		// result (per-rank stats up to the failure are in it already).
 		return nil, runErr
 	}
 
@@ -233,8 +227,12 @@ func (s *Session) SolveWith(b []float64, opts SolveOptions) (*Result, error) {
 	if cerr != nil {
 		return nil, fmt.Errorf("core: %w", cerr)
 	}
+	if oneShot {
+		res.SetupTime = slices.Max(wr.setup)
+		solveClock -= res.SetupTime
+	}
 	res.SolveTime = solveClock
-	res.Wall = time.Since(wallStart).Seconds()
+	res.Wall = time.Since(start).Seconds()
 	recordSolveCounters(cfg, res, breakdown)
 	if cfg.KeepX {
 		res.X = dsys.Gather(s.lay.systems, wr.xl)

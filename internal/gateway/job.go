@@ -5,9 +5,12 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
+	"math"
+	"slices"
 	"sync"
 
 	"parapre/internal/ckpt"
+	"parapre/internal/core"
 	"parapre/internal/krylov"
 	"parapre/internal/obs"
 )
@@ -53,7 +56,10 @@ type Event struct {
 	Error  string         `json:"error,omitempty"`  // type "error"
 }
 
-// ResultSummary is the JSON projection of a finished solve.
+// ResultSummary is the JSON projection of a finished solve. Every number
+// in it is finite: a value the solve left NaN or infinite — a breakdown's
+// residual, say — is 0, the history ends before its first such entry and a
+// solution holding one is left out; Err says what went wrong.
 type ResultSummary struct {
 	Iterations int       `json:"iterations"`
 	Restarts   int       `json:"restarts"`
@@ -222,20 +228,26 @@ func (j *Job) arm(cancel context.CancelFunc) bool {
 }
 
 // summarize projects a core result into the wire form.
-func summarize(res resultView) *ResultSummary {
+func summarize(res *core.Result) *ResultSummary {
 	s := &ResultSummary{
 		Iterations: res.Iterations,
 		Restarts:   res.Restarts,
 		Converged:  res.Converged,
-		Residual:   res.Residual,
-		SetupTime:  res.SetupTime,
-		SolveTime:  res.SolveTime,
-		Wall:       res.Wall,
+		Residual:   finite(res.Residual),
+		SetupTime:  finite(res.SetupTime),
+		SolveTime:  finite(res.SolveTime),
+		Wall:       finite(res.Wall),
 		History:    res.History,
-		TrueRelRes: res.TrueRelRes,
+		TrueRelRes: finite(res.TrueRelRes),
 		X:          res.X,
 		ErrRank:    res.ErrRank,
 		Phases:     res.PhaseBreakdown,
+	}
+	if i := slices.IndexFunc(s.History, notFinite); i >= 0 {
+		s.History = s.History[:i]
+	}
+	if slices.ContainsFunc(s.X, notFinite) {
+		s.X = nil
 	}
 	if res.Err != nil {
 		s.Err = res.Err.Error()
@@ -258,21 +270,13 @@ func summarize(res resultView) *ResultSummary {
 	return s
 }
 
-// resultView is the slice of core.Result the summary needs (a local
-// mirror keeps summarize testable without a solve).
-type resultView struct {
-	Iterations     int
-	Restarts       int
-	Converged      bool
-	Residual       float64
-	SetupTime      float64
-	SolveTime      float64
-	Wall           float64
-	History        []float64
-	TrueRelRes     float64
-	X              []float64
-	Err            error
-	ErrRank        int
-	PhaseBreakdown []obs.PhaseStat
-	Recovery       *krylov.RecoveryLog
+// notFinite reports a value JSON has no number for.
+func notFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
+// finite is v, or 0 when JSON has no number for it.
+func finite(v float64) float64 {
+	if notFinite(v) {
+		return 0
+	}
+	return v
 }

@@ -239,7 +239,8 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		}
 	})
 
-	// Every rank reports every iteration; publish each once.
+	// Every rank reports every iteration; publish each once, and none that
+	// JSON has no number for (a breakdown's NaN: the result reports it).
 	var pmu sync.Mutex
 	seen := -1
 	progress := func(iter int, resid float64) {
@@ -249,7 +250,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 			seen = iter
 		}
 		pmu.Unlock()
-		if fresh {
+		if fresh && !notFinite(resid) {
 			j.Publish(Event{Type: "residual", Iter: iter, Residual: resid})
 		}
 	}
@@ -275,22 +276,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		j.Fail(err)
 		return
 	}
-	sum := summarize(resultView{
-		Iterations:     res.Iterations,
-		Restarts:       res.Restarts,
-		Converged:      res.Converged,
-		Residual:       res.Residual,
-		SetupTime:      res.SetupTime,
-		SolveTime:      res.SolveTime,
-		Wall:           res.Wall,
-		History:        res.History,
-		TrueRelRes:     res.TrueRelRes,
-		X:              res.X,
-		Err:            res.Err,
-		ErrRank:        res.ErrRank,
-		PhaseBreakdown: res.PhaseBreakdown,
-		Recovery:       res.Recovery,
-	})
+	sum := summarize(res)
 	if res.Recovery != nil {
 		for _, st := range res.Recovery.Steps {
 			ev := Event{Type: "recovery", Stage: st.Stage, Attempt: st.Attempt,
@@ -351,10 +337,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, map[string]any{"id": j.ID, "state": j.State()})
+	writeJSON(w, http.StatusAccepted, map[string]any{"id": j.ID, "state": j.State()})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -362,8 +346,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"id":     j.ID,
 		"tenant": j.Tenant,
 		"state":  j.State(),
@@ -389,8 +372,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	retained := len(s.retired)
 	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"ok": true, "pending": pending, "active": active,
 		"sessions": c.Sessions, "session_bytes": c.Bytes, "session_budget": c.Budget,
 		"session_hits": c.Hits, "session_misses": c.Misses, "session_evictions": c.Evictions,
@@ -399,12 +381,19 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	writeJSON(w, map[string]string{"error": msg})
+	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+// writeJSON answers code with v as JSON, or 500 with the error when v has
+// no JSON form: encoded before the status goes out, so a client never
+// reads a success without its body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		data, _ = json.Marshal(map[string]string{"error": fmt.Sprintf("encode: %v", err)})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(append(data, '\n')) // fails only once the client has gone
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"parapre/internal/cases"
 	"parapre/internal/ckpt"
 	"parapre/internal/core"
+	"parapre/internal/paranoid"
 )
 
 // post submits the spec for the tenant. It reports no failure itself, so
@@ -166,8 +168,8 @@ func TestE2EResultMatchesDirectSolve(t *testing.T) {
 	// Direct library solves with the identical configuration: the gateway
 	// wraps a core.Session, so a direct session solve must match
 	// bit-for-bit; the one-shot core.Solve shares the identical residual
-	// recurrence (its modeled clock differs in the last bits only because
-	// it charges preconditioner setup inside the world).
+	// recurrence (its SolveTime differs in the last bits only because it
+	// charges preconditioner set-up to the same clocks and subtracts it).
 	c, err := cases.ByName(spec.Case)
 	if err != nil {
 		t.Fatal(err)
@@ -468,6 +470,48 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) int {
 		t.Fatalf("GET %s: %v", path, err)
 	}
 	return resp.StatusCode
+}
+
+// A solve that breaks down on a NaN still reaches its client: Block IC under
+// CG on the convection case (not SPD) leaves Residual NaN, and the result
+// event and the job's status must carry it as a decodable, unconverged
+// result with the breakdown in err — not end the stream without a result,
+// nor answer 200 with an empty body.
+func TestE2ENaNResultReachesClient(t *testing.T) {
+	nan := math.NaN()
+	sum := summarize(&core.Result{Residual: nan, TrueRelRes: math.Inf(1), History: []float64{1, 0.5, nan},
+		X: []float64{1, nan}, Err: errors.New("breakdown")})
+	if _, err := json.Marshal(sum); err != nil {
+		t.Fatalf("summary of a NaN result: %v", err)
+	}
+	if len(sum.History) != 2 || sum.X != nil || sum.Err != "breakdown" {
+		t.Errorf("summary history %v, x %v, err %q; want the finite prefix, no x, the error", sum.History, sum.X, sum.Err)
+	}
+	if paranoid.Enabled {
+		t.Skip("paranoid build panics on the NaN inside CG before a result exists")
+	}
+
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	id := submitOK(t, ts, "alice", &Spec{Case: "tc5-convdiff", Precond: "Block IC", UseCG: true})
+	var results []*ResultSummary
+	for _, e := range streamEvents(t, ts, id) {
+		if e.Type == "result" {
+			results = append(results, e.Result)
+		}
+	}
+	if len(results) != 1 || results[0] == nil {
+		t.Fatalf("%d result events, want one", len(results))
+	}
+	if r := results[0]; r.Converged || r.Err == "" {
+		t.Errorf("result event: converged %v, err %q; want an unconverged result with its error", r.Converged, r.Err)
+	}
+	var status struct {
+		State  State          `json:"state"`
+		Result *ResultSummary `json:"result"`
+	}
+	if code := getJSON(t, ts, "/v1/jobs/"+id, &status); code != http.StatusOK || status.State != StateDone || status.Result == nil {
+		t.Fatalf("GET job: %d, state %q, result %v", code, status.State, status.Result)
+	}
 }
 
 // Admission happens on the spec's size alone, before anything is allocated

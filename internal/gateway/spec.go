@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"parapre/internal/cases"
@@ -178,27 +179,13 @@ func (s *Spec) BuildProblem() (*core.Problem, error) {
 		}
 		return c.Build(size), nil
 	}
-	a, err := mmio.ReadMatrix(strings.NewReader(s.Matrix))
-	if err != nil {
-		return nil, fmt.Errorf("gateway: matrix: %w", err)
-	}
-	var b []float64
+	var rhs io.Reader
 	if s.RHS != "" {
-		b, err = mmio.ReadVector(strings.NewReader(s.RHS))
-		if err != nil {
-			return nil, fmt.Errorf("gateway: rhs: %w", err)
-		}
-		if len(b) != a.Rows {
-			return nil, fmt.Errorf("gateway: rhs length %d, matrix has %d rows", len(b), a.Rows)
-		}
-	} else {
-		// b = A·1: the solve has the known solution x = 1.
-		ones := make([]float64, a.Rows)
-		for i := range ones {
-			ones[i] = 1
-		}
-		b = make([]float64, a.Rows)
-		a.MulVecTo(b, ones)
+		rhs = strings.NewReader(s.RHS)
+	}
+	a, b, err := mmio.ReadSystem(strings.NewReader(s.Matrix), rhs)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	return &core.Problem{Name: "upload", A: a, B: b}, nil
 }

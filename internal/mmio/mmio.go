@@ -225,6 +225,34 @@ func ReadVector(r io.Reader) ([]float64, error) {
 	return out, nil
 }
 
+// ReadSystem reads a square system matrix and its right-hand side, the
+// input of a solver driver. A nil rhs gives b = A·1, whose exact solution
+// is all ones.
+func ReadSystem(matrix, rhs io.Reader) (*sparse.CSR, []float64, error) {
+	a, err := ReadMatrix(matrix)
+	if err != nil {
+		return nil, nil, fmt.Errorf("matrix: %w", err)
+	}
+	if a.Rows != a.Cols {
+		return nil, nil, fmt.Errorf("matrix is %d×%d, want square", a.Rows, a.Cols)
+	}
+	if rhs == nil {
+		ones := make([]float64, a.Cols)
+		for i := range ones {
+			ones[i] = 1
+		}
+		return a, a.MulVec(ones), nil
+	}
+	b, err := ReadVector(rhs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("rhs: %w", err)
+	}
+	if len(b) != a.Rows {
+		return nil, nil, fmt.Errorf("rhs length %d, matrix has %d rows", len(b), a.Rows)
+	}
+	return a, b, nil
+}
+
 // WriteVector writes x as an array-format column vector.
 func WriteVector(w io.Writer, x []float64) error {
 	bw := bufio.NewWriter(w)

@@ -2,6 +2,7 @@ package mmio
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -176,5 +177,34 @@ func TestDuplicateEntriesSummed(t *testing.T) {
 	}
 	if a.At(0, 0) != 3.5 {
 		t.Fatalf("duplicates not summed: %v", a.At(0, 0))
+	}
+}
+
+func TestReadSystem(t *testing.T) {
+	const mat = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 2\n1 2 -1\n2 2 3\n"
+	a, b, err := ReadSystem(strings.NewReader(mat), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Rows != 2 || len(b) != 2 || b[0] != 1 || b[1] != 3 {
+		t.Fatalf("nil rhs: b = %v, want A·1 = [1 3]", b)
+	}
+	_, b, err = ReadSystem(strings.NewReader(mat), strings.NewReader("%%MatrixMarket matrix array real general\n2 1\n5\n6\n"))
+	if err != nil || b[0] != 5 || b[1] != 6 {
+		t.Fatalf("rhs: b = %v, %v", b, err)
+	}
+	for name, tc := range map[string]struct{ mat, rhs, want string }{
+		"not square": {"%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1\n", "", "matrix is 2×3, want square"},
+		"bad matrix": {"garbage\n", "", "matrix: mmio: malformed banner"},
+		"bad rhs":    {mat, "garbage\n", "rhs: mmio: malformed banner"},
+		"short rhs":  {mat, "%%MatrixMarket matrix array real general\n1 1\n5\n", "rhs length 1, matrix has 2 rows"},
+	} {
+		var rhs io.Reader
+		if tc.rhs != "" {
+			rhs = strings.NewReader(tc.rhs)
+		}
+		if _, _, err := ReadSystem(strings.NewReader(tc.mat), rhs); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", name, err, tc.want)
+		}
 	}
 }
