@@ -2,12 +2,19 @@ package core_test
 
 import (
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
+	"parapre/internal/arms"
 	"parapre/internal/core"
+	"parapre/internal/dsys"
+	"parapre/internal/ilu"
 	"parapre/internal/par"
 	"parapre/internal/precond"
+	"parapre/internal/sparse"
 )
 
 // What a session keeps is what it uses: over everything Bytes reaches, the
@@ -34,6 +41,133 @@ func TestSessionHoldsNoSlack(t *testing.T) {
 			if slack := held - used; slack*100 > held {
 				t.Errorf("%s %s: %d of %d bytes held are spare capacity (%.1f %%), want at most 1 %%",
 					pr.name, kind, slack, held, 100*float64(slack)/float64(held))
+			}
+		}
+	}
+}
+
+// object is a pointer the walk below has seen: its address and its type (a
+// struct and its first field share an address).
+type object struct {
+	p unsafe.Pointer
+	t reflect.Type
+}
+
+// reach calls visit once on every pointer reachable from v that seen does
+// not hold yet, through unexported fields too, and adds it to seen.
+// Cache-like atomic pointers and unsafe pointers are not followed.
+func reach(v reflect.Value, seen map[object]bool, visit func(reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		k := object{v.UnsafePointer(), v.Type()}
+		if v.IsNil() || seen[k] {
+			return
+		}
+		seen[k] = true
+		visit(v)
+		reach(v.Elem(), seen, visit)
+	case reflect.Interface:
+		if !v.IsNil() {
+			reach(v.Elem(), seen, visit)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			reach(v.Field(i), seen, visit)
+		}
+	case reflect.Slice, reflect.Array:
+		switch v.Type().Elem().Kind() {
+		case reflect.Pointer, reflect.Interface, reflect.Struct, reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				reach(v.Index(i), seen, visit)
+			}
+		}
+	}
+}
+
+// inPattern reports whether m stores exactly the pattern of the factor f:
+// its strict lower triangle, diagonal and strict upper triangle.
+func inPattern(m *sparse.CSR, f *ilu.LU) bool {
+	if m.Rows != f.N() || m.Cols != f.N() || m.NNZ() != f.NNZ() {
+		return false
+	}
+	for i := 0; i < m.Rows; i++ {
+		cols, _ := m.Row(i)
+		lc, _ := f.LRow(i)
+		uc, _ := f.URow(i)
+		want := make([]int, 0, len(cols))
+		for _, j := range lc {
+			want = append(want, int(j))
+		}
+		want = append(want, i)
+		for _, j := range uc {
+			want = append(want, int(j))
+		}
+		if !slices.Equal(cols, want) {
+			return false
+		}
+	}
+	return true
+}
+
+// A session holds each matrix once. With the layout counted first, the
+// Schur and ARMS preconditioners add no copy of a part of the subdomain
+// matrix (B, F, E, C, E_ext: Schur 1 reads them in place), no second copy
+// of a matrix one of their factors holds in its pattern (Schur 2's S), and
+// no reduced matrix a level has already handed on (Block ARMS's S). Sizes
+// are the paper tables' of the benchmark.
+func TestSessionHoldsEachMatrixOnce(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	parts := []dsys.Part{dsys.PartB, dsys.PartF, dsys.PartE, dsys.PartC, dsys.PartEExt}
+	csrType := reflect.TypeOf((*sparse.CSR)(nil))
+	luType := reflect.TypeOf((*ilu.LU)(nil))
+	redType := reflect.TypeOf((*arms.Reduction)(nil))
+	for _, pr := range []struct {
+		name string
+		size int
+	}{{"tc1-poisson2d", 129}, {"tc2-poisson3d", 21}, {"tc5-convdiff", 129}, {"tc6-elasticity", 49}} {
+		prob := buildProblem(t, pr.name, pr.size)
+		for _, kind := range []precond.Kind{precond.KindSchur1, precond.KindSchur2, precond.KindBlockARMS} {
+			sess, err := core.NewSession(prob, core.DefaultConfig(4, kind))
+			if err != nil {
+				t.Fatalf("%s %s: %v", pr.name, kind, err)
+			}
+			systems, pcs := sess.Ranks()
+			seen := map[object]bool{}
+			for _, s := range systems {
+				reach(reflect.ValueOf(s), seen, func(reflect.Value) {})
+			}
+			var twice []any
+			for r, pc := range pcs {
+				var mats []*sparse.CSR
+				var lus []*ilu.LU
+				reach(reflect.ValueOf(pc), seen, func(v reflect.Value) {
+					switch v.Type() {
+					case csrType:
+						mats = append(mats, (*sparse.CSR)(v.UnsafePointer()))
+					case luType:
+						lus = append(lus, (*ilu.LU)(v.UnsafePointer()))
+					case redType:
+						if red := (*arms.Reduction)(v.UnsafePointer()); red.S != nil {
+							twice = append(twice, red.S)
+						}
+					}
+				})
+				for _, m := range mats {
+					for _, p := range parts {
+						if m.Equal(systems[r].Window(p).CSR()) {
+							twice = append(twice, m)
+						}
+					}
+					for _, f := range lus {
+						if inPattern(m, f) {
+							twice = append(twice, m)
+						}
+					}
+				}
+			}
+			if len(twice) > 0 {
+				t.Errorf("%s %s: the preconditioners hold %.2f MB in %d matrices the layout, a factor or a later level already holds",
+					pr.name, kind, float64(core.HeldBy(twice...))/1e6, len(twice))
 			}
 		}
 	}

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"parapre/internal/dsys"
+	"parapre/internal/precond"
+)
+
 // Footprint is what Bytes counts, and the part of it in use (slices at
 // their length). The caller has no solve running on the session.
 func (s *Session) Footprint() (held, used int64) { return s.footprint() }
@@ -14,4 +19,14 @@ func (s *Session) Components() (ab, mesh, layout, pcs int64) {
 	withLayout, _ := footprint(s.prob.A, s.prob.B, s.prob.Mesh, s.lay)
 	all, _ := s.footprint()
 	return ab, withMesh - ab, withLayout - withMesh, all - withLayout
+}
+
+// Ranks returns the session's subdomain systems and its preconditioners,
+// rank by rank.
+func (s *Session) Ranks() ([]*dsys.System, []precond.Preconditioner) { return s.lay.systems, s.pcs }
+
+// HeldBy is what Bytes counts of roots alone.
+func HeldBy(roots ...any) int64 {
+	held, _ := footprint(roots...)
+	return held
 }

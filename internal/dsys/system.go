@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"parapre/internal/dist"
 	"parapre/internal/obs"
@@ -52,6 +53,10 @@ type System struct {
 
 	// halo is Neigh as an exchange pattern: what Exchange runs.
 	halo Halo
+
+	// splits bound the parts of A that the windows read (see Window),
+	// computed on the first Window call.
+	splits atomic.Pointer[rowSplits]
 }
 
 // NLoc returns the number of owned unknowns.

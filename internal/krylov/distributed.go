@@ -9,9 +9,10 @@ import (
 	"parapre/internal/sparse"
 )
 
-// SolveCSR runs (F)GMRES on a sequentially stored sparse system. It is
-// the subdomain-local solver used inside the Schur 1 preconditioner ("a
-// few local GMRES iterations preconditioned by ILUT").
+// SolveCSR runs (F)GMRES on a sequentially stored sparse system, charging
+// 2·nnz flops per product. The Schur 1 preconditioner's local B-solves ("a
+// few local GMRES iterations preconditioned by ILUT") run the same GMRES
+// over B_i read in place from the subdomain matrix, with the same charge.
 func SolveCSR(a *sparse.CSR, precond Prec, b, x []float64, opt Options) Result {
 	matvec := func(y, xx []float64) {
 		a.MulVecTo(y, xx)

@@ -23,7 +23,7 @@ func buildOps(t *testing.T, m, p int, seed int64) ([]*Iface, [][]float64) {
 	ops := make([]*Iface, p)
 	xs := make([][]float64, p)
 	for r, s := range systems {
-		op, err := NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), exactBSolve(t, s))
+		op, err := NewImplicit(s, exactBSolve(t, s))
 		if err != nil {
 			t.Fatalf("rank %d: NewImplicit: %v", r, err)
 		}

@@ -38,11 +38,11 @@ func TestImplicitOperatorNonsymmetricPattern(t *testing.T) {
 
 	ops := make([]*Iface, 2)
 	for r, s := range systems {
-		bf, err := ilu.ILUT(s.BlockB(), ilu.ILUTOptions{Tau: 0, LFil: 0})
+		bf, err := ilu.ILUT(s.Window(dsys.PartB).CSR(), ilu.ILUTOptions{Tau: 0, LFil: 0})
 		if err != nil {
 			t.Fatalf("rank %d: factor B: %v", r, err)
 		}
-		op, err := NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), bf)
+		op, err := NewImplicit(s, bf)
 		if err != nil {
 			t.Fatalf("rank %d: NewImplicit: %v", r, err)
 		}

@@ -79,7 +79,7 @@ func denseGlobalSchur(t *testing.T, a *sparse.CSR, systems []*dsys.System) (*spa
 
 func exactBSolve(t *testing.T, s *dsys.System) *ilu.LU {
 	t.Helper()
-	f, err := ilu.ILUT(s.BlockB(), ilu.ILUTOptions{Tau: 0, LFil: 0})
+	f, err := ilu.ILUT(s.Window(dsys.PartB).CSR(), ilu.ILUTOptions{Tau: 0, LFil: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestImplicitMatVecMatchesDenseGlobalSchur(t *testing.T) {
 	got := make([][]float64, p)
 	dist.Run(p, testMachine(), func(c *dist.Comm) {
 		s := systems[c.Rank()]
-		op, err := NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), exactBSolve(t, s))
+		op, err := NewImplicit(s, exactBSolve(t, s))
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
@@ -151,7 +151,7 @@ func TestExplicitMatchesImplicitWithExactB(t *testing.T) {
 	dist.Run(p, testMachine(), func(c *dist.Comm) {
 		s := systems[c.Rank()]
 		bf := exactBSolve(t, s)
-		opI, err := NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), bf)
+		opI, err := NewImplicit(s, bf)
 		if err != nil {
 			t.Errorf("%v", err)
 			return
@@ -170,7 +170,7 @@ func TestExplicitMatchesImplicitWithExactB(t *testing.T) {
 		s := systems[c.Rank()]
 		bf := exactBSolve(t, s)
 		nI := s.NIface()
-		cBlk, eBlk, fBlk := s.BlockC(), s.BlockE(), s.BlockF()
+		cBlk, eBlk, fBlk := s.Window(dsys.PartC), s.Window(dsys.PartE), s.Window(dsys.PartF)
 		coo := sparse.NewCOO(nI, nI, nI*nI)
 		// column j of S_i
 		xj := make([]float64, nI)
@@ -195,7 +195,7 @@ func TestExplicitMatchesImplicitWithExactB(t *testing.T) {
 			}
 		}
 		sLoc := coo.ToCSR()
-		op, err := NewExplicit(s, sLoc, s.BlockEExt(), func(l int) (int, bool) {
+		op, err := NewExplicit(s, sLoc, func(l int) (int, bool) {
 			if l < s.NInt {
 				return 0, false
 			}
@@ -238,7 +238,7 @@ func TestIfaceDotGlobal(t *testing.T) {
 	}
 	dist.Run(p, testMachine(), func(c *dist.Comm) {
 		s := systems[c.Rank()]
-		op, err := NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), exactBSolve(t, s))
+		op, err := NewImplicit(s, exactBSolve(t, s))
 		if err != nil {
 			t.Errorf("%v", err)
 			return
@@ -253,12 +253,24 @@ func TestIfaceDotGlobal(t *testing.T) {
 func TestNewExplicitValidation(t *testing.T) {
 	systems, _, _ := buildSystems(t, 8, 2, 7)
 	s := systems[0]
-	if _, err := NewExplicit(s, sparse.NewCSR(2, 3, 0), s.BlockEExt(), nil); err == nil {
+	if s.NIface() < 2 {
+		t.Fatalf("rank 0 has %d interface unknowns, the test needs two", s.NIface())
+	}
+	ifaceLast := func(l int) (int, bool) { return l - s.NInt, l >= s.NInt }
+	if _, err := NewExplicit(s, sparse.NewCSR(2, 3, 0), ifaceLast); err == nil {
 		t.Fatal("non-square accepted")
 	}
-	bad := sparse.NewCSR(s.NIface(), s.NExt()+1, 0)
 	sq := sparse.Identity(s.NIface())
-	if _, err := NewExplicit(s, sq, bad, nil); err == nil {
-		t.Fatal("bad eExt accepted")
+	if _, err := NewExplicit(s, sq, ifaceLast); err != nil {
+		t.Fatalf("interface last in local order refused: %v", err)
+	}
+	// The external couplings are added to the last NIface rows: an
+	// interface ordered any other way is refused, not coupled wrongly.
+	reversed := func(l int) (int, bool) { return s.NLoc() - 1 - l, l >= s.NInt }
+	if _, err := NewExplicit(s, sq, reversed); err == nil {
+		t.Fatal("interface in reverse order accepted")
+	}
+	if _, err := NewExplicit(s, sparse.Identity(s.NIface()+1), ifaceLast); err == nil {
+		t.Fatal("interface not last accepted")
 	}
 }

@@ -174,11 +174,11 @@ func schurOperatorOne(gname string, a *sparse.CSR, n, p int, seed int64) []Viola
 
 	ops := make([]*schur.Iface, p)
 	for r, s := range systems {
-		bf, err := ilu.ILUT(s.BlockB(), completeOpts)
+		bf, err := ilu.ILUT(s.Window(dsys.PartB).CSR(), completeOpts)
 		if err != nil {
 			return []Violation{{"schur-operator", fmt.Sprintf("rank %d factor B: %v", r, err), tag("")}}
 		}
-		op, err := schur.NewImplicit(s, s.BlockC(), s.BlockE(), s.BlockF(), bf)
+		op, err := schur.NewImplicit(s, bf)
 		if err != nil {
 			return []Violation{{"schur-operator", fmt.Sprintf("rank %d NewImplicit: %v", r, err), tag("")}}
 		}
