@@ -37,7 +37,7 @@ type BSR struct {
 
 	// rowPart caches the nnz-balanced block-row partition of the parallel
 	// kernels, exactly like CSR.rowPart.
-	rowPart atomic.Pointer[rowPartCache]
+	rowPart RowSegments
 }
 
 // BlockRows returns the number of block rows.
@@ -209,32 +209,13 @@ func DetectBlockSize(a *CSR, maxFill float64) int {
 }
 
 // rowPartition mirrors CSR.rowPartition for block rows: segment bounds of
-// roughly equal stored-block count. Correctness does not depend on the
-// balance, only coverage, so a racing recompute is harmless.
+// roughly equal stored-block count.
 func (b *BSR) rowPartition(segs int) []int {
-	nbr := b.BlockRows()
-	if p := b.rowPart.Load(); p != nil && p.segs == segs && p.rows == nbr && p.nnz == b.Blocks() {
-		return p.bounds
-	}
-	nb := b.Blocks()
-	//lint:ignore allocfree row partition is computed once per (shape, segs) and cached in rowPart
-	bounds := make([]int, segs+1)
-	for s := 1; s < segs; s++ {
-		target := int(int64(s) * int64(nb) / int64(segs))
-		r := sort.SearchInts(b.RowPtr, target)
-		if r > nbr {
-			r = nbr
-		}
-		if r < bounds[s-1] {
-			r = bounds[s-1]
-		}
-		bounds[s] = r
-	}
-	bounds[segs] = nbr
-	//lint:ignore allocfree row partition is computed once per (shape, segs) and cached in rowPart
-	b.rowPart.Store(&rowPartCache{segs: segs, rows: nbr, nnz: nb, bounds: bounds})
-	return bounds
+	return b.rowPart.Bounds(segs, b.BlockRows(), b.Blocks(), b.blockRowLen)
 }
+
+// blockRowLen returns the number of blocks stored in block row bi.
+func (b *BSR) blockRowLen(bi int) int { return b.RowPtr[bi+1] - b.RowPtr[bi] }
 
 // mulRange computes y[..] = A[..]·x over the block rows [lo, hi),
 // dispatching to the register-blocked kernel for the common shapes.
@@ -330,7 +311,7 @@ func (b *BSR) checkMulDims(op string, y, x []float64) {
 //lint:allocfree steady state once the block-row partition is built; verified dynamically by TestBSRMulVecToZeroAllocSteadyState
 func (b *BSR) MulVecTo(y, x []float64) {
 	b.checkMulDims("MulVecTo", y, x)
-	if w := par.Workers(); w > 1 && b.NNZ() >= spmvParMinNNZ {
+	if w := par.Workers(); w > 1 && b.NNZ() >= ParMinNNZ {
 		par.ForSegments(b.rowPartition(w), func(lo, hi int) { b.mulRange(y, x, lo, hi) })
 		return
 	}
@@ -352,7 +333,7 @@ func (b *BSR) MulVecAdd(y []float64, alpha float64, x []float64) {
 			}
 		}
 	}
-	if w := par.Workers(); w > 1 && b.NNZ() >= spmvParMinNNZ {
+	if w := par.Workers(); w > 1 && b.NNZ() >= ParMinNNZ {
 		par.ForSegments(b.rowPartition(w), body)
 		return
 	}
@@ -372,7 +353,7 @@ func (b *BSR) MulVecSub(y, x []float64) {
 			}
 		}
 	}
-	if w := par.Workers(); w > 1 && b.NNZ() >= spmvParMinNNZ {
+	if w := par.Workers(); w > 1 && b.NNZ() >= ParMinNNZ {
 		par.ForSegments(b.rowPartition(w), body)
 		return
 	}

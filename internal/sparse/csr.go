@@ -30,10 +30,8 @@ type CSR struct {
 	Val        []float64
 
 	// rowPart caches the nnz-balanced row partition used by the parallel
-	// matrix-vector kernels. Lazily computed, atomically published (two
-	// ranks may share a matrix read-only), and revalidated against the
-	// current shape on every use — see rowPartition.
-	rowPart atomic.Pointer[rowPartCache]
+	// matrix-vector kernels — see rowPartition.
+	rowPart RowSegments
 
 	// bsr caches the blocked-format detection verdict of the adaptive
 	// matvec router — see blocked in bsr.go. Mutating methods invalidate
@@ -125,46 +123,10 @@ func (a *CSR) MulVec(x []float64) []float64 {
 	return y
 }
 
-// rowPartCache is one computed nnz-balanced row partition, tagged with
-// the shape it was computed for so structural edits invalidate it.
-type rowPartCache struct {
-	segs, rows, nnz int
-	bounds          []int // len segs+1, non-decreasing, covers [0, Rows)
-}
-
-// spmvParMinNNZ is the matrix size below which the matrix-vector kernels
-// stay serial: small subdomain blocks are not worth the fan-out.
-const spmvParMinNNZ = 8192
-
 // rowPartition returns segment boundaries splitting the rows into segs
-// contiguous ranges of roughly equal nonzero count, so one long row does
-// not serialize a parallel sweep. The partition is computed once and
-// cached; it is recomputed whenever segs, the row count, or the nonzero
-// count changed since it was built. (Balance — not correctness — depends
-// on RowPtr: any cached boundary vector covering the rows yields exact
-// results, so a stale-but-covering partition is merely slower.)
+// contiguous ranges of roughly equal nonzero count, cached in rowPart.
 func (a *CSR) rowPartition(segs int) []int {
-	if p := a.rowPart.Load(); p != nil && p.segs == segs && p.rows == a.Rows && p.nnz == a.NNZ() {
-		return p.bounds
-	}
-	nnz := a.NNZ()
-	//lint:ignore allocfree row partition is computed once per (shape, segs) and cached in rowPart
-	bounds := make([]int, segs+1)
-	for s := 1; s < segs; s++ {
-		target := int(int64(s) * int64(nnz) / int64(segs))
-		r := sort.SearchInts(a.RowPtr, target)
-		if r > a.Rows {
-			r = a.Rows
-		}
-		if r < bounds[s-1] {
-			r = bounds[s-1]
-		}
-		bounds[s] = r
-	}
-	bounds[segs] = a.Rows
-	//lint:ignore allocfree row partition is computed once per (shape, segs) and cached in rowPart
-	a.rowPart.Store(&rowPartCache{segs: segs, rows: a.Rows, nnz: nnz, bounds: bounds})
-	return bounds
+	return a.rowPart.Bounds(segs, a.Rows, a.NNZ(), a.RowNNZ)
 }
 
 // mulRange computes y[lo:hi] = A[lo:hi]·x — the serial SpMV restricted to
@@ -232,7 +194,7 @@ func (a *CSR) MulVecTo(y, x []float64) {
 		b.MulVecTo(y, x)
 		return
 	}
-	if w := par.Workers(); w > 1 && a.NNZ() >= spmvParMinNNZ {
+	if w := par.Workers(); w > 1 && a.NNZ() >= ParMinNNZ {
 		par.ForSegments(a.rowPartition(w), func(lo, hi int) { a.mulRange(y, x, lo, hi) })
 		return
 	}
@@ -248,7 +210,7 @@ func (a *CSR) MulVecAdd(y []float64, alpha float64, x []float64) {
 		b.MulVecAdd(y, alpha, x)
 		return
 	}
-	if w := par.Workers(); w > 1 && a.NNZ() >= spmvParMinNNZ {
+	if w := par.Workers(); w > 1 && a.NNZ() >= ParMinNNZ {
 		par.ForSegments(a.rowPartition(w), func(lo, hi int) { a.mulAddRange(y, alpha, x, lo, hi) })
 		return
 	}
@@ -265,7 +227,7 @@ func (a *CSR) MulVecSub(y, x []float64) {
 		b.MulVecSub(y, x)
 		return
 	}
-	if w := par.Workers(); w > 1 && a.NNZ() >= spmvParMinNNZ {
+	if w := par.Workers(); w > 1 && a.NNZ() >= ParMinNNZ {
 		par.ForSegments(a.rowPartition(w), func(lo, hi int) { a.mulSubRange(y, x, lo, hi) })
 		return
 	}

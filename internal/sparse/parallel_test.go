@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"parapre/internal/par"
@@ -51,7 +52,7 @@ var workerSweep = []int{1, 2, 3, 8}
 func TestSpMVBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randCSRLarge(rng, 3000, 8)
-	if a.NNZ() < spmvParMinNNZ {
+	if a.NNZ() < ParMinNNZ {
 		t.Fatalf("test matrix too small (nnz=%d) to engage the parallel path", a.NNZ())
 	}
 	x := randVecMixed(rng, a.Cols)
@@ -214,6 +215,11 @@ func TestRowPartition(t *testing.T) {
 		for s := 0; s < segs; s++ {
 			if b[s] > b[s+1] {
 				t.Fatalf("segs=%d: bounds not monotone: %v", segs, b)
+			}
+			// Segment s starts at the first row with s·nnz/segs entries
+			// before it.
+			if want := sort.SearchInts(a.RowPtr, s*a.NNZ()/segs); b[s] != want {
+				t.Fatalf("segs=%d: segment %d starts at row %d, want %d", segs, s, b[s], want)
 			}
 		}
 	}
