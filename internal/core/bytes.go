@@ -10,29 +10,46 @@ import (
 	"unsafe"
 )
 
-// Bytes returns the heap the session keeps alive, in bytes: the problem's
-// matrix, right-hand side and mesh, the session's layout (partition and
-// subdomain systems) and the per-rank preconditioners with their scratch —
-// what a cache that holds the session is charged for. It is a walk over
-// everything reachable from those, not a sum a preconditioner family has to
-// keep up to date: slices count at their capacity, and an array reached
-// twice (the systems a preconditioner points back to, a block two operators
-// share) counts once. Memory captured by a closure is out of its sight;
-// TestSessionBytesMatchesHeap holds every registered kind to the measured
-// heap. The scratch a solve grows on first use (inner Krylov bases) is
-// counted once it exists: the value rises over the first solve, by 6 to
-// 13 % for Schur 1 and 3 to 6 % for Schur 2 at the sizes of the paper's
-// tables, and is constant after it. Bytes waits for the session's
-// running solves: nothing grows under the walk.
-func (s *Session) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	held, _ := s.footprint()
+// Bytes returns the heap the problem keeps alive, in bytes: its matrix,
+// right-hand side and mesh and every layout (partition and subdomain
+// systems) its memo holds — what every session on the problem shares, and
+// what a cache that holds sessions on it is charged once for. It is a walk
+// over everything reachable from those, not a sum a package has to keep up
+// to date: slices count at their capacity, and an array reached twice
+// counts once. Memory captured by a closure is out of its sight;
+// TestSessionBytesMatchesHeap holds Bytes and Session.Bytes together to the
+// measured heap. The value rises when a session or cold solve adds a layout.
+func (p *Problem) Bytes() int64 {
+	held, _ := footprint(p.roots()...)
 	return held
 }
 
-func (s *Session) footprint() (held, used int64) {
-	return footprint(s.prob.A, s.prob.B, s.prob.Mesh, s.lay, s.pcs)
+// roots is what Problem.Bytes walks.
+func (p *Problem) roots() []any {
+	roots := []any{p.A, p.B, p.Mesh}
+	for _, l := range p.memo.layouts() {
+		roots = append(roots, l)
+	}
+	return roots
+}
+
+// Bytes returns the heap the session keeps alive beyond its problem's
+// Bytes, in bytes: the per-rank preconditioners with their scratch, walked
+// with everything the problem holds already seen, so that an array a
+// preconditioner shares with the matrix or a layout (the systems it points
+// back to, a window onto a subdomain matrix) adds nothing. A session on a
+// problem whose memo no longer holds its layout (the matrix was edited in
+// place) is charged the layout too. The scratch a solve grows on first use
+// (inner Krylov bases) is counted once it exists: the sum of the two rises
+// over the first solve, by 6 to 13 % for Schur 1 and 3 to 6 % for Schur 2
+// at the sizes of the paper's tables, and is constant after it. Bytes waits
+// for the session's running solves: nothing grows under the walk.
+func (s *Session) Bytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := newWalker()
+	base := w.count(s.prob.roots()...)
+	return w.count(s.lay, s.pcs) - base
 }
 
 // footprint walks everything reachable from roots and returns the bytes it
@@ -42,11 +59,22 @@ func (s *Session) footprint() (held, used int64) {
 // nothing. sync.Pool contents belong to the collector and are skipped;
 // funcs, channels and unsafe pointers are opaque.
 func footprint(roots ...any) (held, used int64) {
-	w := walker{seen: map[visit]struct{}{}, ptrs: map[reflect.Type]bool{}}
+	w := newWalker()
+	held = w.count(roots...)
+	return held, union(w.used) + w.loose
+}
+
+func newWalker() *walker {
+	return &walker{seen: map[visit]struct{}{}, ptrs: map[reflect.Type]bool{}}
+}
+
+// count walks roots on from where the walker stands and returns the bytes
+// held by everything walked so far.
+func (w *walker) count(roots ...any) int64 {
 	for _, r := range roots {
 		w.walk(reflect.ValueOf(r))
 	}
-	return union(w.held) + w.loose, union(w.used) + w.loose
+	return union(w.held) + w.loose
 }
 
 type span struct{ lo, hi uintptr }
@@ -123,9 +151,11 @@ func (w *walker) walk(v reflect.Value) {
 			if t.NumField() != 3 || t.Field(0).Type.Kind() != reflect.Array || t.Field(2).Type.Kind() != reflect.UnsafePointer {
 				return
 			}
-			p := v.Field(2).UnsafePointer()
+			var p unsafe.Pointer
 			if v.CanAddr() {
 				p = atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(v.Field(2).UnsafeAddr())))
+			} else {
+				p = v.Field(2).UnsafePointer() // a copy: nothing stores into it
 			}
 			if p != nil {
 				w.walk(reflect.NewAt(t.Field(0).Type.Elem().Elem(), p))

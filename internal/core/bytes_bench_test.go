@@ -11,11 +11,11 @@ import (
 )
 
 // BenchmarkSessionBytesPerUnknown reports, per preconditioner kind, the
-// least and the most Bytes per unknown a session holds after one solve,
-// over the seven cases at their default sizes and P = 4 and 16, one worker,
-// each session on a problem of its own (a layout is the problem's, and
-// shared): what admission's one KiB per unknown is set against (DESIGN
-// §18). One pass is the measurement:
+// least and the most bytes per unknown a session and its problem hold
+// together after one solve (Problem.Bytes + Session.Bytes), over the seven
+// cases at their default sizes and P = 4 and 16, one worker, each session
+// on a problem of its own: what admission's one KiB per unknown is set
+// against (DESIGN §18). One pass is the measurement:
 //
 //	go test ./internal/core -run '^$' -bench SessionBytesPerUnknown -benchtime 1x
 func BenchmarkSessionBytesPerUnknown(b *testing.B) {
@@ -34,7 +34,7 @@ func BenchmarkSessionBytesPerUnknown(b *testing.B) {
 						if _, err := sess.Solve(nil); err != nil {
 							b.Fatalf("%s %s P %d: %v", prob.Name, kind, p, err)
 						}
-						per := float64(sess.Bytes()) / float64(prob.A.Rows)
+						per := float64(prob.Bytes()+sess.Bytes()) / float64(prob.A.Rows)
 						least, most = min(least, per), max(most, per)
 					}
 				}

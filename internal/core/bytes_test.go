@@ -183,17 +183,19 @@ func liveHeap() int64 {
 	return int64(m.HeapAlloc)
 }
 
-// Bytes is held to the allocator's own account for every preconditioner a
-// session can be built with: a problem and its session built alone raise
-// the live heap by what Bytes says, within a tenth (size classes, closures'
-// captured scratch). A family that keeps its factors where the walk cannot
-// reach — behind a func value — under-counts by more and fails here.
+// The problem's Bytes and its session's are held to the allocator's own
+// account for every preconditioner a session can be built with: a problem
+// and its session built alone raise the live heap by what the two say
+// together, within a tenth (size classes, closures' captured scratch). A
+// family that keeps its factors where the walk cannot reach — behind a
+// func value — under-counts by more and fails here.
 func TestSessionBytesMatchesHeap(t *testing.T) {
 	const size = 65
 	for _, tc := range sessionConfigs(size) {
 		cfg := tc.config(4)
 		before := liveHeap()
-		sess, err := core.NewSession(buildProblem(t, "tc1-poisson2d", size), cfg)
+		prob := buildProblem(t, "tc1-poisson2d", size)
+		sess, err := core.NewSession(prob, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -201,12 +203,12 @@ func TestSessionBytesMatchesHeap(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		heap := liveHeap() - before
-		got := sess.Bytes()
+		got := prob.Bytes() + sess.Bytes()
 		ab, mesh, layout, pcs := sess.Components()
 		t.Logf("%-15s Bytes() %8d  heap %8d  %+.1f %%  %4.0f B/unknown  (A and b %d, mesh %d, layout %d, preconditioner %d)",
 			tc.name, got, heap, 100*float64(got-heap)/float64(heap), float64(got)/(size*size), ab, mesh, layout, pcs)
 		if math.Abs(float64(got-heap)) > 0.10*float64(heap) {
-			t.Errorf("%s: Bytes() = %d, the live heap grew by %d (%+.1f %%)",
+			t.Errorf("%s: Bytes() = %d with the problem's, the live heap grew by %d (%+.1f %%)",
 				tc.name, got, heap, 100*float64(got-heap)/float64(heap))
 		}
 		runtime.KeepAlive(sess)
@@ -221,14 +223,15 @@ func TestSessionBytesMatchesHeap(t *testing.T) {
 func TestSessionBytesIndependentOfWorkers(t *testing.T) {
 	bytesAt := func(workers int, kind precond.Kind) int64 {
 		defer par.SetWorkers(par.SetWorkers(workers))
-		sess, err := core.NewSession(buildProblem(t, "tc1-poisson2d", 129), core.DefaultConfig(4, kind))
+		prob := buildProblem(t, "tc1-poisson2d", 129)
+		sess, err := core.NewSession(prob, core.DefaultConfig(4, kind))
 		if err != nil {
 			t.Fatalf("%s at %d workers: %v", kind, workers, err)
 		}
 		if _, err := sess.Solve(nil); err != nil {
 			t.Fatalf("%s at %d workers: %v", kind, workers, err)
 		}
-		return sess.Bytes()
+		return prob.Bytes() + sess.Bytes()
 	}
 	for _, kind := range []precond.Kind{precond.KindBlock1, precond.KindBlock2, precond.KindSchur1, precond.KindSchur2} {
 		one, two := bytesAt(1, kind), bytesAt(2, kind)

@@ -5,19 +5,23 @@ import (
 	"parapre/internal/precond"
 )
 
-// Footprint is what Bytes counts, and the part of it in use (slices at
-// their length). The caller has no solve running on the session.
-func (s *Session) Footprint() (held, used int64) { return s.footprint() }
+// Footprint is what the problem's Bytes and the session's count together,
+// and the part of it in use (slices at their length). The caller has no
+// solve running on the session.
+func (s *Session) Footprint() (held, used int64) {
+	return footprint(append(s.prob.roots(), s.lay, s.pcs)...)
+}
 
-// Components splits Bytes by what holds it, each counted after the ones
-// before it so that a shared array lands in the first: the matrix and the
-// right-hand side, the mesh, the layout (partition and subdomain systems),
-// the preconditioners.
+// Components splits what the problem's Bytes and the session's count
+// together by what holds it, each counted after the ones before it so that
+// a shared array lands in the first: the matrix and the right-hand side,
+// the mesh, the layouts (partitions and subdomain systems), the
+// preconditioners.
 func (s *Session) Components() (ab, mesh, layout, pcs int64) {
 	ab, _ = footprint(s.prob.A, s.prob.B)
 	withMesh, _ := footprint(s.prob.A, s.prob.B, s.prob.Mesh)
-	withLayout, _ := footprint(s.prob.A, s.prob.B, s.prob.Mesh, s.lay)
-	all, _ := s.footprint()
+	withLayout, _ := footprint(append(s.prob.roots(), s.lay)...)
+	all, _ := s.Footprint()
 	return ab, withMesh - ab, withLayout - withMesh, all - withLayout
 }
 

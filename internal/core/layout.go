@@ -29,14 +29,30 @@ type layoutKey struct {
 
 // layoutMemo holds a Problem's layouts, each built once under its own
 // sync.Once, for as long as the Problem lives. from is the state of the
-// Problem they were built from.
+// Problem they were built from. Problem.Bytes counts them all.
 type layoutMemo struct {
 	mu      sync.Mutex
 	from    fingerprint
 	entries map[layoutKey]*layoutEntry
 }
 
-type layoutEntry struct{ get func() (*layout, error) }
+type layoutEntry struct {
+	get func() (*layout, error)
+	lay *layout // get's layout once it has returned one; under the memo's mu
+}
+
+// layouts returns the layouts built so far.
+func (m *layoutMemo) layouts() []*layout {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ls := make([]*layout, 0, len(m.entries))
+	for _, e := range m.entries {
+		if e.lay != nil {
+			ls = append(ls, e.lay)
+		}
+	}
+	return ls
+}
 
 // fingerprint identifies what a layout reads of a Problem: Mesh by
 // identity, A by content, one hash per array. A check against in-place
@@ -107,12 +123,12 @@ func (p *Problem) layout(cfg Config) (*layout, bool, error) {
 	}
 	m.mu.Unlock()
 	l, err := e.get()
-	if err != nil {
-		m.mu.Lock()
-		if m.entries[key] == e {
-			delete(m.entries, key)
-		}
-		m.mu.Unlock()
+	m.mu.Lock()
+	if err == nil {
+		e.lay = l
+	} else if m.entries[key] == e {
+		delete(m.entries, key)
 	}
+	m.mu.Unlock()
 	return l, reused, err
 }

@@ -431,6 +431,73 @@ func TestConcurrentSessionsShareLayout(t *testing.T) {
 	}
 }
 
+// One problem, as a service holds it for every spec on one system: the
+// paper's four preconditioners are built and solved on it at the same time
+// while its bytes and theirs are counted, and each gives, bit for bit, the
+// iterations, history and solution it gives on a problem of its own. Run
+// under -race: the count walks the shared systems while the solves
+// exchange through their halo buffers.
+func TestSharedProblemConcurrentSolves(t *testing.T) {
+	const name, size = "tc1-poisson2d", 33
+	config := func(kind precond.Kind) core.Config {
+		cfg := core.DefaultConfig(4, kind)
+		cfg.KeepX = true
+		cfg.Solver.RecordHistory = true
+		return cfg
+	}
+	solo := make([]*core.Result, len(paperKinds))
+	for i, kind := range paperKinds {
+		var err error
+		if solo[i], err = newSession(t, buildProblem(t, name, size), config(kind)).Solve(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	prob := buildProblem(t, name, size)
+	results := make([]*core.Result, len(paperKinds))
+	errs := make([]error, len(paperKinds))
+	done := make(chan struct{})
+	var wg, counting sync.WaitGroup
+	counting.Add(1)
+	go func() {
+		defer counting.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				prob.Bytes()
+			}
+		}
+	}()
+	for i, kind := range paperKinds {
+		wg.Add(1)
+		go func(i int, kind precond.Kind) {
+			defer wg.Done()
+			sess, err := core.NewSession(prob, config(kind))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			results[i], errs[i] = sess.SolveWith(nil, core.SolveOptions{Collector: obs.NewCollector()})
+			sess.Bytes()
+		}(i, kind)
+	}
+	wg.Wait()
+	close(done)
+	counting.Wait()
+	for i, kind := range paperKinds {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", kind, errs[i])
+		}
+		got, want := results[i], solo[i]
+		if got.Iterations != want.Iterations || !bitEqual(got.History, want.History) || !bitEqual(got.X, want.X) {
+			t.Errorf("%s on the shared problem: %d iterations, or its history or X, differ from %d on its own",
+				kind, got.Iterations, want.Iterations)
+		}
+	}
+}
+
 // The counters reach the metrics text a front end writes: the first set-up
 // on a Problem paid for its layout, the second found it, and a cold Solve
 // says the same.

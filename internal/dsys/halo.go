@@ -34,7 +34,10 @@ type Halo struct {
 	// dist.Comm.Send copies its payload, so one buffer serves all peers;
 	// the lease keeps the steady state allocation-free for a single solve
 	// and race-free when concurrent solves share the pattern (core.Session
-	// serves simultaneous right-hand sides over one distribution).
+	// serves simultaneous right-hand sides over one distribution, and the
+	// sessions on one core.Problem share it). The slice header is made at
+	// the longest send and never written after: a reader that loads the
+	// pointer (core's byte count) cannot race an exchange.
 	buf atomic.Pointer[[]float64]
 }
 
@@ -91,21 +94,19 @@ func (h *Halo) Exchange(c *dist.Comm, dst, src []float64, add bool) error {
 		for _, l := range h.Links {
 			n = max(n, len(l.Send))
 		}
-		b := make([]float64, 0, n)
+		b := make([]float64, n)
 		lease = &b
 	}
-	buf := *lease
 	for _, l := range h.Links {
 		if len(l.Send) == 0 {
 			continue
 		}
-		buf = buf[:0]
-		for _, i := range l.Send {
-			buf = append(buf, src[i])
+		buf := (*lease)[:len(l.Send)]
+		for k, i := range l.Send {
+			buf[k] = src[i]
 		}
 		c.Send(l.Peer, h.Tag, buf)
 	}
-	*lease = buf
 	h.buf.Store(lease) // a concurrent solve's lease is dropped here and collected
 	var first error
 	for _, l := range h.Links {

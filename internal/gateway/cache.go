@@ -8,21 +8,29 @@ import (
 )
 
 // sessionCache is where the gateway's memory goes and what bounds it: the
-// built sessions under their SessionKey, most recently used first, each
-// charged what core.Session.Bytes counts, the least recently used leaving
-// once the sum exceeds the budget. A session some job still solves on lives
-// on through that job's pointer when it is evicted and is no longer
-// counted, so the sessions alive are bounded by the budget plus one per
-// worker.
+// built sessions under their SessionKey, most recently used first, and the
+// problems they are built on, one per system under its problemKey. Specs
+// that differ only in how the system is solved — preconditioner, P, solver
+// shape — share one problem, and with it the layouts its memo holds. A
+// problem is charged once, what core.Problem.Bytes counts, while a cached
+// session is built on it; each cached session is charged what
+// core.Session.Bytes counts beyond its problem. The least recently used
+// session leaves once the sum exceeds the budget, and a problem when no
+// cached session and no build in flight holds it. A session some job still
+// solves on lives on through that job's pointer when it is evicted and is
+// no longer counted, so the sessions alive are bounded by the budget plus
+// one per worker.
 type sessionCache struct {
 	budget int64
 
-	mu      sync.Mutex
-	entries map[string]*sessionEntry
-	lru     list.List // of *sessionEntry, most recently used in front
-	bytes   int64     // Σ entry.bytes ≤ budget whenever mu is free
+	mu       sync.Mutex
+	entries  map[string]*sessionEntry
+	problems map[string]*problemEntry
+	lru      list.List // of *sessionEntry, most recently used in front
+	bytes    int64     // Σ charged sessions and problems ≤ budget whenever mu is free
 
 	hits, misses, evictions int64
+	shares                  int64 // misses that found their problem built or building
 }
 
 // sessionEntry is one key's session, built at most once: concurrent jobs
@@ -33,18 +41,41 @@ type sessionEntry struct {
 	ready chan struct{} // closed once sess and err are final
 	sess  *core.Session
 	err   error
-	bytes int64 // charged to the cache; 0 while the build runs
+	prob  *problemEntry // held from the miss until the entry is dropped
+	kept  bool          // built, cached and charged
+	bytes int64         // charged to the cache while kept
+}
+
+// problemEntry is one system's problem, built at most once while anything
+// holds it: the misses on its key wait on ready for the first one's build.
+type problemEntry struct {
+	key   string
+	ready chan struct{} // closed once prob and err are final
+	prob  *core.Problem
+	err   error
+	refs  int   // session entries on it: cached, or building
+	kept  int   // cached session entries on it
+	bytes int64 // charged to the cache while kept > 0
+}
+
+// build is what a miss builds: the problem under problemKey, unless the
+// cache holds it or another miss is building it, and the session on it.
+type build struct {
+	problemKey string
+	problem    func() (*core.Problem, error)
+	session    func(*core.Problem) (*core.Session, error)
 }
 
 func newSessionCache(budget int64) *sessionCache {
-	return &sessionCache{budget: budget, entries: map[string]*sessionEntry{}}
+	return &sessionCache{budget: budget, entries: map[string]*sessionEntry{}, problems: map[string]*problemEntry{}}
 }
 
 // get returns the session under key, building it on a miss; fresh reports
-// that this call built it. A build that fails is returned to everyone who
-// waited for it and forgotten, so the next job tries again; a session
-// larger than the whole budget is served and not kept.
-func (c *sessionCache) get(key string, build func() (*core.Session, error)) (sess *core.Session, fresh bool, err error) {
+// that this call built it. A build that fails — the problem's or the
+// session's — is returned to everyone who waited for it and forgotten, so
+// the next job tries again; a session that with its problem is larger than
+// the whole budget is served and not kept.
+func (c *sessionCache) get(key string, b build) (sess *core.Session, fresh bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -57,69 +88,138 @@ func (c *sessionCache) get(key string, build func() (*core.Session, error)) (ses
 	e := &sessionEntry{key: key, ready: make(chan struct{})}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
+	pe, shared := c.problems[b.problemKey]
+	if shared {
+		c.shares++
+	} else {
+		pe = &problemEntry{key: b.problemKey, ready: make(chan struct{})}
+		c.problems[pe.key] = pe
+	}
+	pe.refs++
+	e.prob = pe
 	c.mu.Unlock()
 
-	sess, err = build()
-	var n int64
-	if err == nil {
-		n = sess.Bytes()
+	if !shared {
+		prob, err := b.problem()
+		c.mu.Lock()
+		pe.prob, pe.err = prob, err
+		if err != nil {
+			c.forget(pe) // its waiters fail with it, the next miss builds anew
+		}
+		c.mu.Unlock()
+		close(pe.ready)
+	}
+	<-pe.ready
+	var n, pn int64
+	if err = pe.err; err == nil {
+		if sess, err = b.session(pe.prob); err == nil {
+			n, pn = sess.Bytes(), pe.prob.Bytes()
+		}
 	}
 	c.mu.Lock()
 	e.sess, e.err = sess, err
-	if err != nil || n > c.budget {
+	if err != nil || n+pn > c.budget {
 		c.drop(e)
 	} else {
-		c.charge(e, n)
+		e.kept = true
+		pe.kept++
+		c.charge(e, n, pn)
 	}
 	c.mu.Unlock()
 	close(e.ready)
 	return sess, true, err
 }
 
-// recount charges the session what it holds now — Bytes rises over a
-// session's first solve, which sizes the inner solvers' scratch — if it is
-// still the one cached under key.
+// recount charges the session and its problem what they hold now — Bytes
+// rises over a session's first solve, which sizes the inner solvers'
+// scratch and the halo buffers — if the session is still the one cached
+// under key.
 func (c *sessionCache) recount(key string, sess *core.Session) {
-	n := sess.Bytes() // outside mu: it waits for the session's running solves
+	c.mu.Lock()
+	e := c.entries[key]
+	cached := e != nil && e.kept && e.sess == sess
+	c.mu.Unlock()
+	if !cached {
+		return
+	}
+	n, pn := sess.Bytes(), e.prob.prob.Bytes() // outside mu: Bytes waits for the session's running solves
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && e.sess == sess {
-		c.charge(e, n)
+	if e.kept {
+		c.charge(e, n, pn)
 	}
 }
 
-// charge sets what e costs and evicts from the cold end until the budget
-// holds again — e itself when nothing colder is left. Callers hold mu.
-func (c *sessionCache) charge(e *sessionEntry, n int64) {
+// charge sets what the kept e and its problem cost and evicts from the cold
+// end until the budget holds again — e itself when nothing colder is left.
+// A problem's charge only rises: its memo only gains layouts, and a walk
+// that finishes late may have started before another build added one.
+// Callers hold mu.
+func (c *sessionCache) charge(e *sessionEntry, n, pn int64) {
 	c.bytes += n - e.bytes
 	e.bytes = n
+	if pe := e.prob; pn > pe.bytes {
+		c.bytes += pn - pe.bytes
+		pe.bytes = pn
+	}
 	for el := c.lru.Back(); el != nil && c.bytes > c.budget; {
 		victim := el.Value.(*sessionEntry)
 		el = el.Prev()
-		if victim.bytes > 0 { // one still building is charged nothing yet
+		if victim.kept { // one still building is charged nothing yet
 			c.drop(victim)
 			c.evictions++
 		}
 	}
 }
 
-// drop forgets e. Callers hold mu.
+// drop forgets e and lets go of its problem, which stops being charged
+// with its last cached session and leaves with its last entry. Callers hold
+// mu.
 func (c *sessionCache) drop(e *sessionEntry) {
-	c.bytes -= e.bytes
-	e.bytes = 0
+	pe := e.prob
+	if e.kept {
+		c.bytes -= e.bytes
+		e.bytes, e.kept = 0, false
+		if pe.kept--; pe.kept == 0 {
+			c.bytes -= pe.bytes
+			pe.bytes = 0
+		}
+	}
+	if pe.refs--; pe.refs == 0 {
+		c.forget(pe)
+	}
 	c.lru.Remove(e.elem)
 	delete(c.entries, e.key)
 }
 
-// cacheStats is what /healthz reports of the cache.
+// forget removes pe from the problem map unless a later build has taken
+// its key. Callers hold mu.
+func (c *sessionCache) forget(pe *problemEntry) {
+	if c.problems[pe.key] == pe {
+		delete(c.problems, pe.key)
+	}
+}
+
+// cacheStats is what /healthz reports of the cache. Bytes is what the
+// budget bounds: ProblemBytes of it are the problems'.
 type cacheStats struct {
-	Sessions                int
+	Sessions, Problems      int
 	Bytes, Budget           int64
+	ProblemBytes            int64
 	Hits, Misses, Evictions int64
+	Shares                  int64
 }
 
 func (c *sessionCache) stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return cacheStats{len(c.entries), c.bytes, c.budget, c.hits, c.misses, c.evictions}
+	var pb int64
+	for _, pe := range c.problems {
+		pb += pe.bytes
+	}
+	return cacheStats{
+		Sessions: len(c.entries), Problems: len(c.problems),
+		Bytes: c.bytes, Budget: c.budget, ProblemBytes: pb,
+		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Shares: c.shares,
+	}
 }

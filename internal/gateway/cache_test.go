@@ -8,20 +8,46 @@ import (
 	"testing"
 
 	"parapre/internal/core"
+	"parapre/internal/dsys"
 )
 
-// buildSession validates the spec and builds its session, as a cache miss
-// would.
-func buildSession(t *testing.T, spec *Spec) *core.Session {
+// built is a session on a problem of its own, as a miss on an empty cache
+// builds it.
+type built struct {
+	*core.Session
+	prob *core.Problem
+}
+
+// Bytes is what the cache charges for it: the problem and the session.
+func (b built) Bytes() int64 { return b.prob.Bytes() + b.Session.Bytes() }
+
+// buildSession validates the spec and builds its problem and session, as a
+// miss on an empty cache would.
+func buildSession(t *testing.T, spec *Spec) built {
 	t.Helper()
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := spec.buildSession()
+	b := spec.build()
+	prob, err := b.problem()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sess
+	sess, err := b.session(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return built{sess, prob}
+}
+
+// prebuilt is a build that hands out b's problem and session and counts
+// the sessions it is asked for.
+func prebuilt(key string, b built, builds *int) build {
+	return build{
+		problemKey: key,
+		problem:    func() (*core.Problem, error) { return b.prob, nil },
+		session:    func(*core.Problem) (*core.Session, error) { *builds++; return b.Session, nil },
+	}
 }
 
 func (c *sessionCache) keys() string {
@@ -40,7 +66,7 @@ func (c *sessionCache) keys() string {
 // handed to its job and not kept, and any number of concurrent jobs on one
 // key build it once.
 func TestSessionCacheLRU(t *testing.T) {
-	sess := map[string]*core.Session{}
+	sess := map[string]built{}
 	for _, k := range []string{"a", "b", "c", "d"} {
 		sess[k] = buildSession(t, &Spec{Case: "tc1-poisson2d", Size: 9, Procs: 2, Precond: "Block 1"})
 	}
@@ -54,9 +80,9 @@ func TestSessionCacheLRU(t *testing.T) {
 	builds := 0
 	get := func(key string) {
 		t.Helper()
-		got, _, err := c.get(key, func() (*core.Session, error) { builds++; return sess[key], nil })
-		if err != nil || got != sess[key] {
-			t.Fatalf("get(%s) = %p, %v; want %p", key, got, err, sess[key])
+		got, _, err := c.get(key, prebuilt(key, sess[key], &builds))
+		if err != nil || got != sess[key].Session {
+			t.Fatalf("get(%s) = %p, %v; want %p", key, got, err, sess[key].Session)
 		}
 	}
 	for _, step := range []struct {
@@ -78,8 +104,9 @@ func TestSessionCacheLRU(t *testing.T) {
 		if builds != step.builds || c.keys() != step.order {
 			t.Fatalf("after get(%s): %d builds, order %q; want %d, %q", step.key, builds, c.keys(), step.builds, step.order)
 		}
-		if st := c.stats(); st.Bytes > st.Budget || st.Bytes != int64(st.Sessions)*one {
-			t.Fatalf("after get(%s): %d bytes counted for %d sessions of %d, budget %d", step.key, st.Bytes, st.Sessions, one, st.Budget)
+		if st := c.stats(); st.Bytes > st.Budget || st.Bytes != int64(st.Sessions)*one || st.Problems != st.Sessions {
+			t.Fatalf("after get(%s): %d bytes counted for %d sessions of %d on %d problems, budget %d",
+				step.key, st.Bytes, st.Sessions, one, st.Problems, st.Budget)
 		}
 	}
 	if st := c.stats(); st.Hits != 2 || st.Misses != 7 || st.Evictions != 2 {
@@ -95,12 +122,14 @@ func TestSessionCacheLRU(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, f, err := c.get("c", func() (*core.Session, error) {
+			b := prebuilt("c", sess["c"], new(int))
+			b.session = func(*core.Problem) (*core.Session, error) {
 				calls.Add(1)
 				<-release
-				return sess["c"], nil
-			})
-			if err != nil || got != sess["c"] {
+				return sess["c"].Session, nil
+			}
+			got, f, err := c.get("c", b)
+			if err != nil || got != sess["c"].Session {
 				t.Errorf("concurrent get = %p, %v", got, err)
 			}
 			fresh[i] = f
@@ -122,44 +151,126 @@ func TestSessionCacheLRU(t *testing.T) {
 
 // A failed build is handed to the jobs that waited for it and forgotten:
 // the next job with that spec builds again instead of failing on a cached
-// error, and nothing stays counted.
+// error, and nothing stays counted — no session, and no problem, whether
+// the problem's build failed or the session's on a problem that was built.
 func TestFailedBuildIsNotCached(t *testing.T) {
 	srv, ts := newTestServer(t, Options{Workers: 1})
-	// Passes admission (the size line is sane) and fails in the build.
-	bad := &Spec{Matrix: "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n", Procs: 1}
-	for attempt := 1; attempt <= 2; attempt++ {
-		events := streamEvents(t, ts, submitOK(t, ts, "alice", bad))
-		failed := false
-		for _, e := range events {
-			failed = failed || (e.Type == "error" && strings.Contains(e.Error, "out of range"))
-		}
-		if !failed {
-			t.Fatalf("attempt %d: no build error in %+v", attempt, events)
-		}
-		if st := srv.sessions.stats(); st.Misses != int64(attempt) || st.Hits != 0 || st.Sessions != 0 || st.Bytes != 0 {
-			t.Fatalf("attempt %d: %+v; want %d builds tried, nothing kept", attempt, st, attempt)
+	for _, tc := range []struct {
+		what string
+		spec *Spec
+	}{
+		// Both pass admission (the size line is sane). The first fails in
+		// parsing, the second in factoring the problem it parsed: its first
+		// pivot is zero.
+		{"out of range", &Spec{Matrix: "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n", Procs: 1}},
+		{"factorization singular", &Spec{Matrix: "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 0.0\n2 1 1.0\n2 2 1.0\n", Procs: 1, Precond: "Block 2"}},
+	} {
+		before := srv.sessions.stats().Misses
+		for attempt := 1; attempt <= 2; attempt++ {
+			events := streamEvents(t, ts, submitOK(t, ts, "alice", tc.spec))
+			failed := false
+			for _, e := range events {
+				failed = failed || (e.Type == "error" && strings.Contains(e.Error, tc.what))
+			}
+			if !failed {
+				t.Fatalf("%s, attempt %d: no build error in %+v", tc.what, attempt, events)
+			}
+			if st := srv.sessions.stats(); st.Misses != before+int64(attempt) || st.Hits != 0 || st.Sessions != 0 ||
+				st.Problems != 0 || st.Bytes != 0 || st.Shares != 0 {
+				t.Fatalf("%s, attempt %d: %+v; want %d builds tried, nothing kept", tc.what, attempt, st, attempt)
+			}
 		}
 	}
 
-	// The waiters of one failed build all get its error.
-	c := newSessionCache(1 << 20)
+	// The waiters of one failed build all get its error, and those of a
+	// failed problem build too.
 	boom := errors.New("boom")
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := c.get("k", func() (*core.Session, error) { <-release; return nil, boom }); err != boom {
-				t.Errorf("waiter got %v, want the build's error", err)
-			}
-		}()
+	for _, fail := range []string{"session", "problem"} {
+		c := newSessionCache(1 << 20)
+		release := make(chan struct{})
+		b := build{
+			problemKey: "p",
+			problem:    func() (*core.Problem, error) { return &core.Problem{}, nil },
+			session:    func(*core.Problem) (*core.Session, error) { <-release; return nil, boom },
+		}
+		if fail == "problem" {
+			b.problem = func() (*core.Problem, error) { <-release; return nil, boom }
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, err := c.get("k", b); err != boom {
+					t.Errorf("%s build: waiter got %v, want the build's error", fail, err)
+				}
+			}()
+		}
+		waitFor(t, func() bool { st := c.stats(); return st.Hits+st.Misses == 4 })
+		close(release)
+		wg.Wait()
+		if st := c.stats(); st.Misses != 1 || st.Sessions != 0 || st.Problems != 0 {
+			t.Fatalf("%s build: %+v; want one build, no entry and no problem", fail, st)
+		}
 	}
-	waitFor(t, func() bool { st := c.stats(); return st.Hits+st.Misses == 4 })
-	close(release)
-	wg.Wait()
-	if st := c.stats(); st.Misses != 1 || st.Sessions != 0 {
-		t.Fatalf("%+v; want one build and no entry", st)
+}
+
+// A problem is held by the sessions cached on it and leaves with the last
+// of them. Under a budget for one session and its problem, the second
+// preconditioner on the same system shares the first one's problem and
+// evicts the first session; the problem stays, counted once. A session on
+// another system then evicts the second, and the shared problem goes with
+// it: /healthz counts one problem, the new one. The jobs are enqueued past
+// admission, which holds a spec to a KiB per unknown and would refuse them
+// under a budget their sessions fit.
+func TestProblemLeavesWithLastSession(t *testing.T) {
+	first := &Spec{Case: "tc1-poisson2d", Size: 17, Procs: 2, Precond: "Block 1"}
+	second := &Spec{Case: "tc1-poisson2d", Size: 17, Procs: 2, Precond: "Block 2"}
+	other := &Spec{Case: "tc5-convdiff", Size: 17, Procs: 2, Precond: "Block 1"}
+	room := buildSession(t, second).Bytes()
+	srv, ts := newTestServer(t, Options{Workers: 1, SessionBytes: room + room/8}) // and the scratch of a solve
+	health := func() map[string]float64 {
+		h := map[string]float64{}
+		waitFor(t, func() bool {
+			var raw map[string]any
+			getJSON(t, ts, "/healthz", &raw)
+			for k, v := range raw {
+				h[k], _ = v.(float64)
+			}
+			return h["active"] == 0
+		})
+		return h
+	}
+	for _, step := range []struct {
+		spec                                        *Spec
+		sessions, problems, shares, evictions, hits float64
+	}{
+		{first, 1, 1, 0, 0, 0},
+		{second, 1, 1, 1, 1, 0},
+		{second, 1, 1, 1, 1, 1},
+		{other, 1, 1, 1, 2, 1},
+	} {
+		j := NewJob("alice", step.spec)
+		if err := srv.enqueue(j); err != nil {
+			t.Fatal(err)
+		}
+		events := streamEvents(t, ts, j.ID)
+		if last := events[len(events)-1]; last.Type != "state" || last.State != StateDone {
+			t.Fatalf("%s: ended with %+v", step.spec.Precond, last)
+		}
+		h := health()
+		for key, want := range map[string]float64{
+			"sessions": step.sessions, "problems": step.problems, "problem_shares": step.shares,
+			"session_evictions": step.evictions, "session_hits": step.hits,
+		} {
+			if h[key] != want {
+				t.Errorf("after %s on %s: %s = %v, want %v", step.spec.Precond, step.spec.Case, key, h[key], want)
+			}
+		}
+		if h["problem_bytes"] <= 0 || h["problem_bytes"] >= h["session_bytes"] || h["session_bytes"] > h["session_budget"] {
+			t.Errorf("after %s on %s: problem_bytes %v, session_bytes %v, budget %v",
+				step.spec.Precond, step.spec.Case, h["problem_bytes"], h["session_bytes"], h["session_budget"])
+		}
 	}
 }
 
@@ -215,5 +326,42 @@ func TestSessionCacheLRUEvictionWhileJobSolves(t *testing.T) {
 	waitFor(t, func() bool { _, active := srv.sched.Stats(); return active == 0 })
 	if st := srv.sessions.stats(); st.Sessions != 1 || st.Bytes >= room {
 		t.Fatalf("after the evicted session's job: %+v", st)
+	}
+}
+
+// Specs that differ only in preconditioner or P share one problem, and
+// those with the same P its layout too: Block 2, Schur 1 and Schur 2 at
+// P = 4 and Schur 1 at P = 8 on tc1 at 33 assemble the matrix once and
+// partition and distribute it twice, once per P; the other two set-ups
+// reuse a layout.
+func TestSpecsShareProblemAndLayout(t *testing.T) {
+	c := newSessionCache(1 << 30)
+	problems := 0
+	var sessions []*core.Session
+	for _, x := range []struct {
+		precond string
+		procs   int
+	}{{"Block 2", 4}, {"Schur 1", 4}, {"Schur 2", 4}, {"Schur 1", 8}} {
+		spec := &Spec{Case: "tc1-poisson2d", Size: 33, Procs: x.procs, Precond: x.precond}
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		b := spec.build()
+		problem := b.problem
+		b.problem = func() (*core.Problem, error) { problems++; return problem() }
+		sess, fresh, err := c.get(spec.SessionKey(), b)
+		if err != nil || !fresh {
+			t.Fatalf("%s P %d: fresh %v, %v", x.precond, x.procs, fresh, err)
+		}
+		sessions = append(sessions, sess)
+	}
+	layouts := map[*dsys.System]bool{}
+	for _, s := range sessions {
+		layouts[s.Systems()[0]] = true
+	}
+	builds, reuses := len(layouts), len(sessions)-len(layouts)
+	if st := c.stats(); problems != 1 || builds != 2 || reuses != 2 || st.Problems != 1 || st.Shares != 3 {
+		t.Fatalf("%d problem builds, %d layout builds, %d reuses, cache %+v; want 1, 2, 2, one problem shared three times",
+			problems, builds, reuses, st)
 	}
 }

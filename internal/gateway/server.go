@@ -217,7 +217,7 @@ func (s *Server) resumeScan() error {
 // wiring, the solve itself, result projection, checkpoint cleanup.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	key := j.Spec.SessionKey()
-	sess, fresh, err := s.sessions.get(key, j.Spec.buildSession)
+	sess, fresh, err := s.sessions.get(key, j.Spec.build())
 	if err != nil {
 		j.Fail(err)
 		return
@@ -376,6 +376,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"ok": true, "pending": pending, "active": active,
 		"sessions": c.Sessions, "session_bytes": c.Bytes, "session_budget": c.Budget,
 		"session_hits": c.Hits, "session_misses": c.Misses, "session_evictions": c.Evictions,
+		"problems": c.Problems, "problem_bytes": c.ProblemBytes, "problem_shares": c.Shares,
 		"jobs_retained": retained,
 	})
 }

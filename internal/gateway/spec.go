@@ -74,13 +74,19 @@ func (s *Spec) Validate() error {
 	if (s.Case == "") == (s.Matrix == "") {
 		return fmt.Errorf("gateway: exactly one of case or matrix is required")
 	}
+	// A zero is the default's spelling: Validate stores the default, so
+	// that the two share a session and a problem.
 	if s.Case != "" {
-		if _, err := cases.ByName(s.Case); err != nil {
+		c, err := cases.ByName(s.Case)
+		if err != nil {
 			names := make([]string, 0, 7)
 			for _, c := range cases.All() {
 				names = append(names, c.Name)
 			}
 			return fmt.Errorf("gateway: unknown case %q (have %s)", s.Case, strings.Join(names, ", "))
+		}
+		if s.Size == 0 {
+			s.Size = c.DefaultSize
 		}
 	}
 	if s.Procs < 0 {
@@ -109,18 +115,17 @@ func (s *Spec) Validate() error {
 		s.Overlap < 0 || s.CheckpointEvery < 0 {
 		return fmt.Errorf("gateway: negative spec parameter")
 	}
-	return nil
-}
-
-// namedCase resolves Case and the size it is built at (0 = the case's
-// scaled-down default).
-func (s *Spec) namedCase() (cases.Case, int, error) {
-	c, err := cases.ByName(s.Case)
-	size := s.Size
-	if size == 0 {
-		size = c.DefaultSize
+	def := core.DefaultConfig(s.Procs, kind).Solver
+	if s.MaxIters == 0 {
+		s.MaxIters = def.MaxIters
 	}
-	return c, size, err
+	if s.Restart == 0 {
+		s.Restart = def.Restart
+	}
+	if s.Tol == 0 {
+		s.Tol = def.Tol
+	}
+	return nil
 }
 
 // admitBytesPerUnknown is what admission takes a session to cost per
@@ -140,12 +145,12 @@ const admitBytesPerUnknown = 1 << 10
 func (s *Spec) admit(budget int64) error {
 	var unknowns int
 	if s.Case != "" {
-		c, size, err := s.namedCase()
+		c, err := cases.ByName(s.Case)
 		if err != nil {
 			return err
 		}
-		if unknowns = c.Unknowns(size); unknowns == 0 {
-			return fmt.Errorf("gateway: %s cannot be built at size %d", s.Case, size)
+		if unknowns = c.Unknowns(s.Size); unknowns == 0 {
+			return fmt.Errorf("gateway: %s cannot be built at size %d", s.Case, s.Size)
 		}
 	} else {
 		rows, cols, nnz, err := mmio.MatrixSize(strings.NewReader(s.Matrix))
@@ -174,11 +179,11 @@ func (s *Spec) admit(budget int64) error {
 // Validate first.
 func (s *Spec) BuildProblem() (*core.Problem, error) {
 	if s.Case != "" {
-		c, size, err := s.namedCase()
+		c, err := cases.ByName(s.Case)
 		if err != nil {
 			return nil, err
 		}
-		return c.Build(size), nil
+		return c.Build(s.Size), nil
 	}
 	var rhs io.Reader
 	if s.RHS != "" {
@@ -216,29 +221,44 @@ func (s *Spec) BuildConfig() core.Config {
 	return cfg
 }
 
-// buildSession is what a cache miss costs: assembly (or parsing the
-// upload) and session setup — partitioning, distribution, factorization —
-// the part a service must amortize, and the whole point of core.Session.
-func (s *Spec) buildSession() (*core.Session, error) {
-	prob, err := s.BuildProblem()
-	if err != nil {
-		return nil, err
+// build is what a cache miss costs: assembly (or parsing the upload), unless
+// a cached session already holds the problem, and session setup —
+// partitioning and distribution unless the problem's memo holds them for
+// this P, factorization — the part a service must amortize, and the whole
+// point of core.Session. Call Validate first.
+func (s *Spec) build() build {
+	return build{
+		problemKey: s.problemKey(),
+		problem:    s.BuildProblem,
+		session: func(p *core.Problem) (*core.Session, error) {
+			return core.NewSession(p, s.BuildConfig())
+		},
 	}
-	return core.NewSession(prob, s.BuildConfig())
 }
 
 // SessionKey hashes the spec fields that determine the session (matrix,
 // distribution, preconditioner, solver shape) — jobs with equal keys
 // share one cached core.Session and amortize its setup.
 func (s *Spec) SessionKey() string {
-	h := sha256.New()
-	// json.Marshal of the normalized spec is canonical: struct fields
-	// serialize in declaration order. The per-solve knobs (checkpointing,
-	// streaming) are zeroed out so they don't split the cache.
+	// The per-solve knobs (checkpointing, streaming) are zeroed out so they
+	// don't split the cache.
 	c := *s
 	c.CheckpointEvery = 0
 	c.StreamSpans = false
-	b, _ := json.Marshal(&c)
-	_, _ = h.Write(b)
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	return digest(&c)
+}
+
+// problemKey hashes what BuildProblem reads — a case and its size, or an
+// upload's matrix and right-hand side — so that sessions whose specs differ
+// only in how the system is solved share one core.Problem.
+func (s *Spec) problemKey() string {
+	return digest(&Spec{Case: s.Case, Size: s.Size, Matrix: s.Matrix, RHS: s.RHS})
+}
+
+// digest hashes a normalized spec. json.Marshal of it is canonical: struct
+// fields serialize in declaration order.
+func digest(s *Spec) string {
+	b, _ := json.Marshal(s)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])[:16]
 }

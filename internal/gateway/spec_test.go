@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 
+	"parapre/internal/cases"
+	"parapre/internal/core"
 	"parapre/internal/dist"
 	"parapre/internal/precond"
 )
@@ -62,8 +64,45 @@ func TestEveryKindIsBuildable(t *testing.T) {
 			t.Errorf("%s: Validate: %v", kind, err)
 			continue
 		}
-		if _, err := spec.buildSession(); err != nil {
+		b := spec.build()
+		prob, err := b.problem()
+		if err == nil {
+			_, err = b.session(prob)
+		}
+		if err != nil {
 			t.Errorf("%s: NewSession: %v", kind, err)
 		}
+	}
+}
+
+// A field left at zero and the same field spelled as the default it stands
+// for are one spec: Validate stores the case's default size and the
+// solver's default iterations, restart and tolerance, so both spellings hash
+// to one session key and one problem key, and the gateway builds one
+// session on one problem for them.
+func TestSpecSpellingsShareOneKey(t *testing.T) {
+	c, err := cases.ByName("tc1-poisson2d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := core.DefaultConfig(4, precond.KindBlock2).Solver
+	short := &Spec{Case: c.Name}
+	long := &Spec{Case: c.Name, Size: c.DefaultSize, MaxIters: def.MaxIters, Restart: def.Restart, Tol: def.Tol}
+	for _, spec := range []*Spec{short, long} {
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if short.SessionKey() != long.SessionKey() || short.problemKey() != long.problemKey() {
+		t.Fatalf("keys differ: session %s and %s, problem %s and %s",
+			short.SessionKey(), long.SessionKey(), short.problemKey(), long.problemKey())
+	}
+
+	srv, ts := newTestServer(t, Options{Workers: 1})
+	for _, spec := range []*Spec{{Case: c.Name}, {Case: c.Name, Size: c.DefaultSize, MaxIters: def.MaxIters, Restart: def.Restart, Tol: def.Tol}} {
+		streamEvents(t, ts, submitOK(t, ts, "alice", spec))
+	}
+	if st := srv.sessions.stats(); st.Sessions != 1 || st.Problems != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("%+v; want one session on one problem, built once and hit once", st)
 	}
 }
