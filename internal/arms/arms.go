@@ -132,7 +132,7 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 			for k, j := range cols {
 				switch nj := inv[j]; {
 				case nj >= nB:
-					red.F.ColIdx = append(red.F.ColIdx, nj-nB)
+					red.F.ColIdx = append(red.F.ColIdx, int32(nj-nB))
 					red.F.Val = append(red.F.Val, vals[k])
 				case nj >= lo && nj < hi:
 					d.Set(i-lo, nj-lo, vals[k])
@@ -152,10 +152,10 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 		e0, c0 := len(red.E.ColIdx), len(c.ColIdx)
 		for k, j := range cols {
 			if nj := inv[j]; nj < nB {
-				red.E.ColIdx = append(red.E.ColIdx, nj)
+				red.E.ColIdx = append(red.E.ColIdx, int32(nj))
 				red.E.Val = append(red.E.Val, vals[k])
 			} else {
-				c.ColIdx = append(c.ColIdx, nj-nB)
+				c.ColIdx = append(c.ColIdx, int32(nj-nB))
 				c.Val = append(c.Val, vals[k])
 			}
 		}
@@ -270,7 +270,7 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 	ng := len(l.Blocks)
 	supPtr := make([]int, ng+1)
 	wPtr := make([]int, ng+1)
-	var supCols []int
+	var supCols []int32
 	var maxRHS int // largest block of right-hand sides
 	slot := make([]int, nc)
 	for j := range slot {
@@ -341,7 +341,7 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 	// are merged and dropped — and copied out at its exact length.
 	sb := schurBufs.Get().(*schurBuf)
 	if bound := 2 * c.NNZ(); cap(sb.cols) < bound || cap(sb.vals) < bound {
-		sb.cols, sb.vals = make([]int, 0, bound), make([]float64, 0, bound)
+		sb.cols, sb.vals = make([]int32, 0, bound), make([]float64, 0, bound)
 	}
 	sCols, sVals, buf := sb.cols[:0], sb.vals[:0], sb.row
 	s := sparse.NewCSR(nc, nc, 0)
@@ -349,7 +349,7 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 		buf = buf[:0]
 		cols, vals := c.Row(i)
 		for k, j := range cols {
-			buf = append(buf, sparse.Entry{Col: j, Val: vals[k]})
+			buf = append(buf, sparse.Entry{Col: int(j), Val: vals[k]})
 		}
 		cols, vals = e.Row(i)
 		for k, j := range cols {
@@ -362,10 +362,10 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 				continue
 			}
 			eij := vals[k]
-			row := w[wPtr[g]+(j-l.Blocks[g][0])*len(sup):][:len(sup)]
+			row := w[wPtr[g]+(int(j)-l.Blocks[g][0])*len(sup):][:len(sup)]
 			for sc, jj := range sup {
 				if v := eij * row[sc]; v != 0 {
-					buf = append(buf, sparse.Entry{Col: jj, Val: -v})
+					buf = append(buf, sparse.Entry{Col: int(jj), Val: -v})
 				}
 			}
 		}
@@ -377,7 +377,7 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 		}
 		s.RowPtr[i+1] = len(sCols)
 	}
-	s.ColIdx = append(make([]int, 0, len(sCols)), sCols...)
+	s.ColIdx = append(make([]int32, 0, len(sCols)), sCols...)
 	s.Val = append(make([]float64, 0, len(sVals)), sVals...)
 	sb.cols, sb.vals, sb.row = sCols, sVals, buf
 	schurBufs.Put(sb)
@@ -388,7 +388,7 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 // schurBuf is what one AssembleSchur builds S in: the merged rows, sized
 // from a bound, and the contributions to the row under assembly.
 type schurBuf struct {
-	cols []int
+	cols []int32
 	vals []float64
 	row  []sparse.Entry
 }
@@ -401,7 +401,7 @@ var schurBufs = sync.Pool{New: func() any { return new(schurBuf) }}
 // dropSmall compacts row i in place, removing the entries that do not
 // exceed tol·(mean magnitude of the row) except the diagonal, and returns
 // the number kept.
-func dropSmall(i int, cols []int, vals []float64, tol float64) int {
+func dropSmall(i int, cols []int32, vals []float64, tol float64) int {
 	var norm float64
 	for _, v := range vals {
 		norm += math.Abs(v)
@@ -412,7 +412,7 @@ func dropSmall(i int, cols []int, vals []float64, tol float64) int {
 	thresh := tol * norm
 	n := 0
 	for k, j := range cols {
-		if j == i || math.Abs(vals[k]) > thresh {
+		if int(j) == i || math.Abs(vals[k]) > thresh {
 			cols[n], vals[n] = j, vals[k]
 			n++
 		}

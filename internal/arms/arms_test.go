@@ -50,7 +50,8 @@ func TestGroupIndependentSetInvariant(t *testing.T) {
 				continue
 			}
 			cols, _ := a.Row(v)
-			for _, w := range cols {
+			for _, w32 := range cols {
+				w := int(w32)
 				if w != v && group[w] >= 0 && group[w] != group[v] {
 					t.Fatalf("maxG=%d: edge (%d,%d) crosses groups %d-%d", maxG, v, w, group[v], group[w])
 				}
@@ -111,7 +112,8 @@ func TestARMSBlockDiagonalB(t *testing.T) {
 	}
 	for i := 0; i < nB; i++ {
 		cols, _ := p.Row(i)
-		for _, j := range cols {
+		for _, j32 := range cols {
+			j := int(j32)
 			if j < nB && whichBlock[j] != whichBlock[i] {
 				t.Fatalf("B not block diagonal: entry (%d,%d) crosses blocks", i, j)
 			}
@@ -282,7 +284,8 @@ func TestGroupIndependentSetPropertyRandomGraphs(t *testing.T) {
 			if g >= 0 {
 				sizes[g]++
 				cols, _ := a.Row(v)
-				for _, w := range cols {
+				for _, w32 := range cols {
+					w := int(w32)
 					if w != v && group[w] >= 0 && group[w] != g {
 						return false
 					}

@@ -17,7 +17,8 @@ func assembleSchurCOO(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *spars
 	coo := sparse.NewCOO(nc, nc, c.NNZ()*2)
 	for i := 0; i < nc; i++ {
 		cols, vals := c.Row(i)
-		for k, j := range cols {
+		for k, j32 := range cols {
+			j := int(j32)
 			coo.Add(i, j, vals[k])
 		}
 	}
@@ -32,7 +33,8 @@ func assembleSchurCOO(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *spars
 		var supCols []int
 		for r := lo; r < hi; r++ {
 			cols, _ := ft.Row(r)
-			for _, j := range cols {
+			for _, j32 := range cols {
+				j := int(j32)
 				if _, ok := support[j]; !ok {
 					support[j] = len(supCols)
 					supCols = append(supCols, j)
@@ -51,7 +53,8 @@ func assembleSchurCOO(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *spars
 			}
 			for r := lo; r < hi; r++ {
 				cols, vals := ft.Row(r)
-				for k, jj := range cols {
+				for k, jj32 := range cols {
+					jj := int(jj32)
 					if jj == j {
 						rhs[r-lo] = vals[k]
 					}
@@ -66,7 +69,8 @@ func assembleSchurCOO(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *spars
 		// group's columns.
 		for i := 0; i < nc; i++ {
 			cols, vals := e.Row(i)
-			for k, j := range cols {
+			for k, j32 := range cols {
+				j := int(j32)
 				if j < lo || j >= hi {
 					continue
 				}
@@ -101,9 +105,10 @@ func dropSmallCSR(a *sparse.CSR, tol float64) *sparse.CSR {
 			norm /= float64(len(vals))
 		}
 		thresh := tol * norm
-		for k, j := range cols {
+		for k, j32 := range cols {
+			j := int(j32)
 			if j == i || math.Abs(vals[k]) > thresh {
-				out.ColIdx = append(out.ColIdx, j)
+				out.ColIdx = append(out.ColIdx, j32)
 				out.Val = append(out.Val, vals[k])
 			}
 		}

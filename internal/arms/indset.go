@@ -40,7 +40,8 @@ func GroupIndependentSet(a *sparse.CSR, maxGroup int) (group []int, ngroups int)
 		gFound := -1
 		conflict := false
 		cols, _ := a.Row(v)
-		for _, w := range cols {
+		for _, c := range cols {
+			w := int(c)
 			if w == v || w >= n {
 				continue
 			}

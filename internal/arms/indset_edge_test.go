@@ -12,7 +12,8 @@ func checkNoCrossEdges(t *testing.T, a *sparse.CSR, group []int) {
 	t.Helper()
 	for v := 0; v < a.Rows; v++ {
 		cols, _ := a.Row(v)
-		for _, w := range cols {
+		for _, w32 := range cols {
+			w := int(w32)
 			if w == v || w >= a.Rows {
 				continue
 			}

@@ -189,11 +189,11 @@ func Heat3D(size int) *core.Problem {
 	for i := 0; i < n; i++ {
 		cols, vals := mass.Row(i)
 		for kk, j := range cols {
-			coo.Add(i, j, vals[kk])
+			coo.Add(i, int(j), vals[kk])
 		}
 		cols, vals = k.Row(i)
 		for kk, j := range cols {
-			coo.Add(i, j, dt*vals[kk])
+			coo.Add(i, int(j), dt*vals[kk])
 		}
 	}
 	a := coo.ToCSR()

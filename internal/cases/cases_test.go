@@ -12,7 +12,8 @@ func isSym(a *sparse.CSR, tol float64) bool {
 	at := a.Transpose()
 	for i := 0; i < a.Rows; i++ {
 		cols, vals := a.Row(i)
-		for k, j := range cols {
+		for k, j32 := range cols {
+			j := int(j32)
 			if math.Abs(vals[k]-at.At(i, j)) > tol {
 				return false
 			}

@@ -94,14 +94,7 @@ func inPattern(m *sparse.CSR, f *ilu.LU) bool {
 		cols, _ := m.Row(i)
 		lc, _ := f.LRow(i)
 		uc, _ := f.URow(i)
-		want := make([]int, 0, len(cols))
-		for _, j := range lc {
-			want = append(want, int(j))
-		}
-		want = append(want, i)
-		for _, j := range uc {
-			want = append(want, int(j))
-		}
+		want := append(append(append(make([]int32, 0, len(cols)), lc...), int32(i)), uc...)
 		if !slices.Equal(cols, want) {
 			return false
 		}
@@ -169,6 +162,37 @@ func TestSessionHoldsEachMatrixOnce(t *testing.T) {
 				t.Errorf("%s %s: the preconditioners hold %.2f MB in %d matrices the layout, a factor or a later level already holds",
 					pr.name, kind, float64(core.HeldBy(twice...))/1e6, len(twice))
 			}
+		}
+	}
+}
+
+// A stored matrix costs 12 bytes per entry — a 32-bit column and its value —
+// and 8 per row pointer, plus a header and caches of fixed size: the
+// problem's A of tc1 at 129² and each of its four subdomain matrices. With
+// 64-bit columns every one of them is 4 bytes per entry over.
+func TestCSRBytesPerEntry(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	const fixed = 256 // the CSR itself, its last row pointer, the cached blocked-format verdict
+	prob := buildProblem(t, "tc1-poisson2d", 129)
+	sess, err := core.NewSession(prob, core.DefaultConfig(4, precond.KindBlock1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Solve(nil); err != nil {
+		t.Fatal(err)
+	}
+	systems, _ := sess.Ranks()
+	mats := []*sparse.CSR{prob.A}
+	for _, s := range systems {
+		mats = append(mats, s.A)
+	}
+	for k, a := range mats {
+		held, limit := core.HeldBy(a), int64(12*a.NNZ()+8*a.Rows+fixed)
+		t.Logf("matrix %d: %d×%d, %d entries, %d bytes held, %.2f per entry", k, a.Rows, a.Cols, a.NNZ(), held,
+			float64(held-int64(8*a.Rows))/float64(a.NNZ()))
+		if held > limit {
+			t.Errorf("matrix %d (%d rows, %d entries) holds %d bytes, more than 12 per entry and 8 per row (%d)",
+				k, a.Rows, a.NNZ(), held, limit)
 		}
 	}
 }

@@ -64,8 +64,8 @@ func PatternGraph(a *sparse.CSR) *partition.Graph {
 	ptr := make([]int, n+1)
 	for i := 0; i < n; i++ {
 		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if edge(i, j) {
+		for _, c := range cols {
+			if j := int(c); edge(i, j) {
 				ptr[i+1]++
 				ptr[j+1]++
 			}
@@ -78,8 +78,8 @@ func PatternGraph(a *sparse.CSR) *partition.Graph {
 	next := append([]int(nil), ptr[:n]...)
 	for i := 0; i < n; i++ {
 		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if edge(i, j) {
+		for _, c := range cols {
+			if j := int(c); edge(i, j) {
 				adj[next[i]], adj[next[j]] = j, i
 				next[i]++
 				next[j]++

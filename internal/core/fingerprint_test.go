@@ -15,7 +15,7 @@ func fingerprintMatrix(size int) *sparse.CSR {
 	a := sparse.NewCSR(n, n, n*perRow)
 	for i := 0; i < n; i++ {
 		for k := 0; k < perRow; k++ {
-			a.ColIdx = append(a.ColIdx, (i+k*k)%n)
+			a.ColIdx = append(a.ColIdx, int32((i+k*k)%n))
 			a.Val = append(a.Val, float64(i-k))
 		}
 		a.RowPtr[i+1] = len(a.ColIdx)
@@ -52,7 +52,9 @@ func TestFingerprintSeesStructuredEdits(t *testing.T) {
 	for bit := uint(0); bit < 64; bit++ {
 		for _, kk := range pairs {
 			check(func() { flipVal(kk[0], bit); flipVal(kk[1], bit) }, "bit %d of Val[%d] and Val[%d]", bit, kk[0], kk[1])
-			check(func() { p.A.ColIdx[kk[0]] ^= 1 << bit; p.A.ColIdx[kk[1]] ^= 1 << bit }, "bit %d of ColIdx[%d] and ColIdx[%d]", bit, kk[0], kk[1])
+			if bit < 32 {
+				check(func() { p.A.ColIdx[kk[0]] ^= 1 << bit; p.A.ColIdx[kk[1]] ^= 1 << bit }, "bit %d of ColIdx[%d] and ColIdx[%d]", bit, kk[0], kk[1])
+			}
 		}
 		check(func() {
 			for k := range p.A.Val {
@@ -76,7 +78,7 @@ func TestFingerprintSeesStructuredEdits(t *testing.T) {
 // tc1-poisson2d@129 (16 641 rows, seven entries a row).
 func BenchmarkLayoutFingerprint(b *testing.B) {
 	p := &Problem{A: fingerprintMatrix(129)}
-	b.SetBytes(int64(8 * (len(p.A.RowPtr) + 2*len(p.A.ColIdx))))
+	b.SetBytes(int64(8*len(p.A.RowPtr) + 12*len(p.A.ColIdx)))
 	b.ResetTimer()
 	var sink fingerprint
 	for i := 0; i < b.N; i++ {

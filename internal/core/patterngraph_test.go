@@ -22,7 +22,8 @@ func patternGraphRef(a *sparse.CSR) *partition.Graph {
 	}
 	for i := 0; i < n; i++ {
 		cols, _ := a.Row(i)
-		for _, j := range cols {
+		for _, j32 := range cols {
+			j := int(j32)
 			if j != i && j < n {
 				adjSet[i][j] = true
 				adjSet[j][i] = true
@@ -57,7 +58,7 @@ func randomPattern(rng *rand.Rand, rows, cols, perRow int) *sparse.CSR {
 			}
 			if !seen[j] {
 				seen[j] = true
-				a.ColIdx, a.Val = append(a.ColIdx, j), append(a.Val, 1)
+				a.ColIdx, a.Val = append(a.ColIdx, int32(j)), append(a.Val, 1)
 			}
 		}
 		a.RowPtr[i+1] = len(a.ColIdx)

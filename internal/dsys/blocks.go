@@ -2,7 +2,6 @@ package dsys
 
 import (
 	"fmt"
-	"sort"
 
 	"parapre/internal/par"
 	"parapre/internal/paranoid"
@@ -15,17 +14,17 @@ import (
 // carry no spare capacity.
 func extractBlock(a *sparse.CSR, r0, r1, c0, c1 int) *sparse.CSR {
 	nnz := 0
-	for _, j := range a.ColIdx[a.RowPtr[r0]:a.RowPtr[r1]] {
-		if j >= c0 && j < c1 {
+	for _, c := range a.ColIdx[a.RowPtr[r0]:a.RowPtr[r1]] {
+		if j := int(c); j >= c0 && j < c1 {
 			nnz++
 		}
 	}
 	out := sparse.NewCSR(r1-r0, c1-c0, nnz)
 	for i := r0; i < r1; i++ {
 		cols, vals := a.Row(i)
-		for k, j := range cols {
-			if j >= c0 && j < c1 {
-				out.ColIdx = append(out.ColIdx, j-c0)
+		for k, c := range cols {
+			if j := int(c); j >= c0 && j < c1 {
+				out.ColIdx = append(out.ColIdx, int32(j-c0))
 				out.Val = append(out.Val, vals[k])
 			}
 		}
@@ -50,7 +49,7 @@ func (s *System) CheckStructure() error {
 	for i := 0; i < s.NInt; i++ {
 		cols, _ := s.A.Row(i)
 		for _, j := range cols {
-			if j >= s.NLoc() {
+			if int(j) >= s.NLoc() {
 				return fmt.Errorf("rank %d: internal row %d references external column %d", s.Rank, i, j)
 			}
 		}
@@ -108,13 +107,13 @@ func (s *System) splitRows() *rowSplits {
 	nc := 0
 	for i := range sp.own {
 		cols, _ := s.A.Row(i)
-		sp.own[i] = int32(sort.SearchInts(cols, nInt))
+		sp.own[i] = int32(sparse.SearchCol(cols, nInt))
 		switch {
 		case i >= nInt:
-			sp.ext[i-nInt] = int32(sort.SearchInts(cols, nLoc))
+			sp.ext[i-nInt] = int32(sparse.SearchCol(cols, nLoc))
 		case int(sp.own[i]) < len(cols):
 			nc++
-			paranoid.Check(cols[len(cols)-1] < nLoc, "dsys: rank %d: internal row %d references an external column", s.Rank, i)
+			paranoid.Check(int(cols[len(cols)-1]) < nLoc, "dsys: rank %d: internal row %d references an external column", s.Rank, i)
 		}
 	}
 	sp.coupled = make([]int32, 0, nc)
@@ -293,7 +292,7 @@ func (w *Window) mulRange(how int, y []float64, alpha float64, x []float64, from
 			cols := ci[b:e]
 			var s float64
 			for k, v := range vv[b:e] {
-				s += v * x[cols[k]-c0]
+				s += v * x[int(cols[k])-c0]
 			}
 			put(how, y, int(i), alpha, s)
 		}
@@ -308,7 +307,7 @@ func (w *Window) mulRange(how int, y []float64, alpha float64, x []float64, from
 		cols := ci[b:e]
 		var s float64
 		for k, v := range vv[b:e] {
-			s += v * x[cols[k]-c0]
+			s += v * x[int(cols[k])-c0]
 		}
 		put(how, y, i, alpha, s)
 	}

@@ -18,7 +18,8 @@ func distributeRef(a *sparse.CSR, b []float64, part []int, p int) []*System {
 	isIface := make([]bool, n)
 	for i := 0; i < n; i++ {
 		cols, _ := a.Row(i)
-		for _, j := range cols {
+		for _, j32 := range cols {
+			j := int(j32)
 			if part[j] != part[i] {
 				isIface[i], isIface[j] = true, true
 			}
@@ -57,7 +58,8 @@ func buildLocalRef(a *sparse.CSR, b []float64, part []int, r, p int, isIface []b
 	extSeen := map[int]bool{}
 	for _, g := range s.GlobalIDs {
 		cols, _ := a.Row(g)
-		for _, j := range cols {
+		for _, j32 := range cols {
+			j := int(j32)
 			if part[j] != r && !extSeen[j] {
 				extSeen[j] = true
 				s.ExtGlobal = append(s.ExtGlobal, j)
@@ -89,14 +91,15 @@ func buildLocalRef(a *sparse.CSR, b []float64, part []int, r, p int, isIface []b
 		s.B[l] = b[g]
 		cols, vals := a.Row(g)
 		start := len(s.A.ColIdx)
-		for kk, j := range cols {
+		for kk, j32 := range cols {
+			j := int(j32)
 			var lj int
 			if part[j] == r {
 				lj = g2l[j]
 			} else {
 				lj = extLocal[j]
 			}
-			s.A.ColIdx = append(s.A.ColIdx, lj)
+			s.A.ColIdx = append(s.A.ColIdx, int32(lj))
 			s.A.Val = append(s.A.Val, vals[kk])
 		}
 		s.A.RowPtr[l+1] = len(s.A.ColIdx)
@@ -183,11 +186,11 @@ func randomUnsymmetric(rng *rand.Rand, n, perRow, p int) (*sparse.CSR, []float64
 	for i := 0; i < n; i++ {
 		b[i], part[i] = rng.NormFloat64(), rng.Intn(p)
 		seen := map[int]bool{i: true}
-		a.ColIdx, a.Val = append(a.ColIdx, i), append(a.Val, 4)
+		a.ColIdx, a.Val = append(a.ColIdx, int32(i)), append(a.Val, 4)
 		for k := rng.Intn(2*perRow + 1); k > 0; k-- {
 			if j := rng.Intn(n); !seen[j] {
 				seen[j] = true
-				a.ColIdx, a.Val = append(a.ColIdx, j), append(a.Val, rng.NormFloat64())
+				a.ColIdx, a.Val = append(a.ColIdx, int32(j)), append(a.Val, rng.NormFloat64())
 			}
 		}
 		a.RowPtr[i+1] = len(a.ColIdx)

@@ -182,7 +182,7 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 		for _, j := range cols {
 			if part[j] != r && g2l[j] >= 0 {
 				g2l[j] = -1
-				s.ExtGlobal = append(s.ExtGlobal, j)
+				s.ExtGlobal = append(s.ExtGlobal, int(j))
 			}
 		}
 	}
@@ -219,7 +219,7 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 		cols, vals := a.Row(g)
 		start := len(s.A.ColIdx)
 		for kk, j := range cols {
-			s.A.ColIdx = append(s.A.ColIdx, g2l[j])
+			s.A.ColIdx = append(s.A.ColIdx, int32(g2l[j]))
 			s.A.Val = append(s.A.Val, vals[kk])
 		}
 		s.A.RowPtr[l+1] = len(s.A.ColIdx)

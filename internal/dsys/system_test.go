@@ -78,7 +78,8 @@ func TestInternalInterfaceClassification(t *testing.T) {
 		for l, g := range s.GlobalIDs {
 			cols, _ := a.Row(g)
 			cross := false
-			for _, j := range cols {
+			for _, j32 := range cols {
+				j := int(j32)
 				if part[j] != part[g] {
 					cross = true
 					break
@@ -104,7 +105,8 @@ func TestBlocksTileLocalMatrix(t *testing.T) {
 		// Spot-check a few entries.
 		for i := 0; i < s.NInt; i++ {
 			cols, vals := s.A.Row(i)
-			for k, j := range cols {
+			for k, j32 := range cols {
+				j := int(j32)
 				if j < s.NInt {
 					if bb.At(i, j) != vals[k] {
 						t.Fatalf("rank %d: B(%d,%d) mismatch", s.Rank, i, j)

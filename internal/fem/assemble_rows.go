@@ -103,7 +103,7 @@ func ApplyDirichletRows(a *sparse.CSR, b []float64, bc map[int]float64, owned fu
 		cols, vals := a.Row(i)
 		if v, isBC := bc[i]; isBC {
 			for k, j := range cols {
-				if j == i {
+				if int(j) == i {
 					vals[k] = 1
 				} else {
 					vals[k] = 0
@@ -113,7 +113,7 @@ func ApplyDirichletRows(a *sparse.CSR, b []float64, bc map[int]float64, owned fu
 			continue
 		}
 		for k, j := range cols {
-			if v, isBC := bc[j]; isBC {
+			if v, isBC := bc[int(j)]; isBC {
 				b[i] -= vals[k] * v
 				vals[k] = 0
 			}

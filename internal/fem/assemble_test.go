@@ -22,7 +22,8 @@ func isSymmetric(a *sparse.CSR, tol float64) bool {
 	at := a.Transpose()
 	for i := 0; i < a.Rows; i++ {
 		cols, vals := a.Row(i)
-		for k, j := range cols {
+		for k, j32 := range cols {
+			j := int(j32)
 			if math.Abs(vals[k]-at.At(i, j)) > tol {
 				return false
 			}
@@ -327,7 +328,8 @@ func TestApplyDirichletKeepsSymmetry(t *testing.T) {
 			t.Fatalf("b[%d] = %v, want %v", dof, b[dof], v)
 		}
 		cols, vals := a.Row(dof)
-		for k, j := range cols {
+		for k, j32 := range cols {
+			j := int(j32)
 			want := 0.0
 			if j == dof {
 				want = 1
@@ -371,11 +373,13 @@ func TestHeatSystemSPDandBounded(t *testing.T) {
 	acoo := sparse.NewCOO(n, n, k.NNZ()+mass.NNZ())
 	for i := 0; i < n; i++ {
 		cols, vals := mass.Row(i)
-		for kk, j := range cols {
+		for kk, j32 := range cols {
+			j := int(j32)
 			acoo.Add(i, j, vals[kk])
 		}
 		cols, vals = k.Row(i)
-		for kk, j := range cols {
+		for kk, j32 := range cols {
+			j := int(j32)
 			acoo.Add(i, j, dt*vals[kk])
 		}
 	}

@@ -215,7 +215,8 @@ func TestAssembleScalarRowsUnionEqualsGlobal(t *testing.T) {
 		slab, rb := AssembleScalarRows(g, pde, func(node int) bool { return part[node] == r })
 		for i := 0; i < n; i++ {
 			cols, vals := slab.Row(i)
-			for k, j := range cols {
+			for k, j32 := range cols {
+				j := int(j32)
 				sum[cell{i, j}] += vals[k]
 			}
 			sumB[i] += rb[i]
@@ -226,7 +227,8 @@ func TestAssembleScalarRowsUnionEqualsGlobal(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		cols, vals := aG.Row(i)
-		for k, j := range cols {
+		for k, j32 := range cols {
+			j := int(j32)
 			if math.Abs(sum[cell{i, j}]-vals[k]) > 1e-11*(1+math.Abs(vals[k])) {
 				t.Fatalf("entry (%d,%d) differs", i, j)
 			}
@@ -255,7 +257,8 @@ func TestApplyDirichletRowsMatchesGlobal(t *testing.T) {
 	ApplyDirichletRows(aR, bR, bc, all)
 	for i := 0; i < aG.Rows; i++ {
 		cols, vals := aG.Row(i)
-		for k, j := range cols {
+		for k, j32 := range cols {
+			j := int(j32)
 			if math.Abs(aR.At(i, j)-vals[k]) > 1e-12 {
 				t.Fatalf("(%d,%d) differs after Dirichlet", i, j)
 			}

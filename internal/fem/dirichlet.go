@@ -28,7 +28,7 @@ func ApplyDirichlet(a *sparse.CSR, b []float64, bc map[int]float64) []float64 {
 		if isBC[i] {
 			// Constrained row: identity.
 			for k, j := range cols {
-				if j == i {
+				if int(j) == i {
 					vals[k] = 1
 				} else {
 					vals[k] = 0

@@ -40,11 +40,11 @@ func addScaled(a, b *sparse.CSR, s float64) *sparse.CSR {
 	for i := 0; i < n; i++ {
 		cols, vals := a.Row(i)
 		for k, j := range cols {
-			coo.Add(i, j, vals[k])
+			coo.Add(i, int(j), vals[k])
 		}
 		cols, vals = b.Row(i)
 		for k, j := range cols {
-			coo.Add(i, j, s*vals[k])
+			coo.Add(i, int(j), s*vals[k])
 		}
 	}
 	return coo.ToCSR()

@@ -99,7 +99,8 @@ func TestThetaOneMatchesTestCase4Operator(t *testing.T) {
 	mass := AssembleMass(g)
 	for i := 0; i < lhs.Rows; i++ {
 		cols, vals := lhs.Row(i)
-		for kk, j := range cols {
+		for kk, j32 := range cols {
+			j := int(j32)
 			want := mass.At(i, j) + 0.05*k.At(i, j)
 			if math.Abs(vals[kk]-want) > 1e-13 {
 				t.Fatalf("lhs (%d,%d) = %v, want %v", i, j, vals[kk], want)
@@ -107,7 +108,8 @@ func TestThetaOneMatchesTestCase4Operator(t *testing.T) {
 		}
 		// And the rhs operator must be exactly M for θ=1.
 		cols, vals = rhsM.Row(i)
-		for kk, j := range cols {
+		for kk, j32 := range cols {
+			j := int(j32)
 			if math.Abs(vals[kk]-mass.At(i, j)) > 1e-13 {
 				t.Fatalf("rhs (%d,%d) differs from M", i, j)
 			}

@@ -97,10 +97,10 @@ func IC0(a *sparse.CSR) (*Chol, error) {
 		start := len(l.ColIdx)
 		for k, j := range cols {
 			rowNorm += math.Abs(vals[k])
-			if j < i {
+			if int(j) < i {
 				l.ColIdx = append(l.ColIdx, j)
 				l.Val = append(l.Val, vals[k])
-			} else if j == i {
+			} else if int(j) == i {
 				diagA = vals[k]
 			}
 		}
@@ -140,7 +140,7 @@ func IC0(a *sparse.CSR) (*Chol, error) {
 				d = pivotRel
 			}
 		}
-		l.ColIdx = append(l.ColIdx, i)
+		l.ColIdx = append(l.ColIdx, int32(i))
 		l.Val = append(l.Val, math.Sqrt(d))
 		l.RowPtr[i+1] = len(l.ColIdx)
 

@@ -16,7 +16,6 @@ package ilu
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"parapre/internal/sparse"
@@ -227,8 +226,8 @@ func ILU0(a *sparse.CSR) (*LU, error) {
 			// deficiency: report it as the typed zero-pivot error.
 			return nil, zeroPivotErr("ILU0", i)
 		}
-		k := sort.SearchInts(cols, i)
-		if k == len(cols) || cols[k] != i {
+		k := sparse.SearchCol(cols, i)
+		if k == len(cols) || int(cols[k]) != i {
 			return nil, badInputErr("ILU0", "row %d has no diagonal entry", i)
 		}
 		nl += k
@@ -280,13 +279,13 @@ func ILU0(a *sparse.CSR) (*LU, error) {
 		}
 		lc, lv := f.l.row(i)
 		for k := range lc {
-			lc[k] = int32(cols[k])
+			lc[k] = cols[k]
 			lv[k] = row[k]
 		}
 		piv[i] = fixPivot(row[d], rowNorm, &f.PivotFixes)
 		rc, rv := f.u.row(i)
 		for k := range rc {
-			rc[k] = int32(cols[d+1+k])
+			rc[k] = cols[d+1+k]
 			rv[k] = row[d+1+k]
 		}
 		for _, j := range cols {

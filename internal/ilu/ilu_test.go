@@ -454,12 +454,12 @@ func farArrow(n int) *sparse.CSR {
 	for i := 0; i < n; i++ {
 		if i == n-1 {
 			for j := 0; j < n-1; j++ {
-				a.ColIdx, a.Val = append(a.ColIdx, j), append(a.Val, -0.25)
+				a.ColIdx, a.Val = append(a.ColIdx, int32(j)), append(a.Val, -0.25)
 			}
 		} else if i > 0 {
 			a.ColIdx, a.Val = append(a.ColIdx, 0), append(a.Val, -0.5)
 		}
-		a.ColIdx, a.Val = append(a.ColIdx, i), append(a.Val, 4+float64(i%3))
+		a.ColIdx, a.Val = append(a.ColIdx, int32(i)), append(a.Val, 4+float64(i%3))
 		a.RowPtr[i+1] = len(a.ColIdx)
 	}
 	return a

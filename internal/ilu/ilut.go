@@ -63,7 +63,8 @@ func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 		procL = procL[:0]
 		diagSeen := false
 		first := i // lowest L column of the row
-		for k, j := range cols {
+		for k, c := range cols {
+			j := int(c)
 			w[j] = vals[k]
 			inRow[j] = true
 			rowNorm += math.Abs(vals[k])

@@ -94,7 +94,8 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 		uCols = uCols[:0]
 		procL = procL[:0]
 		first := i // lowest L position of the row
-		for k, j := range cols {
+		for k, c := range cols {
+			j := int(c)
 			w[j] = vals[k]
 			inRow[j] = true
 			rowNorm += math.Abs(vals[k])

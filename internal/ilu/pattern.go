@@ -2,6 +2,7 @@ package ilu
 
 import (
 	"fmt"
+	"slices"
 
 	"parapre/internal/par"
 	"parapre/internal/sparse"
@@ -12,7 +13,7 @@ import (
 // pointers and 32-bit columns already say where every entry is: row i's
 // strict lower part, its diagonal and its strict upper part. What the
 // matrix adds is its values, kept as its CSR stored them — row by row, in
-// that order — and its own 64-bit columns and row pointers can be dropped.
+// that order — and its own columns and row pointers can be dropped.
 type PatternMatrix struct {
 	f   *LU
 	val []float64
@@ -35,20 +36,11 @@ func HoldInPattern(f *LU, a *sparse.CSR) (*PatternMatrix, error) {
 		lc, _ := f.l.row(i)
 		uc, _ := f.u.row(i)
 		d := len(lc)
-		if len(cols) != d+1+len(uc) || cols[d] != i || !sameCols(lc, cols[:d]) || !sameCols(uc, cols[d+1:]) {
+		if len(cols) != d+1+len(uc) || int(cols[d]) != i || !slices.Equal(lc, cols[:d]) || !slices.Equal(uc, cols[d+1:]) {
 			return nil, badInputErr("HoldInPattern", "row %d is not in the factor's pattern", i)
 		}
 	}
 	return &PatternMatrix{f: f, val: a.Val}, nil
-}
-
-func sameCols(f []int32, a []int) bool {
-	for k, j := range f {
-		if int(j) != a[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // Dims returns the matrix dimensions.

@@ -24,15 +24,15 @@ func combinedOf(f *LU) (*sparse.CSR, []int) {
 	for i := 0; i < n; i++ {
 		cols, vals := f.LRow(i)
 		for k, j := range cols {
-			m.ColIdx = append(m.ColIdx, int(j))
+			m.ColIdx = append(m.ColIdx, j)
 			m.Val = append(m.Val, vals[k])
 		}
 		diag[i] = len(m.ColIdx)
-		m.ColIdx = append(m.ColIdx, i)
+		m.ColIdx = append(m.ColIdx, int32(i))
 		m.Val = append(m.Val, f.Pivot(i))
 		cols, vals = f.URow(i)
 		for k, j := range cols {
-			m.ColIdx = append(m.ColIdx, int(j))
+			m.ColIdx = append(m.ColIdx, j)
 			m.Val = append(m.Val, vals[k])
 		}
 		m.RowPtr[i+1] = len(m.ColIdx)

@@ -1,10 +1,6 @@
 package ilu
 
-import (
-	"sort"
-
-	"parapre/internal/sparse"
-)
+import "parapre/internal/sparse"
 
 // ExtractTrailing returns the trailing sub-factorization of f for the
 // unknowns [start, n): rows ≥ start with columns ≥ start, indices shifted
@@ -23,7 +19,7 @@ func ExtractTrailing(f *LU, start int) (*LU, error) {
 	nl := 0
 	for i := start; i < n; i++ {
 		cols, _ := f.l.row(i)
-		nl += len(cols) - firstAtLeast(cols, start)
+		nl += len(cols) - sparse.SearchCol(cols, start)
 	}
 	out := &LU{
 		l:   newTri(n-start, nl),
@@ -32,7 +28,7 @@ func ExtractTrailing(f *LU, start int) (*LU, error) {
 	}
 	for i := start; i < n; i++ {
 		cols, vals := f.l.row(i)
-		k := firstAtLeast(cols, start)
+		k := sparse.SearchCol(cols, start)
 		out.l.pushShifted(cols[k:], vals[k:], start)
 		out.l.endRow(i - start)
 		cols, vals = f.u.row(i)
@@ -58,7 +54,7 @@ func ExtractLeading(f *LU, end int) (*LU, error) {
 	nu := 0
 	for i := 0; i < end; i++ {
 		cols, _ := f.u.row(i)
-		nu += firstAtLeast(cols, end)
+		nu += sparse.SearchCol(cols, end)
 	}
 	out := &LU{
 		l:   newTri(end, int(f.l.ptr[end])),
@@ -70,17 +66,11 @@ func ExtractLeading(f *LU, end int) (*LU, error) {
 		out.l.pushShifted(cols, vals, 0)
 		out.l.endRow(i)
 		cols, vals = f.u.row(i)
-		k := firstAtLeast(cols, end)
+		k := sparse.SearchCol(cols, end)
 		out.u.pushShifted(cols[:k], vals[:k], 0)
 		out.u.endRow(i)
 	}
 	return out, nil
-}
-
-// firstAtLeast returns the index of the first entry of the ascending cols
-// that is ≥ c.
-func firstAtLeast(cols []int32, c int) int {
-	return sort.Search(len(cols), func(k int) bool { return int(cols[k]) >= c })
 }
 
 // pushShifted appends a run of entries with their columns moved down by

@@ -329,7 +329,11 @@ func orthSystems(t *testing.T, m, p int) []*dsys.System {
 	if p > 1 {
 		parts = p - 1
 	}
-	part, err := partition.General(&partition.Graph{Ptr: a.RowPtr, Adj: a.ColIdx}, parts, 3)
+	adj := make([]int, len(a.ColIdx))
+	for k, j := range a.ColIdx {
+		adj[k] = int(j)
+	}
+	part, err := partition.General(&partition.Graph{Ptr: a.RowPtr, Adj: adj}, parts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

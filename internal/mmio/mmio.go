@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -23,6 +24,10 @@ const (
 	maxDim = 1 << 24
 	maxNNZ = 1 << 28
 )
+
+// A matrix read here stores its columns in 32 bits (sparse.CSR): this fails
+// to compile once maxDim is raised past math.MaxInt32.
+const _ = uint32(math.MaxInt32 - maxDim)
 
 // maxPrealloc caps what a size line makes a reader allocate before the
 // entries it promises have been read: a header is a claim, and past this

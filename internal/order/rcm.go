@@ -109,8 +109,8 @@ func symmetrizedAdj(a *sparse.CSR) [][]int {
 	}
 	for i := 0; i < n; i++ {
 		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if j != i && j < n {
+		for _, c := range cols {
+			if j := int(c); j != i && j < n {
 				set[i][j] = true
 				set[j][i] = true
 			}
@@ -132,7 +132,7 @@ func Bandwidth(a *sparse.CSR) int {
 	for i := 0; i < a.Rows; i++ {
 		cols, _ := a.Row(i)
 		for _, j := range cols {
-			d := i - j
+			d := i - int(j)
 			if d < 0 {
 				d = -d
 			}
@@ -152,8 +152,8 @@ func Profile(a *sparse.CSR) int {
 		cols, _ := a.Row(i)
 		minJ := i
 		for _, j := range cols {
-			if j < minJ {
-				minJ = j
+			if int(j) < minJ {
+				minJ = int(j)
 			}
 		}
 		p += i - minJ

@@ -85,8 +85,8 @@ func BuildOverlapBlocks(a *sparse.CSR, part []int, systems []*dsys.System, opt O
 			var next []int
 			for _, g := range frontier {
 				cols, _ := a.Row(g)
-				for _, j := range cols {
-					if !inSet[j] {
+				for _, c := range cols {
+					if j := int(c); !inSet[j] {
 						inSet[j] = true
 						next = append(next, j)
 					}

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -32,7 +33,7 @@ type BSR struct {
 	Rows, Cols int // scalar dimensions
 	BR, BC     int // block dimensions; Rows%BR == 0, Cols%BC == 0
 	RowPtr     []int
-	ColIdx     []int
+	ColIdx     []int32 // block columns; the scalar ones fit 32 bits (see ToBSR)
 	Val        []float64
 
 	// rowPart caches the nnz-balanced block-row partition of the parallel
@@ -68,6 +69,10 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 		//lint:ignore allocfree validation failure of the once-per-shape lazy BSR build, not steady-state
 		return nil, fmt.Errorf("sparse: ToBSR %d×%d does not tile into %d×%d blocks", a.Rows, a.Cols, br, bc)
 	}
+	if a.Cols > math.MaxInt32 {
+		//lint:ignore allocfree validation failure of the once-per-shape lazy BSR build, not steady-state
+		return nil, fmt.Errorf("sparse: ToBSR with %d columns, more than the %d that 32-bit column indices address", a.Cols, math.MaxInt32)
+	}
 	a.Validate()
 	nbr := a.Rows / br
 	nbc := a.Cols / bc
@@ -83,7 +88,7 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 		cnt := 0
 		for i := bi * br; i < (bi+1)*br; i++ {
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if bj := a.ColIdx[k] / bc; mark[bj] != bi {
+				if bj := int(a.ColIdx[k]) / bc; mark[bj] != bi {
 					mark[bj] = bi
 					cnt++
 				}
@@ -93,7 +98,7 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 	}
 	nb := b.RowPtr[nbr]
 	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
-	b.ColIdx = make([]int, nb)
+	b.ColIdx = make([]int32, nb)
 	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 	b.Val = make([]float64, nb*br*bc)
 
@@ -108,7 +113,7 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 		scratch = scratch[:0]
 		for i := bi * br; i < (bi+1)*br; i++ {
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if bj := a.ColIdx[k] / bc; mark[bj] != bi {
+				if bj := int(a.ColIdx[k]) / bc; mark[bj] != bi {
 					mark[bj] = bi
 					//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 					scratch = append(scratch, bj)
@@ -118,13 +123,13 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 		sort.Ints(scratch)
 		base := b.RowPtr[bi]
 		for t, bj := range scratch {
-			b.ColIdx[base+t] = bj
+			b.ColIdx[base+t] = int32(bj)
 			pos[bj] = base + t
 		}
 		for i := bi * br; i < (bi+1)*br; i++ {
 			r := i - bi*br
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				j := a.ColIdx[k]
+				j := int(a.ColIdx[k])
 				bj := j / bc
 				b.Val[pos[bj]*br*bc+r*bc+(j-bj*bc)] = a.Val[k]
 			}
@@ -143,11 +148,11 @@ func (b *BSR) ToCSR() *CSR {
 		for r := 0; r < br; r++ {
 			i := bi*br + r
 			for k := b.RowPtr[bi]; k < b.RowPtr[bi+1]; k++ {
-				j0 := b.ColIdx[k] * bc
+				j0 := int(b.ColIdx[k]) * bc
 				blk := b.Val[k*br*bc+r*bc : k*br*bc+(r+1)*bc]
 				for c, v := range blk {
 					if v != 0 {
-						a.ColIdx = append(a.ColIdx, j0+c)
+						a.ColIdx = append(a.ColIdx, int32(j0+c))
 						a.Val = append(a.Val, v)
 					}
 				}
@@ -175,7 +180,7 @@ func blockFill(a *CSR, r int) int {
 	for bi := 0; bi < nbr; bi++ {
 		for i := bi * r; i < (bi+1)*r; i++ {
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if bj := a.ColIdx[k] / r; bj < nbc && mark[bj] != bi {
+				if bj := int(a.ColIdx[k]) / r; bj < nbc && mark[bj] != bi {
 					mark[bj] = bi
 					blocks++
 				}
@@ -242,7 +247,7 @@ func (b *BSR) mul2x2(y, x []float64, lo, hi int) {
 	for bi := lo; bi < hi; bi++ {
 		var s0, s1 float64
 		for k := rp[bi]; k < rp[bi+1]; k++ {
-			j := ci[k] * 2
+			j := int(ci[k]) * 2
 			x0, x1 := x[j], x[j+1]
 			blk := vv[k*4 : k*4+4 : k*4+4]
 			s0 += blk[0] * x0
@@ -260,7 +265,7 @@ func (b *BSR) mul3x3(y, x []float64, lo, hi int) {
 	for bi := lo; bi < hi; bi++ {
 		var s0, s1, s2 float64
 		for k := rp[bi]; k < rp[bi+1]; k++ {
-			j := ci[k] * 3
+			j := int(ci[k]) * 3
 			x0, x1, x2 := x[j], x[j+1], x[j+2]
 			blk := vv[k*9 : k*9+9 : k*9+9]
 			s0 += blk[0] * x0
@@ -286,7 +291,7 @@ func (b *BSR) mulGeneric(y, x []float64, lo, hi int) {
 		for r := 0; r < br; r++ {
 			var s float64
 			for k := rp[bi]; k < rp[bi+1]; k++ {
-				j := ci[k] * bc
+				j := int(ci[k]) * bc
 				row := vv[k*br*bc+r*bc : k*br*bc+(r+1)*bc]
 				for c, v := range row {
 					s += v * x[j+c]
@@ -367,7 +372,7 @@ func (b *BSR) rowDot(bi, r int, x []float64) float64 {
 	br, bc := b.BR, b.BC
 	var s float64
 	for k := rp[bi]; k < rp[bi+1]; k++ {
-		j := ci[k] * bc
+		j := int(ci[k]) * bc
 		row := vv[k*br*bc+r*bc : k*br*bc+(r+1)*bc]
 		for c, v := range row {
 			s += v * x[j+c]

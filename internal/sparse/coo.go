@@ -58,7 +58,7 @@ type Entry struct {
 // that builds its rows directly (arms.AssembleSchur) gets ToCSR's bits by
 // handing MergeRow each row's contributions in the order COO.Add would
 // have received them.
-func MergeRow(buf []Entry, cols []int, vals []float64) ([]int, []float64) {
+func MergeRow(buf []Entry, cols []int32, vals []float64) ([]int32, []float64) {
 	sortEntriesByCol(buf)
 	for k := 0; k < len(buf); {
 		j := buf[k].Col
@@ -66,7 +66,7 @@ func MergeRow(buf []Entry, cols []int, vals []float64) ([]int, []float64) {
 		for ; k < len(buf) && buf[k].Col == j; k++ {
 			s += buf[k].Val
 		}
-		cols = append(cols, j)
+		cols = append(cols, int32(j))
 		vals = append(vals, s)
 	}
 	return cols, vals
@@ -103,16 +103,13 @@ func (c *COO) ToCSR() *CSR {
 	}
 
 	// The merged size is not known before the rows are merged, and what is
-	// returned outlives the call by far: the rows are merged into scratch of
-	// triplet-count length and copied out at their exact length. The merged
-	// columns overwrite perm from its front — row i's land at or before
-	// perm[rowCount[i]], which has been read into the row buffer by then —
-	// and the merged values go to a pooled buffer.
+	// returned outlives the call by far: the rows are merged into pooled
+	// scratch of triplet-count length and copied out at their exact length.
 	cb := csrBufs.Get().(*csrBuf)
-	if cap(cb.vals) < len(c.I) {
-		cb.vals = make([]float64, 0, len(c.I))
+	if cap(cb.cols) < len(c.I) || cap(cb.vals) < len(c.I) {
+		cb.cols, cb.vals = make([]int32, 0, len(c.I)), make([]float64, 0, len(c.I))
 	}
-	cols, vals, rowBuf := perm[:0], cb.vals[:0], cb.row
+	cols, vals, rowBuf := cb.cols[:0], cb.vals[:0], cb.row
 	a := NewCSR(c.Rows, c.Cols, 0)
 	for i := 0; i < c.Rows; i++ {
 		rowBuf = rowBuf[:0]
@@ -123,17 +120,18 @@ func (c *COO) ToCSR() *CSR {
 		cols, vals = MergeRow(rowBuf, cols, vals)
 		a.RowPtr[i+1] = len(cols)
 	}
-	a.ColIdx = append(make([]int, 0, len(cols)), cols...)
+	a.ColIdx = append(make([]int32, 0, len(cols)), cols...)
 	a.Val = append(make([]float64, 0, len(vals)), vals...)
-	cb.vals, cb.row = vals, rowBuf
+	cb.cols, cb.vals, cb.row = cols, vals, rowBuf
 	csrBufs.Put(cb)
 	a.Validate()
 	return a
 }
 
-// csrBuf is the scratch of one serial ToCSR: the merged values and the
-// contributions to the row under assembly.
+// csrBuf is the scratch of one serial ToCSR: the merged columns and values
+// and the contributions to the row under assembly.
 type csrBuf struct {
+	cols []int32
 	vals []float64
 	row  []Entry
 }
@@ -164,7 +162,7 @@ func (c *COO) toCSRParallel(rowCount, perm []int, w int) *CSR {
 	bounds[w] = c.Rows
 
 	type segOut struct {
-		cols []int
+		cols []int32
 		vals []float64
 	}
 	outs := make([]segOut, w)
@@ -175,7 +173,7 @@ func (c *COO) toCSRParallel(rowCount, perm []int, w int) *CSR {
 			return
 		}
 		o := segOut{
-			cols: make([]int, 0, rowCount[hi]-rowCount[lo]),
+			cols: make([]int32, 0, rowCount[hi]-rowCount[lo]),
 			vals: make([]float64, 0, rowCount[hi]-rowCount[lo]),
 		}
 		var rowBuf []Entry
@@ -197,7 +195,7 @@ func (c *COO) toCSRParallel(rowCount, perm []int, w int) *CSR {
 		a.RowPtr[i+1] = a.RowPtr[i] + rowLen[i]
 	}
 	total := a.RowPtr[c.Rows]
-	a.ColIdx = make([]int, total)
+	a.ColIdx = make([]int32, total)
 	a.Val = make([]float64, total)
 	par.Run(w, func(s int) {
 		lo := bounds[s]

@@ -10,6 +10,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -22,11 +23,14 @@ import (
 // Row i owns the half-open index range RowPtr[i]:RowPtr[i+1] of ColIdx and
 // Val. Column indices within a row are strictly increasing after
 // normalization (FromCOO and all constructors in this package guarantee
-// it); SortRows restores the invariant after manual surgery.
+// it); SortRows restores the invariant after manual surgery. Column
+// indices are 32-bit — a stored entry is 12 bytes with its value — so a
+// matrix has at most math.MaxInt32 columns, which NewCSR enforces. RowPtr
+// stays int: it is a small part of any matrix and bounds no entry count.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int
-	ColIdx     []int
+	ColIdx     []int32
 	Val        []float64
 
 	// rowPart caches the nnz-balanced row partition used by the parallel
@@ -39,14 +43,26 @@ type CSR struct {
 	bsr atomic.Pointer[bsrCache]
 }
 
-// NewCSR returns an empty r×c matrix with capacity for nnz nonzeros.
+// NewCSR returns an empty r×c matrix with capacity for nnz nonzeros. It
+// panics when c is more than math.MaxInt32, the most columns 32-bit column
+// indices address.
 func NewCSR(r, c, nnz int) *CSR {
+	checkCols("NewCSR", c)
 	return &CSR{
 		Rows:   r,
 		Cols:   c,
 		RowPtr: make([]int, r+1),
-		ColIdx: make([]int, 0, nnz),
+		ColIdx: make([]int32, 0, nnz),
 		Val:    make([]float64, 0, nnz),
+	}
+}
+
+// checkCols panics when a matrix of c columns cannot store them in 32 bits:
+// a column past the limit would wrap silently, which is always a
+// programming error in whoever sized the matrix.
+func checkCols(op string, c int) {
+	if c > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: %s with %d columns, more than the %d that 32-bit column indices address", op, c, math.MaxInt32))
 	}
 }
 
@@ -61,18 +77,42 @@ func (a *CSR) RowNNZ(i int) int { return a.RowPtr[i+1] - a.RowPtr[i] }
 
 // Row returns the column-index and value slices of row i. The slices alias
 // the matrix storage; callers must not grow them.
-func (a *CSR) Row(i int) (cols []int, vals []float64) {
+func (a *CSR) Row(i int) (cols []int32, vals []float64) {
 	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 	return a.ColIdx[lo:hi], a.Val[lo:hi]
+}
+
+// SearchCol returns the index of the first entry of the ascending cols that
+// is at least c: where column c is, or would be inserted, in a sorted row
+// (len(cols) when every entry is smaller).
+//
+//lint:ignore dimguard a binary search: every index it reads is a midpoint below len(cols)
+func SearchCol(cols []int32, c int) int {
+	lo, hi := 0, len(cols)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(cols[m]) < c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// find returns row i's values, the index of entry (i, j) among them and
+// whether that entry is stored.
+func (a *CSR) find(i, j int) ([]float64, int, bool) {
+	cols, vals := a.Row(i)
+	k := SearchCol(cols, j)
+	return vals, k, k < len(cols) && int(cols[k]) == j
 }
 
 // At returns the entry (i, j), or 0 if it is not stored. It binary-searches
 // the row and is intended for tests and assembly-time inspection, not for
 // inner loops.
 func (a *CSR) At(i, j int) float64 {
-	cols, vals := a.Row(i)
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
+	if vals, k, ok := a.find(i, j); ok {
 		return vals[k]
 	}
 	return 0
@@ -81,27 +121,23 @@ func (a *CSR) At(i, j int) float64 {
 // SetExisting overwrites the stored entry (i, j) and reports whether the
 // entry exists in the sparsity pattern.
 func (a *CSR) SetExisting(i, j int, v float64) bool {
-	cols, vals := a.Row(i)
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
+	vals, k, ok := a.find(i, j)
+	if ok {
 		vals[k] = v
 		a.InvalidateBlocked()
-		return true
 	}
-	return false
+	return ok
 }
 
 // AddExisting adds v to the stored entry (i, j) and reports whether the
 // entry exists in the sparsity pattern.
 func (a *CSR) AddExisting(i, j int, v float64) bool {
-	cols, vals := a.Row(i)
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
+	vals, k, ok := a.find(i, j)
+	if ok {
 		vals[k] += v
 		a.InvalidateBlocked()
-		return true
 	}
-	return false
+	return ok
 }
 
 // Clone returns a deep copy of a.
@@ -110,7 +146,7 @@ func (a *CSR) Clone() *CSR {
 		Rows:   a.Rows,
 		Cols:   a.Cols,
 		RowPtr: append([]int(nil), a.RowPtr...),
-		ColIdx: append([]int(nil), a.ColIdx...),
+		ColIdx: append([]int32(nil), a.ColIdx...),
 		Val:    append([]float64(nil), a.Val...),
 	}
 	return b
@@ -236,13 +272,9 @@ func (a *CSR) MulVecSub(y, x []float64) {
 
 // Transpose returns Aᵀ with sorted rows.
 func (a *CSR) Transpose() *CSR {
-	t := &CSR{
-		Rows:   a.Cols,
-		Cols:   a.Rows,
-		RowPtr: make([]int, a.Cols+1),
-		ColIdx: make([]int, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
-	}
+	t := NewCSR(a.Cols, a.Rows, 0)
+	t.ColIdx = make([]int32, a.NNZ())
+	t.Val = make([]float64, a.NNZ())
 	// Count entries per column of a.
 	for _, j := range a.ColIdx {
 		t.RowPtr[j+1]++
@@ -255,7 +287,7 @@ func (a *CSR) Transpose() *CSR {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j := a.ColIdx[k]
 			p := next[j]
-			t.ColIdx[p] = i
+			t.ColIdx[p] = int32(i)
 			t.Val[p] = a.Val[k]
 			next[j]++
 		}
@@ -271,11 +303,7 @@ func (a *CSR) Diagonal() []float64 {
 	}
 	d := make([]float64, n)
 	for i := 0; i < n; i++ {
-		cols, vals := a.Row(i)
-		k := sort.SearchInts(cols, i)
-		if k < len(cols) && cols[k] == i {
-			d[i] = vals[k]
-		}
+		d[i] = a.At(i, i)
 	}
 	return d
 }
@@ -319,7 +347,7 @@ func (a *CSR) SortRows() {
 }
 
 type rowSorter struct {
-	cols []int
+	cols []int32
 	vals []float64
 }
 
@@ -363,7 +391,7 @@ func (a *CSR) CheckValid() error {
 		}
 		prev := -1
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
+			j := int(a.ColIdx[k])
 			if j < 0 || j >= a.Cols {
 				return fmt.Errorf("sparse: column %d out of range in row %d", j, i)
 			}
@@ -382,7 +410,7 @@ func (a *CSR) Dense() *Dense {
 	d := NewDense(a.Rows, a.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			d.Set(i, a.ColIdx[k], a.Val[k])
+			d.Set(i, int(a.ColIdx[k]), a.Val[k])
 		}
 	}
 	return d
@@ -418,7 +446,7 @@ func Identity(n int) *CSR {
 	a := NewCSR(n, n, n)
 	for i := 0; i < n; i++ {
 		a.RowPtr[i+1] = i + 1
-		a.ColIdx = append(a.ColIdx, i)
+		a.ColIdx = append(a.ColIdx, int32(i))
 		a.Val = append(a.Val, 1)
 	}
 	return a

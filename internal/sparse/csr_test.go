@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +70,40 @@ func TestCOOAddPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	NewCOO(2, 2, 1).Add(2, 0, 1)
+}
+
+// Columns are stored in 32 bits: a matrix wider than that is refused where
+// it is made, naming the limit, instead of wrapping a column silently.
+func TestColumnWidthGuard(t *testing.T) {
+	const wide = math.MaxInt32 + 1
+	if a := NewCSR(1, math.MaxInt32, 0); a.Cols != math.MaxInt32 {
+		t.Fatalf("NewCSR at the limit: %d columns", a.Cols)
+	}
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "2147483647") {
+				t.Fatalf("NewCSR with %d columns: panic %q, want one naming the limit", wide, msg)
+			}
+		}()
+		NewCSR(1, wide, 0)
+	}()
+	a := &CSR{Rows: 2, Cols: 2 * wide, RowPtr: []int{0, 0, 0}}
+	if _, err := ToBSR(a, 2, 2); err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("ToBSR with %d columns: error %v, want one naming the limit", a.Cols, err)
+	}
+}
+
+func TestSearchCol(t *testing.T) {
+	cols := []int32{1, 4, 9}
+	for c, want := range map[int]int{-1: 0, 0: 0, 1: 0, 2: 1, 4: 1, 5: 2, 9: 2, 10: 3, math.MaxInt32 + 1: 3} {
+		if got := SearchCol(cols, c); got != want {
+			t.Errorf("SearchCol(%v, %d) = %d, want %d", cols, c, got, want)
+		}
+	}
+	if got := SearchCol(nil, 3); got != 0 {
+		t.Errorf("SearchCol(nil, 3) = %d, want 0", got)
+	}
 }
 
 func TestMulVecAgainstDense(t *testing.T) {
@@ -255,7 +290,7 @@ func TestAccessorsAndSortRows(t *testing.T) {
 		t.Fatal("Clone shares storage")
 	}
 	// Build unsorted rows by hand and restore the invariant.
-	m := &CSR{Rows: 1, Cols: 3, RowPtr: []int{0, 3}, ColIdx: []int{2, 0, 1}, Val: []float64{3, 1, 2}}
+	m := &CSR{Rows: 1, Cols: 3, RowPtr: []int{0, 3}, ColIdx: []int32{2, 0, 1}, Val: []float64{3, 1, 2}}
 	m.SortRows()
 	if err := m.CheckValid(); err != nil {
 		t.Fatal(err)

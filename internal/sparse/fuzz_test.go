@@ -72,7 +72,7 @@ func FuzzToCSR(f *testing.F) {
 		for i := 0; i < rows; i++ {
 			cs, vs := a.Row(i)
 			for k, j := range cs {
-				got[i*cols+j] += vs[k]
+				got[i*cols+int(j)] += vs[k]
 			}
 		}
 		for p := range want {
@@ -108,7 +108,7 @@ func FuzzSortRows(f *testing.F) {
 				k++
 			}
 			for e := 0; e < n && k+1 < len(data); e++ {
-				a.ColIdx = append(a.ColIdx, int(data[k])%cols)
+				a.ColIdx = append(a.ColIdx, int32(int(data[k])%cols))
 				a.Val = append(a.Val, float64(int8(data[k+1])))
 				k += 2
 			}
@@ -116,7 +116,7 @@ func FuzzSortRows(f *testing.F) {
 		}
 
 		type pair struct {
-			col int
+			col int32
 			val float64
 		}
 		want := make([][]pair, rows)

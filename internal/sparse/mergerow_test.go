@@ -219,7 +219,7 @@ func BenchmarkMergeRow(b *testing.B) {
 	}{{"schur250", schurRowOf(&r, 60, 250)}, {"fem18", femRow(&r)}} {
 		b.Run(bc.name, func(b *testing.B) {
 			buf := make([]Entry, len(bc.row))
-			var cols []int
+			var cols []int32
 			var vals []float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

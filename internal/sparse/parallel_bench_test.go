@@ -104,15 +104,15 @@ func BenchmarkSortRows(b *testing.B) {
 			c := rng.Intn(rows)
 			if !seen[c] {
 				seen[c] = true
-				proto.ColIdx = append(proto.ColIdx, c)
+				proto.ColIdx = append(proto.ColIdx, int32(c))
 				proto.Val = append(proto.Val, rng.NormFloat64())
 			}
 		}
 		proto.RowPtr[i+1] = len(proto.ColIdx)
 	}
-	shuffled := append([]int(nil), proto.ColIdx...)
+	shuffled := append([]int32(nil), proto.ColIdx...)
 	vals := append([]float64(nil), proto.Val...)
-	a := &CSR{Rows: rows, Cols: rows, RowPtr: proto.RowPtr, ColIdx: make([]int, len(shuffled)), Val: make([]float64, len(vals))}
+	a := &CSR{Rows: rows, Cols: rows, RowPtr: proto.RowPtr, ColIdx: make([]int32, len(shuffled)), Val: make([]float64, len(vals))}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -232,7 +232,7 @@ func TestRowPartition(t *testing.T) {
 	// Structural change (extra stored entry in the last row) invalidates
 	// the cache.
 	a.RowPtr[a.Rows]++
-	a.ColIdx = append(a.ColIdx, a.Cols-1)
+	a.ColIdx = append(a.ColIdx, int32(a.Cols-1))
 	a.Val = append(a.Val, 1.0)
 	b3 := a.rowPartition(4)
 	if &b3[0] == &b1[0] {
@@ -267,7 +267,7 @@ func TestSortRowsMatchesReference(t *testing.T) {
 			ps = append(ps, pair{c, rng.NormFloat64()})
 		}
 		for _, p := range ps {
-			a.ColIdx = append(a.ColIdx, p.c)
+			a.ColIdx = append(a.ColIdx, int32(p.c))
 			a.Val = append(a.Val, p.v)
 		}
 		a.RowPtr[i+1] = len(a.ColIdx)
@@ -286,7 +286,7 @@ func TestSortRowsMatchesReference(t *testing.T) {
 	for i := range rowLens {
 		cols, vals := a.Row(i)
 		for k, p := range want[i] {
-			if cols[k] != p.c || vals[k] != p.v {
+			if int(cols[k]) != p.c || vals[k] != p.v {
 				t.Fatalf("row %d entry %d: got (%d,%g), want (%d,%g)", i, k, cols[k], vals[k], p.c, p.v)
 			}
 		}

@@ -88,7 +88,7 @@ func PermuteSym(a *CSR, p Perm) *CSR {
 		cols, vals := a.Row(old)
 		start := len(b.ColIdx)
 		for k, j := range cols {
-			b.ColIdx = append(b.ColIdx, inv[j])
+			b.ColIdx = append(b.ColIdx, int32(inv[j]))
 			b.Val = append(b.Val, vals[k])
 		}
 		b.RowPtr[i+1] = len(b.ColIdx)
@@ -99,9 +99,8 @@ func PermuteSym(a *CSR, p Perm) *CSR {
 
 // SortRow sorts one row's cols ascending, moving vals along. Insertion
 // sort, allocation-free: rows are short (tens of entries at most in FEM
-// matrices). The columns may be the 64-bit ones of a CSR or the 32-bit
-// ones of an ilu factor.
-func SortRow[C int | int32](cols []C, vals []float64) {
+// matrices).
+func SortRow(cols []int32, vals []float64) {
 	if len(vals) != len(cols) {
 		panic(fmt.Sprintf("sparse: SortRow with %d columns and %d values", len(cols), len(vals)))
 	}
@@ -162,7 +161,7 @@ func Extract(a *CSR, rows, cols []int) *CSR {
 	for _, oldI := range rows {
 		cs, _ := a.Row(oldI)
 		for _, j := range cs {
-			if newCol(j) >= 0 {
+			if newCol(int(j)) >= 0 {
 				nnz++
 			}
 		}
@@ -172,8 +171,8 @@ func Extract(a *CSR, rows, cols []int) *CSR {
 		cs, vs := a.Row(oldI)
 		start := len(b.ColIdx)
 		for k, j := range cs {
-			if nj := newCol(j); nj >= 0 {
-				b.ColIdx = append(b.ColIdx, nj)
+			if nj := newCol(int(j)); nj >= 0 {
+				b.ColIdx = append(b.ColIdx, int32(nj))
 				b.Val = append(b.Val, vs[k])
 			}
 		}

@@ -266,7 +266,7 @@ func withZeroRow(a *sparse.CSR, r int) *sparse.CSR {
 		}
 		cols, vals := a.Row(i)
 		for k, j := range cols {
-			coo.Add(i, j, vals[k])
+			coo.Add(i, int(j), vals[k])
 		}
 	}
 	return coo.ToCSR()

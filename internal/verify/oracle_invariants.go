@@ -424,7 +424,7 @@ func reassembleAndCompare(a *sparse.CSR, b []float64, part []int, systems []*dsy
 			}
 			cols, vals := s.A.Row(l)
 			for k, lj := range cols {
-				ref.Add(g, colG(lj), vals[k])
+				ref.Add(g, colG(int(lj)), vals[k])
 			}
 		}
 	}
