@@ -33,8 +33,8 @@ func TestSolveBZeroAlloc(t *testing.T) {
 	}
 }
 
-// The multilevel sweep works out of per-level scratch sized at
-// construction: a steady-state Apply allocates nothing.
+// The multilevel sweep works out of the caller's per-level scratch: an
+// Apply allocates nothing.
 func TestSolverApplyZeroAllocSteadyState(t *testing.T) {
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
@@ -46,8 +46,8 @@ func TestSolverApplyZeroAllocSteadyState(t *testing.T) {
 	if len(s.levels) != 2 {
 		t.Fatalf("hierarchy has %d levels, want 2", len(s.levels))
 	}
-	z := make([]float64, a.Rows)
-	if got := testing.AllocsPerRun(10, func() { s.Apply(z, b) }); got != 0 {
+	z, sc := make([]float64, a.Rows), s.NewScratch()
+	if got := testing.AllocsPerRun(10, func() { s.Apply(z, b, sc) }); got != 0 {
 		t.Fatalf("Apply allocates %v objects per steady-state call, want 0", got)
 	}
 }

@@ -165,6 +165,10 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 		sparse.SortRow(c.ColIdx[c0:], c.Val[c0:])
 	}
 	red.S = AssembleSchur(c, red.E, red.F, red, dropTol)
+	// The products with E and F take their blocked-format verdict now, so
+	// that what the reduction holds does not grow on its first apply.
+	red.E.AutoBlocked()
+	red.F.AutoBlocked()
 	return red, nil
 }
 
@@ -174,15 +178,37 @@ type Solver struct {
 	n      int
 	levels []*Reduction
 	last   *ilu.LU // ILUT factorization of the final reduced matrix
-	// scratch holds every level's vectors, so Apply allocates nothing;
-	// the price is that one Solver must not be applied concurrently.
-	scratch []levelScratch
+}
+
+// Scratch holds every level's vectors of one Apply, so that a Solver holds
+// none and any number of Applies may run on it at once, each with its own
+// Scratch.
+type Scratch struct {
+	levels []levelScratch
 }
 
 // levelScratch is the workspace of one applyLevel: the permuted residual
 // (n), then u_B, F·z_C and its correction (nB each) and z_C (n − nB).
 type levelScratch struct {
 	work, uB, fz, corr, zC []float64
+}
+
+// NewScratch returns a Scratch sized for s.
+func (s *Solver) NewScratch() *Scratch {
+	sc := &Scratch{levels: make([]levelScratch, 0, len(s.levels))}
+	dim := s.n
+	for _, l := range s.levels {
+		buf := make([]float64, 2*dim+2*l.NB)
+		sc.levels = append(sc.levels, levelScratch{
+			work: buf[:dim],
+			uB:   buf[dim : dim+l.NB],
+			fz:   buf[dim+l.NB : dim+2*l.NB],
+			corr: buf[dim+2*l.NB : dim+3*l.NB],
+			zC:   buf[dim+3*l.NB:],
+		})
+		dim -= l.NB
+	}
+	return sc
 }
 
 // N returns the dimension of the preconditioned matrix.
@@ -230,19 +256,6 @@ func New(a *sparse.CSR, opt Options) (*Solver, error) {
 		return nil, fmt.Errorf("arms: final level: %w", err)
 	}
 	s.last = lastLU
-
-	dim := s.n
-	for _, l := range s.levels {
-		buf := make([]float64, 2*dim+2*l.NB)
-		s.scratch = append(s.scratch, levelScratch{
-			work: buf[:dim],
-			uB:   buf[dim : dim+l.NB],
-			fz:   buf[dim+l.NB : dim+2*l.NB],
-			corr: buf[dim+2*l.NB : dim+3*l.NB],
-			zC:   buf[dim+3*l.NB:],
-		})
-		dim -= l.NB
-	}
 	return s, nil
 }
 
@@ -422,19 +435,20 @@ func dropSmall(i int, cols []int32, vals []float64, tol float64) int {
 
 // Apply computes z = M⁻¹·r through the multilevel hierarchy:
 // per level, u_B = B⁻¹r_B; r_C' = r_C − E·u_B; recurse on r_C'; then
-// u_B −= B⁻¹·F·z_C. z and r must have length N(); they may alias.
-func (s *Solver) Apply(z, r []float64) {
-	s.applyLevel(0, z, r)
+// u_B −= B⁻¹·F·z_C, working in sc (from s.NewScratch). z and r must have
+// length N(); they may alias.
+func (s *Solver) Apply(z, r []float64, sc *Scratch) {
+	s.applyLevel(sc, 0, z, r)
 }
 
-func (s *Solver) applyLevel(lev int, z, r []float64) {
+func (s *Solver) applyLevel(scr *Scratch, lev int, z, r []float64) {
 	if lev == len(s.levels) {
 		s.last.Solve(z, r)
 		return
 	}
 	l := s.levels[lev]
 	n := len(l.Perm)
-	sc := &s.scratch[lev]
+	sc := &scr.levels[lev]
 	// Permute r into work.
 	for i, old := range l.Perm {
 		sc.work[i] = r[old]
@@ -451,7 +465,7 @@ func (s *Solver) applyLevel(lev int, z, r []float64) {
 
 	// Recurse.
 	zC := sc.zC
-	s.applyLevel(lev+1, zC, rC)
+	s.applyLevel(scr, lev+1, zC, rC)
 
 	// u_B -= B⁻¹·F·z_C.
 	l.F.MulVecTo(sc.fz, zC)

@@ -131,7 +131,7 @@ func TestARMSExactWhenNoDropping(t *testing.T) {
 		t.Fatal(err)
 	}
 	z := make([]float64, a.Rows)
-	s.Apply(z, b)
+	s.Apply(z, b, s.NewScratch())
 	r := append([]float64(nil), b...)
 	a.MulVecSub(r, z)
 	if res := sparse.Norm2(r) / sparse.Norm2(b); res > 1e-9 {
@@ -147,7 +147,7 @@ func TestARMSTwoLevelExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	z := make([]float64, a.Rows)
-	s.Apply(z, b)
+	s.Apply(z, b, s.NewScratch())
 	r := append([]float64(nil), b...)
 	a.MulVecSub(r, z)
 	if res := sparse.Norm2(r) / sparse.Norm2(b); res > 1e-9 {
@@ -167,7 +167,8 @@ func TestARMSPreconditionsGMRES(t *testing.T) {
 		return krylov.SolveCSR(a, pr, b, x, krylov.Options{Restart: 20, MaxIters: 400, Tol: 1e-8})
 	}
 	plain := run(nil)
-	prec := run(func(z, r []float64) { s.Apply(z, r) })
+	sc := s.NewScratch()
+	prec := run(func(z, r []float64) { s.Apply(z, r, sc) })
 	if !prec.Converged {
 		t.Fatalf("ARMS-preconditioned GMRES failed: %+v", prec)
 	}
@@ -194,8 +195,8 @@ func TestARMSUnsymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float64, a.Rows)
-	res := krylov.SolveCSR(a, func(z, r []float64) { s.Apply(z, r) }, b, x,
+	x, sc := make([]float64, a.Rows), s.NewScratch()
+	res := krylov.SolveCSR(a, func(z, r []float64) { s.Apply(z, r, sc) }, b, x,
 		krylov.Options{Restart: 20, MaxIters: 300, Tol: 1e-8, Flexible: true})
 	if !res.Converged {
 		t.Fatalf("ARMS on convection-dominated system failed: %+v", res)
@@ -248,7 +249,7 @@ func TestARMSRandomUnstructured(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	z := make([]float64, n)
-	s.Apply(z, b)
+	s.Apply(z, b, s.NewScratch())
 	// M⁻¹ should be a decent approximation of A⁻¹ here: residual well
 	// below the unpreconditioned baseline.
 	r := append([]float64(nil), b...)

@@ -57,7 +57,7 @@ func TestARMSOneByOne(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	z := make([]float64, 1)
-	s.Apply(z, []float64{10})
+	s.Apply(z, []float64{10}, s.NewScratch())
 	if z[0] != 2 {
 		t.Errorf("1×1 solve: got %g, want 2", z[0])
 	}

@@ -34,16 +34,20 @@ func (p *Problem) roots() []any {
 }
 
 // Bytes returns the heap the session keeps alive beyond its problem's
-// Bytes, in bytes: the per-rank preconditioners with their scratch, walked
-// with everything the problem holds already seen, so that an array a
-// preconditioner shares with the matrix or a layout (the systems it points
-// back to, a window onto a subdomain matrix) adds nothing. A session on a
-// problem whose memo no longer holds its layout (the matrix was edited in
-// place) is charged the layout too. The scratch a solve grows on first use
-// (inner Krylov bases) is counted once it exists: the sum of the two rises
-// over the first solve, by 6 to 13 % for Schur 1 and 3 to 6 % for Schur 2
-// at the sizes of the paper's tables, and is constant after it. Bytes waits
-// for the session's running solves: nothing grows under the walk.
+// Bytes, in bytes: the per-rank preconditioners, walked with everything
+// the problem holds already seen, so that an array a preconditioner shares
+// with the matrix or a layout (the systems it points back to, a window onto
+// a subdomain matrix) adds nothing. A session on a problem whose memo no
+// longer holds its layout (the matrix was edited in place) is charged the
+// layout too. What an Apply works in — inner Krylov bases, permuted and
+// enlarged vectors — comes from pools the walk skips and lives only while
+// a solve runs, and every halo's staging buffer is sized with its pattern,
+// so the value is fixed once the session is built
+// (TestSessionBytesSteadyAcrossSolves). The one exception is a product's
+// row split with more than one worker, cached on its first parallel pass:
+// tens of bytes per matrix of at least sparse.ParMinNNZ entries. Bytes
+// waits for the session's running solves, which write the preconditioners'
+// recorded exchange errors and lease the halo buffers.
 func (s *Session) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -35,10 +35,26 @@ type Halo struct {
 	// the lease keeps the steady state allocation-free for a single solve
 	// and race-free when concurrent solves share the pattern (core.Session
 	// serves simultaneous right-hand sides over one distribution, and the
-	// sessions on one core.Problem share it). The slice header is made at
-	// the longest send and never written after: a reader that loads the
+	// sessions on one core.Problem share it). Seal makes it at the longest
+	// send, so what the pattern holds is fixed before the first exchange;
+	// the slice header is never written after: a reader that loads the
 	// pointer (core's byte count) cannot race an exchange.
 	buf atomic.Pointer[[]float64]
+}
+
+// Seal sizes the staging buffer at the longest send. A builder calls it
+// once the links are final: the first exchange then allocates nothing, and
+// the bytes the pattern holds do not change over a solve.
+func (h *Halo) Seal() { h.buf.Store(h.stage()) }
+
+// stage returns a new staging buffer as long as the longest send.
+func (h *Halo) stage() *[]float64 {
+	n := 0
+	for _, l := range h.Links {
+		n = max(n, len(l.Send))
+	}
+	b := make([]float64, n)
+	return &b
 }
 
 // Link returns the link to peer, putting an empty one at its place in
@@ -90,12 +106,7 @@ func (e *ExchangeError) Unwrap() error { return e.Err }
 func (h *Halo) Exchange(c *dist.Comm, dst, src []float64, add bool) error {
 	lease := h.buf.Swap(nil)
 	if lease == nil {
-		n := 0
-		for _, l := range h.Links {
-			n = max(n, len(l.Send))
-		}
-		b := make([]float64, n)
-		lease = &b
+		lease = h.stage()
 	}
 	for _, l := range h.Links {
 		if len(l.Send) == 0 {

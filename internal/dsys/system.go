@@ -282,6 +282,7 @@ func wireNeighbors(systems []*System) {
 		}
 		sort.Slice(s.Neigh, func(i, j int) bool { return s.Neigh[i].Rank < s.Neigh[j].Rank })
 		s.halo = Halo{Tag: tagExchange, Links: s.Links(s.NLoc())}
+		s.halo.Seal()
 	}
 }
 

@@ -16,23 +16,17 @@ type PivLU struct {
 	Perm sparse.Perm // Perm[k] = original column at permuted position k
 	// Swaps counts the pivoting swaps performed (0 ⇒ identical to ILUT).
 	Swaps int
-
-	// tmp holds the pre-permutation solution between the factor solve and
-	// the scatter. Pooling it makes Solve allocation-free, at the price of
-	// a contract every current caller already satisfies: one PivLU must
-	// not be applied concurrently from multiple goroutines (each rank's
-	// preconditioner owns its own instance).
-	tmp []float64
 }
 
-// Solve computes x with A·x = b (approximately): x = Qᵀ·U⁻¹·L⁻¹·b.
-func (p *PivLU) Solve(x, b []float64) {
+// Solve computes x with A·x = b (approximately): x = Qᵀ·U⁻¹·L⁻¹·b. tmp,
+// of length N, holds the pre-permutation solution between the factor
+// solve and the scatter; the caller owns it, so that a PivLU holds no
+// scratch and concurrent Solves with distinct tmp are safe.
+func (p *PivLU) Solve(x, b, tmp []float64) {
 	n := p.LU.N()
 	checkSolveDims("PivLU.Solve", n, x, b)
-	if cap(p.tmp) < n {
-		p.tmp = make([]float64, n)
-	}
-	tmp := p.tmp[:n]
+	checkSolveDims("PivLU.Solve", n, tmp, b)
+	tmp = tmp[:n]
 	p.LU.Solve(tmp, b)
 	for k := 0; k < n; k++ {
 		x[p.Perm[k]] = tmp[k]

@@ -39,7 +39,7 @@ func TestILUTPSolvesZeroDiagonalSystem(t *testing.T) {
 	}
 	b := a.MulVec(xTrue)
 	x := make([]float64, n)
-	p.Solve(x, b)
+	p.Solve(x, b, make([]float64, n))
 	for i := range x {
 		if math.Abs(x[i]-xTrue[i]) > 1e-8 {
 			t.Fatalf("x[%d] = %v, want %v", i, x[i], xTrue[i])
@@ -116,7 +116,7 @@ func TestILUTPCompleteEqualsDenseProperty(t *testing.T) {
 		}
 		want := df.Solve(b)
 		got := make([]float64, n)
-		p.Solve(got, b)
+		p.Solve(got, b, make([]float64, n))
 		for i := range want {
 			scale := 1 + math.Abs(want[i])
 			if math.Abs(got[i]-want[i]) > 1e-5*scale {

@@ -320,7 +320,7 @@ func TestSolveRejectsShortVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solvers := map[string]func(x, b []float64){"LU.Solve": lu.Solve, "PivLU.Solve": piv.Solve, "Chol.Solve": ch.Solve}
+	solvers := map[string]func(x, b []float64){"LU.Solve": lu.Solve, "PivLU.Solve": func(x, b []float64) { piv.Solve(x, b, make([]float64, n)) }, "Chol.Solve": ch.Solve}
 	for name, solve := range solvers {
 		prefix := "ilu: " + name + " dimension mismatch"
 		full := make([]float64, n)

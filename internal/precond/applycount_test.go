@@ -38,12 +38,18 @@ type applyCount struct {
 	inner          map[string][2]int // workspace name → {operator, preconditioner} applications
 }
 
+// scratchApply is one rank's preconditioner applied through its unexported
+// apply on a scratch kept across calls, with the inner solvers' workspaces
+// of that scratch by name.
+type scratchApply struct {
+	apply      func(c *dist.Comm, z, r []float64)
+	workspaces map[string]*krylov.Workspace
+}
+
 // countOneApply runs two collective applications of the per-rank
-// preconditioners — the first warms the workspaces — and
-// returns what the second one cost every rank. workspaces names the inner
-// solvers' workspaces of a rank's preconditioner.
-func countOneApply(t *testing.T, systems []*dsys.System, pcs []Preconditioner,
-	workspaces func(pc Preconditioner) map[string]*krylov.Workspace) []applyCount {
+// preconditioners — the first warms the scratch — and returns what the
+// second one cost every rank.
+func countOneApply(t *testing.T, systems []*dsys.System, ranks []scratchApply) []applyCount {
 	t.Helper()
 	p := len(systems)
 	tr := NewTrafficTransport(p)
@@ -52,16 +58,16 @@ func countOneApply(t *testing.T, systems []*dsys.System, pcs []Preconditioner,
 		r := c.Rank()
 		s := systems[r]
 		z := make([]float64, s.NLoc())
-		pcs[r].Apply(c, z, s.B)
+		ranks[r].apply(c, z, s.B)
 		sends, reduces := tr.Sends[r], tr.Reduces[r]
 		before := map[string][2]int{}
-		for name, ws := range workspaces(pcs[r]) {
+		for name, ws := range ranks[r].workspaces {
 			ops, precs := ws.Applied()
 			before[name] = [2]int{ops, precs}
 		}
-		pcs[r].Apply(c, z, s.B)
+		ranks[r].apply(c, z, s.B)
 		out[r] = applyCount{sends: tr.Sends[r] - sends, reduces: tr.Reduces[r] - reduces, inner: map[string][2]int{}}
-		for name, ws := range workspaces(pcs[r]) {
+		for name, ws := range ranks[r].workspaces {
 			ops, precs := ws.Applied()
 			out[r].inner[name] = [2]int{ops - before[name][0], precs - before[name][1]}
 		}
@@ -105,17 +111,6 @@ func SendingNeighbors(s *dsys.System) int {
 func TestInnerSolveApplicationCounts(t *testing.T) {
 	const p = 4
 	systems, _, _ := buildPoisson(t, 17, p, 1)
-	build := func(mk func(s *dsys.System) (Preconditioner, error)) []Preconditioner {
-		pcs := make([]Preconditioner, p)
-		for r, s := range systems {
-			pc, err := mk(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pcs[r] = pc
-		}
-		return pcs
-	}
 	checkIface := func(name string, counts []applyCount) {
 		t.Helper()
 		for r, got := range counts {
@@ -139,39 +134,52 @@ func TestInnerSolveApplicationCounts(t *testing.T) {
 
 	s1 := DefaultSchur1()
 	s1.SchurTol, s1.InnerTol = 0, 0
-	counts := countOneApply(t, systems, build(func(s *dsys.System) (Preconditioner, error) { return NewSchur1(s, s1) }),
-		func(pc Preconditioner) map[string]*krylov.Workspace {
-			return map[string]*krylov.Workspace{"interface": pc.(*Schur1).wsS, "B": pc.(*Schur1).wsB}
-		})
+	ranks := make([]scratchApply, p)
+	for r, s := range systems {
+		pc, err := NewSchur1(s, s1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := pc.newScratch()
+		ranks[r] = scratchApply{func(c *dist.Comm, z, r []float64) { pc.apply(c, sc, z, r) },
+			map[string]*krylov.Workspace{"interface": &sc.iface.Krylov, "B": &sc.wsB}}
+	}
+	counts := countOneApply(t, systems, ranks)
 	checkIface("Schur 1", counts)
 	checkInner("Schur 1", counts, "interface", 5, 6)
 	checkInner("Schur 1", counts, "B", 2*3, 2*4)
 
 	s2 := DefaultSchur2()
 	s2.SchurTol = 0
-	counts = countOneApply(t, systems, build(func(s *dsys.System) (Preconditioner, error) { return NewSchur2(s, s2) }),
-		func(pc Preconditioner) map[string]*krylov.Workspace {
-			return map[string]*krylov.Workspace{"interface": pc.(*Schur2).ws}
-		})
+	for r, s := range systems {
+		pc, err := NewSchur2(s, s2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := pc.newScratch()
+		ranks[r] = scratchApply{func(c *dist.Comm, z, r []float64) { pc.apply(c, sc, z, r) },
+			map[string]*krylov.Workspace{"interface": &sc.iface.Krylov}}
+	}
+	counts = countOneApply(t, systems, ranks)
 	checkIface("Schur 2", counts)
 	checkInner("Schur 2", counts, "interface", 5, 6)
 
 	const m, px, py = 16, 2, 2
 	boxes, a, _ := buildPoissonBoxes(t, m, px, py)
 	all := make([]*Schwarz, p)
-	pcs := make([]Preconditioner, p)
 	for r := range all {
 		sw, err := NewSchwarz(boxes[r], a, DefaultSchwarz(m, px, py, false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		all[r], pcs[r] = sw, sw
+		sc := sw.newScratch()
+		all[r] = sw
+		ranks[r] = scratchApply{func(c *dist.Comm, z, r []float64) { sw.apply(c, sc, z, r) },
+			map[string]*krylov.Workspace{"box": &sc.ws}}
 	}
 	if err := WireHalo(all); err != nil {
 		t.Fatal(err)
 	}
-	counts = countOneApply(t, boxes, pcs, func(pc Preconditioner) map[string]*krylov.Workspace {
-		return map[string]*krylov.Workspace{"box": pc.(*Schwarz).ws}
-	})
+	counts = countOneApply(t, boxes, ranks)
 	checkInner("Schwarz", counts, "box", 1, 2)
 }

@@ -64,7 +64,7 @@ func BenchmarkSchurApply(b *testing.B) {
 				}
 				return tr.Sends[0]
 			}
-			apply(1) // warms the workspaces
+			apply(1) // fills the scratch pools
 			b.ResetTimer()
 			sent := apply(b.N)
 			b.ReportMetric(float64(sent)/float64(precond.SendingNeighbors(systems[0]))/float64(b.N), "iface-applies/op")

@@ -62,11 +62,11 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	got := make([]float64, p)
 	dist.Run(p, testMachine(), func(c *dist.Comm) {
 		r := c.Rank()
-		y := make([]float64, ops[r].N())
+		y, w := make([]float64, ops[r].N()), ops[r].NewWork()
 		// Both ranks run AllocsPerRun with the same run count, so the
 		// collective exchanges stay paired across the whole measurement.
 		got[r] = testing.AllocsPerRun(10, func() {
-			if err := ops[r].MatVec(c, y, xs[r]); err != nil {
+			if err := ops[r].MatVec(c, w, y, xs[r]); err != nil {
 				t.Errorf("rank %d: %v", r, err)
 			}
 		})
@@ -97,7 +97,7 @@ func TestExchangeDetectsNonFinitePayload(t *testing.T) {
 		for i := range y {
 			y[i] = sentinel
 		}
-		errs[r] = ops[r].MatVec(c, y, xs[r])
+		errs[r] = ops[r].MatVec(c, ops[r].NewWork(), y, xs[r])
 		sentinels[r] = y
 	})
 	if errs[0] != nil {
@@ -129,8 +129,9 @@ func TestExchangeDrainsAllNeighborsOnFailure(t *testing.T) {
 		for i := range poisoned {
 			poisoned[i] = math.NaN()
 		}
-		_ = ops[r].Exchange(c, poisoned) // every rank poisons round 1
-		if err := ops[r].Exchange(c, xs[r]); err != nil {
+		w := ops[r].NewWork()
+		_ = ops[r].Exchange(c, w, poisoned) // every rank poisons round 1
+		if err := ops[r].Exchange(c, w, xs[r]); err != nil {
 			t.Errorf("rank %d: clean exchange after a poisoned one failed: %v", r, err)
 		}
 	})

@@ -78,7 +78,7 @@ func TestImplicitOperatorNonsymmetricPattern(t *testing.T) {
 			}
 			xl := x[off : off+ops[r].N()]
 			yl := make([]float64, ops[r].N())
-			if err := ops[r].MatVec(c, yl, xl); err != nil {
+			if err := ops[r].MatVec(c, ops[r].NewWork(), yl, xl); err != nil {
 				t.Errorf("rank %d MatVec: %v", r, err)
 				return
 			}

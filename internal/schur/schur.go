@@ -23,7 +23,9 @@ import (
 
 // Iface is one rank's view of the global interface (Schur) system. The
 // interface vector has length N (this rank's share); external values from
-// neighbors extend it by the system's NExt slots.
+// neighbors extend it by the system's NExt slots. It holds no scratch: a
+// product or a solve works in the Work its caller passes, so any number of
+// them may run on one Iface at once.
 type Iface struct {
 	sys *dsys.System
 	n   int
@@ -35,7 +37,6 @@ type Iface struct {
 	sLoc       Local
 	c, e, f    *dsys.Window
 	bSolve     *ilu.LU
-	tmpF, tmpB []float64 // length NInt
 	localFlops float64
 
 	// eExt couples this rank's interdomain interface rows — the last
@@ -45,10 +46,29 @@ type Iface struct {
 
 	// halo is the system's exchange pattern over the interface vector:
 	// the dsys send indices (local subdomain numbering) pre-translated at
-	// construction, the receive side landing on ext.
+	// construction, the receive side landing on Work.ext.
 	halo dsys.Halo
+}
 
-	ext []float64 // scratch, length NExt
+// Work is what one interface product or solve works in: the inner GMRES's
+// Krylov workspace, the external interface values and, for an implicit
+// operator, the two vectors of its B̃-solve. One Work must not be shared by
+// concurrent products; its vectors are fully overwritten before they are
+// read.
+type Work struct {
+	Krylov     krylov.Workspace
+	ext        []float64 // length NExt
+	tmpF, tmpB []float64 // length NInt, implicit operators only
+}
+
+// NewWork returns a Work sized for o.
+func (o *Iface) NewWork() *Work {
+	w := &Work{ext: make([]float64, o.sys.NExt())}
+	if o.sLoc == nil {
+		w.tmpF = make([]float64, o.sys.NInt)
+		w.tmpB = make([]float64, o.sys.NInt)
+	}
+	return w
 }
 
 // Local is an assembled diagonal block S_i: a *sparse.CSR, or an
@@ -78,8 +98,6 @@ func NewImplicit(s *dsys.System, bSolve *ilu.LU) (*Iface, error) {
 		e:          e,
 		f:          f,
 		bSolve:     bSolve,
-		tmpF:       make([]float64, s.NInt),
-		tmpB:       make([]float64, s.NInt),
 		localFlops: 2 * float64(c.NNZ()+e.NNZ()+f.NNZ()+bSolve.NNZ()),
 	}
 	if err := op.buildHalo(tagSchur, func(l int) (int, bool) {
@@ -140,21 +158,21 @@ func (o *Iface) buildHalo(tag int, toIface func(int) (int, bool)) error {
 		links[ni].Send = idx
 	}
 	o.halo = dsys.Halo{Tag: tag, Links: links}
-	o.ext = make([]float64, o.sys.NExt())
+	o.halo.Seal()
 	return nil
 }
 
 // applyLocal computes y = S_i·x for this rank's diagonal block.
-func (o *Iface) applyLocal(y, x []float64) {
+func (o *Iface) applyLocal(w *Work, y, x []float64) {
 	if o.sLoc != nil {
 		o.sLoc.MulVecTo(y, x)
 		return
 	}
 	o.c.MulVecTo(y, x)
 	if o.sys.NInt > 0 {
-		o.f.MulVecTo(o.tmpF, x)
-		o.bSolve.Solve(o.tmpB, o.tmpF)
-		o.e.MulVecSub(y, o.tmpB)
+		o.f.MulVecTo(w.tmpF, x)
+		o.bSolve.Solve(w.tmpB, w.tmpF)
+		o.e.MulVecSub(y, w.tmpB)
 	}
 }
 
@@ -165,26 +183,26 @@ func (o *Iface) Couplings() (e, f *dsys.Window) { return o.e, o.f }
 // N returns the length of this rank's interface vector.
 func (o *Iface) N() int { return o.n }
 
-// Exchange refreshes the external interface values for the interface
+// Exchange refreshes w's external interface values for the interface
 // vector x; a failure is a typed *dsys.ExchangeError (see
 // dsys.Halo.Exchange). The packing is allocation-free in the steady state,
 // verified by TestExchangeSteadyStateAllocs: what is left per round are
 // the transport's own payload copies.
-func (o *Iface) Exchange(c *dist.Comm, x []float64) error {
-	return o.halo.Exchange(c, o.ext, x, false)
+func (o *Iface) Exchange(c *dist.Comm, w *Work, x []float64) error {
+	return o.halo.Exchange(c, w.ext, x, false)
 }
 
 // MatVec computes y = S·x (this rank's rows of the global interface
-// product), including the neighbor couplings. On an exchange failure y is
-// left untouched and the typed error is returned.
-func (o *Iface) MatVec(c *dist.Comm, y, x []float64) error {
-	if err := o.Exchange(c, x); err != nil {
+// product), including the neighbor couplings, working in w. On an exchange
+// failure y is left untouched and the typed error is returned.
+func (o *Iface) MatVec(c *dist.Comm, w *Work, y, x []float64) error {
+	if err := o.Exchange(c, w, x); err != nil {
 		return err
 	}
-	o.applyLocal(y, x)
+	o.applyLocal(w, y, x)
 	// Rows above the interdomain ones couple to nothing outside. Adding
 	// their empty sums would change no bit: a row sum from +0 is never −0.
-	o.eExt.MulVecAdd(y[o.n-o.eExt.Rows:], 1, o.ext)
+	o.eExt.MulVecAdd(y[o.n-o.eExt.Rows:], 1, w.ext)
 	c.Compute(o.localFlops + 2*float64(o.eExt.NNZ()))
 	return nil
 }
@@ -217,19 +235,19 @@ func (o *Iface) AxpyDot(c *dist.Comm, a float64, x, y, z []float64) float64 {
 // Solve is step 2 of Algorithm 2.1: from y = 0, at most iters iterations
 // of GMRES on the global interface system S·y = g, stopped early at the
 // relative residual tol, preconditioned per rank by prec (block Jacobi
-// over the ranks) and run out of the caller's pooled ws. Collective: every
+// over the ranks) and run out of the caller's w. Collective: every
 // rank takes part, one that owns no interface unknown included — its
 // peers' reductions wait for it. The first exchange failure is returned;
 // the product it hit is flooded with NaN, so the inner and then the outer
 // recurrence break down on every rank at their next replicated norm.
-func (o *Iface) Solve(c *dist.Comm, prec krylov.Prec, g, y []float64, iters int, tol float64, ws *krylov.Workspace) error {
+func (o *Iface) Solve(c *dist.Comm, w *Work, prec krylov.Prec, g, y []float64, iters int, tol float64) error {
 	for i := range y {
 		y[i] = 0
 	}
 	var first error
 	krylov.GMRES(o.n,
 		func(out, x []float64) {
-			if err := o.MatVec(c, out, x); err != nil {
+			if err := o.MatVec(c, w, out, x); err != nil {
 				if first == nil {
 					first = err
 				}
@@ -245,7 +263,7 @@ func (o *Iface) Solve(c *dist.Comm, prec krylov.Prec, g, y []float64, iters int,
 			MaxIters:  iters,
 			Tol:       tol,
 			Compute:   c.Compute,
-			Work:      ws,
+			Work:      &w.Krylov,
 		})
 	return first
 }

@@ -117,7 +117,7 @@ func TestImplicitMatVecMatchesDenseGlobalSchur(t *testing.T) {
 			return
 		}
 		out := make([]float64, op.N())
-		if err := op.MatVec(c, out, pieces[c.Rank()]); err != nil {
+		if err := op.MatVec(c, op.NewWork(), out, pieces[c.Rank()]); err != nil {
 			t.Errorf("rank %d MatVec: %v", c.Rank(), err)
 			return
 		}
@@ -157,7 +157,7 @@ func TestExplicitMatchesImplicitWithExactB(t *testing.T) {
 			return
 		}
 		out := make([]float64, opI.N())
-		if err := opI.MatVec(c, out, pieces[c.Rank()]); err != nil {
+		if err := opI.MatVec(c, opI.NewWork(), out, pieces[c.Rank()]); err != nil {
 			t.Errorf("rank %d MatVec: %v", c.Rank(), err)
 			return
 		}
@@ -206,7 +206,7 @@ func TestExplicitMatchesImplicitWithExactB(t *testing.T) {
 			return
 		}
 		out := make([]float64, op.N())
-		if err := op.MatVec(c, out, pieces[c.Rank()]); err != nil {
+		if err := op.MatVec(c, op.NewWork(), out, pieces[c.Rank()]); err != nil {
 			t.Errorf("rank %d MatVec: %v", c.Rank(), err)
 			return
 		}

@@ -74,7 +74,7 @@ func checkFactorComplete(cfg Config) []Violation {
 				continue
 			}
 			xp := make([]float64, n)
-			pf.Solve(xp, b)
+			pf.Solve(xp, b, make([]float64, n))
 			if d := maxAbsDiff(xp, xd); d > 1e-8*(1+maxAbs(xd)) {
 				out = append(out, Violation{"factor-complete",
 					fmt.Sprintf("complete ILUTP solve differs from dense LU solve by %g (swaps=%d)", d, pf.Swaps),

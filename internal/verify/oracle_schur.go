@@ -213,7 +213,7 @@ func schurOperatorOne(gname string, a *sparse.CSR, n, p int, seed int64) []Viola
 			r := c.Rank()
 			xl := x[offs[r]:offs[r+1]]
 			yl := make([]float64, offs[r+1]-offs[r])
-			mvErrs[r] = ops[r].MatVec(c, yl, xl)
+			mvErrs[r] = ops[r].MatVec(c, ops[r].NewWork(), yl, xl)
 			copy(y[offs[r]:offs[r+1]], yl)
 		})
 		for r, err := range mvErrs {
