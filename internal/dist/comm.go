@@ -213,6 +213,14 @@ type Comm struct {
 	phase string            // innermost open span kind (flop/byte attribution)
 
 	scalar [1]float64 // operand of the scalar collectives (see allReduceScalar)
+
+	leases []lease // what Lease took for this rank, returned when it ends
+}
+
+// lease is one value a rank took from a pool for the rest of its world.
+type lease struct {
+	pool *sync.Pool
+	v    any
 }
 
 // Comm returns the handle of rank r.
@@ -226,6 +234,34 @@ func (w *World) Comm(r int) *Comm {
 	}
 	c.rec = w.opts.Collector.Rank(r) // nil-safe: nil collector ⇒ nil recorder
 	return c
+}
+
+// Lease returns the value this rank holds from pool until its world ends:
+// the first call takes one with pool.Get and later calls return the same
+// one, so a rank that calls Lease in every iteration of a solve touches
+// the pool once. Run, RunOpts and RunRank put every leased value back
+// when the rank's function returns (not when it panics: a value an
+// unwound rank was writing is dropped). A preconditioner leases the
+// scratch its Apply works in this way: it keeps none between solves, and
+// a warm Apply allocates nothing whatever the pool keeps.
+func (c *Comm) Lease(pool *sync.Pool) any {
+	for _, l := range c.leases {
+		if l.pool == pool {
+			return l.v
+		}
+	}
+	v := pool.Get()
+	c.leases = append(c.leases, lease{pool, v})
+	return v
+}
+
+// release puts back what Lease took.
+func (c *Comm) release() {
+	for i, l := range c.leases {
+		l.pool.Put(l.v)
+		c.leases[i] = lease{}
+	}
+	c.leases = c.leases[:0]
 }
 
 // ObsEnabled reports whether this rank records observability data.

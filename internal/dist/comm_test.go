@@ -2,6 +2,8 @@ package dist
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -27,6 +29,45 @@ func TestPingPong(t *testing.T) {
 	}
 	if stats[0].MsgsSent != 1 || stats[0].BytesSent != 24 {
 		t.Errorf("rank 0 stats %+v", stats[0])
+	}
+}
+
+// A rank leases one value per pool for its whole world: repeated Leases
+// hand it the same value without touching the pool, ranks get values of
+// their own, and the world's end returns every lease.
+func TestLeaseOncePerRank(t *testing.T) {
+	var made atomic.Int32
+	a := sync.Pool{New: func() any { made.Add(1); return new([4]float64) }}
+	b := sync.Pool{New: func() any { made.Add(1); return new([4]float64) }}
+	const p = 3
+	comms := make([]*Comm, p)
+	first := make([]*[4]float64, p)
+	_, err := RunOpts(p, testMachine(), WorldOptions{}, func(c *Comm) {
+		comms[c.Rank()] = c
+		first[c.Rank()] = c.Lease(&a).(*[4]float64)
+		c.Lease(&b)
+		for range 10 {
+			if c.Lease(&a).(*[4]float64) != first[c.Rank()] {
+				t.Errorf("rank %d: a later Lease handed out another value", c.Rank())
+			}
+		}
+		c.Barrier() // every rank holds its leases at once
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if made.Load() != 2*p {
+		t.Fatalf("%d values made, want one per pool and rank (%d)", made.Load(), 2*p)
+	}
+	for r := range p {
+		for q := range r {
+			if first[r] == first[q] {
+				t.Errorf("ranks %d and %d lease the same value", q, r)
+			}
+		}
+		if len(comms[r].leases) != 0 {
+			t.Errorf("rank %d still holds %d leases after its world ended", r, len(comms[r].leases))
+		}
 	}
 }
 

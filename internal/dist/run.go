@@ -30,6 +30,7 @@ func Run(p int, m *Machine, fn func(c *Comm)) []Stats {
 		go func() {
 			defer wg.Done()
 			fn(c)
+			c.release()
 			stats[c.rank] = c.Stats()
 		}()
 	}
@@ -103,6 +104,7 @@ func RunOpts(p int, m *Machine, opts WorldOptions, fn func(c *Comm)) ([]Stats, e
 				w.markDone(c.rank)
 			}()
 			fn(c)
+			c.release()
 		}()
 	}
 
@@ -160,6 +162,7 @@ func RunRank(c *Comm, fn func(*Comm)) (st Stats, err error) {
 		st = c.Stats()
 	}()
 	fn(c)
+	c.release()
 	return c.Stats(), nil
 }
 
