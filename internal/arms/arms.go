@@ -103,9 +103,9 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 	inv := perm.Inverse()
 	var nnzF, nnzE, nnzC int
 	for i, old := range perm {
-		cols, _ := a.Row(old)
+		cols, _ := a.Row(int(old))
 		for _, j := range cols {
-			switch nj := inv[j]; {
+			switch nj := int(inv[j]); {
 			case i < nB && nj >= nB:
 				nnzF++
 			case i >= nB && nj < nB:
@@ -127,10 +127,10 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 		lo, hi := ext[0], ext[1]
 		d := sparse.NewDense(hi-lo, hi-lo)
 		for i := lo; i < hi; i++ {
-			cols, vals := a.Row(perm[i])
+			cols, vals := a.Row(int(perm[i]))
 			f0 := len(red.F.ColIdx)
 			for k, j := range cols {
-				switch nj := inv[j]; {
+				switch nj := int(inv[j]); {
 				case nj >= nB:
 					red.F.ColIdx = append(red.F.ColIdx, int32(nj-nB))
 					red.F.Val = append(red.F.Val, vals[k])
@@ -138,7 +138,7 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 					d.Set(i-lo, nj-lo, vals[k])
 				}
 			}
-			red.F.RowPtr[i+1] = len(red.F.ColIdx)
+			red.F.EndRow(i)
 			sparse.SortRow(red.F.ColIdx[f0:], red.F.Val[f0:])
 		}
 		lu, err := d.Factor()
@@ -148,10 +148,10 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 		red.BlockLU[g] = lu
 	}
 	for i := nB; i < n; i++ {
-		cols, vals := a.Row(perm[i])
+		cols, vals := a.Row(int(perm[i]))
 		e0, c0 := len(red.E.ColIdx), len(c.ColIdx)
 		for k, j := range cols {
-			if nj := inv[j]; nj < nB {
+			if nj := int(inv[j]); nj < nB {
 				red.E.ColIdx = append(red.E.ColIdx, int32(nj))
 				red.E.Val = append(red.E.Val, vals[k])
 			} else {
@@ -159,8 +159,8 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 				c.Val = append(c.Val, vals[k])
 			}
 		}
-		red.E.RowPtr[i-nB+1] = len(red.E.ColIdx)
-		c.RowPtr[i-nB+1] = len(c.ColIdx)
+		red.E.EndRow(i - nB)
+		c.EndRow(i - nB)
 		sparse.SortRow(red.E.ColIdx[e0:], red.E.Val[e0:])
 		sparse.SortRow(c.ColIdx[c0:], c.Val[c0:])
 	}
@@ -388,7 +388,7 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 			n := start + dropSmall(i, sCols[start:], sVals[start:], dropTol)
 			sCols, sVals = sCols[:n], sVals[:n]
 		}
-		s.RowPtr[i+1] = len(sCols)
+		s.RowPtr[i+1] = int32(len(sCols))
 	}
 	s.ColIdx = append(make([]int32, 0, len(sCols)), sCols...)
 	s.Val = append(make([]float64, 0, len(sVals)), sVals...)

@@ -112,7 +112,7 @@ func dropSmallCSR(a *sparse.CSR, tol float64) *sparse.CSR {
 				out.Val = append(out.Val, vals[k])
 			}
 		}
-		out.RowPtr[i+1] = len(out.ColIdx)
+		out.EndRow(i)
 	}
 	return out
 }

@@ -100,7 +100,7 @@ func IndSetPerm(group []int, ngroups int) (perm sparse.Perm, nB int, blocks [][2
 		if g < 0 {
 			g = ngroups
 		}
-		perm[next[g]] = v
+		perm[next[g]] = int32(v)
 		next[g]++
 	}
 	return perm, nB, blocks

@@ -126,14 +126,14 @@ func TestIndSetPermRoundTrip(t *testing.T) {
 	}
 	seen := make([]bool, n)
 	for _, old := range perm {
-		if old < 0 || old >= n || seen[old] {
+		if old < 0 || int(old) >= n || seen[old] {
 			t.Fatalf("perm is not a permutation: %v", perm)
 		}
 		seen[old] = true
 	}
 	inv := perm.Inverse()
 	for v := 0; v < n; v++ {
-		if perm[inv[v]] != v {
+		if int(perm[inv[v]]) != v {
 			t.Fatalf("inverse round-trip broken at %d", v)
 		}
 	}

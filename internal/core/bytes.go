@@ -96,6 +96,9 @@ type walker struct {
 	loose      int64 // storage without an address to merge by: map buckets, boxed values
 	seen       map[visit]struct{}
 	ptrs       map[reflect.Type]bool // hasPointers, memoized
+
+	// slice, when set, sees every non-empty slice the walk reaches.
+	slice func(reflect.Value)
 }
 
 func (w *walker) add(p unsafe.Pointer, held, used uintptr) {
@@ -131,6 +134,9 @@ func (w *walker) walk(v reflect.Value) {
 	case reflect.Slice:
 		if v.Cap() == 0 {
 			return
+		}
+		if w.slice != nil {
+			w.slice(v)
 		}
 		es := v.Type().Elem().Size()
 		w.add(v.UnsafePointer(), uintptr(v.Cap())*es, uintptr(v.Len())*es)

@@ -167,9 +167,10 @@ func TestSessionHoldsEachMatrixOnce(t *testing.T) {
 }
 
 // A stored matrix costs 12 bytes per entry — a 32-bit column and its value —
-// and 8 per row pointer, plus a header and caches of fixed size: the
+// and 4 per row pointer, plus a header and caches of fixed size: the
 // problem's A of tc1 at 129² and each of its four subdomain matrices. With
-// 64-bit columns every one of them is 4 bytes per entry over.
+// 64-bit columns every one of them is 4 bytes per entry over, with 64-bit
+// row pointers 4 per row.
 func TestCSRBytesPerEntry(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	const fixed = 256 // the CSR itself, its last row pointer, the cached blocked-format verdict
@@ -187,12 +188,36 @@ func TestCSRBytesPerEntry(t *testing.T) {
 		mats = append(mats, s.A)
 	}
 	for k, a := range mats {
-		held, limit := core.HeldBy(a), int64(12*a.NNZ()+8*a.Rows+fixed)
+		held, limit := core.HeldBy(a), int64(12*a.NNZ()+4*a.Rows+fixed)
 		t.Logf("matrix %d: %d×%d, %d entries, %d bytes held, %.2f per entry", k, a.Rows, a.Cols, a.NNZ(), held,
-			float64(held-int64(8*a.Rows))/float64(a.NNZ()))
+			float64(held-int64(4*a.Rows))/float64(a.NNZ()))
 		if held > limit {
-			t.Errorf("matrix %d (%d rows, %d entries) holds %d bytes, more than 12 per entry and 8 per row (%d)",
+			t.Errorf("matrix %d (%d rows, %d entries) holds %d bytes, more than 12 per entry and 4 per row (%d)",
 				k, a.Rows, a.NNZ(), held, limit)
+		}
+	}
+}
+
+// A mesh costs its coordinates, 8·Dim bytes a node, and its elements, a
+// 32-bit node id per corner: 4·NPE bytes an element, plus its header. The
+// meshes of the four kinds of case: the unit square's triangles, the cube's
+// tetrahedra, the quarter ring and the plate with a hole. With 64-bit
+// element lists the triangles are 12 bytes an element over, the tetrahedra
+// 16.
+func TestMeshBytesPerNodeAndElement(t *testing.T) {
+	const fixed = 64 // the Mesh itself
+	for _, pr := range []struct {
+		name string
+		size int
+	}{{"tc1-poisson2d", 65}, {"tc2-poisson3d", 13}, {"tc3-unstructured", 65}, {"tc6-elasticity", 33}} {
+		m := buildProblem(t, pr.name, pr.size).Mesh
+		if m == nil {
+			t.Fatalf("%s: no mesh", pr.name)
+		}
+		held := core.HeldBy(m)
+		limit := int64(8*m.Dim*m.NumNodes() + 4*m.NPE*m.NumElems() + fixed)
+		if held > limit {
+			t.Errorf("%s: %v holds %d bytes, more than 8·Dim per node and 4·NPE per element (%d)", pr.name, m, held, limit)
 		}
 	}
 }
@@ -292,6 +317,56 @@ func TestSessionBytesIndependentOfWorkers(t *testing.T) {
 		if diff := math.Abs(float64(two - one)); diff > 0.001*float64(one) {
 			t.Errorf("%s: Bytes() = %d at one worker, %d at two (%+.2f %%), want within 0.1 %%",
 				kind, one, two, 100*float64(two-one)/float64(one))
+		}
+	}
+}
+
+// Nothing a problem, its layouts or a session keeps is a 64-bit index
+// array: mesh elements, row pointers, subdomain index maps, halo links,
+// permutations and pivots are all 32-bit, like the columns. A slice of int,
+// int64 or uint64 longer than 64 reachable from any of them fails, for
+// every kind, the RCM block, Schwarz and both overlapping blocks.
+func TestNoWideIndexHeld(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	const size = 33
+	sw := precond.DefaultSchwarz(size, 2, 2, true)
+	type config struct {
+		name   string
+		kind   precond.Kind
+		mutate func(*core.Config)
+	}
+	var configs []config
+	for _, kind := range precond.Kinds() {
+		configs = append(configs, config{string(kind), kind, nil})
+	}
+	configs = append(configs,
+		config{"RCM Block 2", precond.KindBlock2, func(cfg *core.Config) { cfg.RCM = true }},
+		config{"Schwarz", precond.KindNone, func(cfg *core.Config) { cfg.Schwarz = &sw }},
+		config{"Block 1 overlap", precond.KindBlock1, func(cfg *core.Config) { cfg.OverlapLevels = 1 }},
+		config{"Block 2 overlap", precond.KindBlock2, func(cfg *core.Config) { cfg.OverlapLevels = 1 }})
+	for _, pr := range []struct {
+		name string
+		size int
+	}{{"tc1-poisson2d", size}, {"tc2-poisson3d", 9}, {"tc6-elasticity", 17}} {
+		for _, c := range configs {
+			if c.name == "Schwarz" && pr.name != "tc1-poisson2d" {
+				continue // a square grid's box layout only
+			}
+			cfg := core.DefaultConfig(4, c.kind)
+			if c.mutate != nil {
+				c.mutate(&cfg)
+			}
+			sess, err := core.NewSession(buildProblem(t, pr.name, pr.size), cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", pr.name, c.name, err)
+			}
+			if _, err := sess.Solve(nil); err != nil {
+				t.Fatalf("%s %s: %v", pr.name, c.name, err)
+			}
+			if wide := sess.WideIndexArrays(64); len(wide) > 0 {
+				slices.Sort(wide)
+				t.Errorf("%s %s: %d wide index arrays held: %v", pr.name, c.name, len(wide), slices.Compact(wide))
+			}
 		}
 	}
 }

@@ -531,7 +531,7 @@ func buildPrecs(a *sparse.CSR, lay *layout, cfg Config) ([]precond.Preconditione
 			pcs[r] = sw
 		}
 	case cfg.OverlapLevels > 0 && (cfg.Precond == precond.KindBlock1 || cfg.Precond == precond.KindBlock2):
-		blocks, err := precond.BuildOverlapBlocks(a, lay.part, lay.systems, precond.OverlapOptions{
+		blocks, err := precond.BuildOverlapBlocks(a, lay.systems, precond.OverlapOptions{
 			Levels:  cfg.OverlapLevels,
 			UseILU0: cfg.Precond == precond.KindBlock1,
 			ILUT:    cfg.ILUT,

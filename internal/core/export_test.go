@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+
 	"parapre/internal/dsys"
 	"parapre/internal/precond"
 )
@@ -33,4 +36,22 @@ func (s *Session) Ranks() ([]*dsys.System, []precond.Preconditioner) { return s.
 func HeldBy(roots ...any) int64 {
 	held, _ := footprint(roots...)
 	return held
+}
+
+// WideIndexArrays lists every slice of int, int64 or uint64 longer than
+// min that the problem's Bytes and the session's reach together, by type
+// and length.
+func (s *Session) WideIndexArrays(min int) []string {
+	var wide []string
+	w := newWalker()
+	w.slice = func(v reflect.Value) {
+		switch v.Type().Elem().Kind() {
+		case reflect.Int, reflect.Int64, reflect.Uint64:
+			if v.Len() > min {
+				wide = append(wide, fmt.Sprintf("%s of %d", v.Type(), v.Len()))
+			}
+		}
+	}
+	w.count(append(s.prob.roots(), s.lay, s.pcs)...)
+	return wide
 }

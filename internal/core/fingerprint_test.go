@@ -18,7 +18,7 @@ func fingerprintMatrix(size int) *sparse.CSR {
 			a.ColIdx = append(a.ColIdx, int32((i+k*k)%n))
 			a.Val = append(a.Val, float64(i-k))
 		}
-		a.RowPtr[i+1] = len(a.ColIdx)
+		a.EndRow(i)
 	}
 	return a
 }
@@ -61,8 +61,9 @@ func TestFingerprintSeesStructuredEdits(t *testing.T) {
 				flipVal(k, bit)
 			}
 		}, "bit %d of every Val", bit)
-		last := len(p.A.RowPtr) - 1
-		check(func() { p.A.RowPtr[1] ^= 1 << bit; p.A.RowPtr[last] ^= 1 << bit }, "bit %d of RowPtr[1] and RowPtr[%d]", bit, last)
+		if last := len(p.A.RowPtr) - 1; bit < 32 {
+			check(func() { p.A.RowPtr[1] ^= 1 << bit; p.A.RowPtr[last] ^= 1 << bit }, "bit %d of RowPtr[1] and RowPtr[%d]", bit, last)
+		}
 	}
 	scale := 2.0
 	check(func() {

@@ -9,22 +9,38 @@ import (
 	"parapre/internal/precond"
 )
 
-// layout is a row partition and the subdomain systems distributed by it:
-// what set-up derives from a Problem before any preconditioner exists. Every
-// session and cold solve that asks the same Problem for the same layoutKey
-// shares it, so it is read-only and holds no right-hand side.
+// layout is the subdomain systems a row partition distributes: what set-up
+// derives from a Problem before any preconditioner exists. Every session
+// and cold solve that asks the same Problem for the same layoutKey shares
+// it, so it is read-only and holds no right-hand side. The partition itself
+// is not kept: the systems' GlobalIDs say which rank owns each row.
 type layout struct {
-	part    []int
 	systems []*dsys.System
 }
 
-// layoutKey is what a layout depends on besides the problem. With Schwarz
-// the box (M, Px, Py) takes the place of scheme and seed.
+// layoutKey is what a layout depends on besides the problem: P and what the
+// partitioner reads of the rest of the configuration. The general
+// partitioner reads its seed; the box partitioner of a problem with a mesh
+// reads neither seed nor machine; a problem without a mesh is always
+// partitioned by the general one, whatever the scheme. With Schwarz the box
+// (M, Px, Py) takes the place of scheme and seed.
 type layoutKey struct {
 	p      int
 	scheme PartitionScheme
 	seed   int64
 	box    [3]int
+}
+
+// layoutKey returns the key of the layout cfg asks p for.
+func (p *Problem) layoutKey(cfg Config) layoutKey {
+	switch {
+	case cfg.Schwarz != nil:
+		sw := cfg.Schwarz
+		return layoutKey{p: cfg.P, box: [3]int{sw.M, sw.Px, sw.Py}}
+	case cfg.Scheme == PartitionSimple && p.Mesh != nil:
+		return layoutKey{p: cfg.P, scheme: PartitionSimple}
+	}
+	return layoutKey{p: cfg.P, scheme: PartitionGeneral, seed: partSeed(cfg)}
 }
 
 // layoutMemo holds a Problem's layouts, each built once under its own
@@ -91,10 +107,7 @@ func mix(h, v uint64) uint64 {
 // before an in-place edit is returned after it, so the result is always what
 // a fresh Problem would give. A failed build is returned and not kept.
 func (p *Problem) layout(cfg Config) (*layout, bool, error) {
-	key := layoutKey{p: cfg.P, scheme: cfg.Scheme, seed: partSeed(cfg)}
-	if sw := cfg.Schwarz; sw != nil {
-		key = layoutKey{p: cfg.P, box: [3]int{sw.M, sw.Px, sw.Py}}
-	}
+	key := p.layoutKey(cfg)
 	from := p.fingerprint()
 	m := &p.memo
 	m.mu.Lock()
@@ -117,7 +130,7 @@ func (p *Problem) layout(cfg Config) (*layout, bool, error) {
 			for _, s := range systems {
 				s.B = nil // a reader fails at once instead of solving for zero
 			}
-			return &layout{part, systems}, nil
+			return &layout{systems}, nil
 		})}
 		m.entries[key] = e
 	}

@@ -109,6 +109,50 @@ func TestLayoutSharedAcrossKinds(t *testing.T) {
 	}
 }
 
+// A layout is keyed by what its partitioner reads. The box partitioner of a
+// problem with a mesh reads no seed, so a second machine — another seed —
+// finds the first one's layout; a problem without a mesh goes to the
+// general partitioner whatever the scheme, so the box scheme finds the
+// general one's. Keyed by scheme and seed, each pair built two identical
+// layouts and the problem held both.
+func TestLayoutKeyIsWhatThePartitionerReads(t *testing.T) {
+	simple := func(m *dist.Machine) func(*core.Config) {
+		return func(c *core.Config) { c.Scheme, c.Machine = core.PartitionSimple, m }
+	}
+	withMesh := buildProblem(t, "tc1-poisson2d", 33)
+	meshless := &core.Problem{Name: withMesh.Name, A: withMesh.A, B: withMesh.B}
+	for _, tc := range []struct {
+		name string
+		prob *core.Problem
+		a, b func(*core.Config)
+	}{
+		{"box scheme on a mesh, two machines", withMesh, simple(dist.LinuxCluster()), simple(dist.Origin3800())},
+		{"no mesh, both schemes", meshless,
+			func(c *core.Config) { c.Scheme = core.PartitionGeneral }, simple(dist.LinuxCluster())},
+	} {
+		var sessions []*core.Session
+		var builds float64
+		var held []int64
+		for _, mutate := range []func(*core.Config){tc.a, tc.b} {
+			cfg := core.DefaultConfig(4, precond.KindBlock1)
+			mutate(&cfg)
+			cfg.Collector = obs.NewCollector()
+			sessions = append(sessions, newSession(t, tc.prob, cfg))
+			builds += counter(t, cfg.Collector, "layout_builds")
+			held = append(held, tc.prob.Bytes())
+		}
+		if builds != 1 {
+			t.Errorf("%s: %v layout builds, want 1", tc.name, builds)
+		}
+		if !sameSystems(sessions[0], sessions[1]) {
+			t.Errorf("%s: the two sessions hold different systems", tc.name)
+		}
+		if held[1] != held[0] {
+			t.Errorf("%s: Problem.Bytes %d with one session, %d with both", tc.name, held[0], held[1])
+		}
+	}
+}
+
 // assertSameBits demands got be indistinguishable from want: every
 // reported number bit for bit, PerRank field by field.
 func assertSameBits(t *testing.T, label string, want, got *core.Result) {

@@ -61,7 +61,7 @@ func randomPattern(rng *rand.Rand, rows, cols, perRow int) *sparse.CSR {
 				a.ColIdx, a.Val = append(a.ColIdx, int32(j)), append(a.Val, 1)
 			}
 		}
-		a.RowPtr[i+1] = len(a.ColIdx)
+		a.EndRow(i)
 	}
 	return a
 }

@@ -28,7 +28,7 @@ func extractBlock(a *sparse.CSR, r0, r1, c0, c1 int) *sparse.CSR {
 				out.Val = append(out.Val, vals[k])
 			}
 		}
-		out.RowPtr[i-r0+1] = len(out.ColIdx)
+		out.EndRow(i - r0)
 	}
 	return out
 }
@@ -118,7 +118,7 @@ func (s *System) splitRows() *rowSplits {
 	}
 	sp.coupled = make([]int32, 0, nc)
 	for i := 0; i < nInt; i++ {
-		if s.A.RowPtr[i]+int(sp.own[i]) < s.A.RowPtr[i+1] {
+		if s.A.RowPtr[i]+sp.own[i] < s.A.RowPtr[i+1] {
 			sp.coupled = append(sp.coupled, int32(i))
 		}
 	}
@@ -188,7 +188,7 @@ func (w *Window) CSR() *sparse.CSR {
 
 // span returns the entries of window row i as an index range of A.
 func (w *Window) span(i int) (lo, hi int) {
-	lo, hi = w.a.RowPtr[w.r0+i], w.a.RowPtr[w.r0+i+1]
+	lo, hi = int(w.a.RowPtr[w.r0+i]), int(w.a.RowPtr[w.r0+i+1])
 	if w.hi != nil {
 		hi = lo + int(w.hi[i])
 	}
@@ -275,8 +275,9 @@ func (w *Window) mulRange(how int, y []float64, alpha float64, x []float64, from
 	ci, vv, c0, lo, hi := w.a.ColIdx, w.a.Val, w.c0, w.lo, w.hi
 	switch {
 	case lo == nil:
-		for i, b := range rp[from:to] {
+		for i, r := range rp[from:to] {
 			i += from
+			b := int(r)
 			e := b + int(hi[i])
 			cols := ci[b:e]
 			var s float64
@@ -288,7 +289,7 @@ func (w *Window) mulRange(how int, y []float64, alpha float64, x []float64, from
 		return
 	case w.listed(how):
 		for _, i := range w.rows[from:to] {
-			b, e := rp[i]+int(lo[i]), rp[i+1]
+			b, e := int(rp[i]+lo[i]), int(rp[i+1])
 			cols := ci[b:e]
 			var s float64
 			for k, v := range vv[b:e] {
@@ -300,9 +301,9 @@ func (w *Window) mulRange(how int, y []float64, alpha float64, x []float64, from
 	}
 	for i, r := range rp[from:to] {
 		i += from
-		b, e := r+int(lo[i]), rp[i+1]
+		b, e := int(r+lo[i]), int(rp[i+1])
 		if hi != nil {
-			e = r + int(hi[i])
+			e = int(r + hi[i])
 		}
 		cols := ci[b:e]
 		var s float64

@@ -42,13 +42,13 @@ func buildLocalRef(a *sparse.CSR, b []float64, part []int, r, p int, isIface []b
 	s := &System{Rank: r, P: p, N: n}
 	for i := 0; i < n; i++ {
 		if part[i] == r && !isIface[i] {
-			s.GlobalIDs = append(s.GlobalIDs, i)
+			s.GlobalIDs = append(s.GlobalIDs, int32(i))
 		}
 	}
 	s.NInt = len(s.GlobalIDs)
 	for i := 0; i < n; i++ {
 		if part[i] == r && isIface[i] {
-			s.GlobalIDs = append(s.GlobalIDs, i)
+			s.GlobalIDs = append(s.GlobalIDs, int32(i))
 		}
 	}
 	nloc := len(s.GlobalIDs)
@@ -57,12 +57,12 @@ func buildLocalRef(a *sparse.CSR, b []float64, part []int, r, p int, isIface []b
 	}
 	extSeen := map[int]bool{}
 	for _, g := range s.GlobalIDs {
-		cols, _ := a.Row(g)
+		cols, _ := a.Row(int(g))
 		for _, j32 := range cols {
 			j := int(j32)
 			if part[j] != r && !extSeen[j] {
 				extSeen[j] = true
-				s.ExtGlobal = append(s.ExtGlobal, j)
+				s.ExtGlobal = append(s.ExtGlobal, j32)
 			}
 		}
 	}
@@ -75,7 +75,7 @@ func buildLocalRef(a *sparse.CSR, b []float64, part []int, r, p int, isIface []b
 	})
 	extLocal := map[int]int{}
 	for k, g := range s.ExtGlobal {
-		extLocal[g] = nloc + k
+		extLocal[int(g)] = nloc + k
 	}
 	for k := 0; k < len(s.ExtGlobal); {
 		owner := part[s.ExtGlobal[k]]
@@ -89,7 +89,7 @@ func buildLocalRef(a *sparse.CSR, b []float64, part []int, r, p int, isIface []b
 	s.B = make([]float64, nloc)
 	for l, g := range s.GlobalIDs {
 		s.B[l] = b[g]
-		cols, vals := a.Row(g)
+		cols, vals := a.Row(int(g))
 		start := len(s.A.ColIdx)
 		for kk, j32 := range cols {
 			j := int(j32)
@@ -102,7 +102,7 @@ func buildLocalRef(a *sparse.CSR, b []float64, part []int, r, p int, isIface []b
 			s.A.ColIdx = append(s.A.ColIdx, int32(lj))
 			s.A.Val = append(s.A.Val, vals[kk])
 		}
-		s.A.RowPtr[l+1] = len(s.A.ColIdx)
+		s.A.EndRow(l)
 		sparse.SortRow(s.A.ColIdx[start:], s.A.Val[start:])
 	}
 	return s
@@ -110,9 +110,9 @@ func buildLocalRef(a *sparse.CSR, b []float64, part []int, r, p int, isIface []b
 
 func wireNeighborsRef(systems []*System) {
 	for _, s := range systems {
-		g2l := make(map[int]int, s.NLoc())
+		g2l := make(map[int32]int32, s.NLoc())
 		for l, g := range s.GlobalIDs {
-			g2l[g] = l
+			g2l[g] = int32(l)
 		}
 		for _, q := range systems {
 			if q.Rank == s.Rank {
@@ -122,7 +122,7 @@ func wireNeighborsRef(systems []*System) {
 				if nb.Rank != s.Rank {
 					continue
 				}
-				send := make([]int, nb.RecvLen)
+				send := make([]int32, nb.RecvLen)
 				for k := 0; k < nb.RecvLen; k++ {
 					g := q.ExtGlobal[nb.RecvOff+k]
 					l, ok := g2l[g]
@@ -193,7 +193,7 @@ func randomUnsymmetric(rng *rand.Rand, n, perRow, p int) (*sparse.CSR, []float64
 				a.ColIdx, a.Val = append(a.ColIdx, int32(j)), append(a.Val, rng.NormFloat64())
 			}
 		}
-		a.RowPtr[i+1] = len(a.ColIdx)
+		a.EndRow(i)
 	}
 	return a, b, part
 }

@@ -12,11 +12,11 @@ import (
 
 // Link is one peer of a Halo: the source entries packed for it, in send
 // order, and the destination entries its block lands on, in the order the
-// peer packs them. Either side may be empty — structurally unsymmetric
-// patterns have one-way links.
+// peer packs them, as 32-bit indices. Either side may be empty —
+// structurally unsymmetric patterns have one-way links.
 type Link struct {
 	Peer       int
-	Send, Recv []int
+	Send, Recv []int32
 }
 
 // Halo is a neighbor-exchange pattern under one message tag: the only

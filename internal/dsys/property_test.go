@@ -178,7 +178,7 @@ func TestOwnedBlockIsPrincipalSubmatrix(t *testing.T) {
 		blk := s.OwnedBlock()
 		for li := 0; li < s.NLoc(); li++ {
 			for lj := 0; lj < s.NLoc(); lj++ {
-				if got, want := blk.At(li, lj), a.At(s.GlobalIDs[li], s.GlobalIDs[lj]); got != want {
+				if got, want := blk.At(li, lj), a.At(int(s.GlobalIDs[li]), int(s.GlobalIDs[lj])); got != want {
 					t.Fatalf("rank %d: OwnedBlock(%d,%d) = %v, want %v", s.Rank, li, lj, got, want)
 				}
 			}

@@ -29,8 +29,8 @@ import (
 // Neighbor describes the exchange pattern with one adjacent subdomain.
 type Neighbor struct {
 	Rank    int
-	SendIdx []int // local indices of owned unknowns this neighbor reads
-	RecvOff int   // offset of this neighbor's block in the external buffer
+	SendIdx []int32 // local indices of owned unknowns this neighbor reads
+	RecvOff int     // offset of this neighbor's block in the external buffer
 	RecvLen int
 }
 
@@ -42,9 +42,9 @@ type System struct {
 	P    int
 	N    int // global dimension
 
-	GlobalIDs []int // global id of each owned local unknown
-	NInt      int   // number of internal unknowns
-	ExtGlobal []int // global ids of the external interface unknowns
+	GlobalIDs []int32 // global id of each owned local unknown
+	NInt      int     // number of internal unknowns
+	ExtGlobal []int32 // global ids of the external interface unknowns
 
 	A *sparse.CSR // NLoc × (NLoc+NExt), rows in local ordering
 	B []float64   // local right-hand side, length NLoc
@@ -87,12 +87,16 @@ func (s *System) String() string {
 // shared-memory worker pool; each rank's System is a deterministic
 // function of (a, b, part), so the result does not depend on the worker
 // count. Only the final neighbor wiring, which reads across ranks, stays
-// serial.
+// serial. Global ids are held in 32 bits, so it panics when the system has
+// more than math.MaxInt32 unknowns.
 func Distribute(a *sparse.CSR, b []float64, part []int, p int) []*System {
 	if a.Rows != a.Cols {
 		panic("dsys: matrix must be square")
 	}
 	n := a.Rows
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("dsys: Distribute of %d unknowns, more than the %d that 32-bit global ids address", n, math.MaxInt32))
+	}
 	if len(part) != n || len(b) != n {
 		panic("dsys: dimension mismatch between matrix, rhs and partition")
 	}
@@ -158,16 +162,16 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 			nloc++
 		}
 	}
-	s.GlobalIDs = make([]int, 0, nloc)
+	s.GlobalIDs = make([]int32, 0, nloc)
 	for i := 0; i < n; i++ {
 		if part[i] == r && !isIface[i] {
-			s.GlobalIDs = append(s.GlobalIDs, i)
+			s.GlobalIDs = append(s.GlobalIDs, int32(i))
 		}
 	}
 	s.NInt = len(s.GlobalIDs)
 	for i := 0; i < n; i++ {
 		if part[i] == r && isIface[i] {
-			s.GlobalIDs = append(s.GlobalIDs, i)
+			s.GlobalIDs = append(s.GlobalIDs, int32(i))
 		}
 	}
 	for l, g := range s.GlobalIDs {
@@ -178,11 +182,11 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 	// owner rank (ascending), sorted by global id within each group. A
 	// negative g2l entry marks a column already listed.
 	for _, g := range s.GlobalIDs {
-		cols, _ := a.Row(g)
+		cols, _ := a.Row(int(g))
 		for _, j := range cols {
 			if part[j] != r && g2l[j] >= 0 {
 				g2l[j] = -1
-				s.ExtGlobal = append(s.ExtGlobal, int(j))
+				s.ExtGlobal = append(s.ExtGlobal, j)
 			}
 		}
 	}
@@ -210,19 +214,19 @@ func buildLocal(a *sparse.CSR, b []float64, part []int, r, p int, isIface []bool
 	// Local matrix rows.
 	nnz := 0
 	for _, g := range s.GlobalIDs {
-		nnz += a.RowNNZ(g)
+		nnz += a.RowNNZ(int(g))
 	}
 	s.A = sparse.NewCSR(nloc, nloc+len(s.ExtGlobal), nnz)
 	s.B = make([]float64, nloc)
 	for l, g := range s.GlobalIDs {
 		s.B[l] = b[g]
-		cols, vals := a.Row(g)
+		cols, vals := a.Row(int(g))
 		start := len(s.A.ColIdx)
 		for kk, j := range cols {
 			s.A.ColIdx = append(s.A.ColIdx, int32(g2l[j]))
 			s.A.Val = append(s.A.Val, vals[kk])
 		}
-		s.A.RowPtr[l+1] = len(s.A.ColIdx)
+		s.A.EndRow(l)
 		sparse.SortRow(s.A.ColIdx[start:], s.A.Val[start:])
 	}
 	return s
@@ -254,7 +258,7 @@ func wireNeighbors(systems []*System) {
 				if nb.Rank != s.Rank {
 					continue
 				}
-				send := make([]int, nb.RecvLen)
+				send := make([]int32, nb.RecvLen)
 				for k := 0; k < nb.RecvLen; k++ {
 					g := q.ExtGlobal[nb.RecvOff+k]
 					l := g2l[g]
@@ -262,7 +266,7 @@ func wireNeighbors(systems []*System) {
 						panic(fmt.Sprintf("dsys: rank %d needs global %d from %d, which does not own it",
 							q.Rank, g, s.Rank))
 					}
-					send[k] = l
+					send[k] = int32(l)
 				}
 				// Record (or create) the neighbor entry on s for q.
 				found := false
@@ -291,9 +295,9 @@ func wireNeighbors(systems []*System) {
 // shared read-only: an exchange over another numbering of the owned
 // unknowns puts its own translation in its place.
 func (s *System) Links(recvBase int) []Link {
-	recv := make([]int, s.NExt()) // the neighbors' blocks tile the external buffer
+	recv := make([]int32, s.NExt()) // the neighbors' blocks tile the external buffer
 	for k := range recv {
-		recv[k] = recvBase + k
+		recv[k] = int32(recvBase + k)
 	}
 	links := make([]Link, len(s.Neigh))
 	for ni, nb := range s.Neigh {

@@ -1,8 +1,10 @@
 package dsys
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,6 +46,19 @@ func poissonSystem(t testing.TB, m, p int, seed int64) (*sparse.CSR, []float64, 
 
 func x0ey(x []float64) float64 { return x[0] * math.Exp(x[1]) }
 
+// Global ids are held in 32 bits: a system of more unknowns is refused,
+// naming the limit, before anything is allocated for it.
+func TestDistributeUnknownCountGuard(t *testing.T) {
+	const n = math.MaxInt32 + 1
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "2147483647") {
+			t.Fatalf("Distribute of %d unknowns: panic %q, want one naming the limit", n, msg)
+		}
+	}()
+	Distribute(&sparse.CSR{Rows: n, Cols: n}, nil, nil, 2)
+}
+
 func TestDistributePartitionsAllRows(t *testing.T) {
 	a, b, part := poissonSystem(t, 9, 4, 1)
 	systems := Distribute(a, b, part, 4)
@@ -76,7 +91,7 @@ func TestInternalInterfaceClassification(t *testing.T) {
 		// property on the global matrix instead: a local unknown is
 		// interface iff its global row couples to another part.
 		for l, g := range s.GlobalIDs {
-			cols, _ := a.Row(g)
+			cols, _ := a.Row(int(g))
 			cross := false
 			for _, j32 := range cols {
 				j := int(j32)

@@ -87,7 +87,7 @@ func scalarKernel(m *grid.Mesh, pde ScalarPDE) func(e int, s *sink) {
 				for d := 0; d < m.Dim; d++ {
 					dot += g.grad[i][d] * g.grad[j][d]
 				}
-				s.add(el[i], el[j], kDiff*g.measure*dot)
+				s.add(int(el[i]), int(el[j]), kDiff*g.measure*dot)
 			}
 		}
 
@@ -99,7 +99,7 @@ func scalarKernel(m *grid.Mesh, pde ScalarPDE) func(e int, s *sink) {
 			fc = pde.Source(s.x)
 			w := g.measure / float64(npe)
 			for i := 0; i < npe; i++ {
-				s.addRHS(el[i], w*fc)
+				s.addRHS(int(el[i]), w*fc)
 			}
 		}
 
@@ -117,7 +117,7 @@ func scalarKernel(m *grid.Mesh, pde ScalarPDE) func(e int, s *sink) {
 		w := g.measure / float64(npe)
 		for i := 0; i < npe; i++ {
 			for j := 0; j < npe; j++ {
-				s.add(el[i], el[j], w*vg[j])
+				s.add(int(el[i]), int(el[j]), w*vg[j])
 			}
 		}
 
@@ -135,10 +135,10 @@ func scalarKernel(m *grid.Mesh, pde ScalarPDE) func(e int, s *sink) {
 		tau := h / (2 * vnorm) * upwindFn(pe)
 		for i := 0; i < npe; i++ {
 			for j := 0; j < npe; j++ {
-				s.add(el[i], el[j], tau*g.measure*vg[i]*vg[j])
+				s.add(int(el[i]), int(el[j]), tau*g.measure*vg[i]*vg[j])
 			}
 			if pde.Source != nil {
-				s.addRHS(el[i], tau*g.measure*vg[i]*fc)
+				s.addRHS(int(el[i]), tau*g.measure*vg[i]*fc)
 			}
 		}
 	}
@@ -185,7 +185,7 @@ func AssembleMass(m *grid.Mesh) *sparse.CSR {
 				if i == j {
 					v = 2 * off
 				}
-				s.add(el[i], el[j], v)
+				s.add(int(el[i]), int(el[j]), v)
 			}
 		}
 	})
@@ -243,7 +243,7 @@ func AssembleElasticity(m *grid.Mesh, mu, lambda float64, f func(x []float64) (f
 						if alpha == beta {
 							v += mu * gradDot
 						}
-						s.add(2*el[i]+alpha, 2*el[j]+beta, g.measure*v)
+						s.add(2*int(el[i])+alpha, 2*int(el[j])+beta, g.measure*v)
 					}
 				}
 			}
@@ -253,8 +253,8 @@ func AssembleElasticity(m *grid.Mesh, mu, lambda float64, f func(x []float64) (f
 			fx, fy := f(s.x)
 			w := g.measure / float64(npe)
 			for i := 0; i < npe; i++ {
-				s.addRHS(2*el[i], w*fx)
-				s.addRHS(2*el[i]+1, w*fy)
+				s.addRHS(2*int(el[i]), w*fx)
+				s.addRHS(2*int(el[i])+1, w*fy)
 			}
 		}
 	})

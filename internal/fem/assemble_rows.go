@@ -22,7 +22,7 @@ func AssembleScalarRows(m *grid.Mesh, pde ScalarPDE, owned func(node int) bool) 
 		el := m.Elem(e)
 		anyOwned := false
 		for _, node := range el {
-			if owned(node) {
+			if owned(int(node)) {
 				anyOwned = true
 				break
 			}
@@ -60,7 +60,7 @@ func AssembleScalarRows(m *grid.Mesh, pde ScalarPDE, owned func(node int) bool) 
 
 		w := g.measure / float64(npe)
 		for i := 0; i < npe; i++ {
-			if !owned(el[i]) {
+			if !owned(int(el[i])) {
 				continue // this row belongs to another processor
 			}
 			for j := 0; j < npe; j++ {
@@ -75,12 +75,12 @@ func AssembleScalarRows(m *grid.Mesh, pde ScalarPDE, owned func(node int) bool) 
 						v += tau * g.measure * vg[i] * vg[j]
 					}
 				}
-				s.add(el[i], el[j], v)
+				s.add(int(el[i]), int(el[j]), v)
 			}
 			if pde.Source != nil {
-				s.addRHS(el[i], w*fc)
+				s.addRHS(int(el[i]), w*fc)
 				if pde.SUPG && convect {
-					s.addRHS(el[i], tau*g.measure*vg[i]*fc)
+					s.addRHS(int(el[i]), tau*g.measure*vg[i]*fc)
 				}
 			}
 		}
@@ -137,7 +137,7 @@ func AssembleElasticityRows(m *grid.Mesh, mu, lambda float64,
 		el := m.Elem(e)
 		anyOwned := false
 		for _, node := range el {
-			if owned(2*node) || owned(2*node+1) {
+			if owned(2*int(node)) || owned(2*int(node)+1) {
 				anyOwned = true
 				break
 			}
@@ -154,7 +154,7 @@ func AssembleElasticityRows(m *grid.Mesh, mu, lambda float64,
 		w := g.measure / float64(npe)
 		for i := 0; i < npe; i++ {
 			for alpha := 0; alpha < 2; alpha++ {
-				row := 2*el[i] + alpha
+				row := 2*int(el[i]) + alpha
 				if !owned(row) {
 					continue
 				}
@@ -168,7 +168,7 @@ func AssembleElasticityRows(m *grid.Mesh, mu, lambda float64,
 						if alpha == beta {
 							v += mu * gradDot
 						}
-						s.add(row, 2*el[j]+beta, g.measure*v)
+						s.add(row, 2*int(el[j])+beta, g.measure*v)
 					}
 				}
 				if f != nil {

@@ -25,7 +25,7 @@ func geometry(m *grid.Mesh, e int) elemGeom {
 	el := m.Elem(e)
 	var g elemGeom
 	if m.Dim == 2 {
-		a, b, c := m.Coord(el[0]), m.Coord(el[1]), m.Coord(el[2])
+		a, b, c := m.Coord(int(el[0])), m.Coord(int(el[1])), m.Coord(int(el[2]))
 		det := (b[0]-a[0])*(c[1]-a[1]) - (c[0]-a[0])*(b[1]-a[1]) // 2·signed area
 		g.measure = math.Abs(det) / 2
 		inv := 1 / det
@@ -38,7 +38,7 @@ func geometry(m *grid.Mesh, e int) elemGeom {
 		g.grad[2][1] = (b[0] - a[0]) * inv
 		return g
 	}
-	a, b, c, d := m.Coord(el[0]), m.Coord(el[1]), m.Coord(el[2]), m.Coord(el[3])
+	a, b, c, d := m.Coord(int(el[0])), m.Coord(int(el[1])), m.Coord(int(el[2])), m.Coord(int(el[3]))
 	var J [3][3]float64 // edge vectors from a
 	for k := 0; k < 3; k++ {
 		J[0][k] = b[k] - a[k]
@@ -73,7 +73,7 @@ func centroid(m *grid.Mesh, e int, out []float64) {
 		out[d] = 0
 	}
 	for _, n := range el {
-		c := m.Coord(n)
+		c := m.Coord(int(n))
 		for d := 0; d < m.Dim; d++ {
 			out[d] += c[d]
 		}

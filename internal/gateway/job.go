@@ -186,6 +186,17 @@ func (j *Job) Fail(err error) {
 	j.mu.Unlock()
 }
 
+// resultBytes is what the job's result holds in its solution and residual
+// history: what the registry keeps of a terminal job besides a few hundred
+// bytes.
+func (j *Job) resultBytes() int64 {
+	r := j.Result()
+	if r == nil {
+		return 0
+	}
+	return int64(8 * (cap(r.X) + cap(r.History)))
+}
+
 // Result returns the finished solve's summary (nil before StateDone).
 func (j *Job) Result() *ResultSummary {
 	j.mu.Lock()

@@ -26,15 +26,24 @@ type Server struct {
 	ckptDir  string
 	sessions *sessionCache
 
-	mu      sync.Mutex
-	jobs    map[string]*Job
-	retired []string // ids of the terminal jobs still in jobs, oldest first
-	issued  int64    // jobs numbered so far; a job's id starts with its number
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	retired  []retiredJob // the terminal jobs still in jobs, oldest first
+	retained int64        // the bytes their results hold
+	issued   int64        // jobs numbered so far; a job's id starts with its number
+}
+
+// retiredJob is a terminal job still answerable by id and the bytes its
+// result holds.
+type retiredJob struct {
+	id    string
+	bytes int64
 }
 
 // retainedJobs is how many terminal jobs stay answerable by id: a result
 // (with return_x, a solution vector) is kept for the client that was not
-// listening when it arrived, not for ever.
+// listening when it arrived, not for ever. Their results together hold at
+// most a quarter of the session budget besides.
 const retainedJobs = 256
 
 // Options configures New.
@@ -117,16 +126,21 @@ func (s *Server) enqueue(j *Job) error {
 }
 
 // retire is the scheduler's last word on a job, run or canceled in the
-// queue: it is terminal, and the oldest terminal job beyond retainedJobs
-// leaves the registry. An open event stream holds its *Job and ends as it
-// would have; a later GET by id is answered "expired".
+// queue: it is terminal, and the oldest terminal jobs leave the registry
+// while there are more than retainedJobs of them or, the newest aside,
+// their results hold more than a quarter of the session budget. An open
+// event stream holds its *Job and ends as it would have; a later GET by id
+// is answered "expired".
 func (s *Server) retire(j *Job) {
 	j.Spec = nil // read by the worker alone, which is done with it: an upload's is up to 64 MiB of text
+	b := j.resultBytes()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.retired = append(s.retired, j.ID)
-	if len(s.retired) > retainedJobs {
-		delete(s.jobs, s.retired[0])
+	s.retired = append(s.retired, retiredJob{j.ID, b})
+	s.retained += b
+	for len(s.retired) > retainedJobs || (len(s.retired) > 1 && s.retained > s.sessions.budget/4) {
+		delete(s.jobs, s.retired[0].id)
+		s.retained -= s.retired[0].bytes
 		s.retired = s.retired[1:]
 	}
 }
@@ -365,14 +379,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	pending, active := s.sched.Stats()
 	c := s.sessions.stats()
 	s.mu.Lock()
-	retained := len(s.retired)
+	retained, retainedBytes := len(s.retired), s.retained
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok": true, "pending": pending, "active": active,
 		"sessions": c.Sessions, "session_bytes": c.Bytes, "session_budget": c.Budget,
 		"session_hits": c.Hits, "session_misses": c.Misses, "session_evictions": c.Evictions,
 		"problems": c.Problems, "problem_bytes": c.ProblemBytes, "problem_shares": c.Shares,
-		"jobs_retained": retained,
+		"jobs_retained": retained, "retained_bytes": retainedBytes,
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -616,6 +617,91 @@ func TestTerminalJobsExpire(t *testing.T) {
 		if code := getJSON(t, ts, "/v1/jobs/"+id, &reply); code != http.StatusNotFound || reply.Error != "no such job" {
 			t.Errorf("id %s, never issued: %d %+v, want 404 no such job", id, code, reply)
 		}
+	}
+}
+
+// What the registry retains is bounded in bytes too: with a small session
+// budget, many return_x jobs leave results that together hold at most a
+// quarter of it, while the newest job stays answerable and a stream opened
+// on a job that has since expired still ends with its result. Kept by count
+// alone, the 120 results below held about four times the bound.
+func TestRetainedResultsBounded(t *testing.T) {
+	const budget = 512 << 10
+	srv, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8, SessionBytes: budget})
+	spec := func() *Spec {
+		return &Spec{Case: "tc1-poisson2d", Size: 17, Procs: 2, Precond: "Block 1", ReturnX: true}
+	}
+	first := submitOK(t, ts, "tenant0", spec())
+	stream, err := ts.Client().Get(ts.URL + "/v1/jobs/" + first + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		t.Fatalf("events of the first job: %d", stream.StatusCode)
+	}
+	const total = 120
+	var last *Job
+	for n := 1; n < total; {
+		j, err := srv.Submit(fmt.Sprintf("tenant%d", n%4), spec())
+		var full *ErrQueueFull
+		if errors.As(err, &full) {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = j
+		n++
+	}
+	held := func() (bytes int64, retired int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, j := range srv.jobs {
+			if r := j.Result(); r != nil && j.State().Terminal() {
+				bytes += int64(8 * (cap(r.X) + cap(r.History)))
+			}
+		}
+		return bytes, len(srv.retired)
+	}
+	waitFor(t, func() bool {
+		pending, active := srv.sched.Stats()
+		return pending == 0 && active == 0 && last.State().Terminal()
+	})
+	bytes, retired := held()
+	if bytes > budget/4 {
+		t.Errorf("the %d terminal jobs retained hold %d bytes of results, more than a quarter of the %d budget", retired, bytes, budget)
+	}
+	var h map[string]any
+	getJSON(t, ts, "/healthz", &h)
+	if got, _ := h["retained_bytes"].(float64); int64(got) != bytes {
+		t.Errorf("/healthz retained_bytes = %v, want %d", h["retained_bytes"], bytes)
+	}
+	var reply struct {
+		State  State          `json:"state"`
+		Result *ResultSummary `json:"result"`
+	}
+	if code := getJSON(t, ts, "/v1/jobs/"+last.ID, &reply); code != http.StatusOK || reply.Result == nil || len(reply.Result.X) != 17*17 {
+		t.Errorf("newest job: %d %+v, want 200 with its solution", code, reply.State)
+	}
+	if _, ok := srv.Job(first); ok {
+		t.Fatal("the first job is still retained: the bound did not bite")
+	}
+	var events []Event
+	sc := bufio.NewScanner(stream.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	for sc.Scan() {
+		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			var e Event
+			if err := json.Unmarshal([]byte(data), &e); err != nil {
+				t.Fatalf("bad SSE data %q: %v", data, err)
+			}
+			events = append(events, e)
+		}
+	}
+	if i := slices.IndexFunc(events, func(e Event) bool { return e.Type == "result" }); i < 0 || len(events[i].Result.X) != 17*17 {
+		t.Errorf("the stream opened on the first job ended without its result (%d events)", len(events))
 	}
 }
 

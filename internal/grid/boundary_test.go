@@ -13,10 +13,12 @@ import (
 func boundaryNodesRef(m *grid.Mesh) []bool {
 	onB := make([]bool, m.NumNodes())
 	count := make(map[[3]int]int)
-	record := func(ids ...int) {
+	record := func(ids ...int32) {
 		f := [3]int{-1, -1, -1}
 		slices.Sort(ids)
-		copy(f[:], ids)
+		for k, id := range ids {
+			f[k] = int(id)
+		}
 		count[f]++
 	}
 	for e := 0; e < m.NumElems(); e++ {
@@ -52,11 +54,11 @@ func TestBoundaryNodesMatchesReference(t *testing.T) {
 	meshes := map[string]*grid.Mesh{
 		"plate-with-hole": grid.PlateWithHole(12),
 		"quarter-ring":    grid.QuarterRing(5, 6),
-		"one-triangle":    {Dim: 2, NPE: 3, X: make([]float64, 6), Elems: []int{0, 1, 2}},
-		"one-tet":         {Dim: 3, NPE: 4, X: make([]float64, 12), Elems: []int{3, 1, 0, 2}},
-		"isolated-node":   {Dim: 2, NPE: 3, X: make([]float64, 8), Elems: []int{0, 1, 3}},
+		"one-triangle":    {Dim: 2, NPE: 3, X: make([]float64, 6), Elems: []int32{0, 1, 2}},
+		"one-tet":         {Dim: 3, NPE: 4, X: make([]float64, 12), Elems: []int32{3, 1, 0, 2}},
+		"isolated-node":   {Dim: 2, NPE: 3, X: make([]float64, 8), Elems: []int32{0, 1, 3}},
 		"three-on-an-edge": {Dim: 2, NPE: 3, X: make([]float64, 10),
-			Elems: []int{0, 1, 2, 1, 0, 3, 0, 1, 4}},
+			Elems: []int32{0, 1, 2, 1, 0, 3, 0, 1, 4}},
 		"empty": {Dim: 2, NPE: 3},
 	}
 	for _, c := range cases.All() {

@@ -8,18 +8,37 @@ package grid
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
 // Mesh is a conforming simplicial mesh: triangles in 2D (NPE = 3) or
 // tetrahedra in 3D (NPE = 4). Node coordinates are stored interleaved,
 // Dim values per node; element connectivity is flattened, NPE node ids per
-// element.
+// element. Node ids are 32-bit, so a mesh has at most math.MaxInt32 nodes:
+// Check and the generators refuse more.
 type Mesh struct {
 	Dim   int       // spatial dimension, 2 or 3
 	NPE   int       // nodes per element, 3 or 4
 	X     []float64 // len = NumNodes()*Dim
-	Elems []int     // len = NumElems()*NPE
+	Elems []int32   // len = NumElems()*NPE
+}
+
+// nodeCountErr reports n nodes as more than 32-bit node ids address, or
+// returns nil. Check returns it; a generator asked for such a mesh panics
+// with it, as it does on any other impossible size.
+func nodeCountErr(op string, n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("grid: %s with %d nodes, more than the %d that 32-bit node ids address", op, n, math.MaxInt32)
+	}
+	return nil
+}
+
+// checkNodes panics with nodeCountErr.
+func checkNodes(op string, n int) {
+	if err := nodeCountErr(op, n); err != nil {
+		panic(err.Error())
+	}
 }
 
 // NumNodes returns the node count.
@@ -32,7 +51,7 @@ func (m *Mesh) NumElems() int { return len(m.Elems) / m.NPE }
 func (m *Mesh) Coord(n int) []float64 { return m.X[n*m.Dim : (n+1)*m.Dim] }
 
 // Elem returns the node ids of element e (a view into the mesh storage).
-func (m *Mesh) Elem(e int) []int { return m.Elems[e*m.NPE : (e+1)*m.NPE] }
+func (m *Mesh) Elem(e int) []int32 { return m.Elems[e*m.NPE : (e+1)*m.NPE] }
 
 // String returns a short summary.
 func (m *Mesh) String() string {
@@ -44,7 +63,8 @@ func (m *Mesh) String() string {
 }
 
 // Check validates structural invariants: coordinate/connectivity lengths
-// divisible by Dim/NPE, element node ids in range and distinct.
+// divisible by Dim/NPE, at most math.MaxInt32 nodes, element node ids in
+// range and distinct.
 func (m *Mesh) Check() error {
 	if m.Dim != 2 && m.Dim != 3 {
 		return fmt.Errorf("grid: dimension %d unsupported", m.Dim)
@@ -59,10 +79,13 @@ func (m *Mesh) Check() error {
 		return fmt.Errorf("grid: connectivity length %d not divisible by NPE %d", len(m.Elems), m.NPE)
 	}
 	nn := m.NumNodes()
+	if err := nodeCountErr("Check", nn); err != nil {
+		return err
+	}
 	for e := 0; e < m.NumElems(); e++ {
 		el := m.Elem(e)
 		for i, a := range el {
-			if a < 0 || a >= nn {
+			if a < 0 || int(a) >= nn {
 				return fmt.Errorf("grid: element %d references node %d (of %d)", e, a, nn)
 			}
 			for _, b := range el[:i] {
@@ -112,7 +135,7 @@ func (m *Mesh) NodeGraph() (ptr, adj []int) {
 			for _, b := range m.Elem(e) {
 				if seen[b] != i+1 {
 					seen[b] = i + 1
-					adj = append(adj, b)
+					adj = append(adj, int(b))
 				}
 			}
 		}
@@ -189,13 +212,13 @@ func (m *Mesh) BoundaryNodes() []bool {
 
 // sortedNodes returns the node ids of a simplex in ascending order; a
 // triangle's fourth is -1.
-func sortedNodes(el []int) [4]int {
-	a, b, c, d := el[0], el[1], el[2], -1
+func sortedNodes(el []int32) [4]int {
+	a, b, c, d := int(el[0]), int(el[1]), int(el[2]), -1
 	a, b = min(a, b), max(a, b)
 	b, c = min(b, c), max(b, c)
 	a, b = min(a, b), max(a, b)
 	if len(el) == 4 {
-		d = el[3]
+		d = int(el[3])
 		c, d = min(c, d), max(c, d)
 		b, c = min(b, c), max(b, c)
 		a, b = min(a, b), max(a, b)

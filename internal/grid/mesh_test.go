@@ -1,7 +1,9 @@
 package grid
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -60,8 +62,8 @@ func TestUnitCubeTetCounts(t *testing.T) {
 	}
 }
 
-func tetVolume(g *Mesh, el []int) float64 {
-	a, b, c, d := g.Coord(el[0]), g.Coord(el[1]), g.Coord(el[2]), g.Coord(el[3])
+func tetVolume(g *Mesh, el []int32) float64 {
+	a, b, c, d := g.Coord(int(el[0])), g.Coord(int(el[1])), g.Coord(int(el[2])), g.Coord(int(el[3]))
 	var v [3][3]float64
 	for k := 0; k < 3; k++ {
 		v[0][k] = b[k] - a[k]
@@ -285,11 +287,11 @@ func TestHashJitterRange(t *testing.T) {
 }
 
 func TestMeshCheckRejectsBadMeshes(t *testing.T) {
-	bad := &Mesh{Dim: 2, NPE: 3, X: []float64{0, 0, 1, 0, 0, 1}, Elems: []int{0, 1, 3}}
+	bad := &Mesh{Dim: 2, NPE: 3, X: []float64{0, 0, 1, 0, 0, 1}, Elems: []int32{0, 1, 3}}
 	if err := bad.Check(); err == nil {
 		t.Error("out-of-range node id accepted")
 	}
-	bad2 := &Mesh{Dim: 2, NPE: 3, X: []float64{0, 0, 1, 0, 0, 1}, Elems: []int{0, 1, 1}}
+	bad2 := &Mesh{Dim: 2, NPE: 3, X: []float64{0, 0, 1, 0, 0, 1}, Elems: []int32{0, 1, 1}}
 	if err := bad2.Check(); err == nil {
 		t.Error("repeated node id accepted")
 	}
@@ -326,8 +328,8 @@ func TestFacetCanonicalization(t *testing.T) {
 		if n == 4 {
 			want[3] = 9
 		}
-		var visit func(el []int, k int)
-		visit = func(el []int, k int) {
+		var visit func(el []int32, k int)
+		visit = func(el []int32, k int) {
 			if k == n {
 				if got := sortedNodes(el); got != want {
 					t.Fatalf("sortedNodes(%v) = %v, want %v", el, got, want)
@@ -340,6 +342,38 @@ func TestFacetCanonicalization(t *testing.T) {
 				el[k], el[i] = el[i], el[k]
 			}
 		}
-		visit([]int{2, 5, 7, 9}[:n], 0)
+		visit([]int32{2, 5, 7, 9}[:n], 0)
+	}
+}
+
+// Node ids are held in 32 bits: a generator asked for more nodes panics
+// naming the limit before it allocates, and Check refuses such a mesh with
+// the same error (checked here on the count, which a mesh of that size
+// would need 16 GiB of coordinates to show).
+func TestNodeCountGuard(t *testing.T) {
+	for name, build := range map[string]func(){
+		"UnitSquareTri": func() { UnitSquareTri(46341) },      // 46341² > 2³¹ − 1
+		"UnitCubeTet":   func() { UnitCubeTet(1291) },         // 1291³ > 2³¹ − 1
+		"QuarterRing":   func() { QuarterRing(46341, 46341) }, // as the square
+		"PlateWithHole": func() { PlateWithHole(46341) },      // through its square
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "2147483647") {
+					t.Errorf("%s: panic %q, want one naming the limit", name, msg)
+				}
+			}()
+			build()
+		}()
+	}
+	if err := nodeCountErr("Check", math.MaxInt32); err != nil {
+		t.Errorf("at the limit: %v", err)
+	}
+	if err := nodeCountErr("Check", math.MaxInt32+1); err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Errorf("past the limit: %v, want an error naming it", err)
+	}
+	if err := UnitCubeTet(3).Check(); err != nil {
+		t.Errorf("a small mesh: %v", err)
 	}
 }

@@ -30,7 +30,7 @@ func nodeGraphRef(m *grid.Mesh) (ptr, adj []int) {
 		for _, a := range el {
 			for _, b := range el {
 				if a != b {
-					adj[next[a]] = b
+					adj[next[a]] = int(b)
 					next[a]++
 				}
 			}
@@ -62,8 +62,8 @@ func nodeGraphRef(m *grid.Mesh) (ptr, adj []int) {
 func TestNodeGraphMatchesReference(t *testing.T) {
 	meshes := map[string]*grid.Mesh{
 		"quarter-ring":  grid.QuarterRing(5, 6),
-		"one-triangle":  {Dim: 2, NPE: 3, X: make([]float64, 6), Elems: []int{0, 1, 2}},
-		"isolated-node": {Dim: 2, NPE: 3, X: make([]float64, 8), Elems: []int{0, 1, 3}},
+		"one-triangle":  {Dim: 2, NPE: 3, X: make([]float64, 6), Elems: []int32{0, 1, 2}},
+		"isolated-node": {Dim: 2, NPE: 3, X: make([]float64, 8), Elems: []int32{0, 1, 3}},
 		"empty":         {Dim: 2, NPE: 3},
 	}
 	for _, c := range cases.All() {

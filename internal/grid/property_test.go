@@ -33,14 +33,14 @@ func countFacets(m *Mesh) map[[3]int]int {
 	for e := 0; e < m.NumElems(); e++ {
 		el := m.Elem(e)
 		if m.NPE == 3 {
-			count[newFacet2(el[0], el[1])]++
-			count[newFacet2(el[1], el[2])]++
-			count[newFacet2(el[2], el[0])]++
+			count[newFacet2(int(el[0]), int(el[1]))]++
+			count[newFacet2(int(el[1]), int(el[2]))]++
+			count[newFacet2(int(el[2]), int(el[0]))]++
 		} else {
-			count[newFacet3(el[0], el[1], el[2])]++
-			count[newFacet3(el[0], el[1], el[3])]++
-			count[newFacet3(el[0], el[2], el[3])]++
-			count[newFacet3(el[1], el[2], el[3])]++
+			count[newFacet3(int(el[0]), int(el[1]), int(el[2]))]++
+			count[newFacet3(int(el[0]), int(el[1]), int(el[3]))]++
+			count[newFacet3(int(el[0]), int(el[2]), int(el[3]))]++
+			count[newFacet3(int(el[1]), int(el[2]), int(el[3]))]++
 		}
 	}
 	return count
@@ -71,9 +71,9 @@ func TestEulerCharacteristic2D(t *testing.T) {
 		edges := map[[3]int]bool{}
 		for e := 0; e < m.NumElems(); e++ {
 			el := m.Elem(e)
-			edges[newFacet2(el[0], el[1])] = true
-			edges[newFacet2(el[1], el[2])] = true
-			edges[newFacet2(el[2], el[0])] = true
+			edges[newFacet2(int(el[0]), int(el[1]))] = true
+			edges[newFacet2(int(el[1]), int(el[2]))] = true
+			edges[newFacet2(int(el[2]), int(el[0]))] = true
 		}
 		return m.NumNodes() - len(edges) + m.NumElems()
 	}

@@ -13,19 +13,20 @@ func UnitSquareTri(m int) *Mesh {
 	if m < 2 {
 		panic(fmt.Sprintf("grid: UnitSquareTri needs m >= 2, got %d", m))
 	}
+	checkNodes("UnitSquareTri", m*m)
 	h := 1 / float64(m-1)
 	mesh := &Mesh{
 		Dim:   2,
 		NPE:   3,
 		X:     make([]float64, 0, 2*m*m),
-		Elems: make([]int, 0, 6*(m-1)*(m-1)),
+		Elems: make([]int32, 0, 6*(m-1)*(m-1)),
 	}
 	for j := 0; j < m; j++ {
 		for i := 0; i < m; i++ {
 			mesh.X = append(mesh.X, float64(i)*h, float64(j)*h)
 		}
 	}
-	id := func(i, j int) int { return j*m + i }
+	id := func(i, j int) int32 { return int32(j*m + i) }
 	for j := 0; j < m-1; j++ {
 		for i := 0; i < m-1; i++ {
 			a, b, c, d := id(i, j), id(i+1, j), id(i+1, j+1), id(i, j+1)
@@ -56,12 +57,13 @@ func UnitCubeTet(m int) *Mesh {
 	if m < 2 {
 		panic(fmt.Sprintf("grid: UnitCubeTet needs m >= 2, got %d", m))
 	}
+	checkNodes("UnitCubeTet", m*m*m)
 	h := 1 / float64(m-1)
 	mesh := &Mesh{
 		Dim:   3,
 		NPE:   4,
 		X:     make([]float64, 0, 3*m*m*m),
-		Elems: make([]int, 0, 24*(m-1)*(m-1)*(m-1)),
+		Elems: make([]int32, 0, 24*(m-1)*(m-1)*(m-1)),
 	}
 	for k := 0; k < m; k++ {
 		for j := 0; j < m; j++ {
@@ -70,8 +72,8 @@ func UnitCubeTet(m int) *Mesh {
 			}
 		}
 	}
-	id := func(i, j, k int) int { return (k*m+j)*m + i }
-	var corners [8]int
+	id := func(i, j, k int) int32 { return int32((k*m+j)*m + i) }
+	var corners [8]int32
 	for k := 0; k < m-1; k++ {
 		for j := 0; j < m-1; j++ {
 			for i := 0; i < m-1; i++ {
@@ -96,11 +98,12 @@ func QuarterRing(mr, mt int) *Mesh {
 	if mr < 2 || mt < 2 {
 		panic(fmt.Sprintf("grid: QuarterRing needs mr, mt >= 2, got %d, %d", mr, mt))
 	}
+	checkNodes("QuarterRing", mr*mt)
 	mesh := &Mesh{
 		Dim:   2,
 		NPE:   3,
 		X:     make([]float64, 0, 2*mr*mt),
-		Elems: make([]int, 0, 6*(mr-1)*(mt-1)),
+		Elems: make([]int32, 0, 6*(mr-1)*(mt-1)),
 	}
 	for j := 0; j < mt; j++ {
 		theta := math.Pi / 2 * float64(j) / float64(mt-1)
@@ -109,7 +112,7 @@ func QuarterRing(mr, mt int) *Mesh {
 			mesh.X = append(mesh.X, r*math.Cos(theta), r*math.Sin(theta))
 		}
 	}
-	id := func(i, j int) int { return j*mr + i }
+	id := func(i, j int) int32 { return int32(j*mr + i) }
 	for j := 0; j < mt-1; j++ {
 		for i := 0; i < mr-1; i++ {
 			a, b, c, d := id(i, j), id(i+1, j), id(i+1, j+1), id(i, j+1)

@@ -30,13 +30,13 @@ func PlateWithHole(m int) *Mesh {
 	h := 1 / float64(m-1)
 	sq := UnitSquareTri(m)
 
-	inside := func(n int) bool {
-		c := sq.Coord(n)
+	inside := func(n int32) bool {
+		c := sq.Coord(int(n))
 		return math.Hypot(c[0]-cx, c[1]-cy) < radius-1e-12
 	}
 
 	// Keep elements with no node strictly inside the hole.
-	keepElems := make([]int, 0, len(sq.Elems))
+	keepElems := make([]int32, 0, len(sq.Elems))
 	used := make([]bool, sq.NumNodes())
 	for e := 0; e < sq.NumElems(); e++ {
 		el := sq.Elem(e)
@@ -50,7 +50,7 @@ func PlateWithHole(m int) *Mesh {
 	}
 
 	// Compact node numbering.
-	newID := make([]int, sq.NumNodes())
+	newID := make([]int32, sq.NumNodes())
 	for i := range newID {
 		newID[i] = -1
 	}
@@ -63,12 +63,12 @@ func PlateWithHole(m int) *Mesh {
 	mesh := &Mesh{Dim: 2, NPE: 3, X: make([]float64, 0, 2*kept)}
 	for n := 0; n < sq.NumNodes(); n++ {
 		if used[n] {
-			newID[n] = len(mesh.X) / 2
+			newID[n] = int32(len(mesh.X) / 2)
 			c := sq.Coord(n)
 			mesh.X = append(mesh.X, c[0], c[1])
 		}
 	}
-	mesh.Elems = make([]int, len(keepElems))
+	mesh.Elems = make([]int32, len(keepElems))
 	for k, old := range keepElems {
 		mesh.Elems[k] = newID[old]
 	}
@@ -110,7 +110,7 @@ func hashJitter(n int) (x, y float64) {
 	return float64(lo)/float64(1<<31) - 1, float64(hi)/float64(1<<31) - 1
 }
 
-func triArea(m *Mesh, el []int) float64 {
-	a, b, c := m.Coord(el[0]), m.Coord(el[1]), m.Coord(el[2])
+func triArea(m *Mesh, el []int32) float64 {
+	a, b, c := m.Coord(int(el[0])), m.Coord(int(el[1])), m.Coord(int(el[2]))
 	return math.Abs((b[0]-a[0])*(c[1]-a[1])-(c[0]-a[0])*(b[1]-a[1])) / 2
 }

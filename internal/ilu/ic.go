@@ -142,7 +142,7 @@ func IC0(a *sparse.CSR) (*Chol, error) {
 		}
 		l.ColIdx = append(l.ColIdx, int32(i))
 		l.Val = append(l.Val, math.Sqrt(d))
-		l.RowPtr[i+1] = len(l.ColIdx)
+		l.EndRow(i)
 
 		for _, j := range rowCols {
 			inRow[j] = false

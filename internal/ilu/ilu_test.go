@@ -436,8 +436,8 @@ func TestCholSolveFlopsModel(t *testing.T) {
 	}
 	exact := 0
 	for i := 0; i < n; i++ {
-		exact += 2*(c.L.RowPtr[i+1]-c.L.RowPtr[i]-1) + 1   // L sweep
-		exact += 2*(c.Lt.RowPtr[i+1]-c.Lt.RowPtr[i]-1) + 1 // Lᵀ sweep
+		exact += 2*(c.L.RowNNZ(i)-1) + 1  // L sweep
+		exact += 2*(c.Lt.RowNNZ(i)-1) + 1 // Lᵀ sweep
 	}
 	if exact != 4*nnzL-2*n {
 		t.Fatalf("exact Chol solve flops = %d, want 4·NNZ(L)−2n = %d", exact, 4*nnzL-2*n)
@@ -460,7 +460,7 @@ func farArrow(n int) *sparse.CSR {
 			a.ColIdx, a.Val = append(a.ColIdx, 0), append(a.Val, -0.5)
 		}
 		a.ColIdx, a.Val = append(a.ColIdx, int32(i)), append(a.Val, 4+float64(i%3))
-		a.RowPtr[i+1] = len(a.ColIdx)
+		a.EndRow(i)
 	}
 	return a
 }

@@ -93,7 +93,7 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 			w[j] = vals[k]
 			inRow[j] = true
 			rowNorm += math.Abs(vals[k])
-			if pj := iperm[j]; pj < i {
+			if pj := int(iperm[j]); pj < i {
 				lPos.add(pj)
 				first = min(first, pj)
 			} else {
@@ -108,7 +108,7 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 
 		// k is the pivot row: the smallest remaining permuted position.
 		for k := lPos.pop(first, i); k >= 0; k = lPos.pop(k, i) {
-			j := perm[k] // original column
+			j := int(perm[k]) // original column
 			lik := w[j] / f.piv[k]
 			inRow[j] = false
 			if math.Abs(lik) <= drop {
@@ -126,7 +126,7 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 				}
 				w[jj] = -delta
 				inRow[jj] = true
-				if pj := iperm[jj]; pj < i {
+				if pj := int(iperm[jj]); pj < i {
 					lPos.add(pj)
 				} else {
 					uCols = append(uCols, jj)
@@ -135,7 +135,7 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 		}
 
 		// Ensure a diagonal candidate exists.
-		dcol := perm[i]
+		dcol := int(perm[i])
 		if !inRow[dcol] {
 			w[dcol] = 0
 			inRow[dcol] = true
@@ -198,10 +198,10 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 	// already in ascending order; U rows are re-sorted, because later swaps
 	// reorder the columns right of the pivot among themselves.
 	for k, j := range l.col {
-		l.col[k] = int32(iperm[j])
+		l.col[k] = iperm[j]
 	}
 	for k, j := range u.col {
-		u.col[k] = int32(iperm[j])
+		u.col[k] = iperm[j]
 	}
 	for i := 0; i < n; i++ {
 		lc, _ := l.row(i)

@@ -35,7 +35,7 @@ func combinedOf(f *LU) (*sparse.CSR, []int) {
 			m.ColIdx = append(m.ColIdx, j)
 			m.Val = append(m.Val, vals[k])
 		}
-		m.RowPtr[i+1] = len(m.ColIdx)
+		m.EndRow(i)
 	}
 	return m, diag
 }

@@ -329,11 +329,14 @@ func orthSystems(t *testing.T, m, p int) []*dsys.System {
 	if p > 1 {
 		parts = p - 1
 	}
-	adj := make([]int, len(a.ColIdx))
+	ptr, adj := make([]int, len(a.RowPtr)), make([]int, len(a.ColIdx))
+	for i, q := range a.RowPtr {
+		ptr[i] = int(q)
+	}
 	for k, j := range a.ColIdx {
 		adj[k] = int(j)
 	}
-	part, err := partition.General(&partition.Graph{Ptr: a.RowPtr, Adj: adj}, parts, 3)
+	part, err := partition.General(&partition.Graph{Ptr: ptr, Adj: adj}, parts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

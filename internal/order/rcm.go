@@ -48,7 +48,7 @@ func RCM(a *sparse.CSR) sparse.Perm {
 	// Reverse for RCM.
 	perm := make(sparse.Perm, n)
 	for i, v := range order {
-		perm[n-1-i] = v
+		perm[n-1-i] = int32(v)
 	}
 	return perm
 }

@@ -46,15 +46,8 @@ func TestOverlapBlockImprovesOnPlainBlock(t *testing.T) {
 	systems, a, b := buildPoisson(t, m, p, 21)
 	want := refSolution(t, a, b)
 
-	part := make([]int, a.Rows)
-	for r, s := range systems {
-		for _, g := range s.GlobalIDs {
-			part[g] = r
-		}
-	}
-
 	run := func(levels int) (int, []float64) {
-		obs, err := BuildOverlapBlocks(a, part, systems, OverlapOptions{
+		obs, err := BuildOverlapBlocks(a, systems, OverlapOptions{
 			Levels: levels, UseILU0: false, ILUT: ilu.DefaultILUT(),
 		})
 		if err != nil {
@@ -89,15 +82,9 @@ func TestOverlapBlockImprovesOnPlainBlock(t *testing.T) {
 func TestOverlapBlockExtSizes(t *testing.T) {
 	const m, p = 15, 3
 	systems, a, _ := buildPoisson(t, m, p, 22)
-	part := make([]int, a.Rows)
-	for r, s := range systems {
-		for _, g := range s.GlobalIDs {
-			part[g] = r
-		}
-	}
 	prev := make([]int, p)
 	for levels := 0; levels <= 2; levels++ {
-		obs, err := BuildOverlapBlocks(a, part, systems, OverlapOptions{
+		obs, err := BuildOverlapBlocks(a, systems, OverlapOptions{
 			Levels: levels, UseILU0: true,
 		})
 		if err != nil {

@@ -84,13 +84,7 @@ func schwarzPair(t *testing.T) ([]Preconditioner, []*dsys.System) {
 func overlapPair(t *testing.T) ([]Preconditioner, []*dsys.System) {
 	t.Helper()
 	systems, a, _ := buildPoisson(t, 9, 2, 21)
-	part := make([]int, a.Rows)
-	for r, s := range systems {
-		for _, g := range s.GlobalIDs {
-			part[g] = r
-		}
-	}
-	blocks, err := BuildOverlapBlocks(a, part, systems, OverlapOptions{Levels: 1, ILUT: ilu.DefaultILUT()})
+	blocks, err := BuildOverlapBlocks(a, systems, OverlapOptions{Levels: 1, ILUT: ilu.DefaultILUT()})
 	if err != nil {
 		t.Fatal(err)
 	}

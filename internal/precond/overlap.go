@@ -2,7 +2,7 @@ package precond
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"parapre/internal/dist"
@@ -27,7 +27,7 @@ type OverlapBlock struct {
 	s    *dsys.System
 	f    *ilu.LU
 
-	extNodes []int // global ids of the enlarged subdomain, owned first
+	extNodes []int32 // global ids of the enlarged subdomain, owned first
 	ownN     int
 
 	// halo gathers r over the enlarged block: owned values go to the peers
@@ -52,20 +52,24 @@ type OverlapOptions struct {
 }
 
 // BuildOverlapBlocks constructs one OverlapBlock per rank from the global
-// matrix and the partition, and wires the halo exchanges. The per-rank
+// matrix and the subdomain systems, and wires the halo exchanges; the
+// systems' GlobalIDs say which rank owns each row. The per-rank
 // block growth and factorization are independent and run on the
 // shared-memory worker pool; only the cross-rank halo wiring is
 // sequential. Apply is collective.
-func BuildOverlapBlocks(a *sparse.CSR, part []int, systems []*dsys.System, opt OverlapOptions) ([]*OverlapBlock, error) {
+func BuildOverlapBlocks(a *sparse.CSR, systems []*dsys.System, opt OverlapOptions) ([]*OverlapBlock, error) {
 	p := len(systems)
 	all := make([]*OverlapBlock, p)
-	ownerLocal := make([]map[int]int, p)
+	// owner and local place every global row: its rank, -1 for none, and
+	// its index among that rank's owned unknowns.
+	owner, local := make([]int32, a.Rows), make([]int32, a.Rows)
+	for g := range owner {
+		owner[g] = -1
+	}
 	for r, s := range systems {
-		m := make(map[int]int, s.NLoc())
 		for l, g := range s.GlobalIDs {
-			m[g] = l
+			owner[g], local[g] = int32(r), int32(l)
 		}
-		ownerLocal[r] = m
 	}
 
 	errs := make([]error, p)
@@ -79,24 +83,24 @@ func BuildOverlapBlocks(a *sparse.CSR, part []int, systems []*dsys.System, opt O
 		}
 
 		// Grow the subdomain by `levels` graph layers.
-		inSet := make(map[int]bool, s.NLoc()*2)
+		inSet := make(map[int32]bool, s.NLoc()*2)
 		ob.extNodes = append(ob.extNodes, s.GlobalIDs...)
 		for _, g := range s.GlobalIDs {
 			inSet[g] = true
 		}
-		frontier := append([]int(nil), s.GlobalIDs...)
+		frontier := s.GlobalIDs
 		for lev := 0; lev < opt.Levels; lev++ {
-			var next []int
+			var next []int32
 			for _, g := range frontier {
-				cols, _ := a.Row(g)
-				for _, c := range cols {
-					if j := int(c); !inSet[j] {
+				cols, _ := a.Row(int(g))
+				for _, j := range cols {
+					if !inSet[j] {
 						inSet[j] = true
 						next = append(next, j)
 					}
 				}
 			}
-			sort.Ints(next)
+			slices.Sort(next)
 			ob.extNodes = append(ob.extNodes, next...)
 			frontier = next
 		}
@@ -125,20 +129,19 @@ func BuildOverlapBlocks(a *sparse.CSR, part []int, systems []*dsys.System, opt O
 	// Wire halos: rank r needs values of extNodes[ownN:] from their
 	// owners.
 	for r, ob := range all {
-		needs := map[int][]int{} // owner → ext index
+		needs := map[int][]int32{} // owner → ext index
 		for k := ob.ownN; k < len(ob.extNodes); k++ {
 			g := ob.extNodes[k]
-			owner := part[g]
-			needs[owner] = append(needs[owner], k)
+			q := int(owner[g])
+			if q < 0 {
+				return nil, fmt.Errorf("precond: overlap wiring: rank %d needs node %d, which no rank owns", r, g)
+			}
+			needs[q] = append(needs[q], int32(k))
 		}
 		for q, extIdx := range needs {
-			send := make([]int, len(extIdx))
+			send := make([]int32, len(extIdx))
 			for t, k := range extIdx {
-				l, ok := ownerLocal[q][ob.extNodes[k]]
-				if !ok {
-					return nil, fmt.Errorf("precond: overlap wiring: rank %d does not own node %d", q, ob.extNodes[k])
-				}
-				send[t] = l
+				send[t] = local[ob.extNodes[k]]
 			}
 			ob.halo.Link(q).Recv = extIdx
 			all[q].halo.Link(r).Send = send

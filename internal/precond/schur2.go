@@ -130,7 +130,7 @@ func reduceInternalOnly(owned *sparse.CSR, nInt, maxGroup int, dropTol float64) 
 	perm := make(sparse.Perm, 0, n)
 	perm = append(perm, permB...)
 	for i := nInt; i < n; i++ {
-		perm = append(perm, i)
+		perm = append(perm, int32(i))
 	}
 	return arms.ReducePermuted(owned, perm, nB, blocks, dropTol)
 }
@@ -162,7 +162,7 @@ func (p *Schur2) finish(sExp *sparse.CSR, opts Schur2Options) (*Schur2, error) {
 	// local order (reduceInternalOnly), as the operator's external
 	// couplings need them.
 	op, err := schur.NewExplicit(s, sLoc, func(l int) (int, bool) {
-		ii := p.inv[l] - p.nG
+		ii := int(p.inv[l]) - p.nG
 		if ii < 0 {
 			return 0, false
 		}

@@ -63,9 +63,8 @@ type Schwarz struct {
 
 	// Extended (overlapping) box in grid-index space.
 	ei0, ei1, ej0, ej1 int
-	boxNodes           []int       // global ids, row-major within the box
-	localOf            map[int]int // global id → index in boxNodes
-	ownedPos           []int       // boxNodes index of each owned unknown (aligned with GlobalIDs)
+	boxNodes           []int32 // global ids, row-major within the box
+	ownedPos           []int32 // boxNodes index of each owned unknown (aligned with GlobalIDs)
 
 	aBox *sparse.CSR // global matrix restricted to the box (zero-Dirichlet exterior)
 	pois *fft.PoissonSolver
@@ -99,7 +98,7 @@ type coarseGrid struct {
 	isBdry []bool
 	// interp rows for this rank's owned fine nodes: up to 4 coarse nodes
 	// with bilinear weights.
-	idx [][4]int
+	idx [][4]int32
 	wgt [][4]float64
 }
 
@@ -139,20 +138,16 @@ func NewSchwarz(s *dsys.System, a *sparse.CSR, opt SchwarzOptions) (*Schwarz, er
 	// Box node list, row-major.
 	for j := p.ej0; j < p.ej1; j++ {
 		for i := p.ei0; i < p.ei1; i++ {
-			p.boxNodes = append(p.boxNodes, j*m+i)
+			p.boxNodes = append(p.boxNodes, int32(j*m+i))
 		}
 	}
-	p.localOf = make(map[int]int, len(p.boxNodes))
-	for k, g := range p.boxNodes {
-		p.localOf[g] = k
-	}
-	p.ownedPos = make([]int, s.NLoc())
+	p.ownedPos = make([]int32, s.NLoc())
 	for l, g := range s.GlobalIDs {
-		k, ok := p.localOf[g]
-		if !ok {
+		i, j := int(g)%m, int(g)/m
+		if i < p.ei0 || i >= p.ei1 || j < p.ej0 || j >= p.ej1 {
 			return nil, fmt.Errorf("precond: Schwarz rank %d: owned node %d outside its own box (partition mismatch)", r, g)
 		}
-		p.ownedPos[l] = k
+		p.ownedPos[l] = int32((j-p.ej0)*(p.ei1-p.ei0) + i - p.ei0)
 	}
 
 	// Restricted matrix with homogeneous Dirichlet exterior, its
@@ -194,42 +189,34 @@ func (p *Schwarz) newScratch() *schwarzScratch {
 // Schwarz preconditioners. Call once, sequentially, with every rank's
 // instance.
 func WireHalo(all []*Schwarz) error {
-	// owner[g] = rank owning global node g.
+	// owner[g] = rank owning global node g, local[g] its index among that
+	// rank's owned unknowns.
 	n := all[0].opt.M * all[0].opt.M
-	owner := make([]int, n)
+	owner, local := make([]int32, n), make([]int32, n)
 	for i := range owner {
 		owner[i] = -1
 	}
 	for r, sw := range all {
 		sw.haloR.Tag, sw.haloZ.Tag = tagHaloR, tagHaloZ
-		for _, g := range sw.s.GlobalIDs {
-			owner[g] = r
+		for l, g := range sw.s.GlobalIDs {
+			owner[g], local[g] = int32(r), int32(l)
 		}
 	}
 	for r, sw := range all {
-		needs := map[int][]int{} // peer rank → box-local indices
+		needs := map[int][]int32{} // peer rank → box-local indices
 		for k, g := range sw.boxNodes {
-			if o := owner[g]; o != r {
+			if o := int(owner[g]); o != r {
 				if o < 0 {
 					return fmt.Errorf("precond: node %d unowned", g)
 				}
-				needs[o] = append(needs[o], k)
+				needs[o] = append(needs[o], int32(k))
 			}
 		}
 		for q, boxIdx := range needs {
-			// Peer-side owned-local indices for these globals.
 			peer := all[q]
-			ownLocal := make(map[int]int, peer.s.NLoc())
-			for l, g := range peer.s.GlobalIDs {
-				ownLocal[g] = l
-			}
-			send := make([]int, len(boxIdx))
+			send := make([]int32, len(boxIdx)) // peer-side owned-local indices
 			for t, k := range boxIdx {
-				l, ok := ownLocal[sw.boxNodes[k]]
-				if !ok {
-					return fmt.Errorf("precond: halo wiring: rank %d does not own node %d", q, sw.boxNodes[k])
-				}
-				send[t] = l
+				send[t] = local[sw.boxNodes[k]]
 			}
 			// q sends these owned values to r's box and later accumulates
 			// r's corrections to them.
@@ -266,16 +253,17 @@ func buildCoarse(s *dsys.System, m, cm int) (*coarseGrid, error) {
 	// Bilinear interpolation weights for each owned fine node.
 	h := 1 / float64(m-1)
 	hc := 1 / float64(cm-1)
-	cg.idx = make([][4]int, s.NLoc())
+	cg.idx = make([][4]int32, s.NLoc())
 	cg.wgt = make([][4]float64, s.NLoc())
 	for l, gid := range s.GlobalIDs {
-		fi, fj := gid%m, gid/m
+		fi, fj := int(gid)%m, int(gid)/m
 		x, y := float64(fi)*h, float64(fj)*h
 		ci := minInt(int(x/hc), cm-2)
 		cj := minInt(int(y/hc), cm-2)
 		tx := x/hc - float64(ci)
 		ty := y/hc - float64(cj)
-		cg.idx[l] = [4]int{cj*cm + ci, cj*cm + ci + 1, (cj+1)*cm + ci, (cj+1)*cm + ci + 1}
+		k := int32(cj*cm + ci)
+		cg.idx[l] = [4]int32{k, k + 1, k + int32(cm), k + int32(cm) + 1}
 		cg.wgt[l] = [4]float64{(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty}
 	}
 	return cg, nil

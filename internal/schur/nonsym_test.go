@@ -52,7 +52,9 @@ func TestImplicitOperatorNonsymmetricPattern(t *testing.T) {
 	// Global interface ordering: rank-by-rank owned interface unknowns.
 	var ifaceGlobals []int
 	for _, s := range systems {
-		ifaceGlobals = append(ifaceGlobals, s.GlobalIDs[s.NInt:]...)
+		for _, g := range s.GlobalIDs[s.NInt:] {
+			ifaceGlobals = append(ifaceGlobals, int(g))
+		}
 	}
 	nI := len(ifaceGlobals)
 	if nI == 0 {

@@ -146,14 +146,14 @@ func NewExplicit(s *dsys.System, sLoc Local, toIface func(local int) (int, bool)
 func (o *Iface) buildHalo(tag int, toIface func(int) (int, bool)) error {
 	links := o.sys.Links(0)
 	for ni, nb := range o.sys.Neigh {
-		idx := make([]int, 0, len(nb.SendIdx))
+		idx := make([]int32, 0, len(nb.SendIdx))
 		for _, l := range nb.SendIdx {
-			ii, ok := toIface(l)
+			ii, ok := toIface(int(l))
 			if !ok {
 				return fmt.Errorf("schur: rank %d: neighbor %d requests local %d, which is not an interface unknown (structurally unsymmetric partition?)",
 					o.sys.Rank, nb.Rank, l)
 			}
-			idx = append(idx, ii)
+			idx = append(idx, int32(ii))
 		}
 		links[ni].Send = idx
 	}

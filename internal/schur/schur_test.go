@@ -45,10 +45,14 @@ func denseGlobalSchur(t *testing.T, a *sparse.CSR, systems []*dsys.System) (*spa
 	t.Helper()
 	var bIdx, cIdx []int
 	for _, s := range systems {
-		bIdx = append(bIdx, s.GlobalIDs[:s.NInt]...)
+		for _, g := range s.GlobalIDs[:s.NInt] {
+			bIdx = append(bIdx, int(g))
+		}
 	}
 	for _, s := range systems {
-		cIdx = append(cIdx, s.GlobalIDs[s.NInt:]...)
+		for _, g := range s.GlobalIDs[s.NInt:] {
+			cIdx = append(cIdx, int(g))
+		}
 	}
 	App := sparse.Extract(a, bIdx, bIdx).Dense()
 	Apc := sparse.Extract(a, bIdx, cIdx).Dense()

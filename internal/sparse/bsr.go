@@ -30,9 +30,9 @@ import (
 // accepts) is bit-identical to CSR for every input, including non-finite
 // values. With fill, the extra 0·x terms are exact zeros for finite x.
 type BSR struct {
-	Rows, Cols int // scalar dimensions
-	BR, BC     int // block dimensions; Rows%BR == 0, Cols%BC == 0
-	RowPtr     []int
+	Rows, Cols int     // scalar dimensions
+	BR, BC     int     // block dimensions; Rows%BR == 0, Cols%BC == 0
+	RowPtr     []int32 // the blocks of the CSR it converts, so they fit 32 bits too
 	ColIdx     []int32 // block columns; the scalar ones fit 32 bits (see ToBSR)
 	Val        []float64
 
@@ -77,7 +77,7 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 	nbr := a.Rows / br
 	nbc := a.Cols / bc
 	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
-	b := &BSR{Rows: a.Rows, Cols: a.Cols, BR: br, BC: bc, RowPtr: make([]int, nbr+1)}
+	b := &BSR{Rows: a.Rows, Cols: a.Cols, BR: br, BC: bc, RowPtr: make([]int32, nbr+1)}
 
 	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 	mark := make([]int, nbc)
@@ -85,9 +85,9 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 		mark[i] = -1
 	}
 	for bi := 0; bi < nbr; bi++ {
-		cnt := 0
+		cnt := int32(0)
 		for i := bi * br; i < (bi+1)*br; i++ {
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			for k := int(a.RowPtr[i]); k < int(a.RowPtr[i+1]); k++ {
 				if bj := int(a.ColIdx[k]) / bc; mark[bj] != bi {
 					mark[bj] = bi
 					cnt++
@@ -96,7 +96,7 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 		}
 		b.RowPtr[bi+1] = b.RowPtr[bi] + cnt
 	}
-	nb := b.RowPtr[nbr]
+	nb := int(b.RowPtr[nbr])
 	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 	b.ColIdx = make([]int32, nb)
 	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
@@ -112,7 +112,7 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 	for bi := 0; bi < nbr; bi++ {
 		scratch = scratch[:0]
 		for i := bi * br; i < (bi+1)*br; i++ {
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			for k := int(a.RowPtr[i]); k < int(a.RowPtr[i+1]); k++ {
 				if bj := int(a.ColIdx[k]) / bc; mark[bj] != bi {
 					mark[bj] = bi
 					//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
@@ -121,14 +121,14 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 			}
 		}
 		sort.Ints(scratch)
-		base := b.RowPtr[bi]
+		base := int(b.RowPtr[bi])
 		for t, bj := range scratch {
 			b.ColIdx[base+t] = int32(bj)
 			pos[bj] = base + t
 		}
 		for i := bi * br; i < (bi+1)*br; i++ {
 			r := i - bi*br
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			for k := int(a.RowPtr[i]); k < int(a.RowPtr[i+1]); k++ {
 				j := int(a.ColIdx[k])
 				bj := j / bc
 				b.Val[pos[bj]*br*bc+r*bc+(j-bj*bc)] = a.Val[k]
@@ -147,7 +147,7 @@ func (b *BSR) ToCSR() *CSR {
 	for bi := 0; bi < b.BlockRows(); bi++ {
 		for r := 0; r < br; r++ {
 			i := bi*br + r
-			for k := b.RowPtr[bi]; k < b.RowPtr[bi+1]; k++ {
+			for k := int(b.RowPtr[bi]); k < int(b.RowPtr[bi+1]); k++ {
 				j0 := int(b.ColIdx[k]) * bc
 				blk := b.Val[k*br*bc+r*bc : k*br*bc+(r+1)*bc]
 				for c, v := range blk {
@@ -157,7 +157,7 @@ func (b *BSR) ToCSR() *CSR {
 					}
 				}
 			}
-			a.RowPtr[i+1] = len(a.ColIdx)
+			a.EndRow(i)
 		}
 	}
 	return a
@@ -179,7 +179,7 @@ func blockFill(a *CSR, r int) int {
 	blocks := 0
 	for bi := 0; bi < nbr; bi++ {
 		for i := bi * r; i < (bi+1)*r; i++ {
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			for k := int(a.RowPtr[i]); k < int(a.RowPtr[i+1]); k++ {
 				if bj := int(a.ColIdx[k]) / r; bj < nbc && mark[bj] != bi {
 					mark[bj] = bi
 					blocks++
@@ -220,7 +220,7 @@ func (b *BSR) rowPartition(segs int) []int {
 }
 
 // blockRowLen returns the number of blocks stored in block row bi.
-func (b *BSR) blockRowLen(bi int) int { return b.RowPtr[bi+1] - b.RowPtr[bi] }
+func (b *BSR) blockRowLen(bi int) int { return int(b.RowPtr[bi+1] - b.RowPtr[bi]) }
 
 // mulRange computes y[..] = A[..]·x over the block rows [lo, hi),
 // dispatching to the register-blocked kernel for the common shapes.
@@ -246,7 +246,7 @@ func (b *BSR) mul2x2(y, x []float64, lo, hi int) {
 	rp, ci, vv := b.RowPtr, b.ColIdx, b.Val
 	for bi := lo; bi < hi; bi++ {
 		var s0, s1 float64
-		for k := rp[bi]; k < rp[bi+1]; k++ {
+		for k, end := int(rp[bi]), int(rp[bi+1]); k < end; k++ {
 			j := int(ci[k]) * 2
 			x0, x1 := x[j], x[j+1]
 			blk := vv[k*4 : k*4+4 : k*4+4]
@@ -264,7 +264,7 @@ func (b *BSR) mul3x3(y, x []float64, lo, hi int) {
 	rp, ci, vv := b.RowPtr, b.ColIdx, b.Val
 	for bi := lo; bi < hi; bi++ {
 		var s0, s1, s2 float64
-		for k := rp[bi]; k < rp[bi+1]; k++ {
+		for k, end := int(rp[bi]), int(rp[bi+1]); k < end; k++ {
 			j := int(ci[k]) * 3
 			x0, x1, x2 := x[j], x[j+1], x[j+2]
 			blk := vv[k*9 : k*9+9 : k*9+9]
@@ -290,7 +290,7 @@ func (b *BSR) mulGeneric(y, x []float64, lo, hi int) {
 	for bi := lo; bi < hi; bi++ {
 		for r := 0; r < br; r++ {
 			var s float64
-			for k := rp[bi]; k < rp[bi+1]; k++ {
+			for k, end := int(rp[bi]), int(rp[bi+1]); k < end; k++ {
 				j := int(ci[k]) * bc
 				row := vv[k*br*bc+r*bc : k*br*bc+(r+1)*bc]
 				for c, v := range row {
@@ -371,7 +371,7 @@ func (b *BSR) rowDot(bi, r int, x []float64) float64 {
 	rp, ci, vv := b.RowPtr, b.ColIdx, b.Val
 	br, bc := b.BR, b.BC
 	var s float64
-	for k := rp[bi]; k < rp[bi+1]; k++ {
+	for k, end := int(rp[bi]), int(rp[bi+1]); k < end; k++ {
 		j := int(ci[k]) * bc
 		row := vv[k*br*bc+r*bc : k*br*bc+(r+1)*bc]
 		for c, v := range row {

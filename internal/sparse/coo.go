@@ -75,7 +75,9 @@ func MergeRow(buf []Entry, cols []int32, vals []float64) ([]int32, []float64) {
 // cooParMinTriplets is the buffer size below which ToCSR stays serial.
 const cooParMinTriplets = 8192
 
-// ToCSR converts the buffer to CSR, summing duplicate entries.
+// ToCSR converts the buffer to CSR, summing duplicate entries. It panics
+// when the merged matrix has more than math.MaxInt32 entries, the most
+// 32-bit row pointers address.
 //
 // Contributions are bucketed by row with a counting sort, then each row is
 // sorted by column and its duplicates merged. This is O(nnz log rowlen)
@@ -118,7 +120,7 @@ func (c *COO) ToCSR() *CSR {
 			rowBuf = append(rowBuf, Entry{c.J[k], c.V[k]})
 		}
 		cols, vals = MergeRow(rowBuf, cols, vals)
-		a.RowPtr[i+1] = len(cols)
+		a.RowPtr[i+1] = rowEnd("COO.ToCSR", len(cols))
 	}
 	a.ColIdx = append(make([]int32, 0, len(cols)), cols...)
 	a.Val = append(make([]float64, 0, len(vals)), vals...)
@@ -192,9 +194,9 @@ func (c *COO) toCSRParallel(rowCount, perm []int, w int) *CSR {
 
 	a := NewCSR(c.Rows, c.Cols, 0)
 	for i := 0; i < c.Rows; i++ {
-		a.RowPtr[i+1] = a.RowPtr[i] + rowLen[i]
+		a.RowPtr[i+1] = rowEnd("COO.ToCSR", int(a.RowPtr[i])+rowLen[i])
 	}
-	total := a.RowPtr[c.Rows]
+	total := int(a.RowPtr[c.Rows])
 	a.ColIdx = make([]int32, total)
 	a.Val = make([]float64, total)
 	par.Run(w, func(s int) {

@@ -24,12 +24,13 @@ import (
 // Val. Column indices within a row are strictly increasing after
 // normalization (FromCOO and all constructors in this package guarantee
 // it); SortRows restores the invariant after manual surgery. Column
-// indices are 32-bit — a stored entry is 12 bytes with its value — so a
-// matrix has at most math.MaxInt32 columns, which NewCSR enforces. RowPtr
-// stays int: it is a small part of any matrix and bounds no entry count.
+// indices and row pointers are 32-bit — a stored entry is 12 bytes with its
+// value, a row 4 more — so a matrix has at most math.MaxInt32 columns and
+// as many entries, which NewCSR enforces. Kernels read a row's bounds into
+// int once per row.
 type CSR struct {
 	Rows, Cols int
-	RowPtr     []int
+	RowPtr     []int32
 	ColIdx     []int32
 	Val        []float64
 
@@ -44,14 +45,15 @@ type CSR struct {
 }
 
 // NewCSR returns an empty r×c matrix with capacity for nnz nonzeros. It
-// panics when c is more than math.MaxInt32, the most columns 32-bit column
-// indices address.
+// panics when c or nnz is more than math.MaxInt32, the most columns 32-bit
+// column indices and the most entries 32-bit row pointers address.
 func NewCSR(r, c, nnz int) *CSR {
 	checkCols("NewCSR", c)
+	checkEntries("NewCSR", nnz)
 	return &CSR{
 		Rows:   r,
 		Cols:   c,
-		RowPtr: make([]int, r+1),
+		RowPtr: make([]int32, r+1),
 		ColIdx: make([]int32, 0, nnz),
 		Val:    make([]float64, 0, nnz),
 	}
@@ -66,6 +68,25 @@ func checkCols(op string, c int) {
 	}
 }
 
+// checkEntries panics when nnz entries cannot be addressed by 32-bit row
+// pointers, for the same reason.
+func checkEntries(op string, nnz int) {
+	if nnz > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: %s with %d entries, more than the %d that 32-bit row pointers address", op, nnz, math.MaxInt32))
+	}
+}
+
+// rowEnd is the row pointer of a row that ends after n entries, checked.
+func rowEnd(op string, n int) int32 {
+	checkEntries(op, n)
+	return int32(n)
+}
+
+// EndRow closes row i at the entries appended so far: RowPtr[i+1] becomes
+// len(ColIdx). A builder that appends row by row calls it after each row;
+// it panics past math.MaxInt32 entries.
+func (a *CSR) EndRow(i int) { a.RowPtr[i+1] = rowEnd("EndRow", len(a.ColIdx)) }
+
 // Dims returns the matrix dimensions.
 func (a *CSR) Dims() (r, c int) { return a.Rows, a.Cols }
 
@@ -73,7 +94,7 @@ func (a *CSR) Dims() (r, c int) { return a.Rows, a.Cols }
 func (a *CSR) NNZ() int { return len(a.ColIdx) }
 
 // RowNNZ returns the number of stored entries in row i.
-func (a *CSR) RowNNZ(i int) int { return a.RowPtr[i+1] - a.RowPtr[i] }
+func (a *CSR) RowNNZ(i int) int { return int(a.RowPtr[i+1] - a.RowPtr[i]) }
 
 // Row returns the column-index and value slices of row i. The slices alias
 // the matrix storage; callers must not grow them.
@@ -145,7 +166,7 @@ func (a *CSR) Clone() *CSR {
 	b := &CSR{
 		Rows:   a.Rows,
 		Cols:   a.Cols,
-		RowPtr: append([]int(nil), a.RowPtr...),
+		RowPtr: append([]int32(nil), a.RowPtr...),
 		ColIdx: append([]int32(nil), a.ColIdx...),
 		Val:    append([]float64(nil), a.Val...),
 	}
@@ -170,12 +191,13 @@ func (a *CSR) rowPartition(segs int) []int {
 // any row partition yields bit-identical results. Hoisting each row into
 // local slices lets the compiler drop the bounds checks of the value and
 // column loads, which is worth 15–25% on stencil rows.
-func (a *CSR) mulRange(y, x []float64, lo, hi int) {
+func (a *CSR) mulRange(y, x []float64, first, end int) {
 	rp, ci, vv := a.RowPtr, a.ColIdx, a.Val
-	for i := lo; i < hi; i++ {
+	for i := first; i < end; i++ {
 		var s float64
-		row := vv[rp[i]:rp[i+1]]
-		cols := ci[rp[i]:rp[i+1]]
+		lo, hi := int(rp[i]), int(rp[i+1])
+		row := vv[lo:hi]
+		cols := ci[lo:hi]
 		for k, v := range row {
 			s += v * x[cols[k]]
 		}
@@ -183,12 +205,13 @@ func (a *CSR) mulRange(y, x []float64, lo, hi int) {
 	}
 }
 
-func (a *CSR) mulAddRange(y []float64, alpha float64, x []float64, lo, hi int) {
+func (a *CSR) mulAddRange(y []float64, alpha float64, x []float64, first, end int) {
 	rp, ci, vv := a.RowPtr, a.ColIdx, a.Val
-	for i := lo; i < hi; i++ {
+	for i := first; i < end; i++ {
 		var s float64
-		row := vv[rp[i]:rp[i+1]]
-		cols := ci[rp[i]:rp[i+1]]
+		lo, hi := int(rp[i]), int(rp[i+1])
+		row := vv[lo:hi]
+		cols := ci[lo:hi]
 		for k, v := range row {
 			s += v * x[cols[k]]
 		}
@@ -196,12 +219,13 @@ func (a *CSR) mulAddRange(y []float64, alpha float64, x []float64, lo, hi int) {
 	}
 }
 
-func (a *CSR) mulSubRange(y, x []float64, lo, hi int) {
+func (a *CSR) mulSubRange(y, x []float64, first, end int) {
 	rp, ci, vv := a.RowPtr, a.ColIdx, a.Val
-	for i := lo; i < hi; i++ {
+	for i := first; i < end; i++ {
 		var s float64
-		row := vv[rp[i]:rp[i+1]]
-		cols := ci[rp[i]:rp[i+1]]
+		lo, hi := int(rp[i]), int(rp[i+1])
+		row := vv[lo:hi]
+		cols := ci[lo:hi]
 		for k, v := range row {
 			s += v * x[cols[k]]
 		}
@@ -282,9 +306,9 @@ func (a *CSR) Transpose() *CSR {
 	for i := 0; i < a.Cols; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
-	next := append([]int(nil), t.RowPtr...)
+	next := append([]int32(nil), t.RowPtr...)
 	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+		for k := int(a.RowPtr[i]); k < int(a.RowPtr[i+1]); k++ {
 			j := a.ColIdx[k]
 			p := next[j]
 			t.ColIdx[p] = int32(i)
@@ -331,7 +355,7 @@ func (a *CSR) SortRows() {
 	a.InvalidateBlocked()
 	var s rowSorter
 	for i := 0; i < a.Rows; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		lo, hi := int(a.RowPtr[i]), int(a.RowPtr[i+1])
 		if hi-lo < 2 {
 			continue
 		}
@@ -381,7 +405,7 @@ func (a *CSR) CheckValid() error {
 	if a.RowPtr[0] != 0 {
 		return fmt.Errorf("sparse: RowPtr[0] = %d, want 0", a.RowPtr[0])
 	}
-	if a.RowPtr[a.Rows] != len(a.ColIdx) || len(a.ColIdx) != len(a.Val) {
+	if int(a.RowPtr[a.Rows]) != len(a.ColIdx) || len(a.ColIdx) != len(a.Val) {
 		return fmt.Errorf("sparse: storage lengths inconsistent: RowPtr[end]=%d len(ColIdx)=%d len(Val)=%d",
 			a.RowPtr[a.Rows], len(a.ColIdx), len(a.Val))
 	}
@@ -390,7 +414,7 @@ func (a *CSR) CheckValid() error {
 			return fmt.Errorf("sparse: RowPtr not monotone at row %d", i)
 		}
 		prev := -1
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+		for k := int(a.RowPtr[i]); k < int(a.RowPtr[i+1]); k++ {
 			j := int(a.ColIdx[k])
 			if j < 0 || j >= a.Cols {
 				return fmt.Errorf("sparse: column %d out of range in row %d", j, i)
@@ -409,7 +433,7 @@ func (a *CSR) CheckValid() error {
 func (a *CSR) Dense() *Dense {
 	d := NewDense(a.Rows, a.Cols)
 	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+		for k := int(a.RowPtr[i]); k < int(a.RowPtr[i+1]); k++ {
 			d.Set(i, int(a.ColIdx[k]), a.Val[k])
 		}
 	}
@@ -445,9 +469,9 @@ func (a *CSR) String() string {
 func Identity(n int) *CSR {
 	a := NewCSR(n, n, n)
 	for i := 0; i < n; i++ {
-		a.RowPtr[i+1] = i + 1
 		a.ColIdx = append(a.ColIdx, int32(i))
 		a.Val = append(a.Val, 1)
+		a.EndRow(i)
 	}
 	return a
 }

@@ -88,9 +88,32 @@ func TestColumnWidthGuard(t *testing.T) {
 		}()
 		NewCSR(1, wide, 0)
 	}()
-	a := &CSR{Rows: 2, Cols: 2 * wide, RowPtr: []int{0, 0, 0}}
+	a := &CSR{Rows: 2, Cols: 2 * wide, RowPtr: []int32{0, 0, 0}}
 	if _, err := ToBSR(a, 2, 2); err == nil || !strings.Contains(err.Error(), "2147483647") {
 		t.Fatalf("ToBSR with %d columns: error %v, want one naming the limit", a.Cols, err)
+	}
+}
+
+// Row pointers are stored in 32 bits too: a matrix of more entries is
+// refused naming the limit — by NewCSR before it allocates, and by rowEnd,
+// which closes every row COO.ToCSR (either path) and EndRow build — instead
+// of wrapping a row pointer silently.
+func TestEntryCountGuard(t *testing.T) {
+	const many = math.MaxInt32 + 1
+	wantPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "2147483647") || !strings.Contains(msg, what) {
+				t.Errorf("%s with %d entries: panic %q, want one naming it and the limit", what, many, msg)
+			}
+		}()
+		f()
+	}
+	wantPanic("NewCSR", func() { NewCSR(1, 1, many) })
+	wantPanic("COO.ToCSR", func() { rowEnd("COO.ToCSR", many) })
+	if got := rowEnd("COO.ToCSR", math.MaxInt32); got != math.MaxInt32 {
+		t.Errorf("rowEnd at the limit = %d", got)
 	}
 }
 
@@ -290,7 +313,7 @@ func TestAccessorsAndSortRows(t *testing.T) {
 		t.Fatal("Clone shares storage")
 	}
 	// Build unsorted rows by hand and restore the invariant.
-	m := &CSR{Rows: 1, Cols: 3, RowPtr: []int{0, 3}, ColIdx: []int32{2, 0, 1}, Val: []float64{3, 1, 2}}
+	m := &CSR{Rows: 1, Cols: 3, RowPtr: []int32{0, 3}, ColIdx: []int32{2, 0, 1}, Val: []float64{3, 1, 2}}
 	m.SortRows()
 	if err := m.CheckValid(); err != nil {
 		t.Fatal(err)

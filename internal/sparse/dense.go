@@ -59,7 +59,7 @@ func (d *Dense) MulVecTo(y, x []float64) {
 type LU struct {
 	n    int
 	lu   []float64 // packed L (unit diagonal, below) and U (on/above)
-	piv  []int
+	piv  []int32
 	sign int
 }
 
@@ -74,10 +74,10 @@ func (d *Dense) Factor() (*LU, error) {
 	// make, not append: append reports the allocator's size class as
 	// capacity, which a reduction's thousands of small factors would show
 	// as spare capacity nothing can use (core.TestSessionHoldsNoSlack).
-	f := &LU{n: n, lu: make([]float64, len(d.Data)), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, len(d.Data)), piv: make([]int32, n), sign: 1}
 	copy(f.lu, d.Data)
 	for i := range f.piv {
-		f.piv[i] = i
+		f.piv[i] = int32(i)
 	}
 	for k := 0; k < n; k++ {
 		// Pivot search in column k.

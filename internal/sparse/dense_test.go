@@ -145,7 +145,7 @@ func TestSolveManyBitsMatchSolveTo(t *testing.T) {
 		if n >= 5 {
 			moved := 0
 			for i, p := range f.piv {
-				if p != i {
+				if int(p) != i {
 					moved++
 				}
 			}

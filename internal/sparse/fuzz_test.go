@@ -112,7 +112,7 @@ func FuzzSortRows(f *testing.F) {
 				a.Val = append(a.Val, float64(int8(data[k+1])))
 				k += 2
 			}
-			a.RowPtr[i+1] = len(a.ColIdx)
+			a.EndRow(i)
 		}
 
 		type pair struct {

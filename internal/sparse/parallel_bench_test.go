@@ -97,7 +97,7 @@ func BenchmarkDotSerialVsParallel(b *testing.B) {
 func BenchmarkSortRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	const rows, perRow = 10000, 7
-	proto := &CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
+	proto := &CSR{Rows: rows, Cols: rows, RowPtr: make([]int32, rows+1)}
 	for i := 0; i < rows; i++ {
 		seen := map[int]bool{}
 		for len(seen) < perRow {
@@ -108,7 +108,7 @@ func BenchmarkSortRows(b *testing.B) {
 				proto.Val = append(proto.Val, rng.NormFloat64())
 			}
 		}
-		proto.RowPtr[i+1] = len(proto.ColIdx)
+		proto.EndRow(i)
 	}
 	shuffled := append([]int32(nil), proto.ColIdx...)
 	vals := append([]float64(nil), proto.Val...)

@@ -218,7 +218,8 @@ func TestRowPartition(t *testing.T) {
 			}
 			// Segment s starts at the first row with s·nnz/segs entries
 			// before it.
-			if want := sort.SearchInts(a.RowPtr, s*a.NNZ()/segs); b[s] != want {
+			want := sort.Search(len(a.RowPtr), func(k int) bool { return int(a.RowPtr[k]) >= s*a.NNZ()/segs })
+			if b[s] != want {
 				t.Fatalf("segs=%d: segment %d starts at row %d, want %d", segs, s, b[s], want)
 			}
 		}
@@ -249,7 +250,7 @@ func TestSortRowsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	// Row 0 long (> insertionSortMaxRow), remaining rows short.
 	rowLens := []int{insertionSortMaxRow * 3, 1, 0, 7, insertionSortMaxRow}
-	a := &CSR{Rows: len(rowLens), Cols: 1000, RowPtr: make([]int, len(rowLens)+1)}
+	a := &CSR{Rows: len(rowLens), Cols: 1000, RowPtr: make([]int32, len(rowLens)+1)}
 	type pair struct {
 		c int
 		v float64
@@ -270,7 +271,7 @@ func TestSortRowsMatchesReference(t *testing.T) {
 			a.ColIdx = append(a.ColIdx, int32(p.c))
 			a.Val = append(a.Val, p.v)
 		}
-		a.RowPtr[i+1] = len(a.ColIdx)
+		a.EndRow(i)
 		sorted := append([]pair(nil), ps...)
 		for x := 1; x < len(sorted); x++ {
 			for y := x; y > 0 && sorted[y-1].c > sorted[y].c; y-- {

@@ -4,13 +4,14 @@ import "fmt"
 
 // Perm is a permutation of {0, …, n−1}. p[i] = j means "new position i
 // holds old index j", i.e. applying p to a vector x yields y[i] = x[p[i]].
-type Perm []int
+// Its entries are 32-bit, like the matrix indices it permutes.
+type Perm []int32
 
 // IdentityPerm returns the identity permutation of length n.
 func IdentityPerm(n int) Perm {
 	p := make(Perm, n)
 	for i := range p {
-		p[i] = i
+		p[i] = int32(i)
 	}
 	return p
 }
@@ -19,7 +20,7 @@ func IdentityPerm(n int) Perm {
 func (p Perm) Inverse() Perm {
 	q := make(Perm, len(p))
 	for i, v := range p {
-		q[v] = i
+		q[v] = int32(i)
 	}
 	return q
 }
@@ -28,7 +29,7 @@ func (p Perm) Inverse() Perm {
 func (p Perm) IsValid() bool {
 	seen := make([]bool, len(p))
 	for _, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
+		if v < 0 || int(v) >= len(p) || seen[v] {
 			return false
 		}
 		seen[v] = true
@@ -84,14 +85,13 @@ func PermuteSym(a *CSR, p Perm) *CSR {
 	inv := p.Inverse()
 	b := NewCSR(a.Rows, a.Cols, a.NNZ())
 	for i := 0; i < b.Rows; i++ {
-		old := p[i]
-		cols, vals := a.Row(old)
+		cols, vals := a.Row(int(p[i]))
 		start := len(b.ColIdx)
 		for k, j := range cols {
-			b.ColIdx = append(b.ColIdx, int32(inv[j]))
+			b.ColIdx = append(b.ColIdx, inv[j])
 			b.Val = append(b.Val, vals[k])
 		}
-		b.RowPtr[i+1] = len(b.ColIdx)
+		b.EndRow(i)
 		SortRow(b.ColIdx[start:], b.Val[start:])
 	}
 	return b
@@ -120,17 +120,17 @@ func SortRow(cols []int32, vals []float64) {
 // A(rows[i], cols[j]). Columns of A not listed in cols are dropped. The
 // result is counted before it is allocated, so it carries no spare
 // capacity.
-func Extract(a *CSR, rows, cols []int) *CSR {
+func Extract[I ~int | ~int32](a *CSR, rows, cols []I) *CSR {
 	// newCol maps an old column to its new index, or to -1 when it is
 	// dropped: an offset when cols is a contiguous ascending range (every
 	// block split in this repository), a dense index array otherwise.
 	lo, hi := 0, 0
 	if len(cols) > 0 {
-		lo, hi = cols[0], cols[0]+len(cols)
+		lo, hi = int(cols[0]), int(cols[0])+len(cols)
 	}
 	contiguous := true
 	for k, j := range cols {
-		if j != lo+k {
+		if int(j) != lo+k {
 			contiguous = false
 			break
 		}
@@ -142,7 +142,7 @@ func Extract(a *CSR, rows, cols []int) *CSR {
 			colMap[c] = -1
 		}
 		for newJ, oldJ := range cols {
-			if oldJ >= 0 && oldJ < a.Cols {
+			if oldJ >= 0 && int(oldJ) < a.Cols {
 				colMap[oldJ] = newJ
 			}
 		}
@@ -159,7 +159,7 @@ func Extract(a *CSR, rows, cols []int) *CSR {
 
 	nnz := 0
 	for _, oldI := range rows {
-		cs, _ := a.Row(oldI)
+		cs, _ := a.Row(int(oldI))
 		for _, j := range cs {
 			if newCol(int(j)) >= 0 {
 				nnz++
@@ -168,7 +168,7 @@ func Extract(a *CSR, rows, cols []int) *CSR {
 	}
 	b := NewCSR(len(rows), len(cols), nnz)
 	for i, oldI := range rows {
-		cs, vs := a.Row(oldI)
+		cs, vs := a.Row(int(oldI))
 		start := len(b.ColIdx)
 		for k, j := range cs {
 			if nj := newCol(int(j)); nj >= 0 {
@@ -176,7 +176,7 @@ func Extract(a *CSR, rows, cols []int) *CSR {
 				b.Val = append(b.Val, vs[k])
 			}
 		}
-		b.RowPtr[i+1] = len(b.ColIdx)
+		b.EndRow(i)
 		SortRow(b.ColIdx[start:], b.Val[start:])
 	}
 	return b

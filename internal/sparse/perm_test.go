@@ -8,7 +8,11 @@ import (
 )
 
 func randPerm(rng *rand.Rand, n int) Perm {
-	return Perm(rng.Perm(n))
+	p := make(Perm, n)
+	for i, v := range rng.Perm(n) {
+		p[i] = int32(v)
+	}
+	return p
 }
 
 func TestPermInverseProperty(t *testing.T) {
@@ -21,7 +25,7 @@ func TestPermInverseProperty(t *testing.T) {
 			return false
 		}
 		for i := range p {
-			if q[p[i]] != i || p[q[i]] != i {
+			if int(q[p[i]]) != i || int(p[q[i]]) != i {
 				return false
 			}
 		}
@@ -78,7 +82,7 @@ func TestPermuteSymConsistency(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if got, want := b.At(i, j), a.At(p[i], p[j]); got != want {
+				if got, want := b.At(i, j), a.At(int(p[i]), int(p[j])); got != want {
 					t.Fatalf("trial %d: B(%d,%d)=%v, want A(p_i,p_j)=%v", trial, i, j, got, want)
 				}
 			}
@@ -115,7 +119,7 @@ func TestExtract(t *testing.T) {
 
 func TestExtractEmpty(t *testing.T) {
 	a := Identity(5)
-	b := Extract(a, nil, nil)
+	b := Extract[int](a, nil, nil)
 	if b.Rows != 0 || b.Cols != 0 || b.NNZ() != 0 {
 		t.Fatalf("Extract(nil,nil) = %v", b)
 	}

@@ -66,8 +66,8 @@ func TestPermuteSymComposition(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(15)
 		a := randCSR(rng, n, n, 0.3)
-		p1 := Perm(rng.Perm(n))
-		p2 := Perm(rng.Perm(n))
+		p1 := randPerm(rng, n)
+		p2 := randPerm(rng, n)
 		b := PermuteSym(PermuteSym(a, p1), p2)
 		q := make(Perm, n)
 		for i := range q {

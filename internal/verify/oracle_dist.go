@@ -54,7 +54,7 @@ func newSeqMirror(systems []*dsys.System) *seqMirror {
 	for r, s := range systems {
 		m.offs[r+1] = m.offs[r] + s.NLoc()
 		for l, g := range s.GlobalIDs {
-			idx[g] = m.offs[r] + l
+			idx[int(g)] = m.offs[r] + l
 		}
 	}
 	m.n = m.offs[len(systems)]
@@ -63,7 +63,7 @@ func newSeqMirror(systems []*dsys.System) *seqMirror {
 	for r, s := range systems {
 		m.extSrc[r] = make([]int, s.NExt())
 		for k, g := range s.ExtGlobal {
-			m.extSrc[r][k] = idx[g]
+			m.extSrc[r][k] = idx[int(g)]
 		}
 		m.ext[r] = make([]float64, s.NLoc()+s.NExt())
 	}

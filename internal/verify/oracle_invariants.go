@@ -117,7 +117,7 @@ func checkPermIdentity(cfg Config) []Violation {
 			// Inverse inverts.
 			inv := p.Inverse()
 			for i := range p {
-				if inv[p[i]] != i {
+				if int(inv[p[i]]) != i {
 					out = append(out, Violation{"perm-identity",
 						fmt.Sprintf("Inverse()[p[%d]] = %d", i, inv[p[i]]), repro(n, seed, "")})
 					break
@@ -130,10 +130,10 @@ func checkPermIdentity(cfg Config) []Violation {
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					//lint:ignore floatcmp permutation moves values without arithmetic, bit-exactness is the oracle
-					if bd.At(i, j) != ad.At(p[i], p[j]) {
+					if bd.At(i, j) != ad.At(int(p[i]), int(p[j])) {
 						out = append(out, Violation{"perm-identity",
 							fmt.Sprintf("PermuteSym entry (%d,%d) = %g, dense congruence %g",
-								i, j, bd.At(i, j), ad.At(p[i], p[j])),
+								i, j, bd.At(i, j), ad.At(int(p[i]), int(p[j]))),
 							repro(n, seed, "")})
 					}
 				}
@@ -407,9 +407,9 @@ func reassembleAndCompare(a *sparse.CSR, b []float64, part []int, systems []*dsy
 		// ExtGlobal[l-NLoc].
 		colG := func(l int) int {
 			if l < s.NLoc() {
-				return s.GlobalIDs[l]
+				return int(s.GlobalIDs[l])
 			}
-			return s.ExtGlobal[l-s.NLoc()]
+			return int(s.ExtGlobal[l-s.NLoc()])
 		}
 		for l, g := range s.GlobalIDs {
 			if seen[g] {
@@ -424,7 +424,7 @@ func reassembleAndCompare(a *sparse.CSR, b []float64, part []int, systems []*dsy
 			}
 			cols, vals := s.A.Row(l)
 			for k, lj := range cols {
-				ref.Add(g, colG(int(lj)), vals[k])
+				ref.Add(int(g), colG(int(lj)), vals[k])
 			}
 		}
 	}

@@ -188,7 +188,9 @@ func schurOperatorOne(gname string, a *sparse.CSR, n, p int, seed int64) []Viola
 	var ifaceGlobals []int
 	offs := make([]int, p+1)
 	for r, s := range systems {
-		ifaceGlobals = append(ifaceGlobals, s.GlobalIDs[s.NInt:]...)
+		for _, g := range s.GlobalIDs[s.NInt:] {
+			ifaceGlobals = append(ifaceGlobals, int(g))
+		}
 		offs[r+1] = offs[r] + s.NIface()
 	}
 	nI := len(ifaceGlobals)
