@@ -201,11 +201,11 @@ func SolveRank(p *Problem, cfg Config, rank int, tr dist.Transport, sink ckpt.Si
 	if cfg.P < 1 || rank < 0 || rank >= cfg.P {
 		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: rank %d of P=%d", rank, cfg.P)
 	}
-	if cfg.Schwarz != nil || cfg.OverlapLevels > 0 {
-		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: overlapping/Schwarz preconditioners are shared-memory wired and cannot run multi-process")
-	}
 	if err := resolveConfig(&cfg); err != nil {
 		return krylov.Result{}, dist.Stats{}, err
+	}
+	if cfg.Schwarz != nil || cfg.OverlapLevels > 0 && cfg.Precond.HasBlockVariants() {
+		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: overlapping/Schwarz preconditioners are shared-memory wired and cannot run multi-process")
 	}
 	if len(p.B) != p.A.Rows {
 		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: rhs length %d, want %d", len(p.B), p.A.Rows)

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -126,13 +127,14 @@ type Config struct {
 	// None).
 	UseCG   bool
 	Schwarz *precond.SchwarzOptions // non-nil: additive Schwarz instead of Precond
-	// OverlapLevels > 0 upgrades the Block preconditioners to their
-	// overlapping (restricted additive Schwarz) variants with this many
-	// extra graph layers per subdomain — the §1.1 "increased overlap"
-	// extension.
+	// OverlapLevels > 0 upgrades Block 1 and Block 2
+	// (precond.Kind.HasBlockVariants) to their overlapping (restricted
+	// additive Schwarz) variants with this many extra graph layers per
+	// subdomain — the §1.1 "increased overlap" extension.
 	OverlapLevels int
 	// RCM reorders each subdomain block with reverse Cuthill–McKee before
-	// factoring (Block 1/2 only).
+	// factoring: Block 1/2 without overlap, and the Block 2 the resilient
+	// ladder falls back to.
 	RCM      bool
 	Solver   krylov.Options
 	KeepX    bool  // gather and return the global solution
@@ -414,22 +416,16 @@ func recordLayout(col *obs.Collector, reused bool) {
 // cfg.Precond) and SolveRank.
 func buildRankPrecond(cfg Config, s *dsys.System, kind precond.Kind) (precond.Preconditioner, error) {
 	switch {
-	case kind == precond.KindBlock1 && cfg.RCM:
-		return precond.NewBlockOrdered(s, true, cfg.ILUT)
-	case kind == precond.KindBlock2 && cfg.RCM:
-		return precond.NewBlockOrdered(s, false, cfg.ILUT)
+	case kind.HasBlockVariants() && cfg.RCM:
+		return precond.NewBlockOrdered(s, kind == precond.KindBlock1, cfg.ILUT)
 	case kind == precond.KindBlock1:
 		return precond.NewBlock1(s)
 	case kind == precond.KindBlock2:
 		return precond.NewBlock2(s, cfg.ILUT)
 	case kind == precond.KindBlockARMS:
 		return precond.NewBlockARMS(s, cfg.ARMS)
-	case kind == precond.KindBlock2P:
-		pt := cfg.PermTol
-		if pt == 0 {
-			pt = 1
-		}
-		return precond.NewBlock2Pivot(s, ilu.ILUTPOptions{ILUTOptions: cfg.ILUT, PermTol: pt})
+	case kind == precond.KindBlock2P: // a zero PermTol stands for the default, 1
+		return precond.NewBlock2Pivot(s, ilu.ILUTPOptions{ILUTOptions: cfg.ILUT, PermTol: cmp.Or(cfg.PermTol, 1)})
 	case kind == precond.KindBlockIC:
 		return precond.NewBlockIC(s)
 	case kind == precond.KindSchur1:
@@ -465,29 +461,17 @@ func resolveConfig(cfg *Config) error {
 	return nil
 }
 
-// fallbackKind maps the configured preconditioner to the escalation
-// ladder's alternative: the Schur variants fall back to the cheap,
-// structurally different Block 2, everything else escalates to the
-// paper's most robust method, Schur 1.
-func fallbackKind(k precond.Kind) precond.Kind {
-	switch k {
-	case precond.KindSchur1, precond.KindSchur2:
-		return precond.KindBlock2
-	default:
-		return precond.KindSchur1
-	}
-}
-
 // resilientLadder assembles the two-stage escalation ladder for one rank:
 // stage 0 is the already-built configured preconditioner, stage 1 lazily
-// constructs the fallback kind. Because Schur preconditioners communicate
-// inside Apply, a per-rank build failure must be decided collectively —
-// mixed identity/Schur applications would deadlock — so the lazy
-// constructor reduces a success flag across ranks and every rank falls
-// back to no preconditioning if any build failed. The fallback's setup
-// cost is charged to the virtual clock only when the ladder reaches it.
+// constructs its precond.Kind.Fallback. Because Schur preconditioners
+// communicate inside Apply, a per-rank build failure must be decided
+// collectively — mixed identity/Schur applications would deadlock — so the
+// lazy constructor reduces a success flag across ranks and every rank
+// falls back to no preconditioning if any build failed. The fallback's
+// setup cost is charged to the virtual clock only when the ladder reaches
+// it.
 func resilientLadder(cfg Config, c *dist.Comm, s *dsys.System, prec krylov.Prec) []krylov.Stage {
-	fk := fallbackKind(cfg.Precond)
+	fk := cfg.Precond.Fallback()
 	return []krylov.Stage{
 		{Name: string(cfg.Precond), Prec: func() krylov.Prec { return prec }},
 		{Name: string(fk), Prec: func() krylov.Prec {
@@ -530,7 +514,7 @@ func buildPrecs(a *sparse.CSR, lay *layout, cfg Config) ([]precond.Preconditione
 		for r, sw := range schwarz {
 			pcs[r] = sw
 		}
-	case cfg.OverlapLevels > 0 && (cfg.Precond == precond.KindBlock1 || cfg.Precond == precond.KindBlock2):
+	case cfg.OverlapLevels > 0 && cfg.Precond.HasBlockVariants():
 		blocks, err := precond.BuildOverlapBlocks(a, lay.systems, precond.OverlapOptions{
 			Levels:  cfg.OverlapLevels,
 			UseILU0: cfg.Precond == precond.KindBlock1,
@@ -565,16 +549,10 @@ func buildPrecs(a *sparse.CSR, lay *layout, cfg Config) ([]precond.Preconditione
 const setupFlopFactor = 3
 
 // setupFlops estimates the flops of building pc (heuristic), what every
-// path charges for it: setupFlopFactor solve sweeps over the factorization
-// footprint each preconditioner reports via SetupFlops or FactorNNZ.
+// path charges for it: setupFlopFactor solve sweeps over the footprint the
+// preconditioner reports (Preconditioner.SetupFlops).
 func setupFlops(pc precond.Preconditioner) float64 {
-	var sweep float64
-	if v, ok := pc.(interface{ SetupFlops() float64 }); ok {
-		sweep = v.SetupFlops()
-	} else if b, ok := pc.(interface{ FactorNNZ() int }); ok {
-		sweep = 2 * float64(b.FactorNNZ())
-	}
-	return setupFlopFactor * sweep
+	return setupFlopFactor * pc.SetupFlops()
 }
 
 // Verify solves the problem sequentially with plain GMRES to tight

@@ -196,6 +196,43 @@ func TestUnknownPrecondIsRejected(t *testing.T) {
 	}
 }
 
+// TestSolveRankRefusesOverlapWhereItApplies: a multi-process worker
+// refuses the shared-memory wired overlapping blocks, and solves a kind
+// that ignores OverlapLevels (precond.Kind.HasBlockVariants) as if it were
+// zero, to the bit.
+func TestSolveRankRefusesOverlapWhereItApplies(t *testing.T) {
+	c, _ := cases.ByName("tc1-poisson2d")
+	prob := c.Build(9)
+	cfg := core.DefaultConfig(2, precond.KindBlock2)
+	cfg.OverlapLevels = 1
+	if _, _, err := core.SolveRank(prob, cfg, 0, dist.NewLoopback(2, 0), nil); err == nil {
+		t.Error("SolveRank ran overlapping Block 2")
+	}
+	solve := func(overlap int) []float64 {
+		cfg := core.DefaultConfig(2, precond.KindBlockIC)
+		cfg.OverlapLevels = overlap
+		tr := dist.NewLoopback(2, 0)
+		clocks := make([]float64, 2)
+		errs := make(chan error, 2)
+		for r := range 2 {
+			go func() {
+				_, st, err := core.SolveRank(prob, cfg, r, tr, nil)
+				clocks[r] = st.Clock
+				errs <- err
+			}()
+		}
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatalf("Block IC, OverlapLevels %d: %v", overlap, err)
+			}
+		}
+		return clocks
+	}
+	if got, want := solve(1), solve(0); got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("Block IC with OverlapLevels 1: clocks %v, without %v", got, want)
+	}
+}
+
 func TestUnpreconditionedBaseline(t *testing.T) {
 	res := solveCase(t, "tc1-poisson2d", 17, 2, precond.KindNone, func(cfg *core.Config) {
 		cfg.Solver.MaxIters = 2000

@@ -144,8 +144,8 @@ func TestSchurPrecondFaultSurfacesTypedExchangeError(t *testing.T) {
 
 // A Schur 1 breakdown under persistent corruption must walk the resilient
 // escalation ladder: retry the Schur 1 stage, then fall back to the
-// structurally different Block 2 (fallbackKind routes the Schur variants
-// there). The recovery log names both stages.
+// structurally different Block 2 (precond.Kind.Fallback routes the Schur
+// variants there). The recovery log names both stages.
 func TestResilientFallbackNamesBothStages(t *testing.T) {
 	skipUnderParanoid(t)
 	prob := buildProblem(t, "tc1-poisson2d", 33)

@@ -115,6 +115,19 @@ func (s *Spec) Validate() error {
 		s.Overlap < 0 || s.CheckpointEvery < 0 {
 		return fmt.Errorf("gateway: negative spec parameter")
 	}
+	// What the solve ignores is cleared, so that it does not split the
+	// session cache: CG runs no escalation ladder, overlap is read by the
+	// kinds with block variants only, and RCM by those without overlap and
+	// by the resilient ladder's fallback.
+	if s.UseCG {
+		s.Resilient = false
+	}
+	if !kind.HasBlockVariants() {
+		s.Overlap = 0
+	}
+	if s.Overlap > 0 || !kind.HasBlockVariants() && !(s.Resilient && kind.Fallback().HasBlockVariants()) {
+		s.RCM = false
+	}
 	def := core.DefaultConfig(s.Procs, kind).Solver
 	if s.MaxIters == 0 {
 		s.MaxIters = def.MaxIters

@@ -98,11 +98,39 @@ func TestSpecSpellingsShareOneKey(t *testing.T) {
 			short.SessionKey(), long.SessionKey(), short.problemKey(), long.problemKey())
 	}
 
-	srv, ts := newTestServer(t, Options{Workers: 1})
-	for _, spec := range []*Spec{{Case: c.Name}, {Case: c.Name, Size: c.DefaultSize, MaxIters: def.MaxIters, Restart: def.Restart, Tol: def.Tol}} {
-		streamEvents(t, ts, submitOK(t, ts, "alice", spec))
+	// A field the solve ignores is a spelling too: RCM and overlap on a
+	// kind without block variants, RCM beside overlap, resilience under CG.
+	pairs := [][2]*Spec{
+		{{Case: c.Name}, {Case: c.Name, Size: c.DefaultSize, MaxIters: def.MaxIters, Restart: def.Restart, Tol: def.Tol}},
+		{{Case: c.Name, Precond: "Schur 1"}, {Case: c.Name, Precond: "Schur 1", RCM: true}},
+		{{Case: c.Name, Precond: "Block IC"}, {Case: c.Name, Precond: "Block IC", Overlap: 1, RCM: true}},
+		{{Case: c.Name, Overlap: 1}, {Case: c.Name, Overlap: 1, RCM: true}},
+		{{Case: c.Name, Precond: "Block IC", UseCG: true}, {Case: c.Name, Precond: "Block IC", UseCG: true, Resilient: true}},
 	}
-	if st := srv.sessions.stats(); st.Sessions != 1 || st.Problems != 1 || st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("%+v; want one session on one problem, built once and hit once", st)
+	// and what a solve reads is not: RCM on Block 2, and on the Block 2
+	// that a resilient Schur 1 falls back to.
+	for _, distinct := range [][2]*Spec{
+		{{Case: c.Name}, {Case: c.Name, RCM: true}},
+		{{Case: c.Name, Precond: "Schur 1", Resilient: true}, {Case: c.Name, Precond: "Schur 1", Resilient: true, RCM: true}},
+	} {
+		for _, spec := range distinct {
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if distinct[0].SessionKey() == distinct[1].SessionKey() {
+			t.Errorf("%+v and %+v share a session key", *distinct[0], *distinct[1])
+		}
+	}
+
+	srv, ts := newTestServer(t, Options{Workers: 1})
+	for _, pair := range pairs {
+		for _, spec := range pair {
+			streamEvents(t, ts, submitOK(t, ts, "alice", spec))
+		}
+	}
+	n := len(pairs)
+	if st := srv.sessions.stats(); st.Sessions != n || st.Problems != 1 || st.Misses != int64(n) || st.Hits != int64(n) {
+		t.Fatalf("%+v; want %d sessions on one problem, each built once and hit once", st, n)
 	}
 }

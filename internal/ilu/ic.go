@@ -21,6 +21,9 @@ type Chol struct {
 // N returns the matrix dimension.
 func (c *Chol) N() int { return c.L.Rows }
 
+// NNZ returns the number of stored entries of L (Lt is its transpose).
+func (c *Chol) NNZ() int { return c.L.NNZ() }
+
 // SolveFlops returns the cost of one Solve application. The factor L is
 // applied twice (L and Lᵀ), so the 2-flops-per-applied-entry convention
 // shared with LU.SolveFlops gives 4·NNZ(L). The exact kernel count is

@@ -48,11 +48,11 @@ func (t *tri) row(i int) ([]int32, []float64) {
 	return t.col[lo:hi], t.val[lo:hi]
 }
 
-// triBufs recycles the col/val pairs ILUT and ILUTP build their triangles
-// in. Those are sized from a bound (ilutCap), several times what the
-// factor ends up holding, and dead as soon as keep has copied the factor
-// out — without the pool every factorization allocates, clears and drops
-// them again.
+// triBufs recycles the col/val pairs eliminate builds its triangles in.
+// Those are sized from a bound (ilutCap), several times what the factor
+// ends up holding, and dead as soon as keep has copied the factor out —
+// without the pool every factorization allocates, clears and drops them
+// again.
 var triBufs sync.Pool // of *tri with a nil ptr
 
 // leaseTri is newTri with col and val taken from triBufs when it holds a

@@ -1,6 +1,7 @@
 package ilu
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -466,13 +467,20 @@ func farArrow(n int) *sparse.CSR {
 }
 
 // benchFactorMatrices are the inputs of the factorization benchmarks: a
-// random block with fill everywhere, and the arrow whose rows are as far
-// apart as rows get.
+// random block with fill everywhere, the arrow whose rows are as far apart
+// as rows get, and the 4-way rank blocks of the paper's FEM operators at
+// the benchmark's sizes — what Block 2 and Schur 1 hand to ILUT.
 func benchFactorMatrices() []namedMatrix {
-	return []namedMatrix{
+	out := []namedMatrix{
 		{"random", randSPDish(rand.New(rand.NewSource(8)), 500, 0.02)},
 		{"arrow", farArrow(200000)},
 	}
+	for _, m := range []namedMatrix{{"laplacian2d", lap2D(130)}, {"convdiff", convDiff(129)}, {"elasticity", elasticity(49)}} {
+		for r, b := range rankBlocks(m.a, 4) {
+			out = append(out, namedMatrix{fmt.Sprintf("%s/rank%d", m.name, r), b})
+		}
+	}
+	return out
 }
 
 type namedMatrix struct {

@@ -144,7 +144,7 @@ func TestILUTPPermutationValid(t *testing.T) {
 	if err := m.CheckValid(); err != nil {
 		t.Fatal(err)
 	}
-	if p.SolveFlops() <= 0 {
+	if p.LU.SolveFlops() <= 0 {
 		t.Fatal("SolveFlops")
 	}
 }

@@ -17,17 +17,27 @@ import (
 // backward/forward procedure of an incomplete factorization. No
 // communication is involved, which gives these preconditioners their
 // excellent per-iteration scalability — and, for Block 1, the often slow
-// convergence the paper reports.
+// convergence the paper reports. One type serves every factor the kinds
+// hold: ILU(0) (Block 1), ILUT (Block 2), ILUTP (Block 2P) and IC(0)
+// (Block IC), the first two optionally RCM-ordered.
 type Block struct {
 	name string
-	f    *ilu.LU
-	// Optional fill-reducing pre-ordering (RCM): the factorization is of
-	// P·A_i·Pᵀ and Apply permutes in and out through a pair of vectors
-	// the rank leases from pool for its solve (dist.Comm.Lease), so
-	// simultaneous core.Session solves over one preconditioner set share
-	// nothing mutable.
-	perm sparse.Perm
-	pool sync.Pool
+	f    factor
+	// Optional permutations, nil for a factor of A_i itself. RCM factors
+	// P·A_i·Pᵀ: Apply gathers r through rowPerm and scatters the solution
+	// through colPerm, both P. ILUTP factors A_i·Qᵀ: only the solution is
+	// scattered, through Q. The permuted vectors are a pair the rank leases
+	// from pool for its solve (dist.Comm.Lease), so simultaneous
+	// core.Session solves over one preconditioner set share nothing mutable.
+	rowPerm, colPerm sparse.Perm
+	pool             sync.Pool
+}
+
+// factor is a Block's subdomain solver: *ilu.LU or *ilu.Chol.
+type factor interface {
+	Solve(z, r []float64)
+	SolveFlops() float64
+	NNZ() int
 }
 
 // vecPair is the input and output of one solve in another numbering: a
@@ -39,45 +49,58 @@ func newVecPair(n int) func() any {
 	return func() any { return &vecPair{r: make([]float64, n), z: make([]float64, n)} }
 }
 
+// newBlock wraps the factor a constructor built, or names the rank in the
+// error of one that failed. Apply permutes through row and col when they
+// are not nil.
+func newBlock(s *dsys.System, name string, f factor, err error, row, col sparse.Perm) (*Block, error) {
+	if err != nil {
+		return nil, fmt.Errorf("precond: %s rank %d: %w", name, s.Rank, err)
+	}
+	b := &Block{name: name, f: f, rowPerm: row, colPerm: col}
+	if col != nil {
+		b.pool.New = newVecPair(len(col))
+	}
+	return b, nil
+}
+
 // NewBlock1 builds the Block 1 preconditioner (ILU(0) subdomain solver)
 // for this rank's subdomain.
 func NewBlock1(s *dsys.System) (*Block, error) {
 	f, err := ilu.ILU0(s.OwnedBlock())
-	if err != nil {
-		return nil, fmt.Errorf("precond: Block 1 rank %d: %w", s.Rank, err)
-	}
-	return &Block{name: string(KindBlock1), f: f}, nil
+	return newBlock(s, string(KindBlock1), f, err, nil, nil)
 }
 
 // NewBlock2 builds the Block 2 preconditioner (ILUT subdomain solver) for
 // this rank's subdomain.
 func NewBlock2(s *dsys.System, opt ilu.ILUTOptions) (*Block, error) {
 	f, err := ilu.ILUT(s.OwnedBlock(), opt)
+	return newBlock(s, string(KindBlock2), f, err, nil, nil)
+}
+
+// NewBlock2Pivot builds Block 2P, block Jacobi with a column-pivoting ILUTP
+// subdomain factorization — the pARMS robustness option for subdomain
+// blocks with weak diagonals (strong convection, saddle-like couplings).
+// A factorization that swapped no column is Block 2's factor and applies
+// as Block 2 does.
+func NewBlock2Pivot(s *dsys.System, opt ilu.ILUTPOptions) (*Block, error) {
+	p, err := ilu.ILUTP(s.OwnedBlock(), opt)
 	if err != nil {
-		return nil, fmt.Errorf("precond: Block 2 rank %d: %w", s.Rank, err)
+		return newBlock(s, string(KindBlock2P), nil, err, nil, nil)
 	}
-	return &Block{name: string(KindBlock2), f: f}, nil
+	var q sparse.Perm
+	if p.Swaps > 0 {
+		q = p.Perm
+	}
+	return newBlock(s, string(KindBlock2P), p.LU, nil, nil, q)
 }
 
-// Apply performs the subdomain backward/forward solve.
-func (b *Block) Apply(c *dist.Comm, z, r []float64) {
-	if b.perm == nil {
-		b.f.Solve(z, r)
-		c.Compute(b.f.SolveFlops())
-		return
-	}
-	sc := c.Lease(&b.pool).(*vecPair)
-	b.perm.ApplyVecTo(sc.r, r)
-	b.f.Solve(sc.z, sc.r)
-	b.perm.ScatterVecTo(z, sc.z)
-	c.Compute(b.f.SolveFlops() + 2*float64(len(r)))
+// NewBlockIC builds Block IC, block Jacobi with an IC(0) subdomain solver
+// — a symmetric positive definite preconditioner, the correct companion
+// for the distributed CG baseline on the paper's SPD test cases (1–4, 6).
+func NewBlockIC(s *dsys.System) (*Block, error) {
+	c, err := ilu.IC0(s.OwnedBlock())
+	return newBlock(s, string(KindBlockIC), c, err, nil, nil)
 }
-
-// Name returns the paper's notation for this preconditioner.
-func (b *Block) Name() string { return b.name }
-
-// FactorNNZ reports the stored factor size (diagnostics/benchmarks).
-func (b *Block) FactorNNZ() int { return b.f.NNZ() }
 
 // NewBlockOrdered builds a block preconditioner whose subdomain block is
 // RCM-reordered before factoring — a fill-quality upgrade especially for
@@ -87,22 +110,41 @@ func NewBlockOrdered(s *dsys.System, useILU0 bool, opt ilu.ILUTOptions) (*Block,
 	blk := s.OwnedBlock()
 	perm := order.RCM(blk)
 	pblk := sparse.PermuteSym(blk, perm)
-	var f *ilu.LU
-	var err error
-	name := string(KindBlock2) + " (RCM)"
 	if useILU0 {
-		f, err = ilu.ILU0(pblk)
-		name = string(KindBlock1) + " (RCM)"
-	} else {
-		f, err = ilu.ILUT(pblk, opt)
+		f, err := ilu.ILU0(pblk)
+		return newBlock(s, string(KindBlock1)+" (RCM)", f, err, perm, perm)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("precond: ordered block rank %d: %w", s.Rank, err)
-	}
-	b := &Block{name: name, f: f, perm: perm}
-	b.pool.New = newVecPair(blk.Rows)
-	return b, nil
+	f, err := ilu.ILUT(pblk, opt)
+	return newBlock(s, string(KindBlock2)+" (RCM)", f, err, perm, perm)
 }
+
+// Apply performs the subdomain backward/forward solve. The model charges
+// the factor's solve, plus 2n for the gather and scatter of a symmetric
+// (RCM) permutation; a column scatter alone (ILUTP's) moves data and
+// performs no arithmetic.
+func (b *Block) Apply(c *dist.Comm, z, r []float64) {
+	if b.colPerm == nil {
+		b.f.Solve(z, r)
+		c.Compute(b.f.SolveFlops())
+		return
+	}
+	sc := c.Lease(&b.pool).(*vecPair)
+	in, flops := r, b.f.SolveFlops()
+	if b.rowPerm != nil {
+		b.rowPerm.ApplyVecTo(sc.r, r)
+		in, flops = sc.r, flops+2*float64(len(r))
+	}
+	b.f.Solve(sc.z, in)
+	b.colPerm.ScatterVecTo(z, sc.z)
+	c.Compute(flops)
+}
+
+// Name returns the paper's notation for this preconditioner.
+func (b *Block) Name() string { return b.name }
+
+// SetupFlops estimates the construction cost: a sweep over the stored
+// factor, 2·nnz.
+func (b *Block) SetupFlops() float64 { return 2 * float64(b.f.NNZ()) }
 
 // BlockARMS is block Jacobi with a multilevel ARMS subdomain solver — the
 // remaining pARMS combination the paper's setup offers (its Schur 2 uses
@@ -138,70 +180,3 @@ func (b *BlockARMS) Name() string { return string(KindBlockARMS) }
 
 // SetupFlops estimates the construction cost.
 func (b *BlockARMS) SetupFlops() float64 { return 2 * b.solver.SolveFlops() }
-
-// BlockPivot is block Jacobi with a column-pivoting ILUTP subdomain
-// factorization — the pARMS robustness option for subdomain blocks with
-// weak diagonals (strong convection, saddle-like couplings).
-type BlockPivot struct {
-	p *ilu.PivLU
-	// pool recycles the vector PivLU.Solve permutes through, one per solve
-	// in flight on each rank (simultaneous Session solves overlap).
-	pool sync.Pool
-}
-
-// NewBlock2Pivot builds the pivoting block preconditioner for this rank's
-// subdomain.
-func NewBlock2Pivot(s *dsys.System, opt ilu.ILUTPOptions) (*BlockPivot, error) {
-	p, err := ilu.ILUTP(s.OwnedBlock(), opt)
-	if err != nil {
-		return nil, fmt.Errorf("precond: Block 2P rank %d: %w", s.Rank, err)
-	}
-	b := &BlockPivot{p: p}
-	n := p.LU.N()
-	b.pool.New = func() any { tmp := make([]float64, n); return &tmp }
-	return b, nil
-}
-
-// Apply performs the pivoted backward/forward solve.
-func (b *BlockPivot) Apply(c *dist.Comm, z, r []float64) {
-	b.p.Solve(z, r, *c.Lease(&b.pool).(*[]float64))
-	c.Compute(b.p.SolveFlops())
-}
-
-// Name returns the preconditioner's notation.
-func (b *BlockPivot) Name() string { return string(KindBlock2P) }
-
-// SetupFlops estimates the construction cost.
-func (b *BlockPivot) SetupFlops() float64 { return 2 * float64(b.p.LU.NNZ()) }
-
-// Swaps reports how many pivoting swaps the factorization performed.
-func (b *BlockPivot) Swaps() int { return b.p.Swaps }
-
-// BlockIC is block Jacobi with an incomplete Cholesky subdomain solver —
-// a symmetric positive definite preconditioner, the correct companion for
-// the distributed CG baseline on the paper's SPD test cases (1–4, 6).
-type BlockIC struct {
-	c *ilu.Chol
-}
-
-// NewBlockIC builds the IC(0) block preconditioner for this rank's
-// subdomain.
-func NewBlockIC(s *dsys.System) (*BlockIC, error) {
-	c, err := ilu.IC0(s.OwnedBlock())
-	if err != nil {
-		return nil, fmt.Errorf("precond: Block IC rank %d: %w", s.Rank, err)
-	}
-	return &BlockIC{c: c}, nil
-}
-
-// Apply performs the L·Lᵀ backward/forward solve.
-func (b *BlockIC) Apply(c *dist.Comm, z, r []float64) {
-	b.c.Solve(z, r)
-	c.Compute(b.c.SolveFlops())
-}
-
-// Name returns the preconditioner's notation.
-func (b *BlockIC) Name() string { return string(KindBlockIC) }
-
-// SetupFlops estimates the construction cost.
-func (b *BlockIC) SetupFlops() float64 { return 2 * float64(b.c.L.NNZ()) }

@@ -3,7 +3,6 @@ package precond
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"parapre/internal/dist"
 	"parapre/internal/dsys"
@@ -23,9 +22,10 @@ import (
 // levels = 0 degenerates to the plain Block preconditioner (with a halo
 // of zero extra rows).
 type OverlapBlock struct {
-	name string
-	s    *dsys.System
-	f    *ilu.LU
+	// Block holds the enlarged block's factor and the variant's name, and
+	// pools the enlarged residual and solution an Apply works in, leased
+	// once per solve (dist.Comm.Lease); it permutes nothing.
+	Block
 
 	extNodes []int32 // global ids of the enlarged subdomain, owned first
 	ownN     int
@@ -34,10 +34,6 @@ type OverlapBlock struct {
 	// whose overlap holds them, the peers' values land on the tail
 	// [ownN:] of the enlarged residual.
 	halo dsys.Halo
-
-	// pool recycles the enlarged residual and solution an Apply works in,
-	// leased once per solve (dist.Comm.Lease).
-	pool sync.Pool
 
 	dsys.CommErr // first halo failure seen by Apply
 }
@@ -75,7 +71,7 @@ func BuildOverlapBlocks(a *sparse.CSR, systems []*dsys.System, opt OverlapOption
 	errs := make([]error, p)
 	par.Run(p, func(r int) {
 		s := systems[r]
-		ob := &OverlapBlock{s: s, ownN: s.NLoc(), halo: dsys.Halo{Tag: tagOverlapR}}
+		ob := &OverlapBlock{ownN: s.NLoc(), halo: dsys.Halo{Tag: tagOverlapR}}
 		if opt.UseILU0 {
 			ob.name = fmt.Sprintf("Block 1 (+%d overlap)", opt.Levels)
 		} else {
@@ -172,11 +168,5 @@ func (p *OverlapBlock) Apply(c *dist.Comm, z, r []float64) {
 	}
 }
 
-// Name identifies the preconditioner variant, including the overlap depth.
-func (p *OverlapBlock) Name() string { return p.name }
-
 // ExtSize reports (owned, total) block sizes for diagnostics.
 func (p *OverlapBlock) ExtSize() (owned, total int) { return p.ownN, len(p.extNodes) }
-
-// SetupFlops estimates the construction cost (factor sweeps).
-func (p *OverlapBlock) SetupFlops() float64 { return 2 * float64(p.f.NNZ()) }

@@ -37,14 +37,18 @@ import (
 // vectors and inner Krylov workspaces its rank leases for the solve from
 // a sync.Pool the preconditioner owns (dist.Comm.Lease), so a kept
 // preconditioner holds no scratch between solves. Only the purely local
-// kinds — Block 1 and Block 2 (RCM-ordered too), Block ARMS, Block 2P and
-// Block IC — write nothing of their own in Apply and may serve concurrent
-// solves. The communicating kinds record their first exchange failure
-// (CommErrRecorder) and Schwarz's fast Poisson solver works in buffers it
-// keeps, so their solves must be serialized, as core.Session does.
+// kinds — every Block (Block 1, Block 2, Block 2P, Block IC, RCM-ordered
+// or not) and Block ARMS — write nothing of their own in Apply and may
+// serve concurrent solves. The communicating kinds record their first
+// exchange failure (CommErrRecorder) and Schwarz's fast Poisson solver
+// works in buffers it keeps, so their solves must be serialized, as
+// core.Session does. SetupFlops is the footprint a set-up is charged by,
+// in flops of one sweep over what the preconditioner built (zero for the
+// identity).
 type Preconditioner interface {
 	Apply(c *dist.Comm, z, r []float64)
 	Name() string
+	SetupFlops() float64
 }
 
 // Kind selects one of the paper's preconditioners by name.
@@ -68,6 +72,22 @@ const (
 	KindSchur2  Kind = "Schur 2"
 	KindNone    Kind = "None"
 )
+
+// HasBlockVariants reports whether k has the RCM-ordered and the
+// overlapping variants (NewBlockOrdered, BuildOverlapBlocks): Block 1 and
+// Block 2. Every front end and the solve read this one predicate, so a
+// spec's RCM or overlap on any other kind is ignored alike everywhere.
+func (k Kind) HasBlockVariants() bool { return k == KindBlock1 || k == KindBlock2 }
+
+// Fallback is the resilient escalation ladder's alternative to k: the
+// Schur variants fall back to the cheap, structurally different Block 2,
+// everything else escalates to the paper's most robust method, Schur 1.
+func (k Kind) Fallback() Kind {
+	if k == KindSchur1 || k == KindSchur2 {
+		return KindBlock2
+	}
+	return KindSchur1
+}
 
 // kinds lists every preconditioner name, the paper's four first.
 var kinds = []Kind{KindBlock1, KindBlock2, KindSchur1, KindSchur2,
@@ -118,3 +138,4 @@ func NewIdentity() Preconditioner { return identity{} }
 
 func (identity) Apply(c *dist.Comm, z, r []float64) { copy(z, r) }
 func (identity) Name() string                       { return string(KindNone) }
+func (identity) SetupFlops() float64                { return 0 }

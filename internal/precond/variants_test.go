@@ -3,6 +3,7 @@ package precond
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"parapre/internal/dsys"
 	"parapre/internal/ilu"
 	"parapre/internal/krylov"
+	"parapre/internal/sparse"
 )
 
 func TestNamesMatchPaperNotation(t *testing.T) {
@@ -52,10 +54,7 @@ func TestNamesMatchPaperNotation(t *testing.T) {
 	if ba.Name() != "Block ARMS" {
 		t.Fatalf("BlockARMS name %q", ba.Name())
 	}
-	if b1.FactorNNZ() <= 0 || b2.FactorNNZ() <= 0 {
-		t.Fatal("FactorNNZ")
-	}
-	if s1.SetupFlops() <= 0 || s2.SetupFlops() <= 0 || ba.SetupFlops() <= 0 {
+	if b1.SetupFlops() <= 0 || b2.SetupFlops() <= 0 || s1.SetupFlops() <= 0 || s2.SetupFlops() <= 0 || ba.SetupFlops() <= 0 {
 		t.Fatal("SetupFlops")
 	}
 }
@@ -183,8 +182,8 @@ func TestBlockOrderedDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pc.FactorNNZ() <= 0 {
-				t.Fatal("FactorNNZ")
+			if pc.SetupFlops() <= 0 {
+				t.Fatal("SetupFlops")
 			}
 			return pc
 		})
@@ -277,8 +276,8 @@ func TestBlockPivotAndBlockICDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pc.Name() != "Block 2P" || pc.SetupFlops() <= 0 || pc.Swaps() < 0 {
-			t.Fatal("BlockPivot accessors")
+		if pc.Name() != "Block 2P" || pc.SetupFlops() <= 0 {
+			t.Fatal("Block 2P accessors")
 		}
 		return pc
 	})
@@ -290,11 +289,84 @@ func TestBlockPivotAndBlockICDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		if pc.Name() != "Block IC" || pc.SetupFlops() <= 0 {
-			t.Fatal("BlockIC accessors")
+			t.Fatal("Block IC accessors")
 		}
 		return pc
 	})
 	checkClose(t, x, want, 2e-4, "Block IC")
+}
+
+// TestBlock2PAppliesItsPivots: on a subdomain ILUTP pivots on, Block 2P
+// applies the pivoted factor — bit for bit what ilu.PivLU.Solve returns —
+// and is charged its solve alone; on one it does not pivot on, it holds no
+// permutation and applies Block 2's factor, bits and charge alike.
+func TestBlock2PAppliesItsPivots(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(31))
+	coo := sparse.NewCOO(n, n, n*n/30)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 0.1*rng.NormFloat64())
+		for j := 0; j < n; j++ {
+			if j != i && rng.Float64() < 0.03 {
+				coo.Add(i, j, rng.NormFloat64())
+			}
+		}
+	}
+	weak := dsys.Distribute(coo.ToCSR(), make([]float64, n), make([]int, n), 1)[0]
+	poisson, _, _ := buildPoisson(t, 15, 1, 41)
+	opt := ilu.ILUTPOptions{ILUTOptions: ilu.DefaultILUT(), PermTol: 1}
+	apply := func(pc Preconditioner, r []float64) (z []float64, flops float64) {
+		st := dist.Run(1, testMachine(), func(c *dist.Comm) {
+			z = make([]float64, len(r))
+			pc.Apply(c, z, r)
+		})
+		return z, st[0].Flops
+	}
+	for _, c := range []struct {
+		name string
+		s    *dsys.System
+	}{{"weak diagonal", weak}, {"Poisson", poisson[0]}} {
+		name, s := c.name, c.s
+		pc, err := NewBlock2Pivot(s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		piv, err := ilu.ILUTP(s.OwnedBlock(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := make([]float64, s.NLoc())
+		for i := range r {
+			r[i] = rng.NormFloat64()
+		}
+		want := make([]float64, len(r))
+		piv.Solve(want, r, make([]float64, len(r)))
+		wantFlops := piv.LU.SolveFlops()
+		if piv.Swaps == 0 {
+			if name == "weak diagonal" {
+				t.Fatal("ILUTP swapped no column of the weak-diagonal block")
+			}
+			if pc.colPerm != nil || pc.rowPerm != nil {
+				t.Errorf("%s: Block 2P holds a permutation without a swap", name)
+			}
+			b2, err := NewBlock2(s, opt.ILUTOptions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantFlops = apply(b2, r)
+		} else if name == "Poisson" {
+			t.Fatalf("ILUTP swapped %d columns of the Poisson block", piv.Swaps)
+		}
+		got, flops := apply(pc, r)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: z[%d] = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+		if flops != wantFlops {
+			t.Errorf("%s: charged %v flops, want %v", name, flops, wantFlops)
+		}
+	}
 }
 
 // TestParseKind: every Kind is found under its own spelling and under any

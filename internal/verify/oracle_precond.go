@@ -123,49 +123,40 @@ func checkPrecondBlock(cfg Config) []Violation {
 				rhs := randomRHS(nl, seed+int64(r))
 				zd := lu.Solve(rhs)
 
-				apply := func(name string, ap func(c *dist.Comm, z, rr []float64)) []float64 {
-					z := make([]float64, nl)
-					dist.Run(1, dist.LinuxCluster(), func(c *dist.Comm) { ap(c, z, rhs) })
-					_ = name
-					return z
-				}
-
-				// Complete-factor variants must equal the dense solve.
-				if bp, err := precond.NewBlock2(s, completeOpts); err != nil {
-					out = append(out, Violation{"precond-block", fmt.Sprintf("rank %d Block2: %v", r, err), tag("")})
-				} else if d := maxAbsDiff(apply("Block2", bp.Apply), zd); d > 1e-8*(1+maxAbs(zd)) {
-					out = append(out, Violation{"precond-block",
-						fmt.Sprintf("rank %d complete Block 2 differs from dense owned-block solve by %g", r, d), tag("")})
-				}
-				if bp, err := precond.NewBlock2Pivot(s, ilu.ILUTPOptions{ILUTOptions: completeOpts, PermTol: 1}); err != nil {
-					out = append(out, Violation{"precond-block", fmt.Sprintf("rank %d Block2P: %v", r, err), tag("")})
-				} else if d := maxAbsDiff(apply("Block2P", bp.Apply), zd); d > 1e-8*(1+maxAbs(zd)) {
-					out = append(out, Violation{"precond-block",
-						fmt.Sprintf("rank %d complete Block 2P differs from dense owned-block solve by %g", r, d), tag("")})
-				}
-
-				// Incomplete variants must exactly invert their own factor
+				// Complete-factor variants must equal the dense solve;
+				// incomplete ones must exactly invert their own factor
 				// product (the block-Jacobi Ã_i).
-				if bp, err := precond.NewBlock1(s); err != nil {
-					out = append(out, Violation{"precond-block", fmt.Sprintf("rank %d Block1: %v", r, err), tag("")})
-				} else {
-					z := apply("Block1", bp.Apply)
-					f, _ := ilu.ILU0(owned)
-					back := f.Product().MulVec(z)
-					if d := maxAbsDiff(back, rhs); d > 1e-8*(1+maxAbs(z)) {
-						out = append(out, Violation{"precond-block",
-							fmt.Sprintf("rank %d Block 1: (L·U)·Apply(r) differs from r by %g", r, d), tag("")})
+				lu0, _ := ilu.ILU0(owned)
+				ic0, _ := ilu.IC0(owned)
+				b2, err2 := precond.NewBlock2(s, completeOpts)
+				b2p, err2p := precond.NewBlock2Pivot(s, ilu.ILUTPOptions{ILUTOptions: completeOpts, PermTol: 1})
+				b1, err1 := precond.NewBlock1(s)
+				bic, errIC := precond.NewBlockIC(s)
+				for _, v := range []struct {
+					name, product string
+					pc            *precond.Block
+					err           error
+					back          func(z []float64) []float64 // the product applied; nil for a complete factor
+				}{
+					{"Block 2", "", b2, err2, nil},
+					{"Block 2P", "", b2p, err2p, nil},
+					{"Block 1", "L·U", b1, err1, func(z []float64) []float64 { return lu0.Product().MulVec(z) }},
+					{"Block IC", "L·Lᵀ", bic, errIC, func(z []float64) []float64 { return cholProductMulVec(ic0, z) }},
+				} {
+					if v.err != nil {
+						out = append(out, Violation{"precond-block", fmt.Sprintf("rank %d %s: %v", r, v.name, v.err), tag("")})
+						continue
 					}
-				}
-				if bp, err := precond.NewBlockIC(s); err != nil {
-					out = append(out, Violation{"precond-block", fmt.Sprintf("rank %d BlockIC: %v", r, err), tag("")})
-				} else {
-					z := apply("BlockIC", bp.Apply)
-					ch, _ := ilu.IC0(owned)
-					back := cholProductMulVec(ch, z)
-					if d := maxAbsDiff(back, rhs); d > 1e-8*(1+maxAbs(z)) {
+					z := make([]float64, nl)
+					dist.Run(1, dist.LinuxCluster(), func(c *dist.Comm) { v.pc.Apply(c, z, rhs) })
+					if v.back == nil {
+						if d := maxAbsDiff(z, zd); d > 1e-8*(1+maxAbs(zd)) {
+							out = append(out, Violation{"precond-block",
+								fmt.Sprintf("rank %d complete %s differs from dense owned-block solve by %g", r, v.name, d), tag("")})
+						}
+					} else if d := maxAbsDiff(v.back(z), rhs); d > 1e-8*(1+maxAbs(z)) {
 						out = append(out, Violation{"precond-block",
-							fmt.Sprintf("rank %d Block IC: (L·Lᵀ)·Apply(r) differs from r by %g", r, d), tag("")})
+							fmt.Sprintf("rank %d %s: (%s)·Apply(r) differs from r by %g", r, v.name, v.product, d), tag("")})
 					}
 				}
 			}
