@@ -190,27 +190,6 @@ func BenchmarkAblationBlockOverlap(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationARMSLevels sweeps the multilevel depth of the
-// Block ARMS preconditioner.
-func BenchmarkAblationARMSLevels(b *testing.B) {
-	prob := parapre.BuildCase("tc1-poisson2d", 33)
-	for _, levels := range []int{1, 2, 3} {
-		levels := levels
-		b.Run(benchName("levels", levels), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := parapre.DefaultConfig(8, parapre.BlockARMS)
-				cfg.ARMS.Levels = levels
-				res, err := parapre.Solve(prob, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Iterations), "iters")
-				b.ReportMetric(res.SetupTime+res.SolveTime, "model-s")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationRestart sweeps the FGMRES restart length around the
 // paper's m = 20.
 func BenchmarkAblationRestart(b *testing.B) {

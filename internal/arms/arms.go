@@ -5,31 +5,17 @@ import (
 	"math"
 	"sync"
 
-	"parapre/internal/ilu"
 	"parapre/internal/paranoid"
 	"parapre/internal/sparse"
 )
-
-// Options configures the multilevel construction.
-type Options struct {
-	Levels   int     // reduction levels; the paper's Schur 2 uses 2
-	MaxGroup int     // group-size cap for the independent sets
-	DropTol  float64 // relative drop tolerance for Schur-complement assembly
-	ILUT     ilu.ILUTOptions
-}
-
-// DefaultOptions matches the two-level ARMS the paper uses.
-func DefaultOptions() Options {
-	return Options{Levels: 2, MaxGroup: 24, DropTol: 1e-4, ILUT: ilu.DefaultILUT()}
-}
 
 // Reduction is one independent-set reduction step: the permuted matrix
 // splits as [B F; E C] with exactly block-diagonal B (by
 // group-independent-set construction); BlockLU holds the dense
 // factorization of each B block and S the (dropped) Schur complement
-// C − E·B⁻¹·F that the next level acts on.
+// C − E·B⁻¹·F that Schur 2's expanded system is built from.
 type Reduction struct {
-	Perm    sparse.Perm // new→old within this level's matrix
+	Perm    sparse.Perm // new→old over the reduced matrix
 	NB      int         // size of the grouped (B) part
 	Blocks  [][2]int    // contiguous extent of each group in the new order
 	BlockLU []*sparse.LU
@@ -37,11 +23,10 @@ type Reduction struct {
 	S       *sparse.CSR // reduced (Schur) matrix, until TakeS hands it on
 }
 
-// TakeS hands the reduced matrix to whatever is built from it — the next
-// level, the final factorization, the expanded Schur system — and drops the
-// reduction's reference: applying a reduction reads Perm, the group LUs, E
-// and F, never S, so a reduction kept for its apply would otherwise pin a
-// matrix nothing reads.
+// TakeS hands the reduced matrix to the expanded Schur system built from
+// it and drops the reduction's reference: applying a reduction reads Perm,
+// the group LUs, E and F, never S, so a reduction kept for its apply would
+// otherwise pin a matrix nothing reads.
 func (r *Reduction) TakeS() *sparse.CSR {
 	s := r.S
 	r.S = nil
@@ -70,29 +55,8 @@ func (r *Reduction) SolveBFlops() float64 {
 	return f
 }
 
-// Reduce performs a single independent-set reduction of a: it finds a
-// group-independent set (groups capped at maxGroup), permutes the grouped
-// unknowns first, factors the resulting block-diagonal B exactly, and
-// assembles S = C − E·B⁻¹·F with relative drop tolerance dropTol. It
-// returns nil (no error) with a nil Reduction when no reduction is
-// possible. This is the building block of the multilevel Solver; the
-// paper's expanded-Schur preconditioner (Schur 2) chooses its own
-// permutation and calls ReducePermuted.
-func Reduce(a *sparse.CSR, maxGroup int, dropTol float64) (*Reduction, error) {
-	group, ng := GroupIndependentSet(a, maxGroup)
-	perm, nB, blocks := IndSetPerm(group, ng)
-	if nB == 0 || nB == a.Rows {
-		return nil, nil
-	}
-	red, err := ReducePermuted(a, perm, nB, blocks, dropTol)
-	if err != nil {
-		return nil, fmt.Errorf("arms: %w", err)
-	}
-	return red, nil
-}
-
-// ReducePermuted performs the reduction of a under a given level
-// permutation (new→old): the first nB new unknowns are the grouped ones,
+// ReducePermuted performs the reduction of a under a given permutation
+// (new→old): the first nB new unknowns are the grouped ones,
 // blocks lists the extent of each group among them — ascending and tiling
 // [0, nB), as IndSetPerm returns them — and no entry of a couples two
 // different groups. One pass over a splits P·A·Pᵀ = [B F; E C]: the
@@ -170,93 +134,6 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 	red.E.AutoBlocked()
 	red.F.AutoBlocked()
 	return red, nil
-}
-
-// Solver is a multilevel ARMS preconditioner for a sequential (subdomain-
-// local) matrix.
-type Solver struct {
-	n      int
-	levels []*Reduction
-	last   *ilu.LU // ILUT factorization of the final reduced matrix
-}
-
-// Scratch holds every level's vectors of one Apply, so that a Solver holds
-// none and any number of Applies may run on it at once, each with its own
-// Scratch.
-type Scratch struct {
-	levels []levelScratch
-}
-
-// levelScratch is the workspace of one applyLevel: the permuted residual
-// (n), then u_B, F·z_C and its correction (nB each) and z_C (n − nB).
-type levelScratch struct {
-	work, uB, fz, corr, zC []float64
-}
-
-// NewScratch returns a Scratch sized for s.
-func (s *Solver) NewScratch() *Scratch {
-	sc := &Scratch{levels: make([]levelScratch, 0, len(s.levels))}
-	dim := s.n
-	for _, l := range s.levels {
-		buf := make([]float64, 2*dim+2*l.NB)
-		sc.levels = append(sc.levels, levelScratch{
-			work: buf[:dim],
-			uB:   buf[dim : dim+l.NB],
-			fz:   buf[dim+l.NB : dim+2*l.NB],
-			corr: buf[dim+2*l.NB : dim+3*l.NB],
-			zC:   buf[dim+3*l.NB:],
-		})
-		dim -= l.NB
-	}
-	return sc
-}
-
-// N returns the dimension of the preconditioned matrix.
-func (s *Solver) N() int { return s.n }
-
-// SolveFlops estimates the flop count of one Apply, for virtual-time
-// accounting.
-func (s *Solver) SolveFlops() float64 {
-	var f float64
-	for _, l := range s.levels {
-		f += 2*l.SolveBFlops() + 2*float64(l.E.NNZ()) + 2*float64(l.F.NNZ())
-	}
-	f += s.last.SolveFlops()
-	return f
-}
-
-// New builds the ARMS hierarchy for matrix a.
-func New(a *sparse.CSR, opt Options) (*Solver, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("arms: non-square %d×%d matrix", a.Rows, a.Cols)
-	}
-	if opt.Levels < 1 {
-		opt.Levels = 1
-	}
-	if opt.MaxGroup < 1 {
-		opt.MaxGroup = DefaultOptions().MaxGroup
-	}
-	s := &Solver{n: a.Rows}
-	cur := a
-	for lev := 0; lev < opt.Levels; lev++ {
-		red, err := Reduce(cur, opt.MaxGroup, opt.DropTol)
-		if err != nil {
-			return nil, fmt.Errorf("arms: level %d: %w", lev, err)
-		}
-		if red == nil {
-			// No reduction possible (fully separated or fully grouped):
-			// stop stacking levels.
-			break
-		}
-		s.levels = append(s.levels, red)
-		cur = red.TakeS()
-	}
-	lastLU, err := ilu.ILUT(cur, opt.ILUT)
-	if err != nil {
-		return nil, fmt.Errorf("arms: final level: %w", err)
-	}
-	s.last = lastLU
-	return s, nil
 }
 
 // AssembleSchur computes S = C − E·B⁻¹·F with per-row relative dropping,
@@ -407,8 +284,8 @@ type schurBuf struct {
 }
 
 // schurBufs recycles them: an assembly's buffers are dead once S has been
-// copied out, and the next one — the next level, the next rank, the next
-// session — would allocate and clear the same megabytes again.
+// copied out, and the next one — the next rank, the next session — would
+// allocate and clear the same megabytes again.
 var schurBufs = sync.Pool{New: func() any { return new(schurBuf) }}
 
 // dropSmall compacts row i in place, removing the entries that do not
@@ -431,55 +308,4 @@ func dropSmall(i int, cols []int32, vals []float64, tol float64) int {
 		}
 	}
 	return n
-}
-
-// Apply computes z = M⁻¹·r through the multilevel hierarchy:
-// per level, u_B = B⁻¹r_B; r_C' = r_C − E·u_B; recurse on r_C'; then
-// u_B −= B⁻¹·F·z_C, working in sc (from s.NewScratch). z and r must have
-// length N(); they may alias.
-func (s *Solver) Apply(z, r []float64, sc *Scratch) {
-	s.applyLevel(sc, 0, z, r)
-}
-
-func (s *Solver) applyLevel(scr *Scratch, lev int, z, r []float64) {
-	if lev == len(s.levels) {
-		s.last.Solve(z, r)
-		return
-	}
-	l := s.levels[lev]
-	n := len(l.Perm)
-	sc := &scr.levels[lev]
-	// Permute r into work.
-	for i, old := range l.Perm {
-		sc.work[i] = r[old]
-	}
-	rB := sc.work[:l.NB]
-	rC := sc.work[l.NB:n]
-
-	// u_B = B⁻¹ r_B (exact block solves).
-	uB := sc.uB
-	l.SolveB(uB, rB)
-
-	// r_C' = r_C − E·u_B.
-	l.E.MulVecSub(rC, uB)
-
-	// Recurse.
-	zC := sc.zC
-	s.applyLevel(scr, lev+1, zC, rC)
-
-	// u_B -= B⁻¹·F·z_C.
-	l.F.MulVecTo(sc.fz, zC)
-	l.SolveB(sc.corr, sc.fz)
-	for i := range uB {
-		uB[i] -= sc.corr[i]
-	}
-
-	// Un-permute into z.
-	for i, old := range l.Perm {
-		if i < l.NB {
-			z[old] = uB[i]
-		} else {
-			z[old] = zC[i-l.NB]
-		}
-	}
 }

@@ -8,8 +8,6 @@ import (
 
 	"parapre/internal/fem"
 	"parapre/internal/grid"
-	"parapre/internal/ilu"
-	"parapre/internal/krylov"
 	"parapre/internal/sparse"
 )
 
@@ -121,63 +119,78 @@ func TestARMSBlockDiagonalB(t *testing.T) {
 	}
 }
 
+// reduce runs the path Schur 2 takes through this package, on a whole
+// matrix: a group-independent set, its permutation, the reduction under it.
+func reduce(a *sparse.CSR, maxGroup int, dropTol float64) (*Reduction, error) {
+	group, ng := GroupIndependentSet(a, maxGroup)
+	perm, nB, blocks := IndSetPerm(group, ng)
+	return ReducePermuted(a, perm, nB, blocks, dropTol)
+}
+
+// solveReduced applies a reduction with an exact solve of its S — u_B =
+// B⁻¹r_B, z_C = S⁻¹(r_C − E·u_B), z_B = u_B − B⁻¹F·z_C — which is A⁻¹·r
+// when the assembly of S dropped nothing.
+func solveReduced(t *testing.T, red *Reduction, r []float64) []float64 {
+	t.Helper()
+	n, nB := len(red.Perm), red.NB
+	w := make([]float64, n)
+	for i, old := range red.Perm {
+		w[i] = r[old]
+	}
+	uB, rC := make([]float64, nB), w[nB:]
+	red.SolveB(uB, w[:nB])
+	red.E.MulVecSub(rC, uB)
+	zC := rC
+	if n > nB {
+		d := sparse.NewDense(n-nB, n-nB)
+		for i := 0; i < n-nB; i++ {
+			cols, vals := red.S.Row(i)
+			for k, j := range cols {
+				d.Set(i, int(j), vals[k])
+			}
+		}
+		lu, err := d.Factor()
+		if err != nil {
+			t.Fatalf("S: %v", err)
+		}
+		zC = lu.Solve(rC)
+	}
+	fz, corr := make([]float64, nB), make([]float64, nB)
+	red.F.MulVecTo(fz, zC)
+	red.SolveB(corr, fz)
+	z := make([]float64, n)
+	for i, old := range red.Perm {
+		if i < nB {
+			z[old] = uB[i] - corr[i]
+		} else {
+			z[old] = zC[i-nB]
+		}
+	}
+	return z
+}
+
+// relResidual returns ‖b − A·z‖ / ‖b‖.
+func relResidual(a *sparse.CSR, z, b []float64) float64 {
+	r := append([]float64(nil), b...)
+	a.MulVecSub(r, z)
+	return sparse.Norm2(r) / sparse.Norm2(b)
+}
+
 func TestARMSExactWhenNoDropping(t *testing.T) {
-	// One level, no drop tolerance, exact last-level LU ⇒ ARMS is a
-	// direct solver.
+	// One reduction without dropping and an exact solve of S is a direct
+	// solver: B, E, F and S are A's factors under the permutation.
 	a, b := poissonMatrix(t, 9)
-	s, err := New(a, Options{Levels: 1, MaxGroup: 8, DropTol: 0,
-		ILUT: ilu.ILUTOptions{Tau: 0, LFil: 0}})
+	red, err := reduce(a, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := make([]float64, a.Rows)
-	s.Apply(z, b, s.NewScratch())
-	r := append([]float64(nil), b...)
-	a.MulVecSub(r, z)
-	if res := sparse.Norm2(r) / sparse.Norm2(b); res > 1e-9 {
-		t.Fatalf("exact ARMS residual %v", res)
-	}
-}
-
-func TestARMSTwoLevelExact(t *testing.T) {
-	a, b := poissonMatrix(t, 9)
-	s, err := New(a, Options{Levels: 2, MaxGroup: 6, DropTol: 0,
-		ILUT: ilu.ILUTOptions{Tau: 0, LFil: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	z := make([]float64, a.Rows)
-	s.Apply(z, b, s.NewScratch())
-	r := append([]float64(nil), b...)
-	a.MulVecSub(r, z)
-	if res := sparse.Norm2(r) / sparse.Norm2(b); res > 1e-9 {
-		t.Fatalf("two-level exact ARMS residual %v", res)
-	}
-}
-
-func TestARMSPreconditionsGMRES(t *testing.T) {
-	a, b := poissonMatrix(t, 17)
-	s, err := New(a, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := a.Rows
-	run := func(pr krylov.Prec) krylov.Result {
-		x := make([]float64, n)
-		return krylov.SolveCSR(a, pr, b, x, krylov.Options{Restart: 20, MaxIters: 400, Tol: 1e-8})
-	}
-	plain := run(nil)
-	sc := s.NewScratch()
-	prec := run(func(z, r []float64) { s.Apply(z, r, sc) })
-	if !prec.Converged {
-		t.Fatalf("ARMS-preconditioned GMRES failed: %+v", prec)
-	}
-	if plain.Converged && prec.Iterations*2 > plain.Iterations {
-		t.Fatalf("ARMS not effective: %d vs %d iterations", prec.Iterations, plain.Iterations)
+	if res := relResidual(a, solveReduced(t, red, b), b); res > 1e-9 {
+		t.Fatalf("exact reduction residual %v", res)
 	}
 }
 
 func TestARMSUnsymmetric(t *testing.T) {
+	// The same on a convection-dominated system, where E is not Fᵀ.
 	g := grid.UnitSquareTri(13)
 	a, b := fem.AssembleScalar(g, fem.ScalarPDE{
 		Diffusion: 1, Velocity: []float64{700, 700}, SUPG: true,
@@ -191,35 +204,28 @@ func TestARMSUnsymmetric(t *testing.T) {
 		}
 	}
 	fem.ApplyDirichlet(a, b, bc)
-	s, err := New(a, DefaultOptions())
+	red, err := reduce(a, 24, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, sc := make([]float64, a.Rows), s.NewScratch()
-	res := krylov.SolveCSR(a, func(z, r []float64) { s.Apply(z, r, sc) }, b, x,
-		krylov.Options{Restart: 20, MaxIters: 300, Tol: 1e-8, Flexible: true})
-	if !res.Converged {
-		t.Fatalf("ARMS on convection-dominated system failed: %+v", res)
+	if res := relResidual(a, solveReduced(t, red, b), b); res > 1e-9 {
+		t.Fatalf("exact reduction of a convection-dominated system: residual %v", res)
 	}
 }
 
 func TestARMSSolveFlopsPositive(t *testing.T) {
 	a, _ := poissonMatrix(t, 9)
-	s, err := New(a, DefaultOptions())
+	red, err := reduce(a, 8, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.SolveFlops() <= 0 {
-		t.Fatal("SolveFlops not positive")
+	var want float64
+	for _, ext := range red.Blocks {
+		sz := float64(ext[1] - ext[0])
+		want += 2 * sz * sz
 	}
-	if s.N() != a.Rows {
-		t.Fatal("N mismatch")
-	}
-}
-
-func TestARMSRejectsNonSquare(t *testing.T) {
-	if _, err := New(sparse.NewCSR(2, 3, 0), DefaultOptions()); err == nil {
-		t.Fatal("non-square accepted")
+	if got := red.SolveBFlops(); got <= 0 || got != want {
+		t.Fatalf("SolveBFlops = %v, want Σ 2·|g|² = %v > 0", got, want)
 	}
 }
 
@@ -240,22 +246,20 @@ func TestARMSRandomUnstructured(t *testing.T) {
 		}
 	}
 	a := coo.ToCSR()
-	s, err := New(a, Options{Levels: 3, MaxGroup: 10, DropTol: 1e-5, ILUT: ilu.ILUTOptions{Tau: 1e-4, LFil: 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	z := make([]float64, n)
-	s.Apply(z, b, s.NewScratch())
-	// M⁻¹ should be a decent approximation of A⁻¹ here: residual well
-	// below the unpreconditioned baseline.
-	r := append([]float64(nil), b...)
-	a.MulVecSub(r, z)
-	if ratio := sparse.Norm2(r) / sparse.Norm2(b); math.IsNaN(ratio) || ratio > 0.5 {
-		t.Fatalf("ARMS apply weak: residual ratio %v", ratio)
+	for _, dropTol := range []float64{0, 1e-5} {
+		red, err := reduce(a, 10, dropTol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Without dropping the reduction is exact; with it, S misses
+		// only entries far below its rows' magnitudes.
+		if res := relResidual(a, solveReduced(t, red, b), b); math.IsNaN(res) || res > 1e-6 {
+			t.Fatalf("dropTol %g: reduction residual ratio %v", dropTol, res)
+		}
 	}
 }
 

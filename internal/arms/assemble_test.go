@@ -117,7 +117,7 @@ func dropSmallCSR(a *sparse.CSR, tol float64) *sparse.CSR {
 	return out
 }
 
-// splitOracle rebuilds [B F; E C] the way Reduce used to: a symmetric
+// splitOracle rebuilds [B F; E C] by a symmetric
 // permutation followed by four extractions.
 func splitOracle(a *sparse.CSR, perm sparse.Perm, nB int) (b, f, e, c *sparse.CSR) {
 	p := sparse.PermuteSym(a, perm)

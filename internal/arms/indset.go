@@ -1,12 +1,11 @@
-// Package arms implements the Algebraic Recursive Multilevel Solver of
-// Saad & Suchomel that the paper's Schur 2 preconditioner uses as its
-// approximate subdomain solver (§2). The construction starts from
-// group-independent sets: groups of unknowns with no coupling between
-// different groups (Fig. 2 of the paper). Ordering the group unknowns
-// first makes the leading block B exactly block-diagonal (one small dense
-// block per group), so the reduction to the Schur complement of the
-// remaining "local interface" unknowns is cheap and can be repeated
-// recursively.
+// Package arms holds the group-independent sets and the one reduction of
+// the Algebraic Recursive Multilevel Solver of Saad & Suchomel that the
+// paper's Schur 2 preconditioner builds on (§2). A group-independent set
+// is a set of groups of unknowns with no coupling between different groups
+// (Fig. 2 of the paper). Ordering the group unknowns first makes the
+// leading block B exactly block-diagonal (one small dense block per group),
+// so the reduction to the Schur complement of the remaining "local
+// interface" unknowns is cheap.
 package arms
 
 import "parapre/internal/sparse"

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -15,7 +14,6 @@ import (
 	"sort"
 	"time"
 
-	"parapre/internal/arms"
 	"parapre/internal/ckpt"
 	"parapre/internal/dist"
 	"parapre/internal/dsys"
@@ -119,9 +117,6 @@ type Config struct {
 	ILUT    ilu.ILUTOptions       // Block 2 subdomain factorization
 	Schur1  precond.Schur1Options // used when Precond == KindSchur1
 	Schur2  precond.Schur2Options // used when Precond == KindSchur2
-	ARMS    arms.Options          // Block ARMS subdomain solver
-	// PermTol is the ILUTP pivoting tolerance for Block 2P (default 1).
-	PermTol float64
 	// UseCG replaces the outer FGMRES with distributed preconditioned CG.
 	// Only valid for SPD systems with an SPD preconditioner (Block IC or
 	// None).
@@ -213,7 +208,6 @@ func DefaultConfig(p int, kind precond.Kind) Config {
 		ILUT:    ilu.DefaultILUT(),
 		Schur1:  precond.DefaultSchur1(),
 		Schur2:  precond.DefaultSchur2(),
-		ARMS:    arms.DefaultOptions(),
 		Solver:  krylov.Options{Restart: 20, MaxIters: 1000, Tol: 1e-6, Flexible: true},
 	}
 }
@@ -422,10 +416,8 @@ func buildRankPrecond(cfg Config, s *dsys.System, kind precond.Kind) (precond.Pr
 		return precond.NewBlock1(s)
 	case kind == precond.KindBlock2:
 		return precond.NewBlock2(s, cfg.ILUT)
-	case kind == precond.KindBlockARMS:
-		return precond.NewBlockARMS(s, cfg.ARMS)
-	case kind == precond.KindBlock2P: // a zero PermTol stands for the default, 1
-		return precond.NewBlock2Pivot(s, ilu.ILUTPOptions{ILUTOptions: cfg.ILUT, PermTol: cmp.Or(cfg.PermTol, 1)})
+	case kind == precond.KindBlock2P:
+		return precond.NewBlock2Pivot(s, ilu.ILUTPOptions{ILUTOptions: cfg.ILUT, PermTol: 1})
 	case kind == precond.KindBlockIC:
 		return precond.NewBlockIC(s)
 	case kind == precond.KindSchur1:

@@ -345,18 +345,6 @@ func TestSessionValidation(t *testing.T) {
 	}
 }
 
-func TestBlockARMSThroughCore(t *testing.T) {
-	res := solveCase(t, "tc1-poisson2d", 17, 4, precond.KindBlockARMS, nil)
-	if !res.Converged || res.TrueRelRes > 1e-5 {
-		t.Fatalf("Block ARMS failed: %+v", res)
-	}
-	// ARMS should be at least competitive with plain ILU(0) block Jacobi.
-	b1 := solveCase(t, "tc1-poisson2d", 17, 4, precond.KindBlock1, nil)
-	if res.Iterations > b1.Iterations {
-		t.Fatalf("Block ARMS (%d) worse than Block 1 (%d)", res.Iterations, b1.Iterations)
-	}
-}
-
 func TestRCMOrderedBlockThroughCore(t *testing.T) {
 	plain := solveCase(t, "tc3-unstructured", 20, 4, precond.KindBlock2, func(cfg *core.Config) {
 		cfg.ILUT.LFil = 4 // small fill: ordering quality matters

@@ -186,7 +186,8 @@ type persistedSpec struct {
 // resumeScan re-enqueues jobs whose checkpoints a killed predecessor
 // left behind: for every sidecar spec with a loadable checkpoint the job
 // restarts mid-recurrence; a sidecar without a checkpoint (killed before
-// the first snapshot) restarts from scratch.
+// the first snapshot) restarts from scratch. A sidecar whose spec no
+// longer validates goes, and its checkpoint with it.
 func (s *Server) resumeScan() error {
 	if s.ckptDir == "" {
 		return nil
@@ -204,18 +205,19 @@ func (s *Server) resumeScan() error {
 		if err != nil {
 			continue
 		}
+		id := strings.TrimSuffix(filepath.Base(sc), ".json")
+		ckFile, _ := s.ckptPath(id)
 		var ps persistedSpec
 		if json.Unmarshal(data, &ps) != nil || ps.Spec == nil || ps.Spec.Validate() != nil {
 			_ = os.Remove(sc)
+			_ = os.Remove(ckFile)
 			continue
 		}
-		id := strings.TrimSuffix(filepath.Base(sc), ".json")
 		j := NewJob(ps.Tenant, ps.Spec)
 		j.ID = id // keep the identity clients hold
 		if n, ok := jobNumber(id); ok && n > s.issued {
 			s.issued = n // no new job repeats the number, and the id expires like ours
 		}
-		ckFile, _ := s.ckptPath(id)
 		if ck, err := ckpt.Load(ckFile); err == nil {
 			j.Restore = ck
 		}

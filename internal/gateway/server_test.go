@@ -22,6 +22,7 @@ import (
 	"parapre/internal/ckpt"
 	"parapre/internal/core"
 	"parapre/internal/paranoid"
+	"parapre/internal/precond"
 )
 
 // post submits the spec for the tenant. It reports no failure itself, so
@@ -306,7 +307,9 @@ func TestE2EDrain(t *testing.T) {
 	resp.Body.Close()
 }
 
-// Bad specs are rejected up front with 400.
+// Bad specs are rejected up front with 400; a preconditioner that is not
+// a kind — Block ARMS, since it was removed — gets the list of those that
+// are.
 func TestE2EBadSpec(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	for _, spec := range []*Spec{
@@ -314,13 +317,23 @@ func TestE2EBadSpec(t *testing.T) {
 		{Case: "no-such-case"}, // unknown case
 		{Case: "tc1-poisson2d", Procs: -1},
 		{Case: "tc1-poisson2d", Precond: "Block 9"},
+		{Case: "tc1-poisson2d", Precond: "Block ARMS"},
 		{Case: "tc1-poisson2d", Machine: "Cray"},
 	} {
 		resp := postJob(t, ts, "alice", spec)
+		body, _ := readAll(resp)
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %+v: %d, want 400", spec, resp.StatusCode)
 		}
-		resp.Body.Close()
+		if spec.Precond == "" {
+			continue
+		}
+		for _, k := range precond.Kinds() {
+			if !strings.Contains(body, string(k)) {
+				t.Errorf("spec %+v: body %q does not list %q", spec, body, k)
+			}
+		}
 	}
 }
 
@@ -456,6 +469,36 @@ func TestE2EKillAndResume(t *testing.T) {
 	}
 	if _, err := os.Stat(scFile); !os.IsNotExist(err) {
 		t.Error("sidecar not removed after completion")
+	}
+}
+
+// A sidecar whose spec no longer validates — here one naming the removed
+// Block ARMS — is dropped by the resume scan together with its checkpoint,
+// and no job is registered for it.
+func TestResumeScanDropsInvalidSidecarAndCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	const id = "7-deadbeef"
+	scFile, ckFile := filepath.Join(dir, id+".json"), filepath.Join(dir, id+".ckpt")
+	if err := os.WriteFile(scFile, []byte(`{"spec":{"case":"tc1-poisson2d","precond":"Block ARMS"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckFile, []byte("checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newTestServer(t, Options{Workers: 1, QueueDepth: 1, CkptDir: dir})
+	for _, f := range []string{scFile, ckFile} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("%s left behind by the resume scan (stat: %v)", filepath.Base(f), err)
+		}
+	}
+	if _, ok := srv.Job(id); ok {
+		t.Error("a job was registered for a sidecar that does not validate")
+	}
+	srv.mu.Lock()
+	n := len(srv.jobs)
+	srv.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d jobs registered, want 0", n)
 	}
 }
 

@@ -142,12 +142,11 @@ func (s *Spec) Validate() error {
 }
 
 // admitBytesPerUnknown is what admission takes a session to cost per
-// unknown — an order of magnitude, not a bound: sessions on the seven
-// cases at their default sizes hold from 0.32 KB per unknown (no
-// preconditioner) to 1.28 KB (Schur 2), the paper's four kinds 0.40 to
-// 1.28 KB (DESIGN §18, with the command that measures it). It keeps out
-// what could never be served; what it lets through and still outgrows the
-// budget is served and not kept, the cache's own rule.
+// unknown — an order of magnitude, not a bound: what sessions on the seven
+// cases hold per unknown, by kind, is in DESIGN §18 with the command that
+// measures it. It keeps out what could never be served; what it lets
+// through and still outgrows the budget is served and not kept, the
+// cache's own rule.
 const admitBytesPerUnknown = 1 << 10
 
 // admit refuses, from the spec's size alone and before anything is

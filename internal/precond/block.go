@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"parapre/internal/arms"
 	"parapre/internal/dist"
 	"parapre/internal/dsys"
 	"parapre/internal/ilu"
@@ -145,38 +144,3 @@ func (b *Block) Name() string { return b.name }
 // SetupFlops estimates the construction cost: a sweep over the stored
 // factor, 2·nnz.
 func (b *Block) SetupFlops() float64 { return 2 * float64(b.f.NNZ()) }
-
-// BlockARMS is block Jacobi with a multilevel ARMS subdomain solver — the
-// remaining pARMS combination the paper's setup offers (its Schur 2 uses
-// ARMS inside a Schur framework; this variant uses it directly, like
-// Block 2 uses ILUT).
-type BlockARMS struct {
-	solver *arms.Solver
-	// pool recycles the per-level scratch of the multilevel sweep, one per
-	// solve in flight on each rank (simultaneous Session solves overlap).
-	pool sync.Pool
-}
-
-// NewBlockARMS builds the ARMS block preconditioner for this rank's
-// subdomain.
-func NewBlockARMS(s *dsys.System, opt arms.Options) (*BlockARMS, error) {
-	sv, err := arms.New(s.OwnedBlock(), opt)
-	if err != nil {
-		return nil, fmt.Errorf("precond: Block ARMS rank %d: %w", s.Rank, err)
-	}
-	b := &BlockARMS{solver: sv}
-	b.pool.New = func() any { return sv.NewScratch() }
-	return b, nil
-}
-
-// Apply performs the multilevel forward/backward sweep.
-func (b *BlockARMS) Apply(c *dist.Comm, z, r []float64) {
-	b.solver.Apply(z, r, c.Lease(&b.pool).(*arms.Scratch))
-	c.Compute(b.solver.SolveFlops())
-}
-
-// Name returns the preconditioner's notation.
-func (b *BlockARMS) Name() string { return string(KindBlockARMS) }
-
-// SetupFlops estimates the construction cost.
-func (b *BlockARMS) SetupFlops() float64 { return 2 * b.solver.SolveFlops() }

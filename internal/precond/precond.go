@@ -38,7 +38,7 @@ import (
 // a sync.Pool the preconditioner owns (dist.Comm.Lease), so a kept
 // preconditioner holds no scratch between solves. Only the purely local
 // kinds — every Block (Block 1, Block 2, Block 2P, Block IC, RCM-ordered
-// or not) and Block ARMS — write nothing of their own in Apply and may
+// or not) — write nothing of their own in Apply and may
 // serve concurrent solves. The communicating kinds record their first
 // exchange failure (CommErrRecorder) and Schwarz's fast Poisson solver
 // works in buffers it keeps, so their solves must be serialized, as
@@ -59,9 +59,6 @@ type Kind string
 const (
 	KindBlock1 Kind = "Block 1"
 	KindBlock2 Kind = "Block 2"
-	// KindBlockARMS is the extension variant: block Jacobi with a
-	// multilevel ARMS subdomain solver.
-	KindBlockARMS Kind = "Block ARMS"
 	// KindBlock2P is block Jacobi with the column-pivoting ILUTP
 	// factorization (robust for weak-diagonal subdomain blocks).
 	KindBlock2P Kind = "Block 2P"
@@ -91,7 +88,7 @@ func (k Kind) Fallback() Kind {
 
 // kinds lists every preconditioner name, the paper's four first.
 var kinds = []Kind{KindBlock1, KindBlock2, KindSchur1, KindSchur2,
-	KindBlockARMS, KindBlock2P, KindBlockIC, KindNone}
+	KindBlock2P, KindBlockIC, KindNone}
 
 // Kinds returns every preconditioner name, the paper's four first: what
 // ParseKind accepts, and so what a front end's help and an

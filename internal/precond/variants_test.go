@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"parapre/internal/arms"
 	"parapre/internal/dist"
 	"parapre/internal/dsys"
 	"parapre/internal/ilu"
@@ -47,33 +46,8 @@ func TestNamesMatchPaperNotation(t *testing.T) {
 	if s2.Name() != "Schur 2" {
 		t.Fatalf("Schur2 name %q", s2.Name())
 	}
-	ba, err := NewBlockARMS(s, arms.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ba.Name() != "Block ARMS" {
-		t.Fatalf("BlockARMS name %q", ba.Name())
-	}
-	if b1.SetupFlops() <= 0 || b2.SetupFlops() <= 0 || s1.SetupFlops() <= 0 || s2.SetupFlops() <= 0 || ba.SetupFlops() <= 0 {
+	if b1.SetupFlops() <= 0 || b2.SetupFlops() <= 0 || s1.SetupFlops() <= 0 || s2.SetupFlops() <= 0 {
 		t.Fatal("SetupFlops")
-	}
-}
-
-func TestBlockARMSConverges(t *testing.T) {
-	const m, p = 17, 4
-	systems, a, b := buildPoisson(t, m, p, 31)
-	want := refSolution(t, a, b)
-	it, x := solveWith(t, systems, p, func(s *dsys.System) Preconditioner {
-		pc, err := NewBlockARMS(s, arms.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pc
-	})
-	checkClose(t, x, want, 2e-4, "Block ARMS")
-	itPlain, _ := solveWith(t, systems, p, func(s *dsys.System) Preconditioner { return nil })
-	if it >= itPlain {
-		t.Fatalf("Block ARMS (%d) not better than unpreconditioned (%d)", it, itPlain)
 	}
 }
 
@@ -373,7 +347,7 @@ func TestBlock2PAppliesItsPivots(t *testing.T) {
 // casing of it; anything else is an *UnknownKindError that names the input
 // and lists what would have been accepted.
 func TestParseKind(t *testing.T) {
-	for _, k := range []Kind{KindBlock1, KindBlock2, KindBlockARMS, KindBlock2P, KindBlockIC,
+	for _, k := range []Kind{KindBlock1, KindBlock2, KindBlock2P, KindBlockIC,
 		KindSchur1, KindSchur2, KindNone} {
 		for _, spelling := range []string{string(k), strings.ToLower(string(k)), strings.ToUpper(string(k))} {
 			if got, err := ParseKind(spelling); err != nil || got != k {
@@ -381,7 +355,7 @@ func TestParseKind(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"", "Block 9", "Schur1", " Schur 1", "Schwarz"} {
+	for _, name := range []string{"", "Block 9", "Schur1", " Schur 1", "Schwarz", "Block ARMS"} {
 		got, err := ParseKind(name)
 		var unknown *UnknownKindError
 		if !errors.As(err, &unknown) || unknown.Name != name || got != "" {
