@@ -11,13 +11,9 @@
 //	ippsbench -all -size 65
 //	ippsbench -exp tc1-cluster -workers 8 -json
 //	ippsbench -exp tc1-cluster -faults drop -faultseed 3
-//	ippsbench -exp tc1-cluster -procs 4 -precond "Schur 1" -transport socket \
+//	ippsbench -exp tc1-cluster -procs 4 -precond "Schur 1" \
 //	  -checkpoint bench.ckpt -checkpoint-every 5
-//
-// -transport socket runs a single-cell sweep with one OS process per
-// rank (the re-exec pattern); a worker killed mid-solve is respawned
-// from the last durable checkpoint and the resumed solve lands on the
-// bit-identical result (-die-rank/-die-at-iter inject a real SIGKILL).
+//	ippsbench -exp tc1-cluster -procs 4 -precond "Schur 1" -restore bench.ckpt
 //
 // -workers pins the shared-memory worker pool (default: GOMAXPROCS, or
 // the PARAPRE_WORKERS environment variable); iteration counts and modeled
@@ -39,7 +35,6 @@ import (
 	"parapre/internal/bench"
 	"parapre/internal/ckpt"
 	"parapre/internal/dist"
-	"parapre/internal/mprun"
 	"parapre/internal/obs"
 	"parapre/internal/par"
 	"parapre/internal/precond"
@@ -63,10 +58,6 @@ func main() {
 		ckptPath  = flag.String("checkpoint", "", "durable checkpoint file (requires a single-cell sweep: one -procs value, one -precond column)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint the solver recurrence every N iterations (0 = off)")
 		restore   = flag.String("restore", "", "resume the sweep's solve mid-recurrence from this checkpoint file")
-
-		transport = flag.String("transport", "chan", `rank communication: "chan" (in-process, default) or "socket" (one OS process per rank; single-cell sweeps only)`)
-		// -socket-worker -rank -hub-net -hub-addr, -die-rank -die-at-iter
-		sock = mprun.RegisterFlags(flag.CommandLine)
 
 		faults    = flag.String("faults", "", `chaos plan for every solve: "drop", "delay", "corrupt", "straggler" or "crash"`)
 		faultSeed = flag.Int64("faultseed", 1, "chaos plan seed")
@@ -176,81 +167,6 @@ func main() {
 		for i := range toRun {
 			toRun[i].Resilient = true
 		}
-	}
-
-	if sock.Worker {
-		if len(toRun) != 1 {
-			fmt.Fprintf(os.Stderr, "ippsbench: bad worker wiring: %d experiment(s)\n", len(toRun))
-			os.Exit(2)
-		}
-		// The -restore handling above already decoded the supervisor's
-		// checkpoint into the experiment, and SingleCell into cfg.
-		e := toRun[0]
-		prob, cfg, err := e.SingleCell(*size)
-		if err != nil {
-			fatal(err)
-		}
-		out, err := sock.RunWorker(prob, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		if out != nil {
-			fmt.Printf("%s/%s/P=%d: %s in %d iterations (relative residual %.2e)\n",
-				e.ID, e.Preconds[0], cfg.P, out.Status, out.Iterations, out.RelRes)
-		}
-		return
-	}
-	switch *transport {
-	case "chan":
-		// The in-process default: the sweep loop below, bit-identical to
-		// every run before transports existed.
-	case "socket":
-		if len(toRun) != 1 {
-			fmt.Fprintln(os.Stderr, "ippsbench: -transport socket runs exactly one experiment (one -exp id)")
-			os.Exit(2)
-		}
-		for _, bad := range []struct {
-			set  bool
-			flag string
-		}{
-			{*faults != "", "-faults"},
-			{*trace != "", "-trace"},
-			{*metrics != "", "-metrics"},
-			{*phases, "-phases"},
-			{*jsonOut || *jsonTo != "", "-json"},
-			{*compare != "", "-compare"},
-			{*md, "-markdown"},
-		} {
-			if bad.set {
-				fmt.Fprintf(os.Stderr, "ippsbench: %s is in-process machinery; drop it for -transport socket (chaos there is real: -die-rank)\n", bad.flag)
-				os.Exit(2)
-			}
-		}
-		e := toRun[0]
-		prob, cfg, err := e.SingleCell(*size)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ippsbench:", err)
-			os.Exit(2)
-		}
-		if *ckptEvery > 0 && *ckptPath == "" {
-			fmt.Fprintln(os.Stderr, "ippsbench: -checkpoint-every over -transport socket needs -checkpoint (the hub owns the file)")
-			os.Exit(2)
-		}
-		fmt.Printf("%s: %d unknowns, P = %d, %s, socket transport (one OS process per rank)\n",
-			e.ID, prob.A.Rows, cfg.P, e.Preconds[0])
-		problem := []string{"-exp", e.ID, "-size", strconv.Itoa(*size), "-procs", strconv.Itoa(cfg.P),
-			"-precond", string(e.Preconds[0])}
-		if *workers > 0 {
-			problem = append(problem, "-workers", strconv.Itoa(*workers))
-		}
-		if err := sock.Supervise(mprun.Job{P: cfg.P, Problem: problem, CheckpointPath: *ckptPath,
-			CheckpointEvery: *ckptEvery, RestorePath: *restore, Resilient: *resilient}, os.Stderr); err != nil {
-			fatal(err)
-		}
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "ippsbench: unknown -transport %q (chan | socket)\n", *transport)
-		os.Exit(2)
 	}
 
 	// With any observability output requested, every solve gets its own

@@ -13,13 +13,12 @@
 //
 //	solvepde -case tc1-poisson2d -p 4 -faults corrupt -faultseed 7 -resilient
 //
-// Multi-process runs (see README "Multi-process runs"): -transport socket
-// runs every rank as its own OS process over a unix-socket hub, with
-// durable checkpoint/restart — a SIGKILLed rank is respawned by the
-// supervisor and the solve resumes from the last checkpoint:
+// Checkpoint/restart (see README "Checkpoint/restart"): -checkpoint writes
+// the solver recurrence atomically every -checkpoint-every iterations, and
+// -restore resumes from it bit for bit, modeled clocks included:
 //
-//	solvepde -case tc1-poisson2d -p 4 -transport socket \
-//	    -checkpoint /tmp/tc1.ckpt -checkpoint-every 10
+//	solvepde -case tc1-poisson2d -p 4 -checkpoint tc1.ckpt -checkpoint-every 10
+//	solvepde -case tc1-poisson2d -p 4 -restore tc1.ckpt
 package main
 
 import (
@@ -30,14 +29,12 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 
 	"parapre"
 	"parapre/internal/cases"
 	"parapre/internal/ckpt"
 	"parapre/internal/dist"
-	"parapre/internal/mprun"
 	"parapre/internal/obs"
 	"parapre/internal/precond"
 )
@@ -72,13 +69,9 @@ func main() {
 		phases  = flag.Bool("phases", false, "print the per-phase virtual-time breakdown")
 		pprofOn = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 
-		transport = flag.String("transport", "chan", `rank transport: "chan" (in-process goroutines, default) or "socket" (one OS process per rank)`)
 		ckptPath  = flag.String("checkpoint", "", "durable checkpoint file, rewritten atomically every -checkpoint-every iterations")
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint the solver recurrence every N iterations (0 = off)")
 		restore   = flag.String("restore", "", "resume the solve mid-recurrence from this checkpoint file")
-
-		// -socket-worker -rank -hub-net -hub-addr, -die-rank -die-at-iter
-		sock = mprun.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	pk, err := precond.ParseKind(*kind)
@@ -130,69 +123,14 @@ func main() {
 	cfg.Resilient = *resilient
 	cfg.CheckpointEvery = *ckptEvery
 
-	if *restore != "" && (sock.Worker || *transport == "chan") {
-		// The supervisor of a socket world passes the path on instead.
+	cfg.CheckpointPath = *ckptPath
+	if *restore != "" {
 		ck, lerr := ckpt.Load(*restore)
 		if lerr != nil {
 			fmt.Fprintln(os.Stderr, "solvepde: restore:", lerr)
 			os.Exit(1)
 		}
 		cfg.Restore = ck
-	}
-	if sock.Worker {
-		out, err := sock.RunWorker(prob, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "solvepde:", err)
-			os.Exit(1)
-		}
-		if out != nil {
-			fmt.Printf("%s in %d FGMRES(%d) iterations (relative residual %.2e)\n",
-				out.Status, out.Iterations, cfg.Solver.Restart, out.RelRes)
-		}
-		return
-	}
-	switch *transport {
-	case "chan":
-		cfg.CheckpointPath = *ckptPath
-	case "socket":
-		for _, bad := range []struct {
-			set  bool
-			flag string
-		}{
-			{*faults != "", "-faults"},
-			{*verify, "-verify"},
-			{*history, "-history"},
-			{*stats, "-stats"},
-			{*trace != "", "-trace"},
-			{*metrics != "", "-metrics"},
-			{*phases, "-phases"},
-			{*watchdog != 0, "-watchdog"},
-		} {
-			if bad.set {
-				fmt.Fprintf(os.Stderr, "solvepde: %s is in-process machinery; drop it for -transport socket (chaos there is real: -die-rank)\n", bad.flag)
-				os.Exit(2)
-			}
-		}
-		if *ckptEvery > 0 && *ckptPath == "" {
-			fmt.Fprintln(os.Stderr, "solvepde: -checkpoint-every over -transport socket needs -checkpoint (the hub owns the file)")
-			os.Exit(2)
-		}
-		fmt.Printf("case %s: %d unknowns, P = %d, %s, socket transport (one OS process per rank)\n",
-			*name, prob.A.Rows, *p, *kind)
-		problem := []string{"-case", *name, "-size", strconv.Itoa(sz), "-p", strconv.Itoa(*p),
-			"-precond", *kind, "-machine", *machine}
-		if *simple {
-			problem = append(problem, "-simple")
-		}
-		if err := sock.Supervise(mprun.Job{P: *p, Problem: problem, CheckpointPath: *ckptPath,
-			CheckpointEvery: *ckptEvery, RestorePath: *restore, Resilient: *resilient}, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "solvepde:", err)
-			os.Exit(1)
-		}
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "solvepde: unknown -transport %q (chan | socket)\n", *transport)
-		os.Exit(2)
 	}
 	chaos := *faults != ""
 	if chaos {

@@ -97,35 +97,6 @@ type Experiment struct {
 	Restore         *ckpt.Checkpoint
 }
 
-// SingleCell resolves the experiment down to the one (problem, config)
-// pair a single-cell sweep denotes — the shape the multi-process socket
-// transport runs in, where one worker process per rank solves exactly
-// one cell. The sweep must already be narrowed to one processor count
-// and one preconditioner. CheckpointEvery, Restore and Resilient carry
-// over; CheckpointPath does not — the durable file belongs to whoever
-// hosts the checkpoint writer (runAlgebraic in-process, the supervisor's
-// hub over sockets).
-func (e Experiment) SingleCell(size int) (*core.Problem, core.Config, error) {
-	if size == 0 {
-		size = e.Size
-	}
-	if e.Schwarz || e.ID == "shape" || len(e.Ps) != 1 || len(e.Preconds) != 1 {
-		return nil, core.Config{}, fmt.Errorf("%s: needs a single-cell sweep (one processor count, one preconditioner); narrow with -procs and -precond", e.ID)
-	}
-	c, err := cases.ByName(e.CaseName)
-	if err != nil {
-		return nil, core.Config{}, err
-	}
-	prob := c.Build(size)
-	cfg := core.DefaultConfig(e.Ps[0], e.Preconds[0])
-	cfg.Machine = e.Machine()
-	cfg.Scheme = e.Scheme
-	cfg.CheckpointEvery = e.CheckpointEvery
-	cfg.Restore = e.Restore
-	cfg.Resilient = e.Resilient
-	return prob, cfg, nil
-}
-
 // checkpointing reports whether any checkpoint/restore option is set.
 func (e Experiment) checkpointing() bool {
 	return e.CheckpointEvery > 0 || e.CheckpointPath != "" || e.Restore != nil

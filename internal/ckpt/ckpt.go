@@ -3,8 +3,8 @@
 // (package krylov), virtual-time accounting, fault-plan RNG cursor and
 // observability counters, serialized with a versioned, checksummed binary
 // codec and persisted by atomic write-rename — so a solve killed mid-flight
-// (a crashed rank process, a lost node) resumes from the last checkpoint
-// and replays the exact arithmetic of the uninterrupted run.
+// (a killed process, a lost node) resumes from the last checkpoint and
+// replays the exact arithmetic of the uninterrupted run.
 //
 // The format is deliberately self-contained and paranoid on the read side:
 // Decode never panics on hostile bytes; truncated, corrupted or
@@ -94,8 +94,7 @@ func (e *VersionError) Error() string {
 // Sink receives per-rank checkpoint shards. The solver side calls
 // PutShard once per rank per checkpoint; a sink that has collected all P
 // shards of a sequence persists them as one atomic checkpoint. FileWriter
-// is the in-process implementation; the socket transport's client
-// forwards shards to the hub, which owns the FileWriter.
+// is the implementation that writes files.
 type Sink interface {
 	PutShard(seq, iter uint64, p int, rs *RankState) error
 }

@@ -11,12 +11,10 @@ import (
 	"parapre/internal/precond"
 )
 
-// worldRun is the per-rank solve body shared by the in-process world (a
-// session's solves, Solve's one-shot among them: P goroutine ranks over the
-// channel transport) and the multi-process worker (SolveRank: one OS process
-// per rank over the socket transport). Keeping the paths on one body is what
-// makes the socket world reproduce the in-process arithmetic: same setup
-// charge, same barrier, same solver options, same checkpoint hook placement.
+// worldRun is the per-rank solve body of a session's solves, Solve's one-shot
+// among them: P goroutine ranks over the channel transport, with the set-up
+// charge, the barrier, the solver options and the checkpoint hook in one
+// place.
 type worldRun struct {
 	cfg     Config
 	systems []*dsys.System
@@ -98,7 +96,7 @@ func checkpointSink(cfg Config) ckpt.Sink {
 // observability counters are rewound to the snapshot before the solver
 // resumes, so the continued run is bit-identical — clocks included — to
 // the uninterrupted one. The rewind happens after the fresh setup phase
-// charged the clock, deliberately discarding the respawned process's
+// charged the clock, deliberately discarding the restarted solve's
 // duplicated setup cost from the modeled time.
 func rankSolverOptions(cfg Config, c *dist.Comm, sink ckpt.Sink, restore *ckpt.Checkpoint) krylov.Options {
 	sopt := cfg.Solver
@@ -179,70 +177,4 @@ func validateRestore(cfg Config) error {
 		}
 	}
 	return nil
-}
-
-// SolveRank runs exactly one rank of the distributed solve over the
-// given transport — the worker side of a multi-process (socket) run. The
-// worker re-derives the partition and subdomain systems deterministically
-// from the same problem and config the supervisor used, so no matrix data
-// crosses the wire; only solver traffic does.
-//
-// The additive-Schwarz and overlapping-block preconditioners are wired
-// through shared memory across ranks and cannot run multi-process;
-// requesting them returns an error. Fault plans and watchdogs are
-// likewise in-process machinery (dist.RemoteWorld strips them): chaos for
-// socket worlds is real — kill the process.
-//
-// The rank's krylov result and final virtual-time stats are returned
-// even on error (stats cover work up to the failure point). When a rank's
-// preconditioner fails to build, that rank returns the set-up error and
-// every other rank an error saying set-up failed elsewhere.
-func SolveRank(p *Problem, cfg Config, rank int, tr dist.Transport, sink ckpt.Sink) (krylov.Result, dist.Stats, error) {
-	if cfg.P < 1 || rank < 0 || rank >= cfg.P {
-		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: rank %d of P=%d", rank, cfg.P)
-	}
-	if err := resolveConfig(&cfg); err != nil {
-		return krylov.Result{}, dist.Stats{}, err
-	}
-	if cfg.Schwarz != nil || cfg.OverlapLevels > 0 && cfg.Precond.HasBlockVariants() {
-		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: overlapping/Schwarz preconditioners are shared-memory wired and cannot run multi-process")
-	}
-	if len(p.B) != p.A.Rows {
-		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: rhs length %d, want %d", len(p.B), p.A.Rows)
-	}
-	// A context is per-process: if only this worker polled the stop vote
-	// the worlds' op sequences would diverge. Cancellation of a socket
-	// world is the supervisor's job (signal the processes).
-	cfg.Ctx = nil
-	if err := validateRestore(cfg); err != nil {
-		return krylov.Result{}, dist.Stats{}, err
-	}
-	if sink == nil {
-		sink = checkpointSink(cfg)
-	}
-
-	lay, _, err := p.layout(cfg)
-	if err != nil {
-		return krylov.Result{}, dist.Stats{}, err
-	}
-	pc, buildErr := buildRankPrecond(cfg, lay.systems[rank], cfg.Precond)
-	wr := newWorldRun(cfg, lay.systems, p.B, sink, true)
-	w := dist.RemoteWorld(cfg.P, cfg.Machine, tr, dist.WorldOptions{Collector: cfg.Collector})
-	// A rank without its preconditioner cannot take part, and the others
-	// would wait for it in their first collective: the ranks agree on a
-	// failed build first, through the uncharged and untraced stop vote, so
-	// that every process returns and no modeled bit moves.
-	var failed bool
-	st, err := dist.RunRank(w.Comm(rank), func(c *dist.Comm) {
-		if failed = c.VoteStop(buildErr != nil); !failed {
-			wr.rank(c, pc, nil)
-		}
-	})
-	switch {
-	case buildErr != nil:
-		err = fmt.Errorf("core: rank %d setup: %w", rank, buildErr)
-	case failed && err == nil:
-		err = fmt.Errorf("core: rank %d: preconditioner set-up failed on another rank", rank)
-	}
-	return wr.results[rank], st, err
 }

@@ -159,9 +159,7 @@ type Config struct {
 	// propagated through an uncharged collective vote (dist.Comm.VoteStop),
 	// so all ranks stop at the same iteration and the modeled times, fault
 	// streams and traces of a run that is never canceled stay bit-identical
-	// to one with Ctx nil. In-process worlds only: SolveRank workers cannot
-	// share a context across processes (kill the process instead — that is
-	// what checkpoints are for).
+	// to one with Ctx nil.
 	Ctx context.Context
 
 	// Collector, when non-nil, records structured observability data for
@@ -183,9 +181,8 @@ type Config struct {
 	// CheckpointPath is the durable checkpoint file, rewritten atomically
 	// at each complete checkpoint (ckpt.FileWriter).
 	CheckpointPath string
-	// CheckpointSink overrides the path-based writer — the multi-process
-	// worker passes its socket client here, which forwards shards to the
-	// hub that owns the file.
+	// CheckpointSink overrides the path-based writer: shards go to it
+	// instead of to a file.
 	CheckpointSink ckpt.Sink
 	// Restore resumes the solve mid-recurrence from a loaded checkpoint
 	// (ckpt.Load) instead of starting fresh: per-rank solver state,
@@ -407,7 +404,7 @@ func recordLayout(col *obs.Collector, reused bool) {
 // buildRankPrecond constructs one rank's preconditioner of the given kind
 // under cfg's options. It is shared by the session build (buildPrecs), the
 // resilient escalation ladder (which may ask for a kind different from
-// cfg.Precond) and SolveRank.
+// cfg.Precond).
 func buildRankPrecond(cfg Config, s *dsys.System, kind precond.Kind) (precond.Preconditioner, error) {
 	switch {
 	case kind.HasBlockVariants() && cfg.RCM:

@@ -171,7 +171,7 @@ func TestEmptyRanksConverge(t *testing.T) {
 }
 
 // TestUnknownPrecondIsRejected: a Config.Precond that spells no
-// preconditioner fails all three entry points with the typed error, before
+// preconditioner fails both entry points with the typed error, before
 // any set-up, instead of solving unpreconditioned under that name; another
 // casing of a real name is that preconditioner.
 func TestUnknownPrecondIsRejected(t *testing.T) {
@@ -180,8 +180,7 @@ func TestUnknownPrecondIsRejected(t *testing.T) {
 	cfg := core.DefaultConfig(2, "Schur 3")
 	_, solveErr := core.Solve(prob, cfg)
 	_, sessionErr := core.NewSession(prob, cfg)
-	_, _, rankErr := core.SolveRank(prob, cfg, 0, dist.NewLoopback(2, 0), nil)
-	for name, err := range map[string]error{"Solve": solveErr, "NewSession": sessionErr, "SolveRank": rankErr} {
+	for name, err := range map[string]error{"Solve": solveErr, "NewSession": sessionErr} {
 		var unknown *precond.UnknownKindError
 		if !errors.As(err, &unknown) || unknown.Name != "Schur 3" {
 			t.Errorf("%s with Precond \"Schur 3\": error %v, want a *precond.UnknownKindError", name, err)
@@ -196,40 +195,30 @@ func TestUnknownPrecondIsRejected(t *testing.T) {
 	}
 }
 
-// TestSolveRankRefusesOverlapWhereItApplies: a multi-process worker
-// refuses the shared-memory wired overlapping blocks, and solves a kind
-// that ignores OverlapLevels (precond.Kind.HasBlockVariants) as if it were
-// zero, to the bit.
-func TestSolveRankRefusesOverlapWhereItApplies(t *testing.T) {
-	c, _ := cases.ByName("tc1-poisson2d")
-	prob := c.Build(9)
-	cfg := core.DefaultConfig(2, precond.KindBlock2)
-	cfg.OverlapLevels = 1
-	if _, _, err := core.SolveRank(prob, cfg, 0, dist.NewLoopback(2, 0), nil); err == nil {
-		t.Error("SolveRank ran overlapping Block 2")
-	}
-	solve := func(overlap int) []float64 {
+// TestOverlapIgnoredWhereItDoesNotApply: a kind that ignores OverlapLevels
+// (precond.Kind.HasBlockVariants) solves as if it were zero, to the bit.
+func TestOverlapIgnoredWhereItDoesNotApply(t *testing.T) {
+	prob := buildProblem(t, "tc1-poisson2d", 9)
+	solve := func(overlap int) *core.Result {
 		cfg := core.DefaultConfig(2, precond.KindBlockIC)
 		cfg.OverlapLevels = overlap
-		tr := dist.NewLoopback(2, 0)
-		clocks := make([]float64, 2)
-		errs := make(chan error, 2)
-		for r := range 2 {
-			go func() {
-				_, st, err := core.SolveRank(prob, cfg, r, tr, nil)
-				clocks[r] = st.Clock
-				errs <- err
-			}()
+		res, err := core.Solve(prob, cfg)
+		if err != nil {
+			t.Fatalf("Block IC, OverlapLevels %d: %v", overlap, err)
 		}
-		for range 2 {
-			if err := <-errs; err != nil {
-				t.Fatalf("Block IC, OverlapLevels %d: %v", overlap, err)
-			}
-		}
-		return clocks
+		return res
 	}
-	if got, want := solve(1), solve(0); got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("Block IC with OverlapLevels 1: clocks %v, without %v", got, want)
+	got, want := solve(1), solve(0)
+	if got.Iterations != want.Iterations || got.Residual != want.Residual ||
+		got.SetupTime != want.SetupTime || got.SolveTime != want.SolveTime {
+		t.Errorf("Block IC with OverlapLevels 1: %d iterations, residual %v, times %v + %v; without: %d, %v, %v + %v",
+			got.Iterations, got.Residual, got.SetupTime, got.SolveTime,
+			want.Iterations, want.Residual, want.SetupTime, want.SolveTime)
+	}
+	for r := range got.PerRank {
+		if got.PerRank[r].Clock != want.PerRank[r].Clock {
+			t.Errorf("rank %d clock %v with OverlapLevels 1, %v without", r, got.PerRank[r].Clock, want.PerRank[r].Clock)
+		}
 	}
 }
 

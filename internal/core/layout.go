@@ -103,7 +103,7 @@ func mix(h, v uint64) uint64 {
 
 // layout returns the partition and systems set-up under cfg starts from, and
 // whether they were there already: the one place NewSession (Solve's too)
-// and SolveRank get them. The matrix is re-read on every call and nothing built
+// gets them. The matrix is re-read on every call and nothing built
 // before an in-place edit is returned after it, so the result is always what
 // a fresh Problem would give. A failed build is returned and not kept.
 func (p *Problem) layout(cfg Config) (*layout, bool, error) {

@@ -582,9 +582,6 @@ func TestWrongLengthRHSIsAnError(t *testing.T) {
 		if _, err := core.Solve(prob, cfg); err == nil || err.Error() != want {
 			t.Errorf("Solve with %d-long B: error %v, want %q", len(b), err, want)
 		}
-		if _, _, err := core.SolveRank(prob, cfg, 0, dist.NewLoopback(2, 0), nil); err == nil || err.Error() != want {
-			t.Errorf("SolveRank with %d-long B: error %v, want %q", len(b), err, want)
-		}
 		sess, err := core.NewSession(prob, cfg)
 		if err != nil {
 			t.Fatalf("NewSession with %d-long B: %v", len(b), err)

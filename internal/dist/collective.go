@@ -94,9 +94,9 @@ func (r *reducer) reduce(rank int, x []float64, clock float64, op func(acc, in [
 
 // reduce runs one collective wave over x in place through the world's
 // transport and returns the maximum deposited clock, converting a world
-// abort into the internal unwind panic. Any other transport failure (a
-// socket IO error) keeps the panicking contract of the collective API;
-// RunOpts and RunRank convert it into a typed error.
+// abort into the internal unwind panic. Any other transport failure keeps
+// the panicking contract of the collective API; RunOpts converts it into a
+// typed error.
 func (c *Comm) reduce(x []float64, kind ReduceKind) float64 {
 	maxT, err := c.w.tr.Reduce(c.rank, x, c.clock, kind)
 	if err != nil {

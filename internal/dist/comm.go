@@ -52,8 +52,8 @@ type WorldOptions struct {
 	// Transport carries the world's rank communication. Nil (the default)
 	// installs the in-process channel transport, which preserves the
 	// historical semantics and virtual-time model bit-for-bit; inject a
-	// dist/socket client (multi-process ranks) or a test wrapper to run
-	// the same protocol over a different medium.
+	// wrapper around it (a test counting traffic, say) to observe the
+	// same protocol.
 	Transport Transport
 }
 
@@ -114,19 +114,6 @@ func NewWorldOpts(p int, m *Machine, opts WorldOptions) *World {
 		w.states[r].Tag = -1
 	}
 	return w
-}
-
-// RemoteWorld creates the single-rank view of a P-rank world whose
-// communication runs over the injected transport — the multi-process
-// path, where each OS process holds exactly one rank and tr is a
-// dist/socket client. Only Comm(rank) of the owning rank may be used;
-// fault plans and the in-process watchdog (both of which need the whole
-// world in one address space) are ignored.
-func RemoteWorld(p int, m *Machine, tr Transport, opts WorldOptions) *World {
-	opts.Faults = nil
-	opts.Watchdog = 0
-	opts.Transport = tr
-	return NewWorldOpts(p, m, opts)
 }
 
 // abort marks the world failed with err (first abort wins), releases
@@ -239,7 +226,7 @@ func (w *World) Comm(r int) *Comm {
 // Lease returns the value this rank holds from pool until its world ends:
 // the first call takes one with pool.Get and later calls return the same
 // one, so a rank that calls Lease in every iteration of a solve touches
-// the pool once. Run, RunOpts and RunRank put every leased value back
+// the pool once. Run and RunOpts put every leased value back
 // when the rank's function returns (not when it panics: a value an
 // unwound rank was writing is dropped). A preconditioner leases the
 // scratch its Apply works in this way: it keeps none between solves, and
@@ -420,8 +407,8 @@ func (c *Comm) Send(to, tag int, data []float64) {
 	}
 	if err := c.w.tr.Send(c.rank, to, m); err != nil {
 		// A world abort unwinds the rank quietly; any other transport
-		// failure (a socket IO error) keeps the legacy panicking contract
-		// of Send — RunOpts and RunRank convert it into a typed error.
+		// failure keeps the legacy panicking contract of Send — RunOpts
+		// converts it into a typed error.
 		if errors.Is(err, ErrWorldAborted) {
 			panic(abortPanic{})
 		}
@@ -464,7 +451,7 @@ func (c *Comm) RecvErr(from, tag int) ([]float64, error) {
 		if errors.Is(err, ErrPeerGone) {
 			return nil, &PeerCrashedError{Rank: c.rank, Peer: from, Tag: tag}
 		}
-		return nil, err // transport-level typed error (socket IO failure)
+		return nil, err // transport-level typed error
 	}
 	if m.Tag != tag {
 		sp.End(c.clock)

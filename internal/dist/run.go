@@ -2,7 +2,6 @@ package dist
 
 import (
 	"errors"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -139,42 +138,10 @@ func RunOpts(p int, m *Machine, opts WorldOptions, fn func(c *Comm)) ([]Stats, e
 	return stats, aerr
 }
 
-// RunRank drives one rank of a multi-process world (RemoteWorld over a
-// socket transport), converting the panics of fn into typed errors — the
-// single-rank mirror of what RunOpts does for a whole in-process world:
-// the transport error Send, Recv or a collective panicked with comes back
-// as it is, anything else — a bug's index out of range or nil dereference
-// included, which are errors too — as a *RankPanicError with rank and
-// stack. The rank's stats up to the failure point are returned either way.
-func RunRank(c *Comm, fn func(*Comm)) (st Stats, err error) {
-	defer func() {
-		switch v := recover().(type) {
-		case nil:
-		case abortPanic:
-			err = ErrWorldAborted
-		case runtime.Error: // before error, which it is too
-			err = &RankPanicError{Rank: c.rank, Value: v, Stack: string(debug.Stack())}
-		case error:
-			err = v
-		default:
-			err = &RankPanicError{Rank: c.rank, Value: v, Stack: string(debug.Stack())}
-		}
-		st = c.Stats()
-	}()
-	fn(c)
-	c.release()
-	return c.Stats(), nil
-}
-
 // watchdog polls the world's progress counter; if it stops moving for the
 // budget while some rank is still running, the world is aborted with a
-// DeadlockError holding every rank's diagnostics. The transport's Grace
-// extends the budget: a transport that adds real wall latency per
-// operation (a socket hop, a delayed test wrapper) legitimately spaces
-// out op completions by up to that much, and must not be misread as a
-// stalled world.
+// DeadlockError holding every rank's diagnostics.
 func (w *World) watchdog(budget time.Duration, stop chan struct{}) {
-	budget += w.tr.Grace()
 	poll := budget / 8
 	if poll < time.Millisecond {
 		poll = time.Millisecond

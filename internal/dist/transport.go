@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Message is one point-to-point payload in flight between two ranks,
@@ -32,11 +31,8 @@ const (
 	ReduceMin
 )
 
-// ReduceOp returns the element-wise fold of the given kind. The closure
-// bodies are shared by every transport (the in-process reducer and the
-// socket hub) so the arithmetic — and therefore the bits — cannot drift
-// between them.
-func ReduceOp(kind ReduceKind) func(acc, in []float64) {
+// reduceOp returns the element-wise fold of the given kind.
+func reduceOp(kind ReduceKind) func(acc, in []float64) {
 	switch kind {
 	case ReduceMax:
 		return func(acc, in []float64) {
@@ -69,20 +65,18 @@ func ReduceOp(kind ReduceKind) func(acc, in []float64) {
 // the rank/peer/tag context only the Comm knows.
 var (
 	// ErrWorldAborted reports that the world was torn down (watchdog
-	// deadlock, rank panic, supervisor shutdown) while the operation was
-	// blocked.
+	// deadlock, rank panic, typed communication failure) while the
+	// operation was blocked.
 	ErrWorldAborted = errors.New("dist: world aborted")
 	// ErrPeerGone reports that the peer of a point-to-point operation is
-	// dead (hard-crashed rank, closed socket) with no message left in
-	// flight.
+	// dead (a hard-crashed rank) with no message left in flight.
 	ErrPeerGone = errors.New("dist: peer gone")
 )
 
 // Transport carries every rank-to-rank interaction of one world: the
-// point-to-point message streams and the combining collectives. The
-// default implementation is the in-process channel transport (goroutine
-// ranks, exactly the pre-Transport semantics); package dist/socket runs
-// each rank as an OS process over unix sockets or TCP.
+// point-to-point message streams and the combining collectives. The one
+// implementation is the in-process channel transport (goroutine ranks);
+// tests wrap it to count traffic.
 //
 // Semantics every implementation must provide:
 //
@@ -93,25 +87,19 @@ var (
 //     delivers messages of one ordered pair in send order.
 //   - Reduce is a combining barrier, in place: every rank contributes
 //     the contents of x once per wave (equal lengths on all ranks), the
-//     fold runs in ascending rank order (see ReduceOp), and on a nil
+//     fold runs in ascending rank order (see reduceOp), and on a nil
 //     error every rank finds the folded vector in x and receives the
 //     maximum deposited clock. On error x keeps the contribution.
 //   - Abort releases every blocked rank; blocked and subsequent
 //     operations return ErrWorldAborted.
 //   - MarkCrashed declares one rank dead: its peers' pending receives
 //     drain any in-flight messages and then fail with ErrPeerGone.
-//   - Grace is the wall-clock latency bound of one transport operation —
-//     0 for in-process channels, the per-op deadline for sockets. The
-//     deadlock watchdog extends its no-progress budget by this much so a
-//     slow-but-healthy transport is not misread as a stall.
 type Transport interface {
 	Send(from, to int, m Message) error
 	Recv(to, from int) (Message, error)
 	Reduce(rank int, x []float64, clock float64, kind ReduceKind) (float64, error)
 	MarkCrashed(rank int)
 	Abort()
-	Grace() time.Duration
-	Close() error
 }
 
 // chanTransport is the in-process channel transport: P rank goroutines in
@@ -128,10 +116,9 @@ type chanTransport struct {
 
 // NewLoopback creates the in-process channel transport for a world of p
 // ranks with the given per-ordered-pair buffer depth (0 means
-// DefaultBufferDepth). It is exported so tests and wrappers (for example
-// a delayed transport exercising the watchdog's Grace accounting) can
-// compose with it; NewWorldOpts installs one automatically when
-// WorldOptions.Transport is nil.
+// DefaultBufferDepth). It is exported so test wrappers can compose with
+// it; NewWorldOpts installs one automatically when WorldOptions.Transport
+// is nil.
 func NewLoopback(p, depth int) Transport {
 	if p < 1 {
 		panic(fmt.Sprintf("dist: loopback transport size %d", p))
@@ -200,7 +187,7 @@ func (t *chanTransport) Recv(to, from int) (Message, error) {
 
 // Reduce runs one wave of the combining barrier.
 func (t *chanTransport) Reduce(rank int, x []float64, clock float64, kind ReduceKind) (float64, error) {
-	return t.red.reduce(rank, x, clock, ReduceOp(kind))
+	return t.red.reduce(rank, x, clock, reduceOp(kind))
 }
 
 // MarkCrashed wakes every peer blocked on the crashed rank.
@@ -213,10 +200,3 @@ func (t *chanTransport) Abort() {
 	close(t.done)
 	t.red.abort()
 }
-
-// Grace is zero: channel operations complete at memory speed, so the
-// watchdog budget needs no transport slack.
-func (t *chanTransport) Grace() time.Duration { return 0 }
-
-// Close is a no-op; the garbage collector owns the channels.
-func (t *chanTransport) Close() error { return nil }

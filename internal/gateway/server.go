@@ -126,12 +126,13 @@ func (s *Server) enqueue(j *Job) error {
 }
 
 // retire is the scheduler's last word on a job, run or canceled in the
-// queue: it is terminal, and the oldest terminal jobs leave the registry
-// while there are more than retainedJobs of them or, the newest aside,
-// their results hold more than a quarter of the session budget. An open
-// event stream holds its *Job and ends as it would have; a later GET by id
-// is answered "expired".
+// queue: it is terminal, so its durable state goes (dropDurable), and the
+// oldest terminal jobs leave the registry while there are more than
+// retainedJobs of them or, the newest aside, their results hold more than a
+// quarter of the session budget. An open event stream holds its *Job and
+// ends as it would have; a later GET by id is answered "expired".
 func (s *Server) retire(j *Job) {
+	s.dropDurable(j.ID)
 	j.Spec = nil // read by the worker alone, which is done with it: an upload's is up to 64 MiB of text
 	b := j.resultBytes()
 	s.mu.Lock()
@@ -176,6 +177,19 @@ func (s *Server) ckptPath(id string) (ck, spec string) {
 	return filepath.Join(s.ckptDir, id+".ckpt"), filepath.Join(s.ckptDir, id+".json")
 }
 
+// dropDurable removes a job's sidecar, then its checkpoint. In that order a
+// kill between the two leaves a checkpoint without a sidecar, which the
+// next resume scan deletes, and never a sidecar that would run the job
+// again from scratch.
+func (s *Server) dropDurable(id string) {
+	if s.ckptDir == "" {
+		return
+	}
+	ckFile, scFile := s.ckptPath(id)
+	_ = os.Remove(scFile)
+	_ = os.Remove(ckFile)
+}
+
 // persistedSpec is the sidecar the resume scan reads: enough to rebuild
 // the job exactly.
 type persistedSpec struct {
@@ -187,13 +201,26 @@ type persistedSpec struct {
 // left behind: for every sidecar spec with a loadable checkpoint the job
 // restarts mid-recurrence; a sidecar without a checkpoint (killed before
 // the first snapshot) restarts from scratch. A sidecar whose spec no
-// longer validates goes, and its checkpoint with it.
+// longer validates goes, and its checkpoint with it. So do what nothing
+// would ever read: a checkpoint without a sidecar, and the temp files of a
+// checkpoint write that was killed before its rename (ckpt.WriteFile). They
+// go before any job is enqueued, since a resumed job writes temp files too.
 func (s *Server) resumeScan() error {
 	if s.ckptDir == "" {
 		return nil
 	}
 	if err := os.MkdirAll(s.ckptDir, 0o755); err != nil {
 		return err
+	}
+	stale, _ := filepath.Glob(filepath.Join(s.ckptDir, ".ckpt-*"))
+	ckpts, _ := filepath.Glob(filepath.Join(s.ckptDir, "*.ckpt"))
+	for _, f := range ckpts {
+		if _, err := os.Stat(strings.TrimSuffix(f, ".ckpt") + ".json"); os.IsNotExist(err) {
+			stale = append(stale, f)
+		}
+	}
+	for _, f := range stale {
+		_ = os.Remove(f)
 	}
 	sidecars, err := filepath.Glob(filepath.Join(s.ckptDir, "*.json"))
 	if err != nil {
@@ -206,11 +233,9 @@ func (s *Server) resumeScan() error {
 			continue
 		}
 		id := strings.TrimSuffix(filepath.Base(sc), ".json")
-		ckFile, _ := s.ckptPath(id)
 		var ps persistedSpec
 		if json.Unmarshal(data, &ps) != nil || ps.Spec == nil || ps.Spec.Validate() != nil {
-			_ = os.Remove(sc)
-			_ = os.Remove(ckFile)
+			s.dropDurable(id)
 			continue
 		}
 		j := NewJob(ps.Tenant, ps.Spec)
@@ -218,6 +243,7 @@ func (s *Server) resumeScan() error {
 		if n, ok := jobNumber(id); ok && n > s.issued {
 			s.issued = n // no new job repeats the number, and the id expires like ours
 		}
+		ckFile, _ := s.ckptPath(id)
 		if ck, err := ckpt.Load(ckFile); err == nil {
 			j.Restore = ck
 		}
@@ -230,7 +256,8 @@ func (s *Server) resumeScan() error {
 }
 
 // runJob executes one job on a worker: session lookup, live event
-// wiring, the solve itself, result projection, checkpoint cleanup.
+// wiring, the solve itself, result projection. retire cleans up the
+// checkpoint whatever the outcome.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	sess, err := s.sessions.get(j.Spec.SessionKey(), j.Spec.build())
 	if err != nil {
@@ -272,9 +299,8 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		Progress:  progress,
 		Restore:   j.Restore,
 	}
-	ckFile, scFile := "", ""
 	if s.ckptDir != "" && j.Spec.CheckpointEvery > 0 {
-		ckFile, scFile = s.ckptPath(j.ID)
+		ckFile, scFile := s.ckptPath(j.ID)
 		if data, err := json.Marshal(&persistedSpec{Tenant: j.Tenant, Spec: j.Spec}); err == nil {
 			_ = os.WriteFile(scFile, data, 0o644)
 		}
@@ -299,11 +325,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		}
 	}
 	j.Finish(sum)
-	// The job is terminal: its durable state has served its purpose.
-	if ckFile != "" {
-		_ = os.Remove(ckFile)
-		_ = os.Remove(scFile)
-	}
 }
 
 // Handler returns the HTTP API:

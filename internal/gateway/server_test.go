@@ -463,7 +463,8 @@ func TestE2EKillAndResume(t *testing.T) {
 	if j.State() != StateDone {
 		t.Fatalf("state = %s", j.State())
 	}
-	// Terminal jobs clean their durable state.
+	// Terminal jobs clean their durable state once the worker retires them.
+	drain(t, srv)
 	if _, err := os.Stat(ckFile); !os.IsNotExist(err) {
 		t.Error("checkpoint not removed after completion")
 	}
@@ -474,19 +475,24 @@ func TestE2EKillAndResume(t *testing.T) {
 
 // A sidecar whose spec no longer validates — here one naming the removed
 // Block ARMS — is dropped by the resume scan together with its checkpoint,
-// and no job is registered for it.
+// and no job is registered for it. Nor does the scan keep what nothing would
+// read: a checkpoint without a sidecar, or the temp file of a checkpoint
+// write killed before its rename.
 func TestResumeScanDropsInvalidSidecarAndCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	const id = "7-deadbeef"
 	scFile, ckFile := filepath.Join(dir, id+".json"), filepath.Join(dir, id+".ckpt")
+	orphan, temp := filepath.Join(dir, "8-cafef00d.ckpt"), filepath.Join(dir, ".ckpt-123456")
 	if err := os.WriteFile(scFile, []byte(`{"spec":{"case":"tc1-poisson2d","precond":"Block ARMS"}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(ckFile, []byte("checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, f := range []string{ckFile, orphan, temp} {
+		if err := os.WriteFile(f, []byte("checkpoint"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv, _ := newTestServer(t, Options{Workers: 1, QueueDepth: 1, CkptDir: dir})
-	for _, f := range []string{scFile, ckFile} {
+	for _, f := range []string{scFile, ckFile, orphan, temp} {
 		if _, err := os.Stat(f); !os.IsNotExist(err) {
 			t.Errorf("%s left behind by the resume scan (stat: %v)", filepath.Base(f), err)
 		}
@@ -499,6 +505,68 @@ func TestResumeScanDropsInvalidSidecarAndCheckpoint(t *testing.T) {
 	srv.mu.Unlock()
 	if n != 0 {
 		t.Errorf("%d jobs registered, want 0", n)
+	}
+}
+
+// A job whose solve fails is terminal like one that finishes: its sidecar
+// and checkpoint go, and the next start does not run it again. Here the
+// checkpoint holds 4 ranks and the sidecar asks for 2.
+func TestFailedJobLeavesNoDurableState(t *testing.T) {
+	dir := t.TempDir()
+	const id = "3-0123456789abcdef"
+	ckFile, scFile := filepath.Join(dir, id+".ckpt"), filepath.Join(dir, id+".json")
+	c, err := cases.ByName("tc1-poisson2d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob := c.Build(17)
+	cfg := core.DefaultConfig(4, precond.KindBlock1)
+	cfg.CheckpointEvery, cfg.CheckpointPath = 2, ckFile
+	if _, err := core.Solve(prob, cfg); err != nil {
+		t.Fatal(err)
+	}
+	side, _ := json.Marshal(&persistedSpec{Tenant: "alice", Spec: &Spec{Case: "tc1-poisson2d", Size: 17,
+		Procs: 2, Precond: "Block 1", CheckpointEvery: 2}})
+	if err := os.WriteFile(scFile, side, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, CkptDir: dir})
+	if _, ok := srv.Job(id); !ok {
+		t.Fatal("the job was not resumed")
+	}
+	var failed string
+	for _, e := range streamEvents(t, ts, id) {
+		if e.Type == "error" {
+			failed = e.Error
+		}
+	}
+	if !strings.Contains(failed, "checkpoint holds 4 ranks, config wants P=2") {
+		t.Errorf("job error %q, want the checkpoint's world size refused", failed)
+	}
+	drain(t, srv)
+	for _, f := range []string{scFile, ckFile} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("%s left behind by the failed job (stat: %v)", filepath.Base(f), err)
+		}
+	}
+
+	again, _ := newTestServer(t, Options{Workers: 1, QueueDepth: 1, CkptDir: dir})
+	again.mu.Lock()
+	n := len(again.jobs)
+	again.mu.Unlock()
+	if n != 0 {
+		t.Errorf("the next start registered %d jobs, want 0", n)
+	}
+}
+
+// drain waits until the server's workers have retired every job.
+func drain(t *testing.T, srv *Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 

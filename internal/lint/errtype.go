@@ -34,7 +34,6 @@ var errTypePkgs = map[string]bool{
 	"ilu":       true,
 	"krylov":    true,
 	"dist":      true,
-	"socket":    true,
 	"ckpt":      true,
 	"partition": true,
 }

@@ -1,9 +1,9 @@
 package positive
 
-// The shapes of the durability APIs (ckpt.Sink.PutShard, socket
-// Client.Close, ckpt.Load): a dropped error here means a checkpoint that
-// silently never became durable, or a transport teardown whose failure
-// is invisible — exactly the losses the restart path cannot survive.
+// The shapes of the durability APIs (ckpt.Sink.PutShard, a Close,
+// ckpt.Load): a dropped error here means a checkpoint that silently never
+// became durable, or a teardown whose failure is invisible — exactly the
+// losses the restart path cannot survive.
 
 type rankState struct{}
 
@@ -23,7 +23,7 @@ func Snapshot(s sink, rs *rankState) {
 	s.PutShard(1, 10, 4, rs) // WANT errdrop
 }
 
-// Teardown drops both the transport close and the restore-load error.
+// Teardown drops both the close and the restore-load error.
 func Teardown(c client, path string) {
 	c.Close()  // WANT errdrop
 	load(path) // WANT errdrop
