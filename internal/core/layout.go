@@ -145,3 +145,15 @@ func (p *Problem) layout(cfg Config) (*layout, bool, error) {
 	m.mu.Unlock()
 	return l, reused, err
 }
+
+// Systems returns the subdomain systems set-up under cfg distributes: the
+// ones a solve or session on p under cfg has already built, or a new
+// layout that the next one reuses. They are shared and read-only, and hold
+// no right-hand side.
+func (p *Problem) Systems(cfg Config) ([]*dsys.System, error) {
+	l, _, err := p.layout(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return l.systems, nil
+}
