@@ -11,22 +11,21 @@ import (
 
 // Reduction is one independent-set reduction step: the permuted matrix
 // splits as [B F; E C] with exactly block-diagonal B (by
-// group-independent-set construction); BlockLU holds the dense
-// factorization of each B block and S the (dropped) Schur complement
-// C − E·B⁻¹·F that Schur 2's expanded system is built from.
+// group-independent-set construction); B holds its factorization, one
+// group after the other, and S the (dropped) Schur complement C − E·B⁻¹·F
+// that Schur 2's expanded system is built from.
 type Reduction struct {
-	Perm    sparse.Perm // new→old over the reduced matrix
-	NB      int         // size of the grouped (B) part
-	Blocks  [][2]int    // contiguous extent of each group in the new order
-	BlockLU []*sparse.LU
-	F, E    *sparse.CSR // coupling blocks of the permuted matrix
-	S       *sparse.CSR // reduced (Schur) matrix, until TakeS hands it on
+	Perm sparse.Perm         // new→old over the reduced matrix
+	NB   int                 // size of the grouped (B) part
+	B    *sparse.BlockDiagLU // the groups' factors, each group contiguous in the new order
+	F, E *sparse.CSR         // coupling blocks of the permuted matrix
+	S    *sparse.CSR         // reduced (Schur) matrix, until TakeS hands it on
 }
 
 // TakeS hands the reduced matrix to the expanded Schur system built from
 // it and drops the reduction's reference: applying a reduction reads Perm,
-// the group LUs, E and F, never S, so a reduction kept for its apply would
-// otherwise pin a matrix nothing reads.
+// the group factors, E and F, never S, so a reduction kept for its apply
+// would otherwise pin a matrix nothing reads.
 func (r *Reduction) TakeS() *sparse.CSR {
 	s := r.S
 	r.S = nil
@@ -39,31 +38,31 @@ func (r *Reduction) TakeS() *sparse.CSR {
 // twice.
 func (r *Reduction) SolveB(out, in []float64) {
 	paranoid.Check(len(out) == 0 || len(in) == 0 || &out[0] != &in[0], "arms: SolveB output aliases its input")
-	for g, ext := range r.Blocks {
-		lo, hi := ext[0], ext[1]
-		r.BlockLU[g].SolveTo(out[lo:hi], in[lo:hi])
-	}
+	r.B.SolveTo(out, in)
 }
 
-// SolveBFlops returns the flop count of one SolveB.
+// SolveBFlops returns the flop count of one SolveB, charged as the dense
+// group solves' 2·|g|² each: the envelopes skip only products by zero, and
+// the model's count stays the one the goldens were recorded with.
 func (r *Reduction) SolveBFlops() float64 {
 	var f float64
-	for _, ext := range r.Blocks {
-		sz := float64(ext[1] - ext[0])
+	for g := 0; g < r.B.Groups(); g++ {
+		lo, hi := r.B.Group(g)
+		sz := float64(hi - lo)
 		f += 2 * sz * sz
 	}
 	return f
 }
 
 // ReducePermuted performs the reduction of a under a given permutation
-// (new→old): the first nB new unknowns are the grouped ones,
-// blocks lists the extent of each group among them — ascending and tiling
-// [0, nB), as IndSetPerm returns them — and no entry of a couples two
-// different groups. One pass over a splits P·A·Pᵀ = [B F; E C]: the
-// diagonal blocks of B go straight into dense storage, F, E and C are
-// counted first and allocated at their exact size.
-func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dropTol float64) (*Reduction, error) {
-	n := a.Rows
+// (new→old): group g is the new unknowns [start[g], start[g+1]), as
+// IndSetPerm returns them, the nB = start[len(start)−1] grouped unknowns
+// come first, and no entry of a couples two different groups. One pass
+// over a splits P·A·Pᵀ = [B F; E C]: each group's block of B goes straight
+// into the dense scratch it is factored in, F, E and C are counted first
+// and allocated at their exact size.
+func ReducePermuted(a *sparse.CSR, perm sparse.Perm, start []int32, dropTol float64) (*Reduction, error) {
+	n, nB := a.Rows, int(start[len(start)-1])
 	inv := perm.Inverse()
 	var nnzF, nnzE, nnzC int
 	for i, old := range perm {
@@ -80,16 +79,15 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 		}
 	}
 	red := &Reduction{
-		Perm: perm, NB: nB, Blocks: blocks,
-		BlockLU: make([]*sparse.LU, len(blocks)),
-		F:       sparse.NewCSR(nB, n-nB, nnzF),
-		E:       sparse.NewCSR(n-nB, nB, nnzE),
+		Perm: perm, NB: nB,
+		F: sparse.NewCSR(nB, n-nB, nnzF),
+		E: sparse.NewCSR(n-nB, nB, nnzE),
 	}
 	c := sparse.NewCSR(n-nB, n-nB, nnzC)
 
-	for g, ext := range blocks {
-		lo, hi := ext[0], ext[1]
-		d := sparse.NewDense(hi-lo, hi-lo)
+	var err error
+	red.B, err = sparse.FactorBlockDiag(start, func(g int, d *sparse.Dense) {
+		lo, hi := int(start[g]), int(start[g+1])
 		for i := lo; i < hi; i++ {
 			cols, vals := a.Row(int(perm[i]))
 			f0 := len(red.F.ColIdx)
@@ -105,11 +103,9 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 			red.F.EndRow(i)
 			sparse.SortRow(red.F.ColIdx[f0:], red.F.Val[f0:])
 		}
-		lu, err := d.Factor()
-		if err != nil {
-			return nil, fmt.Errorf("group %d: %w", g, err)
-		}
-		red.BlockLU[g] = lu
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := nB; i < n; i++ {
 		cols, vals := a.Row(int(perm[i]))
@@ -128,7 +124,7 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 		sparse.SortRow(red.E.ColIdx[e0:], red.E.Val[e0:])
 		sparse.SortRow(c.ColIdx[c0:], c.Val[c0:])
 	}
-	red.S = AssembleSchur(c, red.E, red.F, red, dropTol)
+	red.S = AssembleSchur(c, red.E, red.F, red.B, dropTol)
 	// The products with E and F take their blocked-format verdict now, so
 	// that what the reduction holds does not grow on its first apply.
 	red.E.AutoBlocked()
@@ -137,8 +133,8 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 }
 
 // AssembleSchur computes S = C − E·B⁻¹·F with per-row relative dropping,
-// using the reduction's exact block-diagonal solves for B⁻¹ (l.Blocks and
-// l.BlockLU; the groups' extents ascend and tile the columns of E).
+// using the exact block-diagonal solves of B's factor b for B⁻¹ (the
+// groups' extents ascend and tile the columns of E).
 //
 // The assembly is row-wise. Per group g the column support of F_g and the
 // dense W_g = B_g⁻¹·F_g are computed once. Row i of S is then the merge of
@@ -148,7 +144,7 @@ func ReducePermuted(a *sparse.CSR, perm sparse.Perm, nB int, blocks [][2]int, dr
 // and then group by group would hold for row i, so sparse.MergeRow sums
 // duplicates to the same bits. Entries below dropTol·(mean magnitude of
 // the merged row) are then dropped in place, the diagonal always kept.
-func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.CSR {
+func AssembleSchur(c, e, f *sparse.CSR, b *sparse.BlockDiagLU, dropTol float64) *sparse.CSR {
 	nc := c.Rows
 	if c.Cols != nc || e.Rows != nc || f.Cols != nc || e.Cols != f.Rows {
 		panic(fmt.Sprintf("arms: AssembleSchur blocks do not fit: C %d×%d, E %d×%d, F %d×%d",
@@ -157,7 +153,7 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 
 	// Supports, in first-seen order over each group's rows. slot[j] is the
 	// position of column j in the current group's support, −1 outside it.
-	ng := len(l.Blocks)
+	ng := b.Groups()
 	supPtr := make([]int, ng+1)
 	wPtr := make([]int, ng+1)
 	var supCols []int32
@@ -166,8 +162,8 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 	for j := range slot {
 		slot[j] = -1
 	}
-	for g, ext := range l.Blocks {
-		lo, hi := ext[0], ext[1]
+	for g := 0; g < ng; g++ {
+		lo, hi := b.Group(g)
 		for _, j := range f.ColIdx[f.RowPtr[lo]:f.RowPtr[hi]] {
 			if slot[j] < 0 {
 				slot[j] = len(supCols) - supPtr[g]
@@ -184,17 +180,17 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 	}
 
 	// W_g, row-major |g|×|support|: scatter F_g into a dense block of
-	// right-hand sides, one support column after the other, solve them
-	// together into W_g's own storage and transpose that to row-major
-	// through the right-hand sides, which are dead by then.
+	// right-hand sides, one support column after the other, solve each
+	// into W_g's own storage and transpose that to row-major through the
+	// right-hand sides, which are dead by then.
 	w := make([]float64, wPtr[ng])
 	groupOf := make([]int, e.Cols)
 	for j := range groupOf {
 		groupOf[j] = -1
 	}
 	rhsBuf := make([]float64, maxRHS)
-	for g, ext := range l.Blocks {
-		lo, hi := ext[0], ext[1]
+	for g := 0; g < ng; g++ {
+		lo, hi := b.Group(g)
 		sz := hi - lo
 		for j := lo; j < hi; j++ {
 			groupOf[j] = g
@@ -217,7 +213,9 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 			}
 		}
 		wg := w[wPtr[g]:wPtr[g+1]]
-		l.BlockLU[g].SolveManyTo(wg, rhs, len(sup))
+		for sc := range sup {
+			b.SolveGroup(g, wg[sc*sz:(sc+1)*sz], rhs[sc*sz:(sc+1)*sz])
+		}
 		for sc, j := range sup {
 			for i, v := range wg[sc*sz : (sc+1)*sz] {
 				rhs[i*len(sup)+sc] = v
@@ -252,7 +250,8 @@ func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.C
 				continue
 			}
 			eij := vals[k]
-			row := w[wPtr[g]+(int(j)-l.Blocks[g][0])*len(sup):][:len(sup)]
+			lo, _ := b.Group(g)
+			row := w[wPtr[g]+(int(j)-lo)*len(sup):][:len(sup)]
 			for sc, jj := range sup {
 				if v := eij * row[sc]; v != 0 {
 					buf = append(buf, sparse.Entry{Col: int(jj), Val: -v})

@@ -77,12 +77,12 @@ func TestGroupIndependentSetReducesMost(t *testing.T) {
 func TestIndSetPermContiguousGroups(t *testing.T) {
 	a, _ := poissonMatrix(t, 11)
 	group, ng := GroupIndependentSet(a, 10)
-	perm, nB, blocks := IndSetPerm(group, ng)
+	perm, nB, start := IndSetPerm(group, ng)
 	if !perm.IsValid() {
 		t.Fatal("invalid permutation")
 	}
-	for g, ext := range blocks {
-		for i := ext[0]; i < ext[1]; i++ {
+	for g := 0; g < ng; g++ {
+		for i := start[g]; i < start[g+1]; i++ {
 			if group[perm[i]] != g {
 				t.Fatalf("block %d position %d holds vertex of group %d", g, i, group[perm[i]])
 			}
@@ -100,11 +100,11 @@ func TestARMSBlockDiagonalB(t *testing.T) {
 	// different group extents.
 	a, _ := poissonMatrix(t, 13)
 	group, ng := GroupIndependentSet(a, 12)
-	perm, nB, blocks := IndSetPerm(group, ng)
+	perm, nB, start := IndSetPerm(group, ng)
 	p := sparse.PermuteSym(a, perm)
 	whichBlock := make([]int, nB)
-	for g, ext := range blocks {
-		for i := ext[0]; i < ext[1]; i++ {
+	for g := 0; g < ng; g++ {
+		for i := start[g]; i < start[g+1]; i++ {
 			whichBlock[i] = g
 		}
 	}
@@ -123,8 +123,8 @@ func TestARMSBlockDiagonalB(t *testing.T) {
 // matrix: a group-independent set, its permutation, the reduction under it.
 func reduce(a *sparse.CSR, maxGroup int, dropTol float64) (*Reduction, error) {
 	group, ng := GroupIndependentSet(a, maxGroup)
-	perm, nB, blocks := IndSetPerm(group, ng)
-	return ReducePermuted(a, perm, nB, blocks, dropTol)
+	perm, _, start := IndSetPerm(group, ng)
+	return ReducePermuted(a, perm, start, dropTol)
 }
 
 // solveReduced applies a reduction with an exact solve of its S — u_B =
@@ -220,8 +220,9 @@ func TestARMSSolveFlopsPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want float64
-	for _, ext := range red.Blocks {
-		sz := float64(ext[1] - ext[0])
+	for g := 0; g < red.B.Groups(); g++ {
+		lo, hi := red.B.Group(g)
+		sz := float64(hi - lo)
 		want += 2 * sz * sz
 	}
 	if got := red.SolveBFlops(); got <= 0 || got != want {

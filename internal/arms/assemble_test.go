@@ -1,7 +1,9 @@
 package arms
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"parapre/internal/fem"
@@ -11,8 +13,10 @@ import (
 
 // assembleSchurCOO is the coordinate-buffer AssembleSchur this package used
 // until the row-wise version replaced it, kept verbatim (with its
-// dropSmall) as the oracle: the new one must return the same bits.
-func assembleSchurCOO(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.CSR {
+// dropSmall) as the oracle: the new one must return the same bits. Its
+// B⁻¹ is the dense path's, one LU.Solve of a group's dense factor a
+// column (denseGroupLUs); b gives the groups' extents only.
+func assembleSchurCOO(c, e, f *sparse.CSR, b *sparse.BlockDiagLU, lus []*sparse.LU, dropTol float64) *sparse.CSR {
 	nc := c.Rows
 	coo := sparse.NewCOO(nc, nc, c.NNZ()*2)
 	for i := 0; i < nc; i++ {
@@ -25,8 +29,8 @@ func assembleSchurCOO(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *spars
 	// For each group g: W = B_g⁻¹ F_g (dense |g|×support), then subtract
 	// E[:,g]·W.
 	ft := f // F rows are the group rows already
-	for g, ext := range l.Blocks {
-		lo, hi := ext[0], ext[1]
+	for g := 0; g < b.Groups(); g++ {
+		lo, hi := b.Group(g)
 		sz := hi - lo
 		// Column support of F_g.
 		support := map[int]int{}
@@ -60,7 +64,7 @@ func assembleSchurCOO(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *spars
 					}
 				}
 			}
-			sol := l.BlockLU[g].Solve(rhs)
+			sol := lus[g].Solve(rhs)
 			for i := 0; i < sz; i++ {
 				w[i*len(supCols)+sc] = sol[i]
 			}
@@ -115,6 +119,38 @@ func dropSmallCSR(a *sparse.CSR, tol float64) *sparse.CSR {
 		out.EndRow(i)
 	}
 	return out
+}
+
+// denseGroupLUs factors each group of the B block bb — the extents are
+// those of the envelope factor b — as a dense sparse.LU of its own: the
+// group factors the envelope storage replaced, kept as the oracle of its
+// bits.
+func denseGroupLUs(t testing.TB, bb *sparse.CSR, b *sparse.BlockDiagLU) []*sparse.LU {
+	lus := make([]*sparse.LU, b.Groups())
+	for g := range lus {
+		lo, hi := b.Group(g)
+		d := sparse.NewDense(hi-lo, hi-lo)
+		for i := lo; i < hi; i++ {
+			cols, vals := bb.Row(i)
+			for k, j := range cols {
+				d.Set(i-lo, int(j)-lo, vals[k])
+			}
+		}
+		lu, err := d.Factor()
+		if err != nil {
+			t.Fatalf("group %d: %v", g, err)
+		}
+		lus[g] = lu
+	}
+	return lus
+}
+
+// solveBDense is SolveB through the dense group factors.
+func solveBDense(b *sparse.BlockDiagLU, lus []*sparse.LU, out, in []float64) {
+	for g, lu := range lus {
+		lo, hi := b.Group(g)
+		lu.SolveTo(out[lo:hi], in[lo:hi])
+	}
 }
 
 // splitOracle rebuilds [B F; E C] by a symmetric
@@ -210,22 +246,22 @@ func TestAssembleSchurMatchesCOO(t *testing.T) {
 		for _, maxGroup := range []int{1, 5, 24} {
 			for _, dropTol := range []float64{0, 1e-4} {
 				group, ng := GroupIndependentSet(m.a, maxGroup)
-				perm, nB, blocks := IndSetPerm(group, ng)
+				perm, nB, start := IndSetPerm(group, ng)
 				if nB == 0 || nB == m.a.Rows {
 					t.Fatalf("%s maxGroup %d: no reduction", m.name, maxGroup)
 				}
-				red, err := ReducePermuted(m.a, perm, nB, blocks, dropTol)
+				red, err := ReducePermuted(m.a, perm, start, dropTol)
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, f, e, c := splitOracle(m.a, perm, nB)
+				bb, f, e, c := splitOracle(m.a, perm, nB)
 				what := func(s string) string { return m.name + " " + s }
 				sameBits(t, what("F"), red.F, f)
 				sameBits(t, what("E"), red.E, e)
-				want := assembleSchurCOO(c, e, f, red, dropTol)
+				want := assembleSchurCOO(c, e, f, red.B, denseGroupLUs(t, bb, red.B), dropTol)
 				sameBits(t, what("S"), red.S, want)
 				all = append(all, kept{what("S"), red.S, want})
-				sameBits(t, what("S from the oracle's blocks"), AssembleSchur(c, e, f, red, dropTol), want)
+				sameBits(t, what("S from the oracle's blocks"), AssembleSchur(c, e, f, red.B, dropTol), want)
 				if cap(red.S.ColIdx) != len(red.S.ColIdx) || cap(red.S.Val) != len(red.S.Val) ||
 					cap(red.F.Val) != len(red.F.Val) || cap(red.E.Val) != len(red.E.Val) {
 					t.Errorf("%s: S, E or F carries spare capacity", m.name)
@@ -260,17 +296,17 @@ func TestAssembleSchurEmptySupportGroup(t *testing.T) {
 	coo.Add(4, 3, 0.5)
 	a := coo.ToCSR()
 	perm := sparse.IdentityPerm(5)
-	blocks := [][2]int{{0, 2}, {2, 3}}
+	start := []int32{0, 2, 3}
 	for _, dropTol := range []float64{0, 1e-4, 0.9} {
-		red, err := ReducePermuted(a, perm, 3, blocks, dropTol)
+		red, err := ReducePermuted(a, perm, start, dropTol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, f, e, c := splitOracle(a, perm, 3)
+		bb, f, e, c := splitOracle(a, perm, 3)
 		if f.RowNNZ(2) != 0 || e.At(0, 2) == 0 {
 			t.Fatal("the fixture lost its empty-support group")
 		}
-		sameBits(t, "S", red.S, assembleSchurCOO(c, e, f, red, dropTol))
+		sameBits(t, "S", red.S, assembleSchurCOO(c, e, f, red.B, denseGroupLUs(t, bb, red.B), dropTol))
 	}
 }
 
@@ -279,8 +315,8 @@ func TestAssembleSchurEmptySupportGroup(t *testing.T) {
 func BenchmarkAssembleSchur(b *testing.B) {
 	a, _ := poissonMatrix(b, 65)
 	group, ng := GroupIndependentSet(a, 24)
-	perm, nB, blocks := IndSetPerm(group, ng)
-	red, err := ReducePermuted(a, perm, nB, blocks, 1e-4)
+	perm, nB, start := IndSetPerm(group, ng)
+	red, err := ReducePermuted(a, perm, start, 1e-4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -288,8 +324,114 @@ func BenchmarkAssembleSchur(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = AssembleSchur(c, e, f, red, 1e-4)
+		benchSink = AssembleSchur(c, e, f, red.B, 1e-4)
 	}
 }
 
 var benchSink *sparse.CSR
+
+// TestGroupSolveBitsMatchDense: the envelope factor's solves — SolveB, and
+// the W_g = B_g⁻¹·F_g columns S is assembled from — have the bits of the
+// dense group factors they replaced, on the three kinds of block the
+// paper's cases produce at group sizes up to 1, 5 and 24, for right-hand
+// sides that are dense, sparse, or hold −0.
+func TestGroupSolveBitsMatchDense(t *testing.T) {
+	poisson, _ := poissonMatrix(t, 33)
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(38))
+	for _, m := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"poisson", poisson},
+		{"convdiff", convDiffMatrix(t, 33)},
+		{"elasticity", elasticityMatrix(t, 21)},
+	} {
+		for _, maxGroup := range []int{1, 5, 24} {
+			what := fmt.Sprintf("%s maxGroup %d", m.name, maxGroup)
+			red, err := reduce(m.a, maxGroup, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bb, f, e, c := splitOracle(m.a, red.Perm, red.NB)
+			lus := denseGroupLUs(t, bb, red.B)
+			for _, kind := range []string{"dense", "sparse", "negative zeros"} {
+				in := make([]float64, red.NB)
+				for i := range in {
+					switch {
+					case kind == "dense" || (kind == "sparse" && rng.Intn(5) == 0):
+						in[i] = rng.NormFloat64()
+					case kind == "negative zeros" && rng.Intn(2) == 0:
+						in[i] = negZero
+					}
+				}
+				got, want := make([]float64, red.NB), make([]float64, red.NB)
+				red.SolveB(got, in)
+				solveBDense(red.B, lus, want, in)
+				sameVecBits(t, what+" SolveB of "+kind+" input", got, want)
+			}
+			sameBits(t, what+" S", red.S, assembleSchurCOO(c, e, f, red.B, lus, 0))
+		}
+	}
+
+	// One group of three whose factor has no pivoting, L = [1; 0 1; 0 ¼ 1]
+	// and U = [4 1 0; 4 0; 4]: row 1's L and U envelopes are empty, row 0's
+	// U and row 2's L end short of the row. A group of one, and the
+	// separator after them.
+	coo := sparse.NewCOO(6, 6, 16)
+	for i, v := range []float64{4, 4, 4, 2, 4, 4} {
+		coo.Add(i, i, v)
+	}
+	coo.Add(0, 1, 1)
+	coo.Add(2, 1, 1)
+	for _, ij := range [][2]int{{0, 4}, {2, 5}, {3, 5}} {
+		coo.Add(ij[0], ij[1], -1)
+		coo.Add(ij[1], ij[0], -1)
+	}
+	coo.Add(4, 5, 0.5)
+	coo.Add(5, 4, 0.5)
+	a := coo.ToCSR()
+	red, err := ReducePermuted(a, sparse.IdentityPerm(6), []int32{0, 3, 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, f, e, c := splitOracle(a, red.Perm, red.NB)
+	lus := denseGroupLUs(t, bb, red.B)
+	sameBits(t, "hand-made S", red.S, assembleSchurCOO(c, e, f, red.B, lus, 0))
+	for _, in := range [][]float64{
+		{1, -2, 3, 5},
+		{negZero, negZero, negZero, negZero},
+		{0, negZero, 1, negZero},
+		{negZero, 1, negZero, 0},
+	} {
+		got, want := make([]float64, 4), make([]float64, 4)
+		red.SolveB(got, in)
+		solveBDense(red.B, lus, want, in)
+		sameVecBits(t, fmt.Sprintf("hand-made SolveB of %v", in), got, want)
+	}
+
+	// The one difference, documented on sparse.BlockDiagLU: a non-finite
+	// entry outside a row's envelope no longer reaches it through 0·Inf.
+	// The dense solve turns the whole group into NaN; the envelope solve
+	// keeps the rows that never read x_0 finite.
+	in := []float64{math.Inf(1), 1, 1, 1}
+	got, want := make([]float64, 4), make([]float64, 4)
+	red.SolveB(got, in)
+	solveBDense(red.B, lus, want, in)
+	if !math.IsNaN(want[0]) || !math.IsNaN(want[1]) || !math.IsNaN(want[2]) {
+		t.Fatalf("dense solve of %v = %v: the fixture no longer spreads 0·Inf", in, want)
+	}
+	if !math.IsInf(got[0], 1) || got[1] != 0.25 || got[2] != 0.1875 || got[3] != 0.5 {
+		t.Fatalf("envelope solve of %v = %v, want [+Inf 0.25 0.1875 0.5]", in, got)
+	}
+}
+
+func sameVecBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d is %v (%#x), the dense path's %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}

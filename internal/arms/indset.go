@@ -76,9 +76,10 @@ func GroupIndependentSet(a *sparse.CSR, maxGroup int) (group []int, ngroups int)
 // IndSetPerm builds the ARMS level permutation from a group assignment:
 // grouped vertices first (ordered by group id, so B is block diagonal
 // with contiguous blocks), separator vertices last. It returns the
-// permutation (new→old), the size of the grouped part, and the contiguous
-// extent [start, end) of each group in the new ordering.
-func IndSetPerm(group []int, ngroups int) (perm sparse.Perm, nB int, blocks [][2]int) {
+// permutation (new→old), the size of the grouped part, and where each
+// group starts in the new ordering: group g is [start[g], start[g+1]),
+// and start[ngroups] is nB.
+func IndSetPerm(group []int, ngroups int) (perm sparse.Perm, nB int, start []int32) {
 	// One counting sort by group id, the separator as the last bucket;
 	// vertices keep their ascending order within a bucket.
 	next := make([]int, ngroups+1)
@@ -87,12 +88,13 @@ func IndSetPerm(group []int, ngroups int) (perm sparse.Perm, nB int, blocks [][2
 			next[g]++
 		}
 	}
-	blocks = make([][2]int, ngroups)
-	for g := range blocks {
-		blocks[g] = [2]int{nB, nB + next[g]}
-		next[g] = nB
-		nB = blocks[g][1]
+	start = make([]int32, ngroups+1)
+	for g := 0; g < ngroups; g++ {
+		start[g] = int32(nB)
+		nB += next[g]
+		next[g] = int(start[g])
 	}
+	start[ngroups] = int32(nB)
 	next[ngroups] = nB
 	perm = make(sparse.Perm, len(group))
 	for v, g := range group {
@@ -102,5 +104,5 @@ func IndSetPerm(group []int, ngroups int) (perm sparse.Perm, nB int, blocks [][2
 		perm[next[g]] = int32(v)
 		next[g]++
 	}
-	return perm, nB, blocks
+	return perm, nB, start
 }

@@ -84,15 +84,15 @@ func TestGroupIndependentSetDenseRow(t *testing.T) {
 	if ng < 1 {
 		t.Fatalf("ngroups = %d, want at least the seed group", ng)
 	}
-	perm, nB, blocks := IndSetPerm(group, ng)
+	perm, nB, start := IndSetPerm(group, ng)
 	if len(perm) != n {
 		t.Fatalf("perm length %d, want %d", len(perm), n)
 	}
 	if nB < 1 || nB > n {
 		t.Fatalf("grouped part %d out of range", nB)
 	}
-	if len(blocks) != ng {
-		t.Fatalf("blocks %d, want %d", len(blocks), ng)
+	if len(start) != ng+1 {
+		t.Fatalf("%d group starts, want %d", len(start), ng+1)
 	}
 }
 
@@ -107,9 +107,9 @@ func TestGroupIndependentSetEmptyMatrix(t *testing.T) {
 	if ng != 0 {
 		t.Fatalf("ngroups = %d, want 0", ng)
 	}
-	perm, nB, blocks := IndSetPerm(group, ng)
-	if len(perm) != 0 || nB != 0 || len(blocks) != 0 {
-		t.Fatalf("perm=%v nB=%d blocks=%v, want all empty", perm, nB, blocks)
+	perm, nB, start := IndSetPerm(group, ng)
+	if len(perm) != 0 || nB != 0 || len(start) != 1 || start[0] != 0 {
+		t.Fatalf("perm=%v nB=%d start=%v, want no permutation and one start, 0", perm, nB, start)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestGroupIndependentSetEmptyMatrix(t *testing.T) {
 func TestIndSetPermRoundTrip(t *testing.T) {
 	a := tridiag(23)
 	group, ng := GroupIndependentSet(a, 4)
-	perm, nB, blocks := IndSetPerm(group, ng)
+	perm, nB, start := IndSetPerm(group, ng)
 	n := len(group)
 	if len(perm) != n {
 		t.Fatalf("perm length %d, want %d", len(perm), n)
@@ -144,26 +144,23 @@ func TestIndSetPermRoundTrip(t *testing.T) {
 			if g < 0 {
 				t.Fatalf("separator vertex %d landed in the grouped part", old)
 			}
-			ext := blocks[g]
-			if newIdx < ext[0] || newIdx >= ext[1] {
-				t.Fatalf("vertex %d of group %d at %d outside extent %v", old, g, newIdx, ext)
+			if lo, hi := int(start[g]), int(start[g+1]); newIdx < lo || newIdx >= hi {
+				t.Fatalf("vertex %d of group %d at %d outside extent [%d, %d)", old, g, newIdx, lo, hi)
 			}
 		} else if group[old] >= 0 {
 			t.Fatalf("grouped vertex %d landed in the separator part", old)
 		}
 	}
 	// Extents tile [0, nB) in order.
-	prev := 0
-	for g, ext := range blocks {
-		if ext[0] != prev {
-			t.Fatalf("group %d extent %v not contiguous after %d", g, ext, prev)
-		}
-		if ext[1] < ext[0] {
-			t.Fatalf("group %d extent %v inverted", g, ext)
-		}
-		prev = ext[1]
+	if start[0] != 0 {
+		t.Fatalf("group 0 starts at %d", start[0])
 	}
-	if prev != nB {
-		t.Fatalf("extents end at %d, want %d", prev, nB)
+	for g := 0; g < ng; g++ {
+		if start[g+1] < start[g] {
+			t.Fatalf("group %d extent [%d, %d) inverted", g, start[g], start[g+1])
+		}
+	}
+	if int(start[ng]) != nB {
+		t.Fatalf("extents end at %d, want %d", start[ng], nB)
 	}
 }

@@ -1,6 +1,7 @@
 package arms
 
 import (
+	"strings"
 	"testing"
 
 	"parapre/internal/sparse"
@@ -29,6 +30,8 @@ func TestARMSZeroRowReturnsError(t *testing.T) {
 	for _, maxG := range []int{1, 2, 6} {
 		if red, err := reduce(a, maxG, 1e-4); err == nil {
 			t.Errorf("maxGroup=%d: zero-row matrix accepted (reduction %v)", maxG, red != nil)
+		} else if !strings.HasPrefix(err.Error(), "group ") {
+			t.Errorf("maxGroup=%d: %v does not name the singular group", maxG, err)
 		}
 	}
 }

@@ -323,9 +323,12 @@ func TestSessionBytesIndependentOfWorkers(t *testing.T) {
 
 // Nothing a problem, its layouts or a session keeps is a 64-bit index
 // array: mesh elements, row pointers, subdomain index maps, halo links,
-// permutations and pivots are all 32-bit, like the columns. A slice of int,
-// int64 or uint64 longer than 64 reachable from any of them fails, for
-// every kind, the RCM block, Schwarz and both overlapping blocks.
+// permutations, pivots and group extents are all 32-bit, like the columns.
+// A slice of int, int64 or uint64, or of arrays of them, longer than 64
+// reachable from any of them fails, for every kind, the RCM block, Schwarz
+// and both overlapping blocks. The small problems hold fewer than 64
+// Schur 2 groups a rank, so one Schur 2 row at tc1@129 (about 114 a rank)
+// rides along.
 func TestNoWideIndexHeld(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	const size = 33
@@ -345,10 +348,16 @@ func TestNoWideIndexHeld(t *testing.T) {
 		config{"Block 1 overlap", precond.KindBlock1, func(cfg *core.Config) { cfg.OverlapLevels = 1 }},
 		config{"Block 2 overlap", precond.KindBlock2, func(cfg *core.Config) { cfg.OverlapLevels = 1 }})
 	for _, pr := range []struct {
-		name string
-		size int
-	}{{"tc1-poisson2d", size}, {"tc2-poisson3d", 9}, {"tc6-elasticity", 17}} {
-		for _, c := range configs {
+		name    string
+		size    int
+		configs []config
+	}{
+		{"tc1-poisson2d", size, configs},
+		{"tc2-poisson3d", 9, configs},
+		{"tc6-elasticity", 17, configs},
+		{"tc1-poisson2d", 129, []config{{string(precond.KindSchur2), precond.KindSchur2, nil}}},
+	} {
+		for _, c := range pr.configs {
 			if c.name == "Schwarz" && pr.name != "tc1-poisson2d" {
 				continue // a square grid's box layout only
 			}

@@ -38,14 +38,18 @@ func HeldBy(roots ...any) int64 {
 	return held
 }
 
-// WideIndexArrays lists every slice of int, int64 or uint64 longer than
-// min that the problem's Bytes and the session's reach together, by type
-// and length.
+// WideIndexArrays lists every slice of int, int64 or uint64 — or of
+// arrays of them, such as [][2]int — longer than min that the problem's
+// Bytes and the session's reach together, by type and length.
 func (s *Session) WideIndexArrays(min int) []string {
 	var wide []string
 	w := newWalker()
 	w.slice = func(v reflect.Value) {
-		switch v.Type().Elem().Kind() {
+		elem := v.Type().Elem()
+		if elem.Kind() == reflect.Array {
+			elem = elem.Elem()
+		}
+		switch elem.Kind() {
 		case reflect.Int, reflect.Int64, reflect.Uint64:
 			if v.Len() > min {
 				wide = append(wide, fmt.Sprintf("%s of %d", v.Type(), v.Len()))

@@ -121,7 +121,7 @@ func reduceInternalOnly(owned *sparse.CSR, nInt, maxGroup int, dropTol float64) 
 	}
 	b := sparse.Extract(owned, idx, idx)
 	group, ng := arms.GroupIndependentSet(b, maxGroup)
-	permB, nB, blocks := arms.IndSetPerm(group, ng)
+	permB, nB, start := arms.IndSetPerm(group, ng)
 	if nB == 0 {
 		return nil, nil
 	}
@@ -132,7 +132,7 @@ func reduceInternalOnly(owned *sparse.CSR, nInt, maxGroup int, dropTol float64) 
 	for i := nInt; i < n; i++ {
 		perm = append(perm, int32(i))
 	}
-	return arms.ReducePermuted(owned, perm, nB, blocks, dropTol)
+	return arms.ReducePermuted(owned, perm, start, dropTol)
 }
 
 func (p *Schur2) finish(sExp *sparse.CSR, opts Schur2Options) (*Schur2, error) {
@@ -252,13 +252,14 @@ func (p *Schur2) Name() string { return string(KindSchur2) }
 func (p *Schur2) ExpandedSize() (groups, expanded int) { return p.nG, p.nExp }
 
 // SetupFlops estimates the construction cost of this preconditioner: the
-// dense group-block factorizations plus the expanded-Schur assembly and
-// its ILU(0).
+// group-block factorizations, charged at the dense |g|³/3 each, plus the
+// expanded-Schur assembly and its ILU(0).
 func (p *Schur2) SetupFlops() float64 {
 	var f float64
 	if p.red != nil {
-		for _, ext := range p.red.Blocks {
-			sz := float64(ext[1] - ext[0])
+		for g := 0; g < p.red.B.Groups(); g++ {
+			lo, hi := p.red.B.Group(g)
+			sz := float64(hi - lo)
 			f += sz * sz * sz / 3
 		}
 		f += 2 * float64(p.red.E.NNZ()+p.red.F.NNZ()+p.sExp.NNZ())

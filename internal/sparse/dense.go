@@ -72,44 +72,59 @@ func (d *Dense) Factor() (*LU, error) {
 	}
 	n := d.Rows
 	// make, not append: append reports the allocator's size class as
-	// capacity, which a reduction's thousands of small factors would show
-	// as spare capacity nothing can use (core.TestSessionHoldsNoSlack).
-	f := &LU{n: n, lu: make([]float64, len(d.Data)), piv: make([]int32, n), sign: 1}
+	// capacity, which many small factors would show as spare capacity
+	// nothing can use (core.TestSessionHoldsNoSlack).
+	f := &LU{n: n, lu: make([]float64, len(d.Data)), piv: make([]int32, n)}
 	copy(f.lu, d.Data)
-	for i := range f.piv {
-		f.piv[i] = int32(i)
+	sign, err := factorInPlace(f.lu, f.piv, n)
+	if err != nil {
+		return nil, err
 	}
+	f.sign = sign
+	return f, nil
+}
+
+// factorInPlace overwrites the row-major n×n matrix lu with its LU
+// factorization with partial pivoting — L below the diagonal with a unit
+// diagonal, U on and above — and piv with the row taken at each step. It
+// returns the permutation's sign. This is the one elimination of the dense
+// factors: Dense.Factor's and each group of FactorBlockDiag's.
+func factorInPlace(lu []float64, piv []int32, n int) (sign int, err error) {
+	for i := range piv {
+		piv[i] = int32(i)
+	}
+	sign = 1
 	for k := 0; k < n; k++ {
 		// Pivot search in column k.
-		p, maxAbs := k, math.Abs(f.lu[k*n+k])
+		p, maxAbs := k, math.Abs(lu[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if a := math.Abs(f.lu[i*n+k]); a > maxAbs {
+			if a := math.Abs(lu[i*n+k]); a > maxAbs {
 				p, maxAbs = i, a
 			}
 		}
 		if maxAbs == 0 {
-			return nil, fmt.Errorf("sparse: singular matrix at pivot %d", k)
+			return 0, fmt.Errorf("sparse: singular matrix at pivot %d", k)
 		}
 		if p != k {
 			for j := 0; j < n; j++ {
-				f.lu[k*n+j], f.lu[p*n+j] = f.lu[p*n+j], f.lu[k*n+j]
+				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
 			}
-			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
+			piv[k], piv[p] = piv[p], piv[k]
+			sign = -sign
 		}
-		pivot := f.lu[k*n+k]
+		pivot := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
-			m := f.lu[i*n+k] / pivot
-			f.lu[i*n+k] = m
+			m := lu[i*n+k] / pivot
+			lu[i*n+k] = m
 			if m == 0 {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				f.lu[i*n+j] -= m * f.lu[k*n+j]
+				lu[i*n+j] -= m * lu[k*n+j]
 			}
 		}
 	}
-	return f, nil
+	return sign, nil
 }
 
 // Solve solves A·x = b in place of a fresh slice, where A is the factored
@@ -148,64 +163,6 @@ func (f *LU) SolveTo(x, b []float64) {
 			s += f.lu[i*n+j] * x[j]
 		}
 		x[i] = (x[i] - s) / f.lu[i*n+i]
-	}
-}
-
-// SolveManyTo solves A·X = B for nrhs right-hand sides stored one after
-// the other: column c of B is b[c·n:(c+1)·n] and its solution lands in
-// x[c·n:(c+1)·n], n being the order of the matrix. x and b must not alias.
-// Four columns go through the pivot gather and the two substitutions in
-// one loop nest — four independent accumulation chains over one pass of
-// the factor instead of one — and each column sees exactly SolveTo's
-// operations in SolveTo's order, so every solution has SolveTo's bits; the
-// columns left over go through SolveTo. It panics before writing anything
-// unless len(b) is nrhs·n — a block of another order is a caller's
-// mistake, not a prefix to solve — and x holds at least as many entries.
-func (f *LU) SolveManyTo(x, b []float64, nrhs int) {
-	n := f.n
-	if nrhs < 0 || len(b) != nrhs*n || len(x) < nrhs*n {
-		panic(fmt.Sprintf("sparse: LU.SolveManyTo on order %d with %d right-hand sides needs len(b) = %d, len(x) ≥ %d; got %d, %d",
-			n, nrhs, nrhs*n, nrhs*n, len(b), len(x)))
-	}
-	c := 0
-	for ; c+4 <= nrhs; c += 4 {
-		x0, x1, x2, x3 := x[c*n:][:n], x[(c+1)*n:][:n], x[(c+2)*n:][:n], x[(c+3)*n:][:n]
-		b0, b1, b2, b3 := b[c*n:][:n], b[(c+1)*n:][:n], b[(c+2)*n:][:n], b[(c+3)*n:][:n]
-		for i, p := range f.piv {
-			x0[i], x1[i], x2[i], x3[i] = b0[p], b1[p], b2[p], b3[p]
-		}
-		for i := 1; i < n; i++ {
-			var s0, s1, s2, s3 float64
-			for j, l := range f.lu[i*n : i*n+i] {
-				s0 += l * x0[j]
-				s1 += l * x1[j]
-				s2 += l * x2[j]
-				s3 += l * x3[j]
-			}
-			x0[i] -= s0
-			x1[i] -= s1
-			x2[i] -= s2
-			x3[i] -= s3
-		}
-		for i := n - 1; i >= 0; i-- {
-			var s0, s1, s2, s3 float64
-			row := f.lu[i*n : (i+1)*n]
-			for j := i + 1; j < n; j++ {
-				u := row[j]
-				s0 += u * x0[j]
-				s1 += u * x1[j]
-				s2 += u * x2[j]
-				s3 += u * x3[j]
-			}
-			d := row[i]
-			x0[i] = (x0[i] - s0) / d
-			x1[i] = (x1[i] - s1) / d
-			x2[i] = (x2[i] - s2) / d
-			x3[i] = (x3[i] - s3) / d
-		}
-	}
-	for ; c < nrhs; c++ {
-		f.SolveTo(x[c*n:][:n], b[c*n:][:n])
 	}
 }
 
