@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -92,9 +93,9 @@ func inPattern(m *sparse.CSR, f *ilu.LU) bool {
 	}
 	for i := 0; i < m.Rows; i++ {
 		cols, _ := m.Row(i)
-		lc, _ := f.LRow(i)
-		uc, _ := f.URow(i)
-		want := append(append(append(make([]int32, 0, len(cols)), lc...), int32(i)), uc...)
+		want, _ := f.LRow(i, make([]int32, 0, len(cols)))
+		want = append(want, int32(i))
+		want, _ = f.URow(i, want)
 		if !slices.Equal(cols, want) {
 			return false
 		}
@@ -321,6 +322,56 @@ func TestSessionBytesIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// narrowMax is the largest order of an ilu.LU whose columns all fit 16
+// bits.
+const narrowMax = 1 << 16
+
+// wideFactorColumns returns, for every ilu.LU the session's preconditioners
+// reach whose order is at most narrowMax, the lengths of the int32 slices
+// it holds besides its two row-pointer arrays: a factor that fits 16-bit
+// columns holds no 32-bit ones.
+func wideFactorColumns(sess *core.Session) []string {
+	luType := reflect.TypeOf((*ilu.LU)(nil))
+	// int32s lists the lengths of the nonempty int32 slices in v's fields.
+	var int32s func(v reflect.Value, lens []int) []int
+	int32s = func(v reflect.Value, lens []int) []int {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				lens = int32s(v.Field(i), lens)
+			}
+		case reflect.Slice:
+			if v.Type().Elem().Kind() == reflect.Int32 && v.Len() > 0 {
+				lens = append(lens, v.Len())
+			}
+		}
+		return lens
+	}
+	var found []string
+	_, pcs := sess.Ranks()
+	seen := map[object]bool{}
+	for _, pc := range pcs {
+		reach(reflect.ValueOf(pc), seen, func(v reflect.Value) {
+			if v.Type() != luType {
+				return
+			}
+			f := (*ilu.LU)(v.UnsafePointer())
+			if f.N() > narrowMax {
+				return
+			}
+			ptrs := 0
+			for _, l := range int32s(v.Elem(), nil) {
+				if l == f.N()+1 && ptrs < 2 {
+					ptrs++
+					continue
+				}
+				found = append(found, fmt.Sprintf("[]int32 of %d in a factor of order %d", l, f.N()))
+			}
+		})
+	}
+	return found
+}
+
 // Nothing a problem, its layouts or a session keeps is a 64-bit index
 // array: mesh elements, row pointers, subdomain index maps, halo links,
 // permutations, pivots and group extents are all 32-bit, like the columns.
@@ -328,7 +379,8 @@ func TestSessionBytesIndependentOfWorkers(t *testing.T) {
 // reachable from any of them fails, for every kind, the RCM block, Schwarz
 // and both overlapping blocks. The small problems hold fewer than 64
 // Schur 2 groups a rank, so one Schur 2 row at tc1@129 (about 114 a rank)
-// rides along.
+// rides along. No subdomain factor of these sessions reaches order
+// narrowMax, so none may hold a 32-bit column either.
 func TestNoWideIndexHeld(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	const size = 33
@@ -375,6 +427,9 @@ func TestNoWideIndexHeld(t *testing.T) {
 			if wide := sess.WideIndexArrays(64); len(wide) > 0 {
 				slices.Sort(wide)
 				t.Errorf("%s %s: %d wide index arrays held: %v", pr.name, c.name, len(wide), slices.Compact(wide))
+			}
+			if cols := wideFactorColumns(sess); len(cols) > 0 {
+				t.Errorf("%s %s: %d factors' columns are 32-bit, first %s", pr.name, c.name, len(cols), cols[0])
 			}
 		}
 	}

@@ -212,8 +212,8 @@ func TestILUTLFilRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < f.N(); i++ {
-		lc, _ := f.LRow(i)
-		uc, _ := f.URow(i)
+		lc, _ := f.LRow(i, nil)
+		uc, _ := f.URow(i, nil)
 		lCount, uCount := len(lc), len(uc)
 		if lCount > lfil || uCount > lfil {
 			t.Fatalf("row %d: L=%d U=%d exceed lfil=%d", i, lCount, uCount, lfil)
@@ -411,8 +411,8 @@ func TestLUSolveFlopsModel(t *testing.T) {
 	// Exact count, walked off the factor structure.
 	exact := 0
 	for i := 0; i < n; i++ {
-		lc, _ := f.LRow(i)
-		uc, _ := f.URow(i)
+		lc, _ := f.LRow(i, nil)
+		uc, _ := f.URow(i, nil)
 		exact += 2 * len(lc)   // L: mul+sub per entry
 		exact += 2*len(uc) + 1 // U: mul+sub per entry + 1 div
 	}

@@ -30,9 +30,10 @@ func DefaultILUT() ILUTOptions { return ILUTOptions{Tau: 1e-3, LFil: 20} }
 // entered the row, keeps — see selectLargest. With Tau = 0 and LFil ≤ 0 the factorization
 // is a complete LU without pivoting.
 //
-// Each triangle is built in a pooled buffer sized from the LFil bound
-// (ilutCap, leaseTri) and copied out at its exact length (keep), so a kept
-// factor holds no spare capacity.
+// Each triangle is built with 32-bit columns in a pooled buffer sized from
+// the LFil bound (ilutCap, leaseTri) and copied out at its exact length and
+// at the width the order picks (keep), so a kept factor holds no spare
+// capacity.
 func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
 	return eliminate("ILUT", a, opt, nil)
 }
@@ -69,8 +70,8 @@ func eliminate(op string, a *sparse.CSR, opt ILUTOptions, pv *pivoting) (*LU, er
 		return nil, err
 	}
 	triCap := ilutCap(n, a.NNZ(), opt.LFil)
-	f := &LU{l: leaseTri(n, triCap), u: leaseTri(n, triCap), piv: make([]float64, n)}
-	l, u := &f.l, &f.u
+	f := &LU{piv: make([]float64, n)}
+	l, u := leaseTri(n, triCap), leaseTri(n, triCap)
 
 	w := make([]float64, n)  // scatter workspace, by original column
 	inRow := make([]bool, n) // membership of w
@@ -243,12 +244,11 @@ func eliminate(op string, a *sparse.CSR, opt ILUTOptions, pv *pivoting) (*LU, er
 		// stale but only reachable via inRow, which is false.
 	}
 	if pv != nil && pv.swaps > 0 {
-		if err := pv.remap(l, u); err != nil {
+		if err := pv.remap(&l, &u); err != nil {
 			return nil, err
 		}
 	}
-	l.keep()
-	u.keep()
+	f.keep(l, u)
 	return f, nil
 }
 
@@ -257,7 +257,7 @@ func eliminate(op string, a *sparse.CSR, opt ILUTOptions, pv *pivoting) (*LU, er
 // time its row was stored never moves again, so the L rows are already in
 // ascending order; U rows are re-sorted, because later swaps reorder the
 // columns right of the pivot among themselves.
-func (pv *pivoting) remap(l, u *tri) error {
+func (pv *pivoting) remap(l, u *tri[int32]) error {
 	for k, j := range l.col {
 		l.col[k] = pv.iperm[j]
 	}

@@ -2,7 +2,6 @@ package ilu
 
 import (
 	"fmt"
-	"slices"
 
 	"parapre/internal/par"
 	"parapre/internal/sparse"
@@ -10,10 +9,10 @@ import (
 
 // PatternMatrix is a square matrix held in the pattern of its own ILU(0)
 // factor. ILU(0) keeps exactly the matrix's pattern, so the factor's row
-// pointers and 32-bit columns already say where every entry is: row i's
-// strict lower part, its diagonal and its strict upper part. What the
-// matrix adds is its values, kept as its CSR stored them — row by row, in
-// that order — and its own columns and row pointers can be dropped.
+// pointers and columns already say where every entry is: row i's strict
+// lower part, its diagonal and its strict upper part. What the matrix adds
+// is its values, kept as its CSR stored them — row by row, in that order —
+// and its own columns and row pointers can be dropped.
 type PatternMatrix struct {
 	f   *LU
 	val []float64
@@ -31,16 +30,41 @@ func HoldInPattern(f *LU, a *sparse.CSR) (*PatternMatrix, error) {
 		return nil, badInputErr("HoldInPattern", "%d×%d matrix with %d entries, factor of order %d with %d",
 			a.Rows, a.Cols, a.NNZ(), n, f.NNZ())
 	}
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		lc, _ := f.l.row(i)
-		uc, _ := f.u.row(i)
-		d := len(lc)
-		if len(cols) != d+1+len(uc) || int(cols[d]) != i || !slices.Equal(lc, cols[:d]) || !slices.Equal(uc, cols[d+1:]) {
-			return nil, badInputErr("HoldInPattern", "row %d is not in the factor's pattern", i)
-		}
+	var i int
+	if f.isWide() {
+		i = outOfPattern(&f.wide, a)
+	} else {
+		i = outOfPattern(&f.narrow, a)
+	}
+	if i >= 0 {
+		return nil, badInputErr("HoldInPattern", "row %d is not in the factor's pattern", i)
 	}
 	return &PatternMatrix{f: f, val: a.Val}, nil
+}
+
+// outOfPattern returns the first row of a whose columns are not t's
+// strict lower row, the diagonal and t's strict upper row, or −1.
+func outOfPattern[C column](t *triangles[C], a *sparse.CSR) int {
+	for i := 0; i < a.Rows; i++ {
+		cols, _ := a.Row(i)
+		lc, _ := t.l.row(i)
+		uc, _ := t.u.row(i)
+		d := len(lc)
+		if len(cols) != d+1+len(uc) || int(cols[d]) != i || !sameCols(lc, cols[:d]) || !sameCols(uc, cols[d+1:]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// sameCols reports whether a factor's columns and a CSR's are equal.
+func sameCols[C column](a []C, b []int32) bool {
+	for k, j := range a {
+		if int32(j) != b[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // Dims returns the matrix dimensions.
@@ -69,14 +93,27 @@ func (m *PatternMatrix) MulVecTo(y, x []float64) {
 
 // rowLen returns the number of entries of row i, diagonal included.
 func (m *PatternMatrix) rowLen(i int) int {
-	lp, up := m.f.l.ptr, m.f.u.ptr
+	lp, up := m.f.narrow.l.ptr, m.f.narrow.u.ptr
+	if m.f.isWide() {
+		lp, up = m.f.wide.l.ptr, m.f.wide.u.ptr
+	}
 	return int(lp[i+1]-lp[i]) + 1 + int(up[i+1]-up[i])
 }
 
-// mulRange computes rows [from, to) of y = A·x. Row i's values start after
-// the lower and upper entries of the rows above it and their diagonals.
+// mulRange computes rows [from, to) of y = A·x.
 func (m *PatternMatrix) mulRange(y, x []float64, from, to int) {
-	lp, lc, up, uc, val := m.f.l.ptr, m.f.l.col, m.f.u.ptr, m.f.u.col, m.val
+	if m.f.isWide() {
+		mulRows(&m.f.wide, m.val, y, x, from, to)
+	} else {
+		mulRows(&m.f.narrow, m.val, y, x, from, to)
+	}
+}
+
+// mulRows computes rows [from, to) of y = A·x for the matrix of values val
+// in the pattern of t. Row i's values start after the lower and upper
+// entries of the rows above it and their diagonals.
+func mulRows[C column](t *triangles[C], val, y, x []float64, from, to int) {
+	lp, lc, up, uc := t.l.ptr, t.l.col, t.u.ptr, t.u.col
 	k0 := int(lp[from]) + from + int(up[from]) // row i's first value
 	for i := from; i < to; i++ {
 		var s float64

@@ -42,7 +42,7 @@ func factorDigest(f *LU, perm sparse.Perm, swaps int) string {
 		}
 	}
 	put(int64(f.N()))
-	for _, t := range []*tri{&f.l, &f.u} {
+	for _, t := range viewsOf(f) {
 		put(int64(len(t.col)))
 		put(t.ptr)
 		put(t.col)
@@ -254,23 +254,20 @@ func TestPooledBuffersNeverAlias(t *testing.T) {
 			t.Errorf("%s: A factors to other bits out of recycled buffers", kind)
 		}
 		for _, f := range []*LU{fa, fb, fa2} {
-			for k, s := range [][]int32{f.l.ptr, f.l.col, f.u.ptr, f.u.col} {
-				if cap(s) != len(s) {
-					t.Errorf("%s: kept index slice %d has cap %d, len %d", kind, k, cap(s), len(s))
+			views := viewsOf(f)
+			for k, v := range views {
+				if cap(v.ptr) != len(v.ptr) || v.colSpare != 0 {
+					t.Errorf("%s: kept index slices of triangle %d have %d and %d spare entries", kind, k, cap(v.ptr)-len(v.ptr), v.colSpare)
 				}
 			}
-			for k, s := range [][]float64{f.l.val, f.u.val, f.piv} {
+			for k, s := range [][]float64{views[0].val, views[1].val, f.piv} {
 				if cap(s) != len(s) {
 					t.Errorf("%s: kept value slice %d has cap %d, len %d", kind, k, cap(s), len(s))
 				}
 			}
 		}
 		for _, f := range []*LU{fb, fa2} {
-			for _, t := range []*tri{&f.l, &f.u} {
-				for i := range t.col {
-					t.col[i], t.val[i] = -1, math.NaN()
-				}
-			}
+			spoil(f)
 		}
 		if digestA() != before {
 			t.Errorf("%s: writing into a later factor reached A's", kind)
@@ -301,7 +298,7 @@ func TestILUTSteadyStateAllocBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			kept = 12*(len(f.l.val)+len(f.u.val)) + 16*n + 8
+			kept = heldBy(f)
 			if rep > 0 { // the first repetition fills the pool
 				allocated = min(allocated, int(after.TotalAlloc-before.TotalAlloc))
 			}

@@ -22,7 +22,7 @@ func combinedOf(f *LU) (*sparse.CSR, []int) {
 	m := sparse.NewCSR(n, n, f.NNZ())
 	diag := make([]int, n)
 	for i := 0; i < n; i++ {
-		cols, vals := f.LRow(i)
+		cols, vals := f.LRow(i, nil)
 		for k, j := range cols {
 			m.ColIdx = append(m.ColIdx, j)
 			m.Val = append(m.Val, vals[k])
@@ -30,7 +30,7 @@ func combinedOf(f *LU) (*sparse.CSR, []int) {
 		diag[i] = len(m.ColIdx)
 		m.ColIdx = append(m.ColIdx, int32(i))
 		m.Val = append(m.Val, f.Pivot(i))
-		cols, vals = f.URow(i)
+		cols, vals = f.URow(i, nil)
 		for k, j := range cols {
 			m.ColIdx = append(m.ColIdx, j)
 			m.Val = append(m.Val, vals[k])
@@ -262,26 +262,31 @@ func FuzzLUSolveSplit(f *testing.F) {
 	})
 }
 
-// TestLUFootprint pins what an LU holds: 12 bytes per off-diagonal entry
-// (a 32-bit column and a value), 16 per row (two 32-bit row pointers and
-// a pivot) and the two closing row pointers, every slice exactly full —
-// so a combined copy of the factor cannot creep back in beside the split
-// one.
+// TestLUFootprint pins what an LU holds: 10 bytes per off-diagonal entry
+// (a 16-bit column and a value) up to order narrowMax and 12 (a 32-bit
+// column) above it, 16 per row (two 32-bit row pointers and a pivot) and
+// the two closing row pointers, every slice exactly full — so a combined
+// copy of the factor cannot creep back in beside the split one, and no
+// factor that could hold 16-bit columns holds 32-bit ones.
 func TestLUFootprint(t *testing.T) {
-	for name, a := range map[string]*sparse.CSR{"laplacian2d": lap2D(20), "elasticity": elasticity(9)} {
+	for name, a := range map[string]*sparse.CSR{"laplacian2d": lap2D(20), "elasticity": elasticity(9), "banded": banded(narrowMax+1, 2)} {
 		for kind, f := range splitFactors(t, a) {
 			tag := name + "/" + kind
 			n := f.N()
-			nl, nu := len(f.l.val), len(f.u.val)
+			views := viewsOf(f)
+			nl, nu := len(views[0].val), len(views[1].val)
 			if f.NNZ() != nl+nu+n {
 				t.Errorf("%s: NNZ = %d, want nnz(L)+nnz(U)+n = %d", tag, f.NNZ(), nl+nu+n)
 			}
-			held := 4*(cap(f.l.ptr)+cap(f.u.ptr)+cap(f.l.col)+cap(f.u.col)) +
-				8*(cap(f.l.val)+cap(f.u.val)+cap(f.piv))
-			if want := 12*(nl+nu) + 16*n + 8; held != want {
-				t.Errorf("%s: factor holds %d bytes, want 12·(%d+%d) + 16·%d + 8 = %d", tag, held, nl, nu, n, want)
+			perEntry := 10
+			if n > narrowMax {
+				perEntry = 12
 			}
-			if len(f.l.col) != nl || len(f.u.col) != nu || len(f.l.ptr) != n+1 || len(f.u.ptr) != n+1 {
+			if held, want := heldBy(f), perEntry*(nl+nu)+16*n+8; held != want {
+				t.Errorf("%s: factor of order %d holds %d bytes, want %d·(%d+%d) + 16·%d + 8 = %d",
+					tag, n, held, perEntry, nl, nu, n, want)
+			}
+			if len(views[0].col) != nl || len(views[1].col) != nu || len(views[0].ptr) != n+1 || len(views[1].ptr) != n+1 {
 				t.Errorf("%s: slice lengths disagree with the entry counts", tag)
 			}
 		}

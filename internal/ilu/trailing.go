@@ -8,34 +8,14 @@ import "parapre/internal/sparse"
 // interface-last (as every dsys.System is), the result is the L_S·U_S
 // pair of the paper's §2 — an incomplete factorization of the local Schur
 // complement S_i = C_i − E_i·B_i⁻¹·F_i, obtained for free from the
-// subdomain factorization.
+// subdomain factorization. A trailing row keeps its whole U part (columns
+// > i ≥ start) and the tail of its L part.
 func ExtractTrailing(f *LU, start int) (*LU, error) {
 	n := f.N()
 	if start < 0 || start > n {
 		return nil, badInputErr("ExtractTrailing", "start %d out of [0,%d]", start, n)
 	}
-	// A trailing row keeps its whole U part (columns > i ≥ start) and the
-	// tail of its L part.
-	nl := 0
-	for i := start; i < n; i++ {
-		cols, _ := f.l.row(i)
-		nl += len(cols) - sparse.SearchCol(cols, start)
-	}
-	out := &LU{
-		l:   newTri(n-start, nl),
-		u:   newTri(n-start, len(f.u.col)-int(f.u.ptr[start])),
-		piv: append(make([]float64, 0, n-start), f.piv[start:]...),
-	}
-	for i := start; i < n; i++ {
-		cols, vals := f.l.row(i)
-		k := sparse.SearchCol(cols, start)
-		out.l.pushShifted(cols[k:], vals[k:], start)
-		out.l.endRow(i - start)
-		cols, vals = f.u.row(i)
-		out.u.pushShifted(cols, vals, start)
-		out.u.endRow(i - start)
-	}
-	return out, nil
+	return sub(f, start, n), nil
 }
 
 // ExtractLeading returns the leading sub-factorization of f for the
@@ -43,41 +23,61 @@ func ExtractTrailing(f *LU, start int) (*LU, error) {
 // elimination of the first rows never involves later rows, this is
 // exactly the incomplete factorization of the leading block B_i — the
 // paper's Schur 1 preconditioner obtains its approximate B_i-solve this
-// way from the same subdomain factorization that supplies L_S·U_S.
+// way from the same subdomain factorization that supplies L_S·U_S. A
+// leading row keeps its whole L part (columns < i < end) and the head of
+// its U part.
 func ExtractLeading(f *LU, end int) (*LU, error) {
 	n := f.N()
 	if end < 0 || end > n {
 		return nil, badInputErr("ExtractLeading", "end %d out of [0,%d]", end, n)
 	}
-	// A leading row keeps its whole L part (columns < i < end) and the head
-	// of its U part.
-	nu := 0
-	for i := 0; i < end; i++ {
-		cols, _ := f.u.row(i)
-		nu += sparse.SearchCol(cols, end)
-	}
-	out := &LU{
-		l:   newTri(end, int(f.l.ptr[end])),
-		u:   newTri(end, nu),
-		piv: append(make([]float64, 0, end), f.piv[:end]...),
-	}
-	for i := 0; i < end; i++ {
-		cols, vals := f.l.row(i)
-		out.l.pushShifted(cols, vals, 0)
-		out.l.endRow(i)
-		cols, vals = f.u.row(i)
-		k := sparse.SearchCol(cols, end)
-		out.u.pushShifted(cols[:k], vals[:k], 0)
-		out.u.endRow(i)
-	}
-	return out, nil
+	return sub(f, 0, end), nil
 }
 
-// pushShifted appends a run of entries with their columns moved down by
-// shift.
-func (t *tri) pushShifted(cols []int32, vals []float64, shift int) {
+// sub returns the factor of f's rows [lo, hi) restricted to the columns
+// [lo, hi), shifted down by lo, at the width its own order picks.
+func sub(f *LU, lo, hi int) *LU {
+	out := &LU{piv: append(make([]float64, 0, hi-lo), f.piv[lo:hi]...)}
+	switch {
+	case !f.isWide():
+		out.narrow = extract[uint16, uint16](&f.narrow, lo, hi)
+	case !wideOrder(hi - lo):
+		out.narrow = extract[int32, uint16](&f.wide, lo, hi)
+	default:
+		out.wide = extract[int32, int32](&f.wide, lo, hi)
+	}
+	return out
+}
+
+// extract copies the entries of t's rows [lo, hi) whose columns lie in
+// [lo, hi), in their order, into triangles of exactly their size.
+func extract[S, D column](t *triangles[S], lo, hi int) triangles[D] {
+	nl, nu := 0, 0
+	for i := lo; i < hi; i++ {
+		cols, _ := t.l.row(i)
+		nl += len(cols) - searchCol(cols, lo)
+		cols, _ = t.u.row(i)
+		nu += searchCol(cols, hi)
+	}
+	out := triangles[D]{l: newTri[D](hi-lo, nl), u: newTri[D](hi-lo, nu)}
+	for i := lo; i < hi; i++ {
+		cols, vals := t.l.row(i)
+		k := searchCol(cols, lo)
+		pushShifted(&out.l, cols[k:], vals[k:], lo)
+		out.l.endRow(i - lo)
+		cols, vals = t.u.row(i)
+		k = searchCol(cols, hi)
+		pushShifted(&out.u, cols[:k], vals[:k], lo)
+		out.u.endRow(i - lo)
+	}
+	return out
+}
+
+// pushShifted appends a run of entries to t with their columns moved down
+// by shift.
+func pushShifted[S, D column](t *tri[D], cols []S, vals []float64, shift int) {
 	for _, j := range cols {
-		t.col = append(t.col, j-int32(shift))
+		t.col = append(t.col, D(int(j)-shift))
 	}
 	t.val = append(t.val, vals...)
 }
@@ -88,18 +88,21 @@ func (t *tri) pushShifted(cols []int32, vals []float64, shift int) {
 func (f *LU) Product() *sparse.Dense {
 	n := f.N()
 	out := sparse.NewDense(n, n)
+	var lc, uc []int32
 	// addURow adds s times row k of U, pivot included, to row i.
 	addURow := func(i, k int, s float64) {
 		out.Add(i, k, s*f.Pivot(k))
-		cols, vals := f.URow(k)
-		for t, j := range cols {
+		var vals []float64
+		uc, vals = f.URow(k, uc[:0])
+		for t, j := range uc {
 			out.Add(i, int(j), s*vals[t])
 		}
 	}
 	for i := 0; i < n; i++ {
 		addURow(i, i, 1) // L(i,i) = 1
-		cols, vals := f.LRow(i)
-		for t, k := range cols {
+		var vals []float64
+		lc, vals = f.LRow(i, lc[:0])
+		for t, k := range lc {
 			addURow(i, int(k), vals[t])
 		}
 	}

@@ -157,6 +157,13 @@ func (g *CallGraph) addCall(node *CGNode, p *Package, call *ast.CallExpr, kind C
 	if tv, ok := p.Info.Types[fun]; ok && tv.IsType() {
 		return
 	}
+	// An explicit instantiation f[T](…) calls f.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
 
 	switch fn := fun.(type) {
 	case *ast.Ident:
@@ -203,6 +210,9 @@ func (g *CallGraph) addCall(node *CGNode, p *Package, call *ast.CallExpr, kind C
 }
 
 func (g *CallGraph) emit(node *CGNode, call *ast.CallExpr, kind CallKind, callee *types.Func) {
+	// A method of an instantiated generic type is its own object; the
+	// node is its declaration's.
+	callee = callee.Origin()
 	edge := CGEdge{Site: call, Kind: kind}
 	if target := g.Nodes[callee]; target != nil {
 		edge.Callee = target

@@ -69,3 +69,21 @@ func Fan(x []float64) {
 		x[i] = buf[0]
 	})
 }
+
+// gbuf is a generic type: a call of a method of one of its instances is
+// an edge to the method's declaration.
+type gbuf[T int32 | uint16] struct{ c []T }
+
+func (g *gbuf[T]) grow(n int) []T {
+	return make([]T, n) // WANT allocfree
+}
+
+func gscratch[T int32 | uint16](n int) []T {
+	return make([]T, n) // WANT allocfree
+}
+
+//lint:allocfree fixture claim: generic functions and methods of generic types are in the cone
+func Generic(n int) int {
+	var g gbuf[uint16]
+	return len(g.grow(n)) + len(gscratch[int32](n))
+}

@@ -130,9 +130,10 @@ func checkFactorIncomplete(cfg Config) []Violation {
 
 func checkSolveInvertsFactor(name string, f *ilu.LU, b []float64, n int, seed int64) []Violation {
 	var out []Violation
+	var lc, uc []int32
 	for i := 0; i < f.N(); i++ {
-		lc, _ := f.LRow(i)
-		uc, _ := f.URow(i)
+		lc, _ = f.LRow(i, lc[:0])
+		uc, _ = f.URow(i, uc[:0])
 		if (len(lc) > 0 && int(lc[len(lc)-1]) >= i) || (len(uc) > 0 && int(uc[0]) <= i) {
 			return []Violation{{"factor-incomplete",
 				fmt.Sprintf("%s: row %d of L or U crosses the diagonal", name, i), repro(n, seed, "")}}
