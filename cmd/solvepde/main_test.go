@@ -76,7 +76,7 @@ func TestFlagsToSpec(t *testing.T) {
 		{name: "Block 2", args: []string{"-precond", "block 2"}, want: config(4, precond.KindBlock2)},
 		{name: "Schur 1", args: []string{"-precond", "sChUr 1"}, want: config(4, precond.KindSchur1)},
 		{name: "Schur 2", args: []string{"-precond", "SCHUR 2"}, want: config(4, precond.KindSchur2)},
-		{name: "Block 2P", args: []string{"-precond", "block 2p"}, want: config(4, precond.KindBlock2P)},
+		{name: "Block 2P", args: []string{"-precond", "block 2p"}, wantErr: true},
 		{name: "Block IC", args: []string{"-precond", "Block ic"}, want: config(4, precond.KindBlockIC)},
 		{name: "None", args: []string{"-precond", "NONE"}, want: config(4, precond.KindNone)},
 		{name: "cluster", args: []string{"-machine", "cluster", "-p", "8"},

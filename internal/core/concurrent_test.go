@@ -99,15 +99,15 @@ func TestConcurrentSolvesSerialOnlySession(t *testing.T) {
 	}
 }
 
-// Block 2P and RCM Block take their apply scratch from pools
-// and hold no lock, so overlapping solves on one session really overlap:
+// The RCM-ordered Blocks take their apply scratch from pools and hold no
+// lock, so overlapping solves on one session really overlap:
 // run under -race, several solves per session at once, each on its own
 // right-hand side, must return the iterates a serial solve of the same
 // right-hand side does, bit for bit.
 func TestConcurrentPooledBlocksMatchSerial(t *testing.T) {
 	prob := buildProblem(t, "tc5-convdiff", 33)
 	configs := []sessionConfig{
-		{"Block 2P", precond.KindBlock2P, nil, true},
+		{"RCM Block 1", precond.KindBlock1, func(cfg *core.Config) { cfg.RCM = true }, true},
 		{"RCM Block 2", precond.KindBlock2, func(cfg *core.Config) { cfg.RCM = true }, true},
 	}
 	const n = 4
@@ -180,7 +180,6 @@ func sessionConfigs(size int) []sessionConfig {
 	return []sessionConfig{
 		{"Block 1", precond.KindBlock1, nil, true},
 		{"Block 2", precond.KindBlock2, nil, true},
-		{"Block 2P", precond.KindBlock2P, nil, true},
 		{"Block IC", precond.KindBlockIC, nil, true},
 		{"None", precond.KindNone, nil, true},
 		{"Schur 1", precond.KindSchur1, nil, false},

@@ -413,8 +413,6 @@ func buildRankPrecond(cfg Config, s *dsys.System, kind precond.Kind) (precond.Pr
 		return precond.NewBlock1(s)
 	case kind == precond.KindBlock2:
 		return precond.NewBlock2(s, cfg.ILUT)
-	case kind == precond.KindBlock2P:
-		return precond.NewBlock2Pivot(s, ilu.ILUTPOptions{ILUTOptions: cfg.ILUT, PermTol: 1})
 	case kind == precond.KindBlockIC:
 		return precond.NewBlockIC(s)
 	case kind == precond.KindSchur1:

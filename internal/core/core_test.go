@@ -410,19 +410,6 @@ func TestSessionWithSchwarzAndOverlap(t *testing.T) {
 	}
 }
 
-func TestBlock2PivotThroughCore(t *testing.T) {
-	// On the convection-dominated case the pivoting variant must converge
-	// and match Block 2's quality.
-	res := solveCase(t, "tc5-convdiff", 17, 4, precond.KindBlock2P, nil)
-	if !res.Converged || res.TrueRelRes > 1e-5 {
-		t.Fatalf("Block 2P failed: %+v", res)
-	}
-	b2 := solveCase(t, "tc5-convdiff", 17, 4, precond.KindBlock2, nil)
-	if res.Iterations > 2*b2.Iterations+5 {
-		t.Fatalf("Block 2P (%d) much worse than Block 2 (%d)", res.Iterations, b2.Iterations)
-	}
-}
-
 func TestDistributedCGWithBlockIC(t *testing.T) {
 	// The SPD path: distributed PCG with an SPD block preconditioner on
 	// Test Case 1 must converge to the same solution as FGMRES.

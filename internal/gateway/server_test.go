@@ -308,8 +308,8 @@ func TestE2EDrain(t *testing.T) {
 }
 
 // Bad specs are rejected up front with 400; a preconditioner that is not
-// a kind — Block ARMS, since it was removed — gets the list of those that
-// are.
+// a kind — Block ARMS and Block 2P, since they were removed — gets the
+// list of the six that are.
 func TestE2EBadSpec(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	for _, spec := range []*Spec{
@@ -318,6 +318,7 @@ func TestE2EBadSpec(t *testing.T) {
 		{Case: "tc1-poisson2d", Procs: -1},
 		{Case: "tc1-poisson2d", Precond: "Block 9"},
 		{Case: "tc1-poisson2d", Precond: "Block ARMS"},
+		{Case: "tc1-poisson2d", Precond: "Block 2P"},
 		{Case: "tc1-poisson2d", Machine: "Cray"},
 	} {
 		resp := postJob(t, ts, "alice", spec)
@@ -328,6 +329,9 @@ func TestE2EBadSpec(t *testing.T) {
 		}
 		if spec.Precond == "" {
 			continue
+		}
+		if n := len(precond.Kinds()); n != 6 {
+			t.Fatalf("%d kinds, want 6", n)
 		}
 		for _, k := range precond.Kinds() {
 			if !strings.Contains(body, string(k)) {
@@ -473,38 +477,43 @@ func TestE2EKillAndResume(t *testing.T) {
 	}
 }
 
-// A sidecar whose spec no longer validates — here one naming the removed
-// Block ARMS — is dropped by the resume scan together with its checkpoint,
-// and no job is registered for it. Nor does the scan keep what nothing would
-// read: a checkpoint without a sidecar, or the temp file of a checkpoint
-// write killed before its rename.
+// A sidecar whose spec no longer validates — here one naming a removed
+// kind, Block ARMS or Block 2P — is dropped by the resume scan together
+// with its checkpoint, and no job is registered for it. Nor does the scan
+// keep what nothing would read: a checkpoint without a sidecar, or the
+// temp file of a checkpoint write killed before its rename.
 func TestResumeScanDropsInvalidSidecarAndCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	const id = "7-deadbeef"
-	scFile, ckFile := filepath.Join(dir, id+".json"), filepath.Join(dir, id+".ckpt")
-	orphan, temp := filepath.Join(dir, "8-cafef00d.ckpt"), filepath.Join(dir, ".ckpt-123456")
-	if err := os.WriteFile(scFile, []byte(`{"spec":{"case":"tc1-poisson2d","precond":"Block ARMS"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{ckFile, orphan, temp} {
-		if err := os.WriteFile(f, []byte("checkpoint"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv, _ := newTestServer(t, Options{Workers: 1, QueueDepth: 1, CkptDir: dir})
-	for _, f := range []string{scFile, ckFile, orphan, temp} {
-		if _, err := os.Stat(f); !os.IsNotExist(err) {
-			t.Errorf("%s left behind by the resume scan (stat: %v)", filepath.Base(f), err)
-		}
-	}
-	if _, ok := srv.Job(id); ok {
-		t.Error("a job was registered for a sidecar that does not validate")
-	}
-	srv.mu.Lock()
-	n := len(srv.jobs)
-	srv.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d jobs registered, want 0", n)
+	for _, kind := range []string{"Block ARMS", "Block 2P"} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			const id = "7-deadbeef"
+			scFile, ckFile := filepath.Join(dir, id+".json"), filepath.Join(dir, id+".ckpt")
+			orphan, temp := filepath.Join(dir, "8-cafef00d.ckpt"), filepath.Join(dir, ".ckpt-123456")
+			sidecar := fmt.Sprintf(`{"spec":{"case":"tc1-poisson2d","precond":%q}}`, kind)
+			if err := os.WriteFile(scFile, []byte(sidecar), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []string{ckFile, orphan, temp} {
+				if err := os.WriteFile(f, []byte("checkpoint"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, _ := newTestServer(t, Options{Workers: 1, QueueDepth: 1, CkptDir: dir})
+			for _, f := range []string{scFile, ckFile, orphan, temp} {
+				if _, err := os.Stat(f); !os.IsNotExist(err) {
+					t.Errorf("%s left behind by the resume scan (stat: %v)", filepath.Base(f), err)
+				}
+			}
+			if _, ok := srv.Job(id); ok {
+				t.Error("a job was registered for a sidecar that does not validate")
+			}
+			srv.mu.Lock()
+			n := len(srv.jobs)
+			srv.mu.Unlock()
+			if n != 0 {
+				t.Errorf("%d jobs registered, want 0", n)
+			}
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ var ErrZeroPivot = errors.New("ilu: zero pivot")
 // ZeroPivotError identifies the factorization and row where a structurally
 // singular pivot was detected. It wraps ErrZeroPivot.
 type ZeroPivotError struct {
-	Method string // "ILU0", "ILUT", "ILUTP" or "IC0"
+	Method string // "ILU0", "ILUT" or "IC0"
 	Row    int    // row index in the matrix being factored
 }
 
@@ -46,7 +46,7 @@ var ErrBadInput = errors.New("ilu: bad input")
 // sub-factorization extraction: a non-square matrix, a row missing its
 // diagonal entry, an out-of-range split point. It wraps ErrBadInput.
 type InputError struct {
-	Op     string // "ILU0", "ILUT", "ILUTP", "IC0", "ExtractTrailing", "ExtractLeading"
+	Op     string // "ILU0", "ILUT", "IC0", "ExtractTrailing", "ExtractLeading"
 	Detail string
 }
 
@@ -59,7 +59,3 @@ func (e *InputError) Unwrap() error { return ErrBadInput }
 func badInputErr(op, format string, args ...any) *InputError {
 	return &InputError{Op: op, Detail: fmt.Sprintf(format, args...)}
 }
-
-// ErrInternal is the sentinel for invariant violations detected inside a
-// factorization — a bug in this package, never a property of the input.
-var ErrInternal = errors.New("ilu: internal invariant violated")

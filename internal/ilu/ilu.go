@@ -11,7 +11,8 @@
 // pieces (see LU), so the forward sweep streams L and the backward sweep
 // streams U without stepping over the other triangle, and the columns are
 // 16-bit wherever the order allows (see LU). The factorizations write that
-// layout directly.
+// layout directly. None pivots: ILUT repairs a small or absent pivot
+// (fixPivot), and every factorization refuses a row with no nonzero entry.
 package ilu
 
 import (
@@ -91,7 +92,7 @@ func searchCol[C column](cols []C, c int) int {
 	return lo
 }
 
-// triBufs recycles the col/val pairs eliminate builds its triangles in.
+// triBufs recycles the col/val pairs ILUT builds its triangles in.
 // Those are sized from a bound (ilutCap), several times what the factor
 // ends up holding, and dead as soon as keep has copied the factor out —
 // without the pool every factorization allocates, clears and drops them

@@ -500,18 +500,6 @@ func BenchmarkILUTFactor(b *testing.B) {
 	}
 }
 
-func BenchmarkILUTPFactor(b *testing.B) {
-	for _, m := range benchFactorMatrices() {
-		b.Run(m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ILUTP(m.a, ILUTPOptions{ILUTOptions: DefaultILUT(), PermTol: 0.5}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkILUSolve(b *testing.B) {
 	f, err := ILUT(randSPDish(rand.New(rand.NewSource(9)), 1000, 0.01), DefaultILUT())
 	if err != nil {

@@ -1,7 +1,6 @@
 package ilu
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -35,25 +34,7 @@ func DefaultILUT() ILUTOptions { return ILUTOptions{Tau: 1e-3, LFil: 20} }
 // at the width the order picks (keep), so a kept factor holds no spare
 // capacity.
 func ILUT(a *sparse.CSR, opt ILUTOptions) (*LU, error) {
-	return eliminate("ILUT", a, opt, nil)
-}
-
-// pivoting is ILUTP's column permutation while eliminate builds it: the
-// tolerance of the pivot test, position → original column and back, and
-// the swaps so far.
-type pivoting struct {
-	tol         float64
-	perm, iperm sparse.Perm
-	swaps       int
-}
-
-// eliminate is the dual-threshold elimination of ILUT (pv nil) and of
-// ILUTP. It works in column positions: the L part of the working row is
-// an ordered set of positions, while w and the stored rows hold original
-// columns. Until ILUTP's first swap every position is its column, so the
-// lookups between the two, the sort by position and the closing remap run
-// only once a swap has happened.
-func eliminate(op string, a *sparse.CSR, opt ILUTOptions, pv *pivoting) (*LU, error) {
+	const op = "ILUT"
 	if a.Rows != a.Cols {
 		return nil, badInputErr(op, "non-square %d×%d matrix", a.Rows, a.Cols)
 	}
@@ -61,9 +42,6 @@ func eliminate(op string, a *sparse.CSR, opt ILUTOptions, pv *pivoting) (*LU, er
 	lfil := opt.LFil
 	if lfil <= 0 {
 		lfil = n
-	}
-	if pv != nil {
-		pv.perm, pv.iperm = sparse.IdentityPerm(n), sparse.IdentityPerm(n)
 	}
 
 	if err := checkFits(op, n, 0, 0); err != nil {
@@ -73,39 +51,33 @@ func eliminate(op string, a *sparse.CSR, opt ILUTOptions, pv *pivoting) (*LU, er
 	f := &LU{piv: make([]float64, n)}
 	l, u := leaseTri(n, triCap), leaseTri(n, triCap)
 
-	w := make([]float64, n)  // scatter workspace, by original column
+	w := make([]float64, n)  // scatter workspace
 	inRow := make([]bool, n) // membership of w
-	lPos := newOrdSet(n)     // active positions < i
+	lPos := newOrdSet(n)     // active L columns < i
 	uCols := make([]int, 0, n)
 	procL := make([]int, 0, n) // kept L columns in elimination order
 	var selL, selU selector    // selectLargest scratch, reused across rows
 
 	for i := 0; i < n; i++ {
-		moved := pv != nil && pv.swaps > 0 // some position is not its column
 		cols, vals := a.Row(i)
 		var rowNorm float64
 		uCols = uCols[:0]
 		procL = procL[:0]
-		first := i // lowest L position of the row
+		first := i // lowest L column of the row
 		for k, c := range cols {
 			j := int(c)
 			w[j] = vals[k]
 			inRow[j] = true
 			rowNorm += math.Abs(vals[k])
-			pj := j
-			if moved {
-				pj = int(pv.iperm[j])
-			}
-			if pj < i {
-				lPos.add(pj)
-				first = min(first, pj)
+			if j < i {
+				lPos.add(j)
+				first = min(first, j)
 			} else {
 				uCols = append(uCols, j)
 			}
 		}
-		// ILUT gives a structurally absent diagonal its slot ahead of the
-		// fill, ILUTP after the elimination (below).
-		if pv == nil && !inRow[i] {
+		// A structurally absent diagonal takes its slot ahead of the fill.
+		if !inRow[i] {
 			w[i] = 0
 			inRow[i] = true
 			uCols = append(uCols, i)
@@ -116,110 +88,47 @@ func eliminate(op string, a *sparse.CSR, opt ILUTOptions, pv *pivoting) (*LU, er
 		rowNorm /= float64(len(cols))
 		drop := opt.Tau * rowNorm
 
-		// Eliminate in ascending position order; L fill-in re-enters the
-		// set, U fill-in joins uCols. Fill lands only at positions above
+		// Eliminate in ascending column order; L fill-in re-enters the
+		// set, U fill-in joins uCols. Fill lands only at columns above
 		// the pivot row's, above everything popped so far, which is what
-		// keeps the pops ascending. Until the first swap a position is its
-		// column and the loop looks nothing up.
-		if !moved {
-			for k := lPos.pop(first, i); k >= 0; k = lPos.pop(k, i) {
-				lik := w[k] / f.piv[k]
-				inRow[k] = false
-				if math.Abs(lik) <= drop {
+		// keeps the pops ascending.
+		for k := lPos.pop(first, i); k >= 0; k = lPos.pop(k, i) {
+			lik := w[k] / f.piv[k]
+			inRow[k] = false
+			if math.Abs(lik) <= drop {
+				continue
+			}
+			w[k] = lik
+			procL = append(procL, k)
+			uc, uv := u.row(k)
+			for kj, c := range uc {
+				j := int(c)
+				delta := lik * uv[kj]
+				if inRow[j] {
+					w[j] -= delta
 					continue
 				}
-				w[k] = lik
-				procL = append(procL, k)
-				uc, uv := u.row(k)
-				for kj, c := range uc {
-					j := int(c)
-					delta := lik * uv[kj]
-					if inRow[j] {
-						w[j] -= delta
-						continue
-					}
-					w[j] = -delta
-					inRow[j] = true
-					if j < i {
-						lPos.add(j)
-					} else {
-						uCols = append(uCols, j)
-					}
+				w[j] = -delta
+				inRow[j] = true
+				if j < i {
+					lPos.add(j)
+				} else {
+					uCols = append(uCols, j)
 				}
-			}
-		} else {
-			for k := lPos.pop(first, i); k >= 0; k = lPos.pop(k, i) {
-				j := int(pv.perm[k]) // the pivot row's column
-				lik := w[j] / f.piv[k]
-				inRow[j] = false
-				if math.Abs(lik) <= drop {
-					continue
-				}
-				w[j] = lik
-				procL = append(procL, j)
-				uc, uv := u.row(k)
-				for kj, c := range uc {
-					jj := int(c)
-					delta := lik * uv[kj]
-					if inRow[jj] {
-						w[jj] -= delta
-						continue
-					}
-					w[jj] = -delta
-					inRow[jj] = true
-					if pj := int(pv.iperm[jj]); pj < i {
-						lPos.add(pj)
-					} else {
-						uCols = append(uCols, jj)
-					}
-				}
-			}
-		}
-
-		dcol := i // the pivot's column
-		if pv != nil {
-			if dcol = int(pv.perm[i]); !inRow[dcol] {
-				w[dcol] = 0
-				inRow[dcol] = true
-				uCols = append(uCols, dcol)
-			}
-			// The pivot test: the largest U candidate replaces the diagonal
-			// when |w_max|·tol > |w_diag| (never for tol ≤ 0), and the two
-			// columns swap positions.
-			best := dcol
-			for _, j := range uCols {
-				if math.Abs(w[j]) > math.Abs(w[best]) {
-					best = j
-				}
-			}
-			if best != dcol && math.Abs(w[best])*pv.tol > math.Abs(w[dcol]) {
-				pi, pb := pv.iperm[dcol], pv.iperm[best]
-				pv.perm[pi], pv.perm[pb] = pv.perm[pb], pv.perm[pi]
-				pv.iperm[dcol], pv.iperm[best] = pv.iperm[best], pv.iperm[dcol]
-				pv.swaps++
-				dcol = best
 			}
 		}
 
 		// Select survivors: largest |·| up to lfil in each part, dropping
 		// small entries; the pivot always kept.
 		lSel := selL.selectLargest(procL, w, drop, lfil, -1)
-		uSel := selU.selectLargest(uCols, w, drop, lfil, dcol)
-		if pv != nil && pv.swaps > 0 {
-			// Store in position order; the columns are remapped to positions
-			// once the factorization completes (those ≥ i still move).
-			iperm := pv.iperm
-			sort.Slice(lSel, func(x, y int) bool { return iperm[lSel[x]] < iperm[lSel[y]] })
-			sort.Slice(uSel, func(x, y int) bool { return iperm[uSel[x]] < iperm[uSel[y]] })
-		} else {
-			sort.Ints(lSel)
-			sort.Ints(uSel)
-		}
+		uSel := selU.selectLargest(uCols, w, drop, lfil, i)
+		sort.Ints(lSel)
+		sort.Ints(uSel)
 		for _, j := range lSel {
 			l.push(j, w[j])
 		}
 		for _, j := range uSel {
-			if j == dcol {
+			if j == i {
 				f.piv[i] = fixPivot(w[j], rowNorm, &f.PivotFixes)
 				continue
 			}
@@ -243,39 +152,11 @@ func eliminate(op string, a *sparse.CSR, opt ILUTOptions, pv *pivoting) (*LU, er
 		// Dropped L columns already cleared inRow; their w entries are
 		// stale but only reachable via inRow, which is false.
 	}
-	if pv != nil && pv.swaps > 0 {
-		if err := pv.remap(&l, &u); err != nil {
-			return nil, err
-		}
-	}
 	f.keep(l, u)
 	return f, nil
 }
 
-// remap turns the stored columns into positions — the factor becomes a
-// standard LU in the permuted space. A column left of the pivot at the
-// time its row was stored never moves again, so the L rows are already in
-// ascending order; U rows are re-sorted, because later swaps reorder the
-// columns right of the pivot among themselves.
-func (pv *pivoting) remap(l, u *tri[int32]) error {
-	for k, j := range l.col {
-		l.col[k] = pv.iperm[j]
-	}
-	for k, j := range u.col {
-		u.col[k] = pv.iperm[j]
-	}
-	for i := range pv.perm {
-		lc, _ := l.row(i)
-		uc, uv := u.row(i)
-		sparse.SortRow(uc, uv)
-		if (len(lc) > 0 && int(lc[len(lc)-1]) >= i) || (len(uc) > 0 && int(uc[0]) <= i) {
-			return fmt.Errorf("ilu: ILUTP row %d straddles its pivot after the column remap: %w", i, ErrInternal)
-		}
-	}
-	return nil
-}
-
-// ilutCap is the capacity eliminate starts each triangle of a factor
+// ilutCap is the capacity ILUT starts each triangle of a factor
 // with: the dual threshold's own bound of LFil entries per row,
 // capped by a multiple of nnz(A) that the paper-style settings stay under
 // (a triangle that outgrows it is grown by append).

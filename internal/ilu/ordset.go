@@ -5,12 +5,12 @@ import "math/bits"
 // ordSet is a set of ints in [0, n) that hands its members out in
 // ascending order: one bit per int, and above every 64 words of those one
 // summary word that says which of them are not zero, so that a pop steps
-// over 4096 absent ints per word it reads. eliminate (ILUT, ILUTP) keeps
-// the L part of the working row in it — the column positions still to be
-// eliminated — because elimination with pivot row k creates fill only at
-// positions > k: every insertion lies above the last pop, so popping the
-// lowest member again and again visits them in the ascending order a
-// priority queue would, for a few bit operations each.
+// over 4096 absent ints per word it reads. ILUT keeps the L part of the
+// working row in it — the columns still to be eliminated — because
+// elimination with pivot row k creates fill only at columns > k: every
+// insertion lies above the last pop, so popping the lowest member again
+// and again visits them in the ascending order a priority queue would, for
+// a few bit operations each.
 type ordSet struct {
 	word []uint64 // bit p&63 of word[p>>6]: p is a member
 	sum  []uint64 // bit w&63 of sum[w>>6]: word[w] != 0

@@ -7,8 +7,7 @@ import (
 )
 
 // intHeapRef is the hand-rolled min-heap of column indices that ordered
-// the L part of ILUT's working row (ILUTP had a twin keyed through iperm)
-// until ordSet replaced both, kept verbatim as the reference order: over
+// the L part of ILUT's working row until ordSet replaced it, kept verbatim as the reference order: over
 // unique members, whatever is inserted and whenever, a pop returns the
 // smallest.
 type intHeapRef []int

@@ -139,7 +139,7 @@ func oneSided(kind string, n int) *sparse.CSR {
 }
 
 // splitFactors returns every way this package produces an LU from a: the
-// three factorizations and the two sub-factor extractions.
+// two factorizations and the two sub-factor extractions.
 func splitFactors(t testing.TB, a *sparse.CSR) map[string]*LU {
 	t.Helper()
 	out := map[string]*LU{}
@@ -153,11 +153,6 @@ func splitFactors(t testing.TB, a *sparse.CSR) map[string]*LU {
 		t.Fatalf("ILUT: %v", err)
 	}
 	out["ILUT"] = ft
-	fp, err := ILUTP(a, ILUTPOptions{ILUTOptions: DefaultILUT(), PermTol: 0.5})
-	if err != nil {
-		t.Fatalf("ILUTP: %v", err)
-	}
-	out["ILUTP"] = fp.LU
 	cut := 2 * a.Rows / 3
 	lead, err := ExtractLeading(ft, cut)
 	if err != nil {
@@ -317,15 +312,11 @@ func TestSolveRejectsShortVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	piv, err := ILUTP(a, ILUTPOptions{ILUTOptions: DefaultILUT(), PermTol: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ch, err := IC0(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solvers := map[string]func(x, b []float64){"LU.Solve": lu.Solve, "PivLU.Solve": func(x, b []float64) { piv.Solve(x, b, make([]float64, n)) }, "Chol.Solve": ch.Solve}
+	solvers := map[string]func(x, b []float64){"LU.Solve": lu.Solve, "Chol.Solve": ch.Solve}
 	for name, solve := range solvers {
 		prefix := "ilu: " + name + " dimension mismatch"
 		full := make([]float64, n)

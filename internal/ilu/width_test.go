@@ -82,7 +82,7 @@ func widenTri(t *tri[uint16]) tri[int32] {
 }
 
 // banded returns an unsymmetric n×n matrix of half-bandwidth w in which
-// every fifth diagonal entry is weak, so that ILUTP swaps columns.
+// every fifth diagonal entry is weak.
 func banded(n, w int) *sparse.CSR {
 	coo := sparse.NewCOO(n, n, (2*w+1)*n)
 	for i := 0; i < n; i++ {
@@ -119,16 +119,6 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 func TestColumnWidthBoundary(t *testing.T) {
 	mats := map[int]*sparse.CSR{narrowMax: banded(narrowMax, 2), narrowMax + 1: banded(narrowMax+1, 2)}
 	ilut := func(a *sparse.CSR) (*LU, error) { return ILUT(a, DefaultILUT()) }
-	ilutp := func(a *sparse.CSR) (*LU, error) {
-		p, err := ILUTP(a, ILUTPOptions{ILUTOptions: DefaultILUT(), PermTol: 0.5})
-		if err == nil && p.Swaps == 0 {
-			t.Fatalf("ILUTP of order %d swapped no columns", a.Rows)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return p.LU, nil
-	}
 	// sub factors a by ILUT and extracts the trailing factor from lo when
 	// lo > 0, else the leading one up to hi, counted back from the order.
 	sub := func(lo, hi int) func(*sparse.CSR) (*LU, error) {
@@ -154,8 +144,6 @@ func TestColumnWidthBoundary(t *testing.T) {
 		{"ILU0/wide", narrowMax + 1, ILU0, narrowMax + 1, true},
 		{"ILUT/narrow", narrowMax, ilut, narrowMax, false},
 		{"ILUT/wide", narrowMax + 1, ilut, narrowMax + 1, false},
-		{"ILUTP/narrow", narrowMax, ilutp, narrowMax, false},
-		{"ILUTP/wide", narrowMax + 1, ilutp, narrowMax + 1, false},
 		{"ExtractLeading/narrow", narrowMax, sub(0, -1), narrowMax - 1, false},
 		{"ExtractLeading/wide", narrowMax + 1, sub(0, 0), narrowMax + 1, false},
 		{"ExtractLeading/wide to narrow", narrowMax + 1, sub(0, -1), narrowMax, false},

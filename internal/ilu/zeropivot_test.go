@@ -29,10 +29,6 @@ func TestZeroRowReturnsTypedError(t *testing.T) {
 	}{
 		{"ILU0", func() error { _, err := ILU0(a); return err }},
 		{"ILUT", func() error { _, err := ILUT(a, ILUTOptions{Tau: 0, LFil: 0}); return err }},
-		{"ILUTP", func() error {
-			_, err := ILUTP(a, ILUTPOptions{ILUTOptions: ILUTOptions{Tau: 0}, PermTol: 1})
-			return err
-		}},
 		{"IC0", func() error { _, err := IC0(a); return err }},
 	}
 	for _, tc := range cases {

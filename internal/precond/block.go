@@ -17,19 +17,18 @@ import (
 // communication is involved, which gives these preconditioners their
 // excellent per-iteration scalability — and, for Block 1, the often slow
 // convergence the paper reports. One type serves every factor the kinds
-// hold: ILU(0) (Block 1), ILUT (Block 2), ILUTP (Block 2P) and IC(0)
-// (Block IC), the first two optionally RCM-ordered.
+// hold: ILU(0) (Block 1), ILUT (Block 2) and IC(0) (Block IC), the first
+// two optionally RCM-ordered.
 type Block struct {
 	name string
 	f    factor
-	// Optional permutations, nil for a factor of A_i itself. RCM factors
-	// P·A_i·Pᵀ: Apply gathers r through rowPerm and scatters the solution
-	// through colPerm, both P. ILUTP factors A_i·Qᵀ: only the solution is
-	// scattered, through Q. The permuted vectors are a pair the rank leases
-	// from pool for its solve (dist.Comm.Lease), so simultaneous
-	// core.Session solves over one preconditioner set share nothing mutable.
-	rowPerm, colPerm sparse.Perm
-	pool             sync.Pool
+	// perm is the RCM ordering P, nil for a factor of A_i itself. The
+	// factor is then of P·A_i·Pᵀ: Apply gathers r through P and scatters the
+	// solution back. The permuted vectors are a pair the rank leases from
+	// pool for its solve (dist.Comm.Lease), so simultaneous core.Session
+	// solves over one preconditioner set share nothing mutable.
+	perm sparse.Perm
+	pool sync.Pool
 }
 
 // factor is a Block's subdomain solver: *ilu.LU or *ilu.Chol.
@@ -49,15 +48,15 @@ func newVecPair(n int) func() any {
 }
 
 // newBlock wraps the factor a constructor built, or names the rank in the
-// error of one that failed. Apply permutes through row and col when they
-// are not nil.
-func newBlock(s *dsys.System, name string, f factor, err error, row, col sparse.Perm) (*Block, error) {
+// error of one that failed. Apply permutes through perm when it is not
+// nil.
+func newBlock(s *dsys.System, name string, f factor, err error, perm sparse.Perm) (*Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("precond: %s rank %d: %w", name, s.Rank, err)
 	}
-	b := &Block{name: name, f: f, rowPerm: row, colPerm: col}
-	if col != nil {
-		b.pool.New = newVecPair(len(col))
+	b := &Block{name: name, f: f, perm: perm}
+	if perm != nil {
+		b.pool.New = newVecPair(len(perm))
 	}
 	return b, nil
 }
@@ -66,31 +65,14 @@ func newBlock(s *dsys.System, name string, f factor, err error, row, col sparse.
 // for this rank's subdomain.
 func NewBlock1(s *dsys.System) (*Block, error) {
 	f, err := ilu.ILU0(s.OwnedBlock())
-	return newBlock(s, string(KindBlock1), f, err, nil, nil)
+	return newBlock(s, string(KindBlock1), f, err, nil)
 }
 
 // NewBlock2 builds the Block 2 preconditioner (ILUT subdomain solver) for
 // this rank's subdomain.
 func NewBlock2(s *dsys.System, opt ilu.ILUTOptions) (*Block, error) {
 	f, err := ilu.ILUT(s.OwnedBlock(), opt)
-	return newBlock(s, string(KindBlock2), f, err, nil, nil)
-}
-
-// NewBlock2Pivot builds Block 2P, block Jacobi with a column-pivoting ILUTP
-// subdomain factorization — the pARMS robustness option for subdomain
-// blocks with weak diagonals (strong convection, saddle-like couplings).
-// A factorization that swapped no column is Block 2's factor and applies
-// as Block 2 does.
-func NewBlock2Pivot(s *dsys.System, opt ilu.ILUTPOptions) (*Block, error) {
-	p, err := ilu.ILUTP(s.OwnedBlock(), opt)
-	if err != nil {
-		return newBlock(s, string(KindBlock2P), nil, err, nil, nil)
-	}
-	var q sparse.Perm
-	if p.Swaps > 0 {
-		q = p.Perm
-	}
-	return newBlock(s, string(KindBlock2P), p.LU, nil, nil, q)
+	return newBlock(s, string(KindBlock2), f, err, nil)
 }
 
 // NewBlockIC builds Block IC, block Jacobi with an IC(0) subdomain solver
@@ -98,7 +80,7 @@ func NewBlock2Pivot(s *dsys.System, opt ilu.ILUTPOptions) (*Block, error) {
 // for the distributed CG baseline on the paper's SPD test cases (1–4, 6).
 func NewBlockIC(s *dsys.System) (*Block, error) {
 	c, err := ilu.IC0(s.OwnedBlock())
-	return newBlock(s, string(KindBlockIC), c, err, nil, nil)
+	return newBlock(s, string(KindBlockIC), c, err, nil)
 }
 
 // NewBlockOrdered builds a block preconditioner whose subdomain block is
@@ -111,31 +93,26 @@ func NewBlockOrdered(s *dsys.System, useILU0 bool, opt ilu.ILUTOptions) (*Block,
 	pblk := sparse.PermuteSym(blk, perm)
 	if useILU0 {
 		f, err := ilu.ILU0(pblk)
-		return newBlock(s, string(KindBlock1)+" (RCM)", f, err, perm, perm)
+		return newBlock(s, string(KindBlock1)+" (RCM)", f, err, perm)
 	}
 	f, err := ilu.ILUT(pblk, opt)
-	return newBlock(s, string(KindBlock2)+" (RCM)", f, err, perm, perm)
+	return newBlock(s, string(KindBlock2)+" (RCM)", f, err, perm)
 }
 
 // Apply performs the subdomain backward/forward solve. The model charges
-// the factor's solve, plus 2n for the gather and scatter of a symmetric
-// (RCM) permutation; a column scatter alone (ILUTP's) moves data and
-// performs no arithmetic.
+// the factor's solve, plus 2n for the gather and scatter of the RCM
+// permutation.
 func (b *Block) Apply(c *dist.Comm, z, r []float64) {
-	if b.colPerm == nil {
+	if b.perm == nil {
 		b.f.Solve(z, r)
 		c.Compute(b.f.SolveFlops())
 		return
 	}
 	sc := c.Lease(&b.pool).(*vecPair)
-	in, flops := r, b.f.SolveFlops()
-	if b.rowPerm != nil {
-		b.rowPerm.ApplyVecTo(sc.r, r)
-		in, flops = sc.r, flops+2*float64(len(r))
-	}
-	b.f.Solve(sc.z, in)
-	b.colPerm.ScatterVecTo(z, sc.z)
-	c.Compute(flops)
+	b.perm.ApplyVecTo(sc.r, r)
+	b.f.Solve(sc.z, sc.r)
+	b.perm.ScatterVecTo(z, sc.z)
+	c.Compute(b.f.SolveFlops() + 2*float64(len(r)))
 }
 
 // Name returns the paper's notation for this preconditioner.

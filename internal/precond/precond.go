@@ -37,9 +37,8 @@ import (
 // vectors and inner Krylov workspaces its rank leases for the solve from
 // a sync.Pool the preconditioner owns (dist.Comm.Lease), so a kept
 // preconditioner holds no scratch between solves. Only the purely local
-// kinds — every Block (Block 1, Block 2, Block 2P, Block IC, RCM-ordered
-// or not) — write nothing of their own in Apply and may
-// serve concurrent solves. The communicating kinds record their first
+// kinds — every Block (Block 1, Block 2, Block IC, RCM-ordered or not) —
+// write nothing of their own in Apply and may serve concurrent solves. The communicating kinds record their first
 // exchange failure (CommErrRecorder) and Schwarz's fast Poisson solver
 // works in buffers it keeps, so their solves must be serialized, as
 // core.Session does. SetupFlops is the footprint a set-up is charged by,
@@ -59,9 +58,6 @@ type Kind string
 const (
 	KindBlock1 Kind = "Block 1"
 	KindBlock2 Kind = "Block 2"
-	// KindBlock2P is block Jacobi with the column-pivoting ILUTP
-	// factorization (robust for weak-diagonal subdomain blocks).
-	KindBlock2P Kind = "Block 2P"
 	// KindBlockIC is block Jacobi with incomplete Cholesky — the SPD
 	// preconditioner for the distributed CG baseline.
 	KindBlockIC Kind = "Block IC"
@@ -88,7 +84,7 @@ func (k Kind) Fallback() Kind {
 
 // kinds lists every preconditioner name, the paper's four first.
 var kinds = []Kind{KindBlock1, KindBlock2, KindSchur1, KindSchur2,
-	KindBlock2P, KindBlockIC, KindNone}
+	KindBlockIC, KindNone}
 
 // Kinds returns every preconditioner name, the paper's four first: what
 // ParseKind accepts, and so what a front end's help and an

@@ -3,7 +3,6 @@ package precond
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"parapre/internal/dsys"
 	"parapre/internal/ilu"
 	"parapre/internal/krylov"
-	"parapre/internal/sparse"
 )
 
 func TestNamesMatchPaperNotation(t *testing.T) {
@@ -240,24 +238,12 @@ func TestTinySubdomainsAllPreconditioners(t *testing.T) {
 	}
 }
 
-func TestBlockPivotAndBlockICDirect(t *testing.T) {
+func TestBlockICDirect(t *testing.T) {
 	const m, p = 15, 3
 	systems, a, b := buildPoisson(t, m, p, 41)
 	want := refSolution(t, a, b)
 
 	_, x := solveWith(t, systems, p, func(s *dsys.System) Preconditioner {
-		pc, err := NewBlock2Pivot(s, ilu.ILUTPOptions{ILUTOptions: ilu.DefaultILUT(), PermTol: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pc.Name() != "Block 2P" || pc.SetupFlops() <= 0 {
-			t.Fatal("Block 2P accessors")
-		}
-		return pc
-	})
-	checkClose(t, x, want, 2e-4, "Block 2P")
-
-	_, x = solveWith(t, systems, p, func(s *dsys.System) Preconditioner {
 		pc, err := NewBlockIC(s)
 		if err != nil {
 			t.Fatal(err)
@@ -270,84 +256,11 @@ func TestBlockPivotAndBlockICDirect(t *testing.T) {
 	checkClose(t, x, want, 2e-4, "Block IC")
 }
 
-// TestBlock2PAppliesItsPivots: on a subdomain ILUTP pivots on, Block 2P
-// applies the pivoted factor — bit for bit what ilu.PivLU.Solve returns —
-// and is charged its solve alone; on one it does not pivot on, it holds no
-// permutation and applies Block 2's factor, bits and charge alike.
-func TestBlock2PAppliesItsPivots(t *testing.T) {
-	const n = 300
-	rng := rand.New(rand.NewSource(31))
-	coo := sparse.NewCOO(n, n, n*n/30)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 0.1*rng.NormFloat64())
-		for j := 0; j < n; j++ {
-			if j != i && rng.Float64() < 0.03 {
-				coo.Add(i, j, rng.NormFloat64())
-			}
-		}
-	}
-	weak := dsys.Distribute(coo.ToCSR(), make([]float64, n), make([]int, n), 1)[0]
-	poisson, _, _ := buildPoisson(t, 15, 1, 41)
-	opt := ilu.ILUTPOptions{ILUTOptions: ilu.DefaultILUT(), PermTol: 1}
-	apply := func(pc Preconditioner, r []float64) (z []float64, flops float64) {
-		st := dist.Run(1, testMachine(), func(c *dist.Comm) {
-			z = make([]float64, len(r))
-			pc.Apply(c, z, r)
-		})
-		return z, st[0].Flops
-	}
-	for _, c := range []struct {
-		name string
-		s    *dsys.System
-	}{{"weak diagonal", weak}, {"Poisson", poisson[0]}} {
-		name, s := c.name, c.s
-		pc, err := NewBlock2Pivot(s, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		piv, err := ilu.ILUTP(s.OwnedBlock(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := make([]float64, s.NLoc())
-		for i := range r {
-			r[i] = rng.NormFloat64()
-		}
-		want := make([]float64, len(r))
-		piv.Solve(want, r, make([]float64, len(r)))
-		wantFlops := piv.LU.SolveFlops()
-		if piv.Swaps == 0 {
-			if name == "weak diagonal" {
-				t.Fatal("ILUTP swapped no column of the weak-diagonal block")
-			}
-			if pc.colPerm != nil || pc.rowPerm != nil {
-				t.Errorf("%s: Block 2P holds a permutation without a swap", name)
-			}
-			b2, err := NewBlock2(s, opt.ILUTOptions)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantFlops = apply(b2, r)
-		} else if name == "Poisson" {
-			t.Fatalf("ILUTP swapped %d columns of the Poisson block", piv.Swaps)
-		}
-		got, flops := apply(pc, r)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: z[%d] = %v, want %v", name, i, got[i], want[i])
-			}
-		}
-		if flops != wantFlops {
-			t.Errorf("%s: charged %v flops, want %v", name, flops, wantFlops)
-		}
-	}
-}
-
 // TestParseKind: every Kind is found under its own spelling and under any
 // casing of it; anything else is an *UnknownKindError that names the input
 // and lists what would have been accepted.
 func TestParseKind(t *testing.T) {
-	for _, k := range []Kind{KindBlock1, KindBlock2, KindBlock2P, KindBlockIC,
+	for _, k := range []Kind{KindBlock1, KindBlock2, KindBlockIC,
 		KindSchur1, KindSchur2, KindNone} {
 		for _, spelling := range []string{string(k), strings.ToLower(string(k)), strings.ToUpper(string(k))} {
 			if got, err := ParseKind(spelling); err != nil || got != k {
@@ -355,7 +268,7 @@ func TestParseKind(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"", "Block 9", "Schur1", " Schur 1", "Schwarz", "Block ARMS"} {
+	for _, name := range []string{"", "Block 9", "Schur1", " Schur 1", "Schwarz", "Block ARMS", "Block 2P"} {
 		got, err := ParseKind(name)
 		var unknown *UnknownKindError
 		if !errors.As(err, &unknown) || unknown.Name != name || got != "" {

@@ -65,24 +65,6 @@ func checkFactorComplete(cfg Config) []Violation {
 				out = append(out, Violation{"factor-complete",
 					fmt.Sprintf("complete ILUT solve differs from dense LU solve by %g", d), repro(n, seed, "")})
 			}
-
-			// Identity 3: complete ILUTP solves A·x = b in the original
-			// ordering, pivoting notwithstanding.
-			pf, err := ilu.ILUTP(a, ilu.ILUTPOptions{ILUTOptions: completeOpts, PermTol: 1})
-			if err != nil {
-				out = append(out, Violation{"factor-complete", fmt.Sprintf("ILUTP: %v", err), repro(n, seed, "")})
-				continue
-			}
-			xp := make([]float64, n)
-			pf.Solve(xp, b, make([]float64, n))
-			if d := maxAbsDiff(xp, xd); d > 1e-8*(1+maxAbs(xd)) {
-				out = append(out, Violation{"factor-complete",
-					fmt.Sprintf("complete ILUTP solve differs from dense LU solve by %g (swaps=%d)", d, pf.Swaps),
-					repro(n, seed, "")})
-			}
-			if !pf.Perm.IsValid() {
-				out = append(out, Violation{"factor-complete", "ILUTP permutation invalid", repro(n, seed, "")})
-			}
 		}
 	}
 	return out
@@ -233,11 +215,7 @@ func checkFactorZeroPivot(cfg Config) []Violation {
 			runs := map[string]func() error{
 				"ILU0": func() error { _, err := ilu.ILU0(a); return err },
 				"ILUT": func() error { _, err := ilu.ILUT(a, completeOpts); return err },
-				"ILUTP": func() error {
-					_, err := ilu.ILUTP(a, ilu.ILUTPOptions{ILUTOptions: completeOpts, PermTol: 1})
-					return err
-				},
-				"IC0": func() error { _, err := ilu.IC0(a); return err },
+				"IC0":  func() error { _, err := ilu.IC0(a); return err },
 			}
 			for name, run := range runs {
 				err := run()

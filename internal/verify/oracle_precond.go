@@ -129,7 +129,6 @@ func checkPrecondBlock(cfg Config) []Violation {
 				lu0, _ := ilu.ILU0(owned)
 				ic0, _ := ilu.IC0(owned)
 				b2, err2 := precond.NewBlock2(s, completeOpts)
-				b2p, err2p := precond.NewBlock2Pivot(s, ilu.ILUTPOptions{ILUTOptions: completeOpts, PermTol: 1})
 				b1, err1 := precond.NewBlock1(s)
 				bic, errIC := precond.NewBlockIC(s)
 				for _, v := range []struct {
@@ -139,7 +138,6 @@ func checkPrecondBlock(cfg Config) []Violation {
 					back          func(z []float64) []float64 // the product applied; nil for a complete factor
 				}{
 					{"Block 2", "", b2, err2, nil},
-					{"Block 2P", "", b2p, err2p, nil},
 					{"Block 1", "L·U", b1, err1, func(z []float64) []float64 { return lu0.Product().MulVec(z) }},
 					{"Block IC", "L·Lᵀ", bic, errIC, func(z []float64) []float64 { return cholProductMulVec(ic0, z) }},
 				} {

@@ -74,7 +74,7 @@ func Checks() []Check {
 		{"coo-csr", "COO→CSR assembly: duplicate merging vs dense accumulation", checkCOOCSR},
 		{"mmio-roundtrip", "Matrix Market write→read→write: byte stability and CSR equality", checkMMIORoundTrip},
 		{"distribute-reassembly", "dsys.Distribute: local matrices reassemble the global matrix exactly", checkDistributeReassembly},
-		{"factor-complete", "complete ILUT/ILUTP product reproduces A; solves match dense LU", checkFactorComplete},
+		{"factor-complete", "complete ILUT product reproduces A; its solve matches dense LU", checkFactorComplete},
 		{"factor-incomplete", "incomplete factor Solve inverts the factor product exactly", checkFactorIncomplete},
 		{"factor-ic", "IC0: Lt = Lᵀ, complete-pattern IC reproduces SPD A, solve matches dense", checkFactorIC},
 		{"factor-zero-pivot", "structurally zero rows are refused with typed errors, never floored", checkFactorZeroPivot},
