@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"parapre"
-	"parapre/internal/precond"
 )
 
 func main() {
@@ -19,7 +18,7 @@ func main() {
 	prob := parapre.BuildCase("tc5-convdiff", size)
 	fmt.Printf("convection-diffusion, |v|=1000 at 45°, SUPG, %d unknowns\n\n", prob.A.Rows)
 
-	kinds := []precond.Kind{parapre.Schur1, parapre.Schur2, parapre.Block1, parapre.Block2}
+	kinds := []parapre.Kind{parapre.Schur1, parapre.Schur2, parapre.Block1, parapre.Block2}
 	fmt.Printf("%-4s", "P")
 	for _, k := range kinds {
 		fmt.Printf(" | %-16s", k)

@@ -2,7 +2,7 @@
 // cases. This example discretizes its own PDE — a convection–diffusion
 // problem with a rotating velocity would need variable coefficients, so
 // here we take a strongly skewed constant flow over the plate-with-hole
-// unstructured grid — wraps the assembled system in a core Problem, and
+// unstructured grid — wraps the assembled system in a Problem, and
 // compares the preconditioners on it.
 package main
 
@@ -12,16 +12,13 @@ import (
 	"math"
 
 	"parapre"
-	"parapre/internal/fem"
-	"parapre/internal/grid"
-	"parapre/internal/precond"
 )
 
 func main() {
 	// 1. Build an unstructured grid and discretize a custom PDE on it.
-	g := grid.PlateWithHole(49)
+	g := parapre.PlateWithHole(49)
 	vel := []float64{200 * math.Cos(0.2), 200 * math.Sin(0.2)}
-	a, b := fem.AssembleScalar(g, fem.ScalarPDE{
+	a, b := parapre.AssembleScalar(g, parapre.ScalarPDE{
 		Diffusion: 1,
 		Velocity:  vel,
 		SUPG:      true,
@@ -37,12 +34,12 @@ func main() {
 			bc[n] = 0
 		}
 	}
-	fem.ApplyDirichlet(a, b, bc)
+	parapre.ApplyDirichlet(a, b, bc)
 
 	// 3. Wrap as a Problem and solve with each preconditioner.
 	prob := &parapre.Problem{Name: "custom-convdiff-hole", A: a, B: b, Mesh: g, DofsPerNode: 1}
 	fmt.Printf("custom PDE on plate-with-hole: %d unknowns, |v| = 200\n\n", a.Rows)
-	for _, kind := range []precond.Kind{parapre.Schur1, parapre.Schur2, parapre.Block1, parapre.Block2} {
+	for _, kind := range []parapre.Kind{parapre.Schur1, parapre.Schur2, parapre.Block1, parapre.Block2} {
 		cfg := parapre.DefaultConfig(8, kind)
 		res, err := parapre.Solve(prob, cfg)
 		if err != nil {

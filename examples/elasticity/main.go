@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"parapre"
-	"parapre/internal/precond"
 )
 
 func main() {
@@ -22,7 +21,7 @@ func main() {
 		prob.Mesh.NumNodes(), prob.A.Rows)
 
 	const p = 8
-	for _, kind := range []precond.Kind{parapre.Schur1, parapre.Schur2, parapre.Block1, parapre.Block2} {
+	for _, kind := range []parapre.Kind{parapre.Schur1, parapre.Schur2, parapre.Block1, parapre.Block2} {
 		cfg := parapre.DefaultConfig(p, kind)
 		cfg.Solver.MaxIters = 400
 		cfg.KeepX = true

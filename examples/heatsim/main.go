@@ -12,9 +12,6 @@ import (
 	"math"
 
 	"parapre"
-	"parapre/internal/fem"
-	"parapre/internal/grid"
-	"parapre/internal/sparse"
 )
 
 func main() {
@@ -23,24 +20,11 @@ func main() {
 		dt    = 0.002
 		steps = 20
 	)
-	g := grid.UnitSquareTri(m)
-	k, _ := fem.AssembleScalar(g, fem.ScalarPDE{Diffusion: 1})
-	mass := fem.AssembleMass(g)
+	g := parapre.UnitSquareTri(m)
 
 	// A = M + Δt·K with u = 0 on the whole boundary.
-	n := k.Rows
-	coo := sparse.NewCOO(n, n, k.NNZ()+mass.NNZ())
-	for i := 0; i < n; i++ {
-		cols, vals := mass.Row(i)
-		for kk, j := range cols {
-			coo.Add(i, int(j), vals[kk])
-		}
-		cols, vals = k.Row(i)
-		for kk, j := range cols {
-			coo.Add(i, int(j), dt*vals[kk])
-		}
-	}
-	a := coo.ToCSR()
+	a, mass := parapre.HeatStep(g, dt)
+	n := a.Rows
 	onB := g.BoundaryNodes()
 	bc := map[int]float64{}
 	for node := 0; node < n; node++ {
@@ -49,7 +33,7 @@ func main() {
 		}
 	}
 	rhs := make([]float64, n)
-	fem.ApplyDirichlet(a, rhs, bc)
+	parapre.ApplyDirichlet(a, rhs, bc)
 
 	prob := &parapre.Problem{Name: "heatsim", A: a, B: rhs, Mesh: g, DofsPerNode: 1}
 	cfg := parapre.DefaultConfig(8, parapre.Schur1)

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"parapre"
-	"parapre/internal/precond"
 )
 
 func main() {
@@ -28,8 +27,8 @@ func main() {
 			if mode == "schur" {
 				cfg = parapre.DefaultConfig(layout.p, parapre.Schur1)
 			} else {
-				cfg = parapre.DefaultConfig(layout.p, precond.KindNone)
-				sw := precond.DefaultSchwarz(size, layout.px, layout.py, mode == "cgc")
+				cfg = parapre.DefaultConfig(layout.p, parapre.None)
+				sw := parapre.DefaultSchwarz(size, layout.px, layout.py, mode == "cgc")
 				cfg.Schwarz = &sw
 			}
 			res, err := parapre.Solve(prob, cfg)

@@ -18,7 +18,6 @@ import (
 	"parapre/internal/core"
 	"parapre/internal/fem"
 	"parapre/internal/grid"
-	"parapre/internal/sparse"
 )
 
 // Case describes one of the paper's test cases.
@@ -54,7 +53,8 @@ func lattice(m, least, dim, dofs int) int {
 	return n
 }
 
-// All returns the six test cases, in the paper's order.
+// All returns the paper's six test cases in its order, then the tc7-jump
+// extension.
 func All() []Case {
 	return []Case{
 		{
@@ -177,26 +177,12 @@ func PoissonUnstructured(size int) *core.Problem {
 // Heat3D is Test Case 4: one implicit Euler step of u_t = ∇²u with
 // Δt = 0.05, initial condition u⁰ = sin(πx)·sin(πy), homogeneous
 // Dirichlet on the face x = 1 and natural conditions elsewhere. The
-// system matrix is A = M + Δt·K.
+// system matrix is A = M + Δt·K (fem.HeatStep).
 func Heat3D(size int) *core.Problem {
 	const dt = 0.05
 	g := grid.UnitCubeTet(size)
-	k, _ := fem.AssembleScalar(g, fem.ScalarPDE{Diffusion: 1})
-	mass := fem.AssembleMass(g)
-
-	n := k.Rows
-	coo := sparse.NewCOO(n, n, k.NNZ()+mass.NNZ())
-	for i := 0; i < n; i++ {
-		cols, vals := mass.Row(i)
-		for kk, j := range cols {
-			coo.Add(i, int(j), vals[kk])
-		}
-		cols, vals = k.Row(i)
-		for kk, j := range cols {
-			coo.Add(i, int(j), dt*vals[kk])
-		}
-	}
-	a := coo.ToCSR()
+	a, mass := fem.HeatStep(g, dt)
+	n := a.Rows
 
 	// RHS = M·u⁰.
 	u0 := make([]float64, n)

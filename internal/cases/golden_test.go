@@ -26,7 +26,9 @@ import (
 // the digests are what says that no iterate moved with the work. The last
 // three rows (Block IC under CG, both RCM blocks) were recorded at commit
 // 239d905, before ILUT and its since removed column-pivoting variant
-// shared one elimination and the block-Jacobi kinds became one type.
+// shared one elimination and the block-Jacobi kinds became one type. The
+// tc4-heat3d row was recorded at commit 625944b, before Test Case 4's
+// operator M + Δt·K and the heat example's became one fem function.
 var setupGolden = []struct {
 	name       string
 	size       int
@@ -91,6 +93,9 @@ var setupGolden = []struct {
 	{"tc1-poisson2d", 97, "Block 2 (RCM)", 73, true, 0x3fd5b3f23c8f9aad, 0x3f6b7c7820a30db7,
 		[4]uint64{0x4173553b00000000, 0x41732c0100000000, 0x417275d740000000, 0x41713399e0000000}, [4]int{78, 234, 156, 156},
 		0x033dd3534235b5e7, 0x5d1151d33bd3d457},
+	{"tc4-heat3d", 17, "Schur 1", 7, true, 0x3fc11d0abd484a6f, 0x3f650fe1f552fdd4,
+		[4]uint64{0x415fd29980000000, 0x4160073fe0000000, 0x415ecb9580000000, 0x415a699c80000000}, [4]int{132, 132, 132, 132},
+		0x100a8f5fcff13016, 0xfc1f2c0f6f044ffa},
 }
 
 // TestSolveMatchesParentCommitBits runs one subtest per row, named

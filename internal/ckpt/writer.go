@@ -24,7 +24,6 @@ type FileWriter struct {
 	mu      sync.Mutex
 	pending map[uint64]*pendingSeq
 	lastSeq uint64 // highest sequence persisted
-	wrote   int    // checkpoints persisted (for tests/CLIs)
 	err     error  // first write failure, latched
 }
 
@@ -79,15 +78,7 @@ func (w *FileWriter) PutShard(seq, iter uint64, p int, rs *RankState) error {
 		return err
 	}
 	w.lastSeq = seq
-	w.wrote++
 	return nil
-}
-
-// Wrote returns how many complete checkpoints the writer has persisted.
-func (w *FileWriter) Wrote() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.wrote
 }
 
 // WriteFile persists one checkpoint atomically: encode, write to a

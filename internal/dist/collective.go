@@ -152,11 +152,6 @@ func (c *Comm) beginCollective(kind string, bytes int) obs.Span {
 	return c.rec.BeginComm(kind, -1, -1, bytes, c.clock)
 }
 
-// AllReduceMax returns the maximum of x across ranks.
-func (c *Comm) AllReduceMax(x float64) float64 {
-	return c.allReduceScalar(x, ReduceMax)
-}
-
 // AllReduceMin returns the minimum of x across ranks.
 func (c *Comm) AllReduceMin(x float64) float64 {
 	return c.allReduceScalar(x, ReduceMin)

@@ -301,9 +301,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size P.
 func (c *Comm) Size() int { return c.w.P }
 
-// MachineName returns the name of the machine profile in use.
-func (c *Comm) MachineName() string { return c.w.Machine.Name }
-
 // beginOp fires planned crashes and publishes the rank's in-progress op
 // for the watchdog. peer/tag are -1 for collectives and compute.
 func (c *Comm) beginOp(op string, peer, tag int) {

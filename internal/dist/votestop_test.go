@@ -42,7 +42,7 @@ func TestVoteStopIsUnchargedAndInvisible(t *testing.T) {
 					t.Error("unexpected stop")
 				}
 			}
-			c.AllReduceMax(float64(c.Rank()))
+			c.AllReduceMin(float64(c.Rank()))
 		})
 	}
 	ref := body(0)

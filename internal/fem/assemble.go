@@ -192,21 +192,6 @@ func AssembleMass(m *grid.Mesh) *sparse.CSR {
 	return a
 }
 
-// LumpedMass returns the row-sum lumped mass weights: w_i = Σ_j M_ij.
-// These are also the nodal quadrature weights ∫φ_i dx.
-func LumpedMass(m *grid.Mesh) []float64 {
-	nn := m.NumNodes()
-	w := make([]float64, nn)
-	for e := 0; e < m.NumElems(); e++ {
-		g := geometry(m, e)
-		share := g.measure / float64(m.NPE)
-		for _, n := range m.Elem(e) {
-			w[n] += share
-		}
-	}
-	return w
-}
-
 // AssembleElasticity assembles the linear-elasticity system of Test Case 6,
 //
 //	−μ·Δu − (μ+λ)·∇(∇·u) = f,

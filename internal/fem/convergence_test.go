@@ -189,82 +189,3 @@ func TestJumpCoefficientStillSPD(t *testing.T) {
 		t.Fatal("variable-coefficient stiffness not symmetric")
 	}
 }
-
-func TestAssembleScalarRowsUnionEqualsGlobal(t *testing.T) {
-	// In-package equivalence check (the distributed-system level is
-	// covered in dsys): summing all ranks' slabs reproduces the global
-	// assembly up to rounding.
-	g := grid.UnitSquareTri(9)
-	pde := ScalarPDE{
-		Diffusion: 2,
-		Velocity:  []float64{10, 5},
-		SUPG:      true,
-		Source:    func(x []float64) float64 { return x[0] },
-	}
-	aG, bG := AssembleScalar(g, pde)
-	n := g.NumNodes()
-	part := make([]int, n)
-	for i := range part {
-		part[i] = i % 3
-	}
-	sumB := make([]float64, n)
-	type cell struct{ i, j int }
-	sum := map[cell]float64{}
-	for r := 0; r < 3; r++ {
-		r := r
-		slab, rb := AssembleScalarRows(g, pde, func(node int) bool { return part[node] == r })
-		for i := 0; i < n; i++ {
-			cols, vals := slab.Row(i)
-			for k, j32 := range cols {
-				j := int(j32)
-				sum[cell{i, j}] += vals[k]
-			}
-			sumB[i] += rb[i]
-		}
-	}
-	if len(sum) != aG.NNZ() {
-		t.Fatalf("pattern sizes differ: %d vs %d", len(sum), aG.NNZ())
-	}
-	for i := 0; i < n; i++ {
-		cols, vals := aG.Row(i)
-		for k, j32 := range cols {
-			j := int(j32)
-			if math.Abs(sum[cell{i, j}]-vals[k]) > 1e-11*(1+math.Abs(vals[k])) {
-				t.Fatalf("entry (%d,%d) differs", i, j)
-			}
-		}
-		if math.Abs(sumB[i]-bG[i]) > 1e-12 {
-			t.Fatalf("rhs %d differs", i)
-		}
-	}
-}
-
-func TestApplyDirichletRowsMatchesGlobal(t *testing.T) {
-	g := grid.UnitSquareTri(7)
-	pde := ScalarPDE{Diffusion: 1, Source: func(x []float64) float64 { return 1 }}
-	onB := g.BoundaryNodes()
-	bc := map[int]float64{}
-	for n := 0; n < g.NumNodes(); n++ {
-		if onB[n] {
-			bc[n] = float64(n % 3)
-		}
-	}
-	aG, bG := AssembleScalar(g, pde)
-	ApplyDirichlet(aG, bG, bc)
-
-	all := func(int) bool { return true }
-	aR, bR := AssembleScalarRows(g, pde, all)
-	ApplyDirichletRows(aR, bR, bc, all)
-	for i := 0; i < aG.Rows; i++ {
-		cols, vals := aG.Row(i)
-		for k, j32 := range cols {
-			j := int(j32)
-			if math.Abs(aR.At(i, j)-vals[k]) > 1e-12 {
-				t.Fatalf("(%d,%d) differs after Dirichlet", i, j)
-			}
-		}
-		if math.Abs(bR[i]-bG[i]) > 1e-12 {
-			t.Fatalf("rhs %d differs after Dirichlet", i)
-		}
-	}
-}

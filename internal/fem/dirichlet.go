@@ -47,20 +47,3 @@ func ApplyDirichlet(a *sparse.CSR, b []float64, bc map[int]float64) []float64 {
 	}
 	return b
 }
-
-// DirichletResidual measures how far x is from satisfying the constraints:
-// max |x[dof] − value|. Useful as a test invariant after a solve.
-func DirichletResidual(x []float64, bc map[int]float64) float64 {
-	var m float64
-	//lint:ignore determinism max over disjoint entries commutes exactly, iteration order cannot change it
-	for dof, v := range bc {
-		d := x[dof] - v
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}

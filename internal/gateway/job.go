@@ -140,14 +140,6 @@ func (j *Job) Publish(e Event) {
 	j.mu.Unlock()
 }
 
-// SetState transitions the job and publishes the state event.
-func (j *Job) SetState(s State) {
-	j.mu.Lock()
-	j.state = s
-	j.publishLocked(Event{Type: "state", State: s})
-	j.mu.Unlock()
-}
-
 // State returns the current lifecycle state.
 func (j *Job) State() State {
 	j.mu.Lock()

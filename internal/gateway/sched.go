@@ -146,13 +146,6 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// Queued reports the tenant's current backlog (diagnostics, tests).
-func (s *Scheduler) Queued(tenant string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queues[tenant])
-}
-
 // Stats reports pending and active job counts.
 func (s *Scheduler) Stats() (pending, active int) {
 	s.mu.Lock()

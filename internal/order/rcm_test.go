@@ -84,7 +84,8 @@ func TestRCMImprovesILUTQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	scramble := randPerm(rng, a.Rows)
 	scrambled := sparse.PermuteSym(a, scramble)
-	bs := scramble.ApplyVec(b)
+	bs := make([]float64, len(b))
+	scramble.ApplyVecTo(bs, b)
 
 	iters := func(m *sparse.CSR, rhs []float64) int {
 		f, err := ilu.ILUT(m, ilu.ILUTOptions{Tau: 1e-2, LFil: 3})
@@ -101,7 +102,8 @@ func TestRCMImprovesILUTQuality(t *testing.T) {
 	}
 	p := RCM(scrambled)
 	ordered := sparse.PermuteSym(scrambled, p)
-	bo := p.ApplyVec(bs)
+	bo := make([]float64, len(bs))
+	p.ApplyVecTo(bo, bs)
 	itScrambled := iters(scrambled, bs)
 	itRCM := iters(ordered, bo)
 	t.Logf("scrambled=%d rcm=%d", itScrambled, itRCM)

@@ -41,17 +41,6 @@ func CheckFiniteVec(context string, x []float64) {
 	}
 }
 
-// CheckLen panics if got != want, for exact-length contracts such as
-// exchange buffers.
-func CheckLen(context string, got, want int) {
-	if !Enabled {
-		return
-	}
-	if got != want {
-		panic(fmt.Sprintf("paranoid: %s: length %d, want %d", context, got, want))
-	}
-}
-
 // CheckMinLen panics if got < want, for at-least-length contracts such as
 // kernel output slices.
 func CheckMinLen(context string, got, want int) {

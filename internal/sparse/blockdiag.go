@@ -58,7 +58,7 @@ func FactorBlockDiag(start []int32, fill func(g int, d *Dense)) (*BlockDiagLU, e
 		d.Rows, d.Cols, d.Data = sz, sz, scratch[:sz*sz]
 		clear(d.Data)
 		fill(g, d)
-		if _, err := factorInPlace(d.Data, f.piv[lo:hi], sz); err != nil {
+		if err := factorInPlace(d.Data, f.piv[lo:hi], sz); err != nil {
 			return nil, fmt.Errorf("group %d: %w", g, err)
 		}
 		for i := 0; i < sz; i++ {

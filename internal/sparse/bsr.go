@@ -435,8 +435,10 @@ func (a *CSR) blocked() *BSR {
 
 // AutoBlocked runs (or recalls) blocked-format detection for this matrix
 // and returns the BSR twin the matvecs will use, or nil when the matrix
-// stays on CSR. dsys calls it at distribution time to move the one-time
-// detection cost out of the first solve iteration.
+// stays on CSR. Set-up calls it on every matrix a solve multiplies by —
+// dsys.Distribute on each subdomain matrix, arms on a reduction's coupling
+// blocks, Schur 2 and Schwarz on the matrices they build — to move the
+// one-time detection cost out of the first solve iteration.
 func (a *CSR) AutoBlocked() *BSR { return a.blocked() }
 
 // InvalidateBlocked drops the cached blocked-format verdict. The mutating

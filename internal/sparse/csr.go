@@ -11,7 +11,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"parapre/internal/par"
@@ -23,7 +22,7 @@ import (
 // Row i owns the half-open index range RowPtr[i]:RowPtr[i+1] of ColIdx and
 // Val. Column indices within a row are strictly increasing after
 // normalization (FromCOO and all constructors in this package guarantee
-// it); SortRows restores the invariant after manual surgery. Column
+// it); SortRow restores it for a row built by hand. Column
 // indices and row pointers are 32-bit — a stored entry is 12 bytes with its
 // value, a row 4 more — so a matrix has at most math.MaxInt32 columns and
 // as many entries, which NewCSR enforces. Kernels read a row's bounds into
@@ -121,44 +120,15 @@ func SearchCol(cols []int32, c int) int {
 	return lo
 }
 
-// find returns row i's values, the index of entry (i, j) among them and
-// whether that entry is stored.
-func (a *CSR) find(i, j int) ([]float64, int, bool) {
-	cols, vals := a.Row(i)
-	k := SearchCol(cols, j)
-	return vals, k, k < len(cols) && int(cols[k]) == j
-}
-
 // At returns the entry (i, j), or 0 if it is not stored. It binary-searches
 // the row and is intended for tests and assembly-time inspection, not for
 // inner loops.
 func (a *CSR) At(i, j int) float64 {
-	if vals, k, ok := a.find(i, j); ok {
+	cols, vals := a.Row(i)
+	if k := SearchCol(cols, j); k < len(cols) && int(cols[k]) == j {
 		return vals[k]
 	}
 	return 0
-}
-
-// SetExisting overwrites the stored entry (i, j) and reports whether the
-// entry exists in the sparsity pattern.
-func (a *CSR) SetExisting(i, j int, v float64) bool {
-	vals, k, ok := a.find(i, j)
-	if ok {
-		vals[k] = v
-		a.InvalidateBlocked()
-	}
-	return ok
-}
-
-// AddExisting adds v to the stored entry (i, j) and reports whether the
-// entry exists in the sparsity pattern.
-func (a *CSR) AddExisting(i, j int, v float64) bool {
-	vals, k, ok := a.find(i, j)
-	if ok {
-		vals[k] += v
-		a.InvalidateBlocked()
-	}
-	return ok
 }
 
 // Clone returns a deep copy of a.
@@ -338,48 +308,6 @@ func (a *CSR) Scale(s float64) {
 		a.Val[k] *= s
 	}
 	a.InvalidateBlocked()
-}
-
-// insertionSortMaxRow is the row length up to which SortRows uses the
-// allocation-free insertion sort (SortRow). FEM and stencil rows (a handful of
-// entries) always stay below it.
-const insertionSortMaxRow = 32
-
-// SortRows sorts the column indices within each row, keeping values
-// aligned. Constructors produce sorted rows already; this is for callers
-// that build RowPtr/ColIdx/Val by hand. Short rows (the overwhelmingly
-// common case) are insertion-sorted with no allocation; one reused sorter
-// handles the rare long rows, so the whole pass allocates at most once
-// instead of once per row.
-func (a *CSR) SortRows() {
-	a.InvalidateBlocked()
-	var s rowSorter
-	for i := 0; i < a.Rows; i++ {
-		lo, hi := int(a.RowPtr[i]), int(a.RowPtr[i+1])
-		if hi-lo < 2 {
-			continue
-		}
-		cols := a.ColIdx[lo:hi]
-		vals := a.Val[lo:hi]
-		if hi-lo <= insertionSortMaxRow {
-			SortRow(cols, vals)
-			continue
-		}
-		s.cols, s.vals = cols, vals
-		sort.Sort(&s)
-	}
-}
-
-type rowSorter struct {
-	cols []int32
-	vals []float64
-}
-
-func (r *rowSorter) Len() int           { return len(r.cols) }
-func (r *rowSorter) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
-func (r *rowSorter) Swap(i, j int) {
-	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
-	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }
 
 // Validate panics if the CSR structural invariants (see CheckValid) are

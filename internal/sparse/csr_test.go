@@ -208,19 +208,19 @@ func TestDiagonal(t *testing.T) {
 	}
 }
 
-func TestAtAndSetExisting(t *testing.T) {
+func TestAtReadsStoredEntries(t *testing.T) {
 	a := randCSR(rand.New(rand.NewSource(5)), 10, 10, 0.3)
-	if ok := a.SetExisting(0, 0, 42); !ok {
-		t.Fatal("diagonal entry should exist")
-	}
-	if got := a.At(0, 0); got != 42 {
-		t.Fatalf("At(0,0) = %v after SetExisting", got)
-	}
-	if a.SetExisting(0, 999999%10, 1) && a.At(0, 999999%10) == 0 {
-		t.Fatal("SetExisting claimed success on absent entry")
-	}
-	if !a.AddExisting(0, 0, 8) || a.At(0, 0) != 50 {
-		t.Fatal("AddExisting on diagonal failed")
+	for i := 0; i < a.Rows; i++ {
+		cols, vals := a.Row(i)
+		stored := map[int]float64{}
+		for k, j := range cols {
+			stored[int(j)] = vals[k]
+		}
+		for j := 0; j < a.Cols; j++ {
+			if got := a.At(i, j); got != stored[j] {
+				t.Fatalf("At(%d,%d) = %v, stored %v", i, j, got, stored[j])
+			}
+		}
 	}
 }
 
@@ -314,12 +314,12 @@ func TestAccessorsAndSortRows(t *testing.T) {
 	}
 	// Build unsorted rows by hand and restore the invariant.
 	m := &CSR{Rows: 1, Cols: 3, RowPtr: []int32{0, 3}, ColIdx: []int32{2, 0, 1}, Val: []float64{3, 1, 2}}
-	m.SortRows()
+	SortRow(m.ColIdx, m.Val)
 	if err := m.CheckValid(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Val[0] != 1 || m.Val[2] != 3 {
-		t.Fatalf("SortRows misaligned values: %v", m.Val)
+		t.Fatalf("SortRow misaligned values: %v", m.Val)
 	}
 }
 

@@ -57,10 +57,9 @@ func (d *Dense) MulVecTo(y, x []float64) {
 
 // LU is an LU factorization with partial pivoting of a square dense matrix.
 type LU struct {
-	n    int
-	lu   []float64 // packed L (unit diagonal, below) and U (on/above)
-	piv  []int32
-	sign int
+	n   int
+	lu  []float64 // packed L (unit diagonal, below) and U (on/above)
+	piv []int32
 }
 
 // Factor computes the LU factorization of square d with partial pivoting.
@@ -76,24 +75,21 @@ func (d *Dense) Factor() (*LU, error) {
 	// nothing can use (core.TestSessionHoldsNoSlack).
 	f := &LU{n: n, lu: make([]float64, len(d.Data)), piv: make([]int32, n)}
 	copy(f.lu, d.Data)
-	sign, err := factorInPlace(f.lu, f.piv, n)
-	if err != nil {
+	if err := factorInPlace(f.lu, f.piv, n); err != nil {
 		return nil, err
 	}
-	f.sign = sign
 	return f, nil
 }
 
 // factorInPlace overwrites the row-major n×n matrix lu with its LU
 // factorization with partial pivoting — L below the diagonal with a unit
-// diagonal, U on and above — and piv with the row taken at each step. It
-// returns the permutation's sign. This is the one elimination of the dense
-// factors: Dense.Factor's and each group of FactorBlockDiag's.
-func factorInPlace(lu []float64, piv []int32, n int) (sign int, err error) {
+// diagonal, U on and above — and piv with the row taken at each step. This
+// is the one elimination of the dense factors: Dense.Factor's and each
+// group of FactorBlockDiag's.
+func factorInPlace(lu []float64, piv []int32, n int) error {
 	for i := range piv {
 		piv[i] = int32(i)
 	}
-	sign = 1
 	for k := 0; k < n; k++ {
 		// Pivot search in column k.
 		p, maxAbs := k, math.Abs(lu[k*n+k])
@@ -103,14 +99,13 @@ func factorInPlace(lu []float64, piv []int32, n int) (sign int, err error) {
 			}
 		}
 		if maxAbs == 0 {
-			return 0, fmt.Errorf("sparse: singular matrix at pivot %d", k)
+			return fmt.Errorf("sparse: singular matrix at pivot %d", k)
 		}
 		if p != k {
 			for j := 0; j < n; j++ {
 				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivot := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -124,7 +119,7 @@ func factorInPlace(lu []float64, piv []int32, n int) (sign int, err error) {
 			}
 		}
 	}
-	return sign, nil
+	return nil
 }
 
 // Solve solves A·x = b in place of a fresh slice, where A is the factored
@@ -164,13 +159,4 @@ func (f *LU) SolveTo(x, b []float64) {
 		}
 		x[i] = (x[i] - s) / f.lu[i*n+i]
 	}
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }

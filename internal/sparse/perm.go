@@ -47,16 +47,6 @@ func (p Perm) checkVecDims(op string, ny, nx int) {
 	}
 }
 
-// ApplyVec gathers x through the permutation: y[i] = x[p[i]].
-func (p Perm) ApplyVec(x []float64) []float64 {
-	p.checkVecDims("ApplyVec", len(p), len(x))
-	y := make([]float64, len(p))
-	for i, v := range p {
-		y[i] = x[v]
-	}
-	return y
-}
-
 // ApplyVecTo gathers x through the permutation into y.
 func (p Perm) ApplyVecTo(y, x []float64) {
 	p.checkVecDims("ApplyVecTo", len(y), len(x))

@@ -130,43 +130,6 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// NormInf returns the maximum-magnitude entry of x. The max is
-// order-independent, so the parallel chunking is exact.
-func NormInf(x []float64) float64 {
-	maxRange := func(x []float64) float64 {
-		var m float64
-		for _, v := range x {
-			if a := math.Abs(v); a > m {
-				m = a
-			}
-		}
-		return m
-	}
-	n := len(x)
-	if n < vecParMin || par.Workers() == 1 {
-		return maxRange(x)
-	}
-	nb := par.NumBlocks(n)
-	parts := make([]float64, nb)
-	par.For(nb, 1, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo := b * par.BlockSize
-			hi := lo + par.BlockSize
-			if hi > n {
-				hi = n
-			}
-			parts[b] = maxRange(x[lo:hi])
-		}
-	})
-	var m float64
-	for _, v := range parts {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // AxpyDot computes y += a·x and returns yᵀz of the updated y (both over
 // the first len(x) entries) in one pass over the operands — the
 // Gram–Schmidt step of the Krylov solvers, which would otherwise stream y
@@ -285,22 +248,6 @@ func axpyManyRange(a []float64, xs [][]float64, y []float64, lo, hi int) {
 	}
 }
 
-// Scal computes x *= a.
-func Scal(a float64, x []float64) {
-	if len(x) >= vecParMin {
-		par.For(len(x), vecGrain, func(lo, hi int) {
-			xx := x[lo:hi]
-			for i := range xx {
-				xx[i] *= a
-			}
-		})
-		return
-	}
-	for i := range x {
-		x[i] *= a
-	}
-}
-
 // ScaleTo computes dst = a·src (over the first len(src) entries). It is
 // the normalization kernel of the Krylov basis construction.
 func ScaleTo(dst []float64, a float64, src []float64) {
@@ -321,11 +268,6 @@ func ScaleTo(dst []float64, a float64, src []float64) {
 	}
 }
 
-// CopyTo copies src into dst (lengths must match).
-func CopyTo(dst, src []float64) {
-	copy(dst, src)
-}
-
 // Zero clears x.
 func Zero(x []float64) {
 	if len(x) >= vecParMin {
@@ -340,21 +282,4 @@ func Zero(x []float64) {
 	for i := range x {
 		x[i] = 0
 	}
-}
-
-// Sub computes z = x − y into a fresh slice.
-func Sub(x, y []float64) []float64 {
-	z := make([]float64, len(x))
-	if len(x) >= vecParMin {
-		par.For(len(x), vecGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				z[i] = x[i] - y[i]
-			}
-		})
-		return z
-	}
-	for i := range x {
-		z[i] = x[i] - y[i]
-	}
-	return z
 }
