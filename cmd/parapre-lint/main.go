@@ -3,42 +3,34 @@
 // a source importer) so it needs no tool dependencies beyond the Go
 // toolchain itself.
 //
-// Two analyzer suites run:
+// Two analyzer suites run, on every tag set:
 //
-//   - the syntactic per-package suite (floatcmp, determinism, dimguard,
-//     sharedwrite, errdrop), on every tag set;
-//   - the interprocedural program suite (detaint, allocfree, errtype,
-//     waitleak), on the default tag set only — the paranoid debugging
-//     build deliberately allocates for its invariant checks and is
-//     outside the steady-state contracts the program suite proves.
+//   - the syntactic per-package suite (floatcmp, dimguard, sharedwrite,
+//     errdrop) over the named packages;
+//   - the interprocedural program suite (detaint, errtype, waitleak) over
+//     the named packages and their module-internal dependencies.
 //
 // Usage:
 //
 //	go run ./cmd/parapre-lint ./...
-//	go run ./cmd/parapre-lint -tags paranoid ./internal/sparse ./internal/krylov
-//	go run ./cmd/parapre-lint -json ./...
-//	go run ./cmd/parapre-lint -write-baseline ./...
+//	go run ./cmd/parapre-lint -tags paranoid ./...
+//	go run ./cmd/parapre-lint -only detaint ./internal/sparse ./internal/krylov
 //	go run ./cmd/parapre-lint -list
 //
-// Findings are gated against the committed baseline (lint-baseline.json
-// at the module root, override with -baseline): findings the baseline
-// does not cover are NEW and fail the run; baseline entries whose
-// finding is gone are STALE and also fail the run, prompting a
-// -write-baseline regeneration so the baseline only ever shrinks.
-// Stale //lint:ignore directives that suppress nothing are reported as
-// unusedignore findings by the same run.
-//
-// Exit status is 0 when the run is clean against the baseline, 1 when it
-// is not, and 2 on usage or load errors. Findings that are intentional
-// are suppressed in source with a documented directive:
+// Findings that are intentional are suppressed in source with a
+// documented directive:
 //
 //	//lint:ignore <analyzer>[,<analyzer>] <reason>
 //
-// placed on the flagged line or on its own line directly above.
+// placed on the flagged line or on its own line directly above. A
+// directive in an analyzed package that suppresses nothing is itself
+// reported (unusedignore), as is one without a reason.
+//
+// Exit status is 0 when the run has no finding, 1 when it has, and 2 on
+// usage or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -55,13 +47,10 @@ func main() {
 func run(argv []string) int {
 	fs := flag.NewFlagSet("parapre-lint", flag.ContinueOnError)
 	var (
-		tags      = fs.String("tags", "", "comma-separated build tags to enable (e.g. paranoid)")
-		list      = fs.Bool("list", false, "list analyzers and exit")
-		only      = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-		verbose   = fs.Bool("v", false, "print each package as it is checked")
-		jsonOut   = fs.Bool("json", false, "emit findings and the baseline diff as JSON on stdout")
-		baseline  = fs.String("baseline", "", "baseline file to gate against (default: <module>/lint-baseline.json)")
-		writeBase = fs.Bool("write-baseline", false, "regenerate the baseline from this run's findings and exit")
+		tags    = fs.String("tags", "", "comma-separated build tags to enable (e.g. paranoid)")
+		list    = fs.Bool("list", false, "list analyzers and exit")
+		only    = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+		verbose = fs.Bool("v", false, "print each package as it is checked")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: parapre-lint [flags] <packages>\n\n")
@@ -103,11 +92,9 @@ func run(argv []string) int {
 		fmt.Fprintf(os.Stderr, "parapre-lint: %v\n", err)
 		return 2
 	}
-	defaultTags := true
 	for _, t := range strings.Split(*tags, ",") {
 		if t = strings.TrimSpace(t); t != "" {
 			loader.Tags[t] = true
-			defaultTags = false
 		}
 	}
 
@@ -149,10 +136,7 @@ func run(argv []string) int {
 		ranAnalyzers[a.Name] = true
 	}
 
-	// The interprocedural suite runs on the default build only: its
-	// contracts (zero steady-state allocation, pruned paranoid paths)
-	// are stated for the untagged binary.
-	if defaultTags && len(progAnalyzers) > 0 {
+	if len(progAnalyzers) > 0 {
 		prog := lint.NewProgram(loader.Loaded())
 		diags = append(diags, lint.RunProgram(prog, progAnalyzers, ig)...)
 		for _, a := range progAnalyzers {
@@ -165,61 +149,11 @@ func run(argv []string) int {
 	inScope := func(file string) bool { return targetDirs[filepath.Dir(file)] }
 	diags = append(diags, ig.Unused(func(name string) bool { return ranAnalyzers[name] }, inScope)...)
 
-	moduleRoot := loader.ModuleRoot
-	basePath := *baseline
-	if basePath == "" {
-		basePath = filepath.Join(moduleRoot, "lint-baseline.json")
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-
-	if *writeBase {
-		if err := lint.WriteBaseline(basePath, moduleRoot, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "parapre-lint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "parapre-lint: wrote %d finding(s) to %s\n", len(diags), basePath)
-		return 0
-	}
-
-	base, err := lint.LoadBaseline(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parapre-lint: %v\n", err)
-		return 2
-	}
-	diff := base.Diff(moduleRoot, diags)
-
-	if *jsonOut {
-		report := struct {
-			Diagnostics []lint.JSONDiagnostic `json:"diagnostics"`
-			New         []lint.JSONDiagnostic `json:"new"`
-			Stale       []lint.BaselineKey    `json:"stale_baseline"`
-		}{
-			Diagnostics: lint.ToJSONDiagnostics(moduleRoot, diags),
-			New:         lint.ToJSONDiagnostics(moduleRoot, diff.New),
-			Stale:       diff.StaleKeys(),
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(&report); err != nil {
-			fmt.Fprintf(os.Stderr, "parapre-lint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diff.New {
-			fmt.Println(d)
-		}
-		for _, k := range diff.StaleKeys() {
-			fmt.Printf("%s: [baseline] stale entry [%s] %q: finding is gone; run -write-baseline to shrink the baseline\n",
-				k.File, k.Analyzer, k.Message)
-		}
-	}
-
-	if !diff.Clean() {
-		if len(diff.New) > 0 {
-			fmt.Fprintf(os.Stderr, "parapre-lint: %d new finding(s) not covered by %s\n", len(diff.New), basePath)
-		}
-		if len(diff.Stale) > 0 {
-			fmt.Fprintf(os.Stderr, "parapre-lint: %d stale baseline entr(ies) in %s; regenerate with -write-baseline\n", len(diff.Stale), basePath)
-		}
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "parapre-lint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0

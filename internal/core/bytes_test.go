@@ -275,7 +275,7 @@ func TestSessionBytesMatchesHeap(t *testing.T) {
 func TestSessionBytesSteadyAcrossSolves(t *testing.T) {
 	const size = 33
 	configs := append(sessionConfigs(size),
-		sessionConfig{"RCM Block 2", precond.KindBlock2, func(cfg *core.Config) { cfg.RCM = true }, true})
+		sessionConfig{"RCM Block 2", precond.KindBlock2, func(cfg *core.Config) { cfg.RCM = true }})
 	for _, tc := range configs {
 		prob := buildProblem(t, "tc1-poisson2d", size)
 		sess, err := core.NewSession(prob, tc.config(4))

@@ -23,9 +23,6 @@ func TestConcurrentSolvesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sess.Concurrent() {
-		t.Fatal("Block 2 session should allow overlapping solves")
-	}
 	const n = 8
 	results := make([]*core.Result, n)
 	errs := make([]error, n)
@@ -74,9 +71,6 @@ func TestConcurrentSolvesSerialOnlySession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Concurrent() {
-		t.Fatal("Schur 1 session must report serial-only")
-	}
 	const n = 4
 	results := make([]*core.Result, n)
 	errs := make([]error, n)
@@ -107,8 +101,8 @@ func TestConcurrentSolvesSerialOnlySession(t *testing.T) {
 func TestConcurrentPooledBlocksMatchSerial(t *testing.T) {
 	prob := buildProblem(t, "tc5-convdiff", 33)
 	configs := []sessionConfig{
-		{"RCM Block 1", precond.KindBlock1, func(cfg *core.Config) { cfg.RCM = true }, true},
-		{"RCM Block 2", precond.KindBlock2, func(cfg *core.Config) { cfg.RCM = true }, true},
+		{"RCM Block 1", precond.KindBlock1, func(cfg *core.Config) { cfg.RCM = true }},
+		{"RCM Block 2", precond.KindBlock2, func(cfg *core.Config) { cfg.RCM = true }},
 	}
 	const n = 4
 	rhs := make([][]float64, n)
@@ -125,9 +119,6 @@ func TestConcurrentPooledBlocksMatchSerial(t *testing.T) {
 		sess, err := core.NewSession(prob, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !sess.Concurrent() {
-			t.Fatalf("%s: session does not allow overlapping solves", tc.name)
 		}
 		serial := make([]*core.Result, n)
 		for i, b := range rhs {
@@ -165,12 +156,11 @@ func TestConcurrentPooledBlocksMatchSerial(t *testing.T) {
 }
 
 // sessionConfig is one way to build a session: a preconditioner kind and
-// what else the configuration needs, with whether its solves may overlap.
+// what else the configuration needs.
 type sessionConfig struct {
-	name       string
-	kind       precond.Kind
-	mutate     func(*core.Config)
-	concurrent bool
+	name   string
+	kind   precond.Kind
+	mutate func(*core.Config)
 }
 
 // sessionConfigs lists every preconditioner a session can be built with,
@@ -178,15 +168,15 @@ type sessionConfig struct {
 func sessionConfigs(size int) []sessionConfig {
 	sw := precond.DefaultSchwarz(size, 2, 2, true)
 	return []sessionConfig{
-		{"Block 1", precond.KindBlock1, nil, true},
-		{"Block 2", precond.KindBlock2, nil, true},
-		{"Block IC", precond.KindBlockIC, nil, true},
-		{"None", precond.KindNone, nil, true},
-		{"Schur 1", precond.KindSchur1, nil, false},
-		{"Schur 2", precond.KindSchur2, nil, false},
-		{"Schwarz", precond.KindNone, func(cfg *core.Config) { cfg.Schwarz = &sw }, false},
-		{"Block 1 overlap", precond.KindBlock1, func(cfg *core.Config) { cfg.OverlapLevels = 1 }, false},
-		{"Block 2 overlap", precond.KindBlock2, func(cfg *core.Config) { cfg.OverlapLevels = 1 }, false},
+		{"Block 1", precond.KindBlock1, nil},
+		{"Block 2", precond.KindBlock2, nil},
+		{"Block IC", precond.KindBlockIC, nil},
+		{"None", precond.KindNone, nil},
+		{"Schur 1", precond.KindSchur1, nil},
+		{"Schur 2", precond.KindSchur2, nil},
+		{"Schwarz", precond.KindNone, func(cfg *core.Config) { cfg.Schwarz = &sw }},
+		{"Block 1 overlap", precond.KindBlock1, func(cfg *core.Config) { cfg.OverlapLevels = 1 }},
+		{"Block 2 overlap", precond.KindBlock2, func(cfg *core.Config) { cfg.OverlapLevels = 1 }},
 	}
 }
 
@@ -196,23 +186,6 @@ func (tc sessionConfig) config(p int) core.Config {
 		tc.mutate(&cfg)
 	}
 	return cfg
-}
-
-// TestSessionConcurrentPerKind pins which sessions may overlap their
-// solves: every one whose preconditioner does not communicate inside Apply.
-// The session reads that off the built preconditioner's type, so a kind
-// that starts or stops implementing precond.CommErrRecorder moves a row.
-func TestSessionConcurrentPerKind(t *testing.T) {
-	prob := buildProblem(t, "tc1-poisson2d", 17)
-	for _, tc := range sessionConfigs(17) {
-		sess, err := core.NewSession(prob, tc.config(4))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := sess.Concurrent(); got != tc.concurrent {
-			t.Errorf("%s: Concurrent() = %v, want %v", tc.name, got, tc.concurrent)
-		}
-	}
 }
 
 // Per-solve overrides compose with concurrency: each solve gets its own

@@ -114,11 +114,6 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Concurrent reports whether this session can run overlapping Solves
-// (false for the communicating preconditioners, which serialize) — a
-// scheduling hint for services multiplexing requests over one session.
-func (s *Session) Concurrent() bool { return !s.serialOnly }
-
 // P returns the processor count of the session.
 func (s *Session) P() int { return s.cfg.P }
 

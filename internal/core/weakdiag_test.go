@@ -109,6 +109,11 @@ func TestWeakDiagonalCells(t *testing.T) {
 		{"weakDiagonal(31,300,0.03)/P4/Block 2", weakDiagonal(rand.New(rand.NewSource(31)), 300, 0.03), 4, precond.KindBlock2, nil, outcome{false, 0, ""}},
 		{"shiftedSystem(200)/P2/Block 2", shiftedSystem(200), 2, precond.KindBlock2, nil, outcome{false, 0, "structurally zero"}},
 		{"shiftedSystem(200)/P4/Block 2", shiftedSystem(200), 4, precond.KindBlock2, nil, outcome{false, 0, "structurally zero"}},
+		// None of these is SPD: IC(0) repairs pivots on each, and Block IC
+		// refuses the factor at set-up.
+		{"saddle(20,1e-3)/P2/Block IC", saddle(20, 1e-3), 2, precond.KindBlockIC, nil, outcome{false, 0, "Block IC rank 0: ilu: IC0: pivot of row 1 is not positive"}},
+		{"weakDiagonal(31,300,0.03)/P2/Block IC", weakDiagonal(rand.New(rand.NewSource(31)), 300, 0.03), 2, precond.KindBlockIC, nil, outcome{false, 0, "Block IC rank 0: ilu: IC0: pivot of row 0 is not positive"}},
+		{"tc5-convdiff@33/P4/Block IC", buildProblem(t, "tc5-convdiff", 33).A, 4, precond.KindBlockIC, nil, outcome{false, 0, "Block IC rank 0: ilu: IC0: pivot of row 8 is not positive"}},
 	}
 	for _, tt := range table {
 		t.Run(tt.name, func(t *testing.T) {

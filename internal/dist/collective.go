@@ -167,28 +167,6 @@ func (c *Comm) Barrier() {
 	c.endOp()
 }
 
-// AllGather concatenates each rank's contribution in rank order; every
-// rank receives the full concatenation. Contributions may have different
-// lengths but every rank must know all of them (counts[r] = length of
-// rank r's piece).
-func (c *Comm) AllGather(x []float64, counts []int) []float64 {
-	c.beginOp("allgather", -1, -1)
-	total := 0
-	offs := make([]int, c.w.P)
-	for r, n := range counts {
-		offs[r] = total
-		total += n
-	}
-	buf := make([]float64, total)
-	copy(buf[offs[c.rank]:], x)
-	sp := c.beginCollective(obs.KindAllGather, 8*total)
-	maxT := c.reduce(buf, ReduceSum)
-	c.syncClock(maxT, 8*total)
-	sp.End(c.clock)
-	c.endOp()
-	return buf
-}
-
 // VoteStop is an out-of-band control collective: every rank contributes
 // its local stop observation and all ranks receive the OR of the votes,
 // so a cooperative cancellation decision is identical everywhere even

@@ -194,28 +194,6 @@ func TestAllReduceSumVec(t *testing.T) {
 	})
 }
 
-func TestAllGather(t *testing.T) {
-	const p = 4
-	counts := []int{1, 2, 3, 4}
-	Run(p, testMachine(), func(c *Comm) {
-		r := c.Rank()
-		mine := make([]float64, counts[r])
-		for i := range mine {
-			mine[i] = float64(10*r + i)
-		}
-		got := c.AllGather(mine, counts)
-		want := []float64{0, 10, 11, 20, 21, 22, 30, 31, 32, 33}
-		if len(got) != len(want) {
-			t.Fatalf("rank %d: len %d", r, len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("rank %d: got %v", r, got)
-			}
-		}
-	})
-}
-
 func TestVirtualClockDeterministic(t *testing.T) {
 	run := func() float64 {
 		stats := Run(4, LinuxCluster(), func(c *Comm) {

@@ -40,7 +40,7 @@ func (e *PeerCrashedError) Error() string {
 // the rank was last doing when the world stopped making progress.
 type RankState struct {
 	Rank    int
-	LastOp  string  // "send", "recv", "allreduce", "barrier", "allgather", "compute", or "" (no op yet)
+	LastOp  string  // "send", "recv", "allreduce", "barrier", "compute", or "" (no op yet)
 	Peer    int     // peer of the last point-to-point op; -1 for collectives/compute
 	Tag     int     // tag of the last point-to-point op; -1 otherwise
 	Clock   float64 // virtual seconds at the last completed op

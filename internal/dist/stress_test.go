@@ -157,26 +157,3 @@ func TestEmptyMessage(t *testing.T) {
 		}
 	})
 }
-
-// TestAllGatherUnevenAndEmpty exercises zero-length contributions.
-func TestAllGatherUnevenAndEmpty(t *testing.T) {
-	const p = 3
-	counts := []int{0, 2, 1}
-	Run(p, testMachine(), func(c *Comm) {
-		var mine []float64
-		switch c.Rank() {
-		case 1:
-			mine = []float64{10, 11}
-		case 2:
-			mine = []float64{20}
-		}
-		got := c.AllGather(mine, counts)
-		want := []float64{10, 11, 20}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("rank %d: AllGather %v", c.Rank(), got)
-				return
-			}
-		}
-	})
-}

@@ -18,7 +18,7 @@ func ApplyDirichlet(a *sparse.CSR, b []float64, bc map[int]float64) []float64 {
 	}
 	isBC := make([]bool, a.Rows)
 	val := make([]float64, a.Rows)
-	//lint:ignore determinism scatter to unique map keys: each val[dof] written once, order-independent
+	//lint:ignore detaint scatter to unique map keys: each val[dof] written once, order-independent
 	for dof, v := range bc {
 		isBC[dof] = true
 		val[dof] = v

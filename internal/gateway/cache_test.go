@@ -152,11 +152,14 @@ func TestFailedBuildIsNotCached(t *testing.T) {
 		what string
 		spec *Spec
 	}{
-		// Both pass admission (the size line is sane). The first fails in
+		// All pass admission (the size line is sane). The first fails in
 		// parsing, the second in factoring the problem it parsed: its first
-		// pivot is zero.
+		// pivot is zero. The third is Block IC on the convection case,
+		// which is not SPD: IC(0) repairs pivots, and Block IC refuses the
+		// factor at set-up.
 		{"out of range", &Spec{Matrix: "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n", Procs: 1}},
 		{"factorization singular", &Spec{Matrix: "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 0.0\n2 1 1.0\n2 2 1.0\n", Procs: 1, Precond: "Block 2"}},
+		{"not positive definite", &Spec{Case: "tc5-convdiff", Precond: "Block IC", UseCG: true}},
 	} {
 		before := srv.sessions.stats().Misses
 		for attempt := 1; attempt <= 2; attempt++ {

@@ -21,7 +21,6 @@ import (
 	"parapre/internal/cases"
 	"parapre/internal/ckpt"
 	"parapre/internal/core"
-	"parapre/internal/paranoid"
 	"parapre/internal/precond"
 )
 
@@ -593,11 +592,11 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) int {
 	return resp.StatusCode
 }
 
-// A solve that breaks down on a NaN still reaches its client: Block IC under
-// CG on the convection case (not SPD) leaves Residual NaN, and the result
-// event and the job's status must carry it as a decodable, unconverged
-// result with the breakdown in err — not end the stream without a result,
-// nor answer 200 with an empty body.
+// A solve that breaks down on a NaN still reaches its client: CG on an
+// uploaded matrix with a NaN on its diagonal leaves Residual NaN, and the
+// result event and the job's status must carry it as a decodable,
+// unconverged result with the breakdown in err — not end the stream
+// without a result, nor answer 200 with an empty body.
 func TestE2ENaNResultReachesClient(t *testing.T) {
 	nan := math.NaN()
 	sum := summarize(&core.Result{Residual: nan, TrueRelRes: math.Inf(1), History: []float64{1, 0.5, nan},
@@ -608,12 +607,9 @@ func TestE2ENaNResultReachesClient(t *testing.T) {
 	if len(sum.History) != 2 || sum.X != nil || sum.Err != "breakdown" {
 		t.Errorf("summary history %v, x %v, err %q; want the finite prefix, no x, the error", sum.History, sum.X, sum.Err)
 	}
-	if paranoid.Enabled {
-		t.Skip("paranoid build panics on the NaN inside CG before a result exists")
-	}
-
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
-	id := submitOK(t, ts, "alice", &Spec{Case: "tc5-convdiff", Precond: "Block IC", UseCG: true})
+	id := submitOK(t, ts, "alice", &Spec{Matrix: "%%MatrixMarket matrix coordinate real general\n4 4 4\n1 1 4\n2 2 nan\n3 3 4\n4 4 4\n",
+		Procs: 2, Precond: "None", UseCG: true})
 	var results []*ResultSummary
 	for _, e := range streamEvents(t, ts, id) {
 		if e.Type == "result" {
@@ -623,8 +619,8 @@ func TestE2ENaNResultReachesClient(t *testing.T) {
 	if len(results) != 1 || results[0] == nil {
 		t.Fatalf("%d result events, want one", len(results))
 	}
-	if r := results[0]; r.Converged || r.Err == "" {
-		t.Errorf("result event: converged %v, err %q; want an unconverged result with its error", r.Converged, r.Err)
+	if r := results[0]; r.Converged || !strings.Contains(r.Err, "= NaN") {
+		t.Errorf("result event: converged %v, err %q; want an unconverged result with its NaN breakdown", r.Converged, r.Err)
 	}
 	var status struct {
 		State  State          `json:"state"`

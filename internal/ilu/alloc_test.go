@@ -2,31 +2,40 @@ package ilu
 
 import "testing"
 
-// TestLUSolveZeroAllocSteadyState pins the dynamic twin of the static
-// //lint:allocfree proof on the ILU triangular solve.
-//
-// alloctest: (*ilu.LU).Solve
+// TestLUSolveZeroAllocSteadyState: the triangular solve allocates nothing,
+// with the factor's columns held at 16 bits (order up to 65,536) and at
+// 32 bits above.
 func TestLUSolveZeroAllocSteadyState(t *testing.T) {
-	a := tridiag(300)
-	f, err := ILU0(a)
-	if err != nil {
-		t.Fatalf("ILU0: %v", err)
-	}
-	n := a.Rows
-	x := make([]float64, n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i%7) - 3
-	}
-	if got := testing.AllocsPerRun(10, func() { f.Solve(x, b) }); got != 0 {
-		t.Fatalf("LU.Solve allocates %v objects per call, want 0", got)
+	for _, tc := range []struct {
+		name string
+		n    int
+		wide bool
+	}{
+		{"narrow", 300, false},
+		{"wide", narrowMax + 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := ILU0(tridiag(tc.n))
+			if err != nil {
+				t.Fatalf("ILU0: %v", err)
+			}
+			if f.isWide() != tc.wide {
+				t.Fatalf("order %d: wide %v, want %v", tc.n, f.isWide(), tc.wide)
+			}
+			x := make([]float64, tc.n)
+			b := make([]float64, tc.n)
+			for i := range b {
+				b[i] = float64(i%7) - 3
+			}
+			if got := testing.AllocsPerRun(10, func() { f.Solve(x, b) }); got != 0 {
+				t.Fatalf("LU.Solve allocates %v objects per call, want 0", got)
+			}
+		})
 	}
 }
 
-// TestCholSolveZeroAllocSteadyState pins the dynamic twin of the static
-// //lint:allocfree proof on the incomplete-Cholesky solve.
-//
-// alloctest: (*ilu.Chol).Solve
+// TestCholSolveZeroAllocSteadyState: the incomplete-Cholesky solve
+// allocates nothing.
 func TestCholSolveZeroAllocSteadyState(t *testing.T) {
 	a := tridiag(300)
 	c, err := IC0(a)

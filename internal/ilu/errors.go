@@ -38,6 +38,22 @@ func zeroPivotErr(method string, row int) *ZeroPivotError {
 	return &ZeroPivotError{Method: method, Row: row}
 }
 
+// NotSPDError reports an incomplete Cholesky factorization that met a
+// non-positive pivot: the matrix is not symmetric positive definite, or
+// not one IC(0) can factor stably. Row is the first pivot that had to be
+// repaired, Fixes how many were. A factor that needed a repair would not
+// precondition CG, so Block IC refuses it at set-up (Chol.Repaired).
+type NotSPDError struct {
+	Method string // "IC0"
+	Row    int    // first repaired row
+	Fixes  int    // repaired pivots in all
+}
+
+func (e *NotSPDError) Error() string {
+	return fmt.Sprintf("ilu: %s: pivot of row %d is not positive (%d repaired): the matrix is not positive definite",
+		e.Method, e.Row, e.Fixes)
+}
+
 // ErrBadInput is the sentinel all input-validation errors wrap. Callers
 // test for it with errors.Is(err, ilu.ErrBadInput).
 var ErrBadInput = errors.New("ilu: bad input")

@@ -15,7 +15,17 @@ type Chol struct {
 	Lt *sparse.CSR // Lᵀ, for the backward solve
 	// Fixes counts diagonal entries that had to be repaired to keep the
 	// factorization real (0 for M-matrices / well-behaved SPD input).
-	Fixes int
+	Fixes    int
+	firstFix int // the first repaired row, when Fixes > 0
+}
+
+// Repaired returns nil when IC0 repaired no pivot, and otherwise a
+// *NotSPDError naming the first repaired row.
+func (c *Chol) Repaired() error {
+	if c.Fixes == 0 {
+		return nil
+	}
+	return &NotSPDError{Method: "IC0", Row: c.firstFix, Fixes: c.Fixes}
 }
 
 // N returns the matrix dimension.
@@ -35,8 +45,6 @@ func (c *Chol) SolveFlops() float64 { return 4 * float64(c.L.NNZ()) }
 
 // Solve computes z = L⁻ᵀ·L⁻¹·r by one forward and one backward sweep. z
 // and r may alias.
-//
-//lint:allocfree verified dynamically by TestCholSolveZeroAllocSteadyState
 func (c *Chol) Solve(z, r []float64) {
 	checkSolveDims("Chol.Solve", c.N(), z, r)
 	c.forwardSerial(z, r)
@@ -86,7 +94,7 @@ func IC0(a *sparse.CSR) (*Chol, error) {
 	}
 	n := a.Rows
 	l := sparse.NewCSR(n, n, a.NNZ()/2+n)
-	fixes := 0
+	fixes, firstFix := 0, 0
 
 	// Dense scatter of the current row's computed L values.
 	w := make([]float64, n)
@@ -137,6 +145,9 @@ func IC0(a *sparse.CSR) (*Chol, error) {
 			d -= w[j] * w[j]
 		}
 		if d <= 0 {
+			if fixes == 0 {
+				firstFix = i
+			}
 			fixes++
 			d = pivotRel * rowNorm
 			if d <= 0 {
@@ -152,5 +163,5 @@ func IC0(a *sparse.CSR) (*Chol, error) {
 			w[j] = 0
 		}
 	}
-	return &Chol{L: l, Lt: l.Transpose(), Fixes: fixes}, nil
+	return &Chol{L: l, Lt: l.Transpose(), Fixes: fixes, firstFix: firstFix}, nil
 }

@@ -224,8 +224,6 @@ func checkSolveDims(op string, n int, x, b []float64) {
 // and b may alias: a row reads its own b[i] and x entries the sweep has
 // already finished. An order-0 factor — a rank that owns no unknowns has
 // one — takes any x and b, nil included.
-//
-//lint:allocfree verified dynamically by TestLUSolveZeroAllocSteadyState
 func (f *LU) Solve(x, b []float64) {
 	checkSolveDims("LU.Solve", f.N(), x, b)
 	if f.isWide() {

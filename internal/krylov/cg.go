@@ -11,8 +11,6 @@ import (
 // conjugate gradients. x holds the initial guess on entry and the
 // solution on exit. The paper uses one FFT-preconditioned CG iteration as
 // the additive-Schwarz subdomain solver (§5.2); set MaxIters=1 for that.
-//
-//lint:allocfree steady state with a warmed Workspace; verified dynamically by TestCGZeroAllocSteadyState
 func CG(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) Result {
 	if opt.MaxIters <= 0 {
 		opt.MaxIters = DefaultOptions().MaxIters
@@ -46,7 +44,6 @@ func CG(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) R
 		copy(p, st.P)
 		rz = st.RZ
 		if opt.RecordHistory {
-			//lint:ignore allocfree checkpoint restore is opt-in recovery, excluded from the steady-state contract
 			res.History = append(res.History[:0], st.History...)
 			if len(res.History) > 0 {
 				res.Final = res.History[len(res.History)-1]
@@ -75,7 +72,6 @@ func CG(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) R
 		}
 		res.Final = res.Initial
 		if opt.RecordHistory {
-			//lint:ignore allocfree History recording is opt-in diagnostics, excluded from the steady-state contract
 			res.History = append(res.History, res.Initial)
 		}
 		if opt.Progress != nil {
@@ -139,7 +135,6 @@ func CG(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) R
 		rn := math.Sqrt(math.Max(in.AxpyDot(-alpha, ap, r, r), 0))
 		res.Final = rn
 		if opt.RecordHistory {
-			//lint:ignore allocfree History recording is opt-in diagnostics, excluded from the steady-state contract
 			res.History = append(res.History, rn)
 		}
 		if opt.Progress != nil {

@@ -34,7 +34,6 @@ func (e *CanceledError) Unwrap() error { return ErrCanceled }
 
 // canceledErr builds the solver-side cancellation record.
 func canceledErr(method string, iter int) *CanceledError {
-	//lint:ignore allocfree cancellation is a terminal once-per-solve event, not steady-state
 	return &CanceledError{Method: method, Iteration: iter}
 }
 
@@ -60,7 +59,6 @@ func (e *BreakdownError) Unwrap() error { return ErrBreakdown }
 
 // breakdownErr builds the solver-side breakdown record.
 func breakdownErr(method string, iter int, quantity string, value float64) *BreakdownError {
-	//lint:ignore allocfree breakdown is a terminal once-per-solve event, not steady-state
 	return &BreakdownError{Method: method, Iteration: iter, Quantity: quantity, Value: value}
 }
 

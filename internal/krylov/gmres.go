@@ -180,8 +180,6 @@ func noopSpanEnd() {}
 // GMRES solves A·x = b with restarted, right-preconditioned GMRES(m)
 // (or FGMRES(m) if opt.Flexible). x holds the initial guess on entry and
 // the solution on exit.
-//
-//lint:allocfree steady state with a warmed Workspace; verified dynamically by TestGMRESZeroAllocSteadyState
 func GMRES(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options) Result {
 	if opt.Restart <= 0 {
 		opt.Restart = 20
@@ -267,7 +265,6 @@ func GMRES(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options
 			}
 			copy(g, st.G)
 			if opt.RecordHistory {
-				//lint:ignore allocfree checkpoint restore is opt-in recovery, excluded from the steady-state contract
 				res.History = append(res.History[:0], st.History...)
 			}
 			j0 = st.J
@@ -300,7 +297,6 @@ func GMRES(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options
 				ref = beta
 				res.Initial = beta
 				if opt.RecordHistory {
-					//lint:ignore allocfree History recording is opt-in diagnostics, excluded from the steady-state contract
 					res.History = append(res.History, beta)
 				}
 				if opt.Progress != nil {
@@ -412,7 +408,6 @@ func GMRES(n int, matvec Op, precond Prec, in Inner, b, x []float64, opt Options
 			g[j+1] = -sn[j] * g[j]
 			g[j] = cs[j] * g[j]
 			if opt.RecordHistory {
-				//lint:ignore allocfree History recording is opt-in diagnostics, excluded from the steady-state contract
 				res.History = append(res.History, math.Abs(g[j+1]))
 			}
 			if opt.Progress != nil {

@@ -68,15 +68,12 @@ func (e *StateMismatchError) Error() string {
 // check validates the snapshot against the solver about to consume it.
 func (s *State) check(method string, n, m int) error {
 	if s.Method != method {
-		//lint:ignore allocfree restore mismatch is a terminal once-per-solve event, not steady-state
 		return &StateMismatchError{Field: "method", Want: method, Got: s.Method}
 	}
 	if s.N != n {
-		//lint:ignore allocfree restore mismatch is a terminal once-per-solve event, not steady-state
 		return &StateMismatchError{Field: "n", Want: fmt.Sprint(n), Got: fmt.Sprint(s.N)}
 	}
 	if s.M != m {
-		//lint:ignore allocfree restore mismatch is a terminal once-per-solve event, not steady-state
 		return &StateMismatchError{Field: "restart", Want: fmt.Sprint(m), Got: fmt.Sprint(s.M)}
 	}
 	return nil
@@ -87,7 +84,6 @@ func cloneVec(v []float64) []float64 {
 	if v == nil {
 		return nil
 	}
-	//lint:ignore allocfree snapshot capture deep-copies by contract; the hook is opt-in and excluded from the steady-state claim
 	return append([]float64(nil), v...)
 }
 
@@ -97,7 +93,6 @@ func cloneVec(v []float64) []float64 {
 // regardless of what stale workspace memory holds.
 func captureGMRES(method string, n, m, totalIters, restarts, j int, ref float64,
 	res *Result, x []float64, V, Z [][]float64, H, cs, sn, g []float64) *State {
-	//lint:ignore allocfree checkpoint capture is an opt-in boundary event, excluded from the steady-state contract
 	st := &State{
 		Method:   method,
 		N:        n,
@@ -114,13 +109,11 @@ func captureGMRES(method string, n, m, totalIters, restarts, j int, ref float64,
 		G:        cloneVec(g[:j+1]),
 		History:  cloneVec(res.History),
 	}
-	//lint:ignore allocfree checkpoint capture is an opt-in boundary event, excluded from the steady-state contract
 	st.V = make([][]float64, j+1)
 	for i := 0; i <= j; i++ {
 		st.V[i] = cloneVec(V[i])
 	}
 	if Z != nil {
-		//lint:ignore allocfree checkpoint capture is an opt-in boundary event, excluded from the steady-state contract
 		st.Z = make([][]float64, j)
 		for i := 0; i < j; i++ {
 			st.Z[i] = cloneVec(Z[i])
@@ -132,7 +125,6 @@ func captureGMRES(method string, n, m, totalIters, restarts, j int, ref float64,
 // captureCG deep-copies the live CG recurrence at the boundary of
 // iteration it.
 func captureCG(n, it int, res *Result, x, r, p []float64, rz float64) *State {
-	//lint:ignore allocfree checkpoint capture is an opt-in boundary event, excluded from the steady-state contract
 	return &State{
 		Method:  "CG",
 		N:       n,

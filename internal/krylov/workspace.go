@@ -35,14 +35,11 @@ func (ws *Workspace) Applied() (ops, precs int) { return ws.ops, ws.precs }
 // use.
 // The solver-side nil-Work fallback allocates one of these per solve by
 // design; steady-state callers pass a reused Workspace.
-//
-//lint:ignore allocfree nil-Work fallback allocates once per solve by design
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // vec returns *buf resliced to length n, growing it if needed.
 func (ws *Workspace) vec(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
-		//lint:ignore allocfree amortized growth: buffers grow on first use, then are reused across solves
 		*buf = make([]float64, n)
 	}
 	*buf = (*buf)[:n]
@@ -52,7 +49,6 @@ func (ws *Workspace) vec(buf *[]float64, n int) []float64 {
 // basis returns *bufs resliced to count vectors of length n each.
 func (ws *Workspace) basis(bufs *[][]float64, count, n int) [][]float64 {
 	if cap(*bufs) < count {
-		//lint:ignore allocfree amortized growth: basis vectors grow on first use, then are reused across solves
 		nb := make([][]float64, count)
 		copy(nb, *bufs)
 		*bufs = nb
@@ -60,7 +56,6 @@ func (ws *Workspace) basis(bufs *[][]float64, count, n int) [][]float64 {
 	*bufs = (*bufs)[:count]
 	for i := range *bufs {
 		if cap((*bufs)[i]) < n {
-			//lint:ignore allocfree amortized growth: basis vectors grow on first use, then are reused across solves
 			(*bufs)[i] = make([]float64, n)
 		}
 		(*bufs)[i] = (*bufs)[i][:n]

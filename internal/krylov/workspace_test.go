@@ -44,67 +44,111 @@ func measureSteadyAllocs(t *testing.T, solve func()) float64 {
 	return testing.AllocsPerRun(10, solve)
 }
 
+// allocTestRow is one option set the zero-allocation tests solve with.
+type allocTestRow struct {
+	name     string
+	opt      Options
+	restarts bool // the solve must restart at least once
+}
+
+// allocTestRows are the plain solve, and one that runs every hook from a
+// promised zero guess; under GMRES (restart > 0) it also restarts. Each
+// hook is a closure made once up front that allocates nothing when
+// called, as the distributed driver's are, so what is measured is the
+// solver's own calls through them.
+func allocTestRows(restart int) []allocTestRow {
+	var flops float64
+	end := func() {}
+	hooked := Options{MaxIters: 60, Tol: 1e-10, ZeroGuess: true,
+		Compute:  func(f float64) { flops += f },
+		Stop:     func() bool { return false },
+		Progress: func(int, float64) {},
+		Span:     func(kind, name string) func() { return end },
+	}
+	if restart > 0 {
+		hooked.Restart = 4
+	}
+	return []allocTestRow{
+		{"plain", Options{Restart: restart, MaxIters: 60, Tol: 1e-10}, false},
+		{"hooks", hooked, restart > 0},
+	}
+}
+
+// measureSolveAllocs runs the solve of one row on a fresh workspace and
+// fails the test unless it converges and the steady-state solves
+// allocate nothing.
+func measureSolveAllocs(t *testing.T, name string, row allocTestRow, solve func(Options) Result) {
+	t.Helper()
+	opt := row.opt
+	opt.Work = NewWorkspace()
+	var res Result
+	got := measureSteadyAllocs(t, func() { res = solve(opt) })
+	if !res.Converged {
+		t.Fatalf("%s: not converged in %d iterations", name, res.Iterations)
+	}
+	if row.restarts && res.Restarts == 0 {
+		t.Fatalf("%s: converged in %d iterations without a restart", name, res.Iterations)
+	}
+	if got != 0 {
+		t.Fatalf("%s: pooled solve allocates %v objects per steady-state solve, want 0", name, got)
+	}
+}
+
 // TestGMRESZeroAllocSteadyState pins the tentpole contract: a pooled
-// GMRES solve allocates nothing once its workspace has been sized.
-//
-// alloctest: krylov.GMRES
+// GMRES solve allocates nothing once its workspace has been sized, with
+// and without a (right) preconditioner, across restarts and through every
+// hook.
 func TestGMRESZeroAllocSteadyState(t *testing.T) {
 	n := 200
 	_, b, matvec, dot := allocTestSystem(n)
 	x := make([]float64, n)
-	ws := NewWorkspace()
-	opt := Options{Restart: 20, MaxIters: 40, Tol: 1e-10, Work: ws}
-	solve := func() {
-		for i := range x {
-			x[i] = 0
+	precond := func(z, r []float64) { copy(z, r) }
+	for _, prec := range []struct {
+		name string
+		m    Prec
+	}{{"unpreconditioned", nil}, {"preconditioned", precond}} {
+		for _, row := range allocTestRows(20) {
+			measureSolveAllocs(t, prec.name+"/"+row.name, row, func(opt Options) Result {
+				clear(x)
+				return GMRES(n, matvec, prec.m, dot, b, x, opt)
+			})
 		}
-		GMRES(n, matvec, nil, dot, b, x, opt)
-	}
-	if got := measureSteadyAllocs(t, solve); got != 0 {
-		t.Fatalf("pooled GMRES allocates %v objects per steady-state solve, want 0", got)
 	}
 }
 
 // TestFGMRESZeroAllocSteadyState covers the flexible variant, whose Z
-// basis is the extra pooled store (FGMRES is GMRES with opt.Flexible, so
-// it maps to the same annotated function).
-//
-// alloctest: krylov.GMRES
+// basis is the extra pooled store.
 func TestFGMRESZeroAllocSteadyState(t *testing.T) {
 	n := 200
 	_, b, matvec, dot := allocTestSystem(n)
 	x := make([]float64, n)
-	ws := NewWorkspace()
 	precond := func(z, r []float64) { copy(z, r) }
-	opt := Options{Restart: 15, MaxIters: 30, Tol: 1e-10, Flexible: true, Work: ws}
-	solve := func() {
-		for i := range x {
-			x[i] = 0
-		}
-		GMRES(n, matvec, precond, dot, b, x, opt)
-	}
-	if got := measureSteadyAllocs(t, solve); got != 0 {
-		t.Fatalf("pooled FGMRES allocates %v objects per steady-state solve, want 0", got)
+	for _, row := range allocTestRows(15) {
+		row.opt.Flexible = true
+		measureSolveAllocs(t, row.name, row, func(opt Options) Result {
+			clear(x)
+			return GMRES(n, matvec, precond, dot, b, x, opt)
+		})
 	}
 }
 
-// TestCGZeroAllocSteadyState covers the CG hot path.
-//
-// alloctest: krylov.CG
+// TestCGZeroAllocSteadyState covers the CG hot path, with and without a
+// preconditioner and through every hook.
 func TestCGZeroAllocSteadyState(t *testing.T) {
 	n := 200
 	_, b, matvec, dot := allocTestSystem(n)
 	x := make([]float64, n)
-	ws := NewWorkspace()
-	opt := Options{MaxIters: 50, Tol: 1e-10, Work: ws}
-	solve := func() {
-		for i := range x {
-			x[i] = 0
+	precond := func(z, r []float64) { copy(z, r) }
+	for _, prec := range []struct {
+		name string
+		m    Prec
+	}{{"unpreconditioned", nil}, {"preconditioned", precond}} {
+		for _, row := range allocTestRows(0) {
+			measureSolveAllocs(t, prec.name+"/"+row.name, row, func(opt Options) Result {
+				clear(x)
+				return CG(n, matvec, prec.m, dot, b, x, opt)
+			})
 		}
-		CG(n, matvec, nil, dot, b, x, opt)
-	}
-	if got := measureSteadyAllocs(t, solve); got != 0 {
-		t.Fatalf("pooled CG allocates %v objects per steady-state solve, want 0", got)
 	}
 }
 

@@ -8,17 +8,15 @@ import (
 
 // Control-flow graphs. Each function body is lowered to basic blocks of
 // statements/expressions with successor edges, the substrate of the
-// forward-dataflow engine (dataflow.go) and of the path-sensitive
-// analyzers (allocfree's reachability pruning, waitleak's all-paths join
-// check).
+// forward-dataflow engine (dataflow.go) and of waitleak's all-paths join
+// check.
 //
 // Two properties matter for this suite and are guaranteed here:
 //
 //   - Constant conditions prune. `if !paranoid.Enabled { return }` with
 //     the untagged constant-false Enabled keeps only the live branch, so
-//     the paranoid failure paths (fmt.Sprintf, interface boxing of panic
-//     arguments) are invisible to the default-build analyses, exactly as
-//     they are invisible to the compiled binary.
+//     code behind a constant-false condition is invisible to the
+//     analyses, exactly as it is invisible to the compiled binary.
 //   - Terminating statements end their block with no fall-through edge:
 //     return edges to the synthetic Exit block, panic(...) edges nowhere.
 //

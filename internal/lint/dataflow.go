@@ -1,10 +1,8 @@
 package lint
 
 // A small forward-dataflow engine over the CFGs of cfg.go. The lattice is
-// the powerset of opaque facts with union join — the shape every analysis
-// in this suite needs: detaint's fact is "this object holds a
-// nondeterminism-tainted value", waitleak's is "this goroutine spawn has
-// not been joined yet". Must-style analyses are expressed in the same
+// the powerset of opaque facts with union join — waitleak's fact is "this
+// goroutine spawn has not been joined yet". Must-style analyses are expressed in the same
 // engine by negating the question: a fact that reaches Exit on ANY path
 // is a path on which the kill (the join, the check) did not happen.
 

@@ -6,36 +6,40 @@ import (
 	"sort"
 )
 
-// detaint: interprocedural nondeterminism taint. The syntactic
-// determinism analyzer flags sources — map iteration, time.Now,
-// math/rand — that sit inside a kernel package function. What it cannot
-// see is a helper in a non-kernel package that derives floating-point
-// state from such a source and returns it into a kernel: the source is
-// out of scope, the kernel call site looks clean.
+// detaint guards the bit-identity contract of the numeric packages
+// (DESIGN.md §7): a result must depend only on the input, never on map
+// iteration order, the clock, or a random source. Inside the kernel
+// packages of kernelPkgs it reports two kinds of finding.
 //
-// This analyzer closes that hole. A whole-program fixpoint computes, per
-// declared function, whether its float-typed return values are tainted
-// by a nondeterminism source (directly, or transitively by calling a
-// tainted function). The reporting pass then walks only the kernel
-// packages and flags calls to tainted functions whose float result is
-// used. Intra-function sources are deliberately NOT re-reported — those
-// are the syntactic analyzer's findings; detaint reports exclusively the
-// cross-call paths it alone can see.
+// Sources in the function itself:
+//
+//   - range over a map whose body feeds floating-point state — writing
+//     through a float slice, or assigning/appending to a float-typed
+//     variable declared outside the loop (an accumulator);
+//   - any call to time.Now, time.Since or time.Until;
+//   - any call into math/rand or math/rand/v2.
+//
+// Maps are fine for membership tests and for collecting keys that are
+// sorted before numeric use — only float-flow out of the iteration is
+// flagged.
+//
+// Sources behind a call: a helper, in any package, that derives
+// floating-point state from such a source and returns it into a kernel.
+// A whole-program fixpoint computes, per declared function, whether its
+// float-typed return values are tainted by a source (directly, or
+// transitively by calling a tainted function), and a kernel call to a
+// tainted function whose float result is used is a finding.
 
-// taintKernelPkgs are the packages whose floating-point state must be
-// deterministic (a subset of the syntactic analyzer's list: the ones
-// that compute, not the ones that assemble).
-var taintKernelPkgs = map[string]bool{
-	"sparse": true,
-	"ilu":    true,
-	"krylov": true,
-	"par":    true,
-	"dsys":   true,
+// kernelPkgs are the packages under the bit-identity contract:
+// everything a solver result can depend on.
+var kernelPkgs = map[string]bool{
+	"sparse": true, "fem": true, "krylov": true, "par": true, "dsys": true,
+	"precond": true, "schur": true, "ilu": true, "arms": true,
 }
 
 var DeTaint = &ProgramAnalyzer{
 	Name: "detaint",
-	Doc:  "calls into functions whose float results are tainted by nondeterminism sources (time, rand, map order)",
+	Doc:  "map iteration, time or math/rand feeding float state in kernel packages, in the function or through calls",
 	Run:  runDeTaint,
 }
 
@@ -70,16 +74,20 @@ func runDeTaint(prog *Program) []Diagnostic {
 		}
 	}
 
-	// Reporting pass: kernel packages only, cross-call findings only.
 	var out []Diagnostic
+	for _, p := range prog.Pkgs {
+		if kernelPkgs[lastInternalPkg(p.Path)] {
+			out = append(out, localSources(p)...)
+		}
+	}
 	for _, node := range nodes {
-		if !taintKernelPkgs[lastInternalPkg(node.Pkg.Path)] {
+		if !kernelPkgs[lastInternalPkg(node.Pkg.Path)] {
 			continue
 		}
 		discarded := discardedCalls(node.Decl.Body)
 		for _, e := range node.Out {
 			if e.Callee == nil || e.Callee == node {
-				continue // external, or self-recursion (intra-function)
+				continue // external (a local source), or self-recursion
 			}
 			s := summaries[e.Callee]
 			if s == nil || !s.tainted {
@@ -99,6 +107,71 @@ func runDeTaint(prog *Program) []Diagnostic {
 	}
 	sortDiags(out)
 	return out
+}
+
+// localSources reports the sources inside one kernel package's files.
+func localSources(p *Package) []Diagnostic {
+	var out []Diagnostic
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch node := n.(type) {
+			case *ast.RangeStmt:
+				if t := p.Info.TypeOf(node.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap && mapRangeFeedsFloats(p, node) {
+						out = append(out, diag(p, node.For, "detaint",
+							"map iteration order feeds floating-point state: iterate a sorted key slice instead"))
+					}
+				}
+			case *ast.CallExpr:
+				if f := calleeFunc(p, node); f != nil {
+					if src, ok := externalTaintSource(f); ok {
+						out = append(out, diag(p, node.Pos(), "detaint",
+							"%s in a kernel package: results must be a function of the input only (inject a seeded source from the caller)", src))
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// mapRangeFeedsFloats reports whether the body of a map-range statement
+// writes floating-point state: through an index into a float slice, or
+// into a float (or float-slice) variable declared outside the loop.
+func mapRangeFeedsFloats(p *Package, rs *ast.RangeStmt) bool {
+	found := false
+	check := func(lhs ast.Expr) {
+		switch target := lhs.(type) {
+		case *ast.IndexExpr:
+			if t := p.Info.TypeOf(target.X); t != nil && isFloatDeep(t) {
+				found = true
+			}
+		case *ast.Ident:
+			if target.Name == "_" {
+				return
+			}
+			obj := p.Info.ObjectOf(target)
+			if obj == nil || within(obj.Pos(), rs) {
+				return // loop-local temporary
+			}
+			if isFloatDeep(obj.Type()) {
+				found = true
+			}
+		}
+	}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		switch stmt := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range stmt.Lhs {
+				check(lhs)
+			}
+		case *ast.IncDecStmt:
+			check(stmt.X)
+		}
+		return !found
+	})
+	return found
 }
 
 // taintFunc computes one function's summary against the current set of
@@ -351,7 +424,7 @@ func sortedNodes(g *CallGraph) []*CGNode {
 }
 
 // sortDiags orders diagnostics by position then message, for stable
-// output and baseline comparison.
+// output.
 func sortDiags(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]

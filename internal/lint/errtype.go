@@ -40,7 +40,7 @@ var errTypePkgs = map[string]bool{
 
 var ErrType = &ProgramAnalyzer{
 	Name: "errtype",
-	Doc:  "errors crossing ilu/krylov/dist package boundaries must be documented typed errors or wrap them",
+	Doc:  "errors crossing the ilu, krylov, dist, ckpt and partition package boundaries must be documented typed errors or wrap them",
 	Run:  runErrType,
 }
 

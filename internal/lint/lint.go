@@ -1,27 +1,35 @@
 // Package lint is the project's custom static-analysis suite: a small,
-// dependency-free analyzer framework (go/ast + go/types only) plus five
+// dependency-free analyzer framework (go/ast + go/types only) plus
 // project-specific analyzers that enforce the numerical and concurrency
 // invariants this codebase promises — bit-identical reductions at any
 // worker count, dimension-checked kernel entry points, no silent float
-// equality, no discarded errors.
+// equality, no discarded or untyped errors, no unjoined goroutines.
 //
-// The analyzers:
+// The per-package analyzers (All):
 //
 //	floatcmp    ==/!= between float operands (exact-zero tests excepted)
-//	determinism map iteration, time.Now or math/rand feeding numeric
-//	            state in the numeric kernel packages
 //	dimguard    exported sparse kernels indexing caller slices without a
 //	            dimension check near the top
 //	sharedwrite writes to captured variables inside par worker closures
 //	            without a per-worker index
 //	errdrop     discarded error returns
 //
+// The whole-program analyzers (AllProgram), over a call graph and
+// per-function control-flow graphs:
+//
+//	detaint     map iteration, time or math/rand feeding float state in
+//	            the kernel packages, in the function or through calls
+//	errtype     fresh untyped errors crossing the ilu, krylov, dist,
+//	            ckpt and partition package boundaries
+//	waitleak    goroutines in par and dist not joined on every path
+//
 // False positives are suppressed, with a mandatory reason, by
 //
 //	//lint:ignore <analyzer> <reason>
 //
 // placed on the flagged line or the line directly above it. An ignore
-// without a reason is itself reported. The driver is cmd/parapre-lint.
+// without a reason is itself reported, and so is one that suppresses
+// nothing. The driver is cmd/parapre-lint.
 package lint
 
 import (
@@ -58,7 +66,7 @@ type Analyzer struct {
 // All returns the syntactic (per-package) analyzer suite in reporting
 // order. The interprocedural suite is AllProgram.
 func All() []*Analyzer {
-	return []*Analyzer{FloatCmp, Determinism, DimGuard, SharedWrite, ErrDrop}
+	return []*Analyzer{FloatCmp, DimGuard, SharedWrite, ErrDrop}
 }
 
 // KnownAnalyzerNames returns every analyzer name a //lint:ignore

@@ -10,9 +10,9 @@ import (
 // Program is the unit the interprocedural analyzers operate on: every
 // module-internal package a run has loaded (lint targets and their
 // module-internal dependencies), plus the lazily built call graph and
-// per-function CFG cache over them. Dependencies matter: an annotated
-// kernel's call cone crosses package boundaries, and the analyzer must
-// see the callee bodies to say anything.
+// per-function CFG cache over them. Dependencies matter: taint reaches a
+// kernel through helpers in other packages, and the analyzer must see the
+// callee bodies to say anything.
 type Program struct {
 	Pkgs []*Package // sorted by import path
 
@@ -61,11 +61,9 @@ type ProgramAnalyzer struct {
 }
 
 // AllProgram returns the interprocedural analyzer suite in reporting
-// order. It runs on the default (untagged) build only: the paranoid
-// debugging build deliberately trades allocations for invariant checks
-// and is outside the steady-state contracts these analyzers prove.
+// order.
 func AllProgram() []*ProgramAnalyzer {
-	return []*ProgramAnalyzer{DeTaint, AllocFree, ErrType, WaitLeak}
+	return []*ProgramAnalyzer{DeTaint, ErrType, WaitLeak}
 }
 
 // RunProgram runs the given interprocedural analyzers and filters their
@@ -95,25 +93,9 @@ func lastInternalPkg(pkgPath string) string {
 	return rest
 }
 
-// directiveOnDecl reports whether fd's doc comment carries the given
-// //lint:<directive> line (trailing text after the directive is allowed
-// and ignored).
-func directiveOnDecl(fd *ast.FuncDecl, directive string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	want := "//lint:" + directive
-	for _, c := range fd.Doc.List {
-		if c.Text == want || strings.HasPrefix(c.Text, want+" ") {
-			return true
-		}
-	}
-	return false
-}
-
-// FuncDisplayName renders fn the way the diagnostics and the annotation
-// parity test name functions: pkgpath.Func or (pkgpath.Recv).Method,
-// with pointer receivers spelled *Recv.
+// FuncDisplayName renders fn the way the diagnostics name functions:
+// pkgpath.Func or (pkgpath.Recv).Method, with pointer receivers spelled
+// *Recv.
 func FuncDisplayName(fn *types.Func) string {
 	sig, _ := fn.Type().(*types.Signature)
 	if sig == nil || sig.Recv() == nil {

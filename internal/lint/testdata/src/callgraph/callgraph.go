@@ -1,6 +1,6 @@
 // Fixture for the call-graph builder unit test: the three call kinds,
-// recursion, a resolved method call, a method value (address-taken), and
-// an indirect call through a parameter.
+// recursion, a resolved method call, a method value, and an indirect
+// call through a parameter.
 package callgraph
 
 func Leaf() {}

@@ -1,7 +1,7 @@
 // Package helper simulates a non-kernel utility package: the
-// nondeterminism sources live HERE, outside the syntactic determinism
-// analyzer's kernel scope, and only their float results flow into the
-// kernel fixture package. Every function below must be summarized as
+// nondeterminism sources live HERE, outside the kernel scope, where they
+// are not findings themselves, and only their float results flow into
+// the kernel fixture package. Every function below must be summarized as
 // tainted by the interprocedural fixpoint.
 package helper
 

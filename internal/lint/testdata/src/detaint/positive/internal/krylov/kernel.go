@@ -1,6 +1,6 @@
 // A simulated kernel package (the trailing internal/krylov path element
-// puts it in detaint's kernel set). Every call site below looks clean to
-// the syntactic determinism analyzer — the sources are in package helper.
+// puts it in detaint's kernel set). Every call site below looks clean
+// inside its function — the sources are in package helper.
 package krylov
 
 import helper "parapre/internal/lint/testdata/src/detaint/positive/helper"

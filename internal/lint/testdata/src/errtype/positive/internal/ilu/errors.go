@@ -1,6 +1,7 @@
 // Positive errtype fixture: fresh untyped errors escaping through the
 // exported API of a simulated ilu package, directly, laundered through a
-// local, and via an unexported helper on an exported path.
+// local, via an unexported helper on an exported path, and via generic
+// helpers (an explicit instantiation, a method of an instantiated type).
 package ilu
 
 import (
@@ -24,12 +25,32 @@ func Factor(n int) error {
 	if n == 1 {
 		return err // WANT errtype
 	}
+	if n == 2 {
+		return genericErr[int32](n)
+	}
+	var w width[uint16]
+	if n == 3 {
+		return w.check(n)
+	}
 	return helperErr(n)
 }
 
 // helperErr is unexported but reachable from Factor: still audited.
 func helperErr(n int) error {
 	return fmt.Errorf("helper failure %d", n) // WANT errtype
+}
+
+// genericErr is reached from Factor through an explicit instantiation,
+// as internal/ilu's generic elimination is.
+func genericErr[C int32 | uint16](n int) error {
+	return fmt.Errorf("width %d failure %d", C(0), n) // WANT errtype
+}
+
+// width is a generic type; Factor calls a method of its instantiation.
+type width[C int32 | uint16] struct{ last C }
+
+func (w width[C]) check(n int) error {
+	return errors.New("column out of range") // WANT errtype
 }
 
 // orphan is unreachable from the exported API: its fresh error never

@@ -78,8 +78,14 @@ func NewBlock2(s *dsys.System, opt ilu.ILUTOptions) (*Block, error) {
 // NewBlockIC builds Block IC, block Jacobi with an IC(0) subdomain solver
 // — a symmetric positive definite preconditioner, the correct companion
 // for the distributed CG baseline on the paper's SPD test cases (1–4, 6).
+// A subdomain whose IC(0) had to repair a pivot is not SPD there, and
+// its factor would break the solve down at the first iteration; Block IC
+// refuses it at set-up with the *ilu.NotSPDError.
 func NewBlockIC(s *dsys.System) (*Block, error) {
 	c, err := ilu.IC0(s.OwnedBlock())
+	if err == nil {
+		err = c.Repaired()
+	}
 	return newBlock(s, string(KindBlockIC), c, err, nil)
 }
 

@@ -62,24 +62,19 @@ func (b *BSR) String() string {
 // matches CSR's ascending-column order.
 func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 	if br <= 0 || bc <= 0 {
-		//lint:ignore allocfree validation failure of the once-per-shape lazy BSR build, not steady-state
 		return nil, fmt.Errorf("sparse: ToBSR block shape %d×%d", br, bc)
 	}
 	if a.Rows%br != 0 || a.Cols%bc != 0 {
-		//lint:ignore allocfree validation failure of the once-per-shape lazy BSR build, not steady-state
 		return nil, fmt.Errorf("sparse: ToBSR %d×%d does not tile into %d×%d blocks", a.Rows, a.Cols, br, bc)
 	}
 	if a.Cols > math.MaxInt32 {
-		//lint:ignore allocfree validation failure of the once-per-shape lazy BSR build, not steady-state
 		return nil, fmt.Errorf("sparse: ToBSR with %d columns, more than the %d that 32-bit column indices address", a.Cols, math.MaxInt32)
 	}
 	a.Validate()
 	nbr := a.Rows / br
 	nbc := a.Cols / bc
-	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 	b := &BSR{Rows: a.Rows, Cols: a.Cols, BR: br, BC: bc, RowPtr: make([]int32, nbr+1)}
 
-	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 	mark := make([]int, nbc)
 	for i := range mark {
 		mark[i] = -1
@@ -97,17 +92,13 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 		b.RowPtr[bi+1] = b.RowPtr[bi] + cnt
 	}
 	nb := int(b.RowPtr[nbr])
-	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 	b.ColIdx = make([]int32, nb)
-	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 	b.Val = make([]float64, nb*br*bc)
 
 	for i := range mark {
 		mark[i] = -1
 	}
-	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 	pos := make([]int, nbc) // block column → block slot, valid while mark[bj] == bi
-	//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 	scratch := make([]int, 0, nbc)
 	for bi := 0; bi < nbr; bi++ {
 		scratch = scratch[:0]
@@ -115,7 +106,6 @@ func ToBSR(a *CSR, br, bc int) (*BSR, error) {
 			for k := int(a.RowPtr[i]); k < int(a.RowPtr[i+1]); k++ {
 				if bj := int(a.ColIdx[k]) / bc; mark[bj] != bi {
 					mark[bj] = bi
-					//lint:ignore allocfree BSR conversion runs once per matrix shape and is cached behind blocked()
 					scratch = append(scratch, bj)
 				}
 			}
@@ -171,7 +161,6 @@ func blockFill(a *CSR, r int) int {
 	}
 	nbr := a.Rows / r
 	nbc := a.Cols / r
-	//lint:ignore allocfree block-size detection runs once per matrix shape and is cached behind blocked()
 	mark := make([]int, nbc)
 	for i := range mark {
 		mark[i] = -1
@@ -312,8 +301,6 @@ func (b *BSR) checkMulDims(op string, y, x []float64) {
 // MulVecTo computes y = A·x without allocating, in parallel over the
 // nnz-balanced block-row partition for large matrices. Bit-identical to
 // the CSR kernel on fill-free conversions at any worker count.
-//
-//lint:allocfree steady state once the block-row partition is built; verified dynamically by TestBSRMulVecToZeroAllocSteadyState
 func (b *BSR) MulVecTo(y, x []float64) {
 	b.checkMulDims("MulVecTo", y, x)
 	if w := par.Workers(); w > 1 && b.NNZ() >= ParMinNNZ {
@@ -385,8 +372,8 @@ func (b *BSR) rowDot(bi, r int, x []float64) float64 {
 // first use of a large enough matrix the pattern is probed for a natural
 // block size with zero fill (the only conversion that is bit-identical
 // unconditionally — see the BSR doc comment), and the verdict — a BSR
-// twin or a decline — is cached. Mutating CSR methods invalidate the
-// cache; callers that write CSR.Val directly around matvecs of the same
+// twin or a decline — is cached. No CSR method writes Val after it is
+// built; callers that write CSR.Val directly around matvecs of the same
 // matrix must call InvalidateBlocked afterwards.
 
 // autoBlockOff is set while the tests pin the router off to compare raw
@@ -418,7 +405,6 @@ func (a *CSR) blocked() *BSR {
 	if c := a.bsr.Load(); c != nil && c.rows == a.Rows && c.nnz == a.NNZ() {
 		return c.b
 	}
-	//lint:ignore allocfree block-routing verdict is computed once per matrix shape and cached in bsr
 	c := &bsrCache{rows: a.Rows, nnz: a.NNZ()}
 	if a.NNZ() >= autoBlockMinNNZ {
 		// maxFill 1.0: only fill-free tilings, so routing never changes a
@@ -441,7 +427,6 @@ func (a *CSR) blocked() *BSR {
 // one-time detection cost out of the first solve iteration.
 func (a *CSR) AutoBlocked() *BSR { return a.blocked() }
 
-// InvalidateBlocked drops the cached blocked-format verdict. The mutating
-// CSR methods call it automatically; it exists for callers that edit Val
-// in place between matvecs.
+// InvalidateBlocked drops the cached blocked-format verdict, for callers
+// that edit Val in place between matvecs.
 func (a *CSR) InvalidateBlocked() { a.bsr.Store(nil) }

@@ -38,8 +38,8 @@ type CSR struct {
 	rowPart RowSegments
 
 	// bsr caches the blocked-format detection verdict of the adaptive
-	// matvec router — see blocked in bsr.go. Mutating methods invalidate
-	// it; direct Val edits require InvalidateBlocked.
+	// matvec router — see blocked in bsr.go. A Val edit between matvecs
+	// requires InvalidateBlocked.
 	bsr atomic.Pointer[bsrCache]
 }
 
@@ -215,8 +215,6 @@ func (a *CSR) checkMulDims(op string, y, x []float64) {
 // parallel over the cached nnz-balanced row partition; every row is still
 // accumulated left-to-right, so the result is bit-identical to the serial
 // sweep at any worker count.
-//
-//lint:allocfree steady state once the row partition and block cache are built; verified dynamically by TestCSRMulVecToZeroAllocSteadyState
 func (a *CSR) MulVecTo(y, x []float64) {
 	a.Validate()
 	a.checkMulDims("MulVecTo", y, x)
@@ -300,14 +298,6 @@ func (a *CSR) Diagonal() []float64 {
 		d[i] = a.At(i, i)
 	}
 	return d
-}
-
-// Scale multiplies every stored entry by s.
-func (a *CSR) Scale(s float64) {
-	for k := range a.Val {
-		a.Val[k] *= s
-	}
-	a.InvalidateBlocked()
 }
 
 // Validate panics if the CSR structural invariants (see CheckValid) are

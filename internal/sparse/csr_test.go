@@ -276,16 +276,6 @@ func TestCheckValidDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	a := Identity(3)
-	a.Scale(-2)
-	for i := 0; i < 3; i++ {
-		if a.At(i, i) != -2 {
-			t.Fatalf("Scale failed at %d", i)
-		}
-	}
-}
-
 func TestFromTriplets(t *testing.T) {
 	a := FromTriplets(2, 2, []int{0, 1, 0}, []int{1, 0, 1}, []float64{3, 4, 1})
 	if a.At(0, 1) != 4 || a.At(1, 0) != 4 {

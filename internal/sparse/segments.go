@@ -34,7 +34,6 @@ func (p *RowSegments) Bounds(segs, rows, nnz int, rowLen func(i int) int) []int 
 	if c := p.c.Load(); c != nil && c.segs == segs && c.rows == rows && c.nnz == nnz {
 		return c.bounds
 	}
-	//lint:ignore allocfree the split is computed once per (shape, segs) and cached
 	bounds := make([]int, segs+1)
 	s, before := 1, 0
 	for r := 0; r < rows && s < segs; r++ {
@@ -47,7 +46,6 @@ func (p *RowSegments) Bounds(segs, rows, nnz int, rowLen func(i int) int) []int 
 	for ; s <= segs; s++ {
 		bounds[s] = rows
 	}
-	//lint:ignore allocfree the split is computed once per (shape, segs) and cached
 	p.c.Store(&rowPartCache{segs: segs, rows: rows, nnz: nnz, bounds: bounds})
 	return bounds
 }

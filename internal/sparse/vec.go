@@ -12,8 +12,8 @@ import (
 // product. All operate on raw []float64 so the distributed layer can reuse
 // them on local slices.
 //
-// Parallelism and determinism: the elementwise kernels (Axpy, Scal, Zero,
-// Sub) split into chunks and are exact for any chunking. The reductions
+// Parallelism and determinism: the elementwise kernels (Axpy, ScaleTo,
+// AxpyMany) split into chunks and are exact for any chunking. The reductions
 // (Dot, Norm2) use the fixed-block scheme of package par — partial results
 // per par.BlockSize-wide block, combined in ascending block order — so
 // their values are bit-identical at every worker count, which keeps
@@ -140,8 +140,6 @@ func Norm2(x []float64) float64 {
 // element sees the same update, and the products are accumulated left to
 // right inside the same par.BlockSize blocks, combined in ascending block
 // order.
-//
-//lint:allocfree on the serial path (one worker, or a single-P process); verified dynamically by TestAxpyDotZeroAlloc
 func AxpyDot(a float64, x, y, z []float64) float64 {
 	n := len(x)
 	if len(y) < n {
@@ -205,8 +203,6 @@ func Axpy(a float64, x, y []float64) {
 // rounded it. What changes is how often y is streamed — once for four
 // directions, the entry held in a register between them, instead of once
 // for each.
-//
-//lint:allocfree on the serial path (one worker, or a single-P process); verified dynamically by TestAxpyManyZeroAlloc
 func AxpyMany(a []float64, xs [][]float64, y []float64) {
 	if len(xs) < len(a) {
 		panicShortOperand("AxpyMany", "xs", len(xs), "a", len(a))
@@ -265,21 +261,5 @@ func ScaleTo(dst []float64, a float64, src []float64) {
 	}
 	for i, v := range src {
 		dst[i] = a * v
-	}
-}
-
-// Zero clears x.
-func Zero(x []float64) {
-	if len(x) >= vecParMin {
-		par.For(len(x), vecGrain, func(lo, hi int) {
-			xx := x[lo:hi]
-			for i := range xx {
-				xx[i] = 0
-			}
-		})
-		return
-	}
-	for i := range x {
-		x[i] = 0
 	}
 }
